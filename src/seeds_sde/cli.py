@@ -4,7 +4,8 @@ Subcommands: sample, order, compare, grid, selftest.  Exit codes: 0 success,
 1 configuration error, 2 acceptance failure.  All outputs are deterministic
 functions of (config, seed) and do not depend on the worker count: paths are
 partitioned into fixed 8192-path chunks whose draws are keyed by absolute
-path index, and the chunks are reassembled in order.
+path index.  Each chunk formats its own rows of terminal.csv, inside the pool
+worker when there is one, and the chunk texts are written in path order.
 """
 
 import argparse
@@ -12,8 +13,6 @@ import concurrent.futures
 import json
 import os
 import sys
-
-import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, GridError
@@ -29,13 +28,17 @@ def _fmt(x: float) -> str:
 
 
 def _run_chunk(cfg_resolved: dict, offset: int, count: int):
+    """Sample paths offset..offset+count-1; return their terminal.csv rows."""
     cfg = _config_from_resolved(cfg_resolved)
     model = cfg.build_model()
     grid = cfg.build_grid()
     stream = RngStream(cfg.seed)
     res = sample(model, cfg.schedule, grid, cfg.solver, stream, n_paths=count,
                  path_offset=offset)
-    return offset, res.terminal, res.nfe_per_path
+    # repr of a Python float is what _fmt writes; tolist() converts a column at once
+    cols = [map(repr, res.terminal[:, j].tolist()) for j in range(res.terminal.shape[1])]
+    rows = map(",".join, zip(map(str, range(offset, offset + count)), *cols))
+    return offset, "\n".join(rows) + "\n", res.nfe_per_path
 
 
 def _config_from_resolved(resolved: dict) -> RunConfig:
@@ -59,33 +62,30 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
     os.makedirs(out_dir, exist_ok=True)
     chunks = [(off, min(_CHUNK, cfg.n_paths - off)) for off in range(0, cfg.n_paths, _CHUNK)]
     resolved = cfg.resolved()
-    results = {}
+    texts = {}
     nfe_per_path = None
     if cfg.workers > 1 and len(chunks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futs = [pool.submit(_run_chunk, resolved, off, cnt) for off, cnt in chunks]
             for fut in concurrent.futures.as_completed(futs):
-                off, terminal, nfe = fut.result()
-                results[off] = terminal
-                nfe_per_path = nfe
+                off, text, nfe_per_path = fut.result()
+                texts[off] = text
     else:
         for off, cnt in chunks:
-            off, terminal, nfe = _run_chunk(resolved, off, cnt)
-            results[off] = terminal
-            nfe_per_path = nfe
+            off, text, nfe_per_path = _run_chunk(resolved, off, cnt)
+            texts[off] = text
 
-    terminal = np.concatenate([results[off] for off, _ in chunks], axis=0)
-    d = terminal.shape[1]
+    model = cfg.build_model()
+    d = model.dim
     csv_path = os.path.join(out_dir, "terminal.csv")
     with open(csv_path, "w") as fh:
         fh.write("path," + ",".join(f"x{j}" for j in range(d)) + "\n")
-        for p in range(terminal.shape[0]):
-            fh.write(str(p) + "," + ",".join(_fmt(v) for v in terminal[p]) + "\n")
+        for off, _ in chunks:
+            fh.write(texts[off])
 
     if save_trajectories:
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
-        model = cfg.build_model()
         grid = cfg.build_grid()
         stream = RngStream(cfg.seed)
         res = sample(model, cfg.schedule, grid, cfg.solver, stream,
@@ -100,7 +100,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
     grid = cfg.build_grid()
-    print(f"wrote {terminal.shape[0]} terminal states to {csv_path}")
+    print(f"wrote {cfg.n_paths} terminal states to {csv_path}")
     print(f"NFE per path: {nfe_per_path} "
           f"({cfg.solver.evals_per_step} evals x {grid.n_steps - 1} steps)")
     return 0

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 from .grids import StepGrid, edm_grid, linear_lambda_grid
 from .models import DataDistribution, ScoreModel, ZeroModel
+from .noise import RngStream
 from .schedules import ScheduleBase, make_schedule
 from .solvers import ChurnParams, SolverSpec
 
@@ -146,4 +147,5 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError("workers must be >= 1")
     cfg.build_grid()   # validate grid construction eagerly
     cfg.build_model()  # and the model spec
+    RngStream(cfg.seed)  # and the seed, which must fit a Philox key
     return cfg

@@ -3,10 +3,18 @@
 The RNG contract is counter based: a draw is addressed by (seed, trajectory,
 step, stage) and is identical across runs, platforms, evaluation orders and
 worker counts.  Trajectories are grouped into fixed blocks of ``BLOCK``
-consecutive indices; one Philox generator is keyed per (block, step, stage)
+consecutive indices; the Philox counter is keyed per (block, step, stage)
 and a trajectory reads its own row of the block draw.  This makes vectorized
 sampling cheap while keeping every (trajectory, step, stage) draw a pure
 function of the key.
+
+Each ``RngStream`` holds one Philox generator for its seed and resets its
+counter (and output buffer) to the key before every block draw, which gives
+the same numbers as a generator built fresh for that key.  A block draw
+stops at the last row the caller reads: NumPy fills normals in order, so the
+first k rows of a keyed draw do not depend on how many rows follow.  The
+reset makes an ``RngStream`` stateful, so one stream must not be shared
+between threads; the package itself starts none.
 
 Stage index conventions used by the samplers:
   stage 0  churn noise (and the initial-state draw at step 0),
@@ -23,6 +31,7 @@ from .errors import ConfigError, DomainError
 from .phi import sqrt_exp_diff
 
 BLOCK = 1024
+SEED_LIMIT = 2**128  # Philox takes a 128-bit key
 
 
 class RngStream:
@@ -30,23 +39,25 @@ class RngStream:
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
+        self._bitgen = np.random.Philox(key=self.seed)
+        self._gen = np.random.Generator(self._bitgen)
+        # state of a just-built generator: counter 0, empty output buffer
+        self._fresh = self._bitgen.state
 
-    def generator(self, traj: int, step: int, stage: int) -> np.random.Generator:
-        """Fresh generator for one (trajectory, step, stage) key."""
-        return self._block_generator(traj, step, stage)
-
-    def _block_generator(self, block, step, stage):
-        counter = [0, int(stage), int(step), int(block)]
-        return np.random.Generator(np.random.Philox(key=self.seed, counter=counter))
-
-    def _normal_block(self, block, step, stage, d):
-        return self._block_generator(block, step, stage).standard_normal((BLOCK, d))
+    def _normal_block(self, block, step, stage, d, rows):
+        """The first ``rows`` rows of the (block, step, stage) draw, shape (rows, d)."""
+        self._fresh["state"]["counter"][1:] = (stage, step, block)
+        self._bitgen.state = self._fresh
+        return self._gen.standard_normal((rows, d))
 
     def gauss(self, traj: int, step: int, stage: int, d: int) -> np.ndarray:
         """d i.i.d. standard normals for one trajectory, shape (d,)."""
         if d < 1:
             raise DomainError("dimension must be >= 1")
-        return self._normal_block(traj // BLOCK, step, stage, d)[traj % BLOCK]
+        block, row = divmod(traj, BLOCK)
+        return self._normal_block(block, step, stage, d, row + 1)[row]
 
     def normal_paths(self, n: int, step: int, stage: int, d: int, offset: int = 0) -> np.ndarray:
         """Draws for trajectories offset..offset+n-1, shape (n, d).
@@ -61,7 +72,8 @@ class RngStream:
             traj = offset + filled
             block, row = divmod(traj, BLOCK)
             take = min(BLOCK - row, n - filled)
-            out[filled : filled + take] = self._normal_block(block, step, stage, d)[row : row + take]
+            out[filled : filled + take] = self._normal_block(block, step, stage, d,
+                                                             row + take)[row:]
             filled += take
         return out
 

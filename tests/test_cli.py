@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from seeds_sde.cli import main
 
 
@@ -38,6 +40,22 @@ def test_sample_invalid_combination_exits_1(tmp_path, capsys):
                 "--paths", "4", "--out", str(tmp_path / "x")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_sample_seed_out_of_range_exits_1(tmp_path, capsys, seed):
+    code = run(["sample", "--solver", "seeds1", "--steps", "5", "--paths", "4",
+                "--seed", seed, "--out", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_sample_largest_seed_runs(tmp_path):
+    assert run(["sample", "--solver", "seeds1", "--steps", "5", "--paths", "4",
+                "--seed", str(2**128 - 1), "--out", str(tmp_path / "x")]) == 0
 
 
 def test_config_file_round_trip(tmp_path):

@@ -60,6 +60,19 @@ def test_distinct_streams_differ():
     assert not np.allclose(base, RngStream(43).gauss(5, 7, 1, 4))
 
 
+def reference_rows(seed, step, stage, d, offset, n):
+    """The draw contract written out: a fresh generator per 1024-path block."""
+    blocks = {}
+    rows = []
+    for traj in range(offset, offset + n):
+        block, row = divmod(traj, 1024)
+        if block not in blocks:
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, stage, step, block]))
+            blocks[block] = gen.standard_normal((1024, d))
+        rows.append(blocks[block][row])
+    return np.array(rows)
+
+
 def test_normal_paths_partition_invariance():
     stream = RngStream(7)
     full = stream.normal_paths(3000, 4, 1, 2)
@@ -69,6 +82,31 @@ def test_normal_paths_partition_invariance():
     assert np.array_equal(full, pieces)
     # row p equals the per-trajectory draw
     assert np.array_equal(full[1537], stream.gauss(1537, 4, 1, 2))
+
+
+@pytest.mark.parametrize("seed", [7, 2**64 + 3])
+@pytest.mark.parametrize("d", [1, 16])
+@pytest.mark.parametrize("offset,n", [(0, 1), (0, 1696), (1000, 100)])
+def test_normal_paths_match_reference(seed, d, offset, n):
+    stream = RngStream(seed)
+    ref = reference_rows(seed, 4, 2, d, offset, n)
+    assert np.array_equal(stream.normal_paths(n, 4, 2, d, offset=offset), ref)
+    assert np.array_equal(stream.gauss(offset + n - 1, 4, 2, d), ref[-1])
+
+
+def test_draws_independent_of_call_order():
+    stream = RngStream(2**100 + 1)
+    first = stream.normal_paths(1100, 3, 1, 2)
+    stream.normal_paths(5, 9, 2, 7, offset=3000)
+    stream.gauss(2047, 3, 0, 2)
+    assert np.array_equal(stream.normal_paths(1100, 3, 1, 2), first)
+    assert np.array_equal(RngStream(2**100 + 1).normal_paths(1100, 3, 1, 2), first)
+
+
+def test_seed_out_of_range_rejected():
+    for seed in (-1, 2**128):
+        with pytest.raises(ConfigError):
+            RngStream(seed)
 
 
 def test_gauss_moments_and_ks():
