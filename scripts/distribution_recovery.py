@@ -24,7 +24,8 @@ from seeds_sde import (
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--solver", default="seeds3")
-    parser.add_argument("--mode", default="np", choices=["np", "dp"])
+    parser.add_argument("--mode", default=None, choices=["np", "dp"],
+                        help="default: the solver's default mode")
     parser.add_argument("--steps", type=int, default=31)
     parser.add_argument("--paths", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=11)
@@ -43,7 +44,7 @@ def main():
         model = ScoreModel(data, sched)
         rep = terminal_distribution_check(spec, model, sched, grid, args.paths,
                                           RngStream(args.seed))
-        print(f"{label} via {args.solver}-{args.mode}, M={args.steps}, "
+        print(f"{label} via {spec.family}-{spec.mode}, M={args.steps}, "
               f"NFE={spec.evals_per_step * (grid.n_steps - 1)}:")
         print(f"  mean      {rep.mean} +- {rep.mean_se}  (target {rep.target_mean})")
         print(f"  cov diag  {rep.cov_diag}  (target {rep.target_cov_diag})")

@@ -11,7 +11,7 @@ from .harness import (
     weak_order,
 )
 from .models import DataDistribution, ScoreModel, ZeroModel, zero_model
-from .noise import RngStream, ZeroStream
+from .noise import RngStream
 from .phi import phi, sqrt_exp_diff, stable_expm1_combination, weighted_poly_integral
 from .schedules import Edm, PrecondValues, Ve, VpCosine, VpLinear, make_schedule
 from .solvers import ChurnParams, SampleResult, SolverSpec, sample
@@ -36,7 +36,6 @@ __all__ = [
     "VpCosine",
     "VpLinear",
     "ZeroModel",
-    "ZeroStream",
     "edm_grid",
     "linear_lambda_grid",
     "make_schedule",

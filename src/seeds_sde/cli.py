@@ -27,13 +27,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _run_chunk(cfg_resolved: dict, offset: int, count: int):
+def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int):
     """Sample paths offset..offset+count-1; return their terminal.csv rows."""
-    cfg = _config_from_resolved(cfg_resolved)
-    model = cfg.build_model()
-    grid = cfg.build_grid()
-    stream = RngStream(cfg.seed)
-    res = sample(model, cfg.schedule, grid, cfg.solver, stream, n_paths=count,
+    res = sample(model, cfg.schedule, grid, cfg.solver, RngStream(cfg.seed), n_paths=count,
                  path_offset=offset)
     # repr of a Python float is what _fmt writes; tolist() converts a column at once
     cols = [map(repr, res.terminal[:, j].tolist()) for j in range(res.terminal.shape[1])]
@@ -41,41 +37,24 @@ def _run_chunk(cfg_resolved: dict, offset: int, count: int):
     return offset, "\n".join(rows) + "\n", res.nfe_per_path
 
 
-def _config_from_resolved(resolved: dict) -> RunConfig:
-    from .config import _build_schedule, _build_solver  # local to keep pickling simple
-
-    cfg = RunConfig(
-        schedule=_build_schedule(resolved["schedule"]),
-        model_spec=resolved["model"],
-        solver=_build_solver(resolved["solver"]),
-        grid_spec=resolved["grid"],
-        seed=resolved["seed"],
-        n_paths=resolved["paths"],
-        workers=resolved["workers"],
-        threshold=resolved["threshold"],
-        order=resolved.get("order", {}),
-    )
-    return cfg
-
-
 def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
     chunks = [(off, min(_CHUNK, cfg.n_paths - off)) for off in range(0, cfg.n_paths, _CHUNK)]
-    resolved = cfg.resolved()
+    model = cfg.build_model()
+    grid = cfg.build_grid()
     texts = {}
     nfe_per_path = None
     if cfg.workers > 1 and len(chunks) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = [pool.submit(_run_chunk, resolved, off, cnt) for off, cnt in chunks]
+            futs = [pool.submit(_run_chunk, cfg, model, grid, off, cnt) for off, cnt in chunks]
             for fut in concurrent.futures.as_completed(futs):
                 off, text, nfe_per_path = fut.result()
                 texts[off] = text
     else:
         for off, cnt in chunks:
-            off, text, nfe_per_path = _run_chunk(resolved, off, cnt)
+            off, text, nfe_per_path = _run_chunk(cfg, model, grid, off, cnt)
             texts[off] = text
 
-    model = cfg.build_model()
     d = model.dim
     csv_path = os.path.join(out_dir, "terminal.csv")
     with open(csv_path, "w") as fh:
@@ -86,7 +65,6 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
     if save_trajectories:
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
-        grid = cfg.build_grid()
         stream = RngStream(cfg.seed)
         res = sample(model, cfg.schedule, grid, cfg.solver, stream,
                      n_paths=cfg.n_paths, record=True)
@@ -98,8 +76,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
                     fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in res.trajectory[i, p]) + "\n")
 
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-    grid = cfg.build_grid()
+        json.dump(cfg.resolved(), fh, indent=2, sort_keys=True)
     print(f"wrote {cfg.n_paths} terminal states to {csv_path}")
     print(f"NFE per path: {nfe_per_path} "
           f"({cfg.solver.evals_per_step} evals x {grid.n_steps - 1} steps)")
@@ -114,15 +91,15 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
     if kind == "strong":
         est = strong_order(
             cfg.solver, model, cfg.schedule,
-            base_steps=int(order_cfg.get("base_steps", 32)),
-            refinements=int(order_cfg.get("refinements", 4)),
+            base_steps=order_cfg.get("base_steps", 32),
+            refinements=order_cfg.get("refinements", 4),
             n_paths=cfg.n_paths, stream=stream,
         )
     elif kind == "weak":
         steps_list = order_cfg.get("steps_list", [14, 17, 21, 26])
         from .grids import linear_lambda_grid
 
-        grids = [linear_lambda_grid(int(m), cfg.schedule.t_min, cfg.schedule.t_max,
+        grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
                                     cfg.schedule) for m in steps_list]
         est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream)
     else:
@@ -171,12 +148,6 @@ def cmd_grid(cfg: RunConfig) -> int:
             # sentinel / final node of the trivial step
             print(f"{i},{_fmt(t)},,,")
     return 0
-
-
-def cmd_selftest(seed: int) -> int:
-    from .selftest import run_selftest
-
-    return run_selftest(seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +203,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return cmd_selftest(args.seed)
+            from .selftest import run_selftest
+
+            return run_selftest(args.seed)
         if args.command == "compare":
             ov = _overrides(args)
             ov_a = dict(ov)

@@ -32,8 +32,7 @@ class RunConfig:
     def build_model(self):
         kind = self.model_spec.get("kind", "gaussian_mixture")
         if kind == "zero":
-            d = int(self.model_spec.get("dim", 1))
-            return ZeroModel(d, self.schedule)
+            return ZeroModel(_integer("model dim", self.model_spec.get("dim", 1)), self.schedule)
         if kind == "gaussian_mixture":
             data = DataDistribution.from_components(self.model_spec["components"])
             return ScoreModel(data, self.schedule)
@@ -42,7 +41,7 @@ class RunConfig:
     def build_grid(self) -> StepGrid:
         spec = dict(self.grid_spec)
         kind = spec.pop("kind", "linear_lambda")
-        steps = int(spec.pop("steps", 31))
+        steps = _integer("grid steps", spec.pop("steps", 31))
         sched = self.schedule
         if kind == "linear_lambda":
             eps_end = float(spec.pop("eps_end", sched.t_min))
@@ -75,6 +74,29 @@ class RunConfig:
         return {"schedule": sched_spec, "model": self.model_spec, "solver": solver_spec,
                 "grid": self.grid_spec, "seed": self.seed, "paths": self.n_paths,
                 "workers": self.workers, "threshold": self.threshold, "order": self.order}
+
+
+def _integer(key: str, value) -> int:
+    """``value`` as an int; a ConfigError naming ``key`` unless it is integral."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _order_spec(raw: dict) -> dict:
+    """The order section with its integer keys checked."""
+    order = dict(raw)
+    for key in ("base_steps", "refinements"):
+        if key in order:
+            order[key] = _integer(f"order {key}", order[key])
+    if "steps_list" in order:
+        steps = order["steps_list"]
+        if not isinstance(steps, list):
+            raise ConfigError(f"order steps_list must be a list of integers, got {steps!r}")
+        order["steps_list"] = [_integer("order steps_list", m) for m in steps]
+    return order
 
 
 def _reject_extras(section: str, leftover: dict) -> None:
@@ -134,12 +156,12 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         model_spec=dict(raw.get("model", _DEFAULT_MODEL)),
         solver=solver,
         grid_spec=grid_spec,
-        seed=int(pick("seed", "seed", 0)),
-        n_paths=int(pick("paths", "paths", 1000)),
-        workers=int(pick("workers", "workers", 1)),
+        seed=_integer("seed", pick("seed", "seed", 0)),
+        n_paths=_integer("paths", pick("paths", "paths", 1000)),
+        workers=_integer("workers", pick("workers", "workers", 1)),
         out=overrides.get("out") or raw.get("out"),
         threshold=float(pick("threshold", "threshold", 1e-10)),
-        order=dict(raw.get("order", {})),
+        order=_order_spec(raw.get("order", {})),
     )
     if cfg.n_paths < 1:
         raise ConfigError("paths must be >= 1")

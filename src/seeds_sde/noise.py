@@ -78,16 +78,6 @@ class RngStream:
         return out
 
 
-class ZeroStream:
-    """Drop-in stream whose draws are all zero (deterministic-part probes)."""
-
-    def gauss(self, traj, step, stage, d):
-        return np.zeros(d)
-
-    def normal_paths(self, n, step, stage, d, offset=0):
-        return np.zeros((n, d))
-
-
 def weighted_increment_std(sigma_bar_t: float, h: float, kind: str) -> float:
     """Standard deviation of the one-step weighted stochastic increment.
 
@@ -110,22 +100,6 @@ def raw_increment_var(lam_a: float, lam_b: float) -> float:
     return 0.5 * math.exp(-2.0 * lam_a) * (-math.expm1(-2.0 * (lam_b - lam_a)))
 
 
-def staged_noise_seeds2(z1, z2, sbar_mid, sbar_t, h):
-    """Two-stage noise pair sharing z1 between the half and full step.
-
-    noise_mid  = sbar_mid sqrt(e^h - 1) z1
-    noise_full = sbar_t  (sqrt(e^{2h} - e^h) z1 + sqrt(e^h - 1) z2)
-    """
-    if h <= 0.0:
-        raise DomainError("staged noise needs h > 0")
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    root = math.sqrt(math.expm1(h))
-    noise_mid = sbar_mid * root * z1
-    noise_full = sbar_t * (sqrt_exp_diff(2.0 * h, h) * z1 + root * z2)
-    return noise_mid, noise_full
-
-
 def staged_noise_seeds3(z1, z2, z3, sbar_s1, sbar_s2, sbar_t, h, r1, r2):
     """Three-stage noises (n1, A, B) of the three-stage stochastic step.
 
@@ -138,9 +112,6 @@ def staged_noise_seeds3(z1, z2, z3, sbar_s1, sbar_s2, sbar_t, h, r1, r2):
         raise ConfigError(f"stage fractions must satisfy 0 < r1 < r2 < 1, got {r1}, {r2}")
     if h <= 0.0:
         raise DomainError("staged noise needs h > 0")
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
-    z3 = np.asarray(z3, dtype=float)
     c_inner = math.sqrt(math.expm1(2.0 * r1 * h))
     c_mid = sqrt_exp_diff(2.0 * r2 * h, 2.0 * r1 * h)
     c_outer = sqrt_exp_diff(2.0 * h, 2.0 * r2 * h)
@@ -148,27 +119,6 @@ def staged_noise_seeds3(z1, z2, z3, sbar_s1, sbar_s2, sbar_t, h, r1, r2):
     a = sbar_s2 * (c_mid * z1 + c_inner * z2)
     b = sbar_t * (c_outer * z1 + c_mid * z2 + c_inner * z3)
     return n1, a, b
-
-
-def chasles_refine(gen: np.random.Generator, lam_partition, size=None):
-    """Independent weighted increments over adjacent lambda subintervals.
-
-    ``lam_partition`` is strictly increasing with length >= 2.  Increment j
-    is N(0, v_j) with v_j = integral e^{-2 lam} over subinterval j, so the
-    sum over j is distributed as the full-interval weighted integral.
-    Returns shape (len-1,) or (len-1, size).
-    """
-    lams = np.asarray(lam_partition, dtype=float)
-    if lams.ndim != 1 or lams.size < 2:
-        raise ConfigError("partition must be a 1-D array of length >= 2")
-    if not np.all(np.diff(lams) > 0.0):
-        raise ConfigError("partition must be strictly increasing")
-    stds = np.array(
-        [math.sqrt(raw_increment_var(lams[j], lams[j + 1])) for j in range(lams.size - 1)]
-    )
-    shape = (lams.size - 1,) if size is None else (lams.size - 1, size)
-    draws = gen.standard_normal(shape)
-    return draws * (stds if size is None else stds[:, None])
 
 
 def correlated_pair(gen: np.random.Generator, h: float, size=None):
@@ -188,21 +138,3 @@ def correlated_pair(gen: np.random.Generator, h: float, size=None):
     w = rh * u1
     z = (h * rh / 2.0) * u1 + (h * rh / (2.0 * math.sqrt(3.0))) * u2
     return w, z
-
-
-def weak_point_increment(gen: np.random.Generator, h: float, order: int, size=None):
-    """Discrete stand-ins for the Wiener increment in weak schemes.
-
-    order 1: +-sqrt(h) with probability 1/2 each.
-    order 2: +-sqrt(3h) with probability 1/6 each, 0 with probability 2/3.
-    """
-    if h <= 0.0:
-        raise DomainError("weak increment needs h > 0")
-    shape = () if size is None else (size,)
-    u = gen.random(shape)
-    if order == 1:
-        return math.sqrt(h) * np.where(u < 0.5, 1.0, -1.0)
-    if order == 2:
-        mag = math.sqrt(3.0 * h)
-        return np.where(u < 1.0 / 6.0, mag, np.where(u < 2.0 / 6.0, -mag, 0.0))
-    raise ConfigError(f"unsupported weak-increment order {order!r}; expected 1 or 2")

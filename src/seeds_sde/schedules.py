@@ -52,10 +52,6 @@ class ScheduleBase:
 
     family = "?"
 
-    @property
-    def t_domain(self):
-        return (self.t_min, self.t_max)
-
     def _check_time(self, t: float) -> float:
         t = float(t)
         if not math.isfinite(t):

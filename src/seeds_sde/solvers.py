@@ -1,4 +1,4 @@
-"""One-step update rules and the outer sampling loop.
+"""One-step update rules, the solver registry and the outer sampling loop.
 
 Families
 --------
@@ -9,6 +9,19 @@ exp_euler_etd /    classical exponential Euler in the time variable
 exp_euler_lawson   (ETD and integrating-factor flavors)
 gddim              stochastic DDIM-style step (VP only)
 ve2_ode_a/b, ve2_sde  one-parameter two-stage data-prediction schemes (VE/EDM)
+
+One stage routine: ``np_stages_step`` is the noise-prediction step with 1, 2
+or 3 stages.  Given draws it is SEEDS-k (gain factor 2 and staged noise that
+shares z^1 across stages); given ``draws=None`` it is DPM-k, the
+probability-flow step of the same order.  dpm4 and the data-prediction,
+Euler-Maruyama, exponential-Euler, gddim and ve2 steps have their own bodies.
+
+One registry: ``FAMILIES`` maps each family name to a ``Family`` descriptor
+with its evaluations per step, the stage parameters it checks, and one
+``Form`` per mode it has ("np" noise prediction, "dp" data prediction): the
+step callable, its fixed keywords and the schedule families it runs on.
+Only seeds1 and dpm1 have both modes; every other family has one, which is
+its default (and the default of seeds1 and dpm1 is "np").
 
 All stochastic steps draw through a stage-keyed ``StepDraws`` provider so
 that solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...;
@@ -22,7 +35,8 @@ directly.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,40 +45,6 @@ from .grids import StepGrid
 from .noise import staged_noise_seeds3
 from .phi import phi, sqrt_exp_diff
 from .schedules import ODE, SDE, ScheduleBase
-
-FAMILIES = (
-    "seeds1",
-    "seeds2",
-    "seeds3",
-    "dpm1",
-    "dpm2",
-    "dpm3",
-    "dpm4",
-    "euler_maruyama",
-    "exp_euler_etd",
-    "exp_euler_lawson",
-    "gddim",
-    "ve2_ode_a",
-    "ve2_ode_b",
-    "ve2_sde",
-)
-
-_EVALS_PER_STEP = {
-    "seeds1": 1,
-    "seeds2": 2,
-    "seeds3": 3,
-    "dpm1": 1,
-    "dpm2": 2,
-    "dpm3": 3,
-    "dpm4": 5,
-    "euler_maruyama": 1,
-    "exp_euler_etd": 1,
-    "exp_euler_lawson": 1,
-    "gddim": 1,
-    "ve2_ode_a": 2,
-    "ve2_ode_b": 2,
-    "ve2_sde": 2,
-}
 
 _GAMMA_CAP = math.sqrt(2.0) - 1.0
 
@@ -89,62 +69,76 @@ class ChurnParams:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """Solver family plus mode and stage parameters."""
+    """Solver family plus mode and stage parameters.
+
+    ``mode`` None means the family's default mode: "np" for seeds1 and dpm1,
+    the only mode for every other family.  ``step_kwargs`` holds the keywords
+    ``step_once`` passes to the family's step, resolved once here.
+    """
 
     family: str
-    mode: str = "np"
+    mode: str | None = None
     r1: float = 1.0 / 3.0
     r2: float = 2.0 / 3.0
     c2: float = 0.5
     churn: ChurnParams | None = None
+    step_kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         fam = self.family.lower().replace("-", "_")
+        desc = FAMILIES.get(fam)
+        if desc is None:
+            raise ConfigError(f"unknown solver family {self.family!r}; "
+                              f"expected one of {tuple(FAMILIES)}")
+        mode = next(iter(desc.forms)) if self.mode is None else self.mode
+        if mode not in desc.forms:
+            raise ConfigError(f"{fam} has no mode {mode!r}; its modes are {tuple(desc.forms)}")
         object.__setattr__(self, "family", fam)
-        if fam not in FAMILIES:
-            raise ConfigError(f"unknown solver family {self.family!r}; expected one of {FAMILIES}")
-        if self.mode not in ("np", "dp"):
-            raise ConfigError(f"mode must be 'np' or 'dp', got {self.mode!r}")
-        if fam in ("seeds3", "dpm3") and not 0.0 < self.r1 < self.r2 < 1.0:
-            raise ConfigError(f"{fam} needs 0 < r1 < r2 < 1, got r1={self.r1}, r2={self.r2}")
-        if fam in ("seeds2", "dpm2") and not 0.0 < self.c2 <= 1.0:
-            raise ConfigError(f"{fam} needs 0 < c2 <= 1, got c2={self.c2}")
-        if fam.startswith("ve2") and not 0.0 < self.r1 <= 1.0:
-            raise ConfigError(f"{fam} needs 0 < r1 <= 1, got r1={self.r1}")
-        if fam in ("seeds2", "seeds3", "dpm2", "dpm3", "dpm4") and self.mode == "dp":
-            raise ConfigError(f"{fam} is defined in noise-prediction mode only")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "step_kwargs",
+                           {**desc.forms[mode].kwargs, **self._stage_params(desc.params)})
+
+    def _stage_params(self, params: str) -> dict:
+        """Check the family's stage parameters; return them as step keywords."""
+        fam = self.family
+        if params == "c2":
+            if not 0.0 < self.c2 <= 1.0:
+                raise ConfigError(f"{fam} needs 0 < c2 <= 1, got c2={self.c2}")
+            return {"c2": self.c2}
+        if params == "r1<r2":
+            if not 0.0 < self.r1 < self.r2 < 1.0:
+                raise ConfigError(f"{fam} needs 0 < r1 < r2 < 1, got r1={self.r1}, r2={self.r2}")
+            return {"r1": self.r1, "r2": self.r2}
+        if params == "r":
+            if not 0.0 < self.r1 <= 1.0:
+                raise ConfigError(f"{fam} needs 0 < r1 <= 1, got r1={self.r1}")
+            return {"r": self.r1}
+        return {}
 
     @property
     def evals_per_step(self) -> int:
-        return _EVALS_PER_STEP[self.family]
+        return FAMILIES[self.family].evals
 
     def validate_against(self, sched: ScheduleBase) -> None:
-        """Cross-field constraints between solver family and schedule."""
-        fam = self.family
-        if fam == "gddim" and sched.family != "vp":
-            raise ConfigError("gddim requires a VP schedule")
-        if fam.startswith("ve2") and sched.family not in ("ve", "edm"):
-            raise ConfigError(f"{fam} requires a VE or EDM schedule")
-        np_families = ("seeds1", "seeds2", "seeds3", "dpm1", "dpm2", "dpm3", "dpm4",
-                       "exp_euler_etd", "exp_euler_lawson")
-        if fam in np_families and self.mode == "np" and sched.family == "ve":
-            raise ConfigError("noise-prediction steps are not defined on the VE schedule; use mode='dp'")
+        """Reject a schedule that this family's mode does not run on."""
+        allowed = FAMILIES[self.family].forms[self.mode].schedules
+        if sched.family not in allowed:
+            raise ConfigError(f"{self.family} in mode {self.mode!r} runs on "
+                              f"{'/'.join(allowed)} schedules, not {sched.family!r}")
 
 
 class StepDraws:
     """Stage-keyed z draws for one solver step over a batch of trajectories."""
 
-    def __init__(self, stream, step_index: int, n: int, d: int, offset: int = 0, squeeze: bool = False):
+    def __init__(self, stream, step_index: int, n: int, d: int, offset: int = 0):
         self.stream = stream
         self.step_index = step_index
         self.n = n
         self.d = d
         self.offset = offset
-        self.squeeze = squeeze
 
     def z(self, stage: int) -> np.ndarray:
-        out = self.stream.normal_paths(self.n, self.step_index, stage, self.d, offset=self.offset)
-        return out[0] if self.squeeze else out
+        return self.stream.normal_paths(self.n, self.step_index, stage, self.d, offset=self.offset)
 
 
 class ZeroStepDraws:
@@ -173,16 +167,15 @@ class ArrayDraws:
 class _Frame:
     """lambda variable and step coefficients of one (schedule, equation) pair."""
 
-    __slots__ = ("lam", "t_of_lam", "trans", "gain", "nscale", "nsign", "stochastic")
+    __slots__ = ("lam", "t_of_lam", "trans", "gain", "nscale", "nsign")
 
-    def __init__(self, lam, t_of_lam, trans, gain, nscale, nsign, stochastic):
+    def __init__(self, lam, t_of_lam, trans, gain, nscale, nsign):
         self.lam = lam
         self.t_of_lam = t_of_lam
         self.trans = trans
         self.gain = gain
         self.nscale = nscale
         self.nsign = nsign
-        self.stochastic = stochastic
 
 
 def np_frame(sched: ScheduleBase, stochastic: bool) -> _Frame:
@@ -191,8 +184,7 @@ def np_frame(sched: ScheduleBase, stochastic: bool) -> _Frame:
     if sched.family == "vp":
 
         def gain(t, k=2.0 if stochastic else 1.0):
-            a, s, sbar = sched.alpha_sigma(t)
-            return -k * sbar
+            return -k * sched.alpha_sigma(t)[2]
 
         def nscale(t):
             return sched.alpha_sigma(t)[2]
@@ -204,7 +196,6 @@ def np_frame(sched: ScheduleBase, stochastic: bool) -> _Frame:
             gain=gain,
             nscale=nscale,
             nsign=-1.0,
-            stochastic=stochastic,
         )
     if sched.family == "edm":
         sd = sched.sigma_data
@@ -216,7 +207,6 @@ def np_frame(sched: ScheduleBase, stochastic: bool) -> _Frame:
                 gain=lambda t: 2.0 * t * math.sqrt(t * t + sd * sd) / sd,
                 nscale=lambda t: t * math.sqrt(t * t + sd * sd) / sd,
                 nsign=1.0,
-                stochastic=True,
             )
         return _Frame(
             lam=lambda t: sched.lambda_of_t(t, ODE),
@@ -225,7 +215,6 @@ def np_frame(sched: ScheduleBase, stochastic: bool) -> _Frame:
             gain=lambda t: math.sqrt(t * t + sd * sd) * math.atan(t / sd),
             nscale=None,
             nsign=1.0,
-            stochastic=False,
         )
     raise ConfigError(f"noise-prediction steps are not defined for schedule family {sched.family!r}")
 
@@ -240,140 +229,106 @@ def _check_backward(s: float, t: float, h: float) -> None:
 # -- one-step update rules ----------------------------------------------------
 
 
-def seeds1_step(model, sched, x_s, s, t, draws, mode="np"):
-    """Single-stage stochastic exponential step (1 model evaluation)."""
-    if mode == "np":
-        fr = np_frame(sched, stochastic=True)
-        h = fr.lam(t) - fr.lam(s)
-        _check_backward(s, t, h)
-        f_val = model.noise_pred(x_s, s)
-        eps = draws.z(1)
-        det = fr.trans(s, t) * x_s + fr.gain(t) * math.expm1(h) * f_val
-        return det + fr.nsign * fr.nscale(t) * math.sqrt(math.expm1(2.0 * h)) * eps
-    if mode == "dp":
-        a_s, sg_s, _ = sched.alpha_sigma(s)
-        a_t, sg_t, sbar_t = sched.alpha_sigma(t)
-        h = math.log(sg_s / sg_t)
-        _check_backward(s, t, h)
-        d_val = model.data_pred(x_s, s)
-        eps = draws.z(1)
-        trans = (sg_t * sg_t * a_t) / (sg_s * sg_s * a_s)
-        det = trans * x_s - a_t * math.expm1(-2.0 * h) * d_val
-        return det + sbar_t * math.sqrt(-math.expm1(-2.0 * h)) * eps
-    raise ConfigError(f"mode must be 'np' or 'dp', got {mode!r}")
+def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
+                   r1=1.0 / 3.0, r2=2.0 / 3.0):
+    """Noise-prediction exponential step with 1, 2 or 3 stages (as many
+    model evaluations).
 
-
-def seeds2_step(model, sched, x_s, s, t, draws, c2=0.5):
-    """Two-stage stochastic exponential step (2 model evaluations).
-
-    Stage node at lambda_s + c2 h; c2 = 1/2 is the midpoint form whose noise
-    combination is sqrt(e^{2h} - e^h) z1 + sqrt(e^h - 1) z2.
+    With ``draws`` this is the SEEDS step: the reverse-SDE frame (gain factor
+    2) plus staged noise that shares z1 across stages.  With ``draws=None``
+    it is the probability-flow DPM-Solver step of the same order (gain
+    factor 1, no noise).  The two-stage node sits at lambda_s + c2 h; c2 = 1/2
+    is the midpoint form whose noise combination is sqrt(e^{2h} - e^h) z1 +
+    sqrt(e^h - 1) z2.  The three-stage nodes sit at lambda_s + r1 h and
+    lambda_s + r2 h.
     """
-    if not 0.0 < c2 <= 1.0:
-        raise ConfigError(f"seeds2 needs 0 < c2 <= 1, got {c2}")
-    fr = np_frame(sched, stochastic=True)
+    fr = np_frame(sched, stochastic=draws is not None)
     lam_s = fr.lam(s)
     h = fr.lam(t) - lam_s
     _check_backward(s, t, h)
-    s1 = fr.t_of_lam(lam_s + c2 * h)
-    z1, z2 = draws.z(1), draws.z(2)
     f_s = model.noise_pred(x_s, s)
-    # z1 is the weighted increment over [lam_s, lam_s + c2 h]; carrying it to
-    # t and adding a fresh remainder keeps the stage and full-step noises on
-    # one Brownian path (at c2 = 1/2 this is the sqrt(e^{2h} - e^h) pattern)
-    mid_std = math.sqrt(math.expm1(2.0 * c2 * h))
-    u = (
-        fr.trans(s, s1) * x_s
-        + fr.gain(s1) * math.expm1(c2 * h) * f_s
-        + fr.nsign * fr.nscale(s1) * mid_std * z1
-    )
-    f_mid = model.noise_pred(u, s1)
-    rem = 2.0 * (1.0 - c2) * h
-    full_noise = sqrt_exp_diff(2.0 * h, rem) * z1 + math.sqrt(math.expm1(rem)) * z2
-    return (
-        fr.trans(s, t) * x_s
-        + fr.gain(t) * math.expm1(h) * ((1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid)
-        + fr.nsign * fr.nscale(t) * full_noise
-    )
-
-
-def seeds3_step(model, sched, x_s, s, t, draws, r1=1.0 / 3.0, r2=2.0 / 3.0):
-    """Three-stage stochastic exponential step (3 model evaluations)."""
-    if not 0.0 < r1 < r2 < 1.0:
-        raise ConfigError(f"seeds3 needs 0 < r1 < r2 < 1, got r1={r1}, r2={r2}")
-    fr = np_frame(sched, stochastic=True)
-    lam_s = fr.lam(s)
-    h = fr.lam(t) - lam_s
-    _check_backward(s, t, h)
+    if stages == 1:
+        x_t = fr.trans(s, t) * x_s + fr.gain(t) * math.expm1(h) * f_s
+        if draws is None:
+            return x_t
+        return x_t + fr.nsign * (fr.nscale(t) * math.sqrt(math.expm1(2.0 * h)) * draws.z(1))
+    if stages == 2:
+        s1 = fr.t_of_lam(lam_s + c2 * h)
+        u = fr.trans(s, s1) * x_s + fr.gain(s1) * math.expm1(c2 * h) * f_s
+        if draws is not None:
+            z1 = draws.z(1)
+            u = u + fr.nsign * (fr.nscale(s1) * math.sqrt(math.expm1(2.0 * c2 * h)) * z1)
+        f_mid = model.noise_pred(u, s1)
+        x_t = (fr.trans(s, t) * x_s
+               + fr.gain(t) * math.expm1(h) * ((1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid))
+        if draws is None:
+            return x_t
+        # z1 is the weighted increment over [lam_s, lam_s + c2 h]; carrying it
+        # to t and adding a fresh remainder keeps the stage and full-step
+        # noises on one Brownian path
+        rem = 2.0 * (1.0 - c2) * h
+        full_noise = sqrt_exp_diff(2.0 * h, rem) * z1 + math.sqrt(math.expm1(rem)) * draws.z(2)
+        return x_t + fr.nsign * (fr.nscale(t) * full_noise)
+    if stages != 3:
+        raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
     s1 = fr.t_of_lam(lam_s + r1 * h)
     s2 = fr.t_of_lam(lam_s + r2 * h)
-    z1, z2, z3 = draws.z(1), draws.z(2), draws.z(3)
-    n1, noise_a, noise_b = staged_noise_seeds3(
-        z1, z2, z3, fr.nscale(s1), fr.nscale(s2), fr.nscale(t), h, r1, r2
-    )
-    f_s = model.noise_pred(x_s, s)
-    u1 = fr.trans(s, s1) * x_s + fr.gain(s1) * math.expm1(r1 * h) * f_s + fr.nsign * n1
+    u1 = fr.trans(s, s1) * x_s + fr.gain(s1) * math.expm1(r1 * h) * f_s
+    if draws is not None:
+        n1, noise_a, noise_b = staged_noise_seeds3(
+            draws.z(1), draws.z(2), draws.z(3), fr.nscale(s1), fr.nscale(s2), fr.nscale(t),
+            h, r1, r2)
+        u1 = u1 + fr.nsign * n1
     f_u1 = model.noise_pred(u1, s1)
     # (e^{r2 h} - 1)/(r2 h) - 1 == r2 h phi_2(r2 h), stable near h = 0
     corr2 = (r2 / r1) * (r2 * h) * phi(2, r2 * h)
-    u2 = (
-        fr.trans(s, s2) * x_s
-        + fr.gain(s2) * (math.expm1(r2 * h) * f_s + corr2 * (f_u1 - f_s))
-        + fr.nsign * noise_a
-    )
+    u2 = fr.trans(s, s2) * x_s + fr.gain(s2) * (math.expm1(r2 * h) * f_s + corr2 * (f_u1 - f_s))
+    if draws is not None:
+        u2 = u2 + fr.nsign * noise_a
     f_u2 = model.noise_pred(u2, s2)
     corr3 = (1.0 / r2) * h * phi(2, h)
-    return (
-        fr.trans(s, t) * x_s
-        + fr.gain(t) * (math.expm1(h) * f_s + corr3 * (f_u2 - f_s))
-        + fr.nsign * noise_b
-    )
+    x_t = fr.trans(s, t) * x_s + fr.gain(t) * (math.expm1(h) * f_s + corr3 * (f_u2 - f_s))
+    return x_t if draws is None else x_t + fr.nsign * noise_b
 
 
-def dpm_step(model, sched, x_s, s, t, order, mode="np", c2=0.5, r1=1.0 / 3.0, r2=2.0 / 3.0):
-    """Deterministic exponential ODE step of the given order (1..4).
+def seeds1_step(model, sched, x_s, s, t, draws, mode="np"):
+    """Single-stage stochastic exponential step (1 model evaluation).
 
-    Order 1 exists in both modes; orders 2-4 are noise-prediction only.
-    Order 4 follows the five-stage scheme with nodes (1/2, 1/2, 1, 1/2).
+    Mode "np" is the one-stage ``np_stages_step``; mode "dp" is the
+    data-prediction form.
     """
-    if order not in (1, 2, 3, 4):
-        raise ConfigError(f"dpm order must be in 1..4, got {order!r}")
-    if mode == "dp":
-        if order != 1:
-            raise ConfigError("data-prediction mode is only defined for the order-1 step")
-        a_s, sg_s, sbar_s = sched.alpha_sigma(s)
-        a_t, sg_t, sbar_t = sched.alpha_sigma(t)
-        h = math.log(sg_s / sg_t)
-        _check_backward(s, t, h)
-        d_val = model.data_pred(x_s, s)
-        return (sbar_t / sbar_s) * x_s - a_t * math.expm1(-h) * d_val
+    if mode == "np":
+        return np_stages_step(model, sched, x_s, s, t, draws)
+    if mode != "dp":
+        raise ConfigError(f"mode must be 'np' or 'dp', got {mode!r}")
+    a_s, sg_s, _ = sched.alpha_sigma(s)
+    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
+    h = math.log(sg_s / sg_t)
+    _check_backward(s, t, h)
+    d_val = model.data_pred(x_s, s)
+    eps = draws.z(1)
+    trans = (sg_t * sg_t * a_t) / (sg_s * sg_s * a_s)
+    det = trans * x_s - a_t * math.expm1(-2.0 * h) * d_val
+    return det + sbar_t * math.sqrt(-math.expm1(-2.0 * h)) * eps
+
+
+def dpm1_dp_step(model, sched, x_s, s, t):
+    """Order-1 probability-flow step in data-prediction form (1 model evaluation)."""
+    a_s, sg_s, sbar_s = sched.alpha_sigma(s)
+    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
+    h = math.log(sg_s / sg_t)
+    _check_backward(s, t, h)
+    d_val = model.data_pred(x_s, s)
+    return (sbar_t / sbar_s) * x_s - a_t * math.expm1(-h) * d_val
+
+
+def dpm4_step(model, sched, x_s, s, t):
+    """Five-stage deterministic exponential ODE step with nodes (1/2, 1/2, 1, 1/2)."""
     fr = np_frame(sched, stochastic=False)
     lam_s = fr.lam(s)
     h = fr.lam(t) - lam_s
     _check_backward(s, t, h)
-    f_s = model.noise_pred(x_s, s)
-    if order == 1:
-        return fr.trans(s, t) * x_s + fr.gain(t) * math.expm1(h) * f_s
-    if order == 2:
-        s1 = fr.t_of_lam(lam_s + c2 * h)
-        u = fr.trans(s, s1) * x_s + fr.gain(s1) * math.expm1(c2 * h) * f_s
-        f_mid = model.noise_pred(u, s1)
-        comb = (1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid
-        return fr.trans(s, t) * x_s + fr.gain(t) * math.expm1(h) * comb
-    if order == 3:
-        s1 = fr.t_of_lam(lam_s + r1 * h)
-        s2 = fr.t_of_lam(lam_s + r2 * h)
-        u1 = fr.trans(s, s1) * x_s + fr.gain(s1) * math.expm1(r1 * h) * f_s
-        f_u1 = model.noise_pred(u1, s1)
-        corr2 = (r2 / r1) * (r2 * h) * phi(2, r2 * h)
-        u2 = fr.trans(s, s2) * x_s + fr.gain(s2) * (math.expm1(r2 * h) * f_s + corr2 * (f_u1 - f_s))
-        f_u2 = model.noise_pred(u2, s2)
-        corr3 = (1.0 / r2) * h * phi(2, h)
-        return fr.trans(s, t) * x_s + fr.gain(t) * (math.expm1(h) * f_s + corr3 * (f_u2 - f_s))
-    return _dpm4_step(model, sched, x_s, s, t, fr, h, lam_s, f_s)
-
-
-def _dpm4_step(model, sched, x_s, s, t, fr, h, lam_s, k1):
+    k1 = model.noise_pred(x_s, s)
     r = 0.5
     s_mid = fr.t_of_lam(lam_s + r * h)   # nodes s2 = s3 = s5
     s4 = fr.t_of_lam(lam_s + h)
@@ -515,8 +470,6 @@ def churn_inject(x, params: ChurnParams, sigma_t, n_steps, sched, noise):
     if params.s_churn == 0.0 or not params.s_tmin <= sigma_t <= params.s_tmax:
         return x, sigma_t
     gamma = min(params.s_churn / n_steps, _GAMMA_CAP)
-    if gamma <= 0.0:
-        return x, sigma_t
     sigma_hat = sigma_t * (1.0 + gamma)
     t_old = sched.time_of_sigma(sigma_t)
     t_new = sched.time_of_sigma(sigma_hat)
@@ -526,29 +479,69 @@ def churn_inject(x, params: ChurnParams, sigma_t, n_steps, sched, noise):
     return a_new * (x / a_old + extra * noise), sigma_hat
 
 
+# -- the solver registry -------------------------------------------------------
+
+_NP_SCHEDULES = ("vp", "edm")           # where noise-prediction frames exist
+_ALL_SCHEDULES = ("vp", "ve", "edm")
+_SIGMA_SCHEDULES = ("ve", "edm")
+
+
+@dataclass(frozen=True)
+class Form:
+    """One mode of a family: its step callable, the fixed keywords the step
+    gets, whether it reads stage draws, and the schedule families it runs on."""
+
+    step: Callable
+    schedules: tuple
+    kwargs: dict = field(default_factory=dict)
+    takes_draws: bool = True
+
+
+@dataclass(frozen=True)
+class Family:
+    """Evaluations per step, the stage parameters the family checks ("c2",
+    "r1<r2" or "r") and its forms by mode; the first mode is the default."""
+
+    evals: int
+    forms: dict
+    params: str = ""
+
+
+def _stages(k: int, seeds: bool) -> Form:
+    """The stage routine's k-stage form: SEEDS-k with draws, DPM-k without."""
+    return Form(np_stages_step, _NP_SCHEDULES, {"stages": k}, takes_draws=seeds)
+
+
+FAMILIES = {
+    "seeds1": Family(1, {"np": _stages(1, seeds=True),
+                         "dp": Form(seeds1_step, _ALL_SCHEDULES, {"mode": "dp"})}),
+    "seeds2": Family(2, {"np": _stages(2, seeds=True)}, "c2"),
+    "seeds3": Family(3, {"np": _stages(3, seeds=True)}, "r1<r2"),
+    "dpm1": Family(1, {"np": _stages(1, seeds=False),
+                       "dp": Form(dpm1_dp_step, _ALL_SCHEDULES, takes_draws=False)}),
+    "dpm2": Family(2, {"np": _stages(2, seeds=False)}, "c2"),
+    "dpm3": Family(3, {"np": _stages(3, seeds=False)}, "r1<r2"),
+    "dpm4": Family(5, {"np": Form(dpm4_step, _NP_SCHEDULES, takes_draws=False)}),
+    "euler_maruyama": Family(1, {"np": Form(euler_maruyama_step, _ALL_SCHEDULES)}),
+    "exp_euler_etd": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"variant": "etd"},
+                                           takes_draws=False)}),
+    "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES,
+                                              {"variant": "lawson"}, takes_draws=False)}),
+    "gddim": Family(1, {"np": Form(gddim_step, ("vp",))}),
+    "ve2_ode_a": Family(2, {"dp": Form(ve_2stage_step, _SIGMA_SCHEDULES, {"kind": "ode_a"})},
+                        "r"),
+    "ve2_ode_b": Family(2, {"dp": Form(ve_2stage_step, _SIGMA_SCHEDULES, {"kind": "ode_b"})},
+                        "r"),
+    "ve2_sde": Family(2, {"dp": Form(ve_2stage_step, _SIGMA_SCHEDULES, {"kind": "sde"})}, "r"),
+}
+
+
 def step_once(spec: SolverSpec, model, sched, x, s, t, draws):
-    """Dispatch one step of the configured solver family."""
-    fam = spec.family
-    if fam == "seeds1":
-        return seeds1_step(model, sched, x, s, t, draws, mode=spec.mode)
-    if fam == "seeds2":
-        return seeds2_step(model, sched, x, s, t, draws, c2=spec.c2)
-    if fam == "seeds3":
-        return seeds3_step(model, sched, x, s, t, draws, r1=spec.r1, r2=spec.r2)
-    if fam.startswith("dpm"):
-        return dpm_step(model, sched, x, s, t, int(fam[3]), mode=spec.mode, c2=spec.c2,
-                        r1=spec.r1, r2=spec.r2)
-    if fam == "euler_maruyama":
-        return euler_maruyama_step(model, sched, x, s, t, draws)
-    if fam == "exp_euler_etd":
-        return exp_euler_step(model, sched, x, s, t, "etd")
-    if fam == "exp_euler_lawson":
-        return exp_euler_step(model, sched, x, s, t, "lawson")
-    if fam == "gddim":
-        return gddim_step(model, sched, x, s, t, draws)
-    if fam.startswith("ve2"):
-        return ve_2stage_step(model, sched, x, s, t, draws, r=spec.r1, kind=fam[4:])
-    raise ConfigError(f"unknown solver family {fam!r}")
+    """One step of the spec's family in the spec's mode."""
+    form = FAMILIES[spec.family].forms[spec.mode]
+    if form.takes_draws:
+        return form.step(model, sched, x, s, t, draws, **spec.step_kwargs)
+    return form.step(model, sched, x, s, t, **spec.step_kwargs)
 
 
 @dataclass

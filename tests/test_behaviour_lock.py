@@ -8,6 +8,10 @@ arithmetic re-baselines them once and says so in CHANGES.md.
 The paths counts cross the 1024-path draw block (1100 paths) and, for the
 mixture run, the 8192-path chunk (17000 paths over three chunks at
 ``--workers 2``), so block and chunk joins are locked as well.
+
+Besides the ten hand-picked runs, the lock covers every valid (family,
+schedule, mode) ``sample`` run on the four schedules, the CSV and JSON that
+``order strong`` and ``order weak`` write, and the stdout of ``compare``.
 """
 
 import hashlib
@@ -64,17 +68,174 @@ LOCKED = {
 }
 
 
+# every valid (family, schedule, mode) run at 1100 paths and 12 steps, seed 21,
+# keyed "family-schedule-mode"; computed from the parent of the commit that
+# added this table, before the solver registry and stage routine it ships with
+SWEEP_LOCKED = {
+    "dpm1-edm-dp": "6c60bca9d81f7f9dfb463d76cf0059f9c2d8b20def7209d15cf73fc98d01bc3f",
+    "dpm1-edm-np": "2ff71e54e3807cbdff611b6c67e0483b7e8c8293bbc12b26adf3014ace95b68b",
+    "dpm1-ve-dp": "299451e24e64cb74e1698ca2c1a16bbc633e42e2eb417f241fee62ebe24b1448",
+    "dpm1-vp-dp": "2f37ed47777e65eee05805e61759925b6fb6ff0d5af1db49f9b4934395e5f3e3",
+    "dpm1-vp-np": "f424bab96dbbf4dd37a4e7501579c4ce019d8749cc51999add7766d23ca6b663",
+    "dpm1-vp_cosine-dp": "724749acc732d0f83bd01f750e9895f86f180e43ef0f28c5cd49563fa2408c40",
+    "dpm1-vp_cosine-np": "a2c5223e5d78172b4e15f7754c21347aa6c54deda84cbe971e80f75dbe53953d",
+    "dpm2-edm-np": "c4cee895e7f9bea45b9731acf0b368e95d9776f061fce5ba920cc529f4869660",
+    "dpm2-vp-np": "ed6038396fcea085607d3ce87a0cdd3134b8672d304764158cd4bed680520e8b",
+    "dpm2-vp_cosine-np": "1c99f5611322371160b68d1d75749e594fdf8306aa47ce99ec8dcb77a2dd9f4b",
+    "dpm3-edm-np": "bb3c0970dfe8f0b3c859c15574483eac9480f33c34f3bc88025fdb1cfc2c91a4",
+    "dpm3-vp-np": "2952c29e23ebe11c57cef7d2c36495449c7e2b06d9d157bf793f42ace74a87b4",
+    "dpm3-vp_cosine-np": "273def68f4a01834931eaf034cbede4a069f10785317374df43d61dc5eceb6a0",
+    "dpm4-edm-np": "7b1c8badb24de8f77cd29edc9fc95799d4adf1a8fc9ffc76393dc2c8c0c45d7b",
+    "dpm4-vp-np": "bc50d3bac4f6ca300d93aecbcb09e344e759251a97bf5e3f8009b411c07e2d73",
+    "dpm4-vp_cosine-np": "80af193e39a967b39910e7cf58f9d77517d03dfb28f36cb5a48926935e0ac01b",
+    "euler_maruyama-edm-np": "10ed244d18e57022722edb19b265fe0907bebce339a100473877bf19617ba305",
+    "euler_maruyama-ve-np": "3c9d9821788f602a528d7251f8b0314b3b4a8640e2b1154426d57c3b703d6fc2",
+    "euler_maruyama-vp-np": "adb89ce2015dce7a08a0c54e45b5eb372b9bd3c34fb61a9161cb49eaa30dc500",
+    "euler_maruyama-vp_cosine-np":
+        "fb3d6f0331f2bbcbde1e426277c96c0c39237e5258c13ca4442310bccd16d89d",
+    "exp_euler_etd-edm-np": "6fa19040d6997e1f0b8b767f56ac92385527f0c9e79416b5c28b2c3a729583ec",
+    "exp_euler_etd-vp-np": "f05f0f023965d162313b2d29ea5dde51aa00e8cce1e8cb4687c047dae9d2b6c6",
+    "exp_euler_etd-vp_cosine-np":
+        "caf5496ad31dc38fa0b44a15f552d84f07d24695dc14e7604ff16ad41bcc6c7b",
+    "exp_euler_lawson-edm-np": "ce8630575fc75110459bafa034b787fea9529bfbd0cebb1464351d1eef7dbe2f",
+    "exp_euler_lawson-vp-np": "9d0344f2b7086b96a4b249986d41924b40f15c4a89cdf9280e26628163d0ea69",
+    "exp_euler_lawson-vp_cosine-np":
+        "06f4401d7075cc49ebda79592674316b58ae7818d3f295f4a9d9f3993c46ad88",
+    "gddim-vp-np": "11f48e2f7554e202fa3ae391d970fe4f050e574f4a2b259c85bc97261f735927",
+    "gddim-vp_cosine-np": "9bed8d637e51485ecd6ff61b57667fd86d6bb6cfdc58917a4cd912f7f6dbc372",
+    "seeds1-edm-dp": "3457b6748e635e86cbdb5a7dd1759b3dc85225bea649ef10976aa6180033b6a0",
+    "seeds1-edm-np": "8273b9c5b000293f1b99254bce4cd8d5fd6d5cbc9d9f65b0602a3a94a8894e72",
+    "seeds1-ve-dp": "5b00ba3c3fa2d5abe52eeaaf2f86ce3670846cd80ba5ca012b3297a85313e54e",
+    "seeds1-vp-dp": "ea56bcfbbd25f662c4e8fe68ecff5aa30220849b966a076facec55a963f7d1c4",
+    "seeds1-vp-np": "2da4f413d85bb2df50107b3511c89cb0a34f94de09ad50244f22a7653d17435a",
+    "seeds1-vp_cosine-dp": "f50e3d1992e5fb5c9056a43667609516a80e106f0adf025694bdc920431bb237",
+    "seeds1-vp_cosine-np": "9ff5fc9689640557c90c756ac0d82208a42d77993c8b3bf1c78e0c443736c1c2",
+    "seeds2-edm-np": "5dce45286c0ec371ce3353ead48dc02137e6db896f6e53e4834b4f0448de7ce8",
+    "seeds2-vp-np": "56a241109ad87c3211fd7af050a339bf6a867d47c97aa141aaffd5095d5ecbc0",
+    "seeds2-vp_cosine-np": "4d2516d1522eef4bbdf654774f84be8692568103ec96c7ebbefdff3ae94b971b",
+    "seeds3-edm-np": "670128627868d63910876975972426398a9f87bb2d57d12f80a3a5171da96884",
+    "seeds3-vp-np": "93f364e8a9adc75dfcf6d629f231faf422af110b1ee326f29ab0153758d84886",
+    "seeds3-vp_cosine-np": "3c758a801a57008ac9b7c6bccefa3e745277e16155d2ff22bf267a0ab34b2a63",
+    "ve2_ode_a-edm-dp": "4b64f39733d23adddf0aeeb4ebed5cb577ead396ac01b9508ec73dbaaf87670d",
+    "ve2_ode_a-ve-dp": "440b34695fa416c9498e56e294fb72a1693aaec0146288889aaf25eb6c3f4611",
+    "ve2_ode_b-edm-dp": "b5775b500e5b58160b5eaa91ae2c14996b57f3915e752123394dd8286d17af1e",
+    "ve2_ode_b-ve-dp": "e29ab29162bede09e34d20511b62727c9af887a11ce9d2a79d17e86cbbb2530b",
+    "ve2_sde-edm-dp": "481f7c60989b89e92a930622df700289b4796593e3d56784fb187584f557d931",
+    "ve2_sde-ve-dp": "6cfbc9d80bf1a081a561222bccc33dc653b81ddfebc518fdcd1619dd2aad99ca",
+}
+
+_ZERO_MODEL = {"kind": "zero", "dim": 1}
+
+# name -> (argv, config file contents or None, output file stem)
+ORDER_CASES = {
+    "strong-seeds1": (["order", "strong", "--solver", "seeds1", "--seed", "1"],
+                      {"order": {"base_steps": 8, "refinements": 3}, "paths": 400},
+                      "order_strong_seeds1"),
+    "weak-seeds2": (["order", "weak", "--solver", "seeds2", "--seed", "2"],
+                    {"order": {"steps_list": [5, 7, 10]}, "paths": 2000},
+                    "order_weak_seeds2"),
+    "weak-seeds3-edm": (["order", "weak", "--solver", "seeds3", "--schedule", "edm",
+                         "--seed", "3"],
+                        {"order": {"steps_list": [6, 8, 11]}, "paths": 2000},
+                        "order_weak_seeds3"),
+    # the zero model leaves every moment error below 3 SE: all grids excluded
+    "weak-seeds1-zero-model": (["order", "weak", "--solver", "seeds1", "--seed", "4"],
+                               {"order": {"steps_list": [5, 7, 10]}, "paths": 1500,
+                                "model": _ZERO_MODEL},
+                               "order_weak_seeds1"),
+}
+
+# name -> sha256 of the CSV and of the JSON, same provenance as SWEEP_LOCKED
+ORDER_LOCKED = {
+    "strong-seeds1": ["15f065c60e61e1445e389eccffedcb0d66ec14d1c31739c7393a2ad356e5c7bf",
+                      "57ab2c3c9fcbc44596cb8a538e2fcc562e5cbf4d3cb32fe1f913bfd5393229f2"],
+    "weak-seeds1-zero-model": ["09d990e46f420c31104b3d5eba8464082ca58eb5efc645e15feec667ef4f79db",
+                               "23ab64481114ef6d52af8fd0127017d0a9b6581bb3904652ddab978eb65c17c5"],
+    "weak-seeds2": ["76f1aac9af48e3f0da7ff5592525a6782878db19207beeb7f31a6cb65af03b22",
+                    "6eee79e5ec583b9920ac391e4a15f94f00cd37016aad4659fac6654dfd91e5b7"],
+    "weak-seeds3-edm": ["abb34d45ba219f4e2347cc3679d187f51395b60677d23d52149cf9c256de8441",
+                        "e6f253082371c880befc4ddbaeb396b78bf8338e28ae176fa9242ec5976e1086"],
+}
+
+# name -> argv after "compare"
+COMPARE_CASES = {
+    "gddim-vs-seeds1-dp": ["--solver-a", "gddim", "--solver-b", "seeds1", "--mode-b", "dp",
+                           "--schedule", "vp", "--steps", "30", "--seed", "5"],
+    "seeds1-np-vs-dp": ["--solver-a", "seeds1", "--mode-a", "np", "--solver-b", "seeds1",
+                        "--mode-b", "dp", "--schedule", "vp", "--steps", "30", "--seed", "5",
+                        "--threshold", "1e-6"],
+    "seeds3-vs-dpm3-edm": ["--solver-a", "seeds3", "--solver-b", "dpm3", "--schedule", "edm",
+                           "--steps", "20", "--seed", "6"],
+    "seeds2-vs-dpm2-cosine": ["--solver-a", "seeds2", "--solver-b", "dpm2", "--schedule",
+                              "vp_cosine", "--steps", "20", "--seed", "7"],
+}
+
+# name -> (exit code, stdout), same provenance as SWEEP_LOCKED
+COMPARE_LOCKED = {
+    "gddim-vs-seeds1-dp": [0, "max relative per-step difference: 2.320768761760039e-15\n"
+                           "PASS (threshold 1e-10)\n"],
+    "seeds1-np-vs-dp": [2, "max relative per-step difference: 1.9592179311122058\n"
+                        "FAIL (threshold 1e-06)\n"],
+    "seeds2-vs-dpm2-cosine": [2, "max relative per-step difference: 1.9698282444909219\n"
+                              "FAIL (threshold 1e-10)\n"],
+    "seeds3-vs-dpm3-edm": [2, "max relative per-step difference: 0.7709883406292822\n"
+                           "FAIL (threshold 1e-10)\n"],
+}
+
+
+def _with_config(tmp_path, argv, config):
+    if config is None:
+        return argv
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return argv + ["--config", str(cfg_path)]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _terminal_sha256(tmp_path, name):
     argv, config = CASES[name]
-    argv = ["sample", *argv, "--out", str(tmp_path / "out")]
-    if config is not None:
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        argv += ["--config", str(cfg_path)]
+    argv = _with_config(tmp_path, ["sample", *argv, "--out", str(tmp_path / "out")], config)
     assert main(argv) == 0
-    return hashlib.sha256((tmp_path / "out" / "terminal.csv").read_bytes()).hexdigest()
+    return _sha256(tmp_path / "out" / "terminal.csv")
+
+
+def _sweep_sha256(tmp_path, key):
+    family, schedule, mode = key.rsplit("-", 2)
+    assert main(["sample", "--solver", family, "--schedule", schedule, "--mode", mode,
+                 "--steps", "12", "--paths", "1100", "--seed", "21",
+                 "--out", str(tmp_path / "out")]) == 0
+    return _sha256(tmp_path / "out" / "terminal.csv")
+
+
+def _order_sha256(tmp_path, name):
+    argv, config, stem = ORDER_CASES[name]
+    assert main(_with_config(tmp_path, argv + ["--out", str(tmp_path / "out")], config)) == 0
+    return [_sha256(tmp_path / "out" / f"{stem}.{ext}") for ext in ("csv", "json")]
+
+
+def _compare_output(name, capsys):
+    code = main(["compare", *COMPARE_CASES[name]])
+    return [code, capsys.readouterr().out]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_terminal_csv_hash_locked(tmp_path, name):
     assert _terminal_sha256(tmp_path, name) == LOCKED[name]
+
+
+@pytest.mark.parametrize("key", sorted(SWEEP_LOCKED))
+def test_sweep_terminal_csv_hash_locked(tmp_path, key):
+    assert _sweep_sha256(tmp_path, key) == SWEEP_LOCKED[key]
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_order_outputs_locked(tmp_path, name):
+    assert _order_sha256(tmp_path, name) == ORDER_LOCKED[name]
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_CASES))
+def test_compare_stdout_locked(name, capsys):
+    assert _compare_output(name, capsys) == COMPARE_LOCKED[name]

@@ -1,9 +1,11 @@
 import json
 import os
+import pickle
 
 import pytest
 
 from seeds_sde.cli import main
+from seeds_sde.config import load_config
 
 
 def run(argv):
@@ -51,6 +53,92 @@ def test_sample_seed_out_of_range_exits_1(tmp_path, capsys, seed):
     assert "config error" in err and "seed" in err
     assert "Traceback" not in err
     assert not (tmp_path / "x").exists()
+
+
+def _config_error(capsys):
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--solver", "euler_maruyama", "--mode", "dp"],
+    ["--solver", "gddim", "--mode", "dp"],
+    ["--solver", "ve2_sde", "--schedule", "ve", "--mode", "np"],
+    ["--solver", "exp_euler_etd", "--schedule", "ve", "--mode", "dp"],
+])
+def test_sample_mode_without_a_form_exits_1(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert run(["sample", *argv, "--steps", "5", "--paths", "4", "--out", str(out)]) == 1
+    assert "has no mode" in _config_error(capsys)
+    assert not out.exists()
+
+
+def test_sample_exp_euler_on_ve_rejected_before_sampling(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert run(["sample", "--solver", "exp_euler_lawson", "--schedule", "ve", "--steps", "5",
+                "--paths", "4", "--out", str(out)]) == 1
+    assert "not 've'" in _config_error(capsys)
+    assert not out.exists()
+
+
+def test_sample_records_the_default_mode(tmp_path):
+    out = tmp_path / "x"
+    assert run(["sample", "--solver", "ve2_sde", "--schedule", "ve", "--steps", "5",
+                "--paths", "4", "--out", str(out)]) == 0
+    assert json.loads(read(out / "config.json"))["solver"]["mode"] == "dp"
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"seed": 1.5, "paths": 2.9, "grid": {"steps": 8.7}}, "seed"),
+    ({"paths": 2.9}, "paths"),
+    ({"paths": "abc"}, "paths"),
+    ({"workers": 1.5}, "workers"),
+    ({"grid": {"kind": "linear_lambda", "steps": 8.7}}, "grid steps"),
+    ({"model": {"kind": "zero", "dim": 1.5}}, "model dim"),
+])
+def test_sample_non_integral_config_exits_1(tmp_path, capsys, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"{key} must be an integer" in _config_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, order, key", [
+    ("strong", {"base_steps": 8.5}, "order base_steps"),
+    ("strong", {"refinements": "3"}, "order refinements"),
+    ("weak", {"steps_list": [5, 7.5, 10]}, "order steps_list"),
+    ("weak", {"steps_list": 5}, "order steps_list"),
+])
+def test_order_non_integral_config_exits_1(tmp_path, capsys, kind, order, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"order": order, "paths": 100}))
+    out = tmp_path / "x"
+    assert run(["order", kind, "--config", str(cfg_path), "--solver", "seeds1",
+                "--out", str(out)]) == 1
+    assert key in _config_error(capsys)
+    assert not out.exists()
+
+
+def test_integral_float_config_values_run(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 3.0, "paths": 20.0, "grid": {"steps": 6.0}}))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    resolved = json.loads(read(out / "config.json"))
+    assert resolved["seed"] == 3 and resolved["paths"] == 20
+    assert len(read(out / "terminal.csv").decode().splitlines()) == 21
+
+
+@pytest.mark.parametrize("schedule", ["vp", "vp_cosine", "ve", "edm"])
+def test_run_config_pickles_unchanged(schedule):
+    solver = "ve2_sde" if schedule == "ve" else "seeds3"
+    cfg = load_config(None, {"schedule": schedule, "solver": solver})
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back.resolved() == cfg.resolved()
+    assert back.solver == cfg.solver and back.solver.step_kwargs == cfg.solver.step_kwargs
 
 
 def test_sample_largest_seed_runs(tmp_path):

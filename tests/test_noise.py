@@ -5,17 +5,15 @@ import pytest
 import sympy
 from scipy import stats
 
-from seeds_sde import DomainError, RngStream, VpLinear, ZeroStream
+from seeds_sde import DomainError, RngStream, VpLinear
 from seeds_sde.errors import ConfigError
 from seeds_sde.noise import (
-    chasles_refine,
     correlated_pair,
     raw_increment_var,
-    staged_noise_seeds2,
     staged_noise_seeds3,
-    weak_point_increment,
     weighted_increment_std,
 )
+from seeds_sde.solvers import ArrayDraws, np_stages_step
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -26,18 +24,13 @@ def quad_exp_neg2(lam_a, lam_b):
 
 
 class FixedGen:
-    """Generator stub feeding preset unit normals / uniforms."""
+    """Generator stub feeding preset unit normals."""
 
-    def __init__(self, normals=(), uniforms=()):
+    def __init__(self, normals=()):
         self._normals = list(normals)
-        self._uniforms = list(uniforms)
 
     def standard_normal(self, shape=()):
         v = self._normals.pop(0)
-        return np.full(shape, v) if shape else np.float64(v)
-
-    def random(self, shape=()):
-        v = self._uniforms.pop(0)
         return np.full(shape, v) if shape else np.float64(v)
 
 
@@ -117,12 +110,6 @@ def test_gauss_moments_and_ks():
     assert ks < 1.628 / math.sqrt(100_000)  # alpha = 0.01 critical value
 
 
-def test_zero_stream():
-    zs = ZeroStream()
-    assert np.all(zs.gauss(0, 0, 0, 3) == 0.0)
-    assert np.all(zs.normal_paths(5, 1, 1, 2) == 0.0)
-
-
 # -- analytic increment laws --------------------------------------------------
 
 
@@ -158,28 +145,53 @@ def test_np_increment_matches_isometry():
 # -- staged noise -------------------------------------------------------------
 
 
+# The two-stage staged noise lives in the seeds2 step itself.  On the zero
+# model started from x = 0 the step returns its full-step noise, and the
+# model's second input is the stage state, i.e. the midpoint noise.
+
+
+class StageRecorder:
+    """Zero noise prediction that keeps every state it is evaluated at."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def noise_pred(self, x, t):
+        self.inputs.append(np.array(x))
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _seeds2_noise(z1, z2, h, s=0.8):
+    """(stage noise, full-step noise, s1, t) of the midpoint seeds2 step with lambda width h."""
+    vp = VpLinear()
+    t = vp.t_of_lambda(vp.lambda_of_t(s) + h)
+    rec = StageRecorder()
+    full = np_stages_step(rec, vp, np.zeros_like(z1), s, t, ArrayDraws({1: z1, 2: z2}), stages=2)
+    s1 = vp.t_of_lambda(vp.lambda_of_t(s) + 0.5 * h)
+    return rec.inputs[1], full, s1, t
+
+
 def test_staged_seeds2_zero_draws():
-    mid, full = staged_noise_seeds2(np.zeros(3), np.zeros(3), 1.0, 1.0, 0.4)
+    mid, full, _, _ = _seeds2_noise(np.zeros(3), np.zeros(3), 0.4)
     assert np.all(mid == 0.0) and np.all(full == 0.0)
 
 
 def test_staged_seeds2_telescoping_coefficients():
-    h, sbar = 0.3, 1.37
-    z1 = np.array([1.0])
-    mid, c1 = staged_noise_seeds2(z1, np.zeros(1), 1.0, sbar, h)
-    _, c2 = staged_noise_seeds2(np.zeros(1), z1, 1.0, sbar, h)
-    assert c1[0] ** 2 + c2[0] ** 2 == pytest.approx(sbar**2 * math.expm1(2 * h), rel=1e-13)
-    assert mid[0] == pytest.approx(math.sqrt(math.expm1(h)), rel=1e-13)
+    vp, h = VpLinear(), 0.3
+    mid, c1, s1, t = _seeds2_noise(np.ones(1), np.zeros(1), h)
+    _, c2, _, _ = _seeds2_noise(np.zeros(1), np.ones(1), h)
+    sbar_t, sbar_1 = vp.alpha_sigma(t)[2], vp.alpha_sigma(s1)[2]
+    assert c1[0] ** 2 + c2[0] ** 2 == pytest.approx(sbar_t**2 * math.expm1(2 * h), rel=1e-13)
+    assert -mid[0] == pytest.approx(sbar_1 * math.sqrt(math.expm1(h)), rel=1e-13)
 
 
 def test_staged_seeds2_empirical_variance():
-    h, sbar = 0.3, 1.0
-    n = 1_000_000
+    h, n = 0.3, 1_000_000
     gen = np.random.Generator(np.random.Philox(key=5))
     z1 = gen.standard_normal(n)
     z2 = gen.standard_normal(n)
-    _, full = staged_noise_seeds2(z1, z2, 1.0, sbar, h)
-    target = sbar**2 * math.expm1(2 * h)
+    _, full, _, t = _seeds2_noise(z1, z2, h)
+    target = VpLinear().alpha_sigma(t)[2] ** 2 * math.expm1(2 * h)
     se = target * math.sqrt(2.0 / (n - 1))
     assert abs(full.var() - target) < 5.0 * se
 
@@ -233,15 +245,6 @@ def test_staged_seeds3_cross_covariance_symbolic_oracle():
 # -- Chasles refinement -------------------------------------------------------
 
 
-def test_chasles_single_interval_matches_full_variance():
-    lam = np.array([-1.0, 0.7])
-    var = raw_increment_var(-1.0, 0.7)
-    gen = np.random.Generator(np.random.Philox(key=3))
-    draws = chasles_refine(gen, lam, size=200_000)
-    se = var * math.sqrt(2.0 / 200_000)
-    assert abs(draws[0].var() - var) < 5.0 * se
-
-
 def test_chasles_halves_sum_exactly():
     lam_s, lam_t = -0.8, 1.1
     mid = 0.5 * (lam_s + lam_t)
@@ -249,32 +252,7 @@ def test_chasles_halves_sum_exactly():
     assert v == pytest.approx(raw_increment_var(lam_s, lam_t), rel=1e-13)
 
 
-def test_chasles_refined_sum_reproduces_variance():
-    # coarse increment built from 8 fine pieces has the full-interval variance
-    sched = VpLinear()
-    s, t = 0.9, 0.4
-    lam_s, lam_t = sched.lambda_of_t(s), sched.lambda_of_t(t)
-    h = lam_t - lam_s
-    sigma_t = sched.alpha_sigma(t)[1]
-    partition = np.linspace(lam_s, lam_t, 9)
-    gen = np.random.Generator(np.random.Philox(key=11))
-    n = 1_000_000
-    fine = chasles_refine(gen, partition, size=n)
-    total = fine.sum(axis=0)
-    target = 0.5 * sigma_t**2 * math.expm1(2.0 * h)
-    se = target * math.sqrt(2.0 / n)
-    assert abs(total.var() - target) < 5.0 * se
-
-
-def test_chasles_rejects_bad_partition():
-    gen = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        chasles_refine(gen, [0.0, -1.0])
-    with pytest.raises(ConfigError):
-        chasles_refine(gen, [0.0])
-
-
-# -- correlated pair and weak increments -------------------------------------
+# -- correlated pair -----------------------------------------------------------
 
 
 def test_correlated_pair_unit_basis():
@@ -295,25 +273,3 @@ def test_correlated_pair_covariance():
         se = prods.std() / math.sqrt(n)
         assert abs(emp[i, j] - target[i, j]) < 5.0 * se
     assert abs((z**2).mean() - h**3 / 3.0) < 5.0 * (z**2).std() / math.sqrt(n)
-
-
-def test_weak_point_increment_order1():
-    h = 0.5
-    draws = weak_point_increment(np.random.default_rng(1), h, 1, size=10_000)
-    assert np.all(np.isclose(np.abs(draws), math.sqrt(h)))
-    mean_se = math.sqrt(h) / math.sqrt(10_000)
-    assert abs(draws.mean()) < 5.0 * mean_se
-
-
-def test_weak_point_increment_order2_moments():
-    h, n = 0.4, 1_000_000
-    gen = np.random.Generator(np.random.Philox(key=29))
-    draws = weak_point_increment(gen, h, 2, size=n)
-    vals = sorted(set(np.round(draws, 12)))
-    assert vals == sorted({0.0, round(math.sqrt(3 * h), 12), round(-math.sqrt(3 * h), 12)})
-    sq = draws**2
-    assert abs(sq.mean() - h) < 5.0 * sq.std() / math.sqrt(n)
-    quart = draws**4
-    assert abs(quart.mean() - 3.0 * h * h) < 5.0 * quart.std() / math.sqrt(n)
-    with pytest.raises(ConfigError):
-        weak_point_increment(gen, h, 3)

@@ -1,0 +1,43 @@
+"""The experiment scripts run end to end on small inputs.
+
+Each script imports the ``SolverSpec`` API and builds specs from its own
+flags, so a change to that API shows up here first.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(script, *args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+                          check=False)
+
+
+def test_solver_equivalences_script_runs():
+    proc = _run("solver_equivalences.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("max relative per-step diff") == 4
+
+
+@pytest.mark.parametrize("args", [[], ["--solver", "seeds1", "--mode", "dp"],
+                                  ["--solver", "dpm2"]])
+def test_distribution_recovery_script_runs(args):
+    proc = _run("distribution_recovery.py", "--paths", "2000", *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("cov diag") == 2
+
+
+def test_order_study_script_runs(tmp_path):
+    proc = _run("order_study.py", "--out", str(tmp_path / "orders"), "--strong-paths", "400",
+                "--weak-paths", "2000")
+    assert proc.returncode == 0, proc.stderr
+    assert len(os.listdir(tmp_path / "orders")) == 8  # CSV + JSON for four studies

@@ -19,16 +19,17 @@ from seeds_sde import (
 )
 from seeds_sde.errors import ConfigError, GridError
 from seeds_sde.solvers import (
+    FAMILIES,
     ArrayDraws,
     ZeroStepDraws,
     churn_inject,
-    dpm_step,
+    dpm1_dp_step,
+    dpm4_step,
     euler_maruyama_step,
     exp_euler_step,
     gddim_step,
+    np_stages_step,
     seeds1_step,
-    seeds2_step,
-    seeds3_step,
     step_once,
     ve_2stage_step,
 )
@@ -178,8 +179,8 @@ def test_seeds2_matches_line_by_line_oracle(vp, gauss_model):
         z1, z2 = 0.42, -1.17
         want = float(mp_seeds2(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2)))
-    got = seeds2_step(gauss_model, vp, np.array([x]), s, t,
-                      ArrayDraws({1: np.array([z1]), 2: np.array([z2])}))
+    got = np_stages_step(gauss_model, vp, np.array([x]), s, t,
+                         ArrayDraws({1: np.array([z1]), 2: np.array([z2])}), stages=2)
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -194,14 +195,17 @@ def test_seeds2_general_c2_noise_is_coupled(vp, gauss_model):
     s1 = vp.t_of_lambda(lam(s) + c2 * h)
     # zero model removes the F(u)-mediated part: pure noise algebra remains
     zm = zero_model(1, vp)
-    base0 = seeds2_step(zm, vp, x, s, t, ArrayDraws({1: np.zeros(1), 2: np.zeros(1)}), c2=c2)
-    kick0 = seeds2_step(zm, vp, x, s, t, ArrayDraws({1: np.ones(1), 2: np.zeros(1)}), c2=c2)
+    base0 = np_stages_step(zm, vp, x, s, t, ArrayDraws({1: np.zeros(1), 2: np.zeros(1)}),
+                           stages=2, c2=c2)
+    kick0 = np_stages_step(zm, vp, x, s, t, ArrayDraws({1: np.ones(1), 2: np.zeros(1)}),
+                           stages=2, c2=c2)
     full_coef = float((kick0 - base0)[0])
     stage_std = vp.alpha_sigma(s1)[2] * math.sqrt(math.expm1(2.0 * c2 * h))
     carry = (vp.alpha_sigma(t)[2] * math.exp(lam(t))) / (vp.alpha_sigma(s1)[2] * math.exp(lam(s1)))
     assert full_coef == pytest.approx(-stage_std * carry, rel=1e-12)
     # and the total variance still telescopes to e^{2h} - 1
-    kick2 = seeds2_step(zm, vp, x, s, t, ArrayDraws({1: np.zeros(1), 2: np.ones(1)}), c2=c2)
+    kick2 = np_stages_step(zm, vp, x, s, t, ArrayDraws({1: np.zeros(1), 2: np.ones(1)}),
+                           stages=2, c2=c2)
     c_z2 = float((kick2 - base0)[0])
     sbar_t = vp.alpha_sigma(t)[2]
     assert full_coef**2 + c_z2**2 == pytest.approx(sbar_t**2 * math.expm1(2 * h), rel=1e-12)
@@ -217,9 +221,9 @@ def test_seeds3_matches_line_by_line_oracle(vp, gauss_model):
         want = float(mp_seeds3(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2), mpmath.mpf(z3),
                                mpmath.mpf(r1), mpmath.mpf(r2)))
-    got = seeds3_step(gauss_model, vp, np.array([x]), s, t,
-                      ArrayDraws({1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])}),
-                      r1=r1, r2=r2)
+    got = np_stages_step(gauss_model, vp, np.array([x]), s, t,
+                         ArrayDraws({1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])}),
+                         stages=3, r1=r1, r2=r2)
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -229,10 +233,10 @@ def test_multi_stage_zero_model_linear(vp):
     s, t = 0.75, 0.3
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     z = ZeroStepDraws((1,))
-    assert np.allclose(seeds2_step(zm, vp, x, s, t, z), a_ratio * x, rtol=1e-14)
-    assert np.allclose(seeds3_step(zm, vp, x, s, t, z), a_ratio * x, rtol=1e-14)
-    assert np.allclose(dpm_step(zm, vp, x, s, t, 1), a_ratio * x, rtol=1e-14)
-    assert np.allclose(dpm_step(zm, vp, x, s, t, 4), a_ratio * x, rtol=1e-14)
+    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=2), a_ratio * x, rtol=1e-14)
+    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=3), a_ratio * x, rtol=1e-14)
+    assert np.allclose(np_stages_step(zm, vp, x, s, t, stages=1), a_ratio * x, rtol=1e-14)
+    assert np.allclose(dpm4_step(zm, vp, x, s, t), a_ratio * x, rtol=1e-14)
 
 
 def test_constant_f_degeneration(vp, constant_model):
@@ -242,15 +246,15 @@ def test_constant_f_degeneration(vp, constant_model):
     s, t = 0.8, 0.35
     z = ZeroStepDraws((1,))
     one = seeds1_step(model, vp, x, s, t, z)
-    assert np.allclose(seeds2_step(model, vp, x, s, t, z), one, rtol=1e-13)
-    assert np.allclose(seeds3_step(model, vp, x, s, t, z), one, rtol=1e-13)
+    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=2), one, rtol=1e-13)
+    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=3), one, rtol=1e-13)
     # and dpm4 collapses to the order-1 deterministic step
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     sbar_t = vp.alpha_sigma(t)[2]
     expected = a_ratio * x - sbar_t * math.expm1(h) * 0.7
-    assert np.allclose(dpm_step(model, vp, x, s, t, 4), expected, rtol=1e-12)
-    assert np.allclose(dpm_step(model, vp, x, s, t, 1), expected, rtol=1e-13)
+    assert np.allclose(dpm4_step(model, vp, x, s, t), expected, rtol=1e-12)
+    assert np.allclose(np_stages_step(model, vp, x, s, t, stages=1), expected, rtol=1e-13)
 
 
 def test_seeds1_vs_dpm1_factor_two(vp, gauss_model):
@@ -258,7 +262,7 @@ def test_seeds1_vs_dpm1_factor_two(vp, gauss_model):
     x = np.array([0.9])
     s, t = 0.7, 0.4
     det = seeds1_step(gauss_model, vp, x, s, t, ZeroStepDraws((1,)))
-    ode = dpm_step(gauss_model, vp, x, s, t, 1)
+    ode = np_stages_step(gauss_model, vp, x, s, t, stages=1)
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     sbar_t = vp.alpha_sigma(t)[2]
     f_val = gauss_model.noise_pred(x, s)
@@ -275,11 +279,15 @@ def test_dpm_modes_and_orders(vp, gauss_model):
     h = math.log(sg_s / sg_t)
     d_val = gauss_model.data_pred(x, s)
     want = (sbar_t / sbar_s) * x - a_t * math.expm1(-h) * d_val
-    assert np.allclose(dpm_step(gauss_model, vp, x, s, t, 1, mode="dp"), want, rtol=1e-13)
+    assert np.allclose(dpm1_dp_step(gauss_model, vp, x, s, t), want, rtol=1e-13)
+    assert np.array_equal(step_once(SolverSpec("dpm1", mode="dp"), gauss_model, vp, x, s, t, D0),
+                          dpm1_dp_step(gauss_model, vp, x, s, t))
     with pytest.raises(ConfigError):
-        dpm_step(gauss_model, vp, x, s, t, 2, mode="dp")
+        SolverSpec("dpm2", mode="dp")
     with pytest.raises(ConfigError):
-        dpm_step(gauss_model, vp, x, s, t, 5)
+        SolverSpec("dpm5")
+    with pytest.raises(ConfigError):
+        np_stages_step(gauss_model, vp, x, s, t, stages=4)
 
 
 def test_dpm_deterministic_order_ratios(vp, gauss_model):
@@ -292,9 +300,10 @@ def test_dpm_deterministic_order_ratios(vp, gauss_model):
         for h in (0.2, 0.1):
             t = vp.t_of_lambda(lam_s + h)
             mid = vp.t_of_lambda(lam_s + h / 2)
-            coarse = dpm_step(gauss_model, vp, x, s, t, order)
-            fine = dpm_step(gauss_model, vp,
-                            dpm_step(gauss_model, vp, x, s, mid, order), mid, t, order)
+            coarse = np_stages_step(gauss_model, vp, x, s, t, stages=order)
+            fine = np_stages_step(gauss_model, vp,
+                                  np_stages_step(gauss_model, vp, x, s, mid, stages=order),
+                                  mid, t, stages=order)
             gaps.append(float(np.abs(coarse - fine)[0]))
         ratio = gaps[0] / gaps[1]
         assert expected / 1.5 < ratio < expected * 1.5, (order, ratio)
@@ -335,7 +344,7 @@ def test_dpm4_matches_line_by_line_oracle(vp, gauss_model):
         f_mp = gaussian_f_mp(mp_sched)
         x, s, t = 0.7, 0.85, 0.45
         want = float(mp_dpm4(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t)))
-    got = dpm_step(gauss_model, vp, np.array([x]), s, t, 4)
+    got = dpm4_step(gauss_model, vp, np.array([x]), s, t)
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -619,13 +628,45 @@ def test_solver_spec_validation():
     with pytest.raises(ConfigError):
         SolverSpec("seeds1", mode="np").validate_against(Ve())
     SolverSpec("seeds1", mode="dp").validate_against(Ve())
+    for fam in ("exp_euler_etd", "exp_euler_lawson"):
+        SolverSpec(fam).validate_against(Edm())
+        with pytest.raises(ConfigError):
+            SolverSpec(fam).validate_against(Ve())
 
 
-def test_step_once_dispatch_covers_families(vp, gauss_model):
-    x = np.array([0.4])
-    s, t = 0.7, 0.5
-    draws = ArrayDraws({1: np.zeros(1), 2: np.zeros(1), 3: np.zeros(1)})
-    for fam in ("seeds1", "seeds2", "seeds3", "dpm1", "dpm2", "dpm3", "dpm4",
-                "euler_maruyama", "exp_euler_etd", "exp_euler_lawson", "gddim"):
-        out = step_once(SolverSpec(fam), gauss_model, vp, x, s, t, draws)
-        assert np.isfinite(out).all(), fam
+def test_step_once_dispatch_covers_families():
+    # each (family, mode) on each schedule family it lists: finite output and
+    # exactly evals_per_step model evaluations
+    schedules = {"vp": VpLinear(), "ve": Ve(), "edm": Edm(sigma_data=0.5)}
+    times = {"vp": (0.7, 0.5), "ve": (4.0, 2.0), "edm": (4.0, 2.0)}
+    draws = ArrayDraws({k: np.full(1, 0.3) for k in (1, 2, 3)})
+    for fam, desc in FAMILIES.items():
+        for mode, form in desc.forms.items():
+            spec = SolverSpec(fam, mode=mode)
+            for name in form.schedules:
+                sched = schedules[name]
+                model = ScoreModel(DataDistribution.standard_normal(1), sched)
+                out = step_once(spec, model, sched, np.array([0.4]), *times[name], draws)
+                assert np.isfinite(out).all(), (fam, mode, name)
+                assert model.nfe == spec.evals_per_step, (fam, mode, name)
+
+
+# -- registry ------------------------------------------------------------------
+
+
+def test_mode_defaults_to_the_family_form():
+    assert {fam for fam, desc in FAMILIES.items() if len(desc.forms) == 2} == {"seeds1", "dpm1"}
+    for fam in FAMILIES:
+        want = "dp" if fam.startswith("ve2") else "np"
+        assert SolverSpec(fam).mode == want, fam
+    assert SolverSpec("seeds1", mode="dp").mode == "dp"
+
+
+@pytest.mark.parametrize("family, mode", [
+    ("euler_maruyama", "dp"), ("exp_euler_etd", "dp"), ("exp_euler_lawson", "dp"),
+    ("gddim", "dp"), ("ve2_ode_a", "np"), ("ve2_ode_b", "np"), ("ve2_sde", "np"),
+    ("seeds3", "dp"), ("seeds1", "xp"),
+])
+def test_mode_must_name_a_form_of_the_family(family, mode):
+    with pytest.raises(ConfigError, match="has no mode"):
+        SolverSpec(family, mode=mode)
