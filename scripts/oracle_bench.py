@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""Layer microbenchmark of the exact mixture oracle.
+
+Prints the median wall time in microseconds of one ``ScoreModel.noise_pred``
+call on the VP schedule for each (K components, d dimensions, n states).
+Each timed sample averages enough back-to-back calls to last about
+``--sample-ms`` milliseconds; the median is taken over ``--repeats`` samples.
+The mixture's means and variances and the states are drawn from a fixed seed.
+
+    python scripts/oracle_bench.py
+    python scripts/oracle_bench.py --components 8 --dims 16 --paths 4096
+"""
+
+import argparse
+import statistics
+import time
+
+import numpy as np
+
+from seeds_sde import DataDistribution, ScoreModel, VpLinear
+
+
+def median_us(model, x, t, repeats, sample_s):
+    """Median over ``repeats`` samples of the mean time per call, in microseconds."""
+    start = time.perf_counter()
+    model.noise_pred(x, t)
+    calls = max(1, int(sample_s / max(time.perf_counter() - start, 1e-9)))
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            model.noise_pred(x, t)
+        samples.append((time.perf_counter() - start) / calls)
+    return 1e6 * statistics.median(samples)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--components", type=int, nargs="+", default=[1, 8])
+    parser.add_argument("--dims", type=int, nargs="+", default=[1, 16, 64])
+    parser.add_argument("--paths", type=int, nargs="+", default=[1, 8192])
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--sample-ms", type=float, default=50.0)
+    args = parser.parse_args()
+
+    sched = VpLinear()
+    t = 0.5 * (sched.t_min + sched.t_max)
+    rng = np.random.default_rng(0)
+    print(f"{'K':>3} {'d':>4} {'n':>7} {'us/call':>11}")
+    for k in args.components:
+        for d in args.dims:
+            data = DataDistribution(np.full(k, 1.0 / k), rng.normal(0.0, 2.0, (k, d)),
+                                    rng.uniform(0.3, 1.5, (k, d)))
+            model = ScoreModel(data, sched)
+            for n in args.paths:
+                x = rng.normal(size=(n, d))
+                us = median_us(model, x, t, args.repeats, args.sample_ms / 1e3)
+                print(f"{k:>3} {d:>4} {n:>7} {us:>11.1f}")
+
+
+if __name__ == "__main__":
+    main()

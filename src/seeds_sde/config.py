@@ -1,6 +1,7 @@
 """Run configuration: JSON file plus CLI overrides, flags win."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -44,15 +45,17 @@ class RunConfig:
         steps = _integer("grid steps", spec.pop("steps", 31))
         sched = self.schedule
         if kind == "linear_lambda":
-            eps_end = float(spec.pop("eps_end", sched.t_min))
-            t_top = float(spec.pop("t_top", sched.t_max))
+            eps_end = _number("grid eps_end", spec.pop("eps_end", sched.t_min))
+            t_top = _number("grid t_top", spec.pop("t_top", sched.t_max))
             variant = spec.pop("variant", "sde")
             _reject_extras("grid", spec)
             return linear_lambda_grid(steps, eps_end, t_top, sched, variant)
         if kind == "edm":
-            sigma_min = float(spec.pop("sigma_min", sched.sigma_of_t(sched.t_min)))
-            sigma_max = float(spec.pop("sigma_max", sched.sigma_of_t(sched.t_max)))
-            rho = float(spec.pop("rho", 7.0))
+            sigma_min = _number("grid sigma_min",
+                                spec.pop("sigma_min", sched.sigma_of_t(sched.t_min)))
+            sigma_max = _number("grid sigma_max",
+                                spec.pop("sigma_max", sched.sigma_of_t(sched.t_max)))
+            rho = _number("grid rho", spec.pop("rho", 7.0))
             _reject_extras("grid", spec)
             return edm_grid(steps, sigma_min, sigma_max, rho, sched)
         raise ConfigError(f"unknown grid kind {kind!r}; expected 'linear_lambda' or 'edm'")
@@ -83,6 +86,16 @@ def _integer(key: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _number(key: str, value) -> float:
+    """``value`` as a float; a ConfigError naming ``key`` unless it is a finite number."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
+        pass
+    raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
 def _order_spec(raw: dict) -> dict:
@@ -160,7 +173,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         n_paths=_integer("paths", pick("paths", "paths", 1000)),
         workers=_integer("workers", pick("workers", "workers", 1)),
         out=overrides.get("out") or raw.get("out"),
-        threshold=float(pick("threshold", "threshold", 1e-10)),
+        threshold=_number("threshold", pick("threshold", "threshold", 1e-10)),
         order=_order_spec(raw.get("order", {})),
     )
     if cfg.n_paths < 1:

@@ -5,6 +5,13 @@ forward-process marginal started from sum_k w_k N(m_k, diag(V_k)) is again a
 mixture, so the score, the noise prediction and the data prediction are all
 exact.  Noise/data-prediction calls are tallied so samplers can report NFE;
 one call counts once whatever the batch width.
+
+``ScoreModel.score`` evaluates the mixture one component at a time.  It
+performs the float operations of the broadcast form over (..., K, d), in
+the same order, so it returns the same bytes, while its scratch memory is
+O(n (d + K)) for n states instead of O(n K d).  One exception: for d = 1
+and K >= 8 the broadcast form summed the K score terms in NumPy's pairwise
+order, and the loop sums them in order, so the last bit may differ there.
 """
 
 import math
@@ -30,12 +37,16 @@ class DataDistribution:
         v = np.atleast_2d(np.asarray(self.variances, dtype=float))
         if w.ndim != 1 or w.size == 0:
             raise ConfigError("weights must be a non-empty 1-D sequence")
+        if m.shape[0] != w.size or v.shape != m.shape:
+            raise ConfigError("weights, means and variances have inconsistent shapes")
+        for key, values in (("weight", w[:, None]), ("mean", m), ("var", v)):
+            rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
+            if rows.size:
+                raise ConfigError(f"mixture component {rows[0]}: {key!r} must be finite")
         if np.any(w <= 0):
             raise ConfigError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ConfigError(f"mixture weights must sum to 1, got {w.sum()!r}")
-        if m.shape[0] != w.size or v.shape != m.shape:
-            raise ConfigError("weights, means and variances have inconsistent shapes")
         if np.any(v <= 0):
             raise ConfigError("component variances must be positive")
         object.__setattr__(self, "weights", w / w.sum())
@@ -48,17 +59,42 @@ class DataDistribution:
 
     @classmethod
     def from_components(cls, components) -> "DataDistribution":
-        """Build from [{"weight": w, "mean": [...], "var": [...]}, ...]."""
-        if not components:
+        """Build from [{"weight": w, "mean": [...], "var": [...]}, ...]; "var"
+        may be one number for every coordinate."""
+        if not isinstance(components, list) or not components:
             raise ConfigError("at least one mixture component is required")
-        w = [c["weight"] for c in components]
-        m = [np.atleast_1d(c["mean"]) for c in components]
-        v = [np.broadcast_to(np.atleast_1d(c["var"]), np.atleast_1d(c["mean"]).shape) for c in components]
-        return cls(np.array(w, float), np.array(m, float), np.array(v, float))
+        w, m, v = [], [], []
+        for i, comp in enumerate(components):
+            weight, mean, var = (_component_numbers(i, comp, key)
+                                 for key in ("weight", "mean", "var"))
+            if weight.size != 1:
+                raise ConfigError(f"mixture component {i}: 'weight' must be one number")
+            if var.size != 1 and var.size != mean.size:
+                raise ConfigError(f"mixture component {i}: 'var' has {var.size} entries, "
+                                  f"'mean' has {mean.size}")
+            w.append(weight[0])
+            m.append(mean)
+            v.append(np.broadcast_to(var, mean.shape))
+        if len({mean.size for mean in m}) != 1:
+            raise ConfigError("mixture components must all have the same dimension")
+        return cls(np.array(w), np.array(m), np.array(v))
 
     @classmethod
     def standard_normal(cls, d: int) -> "DataDistribution":
         return cls(np.array([1.0]), np.zeros((1, d)), np.ones((1, d)))
+
+
+def _component_numbers(i: int, comp, key: str) -> np.ndarray:
+    """``comp[key]``, a number or a non-empty list of numbers, as a 1-D array;
+    a ConfigError naming component ``i`` and ``key`` otherwise."""
+    if not isinstance(comp, dict) or key not in comp:
+        raise ConfigError(f"mixture component {i} has no {key!r}")
+    value = comp[key]
+    items = value if isinstance(value, list) else [value]
+    if not items or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+        raise ConfigError(f"mixture component {i}: {key!r} must be a number or a list of "
+                          f"numbers, got {value!r}")
+    return np.array(items, dtype=float)
 
 
 class ScoreModel:
@@ -68,6 +104,7 @@ class ScoreModel:
         self.data = data
         self.sched = sched
         self.nfe = 0
+        self._log_weights = np.log(data.weights)
 
     @property
     def dim(self) -> int:
@@ -82,29 +119,41 @@ class ScoreModel:
         a, _, sbar = self.sched.alpha_sigma(t)
         mu = a * self.data.means                        # (K, d)
         cov = a * a * self.data.variances + sbar * sbar  # (K, d)
-        return a, mu, cov
-
-    def log_density(self, x, t):
-        """log p_t(x); x has shape (..., d), result shape (...)."""
-        _, mu, cov = self._marginal(t)
-        x = np.asarray(x, dtype=float)
-        diff = x[..., None, :] - mu                     # (..., K, d)
-        log_comp = -0.5 * (np.sum(diff * diff / cov, axis=-1) + np.sum(np.log(2.0 * math.pi * cov), axis=-1))
-        log_comp = log_comp + np.log(self.data.weights)
-        top = np.max(log_comp, axis=-1, keepdims=True)
-        return np.squeeze(top, -1) + np.log(np.sum(np.exp(log_comp - top), axis=-1))
+        return mu, cov
 
     def score(self, x, t):
-        """Exact gradient of log p_t, via log-space responsibilities."""
-        _, mu, cov = self._marginal(t)
+        """Exact gradient of log p_t, via log-space responsibilities.
+
+        Loops over the K components with one (..., d) scratch array: first
+        the quadratic forms sum((x - mu_k)^2 / cov_k) into column k of an
+        (..., K) array, then, after the log-sum-exp over K, the sum over k
+        of resp_k (x - mu_k) / cov_k, recomputing x - mu_k.
+        """
+        mu, cov = self._marginal(t)
         x = np.asarray(x, dtype=float)
-        diff = x[..., None, :] - mu
-        log_comp = -0.5 * (np.sum(diff * diff / cov, axis=-1) + np.sum(np.log(2.0 * math.pi * cov), axis=-1))
-        log_comp = log_comp + np.log(self.data.weights)
-        top = np.max(log_comp, axis=-1, keepdims=True)
-        resp = np.exp(log_comp - top)
-        resp /= np.sum(resp, axis=-1, keepdims=True)
-        return -np.sum(resp[..., None] * diff / cov, axis=-2)
+        tmp = np.empty(np.broadcast_shapes(x.shape, mu.shape[1:]))
+        # (..., K): quadratic forms, then log densities, then responsibilities
+        resp = np.empty(tmp.shape[:-1] + mu.shape[:1])
+        for k in range(mu.shape[0]):
+            np.subtract(x, mu[k], out=tmp)
+            tmp *= tmp
+            tmp /= cov[k]
+            np.add.reduce(tmp, axis=-1, out=resp[..., k])
+        resp += np.add.reduce(np.log(2.0 * math.pi * cov), axis=-1)
+        resp *= -0.5
+        resp += self._log_weights
+        resp -= np.maximum.reduce(resp, axis=-1, keepdims=True)
+        np.exp(resp, out=resp)
+        resp /= np.add.reduce(resp, axis=-1, keepdims=True)
+        # a sum starting from +0.0, as NumPy's reduction does: the sign of
+        # an all-zero sum is part of the bytes
+        acc = np.zeros(tmp.shape)
+        for k in range(mu.shape[0]):
+            np.subtract(x, mu[k], out=tmp)
+            np.multiply(resp[..., k, None], tmp, out=tmp)
+            tmp /= cov[k]
+            acc += tmp
+        return np.negative(acc, out=acc)
 
     # -- network-style evaluations (NFE-counted) -----------------------------
 

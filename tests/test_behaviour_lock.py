@@ -10,8 +10,10 @@ mixture run, the 8192-path chunk (17000 paths over three chunks at
 ``--workers 2``), so block and chunk joins are locked as well.
 
 Besides the ten hand-picked runs, the lock covers every valid (family,
-schedule, mode) ``sample`` run on the four schedules, the CSV and JSON that
-``order strong`` and ``order weak`` write, and the stdout of ``compare``.
+schedule, mode) ``sample`` run on the four schedules, five runs on an
+8-component d=16 mixture (the benchmark's oracle shape: noise and data
+prediction on VP, VE and EDM), the CSV and JSON that ``order strong`` and
+``order weak`` write, and the stdout of ``compare``.
 """
 
 import hashlib
@@ -124,6 +126,39 @@ SWEEP_LOCKED = {
     "ve2_sde-ve-dp": "6cfbc9d80bf1a081a561222bccc33dc653b81ddfebc518fdcd1619dd2aad99ca",
 }
 
+# 8 components with unequal weights (k+1)/36 in d=16; means and variances
+# come from integer arithmetic and correctly rounded float operations, not a
+# random generator, so the JSON config is the same on every platform
+_MIXTURE_K8D16 = {"kind": "gaussian_mixture", "components": [
+    {"weight": (k + 1) / 36,
+     "mean": [((7 * k + 3 * j) % 13 - 6) / 4 for j in range(16)],
+     "var": [0.3 + 0.2 * ((5 * k + 11 * j) % 7) for j in range(16)]}
+    for k in range(8)]}
+
+# name -> argv after "sample"; every run uses _MIXTURE_K8D16 and 12 steps
+MIXTURE_CASES = {
+    "k8d16-seeds3-vp": ["--solver", "seeds3", "--schedule", "vp", "--paths", "1100",
+                        "--seed", "31"],
+    "k8d16-dpm3-vp": ["--solver", "dpm3", "--schedule", "vp", "--paths", "1100",
+                      "--seed", "32"],
+    "k8d16-seeds1-vp-dp": ["--solver", "seeds1", "--schedule", "vp", "--mode", "dp",
+                           "--paths", "500", "--seed", "33"],
+    "k8d16-ve2_sde-ve": ["--solver", "ve2_sde", "--schedule", "ve", "--paths", "500",
+                         "--seed", "34"],
+    "k8d16-seeds3-edm": ["--solver", "seeds3", "--schedule", "edm", "--paths", "500",
+                         "--seed", "35"],
+}
+
+# computed from the parent of the commit that added this table, before the
+# per-component score oracle it ships with
+MIXTURE_LOCKED = {
+    "k8d16-dpm3-vp": "56efddd6f412d9314bf6344bc5e72fa08cd1c57aaf752260cf3feee4d90c8c18",
+    "k8d16-seeds1-vp-dp": "990a57a6e07946a0f1869cd91210a14a4e802dcd464202832cf29284fc3d7b50",
+    "k8d16-seeds3-edm": "913c3e0a52c5bc0723d41a32eef8314795ac06842fb37e4c42449e24d820142e",
+    "k8d16-seeds3-vp": "0a9df02be1fbadd37e72b153d5ba21b869761bd45202fe29e522804f1f3d8d03",
+    "k8d16-ve2_sde-ve": "a6d3d591757fe362caa7291f558bc53ee727d4e1ade5c147a21855d784efda64",
+}
+
 _ZERO_MODEL = {"kind": "zero", "dim": 1}
 
 # name -> (argv, config file contents or None, output file stem)
@@ -210,6 +245,12 @@ def _sweep_sha256(tmp_path, key):
     return _sha256(tmp_path / "out" / "terminal.csv")
 
 
+def _mixture_sha256(tmp_path, name):
+    argv = ["sample", *MIXTURE_CASES[name], "--steps", "12", "--out", str(tmp_path / "out")]
+    assert main(_with_config(tmp_path, argv, {"model": _MIXTURE_K8D16})) == 0
+    return _sha256(tmp_path / "out" / "terminal.csv")
+
+
 def _order_sha256(tmp_path, name):
     argv, config, stem = ORDER_CASES[name]
     assert main(_with_config(tmp_path, argv + ["--out", str(tmp_path / "out")], config)) == 0
@@ -229,6 +270,11 @@ def test_terminal_csv_hash_locked(tmp_path, name):
 @pytest.mark.parametrize("key", sorted(SWEEP_LOCKED))
 def test_sweep_terminal_csv_hash_locked(tmp_path, key):
     assert _sweep_sha256(tmp_path, key) == SWEEP_LOCKED[key]
+
+
+@pytest.mark.parametrize("name", sorted(MIXTURE_CASES))
+def test_mixture_terminal_csv_hash_locked(tmp_path, name):
+    assert _mixture_sha256(tmp_path, name) == MIXTURE_LOCKED[name]
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))

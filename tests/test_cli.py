@@ -132,6 +132,66 @@ def test_integral_float_config_values_run(tmp_path):
     assert len(read(out / "terminal.csv").decode().splitlines()) == 21
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"threshold": "abc"}, "threshold"),
+    ({"threshold": float("nan")}, "threshold"),
+    ({"threshold": True}, "threshold"),
+    ({"grid": {"kind": "linear_lambda", "eps_end": "x"}}, "grid eps_end"),
+    ({"grid": {"kind": "linear_lambda", "t_top": float("inf")}}, "grid t_top"),
+    ({"schedule": {"kind": "edm"}, "grid": {"kind": "edm", "sigma_min": "0.1"}},
+     "grid sigma_min"),
+    ({"schedule": {"kind": "edm"}, "grid": {"kind": "edm", "sigma_max": [80.0]}},
+     "grid sigma_max"),
+    ({"schedule": {"kind": "edm"}, "grid": {"kind": "edm", "rho": 10**400}}, "grid rho"),
+])
+def test_sample_non_numeric_config_exits_1(tmp_path, capsys, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"{key} must be a finite number" in _config_error(capsys)
+    assert not out.exists()
+
+
+def test_compare_non_finite_threshold_flag_exits_1(capsys):
+    assert run(["compare", "--solver-a", "seeds1", "--solver-b", "seeds1", "--steps", "5",
+                "--threshold", "nan"]) == 1
+    assert "threshold must be a finite number" in _config_error(capsys)
+
+
+def test_numeric_config_values_run(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schedule": {"kind": "edm"}, "paths": 4, "threshold": 1,
+                                    "grid": {"kind": "edm", "steps": 6, "sigma_min": 0.01,
+                                             "sigma_max": 50, "rho": 7}}))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads(read(out / "config.json"))["threshold"] == 1.0
+
+
+_COMPONENT = {"weight": 0.5, "mean": [0.0, 1.0], "var": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("bad, words", [
+    ({"mean": [float("nan"), 1.0]}, ["component 1", "'mean'"]),
+    ({"var": [float("inf"), 1.0]}, ["component 1", "'var'"]),
+    ({"var": [1.0] * 3}, ["component 1", "'var'", "'mean'"]),
+    ({"mean": ["abc", 1.0]}, ["component 1", "'mean'"]),
+    ({"var": None}, ["component 1", "'var'"]),
+])
+def test_sample_bad_mixture_exits_1(tmp_path, capsys, bad, words):
+    comp = {k: v for k, v in {**_COMPONENT, **bad}.items() if v is not None}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"kind": "gaussian_mixture",
+                                              "components": [_COMPONENT, comp]}}))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--steps", "5", "--paths", "4",
+                "--out", str(out)]) == 1
+    err = _config_error(capsys)
+    assert all(w in err for w in words), err
+    assert not (out / "terminal.csv").exists()
+
+
 @pytest.mark.parametrize("schedule", ["vp", "vp_cosine", "ve", "edm"])
 def test_run_config_pickles_unchanged(schedule):
     solver = "ve2_sde" if schedule == "ve" else "seeds3"

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,56 @@ from seeds_sde import (
     ScoreModel,
     SolverSpec,
     Ve,
+    VpLinear,
     linear_lambda_grid,
     sample,
     zero_model,
 )
 from seeds_sde.errors import ConfigError
+
+
+def _log_components(model, x, t):
+    """Broadcast form: per-component log densities (..., K) and x - mu (..., K, d)."""
+    mu, cov = model._marginal(t)
+    x = np.asarray(x, dtype=float)
+    diff = x[..., None, :] - mu
+    log_comp = -0.5 * (np.sum(diff * diff / cov, axis=-1)
+                       + np.sum(np.log(2.0 * math.pi * cov), axis=-1))
+    return log_comp + np.log(model.data.weights), diff, cov
+
+
+def _log_density(model, x, t):
+    """log p_t(x) by log-sum-exp over the components."""
+    log_comp, _, _ = _log_components(model, x, t)
+    top = np.max(log_comp, axis=-1, keepdims=True)
+    return np.squeeze(top, -1) + np.log(np.sum(np.exp(log_comp - top), axis=-1))
+
+
+def _score_terms(model, x, t):
+    """The K terms resp_k (x - mu_k) / cov_k of the score, shape (..., K, d)."""
+    log_comp, diff, cov = _log_components(model, x, t)
+    top = np.max(log_comp, axis=-1, keepdims=True)
+    resp = np.exp(log_comp - top)
+    resp /= np.sum(resp, axis=-1, keepdims=True)
+    return resp[..., None] * diff / cov
+
+
+def _broadcast_score(model, x, t):
+    """The score as the broadcast form over (..., K, d) computed it, kept as
+    the reference for the per-component ScoreModel.score."""
+    return -np.sum(_score_terms(model, x, t), axis=-2)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _random_mixture(rng, k, d, sched):
+    weights = rng.uniform(0.2, 1.0, k)
+    data = DataDistribution(weights / weights.sum(), rng.normal(0.0, 2.0, (k, d)),
+                            rng.uniform(0.3, 1.5, (k, d)))
+    return ScoreModel(data, sched)
 
 
 def test_single_gaussian_vp_score_closed_form(vp):
@@ -46,9 +94,80 @@ def test_mixture_score_matches_finite_differences(mixture_model):
     for _ in range(100):
         x = rng.normal(size=1) * 2.0
         t = float(rng.uniform(0.05, 1.0))
-        fd = (mixture_model.log_density(x + eps, t) - mixture_model.log_density(x - eps, t)) / (2 * eps)
+        fd = (_log_density(mixture_model, x + eps, t)
+              - _log_density(mixture_model, x - eps, t)) / (2 * eps)
         sc = mixture_model.score(x, t)[0]
         assert abs(sc - fd) <= 1e-6 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), Ve(), Edm()], ids=["vp", "ve", "edm"])
+@pytest.mark.parametrize("k, d, n", [(8, 16, 4096), (2, 3, 17), (1, 1, 1), (1, 1, 8192)])
+def test_score_bits_equal_broadcast_form(sched, k, d, n):
+    rng = np.random.default_rng(k * 1000 + d * 10 + n)
+    model = _random_mixture(rng, k, d, sched)
+    for t in np.linspace(sched.t_min, sched.t_max, 6):
+        a, _, sbar = sched.alpha_sigma(t)
+        x = rng.normal(0.0, 3.0 * np.hypot(a, sbar), (n, d))
+        for x_in in (x, x[0], x.ravel()[: 6 * d].reshape(2, 3, d) if n >= 6 else x[:1, None]):
+            assert _same_bits(model.score(x_in, t), _broadcast_score(model, x_in, t))
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), Ve(), Edm()], ids=["vp", "ve", "edm"])
+def test_score_bits_equal_broadcast_form_on_extreme_rows(sched):
+    rng = np.random.default_rng(5)
+    for k, d in ((1, 1), (2, 3), (8, 16)):
+        model = _random_mixture(rng, k, d, sched)
+        rows = [np.full(d, np.inf), np.full(d, -np.inf), np.full(d, np.nan),
+                np.full(d, 1e200), np.full(d, -1e200), np.full(d, -0.0),
+                np.where(np.arange(d) % 2, np.nan, 1.0), rng.normal(size=d)]
+        x = np.array(rows)
+        for t in (sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max):
+            mu0 = model._marginal(t)[0][0]
+            x_mean = np.array([mu0, -0.0 * mu0])  # x == mu_0; signed zeros
+            for x_in in (x, x_mean, x[0], x[2]):
+                with np.errstate(all="ignore"):
+                    ref = _broadcast_score(model, x_in, t)
+                    got = model.score(x_in, t)
+                assert _same_bits(got, ref)
+
+
+def test_score_signed_zero_at_a_zero_mean(vp):
+    # every term is -0.0, and NumPy's sum starts from +0.0: the score is -0.0
+    model = ScoreModel(DataDistribution(np.array([0.5, 0.5]), np.zeros((2, 3)),
+                                        np.ones((2, 3))), vp)
+    for x in (np.full(3, -0.0), np.full((4, 3), -0.0)):
+        got = model.score(x, 0.5)
+        assert _same_bits(got, _broadcast_score(model, x, 0.5))
+        assert np.all(np.signbit(got))
+
+
+def test_score_one_dimension_many_components_within_rounding(vp):
+    # for d == 1 and K >= 8 the broadcast form summed the K terms in NumPy's
+    # pairwise order, and the component loop sums them in order; two orders
+    # of a K-term sum differ by at most 2 (K - 1) eps sum|term|
+    k = 9
+    rng = np.random.default_rng(11)
+    model = _random_mixture(rng, k, 1, vp)
+    for t in (0.05, 0.4, 1.0):
+        x = rng.normal(0.0, 3.0, (500, 1))
+        bound = 2 * (k - 1) * np.finfo(float).eps * np.sum(np.abs(_score_terms(model, x, t)),
+                                                          axis=-2)
+        assert np.all(np.abs(model.score(x, t) - _broadcast_score(model, x, t)) <= bound)
+
+
+def test_score_scratch_memory_below_one_broadcast_array(vp):
+    k, d, n = 8, 16, 4096
+    rng = np.random.default_rng(2)
+    model = _random_mixture(rng, k, d, vp)
+    x = rng.normal(size=(n, d))
+    model.score(x, 0.5)  # warm up imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        model.score(x, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * d * 8  # one (n, K, d) float64 array: 4 MB
 
 
 def test_score_log_space_far_tail(vp):
@@ -155,3 +274,50 @@ def test_data_distribution_validation():
         {"weight": 0.75, "mean": [-1.0, 0.0], "var": 0.5},
     ])
     assert d.dim == 2 and d.variances[1, 1] == 0.5
+
+
+_GOOD = {"weight": 0.5, "mean": [0.0, 1.0], "var": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("bad, words", [
+    ({"mean": [float("nan"), 1.0]}, ["component 1", "'mean'", "finite"]),
+    ({"var": [float("inf"), 1.0]}, ["component 1", "'var'", "finite"]),
+    ({"var": float("inf")}, ["component 1", "'var'", "finite"]),
+    ({"weight": float("nan")}, ["component 1", "'weight'", "finite"]),
+    ({"var": [1.0, 2.0, 3.0]}, ["component 1", "'var' has 3 entries"]),
+    ({"mean": ["a", 1.0]}, ["component 1", "'mean'", "numbers"]),
+    ({"mean": [True, 1.0]}, ["component 1", "'mean'", "numbers"]),
+    ({"mean": []}, ["component 1", "'mean'", "numbers"]),
+    ({"weight": [0.25, 0.25]}, ["component 1", "'weight'", "one number"]),
+    ({"weight": None}, ["component 1", "'weight'", "numbers"]),
+])
+def test_from_components_names_the_bad_component_and_key(bad, words):
+    comp = {**_GOOD, **bad}
+    with pytest.raises(ConfigError) as err:
+        DataDistribution.from_components([_GOOD, comp])
+    assert all(w in str(err.value) for w in words), str(err.value)
+
+
+@pytest.mark.parametrize("key", ["weight", "mean", "var"])
+def test_from_components_missing_key(key):
+    comp = {k: v for k, v in _GOOD.items() if k != key}
+    with pytest.raises(ConfigError, match=f"component 1 has no '{key}'"):
+        DataDistribution.from_components([_GOOD, comp])
+
+
+@pytest.mark.parametrize("components", [[], None, {"weight": 1.0}, [_GOOD, 3]])
+def test_from_components_rejects_bad_structure(components):
+    with pytest.raises(ConfigError):
+        DataDistribution.from_components(components)
+
+
+def test_from_components_rejects_mixed_dimensions():
+    with pytest.raises(ConfigError, match="same dimension"):
+        DataDistribution.from_components([_GOOD, {"weight": 0.5, "mean": [0.0], "var": 1.0}])
+
+
+def test_data_distribution_rejects_non_finite_parameters():
+    with pytest.raises(ConfigError, match="component 0: 'mean' must be finite"):
+        DataDistribution(np.array([1.0]), np.array([[np.nan]]), np.ones((1, 1)))
+    with pytest.raises(ConfigError, match="component 1: 'var' must be finite"):
+        DataDistribution(np.array([0.5, 0.5]), np.zeros((2, 1)), np.array([[1.0], [np.inf]]))

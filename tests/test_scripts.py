@@ -41,3 +41,11 @@ def test_order_study_script_runs(tmp_path):
                 "--weak-paths", "2000")
     assert proc.returncode == 0, proc.stderr
     assert len(os.listdir(tmp_path / "orders")) == 8  # CSV + JSON for four studies
+
+
+def test_oracle_bench_script_runs():
+    proc = _run("oracle_bench.py", "--components", "1", "2", "--dims", "1", "3",
+                "--paths", "1", "16", "--repeats", "2", "--sample-ms", "1")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 8 and all(float(row.split()[-1]) > 0 for row in rows)
