@@ -35,7 +35,7 @@ class RunConfig:
         if kind == "zero":
             return ZeroModel(_integer("model dim", self.model_spec.get("dim", 1)), self.schedule)
         if kind == "gaussian_mixture":
-            data = DataDistribution.from_components(self.model_spec["components"])
+            data = DataDistribution.from_components(self.model_spec.get("components"))
             return ScoreModel(data, self.schedule)
         raise ConfigError(f"unknown model kind {kind!r}")
 
@@ -88,19 +88,27 @@ def _integer(key: str, value) -> int:
     return value
 
 
-def _number(key: str, value) -> float:
-    """``value`` as a float; a ConfigError naming ``key`` unless it is a finite number."""
+def _number(key: str, value, inf_ok: bool = False) -> float:
+    """``value`` as a float; a ConfigError naming ``key`` unless it is a finite
+    number, or +inf where ``inf_ok`` allows it."""
     try:
-        if not isinstance(value, bool) and math.isfinite(value):
+        if not isinstance(value, bool) and (math.isfinite(value) or inf_ok and value == math.inf):
             return float(value)
     except (TypeError, OverflowError):  # not a number, or an int beyond the float range
         pass
     raise ConfigError(f"{key} must be a finite number, got {value!r}")
 
 
-def _order_spec(raw: dict) -> dict:
+def _section(raw: dict, key: str, default: dict) -> dict:
+    """A copy of the config section ``key``; a ConfigError unless it is an object."""
+    value = raw.get(key, default)
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} config must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _order_spec(order: dict) -> dict:
     """The order section with its integer keys checked."""
-    order = dict(raw)
     for key in ("base_steps", "refinements"):
         if key in order:
             order[key] = _integer(f"order {key}", order[key])
@@ -118,15 +126,26 @@ def _reject_extras(section: str, leftover: dict) -> None:
 
 
 def _build_schedule(spec: dict) -> ScheduleBase:
-    spec = dict(spec)
     kind = spec.pop("kind", "vp")
+    if not isinstance(kind, str):
+        raise ConfigError(f"schedule kind must be a string, got {kind!r}")
     return make_schedule(kind, **spec)
 
 
 def _build_solver(spec: dict) -> SolverSpec:
-    spec = dict(spec)
-    churn_spec = spec.pop("churn", None)
-    churn = ChurnParams(**churn_spec) if churn_spec else None
+    churn_spec = spec.pop("churn", None) or {}
+    if not isinstance(churn_spec, dict):
+        raise ConfigError(f"solver churn config must be a JSON object, got {churn_spec!r}")
+    for key in ("family", "mode"):
+        if spec.get(key) is not None and not isinstance(spec[key], str):
+            raise ConfigError(f"solver {key} must be a string, got {spec[key]!r}")
+    for key in ("r1", "r2", "c2"):
+        if key in spec:
+            spec[key] = _number(f"solver {key}", spec[key])
+    _reject_extras("solver churn", churn_spec.keys() - {"s_churn", "s_tmin", "s_tmax", "s_noise"})
+    # s_tmax defaults to +inf, and config.json records that default as Infinity
+    churn = ChurnParams(**{key: _number(f"solver churn {key}", value, inf_ok=key == "s_tmax")
+                           for key, value in churn_spec.items()}) if churn_spec else None
     try:
         return SolverSpec(churn=churn, **spec)
     except TypeError as exc:
@@ -144,37 +163,43 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file {path!r} must hold a JSON object, got {raw!r}")
 
-    sched_spec = dict(raw.get("schedule", {"kind": "vp"}))
+    sched_spec = _section(raw, "schedule", {"kind": "vp"})
     if overrides.get("schedule"):
         sched_spec = {"kind": overrides["schedule"]}
     schedule = _build_schedule(sched_spec)
 
-    solver_spec = dict(raw.get("solver", {"family": "seeds3"}))
+    solver_spec = _section(raw, "solver", {"family": "seeds3"})
     for key, flag in (("family", "solver"), ("mode", "mode")):
         if overrides.get(flag):
             solver_spec[key] = overrides[flag]
     solver = _build_solver(solver_spec)
     solver.validate_against(schedule)
 
-    grid_spec = dict(raw.get("grid", {"kind": "linear_lambda"}))
+    grid_spec = _section(raw, "grid", {"kind": "linear_lambda"})
     if overrides.get("steps") is not None:
         grid_spec["steps"] = overrides["steps"]
 
     def pick(flag, key, default):
         return overrides[flag] if overrides.get(flag) is not None else raw.get(key, default)
 
+    out = overrides.get("out") or raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a string, got {out!r}")
+
     cfg = RunConfig(
         schedule=schedule,
-        model_spec=dict(raw.get("model", _DEFAULT_MODEL)),
+        model_spec=_section(raw, "model", _DEFAULT_MODEL),
         solver=solver,
         grid_spec=grid_spec,
         seed=_integer("seed", pick("seed", "seed", 0)),
         n_paths=_integer("paths", pick("paths", "paths", 1000)),
         workers=_integer("workers", pick("workers", "workers", 1)),
-        out=overrides.get("out") or raw.get("out"),
+        out=out,
         threshold=_number("threshold", pick("threshold", "threshold", 1e-10)),
-        order=_order_spec(raw.get("order", {})),
+        order=_order_spec(_section(raw, "order", {})),
     )
     if cfg.n_paths < 1:
         raise ConfigError("paths must be >= 1")

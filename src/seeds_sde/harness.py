@@ -280,13 +280,14 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
     spec.validate_against(sched)
-    oracle = _oracle_for(model, sched, float(grids[0].times[0]))
     grids = sorted(grids, key=lambda g: -float(np.max(g.step_widths(sched))))
     hs, errors, ses = [], [], []
     excluded, notes = [], []
     for g_idx, grid in enumerate(grids):
         h = float(np.max(grid.step_widths(sched)))
         res = sample(model, sched, grid, spec, stream, n_paths=n_paths)
+        # each grid's exact law starts from its own top time
+        oracle = _oracle_for(model, sched, float(grid.times[0]))
         terminal_t = float(grid.times[grid.n_steps - 1])
         term = res.terminal
         moments = []  # (largest error over the axes, its standard error) per power

@@ -14,7 +14,7 @@ from .models import DataDistribution, ScoreModel, zero_model
 from .noise import RngStream, raw_increment_var, weighted_increment_std
 from .phi import phi, stable_expm1_combination, weighted_poly_integral
 from .schedules import Edm, VpLinear
-from .solvers import ArrayDraws, SolverSpec, sample, seeds1_step
+from .solvers import ArrayDraws, SolverSpec, np_stages_step, sample
 
 
 def run_selftest(seed: int = 0) -> int:
@@ -81,9 +81,9 @@ def run_selftest(seed: int = 0) -> int:
     zm = zero_model(1, sched)
     x = np.array([[1.3]])
     s_t, t_t, u_t = 0.9, 0.3, 0.6
-    one = seeds1_step(zm, sched, x, s_t, t_t, ArrayDraws({1: np.zeros((1, 1))}))
-    two = seeds1_step(zm, sched, x, s_t, u_t, ArrayDraws({1: np.zeros((1, 1))}))
-    two = seeds1_step(zm, sched, two, u_t, t_t, ArrayDraws({1: np.zeros((1, 1))}))
+    one = np_stages_step(zm, sched, x, s_t, t_t, ArrayDraws({1: np.zeros((1, 1))}))
+    two = np_stages_step(zm, sched, x, s_t, u_t, ArrayDraws({1: np.zeros((1, 1))}))
+    two = np_stages_step(zm, sched, two, u_t, t_t, ArrayDraws({1: np.zeros((1, 1))}))
     check("zero-model linear exactness", float(np.max(np.abs(one - two))) < 1e-12)
 
     # variance telescoping of the chained step

@@ -10,11 +10,12 @@ exp_euler_lawson   (ETD and integrating-factor flavors)
 gddim              stochastic DDIM-style step (VP only)
 ve2_ode_a/b, ve2_sde  one-parameter two-stage data-prediction schemes (VE/EDM)
 
-One stage routine: ``np_stages_step`` is the noise-prediction step with 1, 2
-or 3 stages.  Given draws it is SEEDS-k (gain factor 2 and staged noise that
-shares z^1 across stages); given ``draws=None`` it is DPM-k, the
-probability-flow step of the same order.  dpm4 and the data-prediction,
-Euler-Maruyama, exponential-Euler, gddim and ve2 steps have their own bodies.
+Two stage routines: ``np_stages_step`` is the noise-prediction step with 1, 2
+or 3 stages, SEEDS-k given draws (gain factor 2, staged noise sharing z^1
+across stages) and DPM-k, the probability-flow step, given ``draws=None``.
+``dp_stages_step`` is its data-prediction mirror with 1 or 2 stages
+(seeds1-dp and ve2_sde with draws; dpm1-dp and ve2_ode_a/b without).  dpm4,
+Euler-Maruyama, exponential Euler and gddim keep their own bodies.
 
 One registry: ``FAMILIES`` maps each family name to a ``Family`` descriptor
 with its evaluations per step, the stage parameters it checks, and one
@@ -291,35 +292,46 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     return x_t if draws is None else x_t + fr.nsign * noise_b
 
 
-def seeds1_step(model, sched, x_s, s, t, draws, mode="np"):
-    """Single-stage stochastic exponential step (1 model evaluation).
+def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=False):
+    """Data-prediction exponential step in lambda = -log sigma with 1 or 2
+    stages (as many model evaluations).
 
-    Mode "np" is the one-stage ``np_stages_step``; mode "dp" is the
-    data-prediction form.
+    With ``draws`` it is the stochastic step (seeds1-dp, ve2_sde); with
+    ``draws=None`` the probability-flow step (dpm1-dp, ve2_ode_a).  The
+    two-stage node sits at sigma_s e^{-r h}; the final step weights D(x_s)
+    and D(u) by 1 - 1/(2r) and 1/(2r), or with ``phi2`` adds the phi_2
+    correction to the one-stage step (ve2_ode_b).  The two-stage form
+    assumes alpha == 1, which holds on VE and EDM, where the registry runs it.
     """
-    if mode == "np":
-        return np_stages_step(model, sched, x_s, s, t, draws)
-    if mode != "dp":
-        raise ConfigError(f"mode must be 'np' or 'dp', got {mode!r}")
-    a_s, sg_s, _ = sched.alpha_sigma(s)
-    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
-    h = math.log(sg_s / sg_t)
-    _check_backward(s, t, h)
-    d_val = model.data_pred(x_s, s)
-    eps = draws.z(1)
-    trans = (sg_t * sg_t * a_t) / (sg_s * sg_s * a_s)
-    det = trans * x_s - a_t * math.expm1(-2.0 * h) * d_val
-    return det + sbar_t * math.sqrt(-math.expm1(-2.0 * h)) * eps
-
-
-def dpm1_dp_step(model, sched, x_s, s, t):
-    """Order-1 probability-flow step in data-prediction form (1 model evaluation)."""
     a_s, sg_s, sbar_s = sched.alpha_sigma(s)
     a_t, sg_t, sbar_t = sched.alpha_sigma(t)
     h = math.log(sg_s / sg_t)
     _check_backward(s, t, h)
-    d_val = model.data_pred(x_s, s)
-    return (sbar_t / sbar_s) * x_s - a_t * math.expm1(-h) * d_val
+
+    def one_stage(a_n, sg_n, sbar_n, h_n, d, z=None):  # from s to a node; noise needs z
+        if draws is None:
+            return (sbar_n / sbar_s) * x_s - a_n * math.expm1(-h_n) * d
+        x_n = (sg_n * sg_n * a_n) / (sg_s * sg_s * a_s) * x_s - a_n * math.expm1(-2.0 * h_n) * d
+        return x_n if z is None else x_n + sbar_n * math.sqrt(-math.expm1(-2.0 * h_n)) * z
+
+    z1 = None if draws is None else draws.z(1)
+    d_s = model.data_pred(x_s, s)
+    if stages == 1:
+        return one_stage(a_t, sg_t, sbar_t, h, d_s, z1)
+    if stages != 2:
+        raise ConfigError(f"data-prediction stage count must be 1 or 2, got {stages!r}")
+    sg_1 = sg_s * math.exp(-r * h)   # alpha == 1: the node's sigma is its sigma_bar
+    u = one_stage(1.0, sg_1, sg_1, r * h, d_s, z1)
+    d_u = model.data_pred(u, sched.time_of_sigma(sg_1))
+    if phi2:  # (e^{-h} - 1)/h + 1 == h phi_2(-h)
+        return one_stage(a_t, sg_t, sbar_t, h, d_s) + (1.0 / r) * h * phi(2, -h) * (d_u - d_s)
+    x_t = one_stage(a_t, sg_t, sbar_t, h, (1.0 - 0.5 / r) * d_s + (0.5 / r) * d_u)
+    if draws is None:
+        return x_t
+    # Chasles split: the stage-1 chunk carried to t plus a fresh remainder
+    carried = sqrt_exp_diff(-2.0 * (1.0 - r) * h, -2.0 * h)
+    fresh = math.sqrt(-math.expm1(-2.0 * (1.0 - r) * h))
+    return x_t + sbar_t * (carried * z1 + fresh * draws.z(2))
 
 
 def dpm4_step(model, sched, x_s, s, t):
@@ -413,52 +425,6 @@ def gddim_step(model, sched, x_s, s, t, draws):
     )
 
 
-def ve_2stage_step(model, sched, x_s, s, t, draws, r=0.5, kind="ode_a"):
-    """One-parameter two-stage data-prediction schemes on VE/EDM.
-
-    Kinds: "ode_a" (weighted-average bracket), "ode_b" (phi_2 correction),
-    "sde" (staged noise with the usual Chasles split).  2 model evaluations.
-    """
-    if kind not in ("ode_a", "ode_b", "sde"):
-        raise ConfigError(f"unknown two-stage kind {kind!r}")
-    if not 0.0 < r <= 1.0:
-        raise ConfigError(f"two-stage parameter needs 0 < r <= 1, got {r}")
-    if sched.family not in ("ve", "edm"):
-        raise ConfigError("two-stage data-prediction schemes require a VE or EDM schedule")
-    sg_s = sched.sigma_of_t(s)
-    sg_t = sched.sigma_of_t(t)
-    h = math.log(sg_s / sg_t)
-    _check_backward(s, t, h)
-    s1 = sched.time_of_sigma(sg_s * math.exp(-r * h))
-    sg_1 = sg_s * math.exp(-r * h)
-    d_s = model.data_pred(x_s, s)
-    if kind == "sde":
-        z1, z2 = draws.z(1), draws.z(2)
-        u = (
-            (sg_1 * sg_1 / (sg_s * sg_s)) * x_s
-            - math.expm1(-2.0 * r * h) * d_s
-            + sg_1 * math.sqrt(-math.expm1(-2.0 * r * h)) * z1
-        )
-        d_u = model.data_pred(u, s1)
-        bracket = (1.0 - 0.5 / r) * d_s + (0.5 / r) * d_u
-        # Chasles split: the stage-1 chunk carried to t plus a fresh remainder
-        carried = sqrt_exp_diff(-2.0 * (1.0 - r) * h, -2.0 * h)
-        fresh = math.sqrt(-math.expm1(-2.0 * (1.0 - r) * h))
-        return (
-            (sg_t * sg_t / (sg_s * sg_s)) * x_s
-            - math.expm1(-2.0 * h) * bracket
-            + sg_t * (carried * z1 + fresh * z2)
-        )
-    u = (sg_1 / sg_s) * x_s - math.expm1(-r * h) * d_s
-    d_u = model.data_pred(u, s1)
-    if kind == "ode_a":
-        bracket = (1.0 - 0.5 / r) * d_s + (0.5 / r) * d_u
-        return (sg_t / sg_s) * x_s - math.expm1(-h) * bracket
-    # ode_b: (e^{-h} - 1)/h + 1 == h phi_2(-h)
-    corr = (1.0 / r) * h * phi(2, -h)
-    return (sg_t / sg_s) * x_s - math.expm1(-h) * d_s + corr * (d_u - d_s)
-
-
 def churn_inject(x, params: ChurnParams, sigma_t, n_steps, sched, noise):
     """Lift the noise level by gamma = min(s_churn / M, sqrt(2) - 1).
 
@@ -514,11 +480,11 @@ def _stages(k: int, seeds: bool) -> Form:
 
 FAMILIES = {
     "seeds1": Family(1, {"np": _stages(1, seeds=True),
-                         "dp": Form(seeds1_step, _ALL_SCHEDULES, {"mode": "dp"})}),
+                         "dp": Form(dp_stages_step, _ALL_SCHEDULES)}),
     "seeds2": Family(2, {"np": _stages(2, seeds=True)}, "c2"),
     "seeds3": Family(3, {"np": _stages(3, seeds=True)}, "r1<r2"),
     "dpm1": Family(1, {"np": _stages(1, seeds=False),
-                       "dp": Form(dpm1_dp_step, _ALL_SCHEDULES, takes_draws=False)}),
+                       "dp": Form(dp_stages_step, _ALL_SCHEDULES, takes_draws=False)}),
     "dpm2": Family(2, {"np": _stages(2, seeds=False)}, "c2"),
     "dpm3": Family(3, {"np": _stages(3, seeds=False)}, "r1<r2"),
     "dpm4": Family(5, {"np": Form(dpm4_step, _NP_SCHEDULES, takes_draws=False)}),
@@ -528,11 +494,11 @@ FAMILIES = {
     "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES,
                                               {"variant": "lawson"}, takes_draws=False)}),
     "gddim": Family(1, {"np": Form(gddim_step, ("vp",))}),
-    "ve2_ode_a": Family(2, {"dp": Form(ve_2stage_step, _SIGMA_SCHEDULES, {"kind": "ode_a"})},
-                        "r"),
-    "ve2_ode_b": Family(2, {"dp": Form(ve_2stage_step, _SIGMA_SCHEDULES, {"kind": "ode_b"})},
-                        "r"),
-    "ve2_sde": Family(2, {"dp": Form(ve_2stage_step, _SIGMA_SCHEDULES, {"kind": "sde"})}, "r"),
+    "ve2_ode_a": Family(2, {"dp": Form(dp_stages_step, _SIGMA_SCHEDULES, {"stages": 2},
+                                       takes_draws=False)}, "r"),
+    "ve2_ode_b": Family(2, {"dp": Form(dp_stages_step, _SIGMA_SCHEDULES,
+                                       {"stages": 2, "phi2": True}, takes_draws=False)}, "r"),
+    "ve2_sde": Family(2, {"dp": Form(dp_stages_step, _SIGMA_SCHEDULES, {"stages": 2})}, "r"),
 }
 
 

@@ -169,6 +169,52 @@ def test_numeric_config_values_run(tmp_path):
     assert json.loads(read(out / "config.json"))["threshold"] == 1.0
 
 
+@pytest.mark.parametrize("config, words", [
+    ([1, 2], "must hold a JSON object"),
+    ({"schedule": "vp"}, "schedule config must be a JSON object"),
+    ({"solver": "seeds3"}, "solver config must be a JSON object"),
+    ({"grid": 5}, "grid config must be a JSON object"),
+    ({"model": [1]}, "model config must be a JSON object"),
+    ({"model": {"kind": "gaussian_mixture"}}, "at least one mixture component"),
+    ({"order": "x"}, "order config must be a JSON object"),
+    ({"out": 5}, "out must be a string"),
+    ({"schedule": {"kind": 5}}, "schedule kind must be a string"),
+    ({"solver": {"family": ["seeds3"]}}, "solver family must be a string"),
+    ({"solver": {"family": "seeds1", "mode": ["dp"]}}, "solver mode must be a string"),
+    ({"solver": {"family": "seeds2", "c2": True}}, "solver c2 must be a finite number"),
+    ({"solver": {"family": "seeds3", "r1": "x"}}, "solver r1 must be a finite number"),
+    ({"solver": {"family": "seeds3", "churn": [1]}}, "solver churn config must be a JSON object"),
+    ({"solver": {"family": "seeds3", "churn": {"s_churn": "abc"}}},
+     "solver churn s_churn must be a finite number"),
+    ({"solver": {"family": "seeds3", "churn": {"s_churn": 1.0, "s_tmin": float("-inf")}}},
+     "solver churn s_tmin must be a finite number"),
+    ({"solver": {"family": "seeds3", "churn": {"bogus": 1}}},
+     "unknown keys in solver churn config: ['bogus']"),
+])
+def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, config, words):
+    # no --out: a run that got past the config would write seeds_out/ here
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run(["sample", "--config", "cfg.json"]) == 1
+    assert words in _config_error(capsys)
+    assert not (tmp_path / "seeds_out" / "terminal.csv").exists()
+
+
+def test_churn_config_json_reruns(tmp_path):
+    # s_tmax keeps its +inf default, which config.json records as Infinity
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schedule": {"kind": "edm"}, "grid": {"kind": "edm"},
+                                    "solver": {"family": "seeds2", "c2": 1,
+                                               "churn": {"s_churn": 5}}}))
+    out1, out2 = tmp_path / "r1", tmp_path / "r2"
+    assert run(["sample", "--config", str(cfg_path), "--steps", "8", "--paths", "6",
+                "--out", str(out1)]) == 0
+    assert '"s_tmax": Infinity' in read(out1 / "config.json").decode()
+    assert run(["sample", "--config", str(out1 / "config.json"), "--out", str(out2)]) == 0
+    assert read(out1 / "terminal.csv") == read(out2 / "terminal.csv")
+    assert read(out1 / "config.json") == read(out2 / "config.json")
+
+
 _COMPONENT = {"weight": 0.5, "mean": [0.0, 1.0], "var": [1.0, 2.0]}
 
 

@@ -113,6 +113,17 @@ def test_weak_order_zero_model_all_excluded(vp):
     assert math.isnan(est.slope)
 
 
+def test_weak_order_oracle_follows_each_grid_top_time(vp):
+    # the zero-model law depends on the start time; seeds1 is exact there, so
+    # grids from different top times must all fall below the Monte Carlo floor
+    zm = zero_model(1, vp)
+    grids = [linear_lambda_grid(14, vp.t_min, 0.5, vp)]
+    grids += [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (17, 21, 26)]
+    est = weak_order(SolverSpec("seeds1"), zm, vp, grids, 20_000, RngStream(3))
+    assert est.excluded == [0, 1, 2, 3]
+    assert all(err < 3.0 * se for err, se in zip(est.errors, est.ses))
+
+
 def test_weak_order_euler_maruyama_order_one(vp, gauss_model):
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (14, 21, 32, 48)]
     est_em = weak_order(SolverSpec("euler_maruyama"), gauss_model, vp, grids, 50_000,

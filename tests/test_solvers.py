@@ -12,6 +12,7 @@ from seeds_sde import (
     ScoreModel,
     SolverSpec,
     Ve,
+    VpCosine,
     VpLinear,
     linear_lambda_grid,
     sample,
@@ -23,15 +24,13 @@ from seeds_sde.solvers import (
     ArrayDraws,
     ZeroStepDraws,
     churn_inject,
-    dpm1_dp_step,
+    dp_stages_step,
     dpm4_step,
     euler_maruyama_step,
     exp_euler_step,
     gddim_step,
     np_stages_step,
-    seeds1_step,
     step_once,
-    ve_2stage_step,
 )
 
 D0 = ZeroStepDraws((1,))
@@ -125,7 +124,7 @@ def test_seeds1_zero_model_linear_transition(vp):
     zm = zero_model(1, vp)
     x = np.array([1.7])
     s, t = 0.8, 0.3
-    out = seeds1_step(zm, vp, x, s, t, D0)
+    out = np_stages_step(zm, vp, x, s, t, D0)
     a_t, a_s = vp.alpha_sigma(t)[0], vp.alpha_sigma(s)[0]
     assert np.allclose(out, (a_t / a_s) * x, rtol=1e-14)
 
@@ -136,7 +135,7 @@ def test_seeds1_constant_f_anchor(vp, constant_model):
     lam_t = vp.lambda_of_t(s) + math.log(math.sqrt(2.0))
     t = vp.t_of_lambda(lam_t)
     model = constant_model(1, noise_value=1.0)
-    out = seeds1_step(model, vp, np.ones(1), s, t, D0)
+    out = np_stages_step(model, vp, np.ones(1), s, t, D0)
     a_t, _, sbar_t = vp.alpha_sigma(t)
     a_s = vp.alpha_sigma(s)[0]
     expected = a_t / a_s - 2.0 * sbar_t * (math.sqrt(2.0) - 1.0)
@@ -147,22 +146,23 @@ def test_seeds1_np_vs_dp_differ(vp, gauss_model):
     x = np.array([0.9])
     s, t = 0.7, 0.45
     z = np.array([0.31])
-    np_out = seeds1_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}), mode="np")
-    dp_out = seeds1_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}), mode="dp")
+    np_out = np_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
+    dp_out = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
     assert np.max(np.abs(np_out - dp_out)) > 1e-6
 
 
 def test_seeds1_rejects_forward_step(vp, gauss_model):
-    with pytest.raises(GridError):
-        seeds1_step(gauss_model, vp, np.ones(1), 0.3, 0.8, D0)
+    for step in (np_stages_step, dp_stages_step):
+        with pytest.raises(GridError):
+            step(gauss_model, vp, np.ones(1), 0.3, 0.8, D0)
 
 
 def test_seeds1_dp_noise_coefficient(vp, gauss_model):
     # injected unit draw isolates the + sbar sqrt(1 - e^{-2h}) coefficient
     x = np.array([0.5])
     s, t = 0.6, 0.35
-    base = seeds1_step(gauss_model, vp, x, s, t, ArrayDraws({1: np.zeros(1)}), mode="dp")
-    kicked = seeds1_step(gauss_model, vp, x, s, t, ArrayDraws({1: np.ones(1)}), mode="dp")
+    base = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: np.zeros(1)}))
+    kicked = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: np.ones(1)}))
     h = math.log(vp.alpha_sigma(s)[1] / vp.alpha_sigma(t)[1])
     sbar_t = vp.alpha_sigma(t)[2]
     assert (kicked - base)[0] == pytest.approx(sbar_t * math.sqrt(-math.expm1(-2 * h)), rel=1e-13)
@@ -245,7 +245,7 @@ def test_constant_f_degeneration(vp, constant_model):
     x = np.array([1.1])
     s, t = 0.8, 0.35
     z = ZeroStepDraws((1,))
-    one = seeds1_step(model, vp, x, s, t, z)
+    one = np_stages_step(model, vp, x, s, t, z)
     assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=2), one, rtol=1e-13)
     assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=3), one, rtol=1e-13)
     # and dpm4 collapses to the order-1 deterministic step
@@ -261,7 +261,7 @@ def test_seeds1_vs_dpm1_factor_two(vp, gauss_model):
     # deterministic parts differ by exactly sbar_t (e^h - 1) |F|
     x = np.array([0.9])
     s, t = 0.7, 0.4
-    det = seeds1_step(gauss_model, vp, x, s, t, ZeroStepDraws((1,)))
+    det = np_stages_step(gauss_model, vp, x, s, t, ZeroStepDraws((1,)))
     ode = np_stages_step(gauss_model, vp, x, s, t, stages=1)
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     sbar_t = vp.alpha_sigma(t)[2]
@@ -279,15 +279,17 @@ def test_dpm_modes_and_orders(vp, gauss_model):
     h = math.log(sg_s / sg_t)
     d_val = gauss_model.data_pred(x, s)
     want = (sbar_t / sbar_s) * x - a_t * math.expm1(-h) * d_val
-    assert np.allclose(dpm1_dp_step(gauss_model, vp, x, s, t), want, rtol=1e-13)
+    assert np.allclose(dp_stages_step(gauss_model, vp, x, s, t), want, rtol=1e-13)
     assert np.array_equal(step_once(SolverSpec("dpm1", mode="dp"), gauss_model, vp, x, s, t, D0),
-                          dpm1_dp_step(gauss_model, vp, x, s, t))
+                          dp_stages_step(gauss_model, vp, x, s, t))
     with pytest.raises(ConfigError):
         SolverSpec("dpm2", mode="dp")
     with pytest.raises(ConfigError):
         SolverSpec("dpm5")
     with pytest.raises(ConfigError):
         np_stages_step(gauss_model, vp, x, s, t, stages=4)
+    with pytest.raises(ConfigError):
+        dp_stages_step(gauss_model, vp, x, s, t, stages=3)
 
 
 def test_dpm_deterministic_order_ratios(vp, gauss_model):
@@ -422,7 +424,7 @@ def test_gddim_equals_seeds1_dp_per_step(vp, gauss_model):
     s, t = 0.8, 0.55
     z = np.array([-0.23])
     g = gddim_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
-    d = seeds1_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}), mode="dp")
+    d = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
     assert np.allclose(g, d, rtol=1e-12)
 
 
@@ -465,10 +467,10 @@ def test_ve2_null_model_sigma_ratio():
     sched = Ve()
     x = np.array([1.5])
     s, t = 4.0, 1.0
-    for kind in ("ode_a", "ode_b"):
-        out = ve_2stage_step(NullD(), sched, x, s, t, D0, r=0.5, kind=kind)
+    for fam in ("ve2_ode_a", "ve2_ode_b"):
+        out = step_once(SolverSpec(fam, r1=0.5), NullD(), sched, x, s, t, D0)
         assert np.allclose(out, (t / s) * x, rtol=1e-14)
-    out = ve_2stage_step(NullD(), sched, x, s, t, ZeroStepDraws((1,)), r=0.5, kind="sde")
+    out = step_once(SolverSpec("ve2_sde", r1=0.5), NullD(), sched, x, s, t, ZeroStepDraws((1,)))
     assert np.allclose(out, (t * t / (s * s)) * x, rtol=1e-14)
 
 
@@ -477,8 +479,8 @@ def test_ve2_constant_d_ode_forms_coincide(constant_model):
     model = constant_model(1, data_value=0.8)
     x = np.array([1.1])
     s, t = 5.0, 2.0
-    a = ve_2stage_step(model, sched, x, s, t, D0, r=0.4, kind="ode_a")
-    b = ve_2stage_step(model, sched, x, s, t, D0, r=0.4, kind="ode_b")
+    a = step_once(SolverSpec("ve2_ode_a", r1=0.4), model, sched, x, s, t, D0)
+    b = step_once(SolverSpec("ve2_ode_b", r1=0.4), model, sched, x, s, t, D0)
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -486,29 +488,166 @@ def test_ve2_sde_noise_variance_telescopes():
     sched = Ve()
     s, t, r = 4.0, 1.5, 0.45
     h = math.log(s / t)
+    spec = SolverSpec("ve2_sde", r1=r)
     coefs = []
     for j in (1, 2):
         z = {1: np.zeros(1), 2: np.zeros(1)}
-        base = ve_2stage_step(NullD(), sched, np.zeros(1), s, t, ArrayDraws(dict(z)), r=r, kind="sde")
+        base = step_once(spec, NullD(), sched, np.zeros(1), s, t, ArrayDraws(dict(z)))
         z[j] = np.ones(1)
-        kicked = ve_2stage_step(NullD(), sched, np.zeros(1), s, t, ArrayDraws(z), r=r, kind="sde")
+        kicked = step_once(spec, NullD(), sched, np.zeros(1), s, t, ArrayDraws(z))
         coefs.append(float(kicked[0] - base[0]))
     total = sum(c * c for c in coefs)
     # matches the one-stage dp variance sigma_t^2 (1 - e^{-2h})
     assert total == pytest.approx(t * t * -math.expm1(-2 * h), rel=1e-12)
 
 
-def test_ve2_requires_sigma_schedule(gauss_model, vp):
-    with pytest.raises(ConfigError):
-        ve_2stage_step(gauss_model, vp, np.ones(1), 0.8, 0.4, D0)
-
-
 def test_ve2_runs_on_edm_dp():
     sched = Edm(sigma_data=0.5)
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
-    out = ve_2stage_step(model, sched, np.array([0.7]), 3.0, 1.0,
-                         ArrayDraws({1: np.zeros(1), 2: np.zeros(1)}), r=0.5, kind="sde")
+    out = step_once(SolverSpec("ve2_sde", r1=0.5), model, sched, np.array([0.7]), 3.0, 1.0,
+                    ArrayDraws({1: np.zeros(1), 2: np.zeros(1)}))
     assert np.isfinite(out).all()
+
+
+def mp_ve2(d_model, x, s, t, r, kind, z1=0, z2=0):
+    """50-digit line-by-line two-stage data-prediction step on VE (sigma = t)."""
+    h = mpmath.log(s / t)
+    sg_1 = s * mpmath.exp(-r * h)
+    d_s = d_model(x, s)
+    if kind == "sde":
+        u = (sg_1 / s) ** 2 * x + (1 - mpmath.exp(-2 * r * h)) * d_s \
+            + sg_1 * mpmath.sqrt(1 - mpmath.exp(-2 * r * h)) * z1
+        d_u = d_model(u, sg_1)
+        bracket = (1 - 1 / (2 * r)) * d_s + d_u / (2 * r)
+        return (t / s) ** 2 * x + (1 - mpmath.exp(-2 * h)) * bracket \
+            + t * (mpmath.sqrt(mpmath.exp(-2 * (1 - r) * h) - mpmath.exp(-2 * h)) * z1
+                   + mpmath.sqrt(1 - mpmath.exp(-2 * (1 - r) * h)) * z2)
+    u = (sg_1 / s) * x + (1 - mpmath.exp(-r * h)) * d_s
+    d_u = d_model(u, sg_1)
+    if kind == "ode_a":
+        bracket = (1 - 1 / (2 * r)) * d_s + d_u / (2 * r)
+        return (t / s) * x + (1 - mpmath.exp(-h)) * bracket
+    return (t / s) * x + (1 - mpmath.exp(-h)) * d_s \
+        + ((mpmath.exp(-h) - 1) / h + 1) / r * (d_u - d_s)
+
+
+@pytest.mark.parametrize("kind", ["sde", "ode_a", "ode_b"])
+def test_ve2_matches_line_by_line_oracle(kind):
+    sched = Ve()
+    model = ScoreModel(DataDistribution.standard_normal(1), sched)
+    x, s, t, r = 0.8, 4.0, 1.5, 0.45
+    z1, z2 = 0.42, -1.17
+    with mpmath.workdps(50):
+        want = float(mp_ve2(lambda y, sg: y / (1 + sg * sg),  # D of unit-Gaussian data
+                            mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t), mpmath.mpf(r), kind,
+                            mpmath.mpf(z1), mpmath.mpf(z2)))
+    got = step_once(SolverSpec(f"ve2_{kind}", r1=r), model, sched, np.array([x]), s, t,
+                    ArrayDraws({1: np.array([z1]), 2: np.array([z2])}))
+    assert got[0] == pytest.approx(want, rel=1e-13)
+
+
+# -- data-prediction references ------------------------------------------------
+# The three bodies dp_stages_step replaced, kept verbatim as byte references.
+
+
+def ref_seeds1_dp(model, sched, x_s, s, t, draws):
+    a_s, sg_s, _ = sched.alpha_sigma(s)
+    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
+    h = math.log(sg_s / sg_t)
+    d_val = model.data_pred(x_s, s)
+    eps = draws.z(1)
+    trans = (sg_t * sg_t * a_t) / (sg_s * sg_s * a_s)
+    det = trans * x_s - a_t * math.expm1(-2.0 * h) * d_val
+    return det + sbar_t * math.sqrt(-math.expm1(-2.0 * h)) * eps
+
+
+def ref_dpm1_dp(model, sched, x_s, s, t):
+    a_s, sg_s, sbar_s = sched.alpha_sigma(s)
+    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
+    h = math.log(sg_s / sg_t)
+    d_val = model.data_pred(x_s, s)
+    return (sbar_t / sbar_s) * x_s - a_t * math.expm1(-h) * d_val
+
+
+def ref_ve_2stage(model, sched, x_s, s, t, draws, r, kind):
+    from seeds_sde.phi import phi, sqrt_exp_diff
+
+    sg_s = sched.sigma_of_t(s)
+    sg_t = sched.sigma_of_t(t)
+    h = math.log(sg_s / sg_t)
+    s1 = sched.time_of_sigma(sg_s * math.exp(-r * h))
+    sg_1 = sg_s * math.exp(-r * h)
+    d_s = model.data_pred(x_s, s)
+    if kind == "sde":
+        z1, z2 = draws.z(1), draws.z(2)
+        u = (
+            (sg_1 * sg_1 / (sg_s * sg_s)) * x_s
+            - math.expm1(-2.0 * r * h) * d_s
+            + sg_1 * math.sqrt(-math.expm1(-2.0 * r * h)) * z1
+        )
+        d_u = model.data_pred(u, s1)
+        bracket = (1.0 - 0.5 / r) * d_s + (0.5 / r) * d_u
+        carried = sqrt_exp_diff(-2.0 * (1.0 - r) * h, -2.0 * h)
+        fresh = math.sqrt(-math.expm1(-2.0 * (1.0 - r) * h))
+        return (
+            (sg_t * sg_t / (sg_s * sg_s)) * x_s
+            - math.expm1(-2.0 * h) * bracket
+            + sg_t * (carried * z1 + fresh * z2)
+        )
+    u = (sg_1 / sg_s) * x_s - math.expm1(-r * h) * d_s
+    d_u = model.data_pred(u, s1)
+    if kind == "ode_a":
+        bracket = (1.0 - 0.5 / r) * d_s + (0.5 / r) * d_u
+        return (sg_t / sg_s) * x_s - math.expm1(-h) * bracket
+    corr = (1.0 / r) * h * phi(2, -h)
+    return (sg_t / sg_s) * x_s - math.expm1(-h) * d_s + corr * (d_u - d_s)
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+_DP_SCHEDULES = {
+    "vp": (VpLinear(), ((0.7, 0.5), (0.95, 0.9), (0.2, 0.01))),
+    "vp_cosine": (VpCosine(), ((0.7, 0.5), (0.95, 0.9), (0.2, 0.01))),
+    "ve": (Ve(), ((4.0, 2.0), (80.0, 60.0), (0.5, 0.002))),
+    "edm": (Edm(sigma_data=0.5), ((4.0, 2.0), (80.0, 60.0), (0.5, 0.002))),
+}
+
+
+def _dp_case(name, seed):
+    """A 3-component d=4 mixture on the schedule, 32 states (with signed
+    zeros) and stage draws."""
+    sched, pairs = _DP_SCHEDULES[name]
+    rng = np.random.default_rng(seed)
+    data = DataDistribution(np.array([0.2, 0.3, 0.5]), rng.normal(0.0, 2.0, (3, 4)),
+                            rng.uniform(0.3, 1.5, (3, 4)))
+    x = rng.normal(0.0, 3.0, (32, 4))
+    x[0], x[1] = 0.0, -0.0
+    draws = ArrayDraws({k: rng.normal(size=(32, 4)) for k in (1, 2)})
+    return sched, pairs, ScoreModel(data, sched), x, draws
+
+
+@pytest.mark.parametrize("name", list(_DP_SCHEDULES))
+def test_one_stage_dp_same_bits_as_reference(name):
+    sched, pairs, model, x, draws = _dp_case(name, 5)
+    for s, t in pairs:
+        got = step_once(SolverSpec("seeds1", mode="dp"), model, sched, x, s, t, draws)
+        assert _same_bits(got, ref_seeds1_dp(model, sched, x, s, t, draws)), (s, t)
+        got = step_once(SolverSpec("dpm1", mode="dp"), model, sched, x, s, t, draws)
+        assert _same_bits(got, ref_dpm1_dp(model, sched, x, s, t)), (s, t)
+
+
+@pytest.mark.parametrize("name", ["ve", "edm"])
+@pytest.mark.parametrize("r", [1.0 / 3.0, 0.45, 1.0])
+def test_two_stage_dp_same_bits_as_reference(name, r):
+    sched, pairs, model, x, draws = _dp_case(name, 7)
+    for s, t in pairs:
+        for kind in ("sde", "ode_a", "ode_b"):
+            got = step_once(SolverSpec(f"ve2_{kind}", r1=r), model, sched, x, s, t, draws)
+            want = ref_ve_2stage(model, sched, x, s, t, draws, r, kind)
+            assert _same_bits(got, want), (s, t, kind)
 
 
 # -- churn ---------------------------------------------------------------------
@@ -652,6 +791,20 @@ def test_step_once_dispatch_covers_families():
 
 
 # -- registry ------------------------------------------------------------------
+
+
+def test_every_step_function_is_registered():
+    # a step body that no family points at would only be called by its tests
+    import inspect
+
+    from seeds_sde import solvers
+
+    registered = {form.step for desc in FAMILIES.values() for form in desc.forms.values()}
+    steps = {name: fn for name, fn in vars(solvers).items()
+             if name.endswith("_step") and inspect.isfunction(fn)
+             and fn.__module__ == solvers.__name__}
+    assert "dp_stages_step" in steps and "np_stages_step" in steps
+    assert [name for name, fn in steps.items() if fn not in registered] == []
 
 
 def test_mode_defaults_to_the_family_form():
