@@ -12,8 +12,8 @@ from .harness import (
 )
 from .models import DataDistribution, ScoreModel, ZeroModel, zero_model
 from .noise import RngStream
-from .phi import phi, sqrt_exp_diff, stable_expm1_combination, weighted_poly_integral
-from .schedules import Edm, PrecondValues, Ve, VpCosine, VpLinear, make_schedule
+from .phi import phi, sqrt_exp_diff
+from .schedules import Edm, Ve, VpCosine, VpLinear, make_schedule
 from .solvers import ChurnParams, SampleResult, SolverSpec, sample
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "GaussianFlowOracle",
     "GridError",
     "OrderEstimate",
-    "PrecondValues",
     "RngStream",
     "SampleResult",
     "ScoreModel",
@@ -43,11 +42,9 @@ __all__ = [
     "phi",
     "sample",
     "sqrt_exp_diff",
-    "stable_expm1_combination",
     "strong_order",
     "terminal_distribution_check",
     "weak_order",
-    "weighted_poly_integral",
     "zero_model",
 ]
 

@@ -31,12 +31,15 @@ class RunConfig:
     order: dict = field(default_factory=dict)
 
     def build_model(self):
-        kind = self.model_spec.get("kind", "gaussian_mixture")
+        spec = self.model_spec
+        kind = spec.get("kind", "gaussian_mixture")
         if kind == "zero":
-            return ZeroModel(_integer("model dim", self.model_spec.get("dim", 1)), self.schedule)
+            _reject_extras("model", spec.keys() - {"kind", "dim"})
+            return ZeroModel(_integer("model dim", spec.get("dim", 1)), self.schedule)
         if kind == "gaussian_mixture":
-            data = DataDistribution.from_components(self.model_spec.get("components"))
-            return ScoreModel(data, self.schedule)
+            _reject_extras("model", spec.keys() - {"kind", "components"})
+            return ScoreModel(DataDistribution.from_components(spec.get("components")),
+                              self.schedule)
         raise ConfigError(f"unknown model kind {kind!r}")
 
     def build_grid(self) -> StepGrid:
@@ -129,7 +132,8 @@ def _build_schedule(spec: dict) -> ScheduleBase:
     kind = spec.pop("kind", "vp")
     if not isinstance(kind, str):
         raise ConfigError(f"schedule kind must be a string, got {kind!r}")
-    return make_schedule(kind, **spec)
+    return make_schedule(kind, **{key: _number(f"schedule {key}", value)
+                                  for key, value in spec.items()})
 
 
 def _build_solver(spec: dict) -> SolverSpec:

@@ -19,7 +19,8 @@ from .errors import ConfigError
 from .grids import StepGrid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
-from .solvers import SolverSpec, StepDraws, ZeroStepDraws, np_frame, sample, step_once
+from .schedules import SDE
+from .solvers import SolverSpec, StepDraws, ZeroStepDraws, sample, step_with_churn
 
 
 @dataclass
@@ -115,40 +116,25 @@ class GaussianFlowOracle:
         raise ConfigError(f"unsupported moment power {power!r}")
 
 
-class ZeroFlowOracle:
+class ZeroFlowOracle(GaussianFlowOracle):
     """Exact marginals when the model term vanishes: the pure linear flow.
 
     Starting from N(0, sigma_bar(t0)^2 I), the state at time t is centered
     Gaussian with variance (alpha_t/alpha_0)^2 sigma_bar_0^2 +
-    sigma_bar_t^2 (e^{2(lambda_t - lambda_0)} - 1).
+    sigma_bar_t^2 (e^{2(lambda_t - lambda_0)} - 1): one centered component.
     """
 
     def __init__(self, sched, t_top: float, d: int = 1):
-        self.sched = sched
+        super().__init__(None, sched)
         self.t_top = float(t_top)
         self.d = d
 
-    def _var_scalar(self, t):
+    def component_moments(self, t):
         a0, _, sbar0 = self.sched.alpha_sigma(self.t_top)
         a_t, _, sbar_t = self.sched.alpha_sigma(t)
         h = self.sched.lambda_of_t(t) - self.sched.lambda_of_t(self.t_top)
-        return (a_t / a0) ** 2 * sbar0**2 + sbar_t**2 * math.expm1(2.0 * h)
-
-    def mean(self, t):
-        return np.zeros(self.d)
-
-    def var(self, t):
-        return np.full(self.d, self._var_scalar(t))
-
-    def moment(self, t, power: int):
-        v = self._var_scalar(t)
-        if power == 1:
-            return np.zeros(self.d)
-        if power == 2:
-            return np.full(self.d, v)
-        if power == 4:
-            return np.full(self.d, 3.0 * v * v)
-        raise ConfigError(f"unsupported moment power {power!r}")
+        var = (a_t / a0) ** 2 * sbar0**2 + sbar_t**2 * math.expm1(2.0 * h)
+        return np.ones(1), np.zeros((1, self.d)), np.full((1, self.d), var)
 
 
 def _oracle_for(model, sched, t_top: float):
@@ -183,13 +169,12 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     spec.validate_against(sched)
     eps_end = sched.t_min if eps_end is None else eps_end
     t_top = sched.t_max if t_top is None else t_top
-    fr = np_frame(sched, stochastic=True)
-    lam0, lam1 = fr.lam(t_top), fr.lam(eps_end)
+    lam0, lam1 = sched.lambda_of_t(t_top, SDE), sched.lambda_of_t(eps_end, SDE)
 
     n_levels = refinements          # measured levels 0..refinements-1
     m_fine = base_steps * 2 ** (n_levels - 1 + ref_extra)
     lam_fine = np.linspace(lam0, lam1, m_fine + 1)
-    t_fine = [t_top] + [fr.t_of_lam(float(l)) for l in lam_fine[1:-1]] + [eps_end]
+    t_fine = [t_top] + [sched.t_of_lambda(float(l), SDE) for l in lam_fine[1:-1]] + [eps_end]
     fine_stds = np.sqrt([raw_increment_var(lam_fine[j], lam_fine[j + 1]) for j in range(m_fine)])
 
     # precompute per-node coefficients of each level (levels 0..n_levels, the
@@ -199,12 +184,13 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
         stride = 1 if lvl == n_levels else 2 ** (n_levels - 1 + ref_extra - lvl)
         idx = np.arange(0, m_fine + 1, stride)
         ts = [t_fine[j] for j in idx]
-        trans = [fr.trans(ts[i - 1], ts[i]) for i in range(1, len(ts))]
-        gain_em1 = [fr.gain(ts[i]) * math.expm1(lam_fine[idx[i]] - lam_fine[idx[i - 1]])
+        trans = [sched.np_trans(ts[i - 1], ts[i], True) for i in range(1, len(ts))]
+        gain_em1 = [sched.np_gain(ts[i], True)
+                    * math.expm1(lam_fine[idx[i]] - lam_fine[idx[i - 1]])
                     for i in range(1, len(ts))]
-        # raw weighted increment enters as nsign * sqrt(2) * C(t) * W with
-        # C(t) = nscale(t) e^{lambda_t}
-        wcoef = [fr.nsign * math.sqrt(2.0) * fr.nscale(ts[i]) * math.exp(float(lam_fine[idx[i]]))
+        # raw weighted increment enters as sqrt(2) * C(t) * W with
+        # C(t) = np_noise(t) e^{lambda_t}
+        wcoef = [math.sqrt(2.0) * sched.np_noise(ts[i]) * math.exp(float(lam_fine[idx[i]]))
                  for i in range(1, len(ts))]
         levels.append({"idx": idx, "ts": ts, "trans": trans, "gain": gain_em1, "wcoef": wcoef})
 
@@ -337,9 +323,9 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
                      grid: StepGrid, stream, zero_noise=False) -> float:
     """Max relative state difference between two solvers on shared draws.
 
-    Both trajectories start from the same initial draw and read the same
-    stage-keyed substreams; with ``zero_noise`` the z draws are zeroed so
-    only the deterministic parts are compared.
+    Both trajectories start from the same initial draw, apply their own
+    churn, and read the same stage-keyed substreams; with ``zero_noise`` the
+    z draws are zeroed so only the deterministic parts are compared.
     """
     spec_a.validate_against(sched)
     spec_b.validate_against(sched)
@@ -353,8 +339,8 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
     for i in range(1, grid.n_steps):
         s, t = float(times[i - 1]), float(times[i])
         draws = ZeroStepDraws((1, d)) if zero_noise else StepDraws(stream, i, 1, d)
-        xa = step_once(spec_a, model, sched, xa, s, t, draws)
-        xb = step_once(spec_b, model, sched, xb, s, t, draws)
+        xa = step_with_churn(spec_a, model, sched, xa, s, t, draws, grid.n_steps)
+        xb = step_with_churn(spec_b, model, sched, xb, s, t, draws, grid.n_steps)
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)

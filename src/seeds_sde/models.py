@@ -189,8 +189,10 @@ class ScoreModel:
         a, s, sbar = self.sched.alpha_sigma(t)
         f_val = self.noise_pred(x, t)
         if self.sched.family == "edm":
-            pc = self.sched.precond(t)
-            return ((pc.c1 - 1.0) * x + pc.c2 * f_val) / (a * s * s)
+            # D = c1 x + c2 F with c1 = sd^2 / den and c2 = t sd / sqrt(den)
+            sd = self.sched.sigma_data
+            den = t * t + sd * sd
+            return ((sd * sd / den - 1.0) * x + t * sd / math.sqrt(den) * f_val) / (a * s * s)
         return -f_val / sbar
 
 

@@ -78,21 +78,6 @@ class RngStream:
         return out
 
 
-def weighted_increment_std(sigma_bar_t: float, h: float, kind: str) -> float:
-    """Standard deviation of the one-step weighted stochastic increment.
-
-    kind "np": sigma_bar_t sqrt(e^{2h} - 1); kind "dp": sigma_bar_t
-    sqrt(1 - e^{-2h}).  Requires h > 0 (backward step).
-    """
-    if h <= 0.0 or not math.isfinite(h):
-        raise DomainError(f"weighted increment needs h > 0, got {h!r}")
-    if kind == "np":
-        return sigma_bar_t * math.sqrt(math.expm1(2.0 * h))
-    if kind == "dp":
-        return sigma_bar_t * math.sqrt(-math.expm1(-2.0 * h))
-    raise ConfigError(f"unknown increment kind {kind!r}; expected 'np' or 'dp'")
-
-
 def raw_increment_var(lam_a: float, lam_b: float) -> float:
     """Variance of integral_{lam_a}^{lam_b} e^{-lam} dW for lam_b > lam_a."""
     if lam_b <= lam_a:

@@ -4,16 +4,18 @@ phi_0(h) = e^h and phi_{k+1}(h) = (phi_k(h) - 1/k!) / h, with phi_k(0) = 1/k!,
 equivalently phi_{k+1}(h) = integral_0^1 e^{(1-tau) h} tau^k / k! dtau.
 
 These weights turn exponentially weighted polynomial integrals into closed
-forms, and the square-root combinations below are the staged-noise
-coefficients of the multi-stage stochastic solvers, rearranged so that every
-subtraction goes through expm1 and stays accurate down to h ~ 1e-300.
+forms: integral_{lam_s}^{lam_t} e^{-lam} (lam - lam_s)^k / k! dlam equals
+e^{-lam_t} h^{k+1} phi_{k+1}(h) with h = lam_t - lam_s.  ``sqrt_exp_diff``
+gives the square roots sqrt(e^a - e^b) of the staged-noise coefficients,
+rearranged so that the subtraction goes through expm1 and stays accurate
+down to h ~ 1e-300.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 MAX_ORDER = 8
 MAX_ABS_H = 50.0
@@ -57,19 +59,6 @@ def phi(k: int, h: float) -> float:
     return val
 
 
-def weighted_poly_integral(k: int, lam_s: float, lam_t: float) -> float:
-    """integral_{lam_s}^{lam_t} e^{-lam} (lam - lam_s)^k / k! dlam.
-
-    Closed form e^{-lam_t} h^{k+1} phi_{k+1}(h) with h = lam_t - lam_s.
-    """
-    lam_s = float(lam_s)
-    lam_t = float(lam_t)
-    if not (math.isfinite(lam_s) and math.isfinite(lam_t)):
-        raise DomainError("lambda endpoints must be finite")
-    h = lam_t - lam_s
-    return math.exp(-lam_t) * h ** (k + 1) * phi(k + 1, h)
-
-
 def sqrt_exp_diff(a: float, b: float) -> float:
     """sqrt(e^a - e^b) for a >= b, computed without cancellation."""
     if b > a:
@@ -77,24 +66,3 @@ def sqrt_exp_diff(a: float, b: float) -> float:
     if a == b:
         return 0.0
     return math.exp(0.5 * b) * math.sqrt(math.expm1(a - b))
-
-
-def stable_expm1_combination(h, r1, r2, z):
-    """Three-stage noise combination with expm1-stable coefficients.
-
-    Returns sqrt(e^{2h} - e^{2 r2 h}) z1 + sqrt(e^{2 r2 h} - e^{2 r1 h}) z2
-    + sqrt(e^{2 r1 h} - 1) z3, with every radicand factored as
-    e^{smaller} * expm1(difference).
-    """
-    if not 0.0 < r1 < r2 < 1.0:
-        raise ConfigError(f"stage fractions must satisfy 0 < r1 < r2 < 1, got {r1}, {r2}")
-    h = float(h)
-    if h < 0.0:
-        raise DomainError("noise combination requires h >= 0")
-    z1, z2, z3 = (np.asarray(zi, dtype=float) for zi in z)
-    if h == 0.0:
-        return np.zeros_like(z1)
-    c1 = sqrt_exp_diff(2.0 * h, 2.0 * r2 * h)
-    c2 = sqrt_exp_diff(2.0 * r2 * h, 2.0 * r1 * h)
-    c3 = math.sqrt(math.expm1(2.0 * r1 * h))
-    return c1 * z1 + c2 * z2 + c3 * z3

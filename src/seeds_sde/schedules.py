@@ -12,6 +12,14 @@ Conventions:
                                  ("sde" and "ode") tied to the reverse SDE and
                                  the probability-flow ODE respectively.
 
+VP and EDM also carry the coefficients of the noise-prediction exponential
+step x_t = Phi(t, s) x_s + g(t) (e^h - 1) F + c(t) sqrt(e^{2h} - 1) z with
+h = lambda_t - lambda_s: ``np_trans`` is Phi, ``np_gain`` is g and
+``np_noise`` is c (its sign included), each in the lambda variant of the
+reverse SDE (stochastic) or of the probability-flow ODE; ``np_rate`` is the
+coefficient of F in exponential Euler's time-variable ODE.  VE has none of
+them.
+
 Evaluations are allowed slightly above t_max (factor 1.5) so that
 churn-lifted noise levels remain representable; grid validation still uses
 [t_min, t_max].
@@ -35,16 +43,6 @@ _SLACK = 1e-9
 def _check_variant(variant: str) -> None:
     if variant not in _VARIANTS:
         raise ConfigError(f"unknown lambda variant {variant!r}; expected one of {_VARIANTS}")
-
-
-@dataclass(frozen=True)
-class PrecondValues:
-    """Raw-network preconditioning coefficients evaluated at one time."""
-
-    c1: float
-    c2: float
-    c3: float
-    c4: float
 
 
 class ScheduleBase:
@@ -102,12 +100,55 @@ class ScheduleBase:
         a, s, _ = self.alpha_sigma(t)
         return self.diffusion_g2(t) / (2.0 * a * a * s)
 
+    # -- noise-prediction step coefficients (VP and EDM override) -----------
+
+    def np_trans(self, s: float, t: float, stochastic: bool) -> float:
+        """Linear transition Phi(t, s) of the noise-prediction step."""
+        raise self._np_undefined()
+
+    def np_gain(self, t: float, stochastic: bool) -> float:
+        """Gain g(t) multiplying (e^h - 1) F and its phi_2 corrections."""
+        raise self._np_undefined()
+
+    def np_noise(self, t: float) -> float:
+        """Signed scale c(t) of the reverse-SDE Gaussian term c(t) sqrt(e^{2h} - 1) z."""
+        raise self._np_undefined()
+
+    def np_rate(self, t: float) -> float:
+        """Coefficient of F in the time-variable probability-flow ODE."""
+        raise self._np_undefined()
+
+    def _np_undefined(self) -> ConfigError:
+        return ConfigError("noise-prediction steps are not defined for schedule family "
+                           f"{self.family!r}")
+
     # subclass hooks: _alpha, _sigma, _lambda, _t_of_lambda, _time_of_sigma,
-    # drift_f, diffusion_g2, precond
+    # drift_f, diffusion_g2
+
+
+class _Vp(ScheduleBase):
+    """Noise-prediction coefficients shared by the VP schedules; one lambda
+    (-log sigma) serves both equations, so the variant is ignored."""
+
+    family = "vp"
+
+    def np_trans(self, s, t, stochastic):
+        return self.alpha_sigma(t)[0] / self.alpha_sigma(s)[0]
+
+    def np_gain(self, t, stochastic):
+        return -(2.0 if stochastic else 1.0) * self.alpha_sigma(t)[2]
+
+    def np_noise(self, t):
+        return -self.alpha_sigma(t)[2]
+
+    def np_rate(self, t):
+        # alpha_t sigma_dot(t), with sigma_dot from the same alpha_sigma call
+        a, s, _ = self.alpha_sigma(t)
+        return a * (self.diffusion_g2(t) / (2.0 * a * a * s))
 
 
 @dataclass(frozen=True)
-class VpLinear(ScheduleBase):
+class VpLinear(_Vp):
     """Variance-preserving schedule with linear beta(t) = beta_d t + beta_m.
 
     abar(t) = beta_d t^2 / 2 + beta_m t, sigma = sqrt(e^abar - 1),
@@ -118,8 +159,6 @@ class VpLinear(ScheduleBase):
     beta_m: float = 0.1
     t_min: float = 1e-4
     t_max: float = 1.0
-
-    family = "vp"
 
     def __post_init__(self):
         if self.beta_d <= 0 or self.beta_m <= 0:
@@ -157,13 +196,9 @@ class VpLinear(ScheduleBase):
         self._check_time(t)
         return self.beta_d * t + self.beta_m
 
-    def precond(self, t):
-        a, s, _ = self.alpha_sigma(t)
-        return PrecondValues(c1=1.0, c2=-s, c3=a, c4=t)
-
 
 @dataclass(frozen=True)
-class VpCosine(ScheduleBase):
+class VpCosine(_Vp):
     """Variance-preserving cosine schedule with shift s.
 
     alpha_t = cos(pi/2 * (t+s)/(1+s)) / cos(pi/2 * s/(1+s)); alpha(1) = 0, so
@@ -173,8 +208,6 @@ class VpCosine(ScheduleBase):
     shift: float = 0.008
     t_min: float = 1e-4
     t_max: float = 0.99
-
-    family = "vp"
 
     def __post_init__(self):
         if self.shift <= 0:
@@ -217,10 +250,6 @@ class VpCosine(ScheduleBase):
     def diffusion_g2(self, t):
         return -2.0 * self.drift_f(t)
 
-    def precond(self, t):
-        a, s, _ = self.alpha_sigma(t)
-        return PrecondValues(c1=1.0, c2=-s, c3=a, c4=t)
-
 
 class _IdentitySigma(ScheduleBase):
     """sigma_t = t, alpha_t = 1 (shared by VE and EDM)."""
@@ -261,10 +290,6 @@ class Ve(_IdentitySigma):
 
     def _t_of_lambda(self, lam, variant):
         return math.exp(-lam)
-
-    def precond(self, t):
-        self._check_time(t)
-        return PrecondValues(c1=1.0, c2=-t, c3=1.0, c4=t)
 
 
 @dataclass(frozen=True)
@@ -307,16 +332,24 @@ class Edm(_IdentitySigma):
             raise DomainError(f"lambda={lam!r} outside the image of the sde variant")
         return sd / math.sqrt(math.expm1(arg))
 
-    def precond(self, t):
-        self._check_time(t)
+    def np_trans(self, s, t, stochastic):
         sd = self.sigma_data
-        den = t * t + sd * sd
-        return PrecondValues(
-            c1=sd * sd / den,
-            c2=t * sd / math.sqrt(den),
-            c3=1.0 / math.sqrt(den),
-            c4=0.25 * math.log(t),
-        )
+        ratio = (t * t + sd * sd) / (s * s + sd * sd)
+        return ratio if stochastic else math.sqrt(ratio)
+
+    def np_gain(self, t, stochastic):
+        sd = self.sigma_data
+        if stochastic:
+            return 2.0 * t * math.sqrt(t * t + sd * sd) / sd
+        return math.sqrt(t * t + sd * sd) * math.atan(t / sd)
+
+    def np_noise(self, t):
+        sd = self.sigma_data
+        return t * math.sqrt(t * t + sd * sd) / sd
+
+    def np_rate(self, t):
+        sd = self.sigma_data
+        return -sd / math.sqrt(t * t + sd * sd)
 
 
 _KINDS = {"vp": VpLinear, "vp_linear": VpLinear, "vp_cosine": VpCosine, "ve": Ve, "edm": Edm}

@@ -11,8 +11,8 @@ import numpy as np
 from .grids import edm_grid, linear_lambda_grid
 from .harness import per_step_compare
 from .models import DataDistribution, ScoreModel, zero_model
-from .noise import RngStream, raw_increment_var, weighted_increment_std
-from .phi import phi, stable_expm1_combination, weighted_poly_integral
+from .noise import RngStream, raw_increment_var, staged_noise_seeds3
+from .phi import phi
 from .schedules import Edm, VpLinear
 from .solvers import ArrayDraws, SolverSpec, np_stages_step, sample
 
@@ -32,13 +32,13 @@ def run_selftest(seed: int = 0) -> int:
             ok &= abs(lhs - phi(k, h)) <= 1e-12 * max(1.0, abs(phi(k, h)))
     check("phi recursion identity", ok)
 
-    # weighted integral closed form at the k=0 anchor
-    check("weighted integral k=0 anchor",
-          abs(weighted_poly_integral(0, 0.0, math.log(2.0)) - 0.5) < 1e-14)
+    # integral of e^{-lam} over [0, ln 2] is 1/2 = e^{-h} h phi_1(h) at h = ln 2
+    h = math.log(2.0)
+    check("phi_1 weighted integral anchor", abs(math.exp(-h) * h * phi(1, h) - 0.5) < 1e-14)
 
-    # expm1-stable noise combination versus direct evaluation at h=1
-    val = stable_expm1_combination(1.0, 1.0 / 3.0, 2.0 / 3.0,
-                                   (np.ones(1), np.zeros(1), np.zeros(1)))[0]
+    # expm1-stable staged-noise combination versus direct evaluation at h=1
+    val = staged_noise_seeds3(np.ones(1), np.zeros(1), np.zeros(1), 1.0, 1.0, 1.0,
+                              1.0, 1.0 / 3.0, 2.0 / 3.0)[2][0]
     check("stable noise combination anchor",
           abs(val - math.sqrt(math.exp(2.0) - math.exp(4.0 / 3.0))) < 1e-14)
 
@@ -90,12 +90,11 @@ def run_selftest(seed: int = 0) -> int:
     lam = sched.lambda_of_t
     h_full = lam(t_t) - lam(s_t)
     h1, h2 = lam(u_t) - lam(s_t), lam(t_t) - lam(u_t)
-    a_t = sched.alpha_sigma(t_t)[0]
-    a_u, _, sbar_u = sched.alpha_sigma(u_t)
-    sbar_t = sched.alpha_sigma(t_t)[2]
-    v_one = weighted_increment_std(sbar_t, h_full, "np") ** 2
-    v_two = (a_t / a_u * weighted_increment_std(sbar_u, h1, "np")) ** 2 \
-        + weighted_increment_std(sbar_t, h2, "np") ** 2
+    a_t, a_u = sched.alpha_sigma(t_t)[0], sched.alpha_sigma(u_t)[0]
+    c_t, c_u = sched.np_noise(t_t), sched.np_noise(u_t)
+    v_one = (c_t * math.sqrt(math.expm1(2.0 * h_full))) ** 2
+    v_two = (a_t / a_u * (c_u * math.sqrt(math.expm1(2.0 * h1)))) ** 2 \
+        + (c_t * math.sqrt(math.expm1(2.0 * h2))) ** 2
     check("variance telescoping", abs(v_one - v_two) <= 1e-12 * v_one)
 
     # per-step equivalence of the DDIM-style step and the one-stage dp step

@@ -28,11 +28,10 @@ All stochastic steps draw through a stage-keyed ``StepDraws`` provider so
 that solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...;
 passing ``ZeroStepDraws`` isolates the deterministic part.
 
-Noise-prediction steps are expressed through an "exponential frame": the
-lambda variable, the linear transition Phi(t, s), the gain multiplying
-(e^h - 1) F (and its phi_2 corrections), and the scale of the Gaussian term,
-all schedule-specific.  Data-prediction steps use lambda = -log sigma
-directly.
+Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
+signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
+``np_noise``, in the lambda variant ``SDE`` (stochastic) or ``ODE``
+(probability flow).  Data-prediction steps use lambda = -log sigma directly.
 """
 
 import math
@@ -162,64 +161,6 @@ class ArrayDraws:
         return self.by_stage[stage]
 
 
-# -- exponential frames (noise-prediction mode) ------------------------------
-
-
-class _Frame:
-    """lambda variable and step coefficients of one (schedule, equation) pair."""
-
-    __slots__ = ("lam", "t_of_lam", "trans", "gain", "nscale", "nsign")
-
-    def __init__(self, lam, t_of_lam, trans, gain, nscale, nsign):
-        self.lam = lam
-        self.t_of_lam = t_of_lam
-        self.trans = trans
-        self.gain = gain
-        self.nscale = nscale
-        self.nsign = nsign
-
-
-def np_frame(sched: ScheduleBase, stochastic: bool) -> _Frame:
-    """Noise-prediction frame for the reverse SDE (stochastic) or the
-    probability-flow ODE (deterministic)."""
-    if sched.family == "vp":
-
-        def gain(t, k=2.0 if stochastic else 1.0):
-            return -k * sched.alpha_sigma(t)[2]
-
-        def nscale(t):
-            return sched.alpha_sigma(t)[2]
-
-        return _Frame(
-            lam=lambda t: sched.lambda_of_t(t, SDE),
-            t_of_lam=lambda l: sched.t_of_lambda(l, SDE),
-            trans=lambda s, t: sched.alpha_sigma(t)[0] / sched.alpha_sigma(s)[0],
-            gain=gain,
-            nscale=nscale,
-            nsign=-1.0,
-        )
-    if sched.family == "edm":
-        sd = sched.sigma_data
-        if stochastic:
-            return _Frame(
-                lam=lambda t: sched.lambda_of_t(t, SDE),
-                t_of_lam=lambda l: sched.t_of_lambda(l, SDE),
-                trans=lambda s, t: (t * t + sd * sd) / (s * s + sd * sd),
-                gain=lambda t: 2.0 * t * math.sqrt(t * t + sd * sd) / sd,
-                nscale=lambda t: t * math.sqrt(t * t + sd * sd) / sd,
-                nsign=1.0,
-            )
-        return _Frame(
-            lam=lambda t: sched.lambda_of_t(t, ODE),
-            t_of_lam=lambda l: sched.t_of_lambda(l, ODE),
-            trans=lambda s, t: math.sqrt((t * t + sd * sd) / (s * s + sd * sd)),
-            gain=lambda t: math.sqrt(t * t + sd * sd) * math.atan(t / sd),
-            nscale=None,
-            nsign=1.0,
-        )
-    raise ConfigError(f"noise-prediction steps are not defined for schedule family {sched.family!r}")
-
-
 def _check_backward(s: float, t: float, h: float) -> None:
     if not t < s:
         raise GridError(f"steps go backward in time, got s={s}, t={t}")
@@ -243,25 +184,26 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     sqrt(e^h - 1) z2.  The three-stage nodes sit at lambda_s + r1 h and
     lambda_s + r2 h.
     """
-    fr = np_frame(sched, stochastic=draws is not None)
-    lam_s = fr.lam(s)
-    h = fr.lam(t) - lam_s
+    sto = draws is not None
+    var = SDE if sto else ODE
+    lam_s = sched.lambda_of_t(s, var)
+    h = sched.lambda_of_t(t, var) - lam_s
     _check_backward(s, t, h)
     f_s = model.noise_pred(x_s, s)
     if stages == 1:
-        x_t = fr.trans(s, t) * x_s + fr.gain(t) * math.expm1(h) * f_s
+        x_t = sched.np_trans(s, t, sto) * x_s + sched.np_gain(t, sto) * math.expm1(h) * f_s
         if draws is None:
             return x_t
-        return x_t + fr.nsign * (fr.nscale(t) * math.sqrt(math.expm1(2.0 * h)) * draws.z(1))
+        return x_t + sched.np_noise(t) * math.sqrt(math.expm1(2.0 * h)) * draws.z(1)
     if stages == 2:
-        s1 = fr.t_of_lam(lam_s + c2 * h)
-        u = fr.trans(s, s1) * x_s + fr.gain(s1) * math.expm1(c2 * h) * f_s
+        s1 = sched.t_of_lambda(lam_s + c2 * h, var)
+        u = sched.np_trans(s, s1, sto) * x_s + sched.np_gain(s1, sto) * math.expm1(c2 * h) * f_s
         if draws is not None:
             z1 = draws.z(1)
-            u = u + fr.nsign * (fr.nscale(s1) * math.sqrt(math.expm1(2.0 * c2 * h)) * z1)
+            u = u + sched.np_noise(s1) * math.sqrt(math.expm1(2.0 * c2 * h)) * z1
         f_mid = model.noise_pred(u, s1)
-        x_t = (fr.trans(s, t) * x_s
-               + fr.gain(t) * math.expm1(h) * ((1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid))
+        x_t = (sched.np_trans(s, t, sto) * x_s + sched.np_gain(t, sto) * math.expm1(h)
+               * ((1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid))
         if draws is None:
             return x_t
         # z1 is the weighted increment over [lam_s, lam_s + c2 h]; carrying it
@@ -269,27 +211,29 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
         # noises on one Brownian path
         rem = 2.0 * (1.0 - c2) * h
         full_noise = sqrt_exp_diff(2.0 * h, rem) * z1 + math.sqrt(math.expm1(rem)) * draws.z(2)
-        return x_t + fr.nsign * (fr.nscale(t) * full_noise)
+        return x_t + sched.np_noise(t) * full_noise
     if stages != 3:
         raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
-    s1 = fr.t_of_lam(lam_s + r1 * h)
-    s2 = fr.t_of_lam(lam_s + r2 * h)
-    u1 = fr.trans(s, s1) * x_s + fr.gain(s1) * math.expm1(r1 * h) * f_s
+    s1 = sched.t_of_lambda(lam_s + r1 * h, var)
+    s2 = sched.t_of_lambda(lam_s + r2 * h, var)
+    u1 = sched.np_trans(s, s1, sto) * x_s + sched.np_gain(s1, sto) * math.expm1(r1 * h) * f_s
     if draws is not None:
         n1, noise_a, noise_b = staged_noise_seeds3(
-            draws.z(1), draws.z(2), draws.z(3), fr.nscale(s1), fr.nscale(s2), fr.nscale(t),
-            h, r1, r2)
-        u1 = u1 + fr.nsign * n1
+            draws.z(1), draws.z(2), draws.z(3), sched.np_noise(s1), sched.np_noise(s2),
+            sched.np_noise(t), h, r1, r2)
+        u1 = u1 + n1
     f_u1 = model.noise_pred(u1, s1)
     # (e^{r2 h} - 1)/(r2 h) - 1 == r2 h phi_2(r2 h), stable near h = 0
     corr2 = (r2 / r1) * (r2 * h) * phi(2, r2 * h)
-    u2 = fr.trans(s, s2) * x_s + fr.gain(s2) * (math.expm1(r2 * h) * f_s + corr2 * (f_u1 - f_s))
+    u2 = (sched.np_trans(s, s2, sto) * x_s
+          + sched.np_gain(s2, sto) * (math.expm1(r2 * h) * f_s + corr2 * (f_u1 - f_s)))
     if draws is not None:
-        u2 = u2 + fr.nsign * noise_a
+        u2 = u2 + noise_a
     f_u2 = model.noise_pred(u2, s2)
     corr3 = (1.0 / r2) * h * phi(2, h)
-    x_t = fr.trans(s, t) * x_s + fr.gain(t) * (math.expm1(h) * f_s + corr3 * (f_u2 - f_s))
-    return x_t if draws is None else x_t + fr.nsign * noise_b
+    x_t = (sched.np_trans(s, t, sto) * x_s
+           + sched.np_gain(t, sto) * (math.expm1(h) * f_s + corr3 * (f_u2 - f_s)))
+    return x_t if draws is None else x_t + noise_b
 
 
 def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=False):
@@ -336,34 +280,35 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=Fa
 
 def dpm4_step(model, sched, x_s, s, t):
     """Five-stage deterministic exponential ODE step with nodes (1/2, 1/2, 1, 1/2)."""
-    fr = np_frame(sched, stochastic=False)
-    lam_s = fr.lam(s)
-    h = fr.lam(t) - lam_s
+    lam_s = sched.lambda_of_t(s, ODE)
+    h = sched.lambda_of_t(t, ODE) - lam_s
     _check_backward(s, t, h)
     k1 = model.noise_pred(x_s, s)
     r = 0.5
-    s_mid = fr.t_of_lam(lam_s + r * h)   # nodes s2 = s3 = s5
-    s4 = fr.t_of_lam(lam_s + h)
-    g_mid, g4, g_t = fr.gain(s_mid), fr.gain(s4), fr.gain(t)
+    s_mid = sched.t_of_lambda(lam_s + r * h, ODE)   # nodes s2 = s3 = s5
+    s4 = sched.t_of_lambda(lam_s + h, ODE)
+    g_mid, g4, g_t = sched.np_gain(s_mid, False), sched.np_gain(s4, False), sched.np_gain(t, False)
     erh = math.expm1(r * h)
     eh = math.expm1(h)
     hphi2 = h * phi(2, h)                       # (e^h - 1)/h - 1
-    k2 = fr.trans(s, s_mid) * x_s + g_mid * erh * k1
+    k2 = sched.np_trans(s, s_mid, False) * x_s + g_mid * erh * k1
     f_k2 = model.noise_pred(k2, s_mid)
-    k3 = fr.trans(s, s_mid) * x_s + g_mid * erh * k1 + g_mid * (4.0 * erh / h - 2.0) * (f_k2 - k1)
+    k3 = (sched.np_trans(s, s_mid, False) * x_s + g_mid * erh * k1
+          + g_mid * (4.0 * erh / h - 2.0) * (f_k2 - k1))
     f_k3 = model.noise_pred(k3, s_mid)
-    k4 = fr.trans(s, s4) * x_s + g4 * eh * k1 + g4 * hphi2 * (f_k3 + f_k2 - 2.0 * k1)
+    k4 = (sched.np_trans(s, s4, False) * x_s + g4 * eh * k1
+          + g4 * hphi2 * (f_k3 + f_k2 - 2.0 * k1))
     f_k4 = model.noise_pred(k4, s4)
     a_term = g_mid * erh * k1 - 0.25 * g_mid * hphi2 * (k1 + f_k2 + f_k3)
     b_term = g_mid * (erh / h - 0.5) * (k1 + 4.0 * f_k2 + 4.0 * f_k3 - f_k4)
     # (e^h - 1 + 4(e^{rh} - 1) - 3h)/h^2 - 1 at r = 1/2 equals h phi_3(h) + (h/2) phi_3(h/2)
     c_coef = h * phi(3, h) + 0.5 * h * phi(3, 0.5 * h)
     c_term = g_mid * c_coef * (-k1 - f_k2 - f_k3 + f_k4)
-    k5 = fr.trans(s, s_mid) * x_s + a_term + b_term + c_term
+    k5 = sched.np_trans(s, s_mid, False) * x_s + a_term + b_term + c_term
     f_k5 = model.noise_pred(k5, s_mid)
     d_term = g_t * eh * k1 - g_t * hphi2 * (4.0 * f_k5 - f_k4 - 3.0 * k1)
     e_term = g_t * 4.0 * h * phi(3, h) * (k1 + f_k4 - 2.0 * f_k5)
-    return fr.trans(s, t) * x_s + d_term + e_term
+    return sched.np_trans(s, t, False) * x_s + d_term + e_term
 
 
 def euler_maruyama_step(model, sched, x_s, s, t, draws):
@@ -389,17 +334,8 @@ def exp_euler_step(model, sched, x_s, s, t, variant):
         raise ConfigError(f"variant must be 'etd' or 'lawson', got {variant!r}")
     if not t < s:
         raise GridError(f"steps go backward in time, got s={s}, t={t}")
-    if sched.family == "vp":
-        a_s = sched.alpha_sigma(s)[0]
-        a_t = sched.alpha_sigma(t)[0]
-        trans = a_t / a_s
-        b_s = a_s * sched.sigma_dot(s)
-    elif sched.family == "edm":
-        sd = sched.sigma_data
-        trans = math.sqrt((t * t + sd * sd) / (s * s + sd * sd))
-        b_s = -sd / math.sqrt(s * s + sd * sd)
-    else:
-        raise ConfigError("exponential Euler is not defined on the VE schedule")
+    trans = sched.np_trans(s, t, False)
+    b_s = sched.np_rate(s)
     dt = t - s
     f_val = model.noise_pred(x_s, s)
     if variant == "lawson":
@@ -447,7 +383,7 @@ def churn_inject(x, params: ChurnParams, sigma_t, n_steps, sched, noise):
 
 # -- the solver registry -------------------------------------------------------
 
-_NP_SCHEDULES = ("vp", "edm")           # where noise-prediction frames exist
+_NP_SCHEDULES = ("vp", "edm")           # the schedules with np_* coefficients
 _ALL_SCHEDULES = ("vp", "ve", "edm")
 _SIGMA_SCHEDULES = ("ve", "edm")
 
@@ -510,6 +446,16 @@ def step_once(spec: SolverSpec, model, sched, x, s, t, draws):
     return form.step(model, sched, x, s, t, **spec.step_kwargs)
 
 
+def step_with_churn(spec: SolverSpec, model, sched, x, s, t, draws, n_steps: int):
+    """Churn (if the spec has it, from stage-0 noise), then one step from the lifted time."""
+    if spec.churn is not None and spec.churn.s_churn > 0.0:
+        sigma_s = sched.sigma_of_t(s)
+        x, sigma_hat = churn_inject(x, spec.churn, sigma_s, n_steps, sched, draws.z(0))
+        if sigma_hat != sigma_s:
+            s = sched.time_of_sigma(sigma_hat)
+    return step_once(spec, model, sched, x, s, t, draws)
+
+
 @dataclass
 class SampleResult:
     """Terminal states plus optional recorded trajectory."""
@@ -546,12 +492,7 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
     for i in range(1, n_real + 1):
         s, t = float(times[i - 1]), float(times[i])
         draws = StepDraws(stream, i, n_paths, d, offset=path_offset)
-        if spec.churn is not None and spec.churn.s_churn > 0.0:
-            sigma_s = sched.sigma_of_t(s)
-            x, sigma_hat = churn_inject(x, spec.churn, sigma_s, grid.n_steps, sched, draws.z(0))
-            if sigma_hat != sigma_s:
-                s = sched.time_of_sigma(sigma_hat)
-        x = step_once(spec, model, sched, x, s, t, draws)
+        x = step_with_churn(spec, model, sched, x, s, t, draws, grid.n_steps)
         if record:
             traj[i] = x
     if record:

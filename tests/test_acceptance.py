@@ -24,7 +24,6 @@ from seeds_sde import (
     phi,
     sample,
     sqrt_exp_diff,
-    stable_expm1_combination,
     strong_order,
     terminal_distribution_check,
     weak_order,
@@ -32,12 +31,7 @@ from seeds_sde import (
 )
 from seeds_sde.cli import main as cli_main
 from seeds_sde.harness import fit_loglog
-from seeds_sde.noise import (
-    correlated_pair,
-    raw_increment_var,
-    staged_noise_seeds3,
-    weighted_increment_std,
-)
+from seeds_sde.noise import correlated_pair, raw_increment_var, staged_noise_seeds3
 from seeds_sde.schedules import Edm
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -104,12 +98,11 @@ def test_criterion_3_linear_exactness(vp):
 
     lam = vp.lambda_of_t
     h, h1, h2 = lam(t) - lam(s), lam(u) - lam(s), lam(t) - lam(u)
-    a_t = vp.alpha_sigma(t)[0]
-    a_u, _, sbar_u = vp.alpha_sigma(u)
-    sbar_t = vp.alpha_sigma(t)[2]
-    v_one = weighted_increment_std(sbar_t, h, "np") ** 2
-    v_two = (a_t / a_u) ** 2 * weighted_increment_std(sbar_u, h1, "np") ** 2 \
-        + weighted_increment_std(sbar_t, h2, "np") ** 2
+    a_t, a_u = vp.alpha_sigma(t)[0], vp.alpha_sigma(u)[0]
+    # the one-stage step's noise coefficient np_noise(t) sqrt(e^{2h} - 1)
+    v_one = (vp.np_noise(t) * math.sqrt(math.expm1(2.0 * h))) ** 2
+    v_two = (a_t / a_u) ** 2 * (vp.np_noise(u) * math.sqrt(math.expm1(2.0 * h1))) ** 2 \
+        + (vp.np_noise(t) * math.sqrt(math.expm1(2.0 * h2))) ** 2
     var_ok = abs(v_one - v_two) <= 1e-12 * v_one
     report(3, "zero-model one-step vs chained-step mean (1e-12) and variance "
               "telescoping (1e-12)", mean_ok and var_ok)
@@ -192,7 +185,8 @@ def test_criterion_7_phi_calculus():
         lhs = sqrt_exp_diff(2 * h, h) * z1 + math.sqrt(math.expm1(h)) * z2
         rhs = math.sqrt(math.expm1(h)) * (math.exp(0.5 * h) * z1 + z2)
         ok = ok and abs(lhs - rhs) <= 1e-14 * max(abs(lhs), 1e-300)
-        comb = stable_expm1_combination(h, 1 / 3, 2 / 3, (np.ones(1),) * 3)[0]
+        # the z-coefficients of the three-stage step's full-step noise B
+        comb = staged_noise_seeds3(*(np.ones(1),) * 3, 1.0, 1.0, 1.0, h, 1 / 3, 2 / 3)[2][0]
         direct = sqrt_exp_diff(2 * h, 4 * h / 3) + sqrt_exp_diff(4 * h / 3, 2 * h / 3) \
             + math.sqrt(math.expm1(2 * h / 3))
         ok = ok and abs(comb - direct) <= 1e-14 * abs(direct)

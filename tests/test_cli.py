@@ -190,6 +190,16 @@ def test_numeric_config_values_run(tmp_path):
      "solver churn s_tmin must be a finite number"),
     ({"solver": {"family": "seeds3", "churn": {"bogus": 1}}},
      "unknown keys in solver churn config: ['bogus']"),
+    ({"schedule": {"kind": "vp", "beta_d": True}}, "schedule beta_d must be a finite number"),
+    ({"schedule": {"kind": "vp", "beta_d": float("nan")}},
+     "schedule beta_d must be a finite number"),
+    ({"schedule": {"kind": "edm", "sigma_data": float("inf")}},
+     "schedule sigma_data must be a finite number"),
+    ({"schedule": {"kind": "vp", "t_max": "1"}}, "schedule t_max must be a finite number"),
+    ({"model": {"kind": "zero", "bogus": 1}}, "unknown keys in model config: ['bogus']"),
+    ({"model": {"kind": "gaussian_mixture", "dim": 1,
+                "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}},
+     "unknown keys in model config: ['dim']"),
 ])
 def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, config, words):
     # no --out: a run that got past the config would write seeds_out/ here
@@ -330,6 +340,19 @@ def test_compare_pass_and_fail(tmp_path, capsys):
     code = run(base + ["--solver-a", "seeds1", "--solver-b", "seeds1"])
     assert code == 0
     assert "0.0" in capsys.readouterr().out
+
+
+def test_compare_applies_churn(tmp_path, capsys):
+    churn = {"s_churn": 11, "s_tmin": 0.05, "s_tmax": 15, "s_noise": 1.003}
+    cfg_a, cfg_b = tmp_path / "a.json", tmp_path / "b.json"
+    cfg_a.write_text(json.dumps({"solver": {"family": "seeds3", "churn": churn}}))
+    cfg_b.write_text(json.dumps({"solver": {"family": "seeds3"}}))
+    base = ["compare", "--schedule", "edm", "--steps", "16", "--seed", "3"]
+    assert run(base + ["--config-a", str(cfg_a), "--config-b", str(cfg_b)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "difference: 0.0\n" not in out
+    assert run(base + ["--config-a", str(cfg_a), "--config-b", str(cfg_a)]) == 0
+    assert "difference: 0.0\n" in capsys.readouterr().out
 
 
 def test_compare_mismatched_grids_rejected(tmp_path, capsys):

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from seeds_sde import (
+    ChurnParams,
     DataDistribution,
+    Edm,
     GaussianFlowOracle,
     RngStream,
+    ScoreModel,
     SolverSpec,
+    edm_grid,
     linear_lambda_grid,
     per_step_compare,
     strong_order,
@@ -161,6 +165,16 @@ def test_per_step_compare_seeds1_vs_dpm1_gap(vp, gauss_model):
     diff = per_step_compare(SolverSpec("seeds1"), SolverSpec("dpm1"), gauss_model, vp,
                             grid, RngStream(4), zero_noise=True)
     assert diff > 1e-3
+
+
+def test_per_step_compare_applies_churn():
+    edm = Edm(sigma_data=0.5)
+    model = ScoreModel(DataDistribution.standard_normal(1), edm)
+    grid = edm_grid(16, edm.t_min, edm.t_max, 7.0, edm)
+    churned = SolverSpec("seeds3", churn=ChurnParams(s_churn=11.0, s_tmin=0.05, s_tmax=15.0,
+                                                     s_noise=1.003))
+    assert per_step_compare(churned, SolverSpec("seeds3"), model, edm, grid, RngStream(3)) > 1e-3
+    assert per_step_compare(churned, churned, model, edm, grid, RngStream(3)) == 0.0
 
 
 def test_terminal_check_zero_model_matches_propagated_gaussian(vp):

@@ -219,10 +219,14 @@ def test_data_pred_relations(vp):
     edm = Edm(sigma_data=0.5)
     edm_model = ScoreModel(data, edm)
     t = 2.1
-    pc = edm.precond(t)
+    sd = edm.sigma_data
+    c1 = sd * sd / (t * t + sd * sd)
+    c2 = t * sd / math.sqrt(t * t + sd * sd)
     f_val = edm_model.noise_pred(x, t)
     d_val = edm_model.data_pred(x, t)
-    assert np.allclose(d_val, pc.c1 * x + pc.c2 * f_val, rtol=1e-12)
+    # EDM preconditioning D = c1 x + c2 F, and the score that score_from_model rebuilds
+    assert np.allclose(d_val, c1 * x + c2 * f_val, rtol=1e-12)
+    assert np.allclose(edm_model.score_from_model(x, t), edm_model.score(x, t), rtol=1e-12)
 
 
 def test_data_pred_small_time_limit(vp, gauss_model):

@@ -5,15 +5,10 @@ import pytest
 import sympy
 from scipy import stats
 
-from seeds_sde import DomainError, RngStream, VpLinear
-from seeds_sde.errors import ConfigError
-from seeds_sde.noise import (
-    correlated_pair,
-    raw_increment_var,
-    staged_noise_seeds3,
-    weighted_increment_std,
-)
-from seeds_sde.solvers import ArrayDraws, np_stages_step
+from seeds_sde import Edm, RngStream, SolverSpec, Ve, VpLinear, zero_model
+from seeds_sde.errors import ConfigError, GridError
+from seeds_sde.noise import correlated_pair, raw_increment_var, staged_noise_seeds3
+from seeds_sde.solvers import ArrayDraws, np_stages_step, step_once
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -113,17 +108,29 @@ def test_gauss_moments_and_ks():
 # -- analytic increment laws --------------------------------------------------
 
 
+def _unit_draw_increment(sched, mode, s, t):
+    """The noise term of one seeds1 step in ``mode`` at z = 1: the step of the
+    zero model from x = 0."""
+    x_t = step_once(SolverSpec("seeds1", mode=mode), zero_model(1, sched), sched,
+                    np.zeros((1, 1)), s, t, ArrayDraws({1: np.ones((1, 1))}))
+    return float(x_t[0, 0])
+
+
 def test_weighted_increment_std_anchors():
-    h = math.log(math.sqrt(2.0))
-    assert weighted_increment_std(1.0, h, "np") == pytest.approx(1.0, rel=1e-14)
-    assert weighted_increment_std(1.0, h, "dp") == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
-    assert weighted_increment_std(1.0, 1e-300, "np") == pytest.approx(0.0, abs=1e-140)
-    with pytest.raises(DomainError):
-        weighted_increment_std(1.0, 0.0, "np")
-    with pytest.raises(DomainError):
-        weighted_increment_std(1.0, -0.1, "dp")
-    with pytest.raises(ConfigError):
-        weighted_increment_std(1.0, 0.1, "xx")
+    # e^{2h} = 2: on EDM (sigma_d = 1, sde lambda) from s = sqrt(2/3) to t = 1/2 the np
+    # increment is np_noise(t) sqrt(e^{2h} - 1); on VE from s = sqrt(2) to t = 1 the dp
+    # increment is sigma_bar_t sqrt(1 - e^{-2h}) = 1/sqrt(2)
+    edm = Edm(sigma_data=1.0)
+    s = math.sqrt(2.0 / 3.0)
+    assert _unit_draw_increment(edm, "np", s, 0.5) == pytest.approx(edm.np_noise(0.5), rel=1e-14)
+    assert _unit_draw_increment(Ve(), "dp", math.sqrt(2.0), 1.0) == pytest.approx(
+        1.0 / math.sqrt(2.0), rel=1e-14)
+    # a step needs h > 0
+    for mode in ("np", "dp"):
+        with pytest.raises(GridError):
+            _unit_draw_increment(edm, mode, 0.5, 0.5)
+        with pytest.raises(GridError):
+            _unit_draw_increment(edm, mode, 0.5, 0.6)
 
 
 def test_ito_isometry_vs_quadrature():
@@ -137,8 +144,8 @@ def test_np_increment_matches_isometry():
     sched = VpLinear()
     s, t = 0.8, 0.35
     lam_s, lam_t = sched.lambda_of_t(s), sched.lambda_of_t(t)
-    a_t, _, sbar_t = sched.alpha_sigma(t)
-    var = weighted_increment_std(sbar_t, lam_t - lam_s, "np") ** 2
+    a_t = sched.alpha_sigma(t)[0]
+    var = (sched.np_noise(t) * math.sqrt(math.expm1(2.0 * (lam_t - lam_s)))) ** 2
     assert var == pytest.approx(2.0 * a_t * a_t * quad_exp_neg2(lam_s, lam_t), rel=1e-12)
 
 

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from seeds_sde import DomainError, phi, sqrt_exp_diff, stable_expm1_combination, weighted_poly_integral
+from seeds_sde import DomainError, phi, sqrt_exp_diff
 from seeds_sde.errors import ConfigError
+from seeds_sde.noise import staged_noise_seeds3
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -70,6 +71,13 @@ def test_phi_recursion_property(k, h):
     assert abs(lhs - phi(k, h)) <= 1e-12 * max(1.0, abs(phi(k, h)))
 
 
+def weighted_poly_integral(k, lam_s, lam_t):
+    """integral_{lam_s}^{lam_t} e^{-lam} (lam - lam_s)^k / k! dlam in closed
+    form: e^{-lam_t} h^{k+1} phi_{k+1}(h) with h = lam_t - lam_s."""
+    h = lam_t - lam_s
+    return math.exp(-lam_t) * h ** (k + 1) * phi(k + 1, h)
+
+
 def test_weighted_poly_integral_k0_anchor():
     # integral of e^-lam over [0, ln 2] equals 1/2
     assert weighted_poly_integral(0, 0.0, math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
@@ -121,15 +129,15 @@ def test_variance_telescoping_exact():
         assert total == pytest.approx(math.expm1(2 * h), rel=1e-15)
 
 
-def test_stable_combination_zero_h():
-    z = (np.ones(3), np.ones(3), np.ones(3))
-    assert np.all(stable_expm1_combination(0.0, 1.0 / 3.0, 2.0 / 3.0, z) == 0.0)
+def stable_combination(h, r1, r2, z):
+    """The three-stage step's full-step noise B at scale 1:
+    sqrt(e^{2h} - e^{2 r2 h}) z1 + sqrt(e^{2 r2 h} - e^{2 r1 h}) z2 + sqrt(e^{2 r1 h} - 1) z3."""
+    return staged_noise_seeds3(*z, 1.0, 1.0, 1.0, h, r1, r2)[2]
 
 
 def test_stable_combination_anchor():
     # h=1, r=(1/3, 2/3), z=(1,0,0): sqrt(e^2 - e^{4/3}) ~ 1.89615
-    val = stable_expm1_combination(1.0, 1.0 / 3.0, 2.0 / 3.0,
-                                   (np.ones(1), np.zeros(1), np.zeros(1)))
+    val = stable_combination(1.0, 1.0 / 3.0, 2.0 / 3.0, (np.ones(1), np.zeros(1), np.zeros(1)))
     expected = math.sqrt(math.exp(2.0) - math.exp(4.0 / 3.0))
     assert val[0] == pytest.approx(expected, rel=1e-14)
     assert val[0] == pytest.approx(1.89615, abs=5e-6)
@@ -148,7 +156,7 @@ def test_stable_combination_vs_extended_precision():
     r1, r2 = 1.0 / 3.0, 2.0 / 3.0
     z = (np.array([1.0]), np.array([1.0]), np.array([1.0]))
     for h in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0, 5.0):
-        got = stable_expm1_combination(h, r1, r2, z)[0]
+        got = stable_combination(h, r1, r2, z)[0]
         want = _combination_oracle(h, r1, r2, (1.0, 1.0, 1.0))
         tol = 1e-8 if h < 1e-8 else 1e-14
         assert got == pytest.approx(want, rel=tol), h
@@ -157,4 +165,7 @@ def test_stable_combination_vs_extended_precision():
 def test_stable_combination_validates_fractions():
     z = (np.ones(1), np.ones(1), np.ones(1))
     with pytest.raises(ConfigError):
-        stable_expm1_combination(1.0, 0.7, 0.3, z)
+        stable_combination(1.0, 0.7, 0.3, z)
+    # a backward step has h > 0; the solver's staged noise rejects h = 0
+    with pytest.raises(DomainError):
+        stable_combination(0.0, 1.0 / 3.0, 2.0 / 3.0, z)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seeds_sde import DomainError, Edm, Ve, VpCosine, VpLinear, make_schedule
+from seeds_sde import (DataDistribution, DomainError, Edm, ScoreModel, Ve, VpCosine, VpLinear,
+                       make_schedule, zero_model)
 from seeds_sde.errors import ConfigError
+from seeds_sde.solvers import exp_euler_step
 
 ALL_SCHEDULES = [VpLinear(), VpCosine(), Ve(), Edm(sigma_data=0.5)]
 
@@ -122,24 +124,45 @@ def test_domain_errors():
         sched.lambda_of_t(0.5, "weird")
 
 
-def test_precond_values():
-    vp = VpLinear()
-    t = 0.5
-    pc = vp.precond(t)
-    a, s, _ = vp.alpha_sigma(t)
-    assert pc.c1 == 1.0
-    assert pc.c2 == pytest.approx(-s)
-    assert pc.c3 == pytest.approx(a)
+NP_SCHEDULES = [VpLinear(), VpCosine(), Edm(sigma_data=0.5)]
 
+
+@pytest.mark.parametrize("sched", NP_SCHEDULES, ids=lambda sc: type(sc).__name__)
+def test_np_gain_of_the_sde_is_twice_the_noise_scale(sched):
+    for t in np.geomspace(sched.t_min, sched.t_max, 9):
+        assert sched.np_gain(float(t), True) == 2.0 * sched.np_noise(float(t))
+
+
+@pytest.mark.parametrize("sched", NP_SCHEDULES, ids=lambda sc: type(sc).__name__)
+@pytest.mark.parametrize("stochastic", [True, False])
+def test_np_trans_composes(sched, stochastic):
+    s, u, t = (f * sched.t_max for f in (0.9, 0.4, 0.05))
+    two = sched.np_trans(s, u, stochastic) * sched.np_trans(u, t, stochastic)
+    assert two == pytest.approx(sched.np_trans(s, t, stochastic), rel=1e-14)
+
+
+@pytest.mark.parametrize("sched", NP_SCHEDULES, ids=lambda sc: type(sc).__name__)
+def test_np_rate_gives_the_probability_flow(sched):
+    # d/dt log Phi(t, s) x + np_rate(t) F equals f x - g^2 / 2 score
+    data = DataDistribution(np.array([0.3, 0.7]), np.array([[-1.0], [0.5]]),
+                            np.array([[0.2], [0.4]]))
+    model = ScoreModel(data, sched)
+    x, s, t, eps = np.array([0.7]), sched.t_max, 0.3 * sched.t_max, 1e-6 * sched.t_max
+    rate = (math.log(sched.np_trans(s, t + eps, False))
+            - math.log(sched.np_trans(s, t - eps, False))) / (2.0 * eps)
+    velocity = rate * x + sched.np_rate(t) * model.noise_pred(x, t)
+    want = sched.drift_f(t) * x - 0.5 * sched.diffusion_g2(t) * model.score(x, t)
+    assert velocity == pytest.approx(want, rel=1e-6)
+
+
+def test_ve_has_no_np_coefficients():
     ve = Ve()
-    assert ve.precond(1.0).c1 == 1.0
-
-    edm = Edm(sigma_data=0.5)
-    pc = edm.precond(2.0)
-    sd = 0.5
-    assert pc.c1 == pytest.approx(sd**2 / (4.0 + sd**2), rel=1e-14)
-    assert pc.c2 * pc.c3 == pytest.approx(2.0 * sd / (4.0 + sd**2), rel=1e-13)
-    assert pc.c4 == pytest.approx(0.25 * math.log(2.0), rel=1e-14)
+    for call in (lambda: ve.np_trans(2.0, 1.0, True), lambda: ve.np_gain(1.0, False),
+                 lambda: ve.np_noise(1.0), lambda: ve.np_rate(1.0)):
+        with pytest.raises(ConfigError, match="not defined for schedule family 've'"):
+            call()
+    with pytest.raises(ConfigError):
+        exp_euler_step(zero_model(1, ve), ve, np.zeros(1), 2.0, 1.0, "etd")
 
 
 def test_drift_and_diffusion_match_finite_differences():
