@@ -4,12 +4,14 @@ Subcommands: sample, order, compare, grid, selftest.  Exit codes: 0 success,
 1 configuration error, 2 acceptance failure.  All outputs are deterministic
 functions of (config, seed) and do not depend on the worker count: paths are
 partitioned into fixed 8192-path chunks whose draws are keyed by absolute
-path index.  Each chunk formats its own rows of terminal.csv, inside the pool
+path index.  Each chunk formats its own rows of terminal.csv (and, with
+--save-trajectories, each of its paths' trajectory rows), inside the pool
 worker when there is one, and the chunk texts are written in path order.
 """
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
@@ -27,53 +29,52 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int):
-    """Sample paths offset..offset+count-1; return their terminal.csv rows."""
-    res = sample(model, cfg.schedule, grid, cfg.solver, RngStream(cfg.seed), n_paths=count,
-                 path_offset=offset)
+def _csv_rows(keys, values) -> str:
+    """Rows "key,v0,v1,..." of a (rows, d) array."""
     # repr of a Python float is what _fmt writes; tolist() converts a column at once
-    cols = [map(repr, res.terminal[:, j].tolist()) for j in range(res.terminal.shape[1])]
-    rows = map(",".join, zip(map(str, range(offset, offset + count)), *cols))
-    return offset, "\n".join(rows) + "\n", res.nfe_per_path
+    cols = [map(repr, values[:, j].tolist()) for j in range(values.shape[1])]
+    return "\n".join(map(",".join, zip(keys, *cols))) + "\n"
+
+
+def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int, record: bool):
+    """Sample paths offset..offset+count-1; return their terminal.csv rows, the
+    NFE per path and, when recording, each path's trajectory rows."""
+    res = sample(model, cfg.schedule, grid, cfg.solver, RngStream(cfg.seed), n_paths=count,
+                 path_offset=offset, record=record)
+    trajs = []
+    if record:
+        times = list(map(repr, res.times.tolist()))
+        trajs = [_csv_rows(times, res.trajectory[:, p]) for p in range(count)]
+    text = _csv_rows(map(str, range(offset, offset + count)), res.terminal)
+    return text, res.nfe_per_path, trajs
 
 
 def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) -> int:
     os.makedirs(out_dir, exist_ok=True)
-    chunks = [(off, min(_CHUNK, cfg.n_paths - off)) for off in range(0, cfg.n_paths, _CHUNK)]
+    offsets = range(0, cfg.n_paths, _CHUNK)
+    counts = [min(_CHUNK, cfg.n_paths - off) for off in offsets]
     model = cfg.build_model()
     grid = cfg.build_grid()
-    texts = {}
-    nfe_per_path = None
-    if cfg.workers > 1 and len(chunks) > 1:
+    run = functools.partial(_run_chunk, cfg, model, grid, record=save_trajectories)
+    if cfg.workers > 1 and len(counts) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futs = [pool.submit(_run_chunk, cfg, model, grid, off, cnt) for off, cnt in chunks]
-            for fut in concurrent.futures.as_completed(futs):
-                off, text, nfe_per_path = fut.result()
-                texts[off] = text
+            results = list(pool.map(run, offsets, counts))
     else:
-        for off, cnt in chunks:
-            off, text, nfe_per_path = _run_chunk(cfg, model, grid, off, cnt)
-            texts[off] = text
+        results = list(map(run, offsets, counts))
+    nfe_per_path = results[0][1]
 
-    d = model.dim
+    header = ",".join(f"x{j}" for j in range(model.dim)) + "\n"
     csv_path = os.path.join(out_dir, "terminal.csv")
     with open(csv_path, "w") as fh:
-        fh.write("path," + ",".join(f"x{j}" for j in range(d)) + "\n")
-        for off, _ in chunks:
-            fh.write(texts[off])
+        fh.write("path," + header)
+        fh.writelines(text for text, _, _ in results)
 
     if save_trajectories:
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
-        stream = RngStream(cfg.seed)
-        res = sample(model, cfg.schedule, grid, cfg.solver, stream,
-                     n_paths=cfg.n_paths, record=True)
-        for p in range(cfg.n_paths):
-            path_file = os.path.join(traj_dir, f"path_{p:06d}.csv")
-            with open(path_file, "w") as fh:
-                fh.write("t," + ",".join(f"x{j}" for j in range(d)) + "\n")
-                for i, t in enumerate(res.times):
-                    fh.write(_fmt(t) + "," + ",".join(_fmt(v) for v in res.trajectory[i, p]) + "\n")
+        for p, text in enumerate(t for _, _, trajs in results for t in trajs):
+            with open(os.path.join(traj_dir, f"path_{p:06d}.csv"), "w") as fh:
+                fh.write("t," + header + text)
 
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump(cfg.resolved(), fh, indent=2, sort_keys=True)

@@ -3,10 +3,12 @@
 Strong order is measured by coupled refinement: all grid levels share one
 Brownian path per trajectory, realized as fine-level weighted increments
 whose group sums give the coarse-level increments, and the finest level
-serves as the reference solution.  Weak order compares terminal moments
-against the closed-form Gaussian flow.  Moment reductions are done block
-by block (fixed 1024-path blocks) so results do not depend on how paths
-are partitioned across workers.
+serves as the reference solution.  One pass over the fine steps advances
+every level together, holding only a window of the last ``ratio``
+increments (one coarsest step), never the whole fine path.  Weak order
+compares terminal moments against the closed-form Gaussian flow.  Moment
+reductions are done block by block (fixed 1024-path blocks) so results do
+not depend on how paths are partitioned across workers.
 """
 
 import json
@@ -155,10 +157,12 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     """Coupled-refinement strong-order estimate for the one-stage solver.
 
     Builds ``refinements`` nested uniform-lambda grids by halving, plus a
-    reference level ``ref_extra`` further halvings down; all levels of a
-    trajectory consume group sums of the same fine-level weighted
-    increments.  The error at a level is sqrt(E[sup over its nodes
-    |x - x_ref|^2]).
+    reference level ``ref_extra`` further halvings down.  One pass over the
+    fine steps advances the reference and every level together: a window
+    holds the last ``ratio`` fine weighted increments (one level-0 step),
+    and a level steps on the sum of its slice of the window whenever its
+    stride divides the fine step count.  The error at a level is
+    sqrt(E[sup over its nodes |x - reference|^2]).
     """
     if spec.family != "seeds1" or spec.mode != "np":
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
@@ -172,58 +176,41 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     lam0, lam1 = sched.lambda_of_t(t_top, SDE), sched.lambda_of_t(eps_end, SDE)
 
     n_levels = refinements          # measured levels 0..refinements-1
-    m_fine = base_steps * 2 ** (n_levels - 1 + ref_extra)
+    ratio = 2 ** (n_levels - 1 + ref_extra)   # fine steps per level-0 step
+    m_fine = base_steps * ratio
     lam_fine = np.linspace(lam0, lam1, m_fine + 1)
     t_fine = [t_top] + [sched.t_of_lambda(float(l), SDE) for l in lam_fine[1:-1]] + [eps_end]
-    fine_stds = np.sqrt([raw_increment_var(lam_fine[j], lam_fine[j + 1]) for j in range(m_fine)])
 
-    # precompute per-node coefficients of each level (levels 0..n_levels, the
-    # last one being the reference)
-    levels = []
-    for lvl in range(n_levels + 1):
-        stride = 1 if lvl == n_levels else 2 ** (n_levels - 1 + ref_extra - lvl)
-        idx = np.arange(0, m_fine + 1, stride)
-        ts = [t_fine[j] for j in idx]
-        trans = [sched.np_trans(ts[i - 1], ts[i], True) for i in range(1, len(ts))]
-        gain_em1 = [sched.np_gain(ts[i], True)
-                    * math.expm1(lam_fine[idx[i]] - lam_fine[idx[i - 1]])
-                    for i in range(1, len(ts))]
-        # raw weighted increment enters as sqrt(2) * C(t) * W with
-        # C(t) = np_noise(t) e^{lambda_t}
-        wcoef = [math.sqrt(2.0) * sched.np_noise(ts[i]) * math.exp(float(lam_fine[idx[i]]))
-                 for i in range(1, len(ts))]
-        levels.append({"idx": idx, "ts": ts, "trans": trans, "gain": gain_em1, "wcoef": wcoef})
+    def advance(x, a, b, w):
+        """seeds1 step from fine node a to fine node b; the raw weighted
+        increment w enters as sqrt(2) * np_noise(t) e^{lambda_t} * w."""
+        t_a, t_b, lam_a, lam_b = t_fine[a], t_fine[b], lam_fine[a], lam_fine[b]
+        f_val = model.noise_pred(x, t_a)
+        return (sched.np_trans(t_a, t_b, True) * x
+                + sched.np_gain(t_b, True) * math.expm1(lam_b - lam_a) * f_val
+                + math.sqrt(2.0) * sched.np_noise(t_b) * math.exp(float(lam_b)) * w)
 
     d = model.dim
     sup_sq = np.zeros((n_levels, n_paths))
     sbar0 = sched.alpha_sigma(t_top)[2]
-    x0 = sbar0 * stream.normal_paths(n_paths, 0, 0, d)
-
-    # fine increments, drawn per step with keyed substreams
-    w_fine = np.empty((m_fine, n_paths, d))
+    ref = sbar0 * stream.normal_paths(n_paths, 0, 0, d)
+    xs = [ref] * n_levels
+    window = np.empty((ratio, n_paths, d))
     for j in range(m_fine):
-        w_fine[j] = fine_stds[j] * stream.normal_paths(n_paths, j + 1, 0, d)
-
-    # reference trajectory (finest level), stored at every fine node
-    ref = levels[n_levels]
-    x_ref = np.empty((m_fine + 1, n_paths, d))
-    x_ref[0] = x0
-    x = x0.copy()
-    for i in range(m_fine):
-        f_val = model.noise_pred(x, ref["ts"][i])
-        x = ref["trans"][i] * x + ref["gain"][i] * f_val + ref["wcoef"][i] * w_fine[i]
-        x_ref[i + 1] = x
-
-    for lvl in range(n_levels):
-        info = levels[lvl]
-        stride = 2 ** (n_levels - 1 + ref_extra - lvl)
-        x = x0.copy()
-        for i in range(len(info["trans"])):
-            w_sum = w_fine[i * stride : (i + 1) * stride].sum(axis=0)
-            f_val = model.noise_pred(x, info["ts"][i])
-            x = info["trans"][i] * x + info["gain"][i] * f_val + info["wcoef"][i] * w_sum
-            diff = x - x_ref[info["idx"][i + 1]]
-            sup_sq[lvl] = np.maximum(sup_sq[lvl], np.sum(diff * diff, axis=-1))
+        k = j % ratio
+        # fine increment j, drawn with its keyed substream
+        std = math.sqrt(raw_increment_var(lam_fine[j], lam_fine[j + 1]))
+        window[k] = std * stream.normal_paths(n_paths, j + 1, 0, d)
+        ref = advance(ref, j, j + 1, window[k])
+        for lvl in range(n_levels):
+            stride = ratio >> lvl
+            if (j + 1) % stride == 0:
+                # the same slice shape as the level's run of the stacked fine
+                # increments, so NumPy sums it in the same order
+                w_sum = window[k + 1 - stride : k + 1].sum(axis=0)
+                xs[lvl] = advance(xs[lvl], j + 1 - stride, j + 1, w_sum)
+                diff = xs[lvl] - ref
+                sup_sq[lvl] = np.maximum(sup_sq[lvl], np.sum(diff * diff, axis=-1))
 
     hs = [(lam1 - lam0) / (base_steps * 2**lvl) for lvl in range(n_levels)]
     errors, ses = [], []
@@ -246,10 +233,9 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     # reference sanity: finest-level terminal moments vs the exact flow
     oracle = GaussianFlowOracle(model.data, sched) if hasattr(model, "data") else None
     if oracle is not None:
-        term = x_ref[-1]
         exp_mean = oracle.mean(eps_end)
-        se = np.std(term, axis=0) / math.sqrt(n_paths)
-        if np.any(np.abs(_block_mean(term) - exp_mean) > 5.0 * se):
+        se = np.std(ref, axis=0) / math.sqrt(n_paths)
+        if np.any(np.abs(_block_mean(ref) - exp_mean) > 5.0 * se):
             notes.append("reference terminal mean off by more than 5 SE")
     return OrderEstimate("strong", hs, errors, ses, n_paths, slope, intercept, r2,
                          slope_se, notes=notes)

@@ -95,11 +95,6 @@ class ScheduleBase:
             raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
         return self._check_time(self._time_of_sigma(float(sigma)))
 
-    def sigma_dot(self, t: float) -> float:
-        """d sigma / dt, from g^2 = 2 alpha^2 sigma sigma_dot."""
-        a, s, _ = self.alpha_sigma(t)
-        return self.diffusion_g2(t) / (2.0 * a * a * s)
-
     # -- noise-prediction step coefficients (VP and EDM override) -----------
 
     def np_trans(self, s: float, t: float, stochastic: bool) -> float:
@@ -142,7 +137,7 @@ class _Vp(ScheduleBase):
         return -self.alpha_sigma(t)[2]
 
     def np_rate(self, t):
-        # alpha_t sigma_dot(t), with sigma_dot from the same alpha_sigma call
+        # alpha_t sigma'(t), with sigma' = g^2 / (2 alpha^2 sigma) from one alpha_sigma call
         a, s, _ = self.alpha_sigma(t)
         return a * (self.diffusion_g2(t) / (2.0 * a * a * s))
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, GridError
+from .errors import ConfigError, DomainError, GridError
 from .grids import StepGrid
 from .noise import staged_noise_seeds3
 from .phi import phi, sqrt_exp_diff
@@ -473,7 +473,8 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
     Steps i = 1..M-1 apply the solver; the final interval is the trivial
     step (the state is carried over unchanged, no model call), so the total
     cost is evals_per_step * (M - 1) per path.  The initial state is
-    x_T ~ N(0, sigma_bar(t_0)^2 I) unless x0 is given.
+    x_T ~ N(0, sigma_bar(t_0)^2 I) unless x0 is given.  A step that leaves a
+    non-finite state raises DomainError naming the step and its time.
     """
     spec.validate_against(sched)
     times = grid.times
@@ -493,6 +494,8 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
         s, t = float(times[i - 1]), float(times[i])
         draws = StepDraws(stream, i, n_paths, d, offset=path_offset)
         x = step_with_churn(spec, model, sched, x, s, t, draws, grid.n_steps)
+        if not np.isfinite(x).all():
+            raise DomainError(f"non-finite state after step {i} at t={t!r}")
         if record:
             traj[i] = x
     if record:

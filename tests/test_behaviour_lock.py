@@ -13,7 +13,9 @@ Besides the ten hand-picked runs, the lock covers every valid (family,
 schedule, mode) ``sample`` run on the four schedules, five runs on an
 8-component d=16 mixture (the benchmark's oracle shape: noise and data
 prediction on VP, VE and EDM), the CSV and JSON that ``order strong`` and
-``order weak`` write, and the stdout of ``compare``.
+``order weak`` write, the ``strong_order`` estimate at two reference depths
+through the Python API, the stdout of ``compare`` and the files that
+``sample --save-trajectories`` writes.
 """
 
 import hashlib
@@ -21,6 +23,9 @@ import json
 
 import pytest
 
+from seeds_sde import (DataDistribution, RngStream, ScoreModel, SolverSpec, VpCosine, VpLinear,
+                       strong_order)
+from seeds_sde import cli
 from seeds_sde.cli import main
 
 _CHURN = {"s_churn": 11.0, "s_tmin": 0.05, "s_tmax": 15.0, "s_noise": 1.003}
@@ -178,6 +183,19 @@ ORDER_CASES = {
                                {"order": {"steps_list": [5, 7, 10]}, "paths": 1500,
                                 "model": _ZERO_MODEL},
                                "order_weak_seeds1"),
+    # one path in d = 1: NumPy sums the stacked fine increments pairwise
+    "strong-seeds1-one-path": (["order", "strong", "--solver", "seeds1", "--seed", "1",
+                                "--paths", "1"],
+                               {"order": {"base_steps": 8, "refinements": 3}, "paths": 400},
+                               "order_strong_seeds1"),
+    "strong-seeds1-mixture-d3": (["order", "strong", "--solver", "seeds1", "--seed", "5"],
+                                 {"order": {"base_steps": 8, "refinements": 3}, "paths": 50,
+                                  "model": _MIXTURE},
+                                 "order_strong_seeds1"),
+    "strong-seeds1-edm": (["order", "strong", "--solver", "seeds1", "--schedule", "edm",
+                           "--seed", "6"],
+                          {"order": {"base_steps": 8, "refinements": 3}, "paths": 200},
+                          "order_strong_seeds1"),
 }
 
 # name -> sha256 of the CSV and of the JSON, same provenance as SWEEP_LOCKED
@@ -190,6 +208,34 @@ ORDER_LOCKED = {
                     "6eee79e5ec583b9920ac391e4a15f94f00cd37016aad4659fac6654dfd91e5b7"],
     "weak-seeds3-edm": ["abb34d45ba219f4e2347cc3679d187f51395b60677d23d52149cf9c256de8441",
                         "e6f253082371c880befc4ddbaeb396b78bf8338e28ae176fa9242ec5976e1086"],
+    # the three strong-order cases below were computed from the parent of the
+    # commit that added them, before strong_order advanced all levels in one pass
+    "strong-seeds1-edm": ["8110aae5d8c998208a0295d4dc66d037d801c4b071cdb6da8d6f5a992eb44e6a",
+                          "3a1e56b3e9cc6180a4e50fa68885c83c674c6a71ecd520f5f7f9510d8224f25f"],
+    "strong-seeds1-mixture-d3": [
+        "271bfa03075091a4a0d78485b87292ebf5a80e6a2eb5e10055ecfa58ff64dc43",
+        "24257e8a63a3e19d819ccb88ffb21b93e1033d5c71ba846cf267cfd0aee1e402"],
+    "strong-seeds1-one-path": ["45b2a044fe389435e167acd49d792c4a90def96f0b5f00927a29adcd725520bf",
+                               "5ce97beca5047eb0ef568764f1d0ae479789500e72b9447583f6513a109aa3ff"],
+}
+
+# ref_extra -> (schedule, sha256 of to_csv() + to_json()) for strong_order on
+# N(0, 1) data, base 4, 3 refinements, 60 paths, seed 8; the CLI does not
+# expose ref_extra.  Same provenance as the strong-order cases above.
+API_STRONG_LOCKED = {
+    1: (VpCosine, "ba8ab18aa9c8fedf458be03bcde0e0f7adfd4edb1cf7e57cb653f498286e29e5"),
+    3: (VpLinear, "68ba0cfbdae090fd24d2591c049ae51df1461f122dd8ee967ab345075b854422"),
+}
+
+# --save-trajectories at 5 paths in chunks of 2 on two workers (EDM seeds3, 6
+# steps, seed 4): sha256 of each trajectory file, computed from the parent of
+# the commit that moved the recording into the chunked run
+TRAJECTORY_LOCKED = {
+    "path_000000.csv": "0c17d5dc9d436d36d151b428ac69b2ce6ac78482ff8a6096acfb65194c4d3a88",
+    "path_000001.csv": "5ebcad364b8fe0eca3e408e7421b6d500493349ef35d07a90267c8e8ac849848",
+    "path_000002.csv": "3a78693f70daa606a3cfb8898d85aedb8f564ff0439b5d2841e2ffbffd12391e",
+    "path_000003.csv": "8e8216d9c2e03f87b2f70f90d4d9df09365d4989ec886eb13f24a1d4a18d12ee",
+    "path_000004.csv": "5fdd146c3ba1465f9fa5b88df4f3954a1e8cadc8e702fbe64f40e7cd6fb4be51",
 }
 
 # name -> argv after "compare"
@@ -285,3 +331,29 @@ def test_order_outputs_locked(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(COMPARE_CASES))
 def test_compare_stdout_locked(name, capsys):
     assert _compare_output(name, capsys) == COMPARE_LOCKED[name]
+
+
+@pytest.mark.parametrize("ref_extra", sorted(API_STRONG_LOCKED))
+def test_strong_order_api_locked(ref_extra):
+    sched_cls, digest = API_STRONG_LOCKED[ref_extra]
+    sched = sched_cls()
+    model = ScoreModel(DataDistribution.standard_normal(1), sched)
+    est = strong_order(SolverSpec("seeds1"), model, sched, 4, 3, 60, RngStream(8),
+                       ref_extra=ref_extra)
+    assert hashlib.sha256((est.to_csv() + est.to_json()).encode()).hexdigest() == digest
+
+
+def test_trajectory_files_locked(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK", 2)
+    out = tmp_path / "out"
+    assert main(["sample", "--solver", "seeds3", "--schedule", "edm", "--steps", "6",
+                 "--paths", "5", "--seed", "4", "--workers", "2", "--save-trajectories",
+                 "--out", str(out)]) == 0
+    traj = out / "trajectories"
+    assert {f: _sha256(traj / f) for f in sorted(TRAJECTORY_LOCKED)} == TRAJECTORY_LOCKED
+    assert sorted(p.name for p in traj.iterdir()) == sorted(TRAJECTORY_LOCKED)
+    # each file ends at its path's terminal state
+    terminal = out.joinpath("terminal.csv").read_text().splitlines()[1:]
+    for p, row in enumerate(terminal):
+        last = (traj / f"path_{p:06d}.csv").read_text().splitlines()[-1]
+        assert last.split(",")[1:] == row.split(",")[1:]

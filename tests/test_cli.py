@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from seeds_sde import cli
 from seeds_sde.cli import main
 from seeds_sde.config import load_config
 
@@ -245,6 +246,23 @@ def test_sample_bad_mixture_exits_1(tmp_path, capsys, bad, words):
                 "--out", str(out)]) == 1
     err = _config_error(capsys)
     assert all(w in err for w in words), err
+    assert not (out / "terminal.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sample_non_finite_state_exits_1(tmp_path, monkeypatch, capsys, workers):
+    # the components' means are finite, but the score's weights overflow to nan
+    monkeypatch.setattr(cli, "_CHUNK", 2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"model": {"kind": "gaussian_mixture", "components": [
+        {"weight": 0.5, "mean": [1e200], "var": [1.0]},
+        {"weight": 0.5, "mean": [-1e200], "var": [1.0]}]}}))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--paths", "3", "--steps", "8",
+                "--workers", workers, "--out", str(out)]) == 1
+    err = _config_error(capsys)
+    assert "non-finite state after step 1 at t=" in err, err
     assert not (out / "terminal.csv").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,19 @@ def test_strong_order_slope_stable_under_path_doubling(vp, gauss_model):
     est2 = strong_order(SolverSpec("seeds1"), gauss_model, vp, 32, 4, 4000, RngStream(13))
     tol = max(est1.slope_se, est2.slope_se)
     assert abs(est1.slope - est2.slope) <= 3.0 * tol
+
+
+def test_strong_order_stores_no_fine_path_array(vp, gauss_model):
+    # base 16, 3 refinements and the reference 2 halvings further: 256 fine
+    # steps, so one (m_fine, n, d) float array is 256 * 4000 * 8 bytes
+    n_paths = 4000
+    tracemalloc.start()
+    try:
+        strong_order(SolverSpec("seeds1"), gauss_model, vp, 16, 3, n_paths, RngStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * n_paths * 8
 
 
 def test_coupling_variance_end_to_end(vp):

@@ -175,11 +175,13 @@ def test_drift_and_diffusion_match_finite_differences():
             assert sched.drift_f(t) == pytest.approx(f_fd, rel=1e-6, abs=1e-9)
             s_p = sched.alpha_sigma(t + eps)[1]
             s_m = sched.alpha_sigma(t - eps)[1]
-            a_t = sched.alpha_sigma(t)[0]
+            a_t, s_t, _ = sched.alpha_sigma(t)
             g2_fd = a_t * a_t * (s_p * s_p - s_m * s_m) / (2.0 * eps)
             assert sched.diffusion_g2(t) == pytest.approx(g2_fd, rel=1e-6)
+            # d sigma / dt from g^2 = 2 alpha^2 sigma sigma'
             sdot_fd = (s_p - s_m) / (2.0 * eps)
-            assert sched.sigma_dot(t) == pytest.approx(sdot_fd, rel=1e-6)
+            sdot = sched.diffusion_g2(t) / (2.0 * a_t * a_t * s_t)
+            assert sdot == pytest.approx(sdot_fd, rel=1e-6)
 
 
 def test_cosine_uses_shift_in_inverse():

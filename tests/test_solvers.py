@@ -18,7 +18,7 @@ from seeds_sde import (
     sample,
     zero_model,
 )
-from seeds_sde.errors import ConfigError, GridError
+from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.solvers import (
     FAMILIES,
     ArrayDraws,
@@ -397,7 +397,7 @@ def test_exp_euler_variants(vp, gauss_model, constant_model):
     model = constant_model(1, noise_value=1.0)
     dt = t - s
     a_eff = math.log(a_ratio) / dt
-    b_s = vp.alpha_sigma(s)[0] * vp.sigma_dot(s)
+    b_s = vp.np_rate(s)  # alpha_s sigma'(s)
     want = a_ratio * x + dt * phi(1, a_eff * dt) * b_s
     assert np.allclose(exp_euler_step(model, vp, x, s, t, "etd"), want, rtol=1e-13)
     with pytest.raises(ConfigError):
@@ -746,6 +746,14 @@ def test_sample_trajectory_shape_and_determinism(vp, gauss_model):
     res2 = sample(gauss_model, vp, grid, SolverSpec("seeds3"), RngStream(3), n_paths=5,
                   record=True)
     assert np.array_equal(res.trajectory, res2.trajectory)
+
+
+def test_sample_rejects_non_finite_state(vp, constant_model):
+    grid = linear_lambda_grid(6, vp.t_min, vp.t_max, vp)
+    t1 = float(grid.times[1])
+    with pytest.raises(DomainError, match=f"non-finite state after step 1 at t={t1!r}"):
+        sample(constant_model(1, noise_value=math.inf), vp, grid, SolverSpec("seeds1"),
+               RngStream(0), n_paths=3)
 
 
 def test_solver_spec_validation():
