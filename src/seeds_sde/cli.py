@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, GridError
 from .harness import per_step_compare, strong_order, weak_order
@@ -118,14 +120,25 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
     return 0
 
 
+def _same_model(a, b) -> bool:
+    """Whether two built models compute the same thing: type, dimension and
+    mixture arrays, however their config sections spell them."""
+    if type(a) is not type(b) or a.dim != b.dim:
+        return False
+    return not hasattr(a, "data") or all(np.array_equal(getattr(a.data, key), getattr(b.data, key))
+                                         for key in ("weights", "means", "variances"))
+
+
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, threshold: float) -> int:
     if cfg_a.grid_spec != cfg_b.grid_spec:
         raise ConfigError("compare requires identical grids on both sides")
-    if cfg_a.resolved()["schedule"] != cfg_b.resolved()["schedule"]:
+    if cfg_a.schedule != cfg_b.schedule:
         raise ConfigError("compare requires identical schedules on both sides")
     if cfg_a.seed != cfg_b.seed:
         raise ConfigError("compare requires identical seeds on both sides")
     model = cfg_a.build_model()
+    if not _same_model(model, cfg_b.build_model()):
+        raise ConfigError("compare requires identical models on both sides")
     grid = cfg_a.build_grid()
     stream = RngStream(cfg_a.seed)
     diff = per_step_compare(cfg_a.solver, cfg_b.solver, model, cfg_a.schedule, grid, stream)
@@ -197,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _overrides(args) -> dict:
     return {k: getattr(args, k, None) for k in
             ("seed", "paths", "steps", "solver", "schedule", "mode", "out",
-             "workers", "threshold")}
+             "workers", "threshold", "grid_kind")}
 
 
 def main(argv=None) -> int:
@@ -232,8 +245,6 @@ def main(argv=None) -> int:
             out_dir = cfg.out or "seeds_out"
             return cmd_order(cfg, args.kind, out_dir)
         if args.command == "grid":
-            if args.grid_kind:
-                cfg.grid_spec["kind"] = args.grid_kind
             return cmd_grid(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, DomainError, GridError) as exc:

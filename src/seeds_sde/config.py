@@ -2,13 +2,13 @@
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
 from .grids import StepGrid, edm_grid, linear_lambda_grid
 from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
-from .schedules import ScheduleBase, make_schedule
+from .schedules import ScheduleBase, VpLinear, make_schedule
 from .solvers import ChurnParams, SolverSpec
 
 _DEFAULT_MODEL = {"kind": "gaussian_mixture",
@@ -65,21 +65,16 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """JSON-ready dict that reproduces this configuration."""
-        sched = self.schedule
-        sched_spec = {"kind": {"VpLinear": "vp", "VpCosine": "vp_cosine", "Ve": "ve",
-                               "Edm": "edm"}[type(sched).__name__]}
-        for name in ("beta_d", "beta_m", "shift", "sigma_data", "t_min", "t_max"):
-            if hasattr(sched, name):
-                sched_spec[name] = getattr(sched, name)
         solver_spec = {"family": self.solver.family, "mode": self.solver.mode,
                        "r1": self.solver.r1, "r2": self.solver.r2, "c2": self.solver.c2}
         if self.solver.churn is not None:
             ch = self.solver.churn
             solver_spec["churn"] = {"s_churn": ch.s_churn, "s_tmin": ch.s_tmin,
                                     "s_tmax": ch.s_tmax, "s_noise": ch.s_noise}
-        return {"schedule": sched_spec, "model": self.model_spec, "solver": solver_spec,
-                "grid": self.grid_spec, "seed": self.seed, "paths": self.n_paths,
-                "workers": self.workers, "threshold": self.threshold, "order": self.order}
+        return {"schedule": {"kind": self.schedule.kind, **asdict(self.schedule)},
+                "model": self.model_spec, "solver": solver_spec, "grid": self.grid_spec,
+                "seed": self.seed, "paths": self.n_paths, "workers": self.workers,
+                "threshold": self.threshold, "order": self.order}
 
 
 def _integer(key: str, value) -> int:
@@ -129,7 +124,7 @@ def _reject_extras(section: str, leftover: dict) -> None:
 
 
 def _build_schedule(spec: dict) -> ScheduleBase:
-    kind = spec.pop("kind", "vp")
+    kind = spec.pop("kind", VpLinear.kind)
     if not isinstance(kind, str):
         raise ConfigError(f"schedule kind must be a string, got {kind!r}")
     return make_schedule(kind, **{key: _number(f"schedule {key}", value)
@@ -170,7 +165,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object, got {raw!r}")
 
-    sched_spec = _section(raw, "schedule", {"kind": "vp"})
+    sched_spec = _section(raw, "schedule", {})
     if overrides.get("schedule"):
         sched_spec = {"kind": overrides["schedule"]}
     schedule = _build_schedule(sched_spec)
@@ -185,6 +180,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     grid_spec = _section(raw, "grid", {"kind": "linear_lambda"})
     if overrides.get("steps") is not None:
         grid_spec["steps"] = overrides["steps"]
+    if overrides.get("grid_kind"):
+        grid_spec["kind"] = overrides["grid_kind"]
 
     def pick(flag, key, default):
         return overrides[flag] if overrides.get(flag) is not None else raw.get(key, default)

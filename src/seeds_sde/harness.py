@@ -22,7 +22,8 @@ from .grids import StepGrid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
 from .schedules import SDE
-from .solvers import SolverSpec, StepDraws, ZeroStepDraws, sample, step_with_churn
+from .solvers import (SolverSpec, StepDraws, ZeroStepDraws, check_finite, initial_state, np_move,
+                      sample, step_with_churn)
 
 
 @dataclass
@@ -91,20 +92,14 @@ class GaussianFlowOracle:
         self.sched = sched
 
     def component_moments(self, t):
-        a, _, sbar = self.sched.alpha_sigma(t)
-        mu = a * self.data.means                         # (K, d)
-        var = a * a * self.data.variances + sbar * sbar  # (K, d)
-        return self.data.weights, mu, var
+        return (self.data.weights, *self.data.marginal(self.sched, t))
 
     def mean(self, t):
-        w, mu, _ = self.component_moments(t)
-        return w @ mu
+        return self.moment(t, 1)
 
     def var(self, t):
-        w, mu, var = self.component_moments(t)
-        second = w @ (mu * mu + var)
-        m = w @ mu
-        return second - m * m
+        m = self.moment(t, 1)
+        return self.moment(t, 2) - m * m
 
     def moment(self, t, power: int):
         """Per-axis raw moment E[x^power] for power in {1, 2, 4}."""
@@ -140,8 +135,13 @@ class ZeroFlowOracle(GaussianFlowOracle):
 
 
 def _oracle_for(model, sched, t_top: float):
+    """The exact flow of the model's data, or of the zero model from t_top."""
     if hasattr(model, "data"):
         return GaussianFlowOracle(model.data, sched)
+    if sched.family == "edm":  # EDM preconditions the network output
+        raise ConfigError("the zero model has no exact law on EDM: its noise_pred == 0 is the "
+                          "network of N(0, sigma_data^2 I) data, its data_pred == x the score-0 "
+                          "model")
     return ZeroFlowOracle(sched, t_top, d=model.dim)
 
 
@@ -153,7 +153,7 @@ def _block_mean(values: np.ndarray) -> np.ndarray:
 
 
 def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: int,
-                 n_paths: int, stream, eps_end=None, t_top=None, ref_extra: int = 2) -> OrderEstimate:
+                 n_paths: int, stream, ref_extra: int = 2) -> OrderEstimate:
     """Coupled-refinement strong-order estimate for the one-stage solver.
 
     Builds ``refinements`` nested uniform-lambda grids by halving, plus a
@@ -162,7 +162,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     holds the last ``ratio`` fine weighted increments (one level-0 step),
     and a level steps on the sum of its slice of the window whenever its
     stride divides the fine step count.  The error at a level is
-    sqrt(E[sup over its nodes |x - reference|^2]).
+    sqrt(E[sup over its nodes |x - reference|^2]) over [t_min, t_max].
     """
     if spec.family != "seeds1" or spec.mode != "np":
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
@@ -171,8 +171,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     if ref_extra < 1:
         raise ConfigError("reference must sit at least one halving below the finest level")
     spec.validate_against(sched)
-    eps_end = sched.t_min if eps_end is None else eps_end
-    t_top = sched.t_max if t_top is None else t_top
+    eps_end, t_top = sched.t_min, sched.t_max
     lam0, lam1 = sched.lambda_of_t(t_top, SDE), sched.lambda_of_t(eps_end, SDE)
 
     n_levels = refinements          # measured levels 0..refinements-1
@@ -182,18 +181,16 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     t_fine = [t_top] + [sched.t_of_lambda(float(l), SDE) for l in lam_fine[1:-1]] + [eps_end]
 
     def advance(x, a, b, w):
-        """seeds1 step from fine node a to fine node b; the raw weighted
-        increment w enters as sqrt(2) * np_noise(t) e^{lambda_t} * w."""
+        """seeds1 step from fine node a to fine node b: the solvers' move, plus
+        the coupled raw weighted increment w as sqrt(2) np_noise(t) e^{lambda_t} w."""
         t_a, t_b, lam_a, lam_b = t_fine[a], t_fine[b], lam_fine[a], lam_fine[b]
         f_val = model.noise_pred(x, t_a)
-        return (sched.np_trans(t_a, t_b, True) * x
-                + sched.np_gain(t_b, True) * math.expm1(lam_b - lam_a) * f_val
+        return (np_move(sched, x, t_a, t_b, lam_b - lam_a, f_val, True)
                 + math.sqrt(2.0) * sched.np_noise(t_b) * math.exp(float(lam_b)) * w)
 
     d = model.dim
     sup_sq = np.zeros((n_levels, n_paths))
-    sbar0 = sched.alpha_sigma(t_top)[2]
-    ref = sbar0 * stream.normal_paths(n_paths, 0, 0, d)
+    ref = initial_state(sched, t_top, stream, n_paths, d)
     xs = [ref] * n_levels
     window = np.empty((ratio, n_paths, d))
     for j in range(m_fine):
@@ -231,12 +228,10 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
         notes.append(f"slope standard error {slope_se:.3f} > 0.1; increase n_paths")
     _stability_note(hs, errors, slope, notes)
     # reference sanity: finest-level terminal moments vs the exact flow
-    oracle = GaussianFlowOracle(model.data, sched) if hasattr(model, "data") else None
-    if oracle is not None:
-        exp_mean = oracle.mean(eps_end)
-        se = np.std(ref, axis=0) / math.sqrt(n_paths)
-        if np.any(np.abs(_block_mean(ref) - exp_mean) > 5.0 * se):
-            notes.append("reference terminal mean off by more than 5 SE")
+    exp_mean = _oracle_for(model, sched, t_top).mean(eps_end)
+    se = np.std(ref, axis=0) / math.sqrt(n_paths)
+    if np.any(np.abs(_block_mean(ref) - exp_mean) > 5.0 * se):
+        notes.append("reference terminal mean off by more than 5 SE")
     return OrderEstimate("strong", hs, errors, ses, n_paths, slope, intercept, r2,
                          slope_se, notes=notes)
 
@@ -257,9 +252,9 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
     excluded, notes = [], []
     for g_idx, grid in enumerate(grids):
         h = float(np.max(grid.step_widths(sched)))
-        res = sample(model, sched, grid, spec, stream, n_paths=n_paths)
         # each grid's exact law starts from its own top time
         oracle = _oracle_for(model, sched, float(grid.times[0]))
+        res = sample(model, sched, grid, spec, stream, n_paths=n_paths)
         terminal_t = float(grid.times[grid.n_steps - 1])
         term = res.terminal
         moments = []  # (largest error over the axes, its standard error) per power
@@ -311,14 +306,14 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
 
     Both trajectories start from the same initial draw, apply their own
     churn, and read the same stage-keyed substreams; with ``zero_noise`` the
-    z draws are zeroed so only the deterministic parts are compared.
+    z draws are zeroed so only the deterministic parts are compared.  A step
+    that leaves a non-finite state on either side raises DomainError.
     """
     spec_a.validate_against(sched)
     spec_b.validate_against(sched)
     d = model.dim
     times = grid.times
-    sbar0 = sched.alpha_sigma(float(times[0]))[2]
-    x0 = sbar0 * stream.normal_paths(1, 0, 0, d)
+    x0 = initial_state(sched, float(times[0]), stream, 1, d)
     xa = x0.copy()
     xb = x0.copy()
     max_rel = 0.0
@@ -327,6 +322,8 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
         draws = ZeroStepDraws((1, d)) if zero_noise else StepDraws(stream, i, 1, d)
         xa = step_with_churn(spec_a, model, sched, xa, s, t, draws, grid.n_steps)
         xb = step_with_churn(spec_b, model, sched, xb, s, t, draws, grid.n_steps)
+        check_finite(xa, i, t)
+        check_finite(xb, i, t)
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)

@@ -57,6 +57,12 @@ class DataDistribution:
     def dim(self) -> int:
         return self.means.shape[1]
 
+    def marginal(self, sched: ScheduleBase, t):
+        """Component means and variances of the forward marginal at t:
+        (alpha m_k, alpha^2 V_k + sigma_bar^2), each (K, d)."""
+        a, _, sbar = sched.alpha_sigma(t)
+        return a * self.means, a * a * self.variances + sbar * sbar
+
     @classmethod
     def from_components(cls, components) -> "DataDistribution":
         """Build from [{"weight": w, "mean": [...], "var": [...]}, ...]; "var"
@@ -115,12 +121,6 @@ class ScoreModel:
 
     # -- exact quantities (not NFE-counted) ---------------------------------
 
-    def _marginal(self, t):
-        a, _, sbar = self.sched.alpha_sigma(t)
-        mu = a * self.data.means                        # (K, d)
-        cov = a * a * self.data.variances + sbar * sbar  # (K, d)
-        return mu, cov
-
     def score(self, x, t):
         """Exact gradient of log p_t, via log-space responsibilities.
 
@@ -129,7 +129,7 @@ class ScoreModel:
         (..., K) array, then, after the log-sum-exp over K, the sum over k
         of resp_k (x - mu_k) / cov_k, recomputing x - mu_k.
         """
-        mu, cov = self._marginal(t)
+        mu, cov = self.data.marginal(self.sched, t)
         x = np.asarray(x, dtype=float)
         tmp = np.empty(np.broadcast_shapes(x.shape, mu.shape[1:]))
         # (..., K): quadratic forms, then log densities, then responsibilities

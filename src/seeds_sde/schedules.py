@@ -46,7 +46,8 @@ def _check_variant(variant: str) -> None:
 
 
 class ScheduleBase:
-    """Shared evaluation plumbing; concrete schedules fill in the math."""
+    """Shared evaluation plumbing; concrete schedules fill in the math.  A
+    schedule's ``kind`` is its config name, its dataclass fields its parameters."""
 
     family = "?"
 
@@ -155,6 +156,8 @@ class VpLinear(_Vp):
     t_min: float = 1e-4
     t_max: float = 1.0
 
+    kind = "vp"
+
     def __post_init__(self):
         if self.beta_d <= 0 or self.beta_m <= 0:
             raise ConfigError("beta_d and beta_m must be positive")
@@ -203,6 +206,8 @@ class VpCosine(_Vp):
     shift: float = 0.008
     t_min: float = 1e-4
     t_max: float = 0.99
+
+    kind = "vp_cosine"
 
     def __post_init__(self):
         if self.shift <= 0:
@@ -274,7 +279,7 @@ class Ve(_IdentitySigma):
     t_min: float = 0.002
     t_max: float = 80.0
 
-    family = "ve"
+    family = kind = "ve"
 
     def __post_init__(self):
         if not 0 < self.t_min < self.t_max:
@@ -300,7 +305,7 @@ class Edm(_IdentitySigma):
     t_min: float = 0.002
     t_max: float = 80.0
 
-    family = "edm"
+    family = kind = "edm"
 
     def __post_init__(self):
         if self.sigma_data <= 0:
@@ -347,7 +352,7 @@ class Edm(_IdentitySigma):
         return -sd / math.sqrt(t * t + sd * sd)
 
 
-_KINDS = {"vp": VpLinear, "vp_linear": VpLinear, "vp_cosine": VpCosine, "ve": Ve, "edm": Edm}
+_KINDS = {cls.kind: cls for cls in (VpLinear, VpCosine, Ve, Edm)} | {"vp_linear": VpLinear}
 
 
 def make_schedule(kind: str, **params) -> ScheduleBase:

@@ -64,11 +64,13 @@ def run_selftest(seed: int = 0) -> int:
         ok &= abs(raw_increment_var(lam_a, lam_b) - quad) <= 1e-12 * quad
     check("Ito isometry vs quadrature", ok)
 
-    # staged-noise telescoping
-    h, r1, r2 = 0.7, 1.0 / 3.0, 2.0 / 3.0
-    total = (math.exp(2 * h) - math.exp(2 * r2 * h)) + (math.exp(2 * r2 * h) - math.exp(2 * r1 * h)) \
-        + (math.exp(2 * r1 * h) - 1.0)
-    check("staged-noise telescoping", abs(total - math.expm1(2 * h)) < 1e-12)
+    # staged-noise telescoping: the squared z1, z2, z3 coefficients of the
+    # full-step noise, read with unit draws (one of z1, z2, z3 is 1), sum to e^{2h} - 1
+    h = 0.7
+    b_coefs = [staged_noise_seeds3(*z, 1.0, 1.0, 1.0, h, 1.0 / 3.0, 2.0 / 3.0)[2][0]
+               for z in np.eye(3)[:, :, None]]
+    check("staged-noise telescoping",
+          abs(sum(c * c for c in b_coefs) - math.expm1(2 * h)) <= 1e-13 * math.expm1(2 * h))
 
     # RNG determinism and stream separation
     stream = RngStream(seed)

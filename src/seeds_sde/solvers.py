@@ -31,7 +31,9 @@ passing ``ZeroStepDraws`` isolates the deterministic part.
 Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
 signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
 ``np_noise``, in the lambda variant ``SDE`` (stochastic) or ``ODE``
-(probability flow).  Data-prediction steps use lambda = -log sigma directly.
+(probability flow); ``np_move`` is their first-order move, shared by the
+stage routine, dpm4 and the harness's strong-order drift.  Data-prediction
+steps use lambda = -log sigma directly.
 """
 
 import math
@@ -171,6 +173,13 @@ def _check_backward(s: float, t: float, h: float) -> None:
 # -- one-step update rules ----------------------------------------------------
 
 
+def np_move(sched, x_s, s, u, ch, f, stochastic, z=None):
+    """First-order exponential move from s to u over the lambda width ch: Phi(u, s) x_s +
+    g(u) (e^{ch} - 1) f, plus the exact-variance noise c(u) sqrt(e^{2 ch} - 1) z given z."""
+    x_u = sched.np_trans(s, u, stochastic) * x_s + sched.np_gain(u, stochastic) * math.expm1(ch) * f
+    return x_u if z is None else x_u + sched.np_noise(u) * math.sqrt(math.expm1(2.0 * ch)) * z
+
+
 def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
                    r1=1.0 / 3.0, r2=2.0 / 3.0):
     """Noise-prediction exponential step with 1, 2 or 3 stages (as many
@@ -190,17 +199,12 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     h = sched.lambda_of_t(t, var) - lam_s
     _check_backward(s, t, h)
     f_s = model.noise_pred(x_s, s)
+    z1 = None if draws is None else draws.z(1)
     if stages == 1:
-        x_t = sched.np_trans(s, t, sto) * x_s + sched.np_gain(t, sto) * math.expm1(h) * f_s
-        if draws is None:
-            return x_t
-        return x_t + sched.np_noise(t) * math.sqrt(math.expm1(2.0 * h)) * draws.z(1)
+        return np_move(sched, x_s, s, t, h, f_s, sto, z1)
     if stages == 2:
         s1 = sched.t_of_lambda(lam_s + c2 * h, var)
-        u = sched.np_trans(s, s1, sto) * x_s + sched.np_gain(s1, sto) * math.expm1(c2 * h) * f_s
-        if draws is not None:
-            z1 = draws.z(1)
-            u = u + sched.np_noise(s1) * math.sqrt(math.expm1(2.0 * c2 * h)) * z1
+        u = np_move(sched, x_s, s, s1, c2 * h, f_s, sto, z1)
         f_mid = model.noise_pred(u, s1)
         x_t = (sched.np_trans(s, t, sto) * x_s + sched.np_gain(t, sto) * math.expm1(h)
                * ((1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid))
@@ -216,10 +220,10 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
         raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
     s1 = sched.t_of_lambda(lam_s + r1 * h, var)
     s2 = sched.t_of_lambda(lam_s + r2 * h, var)
-    u1 = sched.np_trans(s, s1, sto) * x_s + sched.np_gain(s1, sto) * math.expm1(r1 * h) * f_s
+    u1 = np_move(sched, x_s, s, s1, r1 * h, f_s, sto)
     if draws is not None:
         n1, noise_a, noise_b = staged_noise_seeds3(
-            draws.z(1), draws.z(2), draws.z(3), sched.np_noise(s1), sched.np_noise(s2),
+            z1, draws.z(2), draws.z(3), sched.np_noise(s1), sched.np_noise(s2),
             sched.np_noise(t), h, r1, r2)
         u1 = u1 + n1
     f_u1 = model.noise_pred(u1, s1)
@@ -287,17 +291,16 @@ def dpm4_step(model, sched, x_s, s, t):
     r = 0.5
     s_mid = sched.t_of_lambda(lam_s + r * h, ODE)   # nodes s2 = s3 = s5
     s4 = sched.t_of_lambda(lam_s + h, ODE)
-    g_mid, g4, g_t = sched.np_gain(s_mid, False), sched.np_gain(s4, False), sched.np_gain(t, False)
+    g_mid, g_t = sched.np_gain(s_mid, False), sched.np_gain(t, False)
     erh = math.expm1(r * h)
     eh = math.expm1(h)
     hphi2 = h * phi(2, h)                       # (e^h - 1)/h - 1
-    k2 = sched.np_trans(s, s_mid, False) * x_s + g_mid * erh * k1
+    k2 = np_move(sched, x_s, s, s_mid, r * h, k1, False)
     f_k2 = model.noise_pred(k2, s_mid)
-    k3 = (sched.np_trans(s, s_mid, False) * x_s + g_mid * erh * k1
-          + g_mid * (4.0 * erh / h - 2.0) * (f_k2 - k1))
+    k3 = k2 + g_mid * (4.0 * erh / h - 2.0) * (f_k2 - k1)
     f_k3 = model.noise_pred(k3, s_mid)
-    k4 = (sched.np_trans(s, s4, False) * x_s + g4 * eh * k1
-          + g4 * hphi2 * (f_k3 + f_k2 - 2.0 * k1))
+    k4 = (np_move(sched, x_s, s, s4, h, k1, False)
+          + sched.np_gain(s4, False) * hphi2 * (f_k3 + f_k2 - 2.0 * k1))
     f_k4 = model.noise_pred(k4, s4)
     a_term = g_mid * erh * k1 - 0.25 * g_mid * hphi2 * (k1 + f_k2 + f_k3)
     b_term = g_mid * (erh / h - 0.5) * (k1 + 4.0 * f_k2 + 4.0 * f_k3 - f_k4)
@@ -456,6 +459,17 @@ def step_with_churn(spec: SolverSpec, model, sched, x, s, t, draws, n_steps: int
     return step_once(spec, model, sched, x, s, t, draws)
 
 
+def initial_state(sched, t0: float, stream, n_paths: int, d: int, offset: int = 0):
+    """x_T ~ N(0, sigma_bar(t0)^2 I) for paths offset.., drawn at (step 0, stage 0)."""
+    return sched.alpha_sigma(t0)[2] * stream.normal_paths(n_paths, 0, 0, d, offset=offset)
+
+
+def check_finite(x, i: int, t: float) -> None:
+    """Raise DomainError naming step i and its time t if x holds a NaN or infinity."""
+    if not np.isfinite(x).all():
+        raise DomainError(f"non-finite state after step {i} at t={t!r}")
+
+
 @dataclass
 class SampleResult:
     """Terminal states plus optional recorded trajectory."""
@@ -483,8 +497,7 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
         raise GridError("grid needs at least one real step (M >= 2)")
     d = model.dim
     if x0 is None:
-        sbar0 = sched.alpha_sigma(float(times[0]))[2]
-        x = sbar0 * stream.normal_paths(n_paths, 0, 0, d, offset=path_offset)
+        x = initial_state(sched, float(times[0]), stream, n_paths, d, offset=path_offset)
     else:
         x = np.array(x0, dtype=float).reshape(n_paths, d)
     traj = np.empty((times.size, n_paths, d)) if record else None
@@ -494,8 +507,7 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
         s, t = float(times[i - 1]), float(times[i])
         draws = StepDraws(stream, i, n_paths, d, offset=path_offset)
         x = step_with_churn(spec, model, sched, x, s, t, draws, grid.n_steps)
-        if not np.isfinite(x).all():
-            raise DomainError(f"non-finite state after step {i} at t={t!r}")
+        check_finite(x, i, t)
         if record:
             traj[i] = x
     if record:

@@ -53,3 +53,21 @@ class ConstantModel:
 @pytest.fixture
 def constant_model():
     return ConstantModel
+
+
+class NanFromModel:
+    """Wraps a model; its noise predictions from the ``start``-th on are NaN."""
+
+    def __init__(self, model, start):
+        self.model, self.start, self.calls = model, start, 0
+        self.dim = model.dim
+
+    def noise_pred(self, x, t):
+        self.calls += 1
+        out = self.model.noise_pred(x, t)
+        return out * np.nan if self.calls >= self.start else out
+
+
+@pytest.fixture
+def nan_from_model():
+    return NanFromModel

@@ -15,15 +15,19 @@ schedule, mode) ``sample`` run on the four schedules, five runs on an
 prediction on VP, VE and EDM), the CSV and JSON that ``order strong`` and
 ``order weak`` write, the ``strong_order`` estimate at two reference depths
 through the Python API, the stdout of ``compare`` and the files that
-``sample --save-trajectories`` writes.
+``sample --save-trajectories`` writes.  Through the Python API it also locks
+``per_step_compare`` with zeroed draws, the exact-flow oracle's moments on
+every schedule, and the ``config.json`` written for each schedule kind.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from seeds_sde import (DataDistribution, RngStream, ScoreModel, SolverSpec, VpCosine, VpLinear,
+from seeds_sde import (DataDistribution, GaussianFlowOracle, RngStream, ScoreModel, SolverSpec,
+                       VpCosine, VpLinear, linear_lambda_grid, make_schedule, per_step_compare,
                        strong_order)
 from seeds_sde import cli
 from seeds_sde.cli import main
@@ -264,6 +268,43 @@ COMPARE_LOCKED = {
 }
 
 
+# "a-vs-b-schedule" -> repr of per_step_compare(..., zero_noise=True) on the d=3
+# mixture, 20 steps, seed 9 (the CLI never zeroes the draws); computed from
+# the parent of the commit that added this table, before the shared
+# first-order move it ships with
+ZERO_NOISE_COMPARE_LOCKED = {
+    "seeds1-vs-dpm1-vp": "1.0925063840808935",
+    "seeds2-vs-dpm2-vp": "0.9792524186667566",
+    "seeds3-vs-dpm3-edm": "0.40771486709663884",
+}
+
+# schedule kind -> sha256 of the bytes of GaussianFlowOracle.mean, .var and
+# .moment(., 4) on the k8d16 mixture at five log-spaced times from t_min to
+# t_max (VE and EDM share alpha = 1, sigma = t and the time range, so their
+# laws agree); same provenance as ZERO_NOISE_COMPARE_LOCKED
+ORACLE_LOCKED = {
+    "edm": "45ca8b8e87e4a1ed67dea2ec8d39ae6fafc8af63e0cb729ff86d47828a1d9fea",
+    "ve": "45ca8b8e87e4a1ed67dea2ec8d39ae6fafc8af63e0cb729ff86d47828a1d9fea",
+    "vp": "2da018fb69b800291e540ee9932cf88d95380542c9941ec41e4c94d83b1d14b8",
+    "vp_cosine": "f0780c8ccd25d1c123862bac31889e40e98931cb4b36ee8b42e8fd3d83512100",
+}
+
+# schedule section -> sha256 of the config.json a two-path seeds1-dp sample
+# writes; same provenance as ZERO_NOISE_COMPARE_LOCKED
+CONFIG_JSON_CASES = {
+    "vp": {"kind": "vp", "beta_d": 18.5, "beta_m": 0.2, "t_max": 0.9},
+    "vp_cosine": {"kind": "vp_cosine", "shift": 0.01},
+    "ve": {"kind": "ve", "t_min": 0.01},
+    "edm": {"kind": "edm", "sigma_data": 1.5, "t_max": 60},
+}
+CONFIG_JSON_LOCKED = {
+    "edm": "c27b40d888cddd6d4769646b8a98b7b590fc61966b21f72ecad2b5e72bbb2b8c",
+    "ve": "72f9d1b35c4086ce9bf4aa55e38d510c1860466370868132cbcb6d806c49a510",
+    "vp": "1ae44881a87d6f2dcff18b15e0b5ef159b06a36c6613449e770c09b0017580f0",
+    "vp_cosine": "6d4c267aa53719aa493e4bf635beeaed058844eb649fb6a8e2bc84e2313b69cf",
+}
+
+
 def _with_config(tmp_path, argv, config):
     if config is None:
         return argv
@@ -357,3 +398,34 @@ def test_trajectory_files_locked(tmp_path, monkeypatch):
     for p, row in enumerate(terminal):
         last = (traj / f"path_{p:06d}.csv").read_text().splitlines()[-1]
         assert last.split(",")[1:] == row.split(",")[1:]
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_NOISE_COMPARE_LOCKED))
+def test_zero_noise_compare_locked(name):
+    fam_a, _, fam_b, kind = name.split("-")
+    sched = make_schedule(kind)
+    model = ScoreModel(DataDistribution.from_components(_MIXTURE["components"]), sched)
+    grid = linear_lambda_grid(20, sched.t_min, sched.t_max, sched)
+    diff = per_step_compare(SolverSpec(fam_a), SolverSpec(fam_b), model, sched, grid,
+                            RngStream(9), zero_noise=True)
+    assert repr(diff) == ZERO_NOISE_COMPARE_LOCKED[name]
+
+
+@pytest.mark.parametrize("kind", sorted(ORACLE_LOCKED))
+def test_oracle_moments_locked(kind):
+    sched = make_schedule(kind)
+    oracle = GaussianFlowOracle(DataDistribution.from_components(_MIXTURE_K8D16["components"]),
+                                sched)
+    digest = hashlib.sha256()
+    for t in np.geomspace(sched.t_min, sched.t_max, 5).tolist():
+        for values in (oracle.mean(t), oracle.var(t), oracle.moment(t, 4)):
+            digest.update(values.tobytes())
+    assert digest.hexdigest() == ORACLE_LOCKED[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(CONFIG_JSON_LOCKED))
+def test_config_json_locked(tmp_path, kind):
+    argv = ["sample", "--solver", "seeds1", "--mode", "dp", "--steps", "4", "--paths", "2",
+            "--out", str(tmp_path / "out")]
+    assert main(_with_config(tmp_path, argv, {"schedule": CONFIG_JSON_CASES[kind]})) == 0
+    assert _sha256(tmp_path / "out" / "config.json") == CONFIG_JSON_LOCKED[kind]

@@ -4,9 +4,9 @@ import pickle
 
 import pytest
 
-from seeds_sde import cli
+from seeds_sde import DataDistribution, ScoreModel, cli
 from seeds_sde.cli import main
-from seeds_sde.config import load_config
+from seeds_sde.config import RunConfig, load_config
 
 
 def run(argv):
@@ -382,6 +382,70 @@ def test_compare_mismatched_grids_rejected(tmp_path, capsys):
                 "--solver-a", "seeds1", "--solver-b", "seeds1"])
     assert code == 1
     assert "identical grids" in capsys.readouterr().err
+
+
+def test_compare_different_models_rejected(tmp_path, capsys):
+    cfg_a, cfg_b = tmp_path / "a.json", tmp_path / "b.json"
+    cfg_a.write_text(json.dumps({"solver": {"family": "seeds1"}}))
+    mixture = {"kind": "gaussian_mixture",
+               "components": [{"weight": 1.0, "mean": [5.0], "var": [0.1]}]}
+    cfg_b.write_text(json.dumps({"solver": {"family": "seeds1"}, "model": mixture}))
+    base = ["compare", "--config-a", str(cfg_a), "--steps", "12", "--seed", "3"]
+    assert run(base + ["--config-b", str(cfg_b)]) == 1
+    assert "identical models" in _config_error(capsys)
+    assert capsys.readouterr().out == ""
+    # the default model spelled out, with a scalar variance and an integer weight
+    cfg_b.write_text(json.dumps({"solver": {"family": "seeds1"}, "model": {
+        "kind": "gaussian_mixture", "components": [{"weight": 1, "mean": [0.0], "var": 1.0}]}}))
+    assert run(base + ["--config-b", str(cfg_b)]) == 0
+    assert "difference: 0.0\nPASS" in capsys.readouterr().out
+
+
+def test_compare_non_finite_state_exits_1(monkeypatch, capsys, nan_from_model):
+    def build_model(cfg):
+        return nan_from_model(ScoreModel(DataDistribution.standard_normal(1), cfg.schedule), 4)
+
+    monkeypatch.setattr(RunConfig, "build_model", build_model)
+    assert run(["compare", "--solver-a", "seeds1", "--solver-b", "dpm1", "--steps", "12",
+                "--seed", "3"]) == 1
+    assert "non-finite state after step 2 at t=" in _config_error(capsys)
+
+
+def test_order_weak_zero_model_on_edm_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": "zero", "dim": 1},
+                               "order": {"steps_list": [6, 8, 11, 15]}}))
+    out = tmp_path / "o"
+    assert run(["order", "weak", "--solver", "seeds1", "--schedule", "edm", "--paths", "4000",
+                "--seed", "3", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "zero model has no exact law on EDM" in _config_error(capsys)
+    assert not (out / "order_weak_seeds1.csv").exists()
+
+
+def test_grid_kind_flag_validates_the_grid_that_runs(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"rho": 5.0}}))
+    assert run(["grid", "--schedule", "edm", "--steps", "4", "--grid-kind", "edm",
+                "--config", str(cfg)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    sigmas = [float(row.split(",")[2]) for row in rows[1:-1]]
+    # the rho = 5 power ladder from sigma_max = 80 down to sigma_min = 0.002
+    lo, hi = 0.002 ** 0.2, 80.0 ** 0.2
+    assert sigmas == pytest.approx([(hi + i / 3 * (lo - hi)) ** 5 for i in range(4)], rel=1e-12)
+
+
+def test_selftest_reads_the_staged_noise_coefficients(monkeypatch, capsys):
+    from seeds_sde import selftest
+    from seeds_sde.noise import staged_noise_seeds3
+
+    def wrong_z2(z1, z2, z3, *args):  # the full-step noise's z2 coefficient off by 1%
+        n1, a, b = staged_noise_seeds3(z1, z2, z3, *args)
+        return n1, a, b + 0.01 * z2
+
+    monkeypatch.setattr(selftest, "staged_noise_seeds3", wrong_z2)
+    assert run(["selftest", "--seed", "0"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL staged-noise telescoping" in out and "13/14 checks passed" in out
 
 
 def test_grid_subcommand_prints_table(capsys):

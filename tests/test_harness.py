@@ -20,7 +20,7 @@ from seeds_sde import (
     weak_order,
     zero_model,
 )
-from seeds_sde.errors import ConfigError
+from seeds_sde.errors import ConfigError, DomainError
 from seeds_sde.harness import fit_loglog
 from seeds_sde.noise import raw_increment_var
 
@@ -189,6 +189,24 @@ def test_per_step_compare_applies_churn():
                                                      s_noise=1.003))
     assert per_step_compare(churned, SolverSpec("seeds3"), model, edm, grid, RngStream(3)) > 1e-3
     assert per_step_compare(churned, churned, model, edm, grid, RngStream(3)) == 0.0
+
+
+def test_per_step_compare_rejects_non_finite_state(vp, gauss_model, nan_from_model):
+    # steps evaluate a, then b: the 4th evaluation is dpm1's second step
+    grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
+    with pytest.raises(DomainError, match=r"non-finite state after step 2 at t="):
+        per_step_compare(SolverSpec("seeds1"), SolverSpec("dpm1"), nan_from_model(gauss_model, 4),
+                         vp, grid, RngStream(3))
+
+
+def test_zero_model_has_no_oracle_on_edm():
+    # on EDM noise_pred == 0 is N(0, sigma_data^2) data but data_pred == x is
+    # the score-0 model, so no single exact law fits both
+    edm = Edm()
+    grid = edm_grid(8, edm.t_min, edm.t_max, 7.0, edm)
+    with pytest.raises(ConfigError, match="zero model has no exact law on EDM"):
+        terminal_distribution_check(SolverSpec("seeds1"), zero_model(1, edm), edm, grid, 100,
+                                    RngStream(1))
 
 
 def test_terminal_check_zero_model_matches_propagated_gaussian(vp):

@@ -21,7 +21,7 @@ from seeds_sde.errors import ConfigError
 
 def _log_components(model, x, t):
     """Broadcast form: per-component log densities (..., K) and x - mu (..., K, d)."""
-    mu, cov = model._marginal(t)
+    mu, cov = model.data.marginal(model.sched, t)
     x = np.asarray(x, dtype=float)
     diff = x[..., None, :] - mu
     log_comp = -0.5 * (np.sum(diff * diff / cov, axis=-1)
@@ -122,7 +122,7 @@ def test_score_bits_equal_broadcast_form_on_extreme_rows(sched):
                 np.where(np.arange(d) % 2, np.nan, 1.0), rng.normal(size=d)]
         x = np.array(rows)
         for t in (sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max):
-            mu0 = model._marginal(t)[0][0]
+            mu0 = model.data.marginal(sched, t)[0][0]
             x_mean = np.array([mu0, -0.0 * mu0])  # x == mu_0; signed zeros
             for x_in in (x, x_mean, x[0], x[2]):
                 with np.errstate(all="ignore"):
