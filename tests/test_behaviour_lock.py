@@ -16,8 +16,9 @@ prediction on VP, VE and EDM), the CSV and JSON that ``order strong`` and
 ``order weak`` write, the ``strong_order`` estimate at two reference depths
 through the Python API, the stdout of ``compare`` and the files that
 ``sample --save-trajectories`` writes.  Through the Python API it also locks
-``per_step_compare`` with zeroed draws, the exact-flow oracle's moments on
-every schedule, and the ``config.json`` written for each schedule kind.
+``per_step_compare`` with zeroed draws, with and without churn, the exact-flow
+oracle's moments on every schedule, and the ``config.json`` written for each
+schedule kind.
 """
 
 import hashlib
@@ -26,9 +27,9 @@ import json
 import numpy as np
 import pytest
 
-from seeds_sde import (DataDistribution, GaussianFlowOracle, RngStream, ScoreModel, SolverSpec,
-                       VpCosine, VpLinear, linear_lambda_grid, make_schedule, per_step_compare,
-                       strong_order)
+from seeds_sde import (ChurnParams, DataDistribution, GaussianFlowOracle, RngStream, ScoreModel,
+                       SolverSpec, VpCosine, VpLinear, linear_lambda_grid, make_schedule,
+                       per_step_compare, strong_order)
 from seeds_sde import cli
 from seeds_sde.cli import main
 
@@ -278,6 +279,15 @@ ZERO_NOISE_COMPARE_LOCKED = {
     "seeds3-vs-dpm3-edm": "0.40771486709663884",
 }
 
+# "a-vs-b" -> repr of per_step_compare(..., zero_noise=True) with side a churned
+# by _CHURN, on the d=3 mixture, EDM, 20 steps, seed 9: zero noise zeroes the
+# stage-0 churn draw too, so only the lifted time and the lift's scaling act;
+# computed at the parent of the commit that added this table
+ZERO_NOISE_CHURN_COMPARE_LOCKED = {
+    "seeds3-vs-dpm3": "0.43359537911566637",
+    "seeds3-vs-seeds3": "0.061898891887014584",
+}
+
 # schedule kind -> sha256 of the bytes of GaussianFlowOracle.mean, .var and
 # .moment(., 4) on the k8d16 mixture at five log-spaced times from t_min to
 # t_max (VE and EDM share alpha = 1, sigma = t and the time range, so their
@@ -409,6 +419,18 @@ def test_zero_noise_compare_locked(name):
     diff = per_step_compare(SolverSpec(fam_a), SolverSpec(fam_b), model, sched, grid,
                             RngStream(9), zero_noise=True)
     assert repr(diff) == ZERO_NOISE_COMPARE_LOCKED[name]
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_NOISE_CHURN_COMPARE_LOCKED))
+def test_zero_noise_churn_compare_locked(name):
+    fam_a, _, fam_b = name.split("-")
+    sched = make_schedule("edm")
+    model = ScoreModel(DataDistribution.from_components(_MIXTURE["components"]), sched)
+    grid = linear_lambda_grid(20, sched.t_min, sched.t_max, sched)
+    churned = SolverSpec(fam_a, churn=ChurnParams(**_CHURN))
+    diff = per_step_compare(churned, SolverSpec(fam_b), model, sched, grid, RngStream(9),
+                            zero_noise=True)
+    assert repr(diff) == ZERO_NOISE_CHURN_COMPARE_LOCKED[name]
 
 
 @pytest.mark.parametrize("kind", sorted(ORACLE_LOCKED))
