@@ -129,17 +129,21 @@ def _same_model(a, b) -> bool:
                                          for key in ("weights", "means", "variances"))
 
 
-def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, threshold: float) -> int:
-    if cfg_a.grid_spec != cfg_b.grid_spec:
-        raise ConfigError("compare requires identical grids on both sides")
+def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
     if cfg_a.schedule != cfg_b.schedule:
         raise ConfigError("compare requires identical schedules on both sides")
+    grid = cfg_a.build_grid()
+    if not np.array_equal(grid.times, cfg_b.build_grid().times):
+        raise ConfigError("compare requires identical grids on both sides")
+    threshold = cfg_a.threshold  # --threshold, when given, has set both configs' threshold
+    if cfg_b.threshold != threshold:
+        raise ConfigError(f"compare requires one threshold, got {threshold!r} in config-a and "
+                          f"{cfg_b.threshold!r} in config-b; --threshold sets both")
     if cfg_a.seed != cfg_b.seed:
         raise ConfigError("compare requires identical seeds on both sides")
     model = cfg_a.build_model()
     if not _same_model(model, cfg_b.build_model()):
         raise ConfigError("compare requires identical models on both sides")
-    grid = cfg_a.build_grid()
     stream = RngStream(cfg_a.seed)
     diff = per_step_compare(cfg_a.solver, cfg_b.solver, model, cfg_a.schedule, grid, stream)
     verdict = "PASS" if diff < threshold else "FAIL"
@@ -234,8 +238,7 @@ def main(argv=None) -> int:
                 ov_b["mode"] = args.mode_b
             cfg_a = load_config(args.config_a or args.config, ov_a)
             cfg_b = load_config(args.config_b or args.config, ov_b)
-            threshold = args.threshold if args.threshold is not None else cfg_a.threshold
-            return cmd_compare(cfg_a, cfg_b, threshold)
+            return cmd_compare(cfg_a, cfg_b)
         ov = _overrides(args)
         cfg = load_config(args.config, ov)
         if args.command == "sample":

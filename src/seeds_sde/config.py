@@ -106,7 +106,8 @@ def _section(raw: dict, key: str, default: dict) -> dict:
 
 
 def _order_spec(order: dict) -> dict:
-    """The order section with its integer keys checked."""
+    """The order section with its keys and integer values checked."""
+    _reject_extras("order", order.keys() - {"base_steps", "refinements", "steps_list"})
     for key in ("base_steps", "refinements"):
         if key in order:
             order[key] = _integer(f"order {key}", order[key])

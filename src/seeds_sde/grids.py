@@ -18,7 +18,6 @@ class StepGrid:
     """
 
     times: np.ndarray
-    kind: str
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -74,7 +73,7 @@ def edm_grid(n_steps: int, sigma_min: float, sigma_max: float, rho: float, sched
     for j, s in enumerate(sigmas):
         times[j] = sched.time_of_sigma(float(s))
     times[n_steps] = 0.0
-    return StepGrid(times=times, kind="edm")
+    return StepGrid(times=times)
 
 
 def linear_lambda_grid(n_steps: int, eps_end: float, t_top: float, sched: ScheduleBase, variant: str = SDE) -> StepGrid:
@@ -91,4 +90,4 @@ def linear_lambda_grid(n_steps: int, eps_end: float, t_top: float, sched: Schedu
     times[-1] = eps_end
     for j in range(1, n_steps):
         times[j] = sched.t_of_lambda(float(lams[j]), variant)
-    return StepGrid(times=times, kind="linear_lambda")
+    return StepGrid(times=times)

@@ -22,8 +22,7 @@ from .grids import StepGrid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
 from .schedules import SDE
-from .solvers import (SolverSpec, StepDraws, ZeroStepDraws, check_finite, initial_state, np_move,
-                      sample, step_with_churn)
+from .solvers import SolverSpec, initial_state, np_move, sample, walk
 
 
 @dataclass
@@ -168,6 +167,8 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
     if refinements < 3:
         raise ConfigError("need at least 3 refinement levels")
+    if base_steps < 1:
+        raise ConfigError(f"need base_steps >= 1, got {base_steps}")
     if ref_extra < 1:
         raise ConfigError("reference must sit at least one halving below the finest level")
     spec.validate_against(sched)
@@ -236,13 +237,12 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
                          slope_se, notes=notes)
 
 
-def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
-               test_powers=(1, 2, 4)) -> OrderEstimate:
+def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream) -> OrderEstimate:
     """Moment-error weak-order estimate over a list of grids.
 
-    error(h) = max over test powers of |E[x^p] - E_exact[x^p]| at the final
-    real node; points whose error is below 3 Monte Carlo standard errors are
-    excluded from the fit and recorded.
+    error(h) = max over the powers p = 1, 2, 4 of |E[x^p] - E_exact[x^p]| at
+    the final real node; points whose error is below 3 Monte Carlo standard
+    errors are excluded from the fit and recorded.
     """
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
@@ -258,7 +258,7 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
         terminal_t = float(grid.times[grid.n_steps - 1])
         term = res.terminal
         moments = []  # (largest error over the axes, its standard error) per power
-        for p in test_powers:
+        for p in (1, 2, 4):
             vals = term**p
             gap = np.abs(_block_mean(vals) - oracle.moment(terminal_t, p))
             axis = int(np.argmax(gap))
@@ -300,30 +300,30 @@ def _stability_note(hs, errors, slope, notes) -> None:
         )
 
 
+class _ZeroStream:
+    """Stands in for the stream after the initial draw: every draw is zero."""
+
+    def normal_paths(self, n: int, step: int, stage: int, d: int, offset: int = 0):
+        return np.zeros((n, d))
+
+
 def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
                      grid: StepGrid, stream, zero_noise=False) -> float:
     """Max relative state difference between two solvers on shared draws.
 
-    Both trajectories start from the same initial draw, apply their own
-    churn, and read the same stage-keyed substreams; with ``zero_noise`` the
-    z draws are zeroed so only the deterministic parts are compared.  A step
+    Both trajectories start from the same initial draw and walk the grid in
+    lockstep, each applying its own churn and reading the same stage-keyed
+    substreams; with ``zero_noise`` every draw after the initial one (churn
+    included) is zero, so only the deterministic parts are compared.  A step
     that leaves a non-finite state on either side raises DomainError.
     """
     spec_a.validate_against(sched)
     spec_b.validate_against(sched)
-    d = model.dim
-    times = grid.times
-    x0 = initial_state(sched, float(times[0]), stream, 1, d)
-    xa = x0.copy()
-    xb = x0.copy()
+    x0 = initial_state(sched, float(grid.times[0]), stream, 1, model.dim)
+    steps_stream = _ZeroStream() if zero_noise else stream
     max_rel = 0.0
-    for i in range(1, grid.n_steps):
-        s, t = float(times[i - 1]), float(times[i])
-        draws = ZeroStepDraws((1, d)) if zero_noise else StepDraws(stream, i, 1, d)
-        xa = step_with_churn(spec_a, model, sched, xa, s, t, draws, grid.n_steps)
-        xb = step_with_churn(spec_b, model, sched, xb, s, t, draws, grid.n_steps)
-        check_finite(xa, i, t)
-        check_finite(xb, i, t)
+    for xa, xb in zip(walk(model, sched, grid, spec_a, steps_stream, x0),
+                      walk(model, sched, grid, spec_b, steps_stream, x0)):
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)

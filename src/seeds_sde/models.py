@@ -217,9 +217,6 @@ class ZeroModel:
     def reset_nfe(self) -> None:
         self.nfe = 0
 
-    def score(self, x, t):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     def noise_pred(self, x, t):
         self.nfe += 1
         return np.zeros_like(np.asarray(x, dtype=float))

@@ -24,9 +24,11 @@ step callable, its fixed keywords and the schedule families it runs on.
 Only seeds1 and dpm1 have both modes; every other family has one, which is
 its default (and the default of seeds1 and dpm1 is "np").
 
-All stochastic steps draw through a stage-keyed ``StepDraws`` provider so
-that solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...;
-passing ``ZeroStepDraws`` isolates the deterministic part.
+Steps read their draws as a mapping from stage k to an (n, d) array z^k.
+``walk`` is the one loop over a grid's real steps: it hands step i a
+``StepDraws`` keyed on (step i, stage), so solvers sharing a (seed,
+trajectory, step) also share z^1, z^2, ...; a plain dict {stage: array}
+injects fixed draws.
 
 Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
 signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
@@ -130,7 +132,8 @@ class SolverSpec:
 
 
 class StepDraws:
-    """Stage-keyed z draws for one solver step over a batch of trajectories."""
+    """Stage-keyed z draws for one solver step over a batch of trajectories:
+    ``draws[k]`` reads stage k's (n, d) draw from the stream when asked."""
 
     def __init__(self, stream, step_index: int, n: int, d: int, offset: int = 0):
         self.stream = stream
@@ -139,28 +142,8 @@ class StepDraws:
         self.d = d
         self.offset = offset
 
-    def z(self, stage: int) -> np.ndarray:
+    def __getitem__(self, stage: int) -> np.ndarray:
         return self.stream.normal_paths(self.n, self.step_index, stage, self.d, offset=self.offset)
-
-
-class ZeroStepDraws:
-    """Deterministic-part probe: every stage draw is the zero vector."""
-
-    def __init__(self, shape):
-        self.shape = shape
-
-    def z(self, stage: int) -> np.ndarray:
-        return np.zeros(self.shape)
-
-
-class ArrayDraws:
-    """Fixed draws injected by tests: ArrayDraws({1: z1, 2: z2, ...})."""
-
-    def __init__(self, by_stage: dict):
-        self.by_stage = {k: np.asarray(v, dtype=float) for k, v in by_stage.items()}
-
-    def z(self, stage: int) -> np.ndarray:
-        return self.by_stage[stage]
 
 
 def _check_backward(s: float, t: float, h: float) -> None:
@@ -199,7 +182,7 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     h = sched.lambda_of_t(t, var) - lam_s
     _check_backward(s, t, h)
     f_s = model.noise_pred(x_s, s)
-    z1 = None if draws is None else draws.z(1)
+    z1 = None if draws is None else draws[1]
     if stages == 1:
         return np_move(sched, x_s, s, t, h, f_s, sto, z1)
     if stages == 2:
@@ -214,7 +197,7 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
         # to t and adding a fresh remainder keeps the stage and full-step
         # noises on one Brownian path
         rem = 2.0 * (1.0 - c2) * h
-        full_noise = sqrt_exp_diff(2.0 * h, rem) * z1 + math.sqrt(math.expm1(rem)) * draws.z(2)
+        full_noise = sqrt_exp_diff(2.0 * h, rem) * z1 + math.sqrt(math.expm1(rem)) * draws[2]
         return x_t + sched.np_noise(t) * full_noise
     if stages != 3:
         raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
@@ -223,7 +206,7 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     u1 = np_move(sched, x_s, s, s1, r1 * h, f_s, sto)
     if draws is not None:
         n1, noise_a, noise_b = staged_noise_seeds3(
-            z1, draws.z(2), draws.z(3), sched.np_noise(s1), sched.np_noise(s2),
+            z1, draws[2], draws[3], sched.np_noise(s1), sched.np_noise(s2),
             sched.np_noise(t), h, r1, r2)
         u1 = u1 + n1
     f_u1 = model.noise_pred(u1, s1)
@@ -262,7 +245,7 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=Fa
         x_n = (sg_n * sg_n * a_n) / (sg_s * sg_s * a_s) * x_s - a_n * math.expm1(-2.0 * h_n) * d
         return x_n if z is None else x_n + sbar_n * math.sqrt(-math.expm1(-2.0 * h_n)) * z
 
-    z1 = None if draws is None else draws.z(1)
+    z1 = None if draws is None else draws[1]
     d_s = model.data_pred(x_s, s)
     if stages == 1:
         return one_stage(a_t, sg_t, sbar_t, h, d_s, z1)
@@ -279,7 +262,7 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=Fa
     # Chasles split: the stage-1 chunk carried to t plus a fresh remainder
     carried = sqrt_exp_diff(-2.0 * (1.0 - r) * h, -2.0 * h)
     fresh = math.sqrt(-math.expm1(-2.0 * (1.0 - r) * h))
-    return x_t + sbar_t * (carried * z1 + fresh * draws.z(2))
+    return x_t + sbar_t * (carried * z1 + fresh * draws[2])
 
 
 def dpm4_step(model, sched, x_s, s, t):
@@ -322,7 +305,7 @@ def euler_maruyama_step(model, sched, x_s, s, t, draws):
     f = sched.drift_f(s)
     g2 = sched.diffusion_g2(s)
     score = model.score_from_model(x_s, s)
-    eps = draws.z(1)
+    eps = draws[1]
     return x_s + (f * x_s - g2 * score) * dt + math.sqrt(g2 * abs(dt)) * eps
 
 
@@ -356,7 +339,7 @@ def gddim_step(model, sched, x_s, s, t, draws):
     h = math.log(sg_s / sg_t)
     _check_backward(s, t, h)
     eps_hat = model.noise_pred(x_s, s)
-    eps = draws.z(1)
+    eps = draws[1]
     return (
         (a_t / a_s) * x_s
         + sbar_t * (sg_t / sg_s - sg_s / sg_t) * eps_hat
@@ -449,25 +432,33 @@ def step_once(spec: SolverSpec, model, sched, x, s, t, draws):
     return form.step(model, sched, x, s, t, **spec.step_kwargs)
 
 
-def step_with_churn(spec: SolverSpec, model, sched, x, s, t, draws, n_steps: int):
-    """Churn (if the spec has it, from stage-0 noise), then one step from the lifted time."""
-    if spec.churn is not None and spec.churn.s_churn > 0.0:
-        sigma_s = sched.sigma_of_t(s)
-        x, sigma_hat = churn_inject(x, spec.churn, sigma_s, n_steps, sched, draws.z(0))
-        if sigma_hat != sigma_s:
-            s = sched.time_of_sigma(sigma_hat)
-    return step_once(spec, model, sched, x, s, t, draws)
-
-
 def initial_state(sched, t0: float, stream, n_paths: int, d: int, offset: int = 0):
     """x_T ~ N(0, sigma_bar(t0)^2 I) for paths offset.., drawn at (step 0, stage 0)."""
     return sched.alpha_sigma(t0)[2] * stream.normal_paths(n_paths, 0, 0, d, offset=offset)
 
 
-def check_finite(x, i: int, t: float) -> None:
-    """Raise DomainError naming step i and its time t if x holds a NaN or infinity."""
-    if not np.isfinite(x).all():
-        raise DomainError(f"non-finite state after step {i} at t={t!r}")
+def walk(model, sched, grid: StepGrid, spec: SolverSpec, stream, x, path_offset=0):
+    """Yield the (n, d) state after each real step i = 1..M-1, starting from x at t_0.
+
+    Step i reads its draws keyed on (step i, stage) for paths path_offset..;
+    churn (if the spec has it) lifts the state from the stage-0 draw first.
+    A step that leaves a NaN or infinity raises DomainError naming step i
+    and its time.
+    """
+    times = grid.times
+    n, d = x.shape
+    for i in range(1, grid.n_steps):
+        s, t = float(times[i - 1]), float(times[i])
+        draws = StepDraws(stream, i, n, d, offset=path_offset)
+        if spec.churn is not None and spec.churn.s_churn > 0.0:
+            sigma_s = sched.sigma_of_t(s)
+            x, sigma_hat = churn_inject(x, spec.churn, sigma_s, grid.n_steps, sched, draws[0])
+            if sigma_hat != sigma_s:
+                s = sched.time_of_sigma(sigma_hat)
+        x = step_once(spec, model, sched, x, s, t, draws)
+        if not np.isfinite(x).all():
+            raise DomainError(f"non-finite state after step {i} at t={t!r}")
+        yield x
 
 
 @dataclass
@@ -503,11 +494,7 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
     traj = np.empty((times.size, n_paths, d)) if record else None
     if record:
         traj[0] = x
-    for i in range(1, n_real + 1):
-        s, t = float(times[i - 1]), float(times[i])
-        draws = StepDraws(stream, i, n_paths, d, offset=path_offset)
-        x = step_with_churn(spec, model, sched, x, s, t, draws, grid.n_steps)
-        check_finite(x, i, t)
+    for i, x in enumerate(walk(model, sched, grid, spec, stream, x, path_offset), start=1):
         if record:
             traj[i] = x
     if record:

@@ -123,6 +123,21 @@ def test_order_non_integral_config_exits_1(tmp_path, capsys, kind, order, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("order, words", [
+    ({"refinements": 3, "base_step": 4}, "unknown keys in order config: ['base_step']"),
+    ({"base_steps": 0}, "base_steps >= 1"),
+    ({"base_steps": -2}, "base_steps >= 1"),
+])
+def test_order_bad_section_exits_1(tmp_path, capsys, order, words):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"order": order, "paths": 100}))
+    out = tmp_path / "x"
+    assert run(["order", "strong", "--config", str(cfg_path), "--solver", "seeds1",
+                "--out", str(out)]) == 1
+    assert words in _config_error(capsys)
+    assert not (out / "order_strong_seeds1.csv").exists()
+
+
 def test_integral_float_config_values_run(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"seed": 3.0, "paths": 20.0, "grid": {"steps": 6.0}}))
@@ -382,6 +397,30 @@ def test_compare_mismatched_grids_rejected(tmp_path, capsys):
                 "--solver-a", "seeds1", "--solver-b", "seeds1"])
     assert code == 1
     assert "identical grids" in capsys.readouterr().err
+
+
+def test_compare_accepts_grid_sections_that_build_one_grid(tmp_path, capsys):
+    cfg_a, cfg_b = tmp_path / "a.json", tmp_path / "b.json"
+    cfg_a.write_text(json.dumps({"grid": {"steps": 12}}))
+    cfg_b.write_text(json.dumps({"grid": {"kind": "linear_lambda", "steps": 12}}))
+    assert run(["compare", "--config-a", str(cfg_a), "--config-b", str(cfg_b),
+                "--solver-a", "seeds1", "--solver-b", "seeds1", "--seed", "3"]) == 0
+    assert "difference: 0.0\nPASS" in capsys.readouterr().out
+
+
+def test_compare_rejects_two_thresholds(tmp_path, capsys):
+    cfg_a, cfg_b = tmp_path / "a.json", tmp_path / "b.json"
+    cfg_a.write_text(json.dumps({"threshold": 1e-3}))
+    cfg_b.write_text(json.dumps({"threshold": 1e-30}))
+    base = ["compare", "--config-a", str(cfg_a), "--config-b", str(cfg_b), "--solver-a",
+            "gddim", "--solver-b", "seeds1", "--mode-b", "dp", "--steps", "12"]
+    assert run(base) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
+    assert "0.001" in captured.err and "1e-30" in captured.err
+    # the flag sets both sides
+    assert run(base + ["--threshold", "1e-30"]) == 2
+    assert "FAIL (threshold 1e-30)" in capsys.readouterr().out
 
 
 def test_compare_different_models_rejected(tmp_path, capsys):

@@ -53,9 +53,9 @@ def test_grid_validation_errors():
     with pytest.raises(ConfigError):
         edm_grid(8, 0.002, 80.0, -1.0, Edm())
     with pytest.raises(GridError):
-        StepGrid(times=np.array([1.0, 2.0, 0.0]), kind="x")
+        StepGrid(times=np.array([1.0, 2.0, 0.0]))
     with pytest.raises(GridError):
-        StepGrid(times=np.array([1.0, 0.5]), kind="x")
+        StepGrid(times=np.array([1.0, 0.5]))
 
 
 def test_linear_lambda_uniform_spacing():

@@ -8,7 +8,7 @@ from scipy import stats
 from seeds_sde import Edm, RngStream, SolverSpec, Ve, VpLinear, zero_model
 from seeds_sde.errors import ConfigError, GridError
 from seeds_sde.noise import correlated_pair, raw_increment_var, staged_noise_seeds3
-from seeds_sde.solvers import ArrayDraws, np_stages_step, step_once
+from seeds_sde.solvers import np_stages_step, step_once
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -112,7 +112,7 @@ def _unit_draw_increment(sched, mode, s, t):
     """The noise term of one seeds1 step in ``mode`` at z = 1: the step of the
     zero model from x = 0."""
     x_t = step_once(SolverSpec("seeds1", mode=mode), zero_model(1, sched), sched,
-                    np.zeros((1, 1)), s, t, ArrayDraws({1: np.ones((1, 1))}))
+                    np.zeros((1, 1)), s, t, {1: np.ones((1, 1))})
     return float(x_t[0, 0])
 
 
@@ -173,7 +173,7 @@ def _seeds2_noise(z1, z2, h, s=0.8):
     vp = VpLinear()
     t = vp.t_of_lambda(vp.lambda_of_t(s) + h)
     rec = StageRecorder()
-    full = np_stages_step(rec, vp, np.zeros_like(z1), s, t, ArrayDraws({1: z1, 2: z2}), stages=2)
+    full = np_stages_step(rec, vp, np.zeros_like(z1), s, t, {1: z1, 2: z2}, stages=2)
     s1 = vp.t_of_lambda(vp.lambda_of_t(s) + 0.5 * h)
     return rec.inputs[1], full, s1, t
 

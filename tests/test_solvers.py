@@ -21,8 +21,6 @@ from seeds_sde import (
 from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.solvers import (
     FAMILIES,
-    ArrayDraws,
-    ZeroStepDraws,
     churn_inject,
     dp_stages_step,
     dpm4_step,
@@ -33,7 +31,7 @@ from seeds_sde.solvers import (
     step_once,
 )
 
-D0 = ZeroStepDraws((1,))
+D0 = {k: np.zeros(1) for k in range(4)}  # every stage draw zero
 
 
 # -- extended-precision replicas of the step listings -------------------------
@@ -146,8 +144,8 @@ def test_seeds1_np_vs_dp_differ(vp, gauss_model):
     x = np.array([0.9])
     s, t = 0.7, 0.45
     z = np.array([0.31])
-    np_out = np_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
-    dp_out = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
+    np_out = np_stages_step(gauss_model, vp, x, s, t, {1: z})
+    dp_out = dp_stages_step(gauss_model, vp, x, s, t, {1: z})
     assert np.max(np.abs(np_out - dp_out)) > 1e-6
 
 
@@ -161,8 +159,8 @@ def test_seeds1_dp_noise_coefficient(vp, gauss_model):
     # injected unit draw isolates the + sbar sqrt(1 - e^{-2h}) coefficient
     x = np.array([0.5])
     s, t = 0.6, 0.35
-    base = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: np.zeros(1)}))
-    kicked = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: np.ones(1)}))
+    base = dp_stages_step(gauss_model, vp, x, s, t, {1: np.zeros(1)})
+    kicked = dp_stages_step(gauss_model, vp, x, s, t, {1: np.ones(1)})
     h = math.log(vp.alpha_sigma(s)[1] / vp.alpha_sigma(t)[1])
     sbar_t = vp.alpha_sigma(t)[2]
     assert (kicked - base)[0] == pytest.approx(sbar_t * math.sqrt(-math.expm1(-2 * h)), rel=1e-13)
@@ -180,7 +178,7 @@ def test_seeds2_matches_line_by_line_oracle(vp, gauss_model):
         want = float(mp_seeds2(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2)))
     got = np_stages_step(gauss_model, vp, np.array([x]), s, t,
-                         ArrayDraws({1: np.array([z1]), 2: np.array([z2])}), stages=2)
+                         {1: np.array([z1]), 2: np.array([z2])}, stages=2)
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -195,16 +193,16 @@ def test_seeds2_general_c2_noise_is_coupled(vp, gauss_model):
     s1 = vp.t_of_lambda(lam(s) + c2 * h)
     # zero model removes the F(u)-mediated part: pure noise algebra remains
     zm = zero_model(1, vp)
-    base0 = np_stages_step(zm, vp, x, s, t, ArrayDraws({1: np.zeros(1), 2: np.zeros(1)}),
+    base0 = np_stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.zeros(1)},
                            stages=2, c2=c2)
-    kick0 = np_stages_step(zm, vp, x, s, t, ArrayDraws({1: np.ones(1), 2: np.zeros(1)}),
+    kick0 = np_stages_step(zm, vp, x, s, t, {1: np.ones(1), 2: np.zeros(1)},
                            stages=2, c2=c2)
     full_coef = float((kick0 - base0)[0])
     stage_std = vp.alpha_sigma(s1)[2] * math.sqrt(math.expm1(2.0 * c2 * h))
     carry = (vp.alpha_sigma(t)[2] * math.exp(lam(t))) / (vp.alpha_sigma(s1)[2] * math.exp(lam(s1)))
     assert full_coef == pytest.approx(-stage_std * carry, rel=1e-12)
     # and the total variance still telescopes to e^{2h} - 1
-    kick2 = np_stages_step(zm, vp, x, s, t, ArrayDraws({1: np.zeros(1), 2: np.ones(1)}),
+    kick2 = np_stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.ones(1)},
                            stages=2, c2=c2)
     c_z2 = float((kick2 - base0)[0])
     sbar_t = vp.alpha_sigma(t)[2]
@@ -222,7 +220,7 @@ def test_seeds3_matches_line_by_line_oracle(vp, gauss_model):
                                mpmath.mpf(z1), mpmath.mpf(z2), mpmath.mpf(z3),
                                mpmath.mpf(r1), mpmath.mpf(r2)))
     got = np_stages_step(gauss_model, vp, np.array([x]), s, t,
-                         ArrayDraws({1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])}),
+                         {1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])},
                          stages=3, r1=r1, r2=r2)
     assert got[0] == pytest.approx(want, rel=1e-13)
 
@@ -232,7 +230,7 @@ def test_multi_stage_zero_model_linear(vp):
     x = np.array([2.0])
     s, t = 0.75, 0.3
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
-    z = ZeroStepDraws((1,))
+    z = D0
     assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=2), a_ratio * x, rtol=1e-14)
     assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=3), a_ratio * x, rtol=1e-14)
     assert np.allclose(np_stages_step(zm, vp, x, s, t, stages=1), a_ratio * x, rtol=1e-14)
@@ -244,7 +242,7 @@ def test_constant_f_degeneration(vp, constant_model):
     model = constant_model(1, noise_value=0.7)
     x = np.array([1.1])
     s, t = 0.8, 0.35
-    z = ZeroStepDraws((1,))
+    z = D0
     one = np_stages_step(model, vp, x, s, t, z)
     assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=2), one, rtol=1e-13)
     assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=3), one, rtol=1e-13)
@@ -261,7 +259,7 @@ def test_seeds1_vs_dpm1_factor_two(vp, gauss_model):
     # deterministic parts differ by exactly sbar_t (e^h - 1) |F|
     x = np.array([0.9])
     s, t = 0.7, 0.4
-    det = np_stages_step(gauss_model, vp, x, s, t, ZeroStepDraws((1,)))
+    det = np_stages_step(gauss_model, vp, x, s, t, D0)
     ode = np_stages_step(gauss_model, vp, x, s, t, stages=1)
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     sbar_t = vp.alpha_sigma(t)[2]
@@ -357,7 +355,7 @@ def test_euler_maruyama_formula_oracle(vp, gauss_model):
     x = np.array([0.8])
     s, t = 0.55, 0.52
     z = np.array([0.37])
-    got = euler_maruyama_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
+    got = euler_maruyama_step(gauss_model, vp, x, s, t, {1: z})
     f = vp.drift_f(s)
     g2 = vp.diffusion_g2(s)
     score = gauss_model.score(x, s)
@@ -367,7 +365,7 @@ def test_euler_maruyama_formula_oracle(vp, gauss_model):
 
 def test_euler_maruyama_small_step_stays_close(vp, gauss_model):
     x = np.array([0.8])
-    out = euler_maruyama_step(gauss_model, vp, x, 0.5, 0.5 - 1e-8, ZeroStepDraws((1,)))
+    out = euler_maruyama_step(gauss_model, vp, x, 0.5, 0.5 - 1e-8, D0)
     assert abs(out[0] - x[0]) < 1e-6
 
 
@@ -380,7 +378,7 @@ def test_euler_maruyama_zero_diffusion_reduces_to_explicit_euler(gauss_model):
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
     x = np.array([0.8])
     s, t = 0.6, 0.55
-    out = euler_maruyama_step(model, sched, x, s, t, ArrayDraws({1: np.ones(1)}))
+    out = euler_maruyama_step(model, sched, x, s, t, {1: np.ones(1)})
     assert np.allclose(out, x + sched.drift_f(s) * x * (t - s), rtol=1e-14)
 
 
@@ -423,8 +421,8 @@ def test_gddim_equals_seeds1_dp_per_step(vp, gauss_model):
     x = np.array([1.4])
     s, t = 0.8, 0.55
     z = np.array([-0.23])
-    g = gddim_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
-    d = dp_stages_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
+    g = gddim_step(gauss_model, vp, x, s, t, {1: z})
+    d = dp_stages_step(gauss_model, vp, x, s, t, {1: z})
     assert np.allclose(g, d, rtol=1e-12)
 
 
@@ -438,7 +436,7 @@ def test_gddim_formula_oracle(vp, gauss_model):
     eps_hat = gauss_model.noise_pred(x, s)
     want = (a_t / a_s) * x + sbar_t * (sg_t / sg_s - sg_s / sg_t) * eps_hat \
         + sbar_t * math.sqrt(-math.expm1(-2 * h)) * z
-    got = gddim_step(gauss_model, vp, x, s, t, ArrayDraws({1: z}))
+    got = gddim_step(gauss_model, vp, x, s, t, {1: z})
     assert np.allclose(got, want, rtol=1e-14)
 
 
@@ -470,7 +468,7 @@ def test_ve2_null_model_sigma_ratio():
     for fam in ("ve2_ode_a", "ve2_ode_b"):
         out = step_once(SolverSpec(fam, r1=0.5), NullD(), sched, x, s, t, D0)
         assert np.allclose(out, (t / s) * x, rtol=1e-14)
-    out = step_once(SolverSpec("ve2_sde", r1=0.5), NullD(), sched, x, s, t, ZeroStepDraws((1,)))
+    out = step_once(SolverSpec("ve2_sde", r1=0.5), NullD(), sched, x, s, t, D0)
     assert np.allclose(out, (t * t / (s * s)) * x, rtol=1e-14)
 
 
@@ -492,9 +490,9 @@ def test_ve2_sde_noise_variance_telescopes():
     coefs = []
     for j in (1, 2):
         z = {1: np.zeros(1), 2: np.zeros(1)}
-        base = step_once(spec, NullD(), sched, np.zeros(1), s, t, ArrayDraws(dict(z)))
+        base = step_once(spec, NullD(), sched, np.zeros(1), s, t, dict(z))
         z[j] = np.ones(1)
-        kicked = step_once(spec, NullD(), sched, np.zeros(1), s, t, ArrayDraws(z))
+        kicked = step_once(spec, NullD(), sched, np.zeros(1), s, t, z)
         coefs.append(float(kicked[0] - base[0]))
     total = sum(c * c for c in coefs)
     # matches the one-stage dp variance sigma_t^2 (1 - e^{-2h})
@@ -505,7 +503,7 @@ def test_ve2_runs_on_edm_dp():
     sched = Edm(sigma_data=0.5)
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
     out = step_once(SolverSpec("ve2_sde", r1=0.5), model, sched, np.array([0.7]), 3.0, 1.0,
-                    ArrayDraws({1: np.zeros(1), 2: np.zeros(1)}))
+                    {1: np.zeros(1), 2: np.zeros(1)})
     assert np.isfinite(out).all()
 
 
@@ -542,7 +540,7 @@ def test_ve2_matches_line_by_line_oracle(kind):
                             mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t), mpmath.mpf(r), kind,
                             mpmath.mpf(z1), mpmath.mpf(z2)))
     got = step_once(SolverSpec(f"ve2_{kind}", r1=r), model, sched, np.array([x]), s, t,
-                    ArrayDraws({1: np.array([z1]), 2: np.array([z2])}))
+                    {1: np.array([z1]), 2: np.array([z2])})
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -555,7 +553,7 @@ def ref_seeds1_dp(model, sched, x_s, s, t, draws):
     a_t, sg_t, sbar_t = sched.alpha_sigma(t)
     h = math.log(sg_s / sg_t)
     d_val = model.data_pred(x_s, s)
-    eps = draws.z(1)
+    eps = draws[1]
     trans = (sg_t * sg_t * a_t) / (sg_s * sg_s * a_s)
     det = trans * x_s - a_t * math.expm1(-2.0 * h) * d_val
     return det + sbar_t * math.sqrt(-math.expm1(-2.0 * h)) * eps
@@ -579,7 +577,7 @@ def ref_ve_2stage(model, sched, x_s, s, t, draws, r, kind):
     sg_1 = sg_s * math.exp(-r * h)
     d_s = model.data_pred(x_s, s)
     if kind == "sde":
-        z1, z2 = draws.z(1), draws.z(2)
+        z1, z2 = draws[1], draws[2]
         u = (
             (sg_1 * sg_1 / (sg_s * sg_s)) * x_s
             - math.expm1(-2.0 * r * h) * d_s
@@ -625,7 +623,7 @@ def _dp_case(name, seed):
                             rng.uniform(0.3, 1.5, (3, 4)))
     x = rng.normal(0.0, 3.0, (32, 4))
     x[0], x[1] = 0.0, -0.0
-    draws = ArrayDraws({k: rng.normal(size=(32, 4)) for k in (1, 2)})
+    draws = {k: rng.normal(size=(32, 4)) for k in (1, 2)}
     return sched, pairs, ScoreModel(data, sched), x, draws
 
 
@@ -786,7 +784,7 @@ def test_step_once_dispatch_covers_families():
     # exactly evals_per_step model evaluations
     schedules = {"vp": VpLinear(), "ve": Ve(), "edm": Edm(sigma_data=0.5)}
     times = {"vp": (0.7, 0.5), "ve": (4.0, 2.0), "edm": (4.0, 2.0)}
-    draws = ArrayDraws({k: np.full(1, 0.3) for k in (1, 2, 3)})
+    draws = {k: np.full(1, 0.3) for k in (1, 2, 3)}
     for fam, desc in FAMILIES.items():
         for mode, form in desc.forms.items():
             spec = SolverSpec(fam, mode=mode)
