@@ -2,7 +2,10 @@
 """Layer microbenchmark of the exact mixture oracle.
 
 Prints the median wall time in microseconds of one ``ScoreModel.noise_pred``
-call on the VP schedule for each (K components, d dimensions, n states).
+call on the VP schedule for each (K components, d dimensions, n states):
+``us/call`` at a time the model has no table for, which computes its
+time-only terms, and ``prepared`` at a time ``ScoreModel.prepare`` has
+tabulated, which reads them.
 Each timed sample averages enough back-to-back calls to last about
 ``--sample-ms`` milliseconds; the median is taken over ``--repeats`` samples.
 The mixture's means and variances and the states are drawn from a fixed seed.
@@ -47,16 +50,18 @@ def main():
     sched = VpLinear()
     t = 0.5 * (sched.t_min + sched.t_max)
     rng = np.random.default_rng(0)
-    print(f"{'K':>3} {'d':>4} {'n':>7} {'us/call':>11}")
+    print(f"{'K':>3} {'d':>4} {'n':>7} {'us/call':>11} {'prepared':>11}")
     for k in args.components:
         for d in args.dims:
             data = DataDistribution(np.full(k, 1.0 / k), rng.normal(0.0, 2.0, (k, d)),
                                     rng.uniform(0.3, 1.5, (k, d)))
-            model = ScoreModel(data, sched)
+            model, prepared = ScoreModel(data, sched), ScoreModel(data, sched)
+            prepared.prepare([t])
             for n in args.paths:
                 x = rng.normal(size=(n, d))
-                us = median_us(model, x, t, args.repeats, args.sample_ms / 1e3)
-                print(f"{k:>3} {d:>4} {n:>7} {us:>11.1f}")
+                us = [median_us(m, x, t, args.repeats, args.sample_ms / 1e3)
+                      for m in (model, prepared)]
+                print(f"{k:>3} {d:>4} {n:>7} {us[0]:>11.1f} {us[1]:>11.1f}")
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int, record: boo
 
 
 def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     offsets = range(0, cfg.n_paths, _CHUNK)
     counts = [min(_CHUNK, cfg.n_paths - off) for off in offsets]
     model = cfg.build_model()
@@ -65,6 +64,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
         results = list(map(run, offsets, counts))
     nfe_per_path = results[0][1]
 
+    os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     header = ",".join(f"x{j}" for j in range(model.dim)) + "\n"
     csv_path = os.path.join(out_dir, "terminal.csv")
     with open(csv_path, "w") as fh:
@@ -87,7 +87,6 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
 
 
 def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     model = cfg.build_model()
     stream = RngStream(cfg.seed)
     order_cfg = cfg.order
@@ -107,6 +106,7 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
         est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream)
     else:
         raise ConfigError(f"order kind must be 'strong' or 'weak', got {kind!r}")
+    os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     base = os.path.join(out_dir, f"order_{kind}_{cfg.solver.family}")
     with open(base + ".csv", "w") as fh:
         fh.write(est.to_csv())

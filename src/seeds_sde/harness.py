@@ -22,7 +22,7 @@ from .grids import StepGrid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
 from .schedules import SDE
-from .solvers import SolverSpec, initial_state, np_move, sample, walk
+from .solvers import SolverSpec, StepPlan, initial_state, np_move, prepare_model, sample, walk
 
 
 @dataclass
@@ -192,6 +192,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     d = model.dim
     sup_sq = np.zeros((n_levels, n_paths))
     ref = initial_state(sched, t_top, stream, n_paths, d)
+    prepare_model(model, t_fine[:-1])   # every level evaluates at fine nodes
     xs = [ref] * n_levels
     window = np.empty((ratio, n_paths, d))
     for j in range(m_fine):
@@ -320,10 +321,13 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
     spec_a.validate_against(sched)
     spec_b.validate_against(sched)
     x0 = initial_state(sched, float(grid.times[0]), stream, 1, model.dim)
+    plan_a, plan_b = StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)
+    # one table for both walks: they run in lockstep, so one per walk would evict the other
+    prepare_model(model, plan_a.times() + plan_b.times())
     steps_stream = _ZeroStream() if zero_noise else stream
     max_rel = 0.0
-    for xa, xb in zip(walk(model, sched, grid, spec_a, steps_stream, x0),
-                      walk(model, sched, grid, spec_b, steps_stream, x0)):
+    for xa, xb in zip(walk(model, sched, spec_a, plan_a, steps_stream, x0),
+                      walk(model, sched, spec_b, plan_b, steps_stream, x0)):
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)

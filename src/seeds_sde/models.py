@@ -61,6 +61,11 @@ class DataDistribution:
         """Component means and variances of the forward marginal at t:
         (alpha m_k, alpha^2 V_k + sigma_bar^2), each (K, d)."""
         a, _, sbar = sched.alpha_sigma(t)
+        return self.marginal_of(a, sbar)
+
+    def marginal_of(self, a, sbar):
+        """The marginal's means and variances for scalar alpha and sigma_bar, each
+        (K, d), or for (T, 1, 1) arrays of them, each (T, K, d)."""
         return a * self.means, a * a * self.variances + sbar * sbar
 
     @classmethod
@@ -103,14 +108,27 @@ def _component_numbers(i: int, comp, key: str) -> np.ndarray:
     return np.array(items, dtype=float)
 
 
+def _log_normalisers(cov):
+    """sum over d of log(2 pi cov): the components' log-normalisers, (..., K)."""
+    return np.add.reduce(np.log(2.0 * math.pi * cov), axis=-1)
+
+
 class ScoreModel:
-    """Exact score / noise-prediction / data-prediction oracle on a schedule."""
+    """Exact score / noise-prediction / data-prediction oracle on a schedule.
+
+    ``prepare(times)`` tabulates the work of an evaluation that depends only
+    on its time; an evaluation at a tabulated time reads its row, with the
+    same bytes, and one at any other time computes it.
+    """
 
     def __init__(self, data: DataDistribution, sched: ScheduleBase):
         self.data = data
         self.sched = sched
         self.nfe = 0
         self._log_weights = np.log(data.weights)
+        self._rows = {}      # tabulated time -> its row of the table
+        # (alpha_sigma (T, 3), means and variances (T, K, d), log-normalisers (T, K))
+        self._table = None
 
     @property
     def dim(self) -> int:
@@ -118,6 +136,38 @@ class ScoreModel:
 
     def reset_nfe(self) -> None:
         self.nfe = 0
+
+    def prepare(self, times) -> None:
+        """Replace the table with one row per distinct time in ``times``.
+
+        A row holds (alpha, sigma, sigma_bar) from the schedule's scalar
+        ``alpha_sigma``, the marginal's (K, d) means and variances and the (K,)
+        log-normalisers sum_d log(2 pi cov).  One vectorized pass computes the
+        stacked rows with the functions an evaluation at one time uses: their
+        operations are elementwise, and the sum over d runs per row, so a row
+        holds the bytes that evaluation would compute.
+        """
+        rows = {}
+        for t in times:
+            rows.setdefault(float(t), len(rows))
+        coef = np.array([self.sched.alpha_sigma(t) for t in rows]).reshape(len(rows), 3)
+        mu, cov = self.data.marginal_of(coef[:, 0, None, None], coef[:, 2, None, None])
+        self._rows = rows
+        self._table = (coef, mu, cov, _log_normalisers(cov))
+
+    def _alpha_sigma(self, t):
+        """(alpha, sigma, sigma_bar) at t: its row when t is tabulated."""
+        i = self._rows.get(float(t))   # float: a 0-d array time is unhashable
+        return self.sched.alpha_sigma(t) if i is None else self._table[0][i].tolist()
+
+    def _marginal(self, t):
+        """The marginal's (K, d) means and variances and (K,) log-normalisers at t."""
+        i = self._rows.get(float(t))
+        if i is None:
+            mu, cov = self.data.marginal(self.sched, t)
+            return mu, cov, _log_normalisers(cov)
+        _, mu, cov, lognorm = self._table
+        return mu[i], cov[i], lognorm[i]
 
     # -- exact quantities (not NFE-counted) ---------------------------------
 
@@ -129,9 +179,12 @@ class ScoreModel:
         (..., K) array, then, after the log-sum-exp over K, the sum over k
         of resp_k (x - mu_k) / cov_k, recomputing x - mu_k.
         """
-        mu, cov = self.data.marginal(self.sched, t)
+        mu, cov, lognorm = self._marginal(t)
         x = np.asarray(x, dtype=float)
-        tmp = np.empty(np.broadcast_shapes(x.shape, mu.shape[1:]))
+        shape = x.shape   # states of dimension d skip np.broadcast_shapes (about 3 us a call)
+        if shape[-1:] != mu.shape[1:]:
+            shape = np.broadcast_shapes(shape, mu.shape[1:])
+        tmp = np.empty(shape)
         # (..., K): quadratic forms, then log densities, then responsibilities
         resp = np.empty(tmp.shape[:-1] + mu.shape[:1])
         for k in range(mu.shape[0]):
@@ -139,7 +192,7 @@ class ScoreModel:
             tmp *= tmp
             tmp /= cov[k]
             np.add.reduce(tmp, axis=-1, out=resp[..., k])
-        resp += np.add.reduce(np.log(2.0 * math.pi * cov), axis=-1)
+        resp += lognorm
         resp *= -0.5
         resp += self._log_weights
         resp -= np.maximum.reduce(resp, axis=-1, keepdims=True)
@@ -162,23 +215,22 @@ class ScoreModel:
         inversion for EDM (returns zero on data matching the EDM prior)."""
         self.nfe += 1
         x = np.asarray(x, dtype=float)
-        a, s, sbar = self.sched.alpha_sigma(t)
         sc = self.score(x, t)
         if self.sched.family == "edm":
             sd = self.sched.sigma_data
             den = t * t + sd * sd
             return (sc + x / den) * (t * math.sqrt(den) / sd)
-        return -sbar * sc
+        return -self._alpha_sigma(t)[2] * sc
 
     def data_pred(self, x, t):
         """Posterior-mean denoiser: x/alpha - sigma * eps_hat, with eps_hat the
         noise prediction (for EDM this equals c1 x + c2 F(c3 x))."""
         self.nfe += 1
         x = np.asarray(x, dtype=float)
-        a, s, sbar = self.sched.alpha_sigma(t)
         sc = self.score(x, t)
         if self.sched.family == "edm":
             return x + t * t * sc
+        a, s, sbar = self._alpha_sigma(t)
         eps_hat = -sbar * sc
         return x / a - s * eps_hat
 
@@ -186,7 +238,7 @@ class ScoreModel:
         """Score reconstructed from the network output through the schedule's
         preconditioning, the way a black-box sampler would (costs 1 NFE)."""
         x = np.asarray(x, dtype=float)
-        a, s, sbar = self.sched.alpha_sigma(t)
+        a, s, sbar = self._alpha_sigma(t)
         f_val = self.noise_pred(x, t)
         if self.sched.family == "edm":
             # D = c1 x + c2 F with c1 = sd^2 / den and c2 = t sd / sqrt(den)

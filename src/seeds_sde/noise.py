@@ -46,11 +46,12 @@ class RngStream:
         # state of a just-built generator: counter 0, empty output buffer
         self._fresh = self._bitgen.state
 
-    def _normal_block(self, block, step, stage, d, rows):
-        """The first ``rows`` rows of the (block, step, stage) draw, shape (rows, d)."""
+    def _normal_block(self, block, step, stage, d, rows, out=None):
+        """The first ``rows`` rows of the (block, step, stage) draw, shape (rows, d),
+        written into ``out`` (a C-contiguous (rows, d) array) when given."""
         self._fresh["state"]["counter"][1:] = (stage, step, block)
         self._bitgen.state = self._fresh
-        return self._gen.standard_normal((rows, d))
+        return self._gen.standard_normal((rows, d), out=out)
 
     def gauss(self, traj: int, step: int, stage: int, d: int) -> np.ndarray:
         """d i.i.d. standard normals for one trajectory, shape (d,)."""
@@ -69,11 +70,13 @@ class RngStream:
         out = np.empty((n, d))
         filled = 0
         while filled < n:
-            traj = offset + filled
-            block, row = divmod(traj, BLOCK)
+            block, row = divmod(offset + filled, BLOCK)
             take = min(BLOCK - row, n - filled)
-            out[filled : filled + take] = self._normal_block(block, step, stage, d,
-                                                             row + take)[row:]
+            dest = out[filled : filled + take]
+            if row == 0:  # a block-aligned run is the draw's first rows: fill it in place
+                self._normal_block(block, step, stage, d, take, out=dest)
+            else:
+                dest[...] = self._normal_block(block, step, stage, d, row + take)[row:]
             filled += take
         return out
 

@@ -30,6 +30,13 @@ Steps read their draws as a mapping from stage k to an (n, d) array z^k.
 trajectory, step) also share z^1, z^2, ...; a plain dict {stage: array}
 injects fixed draws.
 
+A step's stage-node times depend only on the grid.  Each staged form has
+one node function (``NODES``), and churn has ``churn_lift``; a ``StepPlan``
+calls them once per grid, before the walk, and hands each step its row.  A
+step called without a row calls its node function itself.  The plan's
+evaluation times go to the model's optional ``prepare`` hook, which
+tabulates the model's time-only work.
+
 Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
 signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
 ``np_noise``, in the lambda variant ``SDE`` (stochastic) or ``ODE``
@@ -153,6 +160,45 @@ def _check_backward(s: float, t: float, h: float) -> None:
         raise GridError(f"step width h must be positive, got h={h}")
 
 
+# -- stage nodes: the time-only part of a step --------------------------------
+
+
+def lambda_nodes(sched, s, t, stochastic, fracs=()):
+    """The width h = lambda_t - lambda_s of a noise-prediction step, in the lambda of the
+    reverse SDE (stochastic) or of the probability-flow ODE, and its stage nodes
+    t_of_lambda(lambda_s + c h) for c in fracs."""
+    var = SDE if stochastic else ODE
+    lam_s = sched.lambda_of_t(s, var)
+    h = sched.lambda_of_t(t, var) - lam_s
+    _check_backward(s, t, h)
+    return h, tuple(sched.t_of_lambda(lam_s + c * h, var) for c in fracs)
+
+
+def np_stage_nodes(sched, s, t, stochastic, stages=1, c2=0.5, r1=1.0 / 3.0, r2=2.0 / 3.0):
+    """Node function of ``np_stages_step``: h and the node lambda_s + c2 h (two stages)
+    or the nodes lambda_s + r1 h and lambda_s + r2 h (three)."""
+    if stages not in (1, 2, 3):
+        raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
+    return lambda_nodes(sched, s, t, stochastic, ((), (c2,), (r1, r2))[stages - 1])
+
+
+def dpm4_nodes(sched, s, t, stochastic=False):
+    """Node function of ``dpm4_step``: h and the nodes lambda_s + h/2 (s2 = s3 = s5) and
+    lambda_s + h (s4), in the ODE lambda."""
+    return lambda_nodes(sched, s, t, False, (0.5, 1.0))
+
+
+def dp_stage_nodes(sched, s, t, stochastic, stages=1, r=0.5, phi2=False):
+    """Node function of ``dp_stages_step``: h = log(sigma_s / sigma_t) and, with two
+    stages, the node time_of_sigma(sigma_s e^{-r h})."""
+    if stages not in (1, 2):
+        raise ConfigError(f"data-prediction stage count must be 1 or 2, got {stages!r}")
+    sg_s = sched.sigma_of_t(s)
+    h = math.log(sg_s / sched.sigma_of_t(t))
+    _check_backward(s, t, h)
+    return h, (sched.time_of_sigma(sg_s * math.exp(-r * h)),) if stages == 2 else ()
+
+
 # -- one-step update rules ----------------------------------------------------
 
 
@@ -164,7 +210,7 @@ def np_move(sched, x_s, s, u, ch, f, stochastic, z=None):
 
 
 def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
-                   r1=1.0 / 3.0, r2=2.0 / 3.0):
+                   r1=1.0 / 3.0, r2=2.0 / 3.0, nodes=None):
     """Noise-prediction exponential step with 1, 2 or 3 stages (as many
     model evaluations).
 
@@ -174,19 +220,19 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     factor 1, no noise).  The two-stage node sits at lambda_s + c2 h; c2 = 1/2
     is the midpoint form whose noise combination is sqrt(e^{2h} - e^h) z1 +
     sqrt(e^h - 1) z2.  The three-stage nodes sit at lambda_s + r1 h and
-    lambda_s + r2 h.
+    lambda_s + r2 h.  ``nodes`` is ``np_stage_nodes`` at (s, t), when a plan
+    has it.
     """
     sto = draws is not None
-    var = SDE if sto else ODE
-    lam_s = sched.lambda_of_t(s, var)
-    h = sched.lambda_of_t(t, var) - lam_s
-    _check_backward(s, t, h)
+    if nodes is None:
+        nodes = np_stage_nodes(sched, s, t, sto, stages, c2, r1, r2)
+    h, times = nodes
     f_s = model.noise_pred(x_s, s)
     z1 = None if draws is None else draws[1]
     if stages == 1:
         return np_move(sched, x_s, s, t, h, f_s, sto, z1)
     if stages == 2:
-        s1 = sched.t_of_lambda(lam_s + c2 * h, var)
+        (s1,) = times
         u = np_move(sched, x_s, s, s1, c2 * h, f_s, sto, z1)
         f_mid = model.noise_pred(u, s1)
         x_t = (sched.np_trans(s, t, sto) * x_s + sched.np_gain(t, sto) * math.expm1(h)
@@ -199,10 +245,7 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
         rem = 2.0 * (1.0 - c2) * h
         full_noise = sqrt_exp_diff(2.0 * h, rem) * z1 + math.sqrt(math.expm1(rem)) * draws[2]
         return x_t + sched.np_noise(t) * full_noise
-    if stages != 3:
-        raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
-    s1 = sched.t_of_lambda(lam_s + r1 * h, var)
-    s2 = sched.t_of_lambda(lam_s + r2 * h, var)
+    s1, s2 = times
     u1 = np_move(sched, x_s, s, s1, r1 * h, f_s, sto)
     if draws is not None:
         n1, noise_a, noise_b = staged_noise_seeds3(
@@ -223,7 +266,8 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     return x_t if draws is None else x_t + noise_b
 
 
-def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=False):
+def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=False,
+                   nodes=None):
     """Data-prediction exponential step in lambda = -log sigma with 1 or 2
     stages (as many model evaluations).
 
@@ -232,12 +276,15 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=Fa
     two-stage node sits at sigma_s e^{-r h}; the final step weights D(x_s)
     and D(u) by 1 - 1/(2r) and 1/(2r), or with ``phi2`` adds the phi_2
     correction to the one-stage step (ve2_ode_b).  The two-stage form
-    assumes alpha == 1, which holds on VE and EDM, where the registry runs it.
+    assumes alpha_t = 1 and sigma_t = t, which hold on VE and EDM, where the
+    registry runs it.  ``nodes`` is ``dp_stage_nodes`` at (s, t), when a plan
+    has it.
     """
+    if nodes is None:
+        nodes = dp_stage_nodes(sched, s, t, draws is not None, stages, r)
+    h, times = nodes
     a_s, sg_s, sbar_s = sched.alpha_sigma(s)
     a_t, sg_t, sbar_t = sched.alpha_sigma(t)
-    h = math.log(sg_s / sg_t)
-    _check_backward(s, t, h)
 
     def one_stage(a_n, sg_n, sbar_n, h_n, d, z=None):  # from s to a node; noise needs z
         if draws is None:
@@ -249,11 +296,10 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=Fa
     d_s = model.data_pred(x_s, s)
     if stages == 1:
         return one_stage(a_t, sg_t, sbar_t, h, d_s, z1)
-    if stages != 2:
-        raise ConfigError(f"data-prediction stage count must be 1 or 2, got {stages!r}")
-    sg_1 = sg_s * math.exp(-r * h)   # alpha == 1: the node's sigma is its sigma_bar
+    (s1,) = times
+    sg_1 = s1   # sigma_t = t and alpha == 1: the node's time is its sigma and sigma_bar
     u = one_stage(1.0, sg_1, sg_1, r * h, d_s, z1)
-    d_u = model.data_pred(u, sched.time_of_sigma(sg_1))
+    d_u = model.data_pred(u, s1)
     if phi2:  # (e^{-h} - 1)/h + 1 == h phi_2(-h)
         return one_stage(a_t, sg_t, sbar_t, h, d_s) + (1.0 / r) * h * phi(2, -h) * (d_u - d_s)
     x_t = one_stage(a_t, sg_t, sbar_t, h, (1.0 - 0.5 / r) * d_s + (0.5 / r) * d_u)
@@ -265,15 +311,12 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=Fa
     return x_t + sbar_t * (carried * z1 + fresh * draws[2])
 
 
-def dpm4_step(model, sched, x_s, s, t):
-    """Five-stage deterministic exponential ODE step with nodes (1/2, 1/2, 1, 1/2)."""
-    lam_s = sched.lambda_of_t(s, ODE)
-    h = sched.lambda_of_t(t, ODE) - lam_s
-    _check_backward(s, t, h)
+def dpm4_step(model, sched, x_s, s, t, nodes=None):
+    """Five-stage deterministic exponential ODE step with nodes (1/2, 1/2, 1, 1/2);
+    ``nodes`` is ``dpm4_nodes`` at (s, t), when a plan has it."""
+    h, (s_mid, s4) = dpm4_nodes(sched, s, t) if nodes is None else nodes
     k1 = model.noise_pred(x_s, s)
     r = 0.5
-    s_mid = sched.t_of_lambda(lam_s + r * h, ODE)   # nodes s2 = s3 = s5
-    s4 = sched.t_of_lambda(lam_s + h, ODE)
     g_mid, g_t = sched.np_gain(s_mid, False), sched.np_gain(t, False)
     erh = math.expm1(r * h)
     eh = math.expm1(h)
@@ -347,24 +390,27 @@ def gddim_step(model, sched, x_s, s, t, draws):
     )
 
 
-def churn_inject(x, params: ChurnParams, sigma_t, n_steps, sched, noise):
-    """Lift the noise level by gamma = min(s_churn / M, sqrt(2) - 1).
-
-    Active only while sigma_t lies in [s_tmin, s_tmax]; returns the lifted
-    state and raised sigma (caller maps sigma back to a time).  Fresh noise
-    has standard deviation s_noise * sqrt(sigma'^2 - sigma_t^2), added in
-    unscaled coordinates.
-    """
+def churn_lift(params: ChurnParams, sigma_t, n_steps, sched):
+    """Node function of churn at noise level sigma_t: (sigma_t, sigma_hat,
+    time_of_sigma(sigma_hat)) with sigma_hat = sigma_t (1 + gamma) and gamma =
+    min(s_churn / M, sqrt(2) - 1); None while churn is off or sigma_t lies
+    outside [s_tmin, s_tmax]."""
     if params.s_churn == 0.0 or not params.s_tmin <= sigma_t <= params.s_tmax:
-        return x, sigma_t
+        return None
     gamma = min(params.s_churn / n_steps, _GAMMA_CAP)
     sigma_hat = sigma_t * (1.0 + gamma)
-    t_old = sched.time_of_sigma(sigma_t)
-    t_new = sched.time_of_sigma(sigma_hat)
-    a_old = sched.alpha_sigma(t_old)[0]
+    return sigma_t, sigma_hat, sched.time_of_sigma(sigma_hat)
+
+
+def churn_inject(x, params: ChurnParams, lift, sched, noise):
+    """Lift the state from sigma_t to sigma_hat, as ``churn_lift`` gives them: fresh
+    noise of standard deviation s_noise * sqrt(sigma_hat^2 - sigma_t^2), added in
+    unscaled coordinates."""
+    sigma_t, sigma_hat, t_new = lift
+    a_old = sched.alpha_sigma(sched.time_of_sigma(sigma_t))[0]
     a_new = sched.alpha_sigma(t_new)[0]
     extra = params.s_noise * math.sqrt(sigma_hat * sigma_hat - sigma_t * sigma_t)
-    return a_new * (x / a_old + extra * noise), sigma_hat
+    return a_new * (x / a_old + extra * noise)
 
 
 # -- the solver registry -------------------------------------------------------
@@ -424,12 +470,57 @@ FAMILIES = {
 }
 
 
-def step_once(spec: SolverSpec, model, sched, x, s, t, draws):
-    """One step of the spec's family in the spec's mode."""
+# the node function of each staged step: its time-only part, which a plan computes once
+NODES = {np_stages_step: np_stage_nodes, dp_stages_step: dp_stage_nodes, dpm4_step: dpm4_nodes}
+
+
+def step_once(spec: SolverSpec, model, sched, x, s, t, draws, nodes=None):
+    """One step of the spec's family in the spec's mode; ``nodes`` is the value of its
+    node function at (s, t) when a plan has it, and the step computes it otherwise."""
     form = FAMILIES[spec.family].forms[spec.mode]
-    if form.takes_draws:
-        return form.step(model, sched, x, s, t, draws, **spec.step_kwargs)
-    return form.step(model, sched, x, s, t, **spec.step_kwargs)
+    args = (model, sched, x, s, t, draws) if form.takes_draws else (model, sched, x, s, t)
+    if nodes is None:
+        return form.step(*args, **spec.step_kwargs)
+    return form.step(*args, nodes=nodes, **spec.step_kwargs)
+
+
+class StepPlan:
+    """The time-only work of one (spec, schedule, grid), done once before its walk.
+
+    ``rows[i - 1]`` belongs to real step i from t_{i-1} to t_i and holds
+    (t_i, lift, start, nodes): churn's ``churn_lift`` at t_{i-1} (None where
+    churn is off), the time the model is first evaluated at (t_{i-1}, or the
+    lifted time under churn), and the value of the form's node function at
+    (start, t_i), (h, stage-node times), or None for a step without one.
+    """
+
+    def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
+        form = FAMILIES[spec.family].forms[spec.mode]
+        node_fn = NODES.get(form.step)
+        rows = []
+        for i in range(1, grid.n_steps):
+            s, t = float(grid.times[i - 1]), float(grid.times[i])
+            lift = None if spec.churn is None else churn_lift(spec.churn, sched.sigma_of_t(s),
+                                                              grid.n_steps, sched)
+            # a lift too small to move sigma (1 + gamma == 1) keeps the grid time
+            start = s if lift is None or lift[1] == lift[0] else lift[2]
+            nodes = None if node_fn is None else node_fn(sched, start, t, form.takes_draws,
+                                                         **spec.step_kwargs)
+            rows.append((t, lift, start, nodes))
+        self.rows = tuple(rows)
+
+    def times(self) -> list:
+        """Every time the walk evaluates the model at, step by step."""
+        return [u for _, _, start, nodes in self.rows
+                for u in (start, *(nodes[1] if nodes else ()))]
+
+
+def prepare_model(model, times) -> None:
+    """Hand the model the times it is about to be evaluated at, if it takes them:
+    ``ScoreModel.prepare`` tabulates its time-only work.  The hook is optional."""
+    prepare = getattr(model, "prepare", None)
+    if prepare is not None:
+        prepare(times)
 
 
 def initial_state(sched, t0: float, stream, n_paths: int, d: int, offset: int = 0):
@@ -437,25 +528,20 @@ def initial_state(sched, t0: float, stream, n_paths: int, d: int, offset: int = 
     return sched.alpha_sigma(t0)[2] * stream.normal_paths(n_paths, 0, 0, d, offset=offset)
 
 
-def walk(model, sched, grid: StepGrid, spec: SolverSpec, stream, x, path_offset=0):
-    """Yield the (n, d) state after each real step i = 1..M-1, starting from x at t_0.
+def walk(model, sched, spec: SolverSpec, plan: StepPlan, stream, x, path_offset=0):
+    """Yield the (n, d) state after each real step of the plan, starting from x at t_0.
 
     Step i reads its draws keyed on (step i, stage) for paths path_offset..;
-    churn (if the spec has it) lifts the state from the stage-0 draw first.
-    A step that leaves a NaN or infinity raises DomainError naming step i
-    and its time.
+    where the plan lifts it, churn lifts the state from the stage-0 draw
+    first.  A step that leaves a NaN or infinity raises DomainError naming
+    step i and its time.
     """
-    times = grid.times
     n, d = x.shape
-    for i in range(1, grid.n_steps):
-        s, t = float(times[i - 1]), float(times[i])
+    for i, (t, lift, start, nodes) in enumerate(plan.rows, start=1):
         draws = StepDraws(stream, i, n, d, offset=path_offset)
-        if spec.churn is not None and spec.churn.s_churn > 0.0:
-            sigma_s = sched.sigma_of_t(s)
-            x, sigma_hat = churn_inject(x, spec.churn, sigma_s, grid.n_steps, sched, draws[0])
-            if sigma_hat != sigma_s:
-                s = sched.time_of_sigma(sigma_hat)
-        x = step_once(spec, model, sched, x, s, t, draws)
+        if lift is not None:
+            x = churn_inject(x, spec.churn, lift, sched, draws[0])
+        x = step_once(spec, model, sched, x, start, t, draws, nodes)
         if not np.isfinite(x).all():
             raise DomainError(f"non-finite state after step {i} at t={t!r}")
         yield x
@@ -478,8 +564,10 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
     Steps i = 1..M-1 apply the solver; the final interval is the trivial
     step (the state is carried over unchanged, no model call), so the total
     cost is evals_per_step * (M - 1) per path.  The initial state is
-    x_T ~ N(0, sigma_bar(t_0)^2 I) unless x0 is given.  A step that leaves a
-    non-finite state raises DomainError naming the step and its time.
+    x_T ~ N(0, sigma_bar(t_0)^2 I) unless x0 is given.  The grid's plan is
+    built after that draw and its evaluation times go to the model's
+    ``prepare`` hook, if it has one.  A step that leaves a non-finite state
+    raises DomainError naming the step and its time.
     """
     spec.validate_against(sched)
     times = grid.times
@@ -491,10 +579,12 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
         x = initial_state(sched, float(times[0]), stream, n_paths, d, offset=path_offset)
     else:
         x = np.array(x0, dtype=float).reshape(n_paths, d)
+    plan = StepPlan(spec, sched, grid)
+    prepare_model(model, plan.times())
     traj = np.empty((times.size, n_paths, d)) if record else None
     if record:
         traj[0] = x
-    for i, x in enumerate(walk(model, sched, grid, spec, stream, x, path_offset), start=1):
+    for i, x in enumerate(walk(model, sched, spec, plan, stream, x, path_offset), start=1):
         if record:
             traj[i] = x
     if record:

@@ -71,3 +71,18 @@ class NanFromModel:
 @pytest.fixture
 def nan_from_model():
     return NanFromModel
+
+
+@pytest.fixture
+def marginal_calls(monkeypatch):
+    """The times of every ``DataDistribution.marginal`` call from here on: a
+    ``ScoreModel`` evaluation at a time it has no table row for computes its
+    marginal there, one at a tabulated time reads the row."""
+    times, marginal = [], DataDistribution.marginal
+
+    def counting(self, sched, t):
+        times.append(t)
+        return marginal(self, sched, t)
+
+    monkeypatch.setattr(DataDistribution, "marginal", counting)
+    return times

@@ -252,3 +252,17 @@ def test_terminal_check_report_fields(vp, gauss_model):
     assert rep.target_mean.shape == (1,)
     assert rep.mean_se[0] > 0
     assert rep.skewness_se == pytest.approx(math.sqrt(6.0 / 20_000))
+
+
+def test_compare_and_strong_order_evaluate_from_the_table(vp, marginal_calls):
+    # per_step_compare prepares one table for both walks, strong_order one
+    # for its fine nodes; only the exact flow's terminal law at t_min
+    # computes a marginal
+    model = ScoreModel(DataDistribution.standard_normal(2), vp)
+    grid = linear_lambda_grid(20, vp.t_min, vp.t_max, vp)
+    churned = SolverSpec("seeds3", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
+    per_step_compare(churned, SolverSpec("dpm2"), model, vp, grid, RngStream(3))
+    assert marginal_calls == [] and model.nfe == 19 * (3 + 2)
+    strong_order(SolverSpec("seeds1"), model, vp, base_steps=2, refinements=3, n_paths=64,
+                 stream=RngStream(3), ref_extra=1)
+    assert set(marginal_calls) <= {vp.t_min}

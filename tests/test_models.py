@@ -11,6 +11,7 @@ from seeds_sde import (
     ScoreModel,
     SolverSpec,
     Ve,
+    VpCosine,
     VpLinear,
     linear_lambda_grid,
     sample,
@@ -325,3 +326,53 @@ def test_data_distribution_rejects_non_finite_parameters():
         DataDistribution(np.array([1.0]), np.array([[np.nan]]), np.ones((1, 1)))
     with pytest.raises(ConfigError, match="component 1: 'var' must be finite"):
         DataDistribution(np.array([0.5, 0.5]), np.zeros((2, 1)), np.array([[1.0], [np.inf]]))
+
+
+# -- the time table ------------------------------------------------------------
+
+_TABLE_SCHEDULES = {"vp": VpLinear(), "vp_cosine": VpCosine(), "ve": Ve(),
+                    "edm": Edm(sigma_data=0.5)}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_SCHEDULES))
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("d", [1, 3, 16])
+def test_prepared_table_gives_the_same_bytes(name, k, d):
+    # each network call and the score, at tabulated and other times, against
+    # a model without a table
+    sched = _TABLE_SCHEDULES[name]
+    rng = np.random.default_rng(100 * k + d)
+    w = rng.uniform(0.2, 1.0, k)
+    data = DataDistribution(w / w.sum(), rng.normal(0.0, 2.0, (k, d)),
+                            rng.uniform(0.3, 1.5, (k, d)))
+    plain, prepared = ScoreModel(data, sched), ScoreModel(data, sched)
+    planned = [float(t) for t in np.geomspace(sched.t_min, sched.t_max, 7)]
+    prepared.prepare(planned + planned[2:4])   # repeated times share a row
+    others = [0.5 * (planned[i] + planned[i + 1]) for i in (0, 3, 5)]
+    for n in (1, 7, 2048):
+        x = rng.normal(0.0, 3.0, (n, d))
+        for t in planned + [np.float64(planned[1]), np.array(planned[2])] + others:
+            for call in ("noise_pred", "data_pred", "score_from_model", "score"):
+                got, want = getattr(prepared, call)(x, t), getattr(plain, call)(x, t)
+                assert _same_bits(got, want), (call, n, t)
+
+
+def test_prepared_table_misses_only_other_times(vp, marginal_calls):
+    model = ScoreModel(DataDistribution.standard_normal(2), vp)
+    model.prepare([0.3, 0.5, 0.3])
+    x = np.ones((4, 2))
+    for t in (0.3, 0.5, 0.4):
+        model.noise_pred(x, t)
+        model.data_pred(x, t)
+        model.score_from_model(x, t)
+    assert marginal_calls == [0.4] * 3
+
+
+def test_a_second_prepare_replaces_the_table(vp, marginal_calls):
+    model = ScoreModel(DataDistribution.standard_normal(2), vp)
+    model.prepare([0.3, 0.5])
+    model.prepare([0.7])
+    x = np.ones((3, 2))
+    for t in (0.3, 0.5, 0.7):
+        model.noise_pred(x, t)
+    assert marginal_calls == [0.3, 0.5]

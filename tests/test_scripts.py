@@ -47,5 +47,8 @@ def test_oracle_bench_script_runs():
     proc = _run("oracle_bench.py", "--components", "1", "2", "--dims", "1", "3",
                 "--paths", "1", "16", "--repeats", "2", "--sample-ms", "1")
     assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.splitlines()[1:]
-    assert len(rows) == 8 and all(float(row.split()[-1]) > 0 for row in rows)
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["us/call", "prepared"]
+    assert len(rows) == 8
+    assert all(len(row.split()) == 5 and float(row.split()[3]) > 0 and float(row.split()[4]) > 0
+               for row in rows)

@@ -22,6 +22,7 @@ from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.solvers import (
     FAMILIES,
     churn_inject,
+    churn_lift,
     dp_stages_step,
     dpm4_step,
     euler_maruyama_step,
@@ -653,13 +654,11 @@ def test_two_stage_dp_same_bits_as_reference(name, r):
 
 def test_churn_identity_cases():
     sched = Edm(sigma_data=0.5)
-    x = np.ones(1)
     off = ChurnParams()
-    assert churn_inject(x, off, 3.0, 18, sched, np.ones(1))[1] == 3.0
+    assert churn_lift(off, 3.0, 18, sched) is None
     active = ChurnParams(s_churn=11.0, s_tmin=0.05, s_tmax=15.0, s_noise=1.003)
-    # outside [s_tmin, s_tmax]: unchanged
-    x2, sig = churn_inject(x, active, 40.0, 18, sched, np.ones(1))
-    assert sig == 40.0 and np.array_equal(x2, x)
+    # outside [s_tmin, s_tmax]: no lift, so the walk leaves the state unchanged
+    assert churn_lift(active, 40.0, 18, sched) is None
 
 
 def test_churn_lifts_noise_level():
@@ -668,7 +667,9 @@ def test_churn_lifts_noise_level():
     x = np.array([2.0])
     noise = np.array([1.0])
     n_steps = 18
-    x2, sig = churn_inject(x, params, 3.0, n_steps, sched, noise)
+    lift = churn_lift(params, 3.0, n_steps, sched)
+    x2, sig = churn_inject(x, params, lift, sched, noise), lift[1]
+    assert lift[2] == sched.time_of_sigma(sig)
     gamma = min(11.0 / n_steps, math.sqrt(2.0) - 1.0)
     assert sig == pytest.approx(3.0 * (1.0 + gamma), rel=1e-14)
     want = x + 1.003 * math.sqrt(sig**2 - 9.0) * noise
@@ -678,7 +679,7 @@ def test_churn_lifts_noise_level():
 def test_churn_gamma_cap():
     params = ChurnParams(s_churn=1000.0, s_tmin=0.0, s_tmax=math.inf, s_noise=1.0)
     sched = Edm(sigma_data=0.5)
-    _, sig = churn_inject(np.ones(1), params, 2.0, 10, sched, np.zeros(1))
+    _, sig, _ = churn_lift(params, 2.0, 10, sched)
     assert sig == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
 
@@ -705,6 +706,69 @@ def test_sampling_with_churn_runs_and_is_deterministic():
     b = sample(model, sched, grid, spec, RngStream(2), n_paths=16)
     assert np.array_equal(a.terminal, b.terminal)
     assert np.isfinite(a.terminal).all()
+
+
+# -- the step plan and the model's time table --------------------------------
+
+_PLAN_SCHEDULES = {"vp": VpLinear(), "ve": Ve(), "edm": Edm(sigma_data=0.5)}
+_CHURN = ChurnParams(s_churn=11.0, s_tmin=0.05, s_tmax=15.0, s_noise=1.003)
+_FORMS = [(fam, mode, name) for fam, desc in FAMILIES.items()
+          for mode, form in desc.forms.items() for name in form.schedules]
+
+
+@pytest.mark.parametrize("family, mode, name", _FORMS)
+@pytest.mark.parametrize("churn", [None, _CHURN], ids=["plain", "churn"])
+def test_sampling_reads_every_evaluation_from_the_table(family, mode, name, churn,
+                                                        marginal_calls):
+    # no evaluation misses the table: the plan's times are exactly the
+    # floats the steps evaluate at
+    sched = _PLAN_SCHEDULES[name]
+    model = ScoreModel(DataDistribution.standard_normal(2), sched)
+    grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
+    spec = SolverSpec(family, mode=mode, churn=churn)
+    sample(model, sched, grid, spec, RngStream(4), n_paths=3)
+    assert model.nfe == spec.evals_per_step * 11
+    assert marginal_calls == []
+
+
+class _NoHook:
+    """A model seen only through its network calls: it has no ``prepare``."""
+
+    def __init__(self, model):
+        self.model, self.dim = model, model.dim
+
+    def noise_pred(self, x, t):
+        return self.model.noise_pred(x, t)
+
+    def data_pred(self, x, t):
+        return self.model.data_pred(x, t)
+
+    def score_from_model(self, x, t):
+        return self.model.score_from_model(x, t)
+
+
+@pytest.mark.parametrize("family, name, churn", [
+    ("seeds3", "vp", None), ("euler_maruyama", "vp", None), ("dpm4", "edm", None),
+    ("ve2_sde", "ve", None), ("seeds2", "edm", _CHURN),
+])
+def test_models_without_the_hook_sample_and_compare_unchanged(family, name, churn,
+                                                              marginal_calls):
+    from seeds_sde import per_step_compare
+
+    sched = _PLAN_SCHEDULES[name]
+    data = DataDistribution(np.array([0.3, 0.7]), np.array([[1.0, -2.0], [-0.5, 0.5]]),
+                            np.array([[0.4, 1.0], [1.3, 0.2]]))
+    grid = linear_lambda_grid(15, sched.t_min, sched.t_max, sched)
+    spec, other = SolverSpec(family, churn=churn), SolverSpec("seeds1", mode="dp")
+    want = sample(ScoreModel(data, sched), sched, grid, spec, RngStream(5), n_paths=5)
+    want_cmp = per_step_compare(spec, other, ScoreModel(data, sched), sched, grid, RngStream(5))
+    assert marginal_calls == []
+    inner = ScoreModel(data, sched)
+    got = sample(_NoHook(inner), sched, grid, spec, RngStream(5), n_paths=5)
+    assert _same_bits(got.terminal, want.terminal)
+    assert per_step_compare(spec, other, _NoHook(inner), sched, grid, RngStream(5)) == want_cmp
+    # without the hook every evaluation computes its time-only terms
+    assert len(marginal_calls) == inner.nfe > 0
 
 
 # -- outer loop ----------------------------------------------------------------
