@@ -10,7 +10,7 @@ from .harness import (
     terminal_distribution_check,
     weak_order,
 )
-from .models import DataDistribution, ScoreModel, ZeroModel, zero_model
+from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
 from .phi import phi, sqrt_exp_diff
 from .schedules import Edm, Ve, VpCosine, VpLinear, make_schedule
@@ -45,7 +45,6 @@ __all__ = [
     "strong_order",
     "terminal_distribution_check",
     "weak_order",
-    "zero_model",
 ]
 
 __version__ = "0.1.0"

@@ -41,14 +41,9 @@ class OrderEstimate:
     excluded: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def summary(self) -> dict:
-        return {"slope": self.slope, "r2": self.r2, "slope_se": self.slope_se}
-
     def to_json(self) -> str:
-        def scrub(v):
-            return None if isinstance(v, float) and math.isnan(v) else v
-
-        payload = {k: scrub(v) for k, v in self.summary().items()}
+        payload = {k: None if math.isnan(v) else v for k, v in
+                   (("slope", self.slope), ("r2", self.r2), ("slope_se", self.slope_se))}
         payload.update({"kind": self.kind, "n_paths": self.n_paths,
                         "excluded": self.excluded, "notes": self.notes})
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -343,20 +338,9 @@ class MomentReport:
     mean_se: np.ndarray
     target_mean: np.ndarray
     cov_diag: np.ndarray
-    cov_diag_se: np.ndarray
     target_cov_diag: np.ndarray
     skewness: np.ndarray
     skewness_se: float
-
-    def mean_within(self, n_se: float) -> bool:
-        return bool(np.all(np.abs(self.mean - self.target_mean) <= n_se * self.mean_se))
-
-    def cov_within(self, rel_tol: float) -> bool:
-        return bool(np.all(np.abs(self.cov_diag - self.target_cov_diag)
-                           <= rel_tol * self.target_cov_diag))
-
-    def skew_within(self, n_se: float) -> bool:
-        return bool(np.all(np.abs(self.skewness) <= n_se * self.skewness_se))
 
 
 def terminal_distribution_check(spec: SolverSpec, model, sched, grid: StepGrid,
@@ -370,7 +354,6 @@ def terminal_distribution_check(spec: SolverSpec, model, sched, grid: StepGrid,
     mean_se = np.std(x, axis=0) / math.sqrt(n_paths)
     centered = x - mean
     cov_diag = _block_mean(centered * centered)
-    cov_diag_se = np.std(centered * centered, axis=0) / math.sqrt(n_paths)
     std = np.sqrt(cov_diag)
     skew = _block_mean(centered**3) / std**3
     return MomentReport(
@@ -379,7 +362,6 @@ def terminal_distribution_check(spec: SolverSpec, model, sched, grid: StepGrid,
         mean_se=mean_se,
         target_mean=oracle.mean(terminal_t),
         cov_diag=cov_diag,
-        cov_diag_se=cov_diag_se,
         target_cov_diag=oracle.var(terminal_t),
         skewness=skew,
         skewness_se=math.sqrt(6.0 / n_paths),

@@ -12,6 +12,8 @@ the same order, so it returns the same bytes, while its scratch memory is
 O(n (d + K)) for n states instead of O(n K d).  One exception: for d = 1
 and K >= 8 the broadcast form summed the K score terms in NumPy's pairwise
 order, and the loop sums them in order, so the last bit may differ there.
+With one component the responsibilities are exactly 1, so the score skips
+them, with the same bytes, unless some row's log density is not finite.
 """
 
 import math
@@ -23,9 +25,17 @@ from .errors import ConfigError, DomainError
 from .schedules import ScheduleBase
 
 
+MEAN_LIMIT = 0.5 * math.sqrt(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class DataDistribution:
-    """Axis-aligned Gaussian mixture: weights (K,), means (K, d), variances (K, d)."""
+    """Axis-aligned Gaussian mixture: weights (K,), means (K, d), variances (K, d).
+
+    The score squares x - mean_k at states near any other mean_j, and a square
+    overflows past sqrt(float max) ~ 1.34e154, so every |mean| must be below
+    ``MEAN_LIMIT`` = sqrt(float max) / 2 ~ 6.7e153.
+    """
 
     weights: np.ndarray
     means: np.ndarray
@@ -43,6 +53,11 @@ class DataDistribution:
             rows = np.flatnonzero(~np.isfinite(values).all(axis=1))
             if rows.size:
                 raise ConfigError(f"mixture component {rows[0]}: {key!r} must be finite")
+        rows = np.flatnonzero((np.abs(m) >= MEAN_LIMIT).any(axis=1))
+        if rows.size:
+            raise ConfigError(f"mixture component {rows[0]}: 'mean' must be below "
+                              f"sqrt(float max) / 2 = {MEAN_LIMIT:.3g} in magnitude, or "
+                              f"(x - mean)^2 overflows")
         if np.any(w <= 0):
             raise ConfigError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -184,6 +199,14 @@ class ScoreModel:
         shape = x.shape   # states of dimension d skip np.broadcast_shapes (about 3 us a call)
         if shape[-1:] != mu.shape[1:]:
             shape = np.broadcast_shapes(shape, mu.shape[1:])
+        elif mu.shape[0] == 1:
+            # one component: its responsibility is exactly 1 in every row whose
+            # log density is finite, and the score is -(0.0 + (x - mu) / cov)
+            diff = x - mu[0]
+            if np.isfinite(np.add.reduce(diff * diff / cov[0], axis=-1) + lognorm[0]).all():
+                diff /= cov[0]
+                diff += 0.0
+                return np.negative(diff, out=diff)
         tmp = np.empty(shape)
         # (..., K): quadratic forms, then log densities, then responsibilities
         resp = np.empty(tmp.shape[:-1] + mu.shape[:1])
@@ -281,7 +304,3 @@ class ZeroModel:
     def score_from_model(self, x, t):
         self.nfe += 1
         return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def zero_model(d: int, sched: ScheduleBase) -> ZeroModel:
-    return ZeroModel(d, sched)

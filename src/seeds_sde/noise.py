@@ -10,11 +10,12 @@ function of the key.
 
 Each ``RngStream`` holds one Philox generator for its seed and resets its
 counter (and output buffer) to the key before every block draw, which gives
-the same numbers as a generator built fresh for that key.  A block draw
-stops at the last row the caller reads: NumPy fills normals in order, so the
-first k rows of a keyed draw do not depend on how many rows follow.  The
-reset makes an ``RngStream`` stateful, so one stream must not be shared
-between threads; the package itself starts none.
+the same numbers as a generator built fresh for that key.  The reset writes
+a state dict of plain ints, which NumPy reads faster than uint64 arrays.  A
+block draw stops at the last row the caller reads: NumPy fills normals in
+order, so the first k rows of a keyed draw do not depend on how many rows
+follow.  The reset makes an ``RngStream`` stateful, so one stream must not be
+shared between threads; the package itself starts none.
 
 Stage index conventions used by the samplers:
   stage 0  churn noise (and the initial-state draw at step 0),
@@ -43,13 +44,18 @@ class RngStream:
             raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
         self._bitgen = np.random.Philox(key=self.seed)
         self._gen = np.random.Generator(self._bitgen)
-        # state of a just-built generator: counter 0, empty output buffer
+        # state of a just-built generator (counter 0, empty output buffer) in plain
+        # ints: the state setter reads them faster than uint64 arrays
         self._fresh = self._bitgen.state
+        self._counter = [0] * 4
+        self._fresh["state"] = {"counter": self._counter,
+                                "key": self._fresh["state"]["key"].tolist()}
+        self._fresh["buffer"] = self._fresh["buffer"].tolist()
 
     def _normal_block(self, block, step, stage, d, rows, out=None):
         """The first ``rows`` rows of the (block, step, stage) draw, shape (rows, d),
         written into ``out`` (a C-contiguous (rows, d) array) when given."""
-        self._fresh["state"]["counter"][1:] = (stage, step, block)
+        self._counter[1:] = (stage, step, block)
         self._bitgen.state = self._fresh
         return self._gen.standard_normal((rows, d), out=out)
 
@@ -108,21 +114,3 @@ def staged_noise_seeds3(z1, z2, z3, sbar_s1, sbar_s2, sbar_t, h, r1, r2):
     b = sbar_t * (c_outer * z1 + c_mid * z2 + c_inner * z3)
     return n1, a, b
 
-
-def correlated_pair(gen: np.random.Generator, h: float, size=None):
-    """Correlated pair (w_hat, z_hat) approximating (W_h, int_0^h W dt).
-
-    Lower-triangular construction from two unit normals:
-        w_hat = sqrt(h) u1
-        z_hat = (h sqrt(h)/2) u1 + (h sqrt(h)/(2 sqrt(3))) u2
-    giving covariance [[h, h^2/2], [h^2/2, h^3/3]].
-    """
-    if h <= 0.0:
-        raise DomainError("correlated pair needs h > 0")
-    shape = () if size is None else (size,)
-    u1 = gen.standard_normal(shape)
-    u2 = gen.standard_normal(shape)
-    rh = math.sqrt(h)
-    w = rh * u1
-    z = (h * rh / 2.0) * u1 + (h * rh / (2.0 * math.sqrt(3.0))) * u2
-    return w, z

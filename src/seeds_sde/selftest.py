@@ -10,7 +10,7 @@ import numpy as np
 
 from .grids import edm_grid, linear_lambda_grid
 from .harness import per_step_compare
-from .models import DataDistribution, ScoreModel, zero_model
+from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream, raw_increment_var, staged_noise_seeds3
 from .phi import phi
 from .schedules import Edm, VpLinear
@@ -80,7 +80,7 @@ def run_selftest(seed: int = 0) -> int:
     check("rng determinism", bool(np.array_equal(a, b)) and not np.allclose(a, c))
 
     # one-step exactness of the one-stage solver on the zero model
-    zm = zero_model(1, sched)
+    zm = ZeroModel(1, sched)
     x = np.array([[1.3]])
     s_t, t_t, u_t = 0.9, 0.3, 0.6
     one = np_stages_step(zm, sched, x, s_t, t_t, {1: np.zeros((1, 1))})

@@ -163,38 +163,49 @@ def _check_backward(s: float, t: float, h: float) -> None:
 # -- stage nodes: the time-only part of a step --------------------------------
 
 
-def lambda_nodes(sched, s, t, stochastic, fracs=()):
+def _levels(fn, s, t, levels=None):
+    """(fn(s), fn(t)), kept in ``levels`` (time -> fn(time)), which a plan shares across
+    its steps, so that t_i's value serves both steps that meet there."""
+    levels = {} if levels is None else levels
+    for u in (s, t):
+        if u not in levels:
+            levels[u] = fn(u)
+    return levels[s], levels[t]
+
+
+def lambda_nodes(sched, s, t, stochastic, fracs=(), levels=None):
     """The width h = lambda_t - lambda_s of a noise-prediction step, in the lambda of the
     reverse SDE (stochastic) or of the probability-flow ODE, and its stage nodes
-    t_of_lambda(lambda_s + c h) for c in fracs."""
+    t_of_lambda(lambda_s + c h) for c in fracs; ``levels`` caches lambda by time."""
     var = SDE if stochastic else ODE
-    lam_s = sched.lambda_of_t(s, var)
-    h = sched.lambda_of_t(t, var) - lam_s
+    lam_s, lam_t = _levels(lambda u: sched.lambda_of_t(u, var), s, t, levels)
+    h = lam_t - lam_s
     _check_backward(s, t, h)
     return h, tuple(sched.t_of_lambda(lam_s + c * h, var) for c in fracs)
 
 
-def np_stage_nodes(sched, s, t, stochastic, stages=1, c2=0.5, r1=1.0 / 3.0, r2=2.0 / 3.0):
+def np_stage_nodes(sched, s, t, stochastic, stages=1, c2=0.5, r1=1.0 / 3.0, r2=2.0 / 3.0,
+                   levels=None):
     """Node function of ``np_stages_step``: h and the node lambda_s + c2 h (two stages)
     or the nodes lambda_s + r1 h and lambda_s + r2 h (three)."""
     if stages not in (1, 2, 3):
         raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
-    return lambda_nodes(sched, s, t, stochastic, ((), (c2,), (r1, r2))[stages - 1])
+    return lambda_nodes(sched, s, t, stochastic, ((), (c2,), (r1, r2))[stages - 1], levels)
 
 
-def dpm4_nodes(sched, s, t, stochastic=False):
+def dpm4_nodes(sched, s, t, stochastic=False, levels=None):
     """Node function of ``dpm4_step``: h and the nodes lambda_s + h/2 (s2 = s3 = s5) and
     lambda_s + h (s4), in the ODE lambda."""
-    return lambda_nodes(sched, s, t, False, (0.5, 1.0))
+    return lambda_nodes(sched, s, t, False, (0.5, 1.0), levels)
 
 
-def dp_stage_nodes(sched, s, t, stochastic, stages=1, r=0.5, phi2=False):
+def dp_stage_nodes(sched, s, t, stochastic, stages=1, r=0.5, phi2=False, levels=None):
     """Node function of ``dp_stages_step``: h = log(sigma_s / sigma_t) and, with two
-    stages, the node time_of_sigma(sigma_s e^{-r h})."""
+    stages, the node time_of_sigma(sigma_s e^{-r h}); ``levels`` caches sigma by time."""
     if stages not in (1, 2):
         raise ConfigError(f"data-prediction stage count must be 1 or 2, got {stages!r}")
-    sg_s = sched.sigma_of_t(s)
-    h = math.log(sg_s / sched.sigma_of_t(t))
+    sg_s, sg_t = _levels(sched.sigma_of_t, s, t, levels)
+    h = math.log(sg_s / sg_t)
     _check_backward(s, t, h)
     return h, (sched.time_of_sigma(sg_s * math.exp(-r * h)),) if stages == 2 else ()
 
@@ -491,12 +502,14 @@ class StepPlan:
     (t_i, lift, start, nodes): churn's ``churn_lift`` at t_{i-1} (None where
     churn is off), the time the model is first evaluated at (t_{i-1}, or the
     lifted time under churn), and the value of the form's node function at
-    (start, t_i), (h, stage-node times), or None for a step without one.
+    (start, t_i), (h, stage-node times), or None for a step without one.  The node
+    function's lambda (sigma) at each time is computed once and shared by the rows.
     """
 
     def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
         form = FAMILIES[spec.family].forms[spec.mode]
         node_fn = NODES.get(form.step)
+        levels = {}   # each time's lambda (sigma) for the node function, computed once
         rows = []
         for i in range(1, grid.n_steps):
             s, t = float(grid.times[i - 1]), float(grid.times[i])
@@ -505,7 +518,7 @@ class StepPlan:
             # a lift too small to move sigma (1 + gamma == 1) keeps the grid time
             start = s if lift is None or lift[1] == lift[0] else lift[2]
             nodes = None if node_fn is None else node_fn(sched, start, t, form.takes_draws,
-                                                         **spec.step_kwargs)
+                                                         levels=levels, **spec.step_kwargs)
             rows.append((t, lift, start, nodes))
         self.rows = tuple(rows)
 
@@ -581,17 +594,13 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
         x = np.array(x0, dtype=float).reshape(n_paths, d)
     plan = StepPlan(spec, sched, grid)
     prepare_model(model, plan.times())
-    traj = np.empty((times.size, n_paths, d)) if record else None
-    if record:
-        traj[0] = x
-    for i, x in enumerate(walk(model, sched, spec, plan, stream, x, path_offset), start=1):
+    traj = [x]
+    for x in walk(model, sched, spec, plan, stream, x, path_offset):
         if record:
-            traj[i] = x
-    if record:
-        traj[-1] = x  # trivial last step
+            traj.append(x)
     return SampleResult(
         terminal=x,
         times=times.copy(),
         nfe_per_path=spec.evals_per_step * n_real,
-        trajectory=traj,
+        trajectory=np.stack(traj + [x]) if record else None,   # trivial last step: x again
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,39 @@ def marginal_calls(monkeypatch):
 
     monkeypatch.setattr(DataDistribution, "marginal", counting)
     return times
+
+
+def _correlated_pair(gen, h, size=None):
+    """Correlated pair (w_hat, z_hat) approximating (W_h, int_0^h W dt).
+
+    Lower-triangular construction from two unit normals:
+        w_hat = sqrt(h) u1
+        z_hat = (h sqrt(h)/2) u1 + (h sqrt(h)/(2 sqrt(3))) u2
+    giving covariance [[h, h^2/2], [h^2/2, h^3/3]].
+    """
+    assert h > 0.0, "correlated pair needs h > 0"
+    shape = () if size is None else (size,)
+    u1 = gen.standard_normal(shape)
+    u2 = gen.standard_normal(shape)
+    rh = math.sqrt(h)
+    w = rh * u1
+    z = (h * rh / 2.0) * u1 + (h * rh / (2.0 * math.sqrt(3.0))) * u2
+    return w, z
+
+
+@pytest.fixture
+def correlated_pair():
+    return _correlated_pair
+
+
+def _moments_within(rep, n_se, rel_tol):
+    """Whether a terminal ``MomentReport``'s mean sits within n_se standard errors of
+    its target and its covariance diagonal within rel_tol of its target."""
+    return bool(np.all(np.abs(rep.mean - rep.target_mean) <= n_se * rep.mean_se)
+                and np.all(np.abs(rep.cov_diag - rep.target_cov_diag)
+                           <= rel_tol * rep.target_cov_diag))
+
+
+@pytest.fixture
+def moments_within():
+    return _moments_within

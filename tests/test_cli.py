@@ -264,20 +264,34 @@ def test_sample_bad_mixture_exits_1(tmp_path, capsys, bad, words):
     assert not (out / "terminal.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_sample_non_finite_state_exits_1(tmp_path, monkeypatch, capsys, workers):
-    # the components' means are finite, but the score's weights overflow to nan
+def test_sample_non_finite_state_exits_1(tmp_path, monkeypatch, capsys, workers,
+                                         nan_from_model):
+    # every chunk's model returns NaN from its first noise prediction on
+    def build_model(cfg):
+        return nan_from_model(ScoreModel(DataDistribution.standard_normal(1), cfg.schedule), 1)
+
     monkeypatch.setattr(cli, "_CHUNK", 2)
+    monkeypatch.setattr(RunConfig, "build_model", build_model)
+    out = tmp_path / "x"
+    assert run(["sample", "--paths", "3", "--steps", "8", "--workers", workers,
+                "--out", str(out)]) == 1
+    err = _config_error(capsys)
+    assert "non-finite state after step 1 at t=" in err, err
+    assert not out.exists()
+
+
+def test_sample_huge_mixture_means_exit_1(tmp_path, capsys):
+    # finite means whose distance cannot be squared are a config error, not a failed run
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"model": {"kind": "gaussian_mixture", "components": [
         {"weight": 0.5, "mean": [1e200], "var": [1.0]},
         {"weight": 0.5, "mean": [-1e200], "var": [1.0]}]}}))
     out = tmp_path / "x"
     assert run(["sample", "--config", str(cfg_path), "--paths", "3", "--steps", "8",
-                "--workers", workers, "--out", str(out)]) == 1
+                "--out", str(out)]) == 1
     err = _config_error(capsys)
-    assert "non-finite state after step 1 at t=" in err, err
+    assert "mixture component 0: 'mean' must be below sqrt(float max) / 2" in err, err
     assert not out.exists()
 
 

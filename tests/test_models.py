@@ -13,9 +13,9 @@ from seeds_sde import (
     Ve,
     VpCosine,
     VpLinear,
+    ZeroModel,
     linear_lambda_grid,
     sample,
-    zero_model,
 )
 from seeds_sde.errors import ConfigError
 
@@ -130,6 +130,41 @@ def test_score_bits_equal_broadcast_form_on_extreme_rows(sched):
                     ref = _broadcast_score(model, x_in, t)
                     got = model.score(x_in, t)
                 assert _same_bits(got, ref)
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), Ve(), Edm()], ids=["vp", "ve", "edm"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_score_one_component_bits_at_the_overflow_boundary(sched, d):
+    # rows where (x - mu)^2 / cov sits a few ulps either side of float max, mixed
+    # with ordinary rows: the one-component form falls back exactly where the
+    # general form's log density stops being finite
+    rng = np.random.default_rng(40 + d)
+    big = np.finfo(float).max
+    for var_scale in (1.0, 1e-3, 1e3, 1e308):   # 1e308: 2 pi cov overflows the normaliser
+        data = DataDistribution(np.array([1.0]), rng.normal(0.0, 2.0, (1, d)),
+                                var_scale * rng.uniform(0.3, 1.5, (1, d)))
+        model = ScoreModel(data, sched)
+        for t in (sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max):
+            mu, cov = (v[0] for v in data.marginal(sched, t))
+            rows = [rng.normal(size=d) for _ in range(3)]
+            for edge in (np.sqrt(big) * np.sqrt(cov), np.full(d, np.sqrt(big))):
+                for ulps in range(-3, 4):
+                    dist = edge
+                    for _ in range(abs(ulps)):
+                        dist = np.nextafter(dist, np.inf if ulps > 0 else 0.0)
+                    for sign in (1.0, -1.0):
+                        rows.append(mu + sign * dist)
+                        rows.append(np.where(np.arange(d) == 0, mu + sign * dist, mu - 0.5))
+            x = np.array(rows)
+            with np.errstate(all="ignore"):
+                ref = _broadcast_score(model, x, t)
+                normaliser_finite = np.isfinite(np.log(2.0 * math.pi * cov)).all()
+                # the whole batch, each row alone and the rows with a finite score
+                finite_rows = np.isfinite(ref).all(axis=-1)
+                for x_in, want in ((x, ref), *zip(x, ref), (x[finite_rows], ref[finite_rows])):
+                    assert _same_bits(model.score(x_in, t), want)
+            # the batch straddles the boundary, unless the normaliser is not finite
+            assert not finite_rows.all() and finite_rows.any() == normaliser_finite
 
 
 def test_score_signed_zero_at_a_zero_mean(vp):
@@ -249,7 +284,7 @@ def test_posterior_mean_is_ideal_denoiser(vp):
 
 
 def test_zero_model_contract(vp):
-    zm = zero_model(2, vp)
+    zm = ZeroModel(2, vp)
     x = np.array([1.0, -2.0])
     assert np.all(zm.noise_pred(x, 0.5) == 0.0)
     a = vp.alpha_sigma(0.5)[0]
@@ -326,6 +361,20 @@ def test_data_distribution_rejects_non_finite_parameters():
         DataDistribution(np.array([1.0]), np.array([[np.nan]]), np.ones((1, 1)))
     with pytest.raises(ConfigError, match="component 1: 'var' must be finite"):
         DataDistribution(np.array([0.5, 0.5]), np.zeros((2, 1)), np.array([[1.0], [np.inf]]))
+
+
+def test_data_distribution_rejects_means_whose_distance_overflows():
+    limit = math.sqrt(np.finfo(float).max) / 2.0
+    with pytest.raises(ConfigError, match=r"component 1: 'mean' must be below sqrt\(float max\)"):
+        DataDistribution(np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, -limit]]),
+                         np.ones((2, 2)))
+    # just below the limit, a state at one mean still has a finite score under both
+    below = np.nextafter(limit, 0.0)
+    model = ScoreModel(DataDistribution(np.array([0.5, 0.5]), np.array([[below], [-below]]),
+                                        np.ones((2, 1))), Ve())
+    for t in (Ve().t_min, 1.0):
+        x = model.data.marginal(model.sched, t)[0]
+        assert np.all(np.isfinite(model.score(x, t)))
 
 
 # -- the time table ------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 import sympy
 from scipy import stats
 
-from seeds_sde import Edm, RngStream, SolverSpec, Ve, VpLinear, zero_model
+from seeds_sde import Edm, RngStream, SolverSpec, Ve, VpLinear, ZeroModel
 from seeds_sde.errors import ConfigError, GridError
-from seeds_sde.noise import correlated_pair, raw_increment_var, staged_noise_seeds3
+from seeds_sde.noise import BLOCK, raw_increment_var, staged_noise_seeds3
 from seeds_sde.solvers import np_stages_step, step_once
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -91,6 +91,21 @@ def test_draws_independent_of_call_order():
     assert np.array_equal(RngStream(2**100 + 1).normal_paths(1100, 3, 1, 2), first)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 + 5, 2**128 - 1])
+def test_draws_equal_a_generator_built_fresh_at_the_key(seed):
+    # the counter reset leaves nothing of the previous key: each draw follows
+    # one at another key and still matches Philox(key=seed, counter=[0, stage, step, block])
+    stream = RngStream(seed)
+    keys = [(0, 0, 0), (1, 3, 2), (3, 2**50, 5), (2, 7, 2**50), (1, 2**50, 2**50), (0, 0, 0)]
+    for rows in (1, 7, 1024):
+        for d in (1, 16):
+            for stage, step, block in keys:
+                got = stream.normal_paths(rows, step, stage, d, offset=block * BLOCK)
+                fresh = np.random.Generator(np.random.Philox(
+                    key=seed, counter=[0, stage, step, block]))
+                assert np.array_equal(got, fresh.standard_normal((rows, d)))
+
+
 def test_seed_out_of_range_rejected():
     for seed in (-1, 2**128):
         with pytest.raises(ConfigError):
@@ -111,7 +126,7 @@ def test_gauss_moments_and_ks():
 def _unit_draw_increment(sched, mode, s, t):
     """The noise term of one seeds1 step in ``mode`` at z = 1: the step of the
     zero model from x = 0."""
-    x_t = step_once(SolverSpec("seeds1", mode=mode), zero_model(1, sched), sched,
+    x_t = step_once(SolverSpec("seeds1", mode=mode), ZeroModel(1, sched), sched,
                     np.zeros((1, 1)), s, t, {1: np.ones((1, 1))})
     return float(x_t[0, 0])
 
@@ -262,14 +277,14 @@ def test_chasles_halves_sum_exactly():
 # -- correlated pair -----------------------------------------------------------
 
 
-def test_correlated_pair_unit_basis():
+def test_correlated_pair_unit_basis(correlated_pair):
     h = 0.37
     w, z = correlated_pair(FixedGen(normals=[1.0, 0.0]), h)
     assert w == pytest.approx(math.sqrt(h), rel=1e-15)
     assert z == pytest.approx(h * math.sqrt(h) / 2.0, rel=1e-15)
 
 
-def test_correlated_pair_covariance():
+def test_correlated_pair_covariance(correlated_pair):
     h, n = 0.2, 1_000_000
     gen = np.random.Generator(np.random.Philox(key=23))
     w, z = correlated_pair(gen, h, size=n)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seeds_sde import (DataDistribution, DomainError, Edm, ScoreModel, Ve, VpCosine, VpLinear,
-                       make_schedule, zero_model)
+                       ZeroModel, make_schedule)
 from seeds_sde.errors import ConfigError
 from seeds_sde.solvers import exp_euler_step
 
@@ -162,7 +162,7 @@ def test_ve_has_no_np_coefficients():
         with pytest.raises(ConfigError, match="not defined for schedule family 've'"):
             call()
     with pytest.raises(ConfigError):
-        exp_euler_step(zero_model(1, ve), ve, np.zeros(1), 2.0, 1.0, "etd")
+        exp_euler_step(ZeroModel(1, ve), ve, np.zeros(1), 2.0, 1.0, "etd")
 
 
 def test_drift_and_diffusion_match_finite_differences():

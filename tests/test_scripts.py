@@ -4,6 +4,7 @@ Each script imports the ``SolverSpec`` API and builds specs from its own
 flags, so a change to that API shows up here first.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -52,3 +53,21 @@ def test_oracle_bench_script_runs():
     assert len(rows) == 8
     assert all(len(row.split()) == 5 and float(row.split()[3]) > 0 and float(row.split()[4]) > 0
                for row in rows)
+
+
+def test_bench_record_script_runs(tmp_path):
+    (tmp_path / "BENCH_2.json").write_text("{}")
+    proc = _run("bench_record.py", "--workloads", "sample-mixture", "--seeds", "3", "4",
+                "--seconds", "0", "--smoke", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    with open(tmp_path / "BENCH_3.json") as fh:   # one past the highest number there
+        record = json.load(fh)
+    assert [(r["workload"], r["seed"]) for r in record["results"]] == [
+        ("sample-mixture", 3), ("sample-mixture", 4)]
+    assert all(r["result"]["correct"] and r["result"]["failed"] == 0 for r in record["results"])
+    rate = record["summary"]["sample-mixture"]["path_steps_per_s"]
+    values = sorted(r["result"]["metrics"]["path_steps_per_s"]["value"]
+                    for r in record["results"])
+    assert values[0] <= rate["q1"] <= rate["median"] <= rate["q3"] <= values[1]
+    assert rate["median"] == sum(values) / 2 and rate["unit"] == "1/s"
+    assert len(record["commit"]) >= 40 and record["numpy"] and record["python"]

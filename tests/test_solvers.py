@@ -14,13 +14,16 @@ from seeds_sde import (
     Ve,
     VpCosine,
     VpLinear,
+    ZeroModel,
     linear_lambda_grid,
     sample,
-    zero_model,
 )
 from seeds_sde.errors import ConfigError, DomainError, GridError
+from seeds_sde.schedules import ScheduleBase
 from seeds_sde.solvers import (
     FAMILIES,
+    NODES,
+    StepPlan,
     churn_inject,
     churn_lift,
     dp_stages_step,
@@ -120,7 +123,7 @@ def gaussian_f_mp(mp_sched):
 
 
 def test_seeds1_zero_model_linear_transition(vp):
-    zm = zero_model(1, vp)
+    zm = ZeroModel(1, vp)
     x = np.array([1.7])
     s, t = 0.8, 0.3
     out = np_stages_step(zm, vp, x, s, t, D0)
@@ -193,7 +196,7 @@ def test_seeds2_general_c2_noise_is_coupled(vp, gauss_model):
     h = lam(t) - lam(s)
     s1 = vp.t_of_lambda(lam(s) + c2 * h)
     # zero model removes the F(u)-mediated part: pure noise algebra remains
-    zm = zero_model(1, vp)
+    zm = ZeroModel(1, vp)
     base0 = np_stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.zeros(1)},
                            stages=2, c2=c2)
     kick0 = np_stages_step(zm, vp, x, s, t, {1: np.ones(1), 2: np.zeros(1)},
@@ -227,7 +230,7 @@ def test_seeds3_matches_line_by_line_oracle(vp, gauss_model):
 
 
 def test_multi_stage_zero_model_linear(vp):
-    zm = zero_model(1, vp)
+    zm = ZeroModel(1, vp)
     x = np.array([2.0])
     s, t = 0.75, 0.3
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
@@ -386,7 +389,7 @@ def test_euler_maruyama_zero_diffusion_reduces_to_explicit_euler(gauss_model):
 def test_exp_euler_variants(vp, gauss_model, constant_model):
     x = np.array([1.2])
     s, t = 0.7, 0.5
-    zm = zero_model(1, vp)
+    zm = ZeroModel(1, vp)
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     assert np.allclose(exp_euler_step(zm, vp, x, s, t, "etd"), a_ratio * x, rtol=1e-14)
     assert np.allclose(exp_euler_step(zm, vp, x, s, t, "lawson"), a_ratio * x, rtol=1e-14)
@@ -731,6 +734,59 @@ def test_sampling_reads_every_evaluation_from_the_table(family, mode, name, chur
     assert marginal_calls == []
 
 
+@pytest.fixture
+def level_calls(monkeypatch):
+    """The times of every lambda_of_t and sigma_of_t call from here on, by name."""
+    calls = {"lambda_of_t": [], "sigma_of_t": []}
+    for name, times in calls.items():
+        def counting(self, t, *args, _fn=getattr(ScheduleBase, name), _times=times):
+            _times.append(t)
+            return _fn(self, t, *args)
+
+        monkeypatch.setattr(ScheduleBase, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("family, mode, name, level", [
+    ("seeds1", "np", "vp", "lambda_of_t"), ("dpm4", "np", "edm", "lambda_of_t"),
+    ("seeds1", "dp", "vp", "sigma_of_t"), ("ve2_sde", "dp", "ve", "sigma_of_t"),
+])
+def test_plan_computes_each_grid_level_once(family, mode, name, level, level_calls):
+    sched = _PLAN_SCHEDULES[name]
+    grid = linear_lambda_grid(1001, sched.t_min, sched.t_max, sched)
+    level_calls[level].clear()
+    plan = StepPlan(SolverSpec(family, mode=mode), sched, grid)
+    # one per grid time the rows touch, not one at each end of every row
+    assert len(plan.rows) == 1000 and len(level_calls[level]) == 1001
+
+
+def test_plan_with_churn_adds_a_lambda_only_on_lifted_steps(level_calls):
+    sched = _PLAN_SCHEDULES["edm"]
+    grid = linear_lambda_grid(1001, sched.t_min, sched.t_max, sched)
+    level_calls["lambda_of_t"].clear()
+    plan = StepPlan(SolverSpec("seeds3", churn=_CHURN), sched, grid)
+    # a row reuses the previous row's lambda_t as its lambda_s unless churn moved its start
+    fresh_starts = sum(i == 0 or start != plan.rows[i - 1][0]
+                       for i, (_, _, start, _) in enumerate(plan.rows))
+    assert 1 < fresh_starts < len(plan.rows)
+    assert len(level_calls["lambda_of_t"]) == len(plan.rows) + fresh_starts
+
+
+@pytest.mark.parametrize("family, mode, name, churn", [
+    ("seeds1", "np", "vp", None), ("seeds2", "np", "edm", _CHURN), ("seeds3", "np", "vp", None),
+    ("dpm3", "np", "edm", None), ("dpm4", "np", "vp", None), ("seeds1", "dp", "ve", _CHURN),
+    ("ve2_ode_b", "dp", "edm", None), ("ve2_sde", "dp", "ve", None),
+])
+def test_plan_nodes_equal_the_node_function_called_alone(family, mode, name, churn):
+    # the shared levels are the values each row would compute itself: none is stale
+    sched = _PLAN_SCHEDULES[name]
+    grid = linear_lambda_grid(40, sched.t_min, sched.t_max, sched)
+    spec = SolverSpec(family, mode=mode, churn=churn)
+    form = FAMILIES[family].forms[spec.mode]
+    for t, _, start, nodes in StepPlan(spec, sched, grid).rows:
+        assert nodes == NODES[form.step](sched, start, t, form.takes_draws, **spec.step_kwargs)
+
+
 class _NoHook:
     """A model seen only through its network calls: it has no ``prepare``."""
 
@@ -784,7 +840,7 @@ def test_sample_minimal_grid_single_eval(vp, gauss_model):
 
 
 def test_sample_zero_model_terminal_mean(vp):
-    zm = zero_model(1, vp)
+    zm = ZeroModel(1, vp)
     grid = linear_lambda_grid(9, vp.t_min, vp.t_max, vp)
     x0 = np.full((64, 1), 1.9)
     res = sample(zm, vp, grid, SolverSpec("seeds1"), RngStream(1), n_paths=64, x0=x0,
