@@ -225,20 +225,13 @@ def main(argv=None) -> int:
 
             return run_selftest(args.seed)
         if args.command == "compare":
-            ov = _overrides(args)
-            ov_a = dict(ov)
-            ov_b = dict(ov)
-            if args.solver_a:
-                ov_a["solver"] = args.solver_a
-            if args.solver_b:
-                ov_b["solver"] = args.solver_b
-            if args.mode_a:
-                ov_a["mode"] = args.mode_a
-            if args.mode_b:
-                ov_b["mode"] = args.mode_b
-            cfg_a = load_config(args.config_a or args.config, ov_a)
-            cfg_b = load_config(args.config_b or args.config, ov_b)
-            return cmd_compare(cfg_a, cfg_b)
+            cfgs = []
+            for side in ("a", "b"):   # --solver-X, --mode-X, --config-X over the shared flags
+                ov = _overrides(args)
+                for key in ("solver", "mode"):
+                    ov[key] = getattr(args, f"{key}_{side}") or ov[key]
+                cfgs.append(load_config(getattr(args, f"config_{side}") or args.config, ov))
+            return cmd_compare(*cfgs)
         ov = _overrides(args)
         cfg = load_config(args.config, ov)
         if args.command == "sample":

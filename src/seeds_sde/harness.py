@@ -3,9 +3,10 @@
 Strong order is measured by coupled refinement: all grid levels share one
 Brownian path per trajectory, realized as fine-level weighted increments
 whose group sums give the coarse-level increments, and the finest level
-serves as the reference solution.  One pass over the fine steps advances
-every level together, holding only a window of the last ``ratio``
-increments (one coarsest step), never the whole fine path.  Weak order
+serves as the reference solution.  Each level is a ``walk`` over its own
+``StepPlan``, the steps ``sample`` runs, and one pass over the fine steps
+moves every level, holding a window of the last ``ratio`` increments
+(one coarsest step), never the whole fine path.  Weak order
 compares terminal moments against the closed-form Gaussian flow.  Moment
 reductions are done block by block (fixed 1024-path blocks) so results do
 not depend on how paths are partitioned across workers.
@@ -18,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grids import StepGrid
+from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
 from .schedules import SDE
-from .solvers import SolverSpec, StepPlan, initial_state, np_move, prepare_model, sample, walk
+from .solvers import SolverSpec, StepPlan, initial_state, prepare_model, sample, walk
 
 
 @dataclass
@@ -151,15 +152,18 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     """Coupled-refinement strong-order estimate for the one-stage solver.
 
     Builds ``refinements`` nested uniform-lambda grids by halving, plus a
-    reference level ``ref_extra`` further halvings down.  One pass over the
-    fine steps advances the reference and every level together: a window
-    holds the last ``ratio`` fine weighted increments (one level-0 step),
-    and a level steps on the sum of its slice of the window whenever its
-    stride divides the fine step count.  The error at a level is
-    sqrt(E[sup over its nodes |x - reference|^2]) over [t_min, t_max].
+    reference level ``ref_extra`` further halvings down, each walked by
+    ``walk`` on its own ``StepPlan`` from one initial state.  One pass over
+    the fine steps moves the reference and every level together: the
+    reference's draws fill a window of the last ``ratio`` fine increments
+    (one level-0 step), and a level steps on its slice of the window
+    whenever its stride divides the fine step count.  The error at a level
+    is sqrt(E[sup over its nodes |x - reference|^2]) over [t_min, t_max].
     """
     if spec.family != "seeds1" or spec.mode != "np":
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
+    if spec.churn is not None:
+        raise ConfigError("strong order takes no churn: its noise is off the coupled Brownian path")
     if refinements < 3:
         raise ConfigError("need at least 3 refinement levels")
     if base_steps < 1:
@@ -168,45 +172,29 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
         raise ConfigError("reference must sit at least one halving below the finest level")
     spec.validate_against(sched)
     eps_end, t_top = sched.t_min, sched.t_max
-    lam0, lam1 = sched.lambda_of_t(t_top, SDE), sched.lambda_of_t(eps_end, SDE)
 
     n_levels = refinements          # measured levels 0..refinements-1
     ratio = 2 ** (n_levels - 1 + ref_extra)   # fine steps per level-0 step
     m_fine = base_steps * ratio
-    lam_fine = np.linspace(lam0, lam1, m_fine + 1)
-    t_fine = [t_top] + [sched.t_of_lambda(float(l), SDE) for l in lam_fine[1:-1]] + [eps_end]
+    t_fine = linear_lambda_grid(m_fine, eps_end, t_top, sched).times
+    lams = [sched.lambda_of_t(float(t), SDE) for t in t_fine]
 
-    def advance(x, a, b, w):
-        """seeds1 step from fine node a to fine node b: the solvers' move, plus
-        the coupled raw weighted increment w as sqrt(2) np_noise(t) e^{lambda_t} w."""
-        t_a, t_b, lam_a, lam_b = t_fine[a], t_fine[b], lam_fine[a], lam_fine[b]
-        f_val = model.noise_pred(x, t_a)
-        return (np_move(sched, x, t_a, t_b, lam_b - lam_a, f_val, True)
-                + math.sqrt(2.0) * sched.np_noise(t_b) * math.exp(float(lam_b)) * w)
-
-    d = model.dim
     sup_sq = np.zeros((n_levels, n_paths))
-    ref = initial_state(sched, t_top, stream, n_paths, d)
+    x0 = initial_state(sched, t_top, stream, n_paths, model.dim)
     prepare_model(model, t_fine[:-1])   # every level evaluates at fine nodes
-    xs = [ref] * n_levels
-    window = np.empty((ratio, n_paths, d))
-    for j in range(m_fine):
-        k = j % ratio
-        # fine increment j, drawn with its keyed substream
-        std = math.sqrt(raw_increment_var(lam_fine[j], lam_fine[j + 1]))
-        window[k] = std * stream.normal_paths(n_paths, j + 1, 0, d)
-        ref = advance(ref, j, j + 1, window[k])
+    window = np.empty((ratio, *x0.shape))
+    strides = [1] + [ratio >> lvl for lvl in range(n_levels)]   # the reference first
+    # the sentinel 0 makes t_min the end of each level's last real step
+    walks = [walk(model, sched, spec, StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))),
+                  _CoupledStream(stream, lams, window, k), x0) for k in strides]
+    for j in range(1, m_fine + 1):
+        ref = next(walks[0])
         for lvl in range(n_levels):
-            stride = ratio >> lvl
-            if (j + 1) % stride == 0:
-                # the same slice shape as the level's run of the stacked fine
-                # increments, so NumPy sums it in the same order
-                w_sum = window[k + 1 - stride : k + 1].sum(axis=0)
-                xs[lvl] = advance(xs[lvl], j + 1 - stride, j + 1, w_sum)
-                diff = xs[lvl] - ref
+            if j % strides[lvl + 1] == 0:
+                diff = next(walks[lvl + 1]) - ref
                 sup_sq[lvl] = np.maximum(sup_sq[lvl], np.sum(diff * diff, axis=-1))
 
-    hs = [(lam1 - lam0) / (base_steps * 2**lvl) for lvl in range(n_levels)]
+    hs = [(lams[-1] - lams[0]) / (base_steps * 2**lvl) for lvl in range(n_levels)]
     errors, ses = [], []
     for lvl in range(n_levels):
         mean_sq = float(_block_mean(sup_sq[lvl]))
@@ -301,6 +289,27 @@ class _ZeroStream:
 
     def normal_paths(self, n: int, step: int, stage: int, d: int, offset: int = 0):
         return np.zeros((n, d))
+
+
+class _CoupledStream:
+    """Stands in for the stream at one coupled level.  At stride 1 (the reference) step
+    j returns fine increment j's unit draw, keyed on (step j, stage 0), and keeps its raw
+    weighted increment sqrt(raw_increment_var) z in the shared window; at stride k a
+    step's draw is the sum of its k window increments over their standard deviation."""
+
+    def __init__(self, stream, lams, window, stride: int):
+        self.stream, self.lams, self.window, self.stride = stream, lams, window, stride
+
+    def normal_paths(self, n: int, step: int, stage: int, d: int, offset: int = 0):
+        end = step * self.stride   # the fine node the step ends at
+        std = math.sqrt(raw_increment_var(self.lams[end - self.stride], self.lams[end]))
+        k = (end - 1) % len(self.window) + 1   # the window slot after the step's last increment
+        if self.stride == 1:
+            z = self.stream.normal_paths(n, step, 0, d, offset)
+            self.window[k - 1] = std * z
+            return z
+        # the slice shape of the level's stacked fine increments: NumPy sums in that order
+        return self.window[k - self.stride : k].sum(axis=0) / std
 
 
 def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,

@@ -41,8 +41,8 @@ Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
 signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
 ``np_noise``, in the lambda variant ``SDE`` (stochastic) or ``ODE``
 (probability flow); ``np_move`` is their first-order move, shared by the
-stage routine, dpm4 and the harness's strong-order drift.  Data-prediction
-steps use lambda = -log sigma directly.
+stage routine and dpm4.  Data-prediction steps use lambda = -log sigma
+directly.
 """
 
 import math
@@ -571,27 +571,23 @@ class SampleResult:
 
 
 def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
-           x0=None, path_offset=0, record=False) -> SampleResult:
+           path_offset=0, record=False) -> SampleResult:
     """Run the iterative procedure over the grid for a batch of trajectories.
 
     Steps i = 1..M-1 apply the solver; the final interval is the trivial
     step (the state is carried over unchanged, no model call), so the total
     cost is evals_per_step * (M - 1) per path.  The initial state is
-    x_T ~ N(0, sigma_bar(t_0)^2 I) unless x0 is given.  The grid's plan is
-    built after that draw and its evaluation times go to the model's
-    ``prepare`` hook, if it has one.  A step that leaves a non-finite state
-    raises DomainError naming the step and its time.
+    x_T ~ N(0, sigma_bar(t_0)^2 I) (``walk`` starts from a given state).  The
+    grid's plan is built after that draw and its evaluation times go to the
+    model's ``prepare`` hook, if it has one.  A step that leaves a non-finite
+    state raises DomainError naming the step and its time.
     """
     spec.validate_against(sched)
     times = grid.times
     n_real = grid.n_steps - 1
     if n_real < 1:
         raise GridError("grid needs at least one real step (M >= 2)")
-    d = model.dim
-    if x0 is None:
-        x = initial_state(sched, float(times[0]), stream, n_paths, d, offset=path_offset)
-    else:
-        x = np.array(x0, dtype=float).reshape(n_paths, d)
+    x = initial_state(sched, float(times[0]), stream, n_paths, model.dim, offset=path_offset)
     plan = StepPlan(spec, sched, grid)
     prepare_model(model, plan.times())
     traj = [x]

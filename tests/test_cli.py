@@ -360,6 +360,31 @@ def test_order_strong_rejects_other_families(tmp_path, capsys):
     assert "one-stage" in capsys.readouterr().err
 
 
+def test_order_strong_rejects_churn(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"solver": {"family": "seeds1", "churn": {"s_churn": 4.0}},
+                               "order": {"base_steps": 4, "refinements": 3}}))
+    out = tmp_path / "o"
+    assert run(["order", "strong", "--config", str(cfg), "--paths", "20",
+                "--out", str(out)]) == 1
+    assert "churn" in _config_error(capsys)
+    assert not out.exists()
+
+
+def test_order_strong_non_finite_state_exits_1(tmp_path, monkeypatch, capsys, nan_from_model):
+    def build_model(cfg):
+        return nan_from_model(ScoreModel(DataDistribution.standard_normal(1), cfg.schedule), 1)
+
+    monkeypatch.setattr(RunConfig, "build_model", build_model)
+    out = tmp_path / "o"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": {"base_steps": 4, "refinements": 3}}))
+    assert run(["order", "strong", "--config", str(cfg), "--solver", "seeds1", "--paths", "20",
+                "--seed", "3", "--out", str(out)]) == 1
+    assert "non-finite state after step 1 at t=" in _config_error(capsys)
+    assert not out.exists()
+
+
 def test_order_weak_runs_small(tmp_path):
     cfg = {"order": {"steps_list": [5, 7, 10]}, "paths": 2000}
     cfg_path = tmp_path / "cfg.json"

@@ -12,6 +12,8 @@ from seeds_sde import (
     RngStream,
     ScoreModel,
     SolverSpec,
+    VpCosine,
+    VpLinear,
     ZeroModel,
     edm_grid,
     linear_lambda_grid,
@@ -20,6 +22,7 @@ from seeds_sde import (
     terminal_distribution_check,
     weak_order,
 )
+from seeds_sde import solvers
 from seeds_sde.errors import ConfigError, DomainError
 from seeds_sde.harness import fit_loglog
 from seeds_sde.noise import raw_increment_var
@@ -63,12 +66,36 @@ def test_strong_order_requires_seeds1(vp, gauss_model):
         strong_order(SolverSpec("seeds1"), gauss_model, vp, 8, 2, 100, RngStream(0))
 
 
-def test_strong_order_zero_model_reported_exact(vp):
-    zm = ZeroModel(1, vp)
-    est = strong_order(SolverSpec("seeds1"), zm, vp, 4, 3, 200, RngStream(1))
+def test_strong_order_rejects_churn(vp, gauss_model):
+    churned = SolverSpec("seeds1", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
+    with pytest.raises(ConfigError, match="churn"):
+        strong_order(churned, gauss_model, vp, 4, 3, 10, RngStream(0))
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), VpCosine(), Edm()], ids=["vp", "vp_cosine", "edm"])
+def test_strong_order_zero_model_reported_exact(sched):
+    # the zero model makes the one-stage step exact, so every level lands on
+    # the reference only if each coupled draw is normalised to its step
+    zm = ZeroModel(2, sched)
+    est = strong_order(SolverSpec("seeds1"), zm, sched, 4, 3, 200, RngStream(1))
     assert max(est.errors) < 1e-12
     assert math.isnan(est.slope)
     assert any("exact" in n for n in est.notes)
+
+
+def test_strong_order_steps_and_nfe(vp, monkeypatch):
+    # base 4, 3 refinements, reference 2 halvings down: 64 fine steps plus
+    # 4 + 8 + 16 level steps, one evaluation each
+    calls, step_once = [], solvers.step_once
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return step_once(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "step_once", counting)
+    zm = ZeroModel(1, vp)
+    strong_order(SolverSpec("seeds1"), zm, vp, 4, 3, 20, RngStream(1))
+    assert len(calls) == zm.nfe == 64 + 4 + 8 + 16 == 92
 
 
 def test_strong_order_small_run_sane(vp, gauss_model):
