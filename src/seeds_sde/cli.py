@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: sample, order, compare, grid, selftest.  Exit codes: 0 success,
-1 configuration error, 2 acceptance failure.  All outputs are deterministic
+Subcommands: sample, order, compare, grid, selftest; each takes only the
+flags it reads.  Exit codes: 0 success, 1 configuration error (a usage error
+included), 2 acceptance failure.  All outputs are deterministic
 functions of (config, seed) and do not depend on the worker count: paths are
 partitioned into fixed 8192-path chunks whose draws are keyed by absolute
 path index.  Each chunk formats its own rows of terminal.csv (and, with
@@ -168,81 +169,73 @@ def cmd_grid(cfg: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 1); exit 2 means a failed check."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+_MODES = ["np", "dp"]
+# every flag by destination, spelled --dest with "-" for "_"; a flag not given
+# reads None (a switch False), and the config file's value (or its default) stands
+_FLAGS = {
+    "config": dict(help="JSON config file"), "solver": {}, "schedule": {}, "out": {},
+    "seed": dict(type=int), "paths": dict(type=int), "steps": dict(type=int),
+    "workers": dict(type=int), "threshold": dict(type=float), "mode": dict(choices=_MODES),
+    "save_trajectories": dict(action="store_true"),
+    "config_a": {}, "config_b": {}, "solver_a": {}, "solver_b": {},
+    "mode_a": dict(choices=_MODES), "mode_b": dict(choices=_MODES),
+    "grid_kind": dict(choices=["linear_lambda", "edm"]),
+}
+
+# each subcommand with its help and the flags it reads, and no others
+_COMMANDS = {
+    "sample": ("sample trajectories, write terminal CSV",
+               "config seed paths steps solver schedule mode out workers save_trajectories"),
+    "order": ("estimate a convergence order", "config seed paths solver schedule mode out"),
+    "compare": ("per-step comparison of two solvers",
+                "config seed steps solver schedule mode threshold "
+                "config_a config_b solver_a solver_b mode_a mode_b"),
+    "grid": ("print a grid", "config steps schedule grid_kind"),
+    "selftest": ("run the built-in invariant suite", "seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="seeds-sde",
-                                     description="Stochastic exponential solvers for diffusion SDEs")
+    parser = _Parser(prog="seeds-sde",
+                     description="Stochastic exponential solvers for diffusion SDEs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--solver", default=None)
-        p.add_argument("--schedule", default=None)
-        p.add_argument("--mode", default=None, choices=["np", "dp"])
-        p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--threshold", type=float, default=None)
-
-    p_sample = sub.add_parser("sample", help="sample trajectories, write terminal CSV")
-    add_common(p_sample)
-    p_sample.add_argument("--save-trajectories", action="store_true")
-
-    p_order = sub.add_parser("order", help="estimate a convergence order")
-    p_order.add_argument("kind", choices=["strong", "weak"])
-    add_common(p_order)
-
-    p_cmp = sub.add_parser("compare", help="per-step comparison of two solvers")
-    add_common(p_cmp)
-    p_cmp.add_argument("--config-a", default=None)
-    p_cmp.add_argument("--config-b", default=None)
-    p_cmp.add_argument("--solver-a", default=None)
-    p_cmp.add_argument("--solver-b", default=None)
-    p_cmp.add_argument("--mode-a", default=None, choices=["np", "dp"])
-    p_cmp.add_argument("--mode-b", default=None, choices=["np", "dp"])
-
-    p_grid = sub.add_parser("grid", help="print a grid")
-    add_common(p_grid)
-    p_grid.add_argument("--grid-kind", default=None, choices=["linear_lambda", "edm"])
-
-    p_self = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p_self.add_argument("--seed", type=int, default=0)
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "order":
+            p.add_argument("kind", choices=["strong", "weak"])
+        for dest in flags.split():
+            p.add_argument("--" + dest.replace("_", "-"), **_FLAGS[dest])
     return parser
 
 
-def _overrides(args) -> dict:
-    return {k: getattr(args, k, None) for k in
-            ("seed", "paths", "steps", "solver", "schedule", "mode", "out",
-             "workers", "threshold", "grid_kind")}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        flags = vars(args)
         if args.command == "selftest":
             from .selftest import run_selftest
 
-            return run_selftest(args.seed)
+            return run_selftest(args.seed or 0)
         if args.command == "compare":
             cfgs = []
             for side in ("a", "b"):   # --solver-X, --mode-X, --config-X over the shared flags
-                ov = _overrides(args)
-                for key in ("solver", "mode"):
-                    ov[key] = getattr(args, f"{key}_{side}") or ov[key]
-                cfgs.append(load_config(getattr(args, f"config_{side}") or args.config, ov))
+                side_flags = {**flags, "solver": flags[f"solver_{side}"] or args.solver,
+                              "mode": flags[f"mode_{side}"] or args.mode}
+                cfgs.append(load_config(flags[f"config_{side}"] or args.config, side_flags))
             return cmd_compare(*cfgs)
-        ov = _overrides(args)
-        cfg = load_config(args.config, ov)
+        cfg = load_config(args.config, flags)
         if args.command == "sample":
-            out_dir = cfg.out or "seeds_out"
-            return cmd_sample(cfg, out_dir, save_trajectories=args.save_trajectories)
+            return cmd_sample(cfg, cfg.out or "seeds_out", save_trajectories=args.save_trajectories)
         if args.command == "order":
-            out_dir = cfg.out or "seeds_out"
-            return cmd_order(cfg, args.kind, out_dir)
-        if args.command == "grid":
-            return cmd_grid(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+            return cmd_order(cfg, args.kind, cfg.out or "seeds_out")
+        return cmd_grid(cfg)
     except (ConfigError, DomainError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

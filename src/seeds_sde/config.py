@@ -17,7 +17,8 @@ _DEFAULT_MODEL = {"kind": "gaussian_mixture",
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, already validated and cross-checked."""
+    """Everything a run needs, already validated; the run checks its solver
+    against the schedule before its first step."""
 
     schedule: ScheduleBase
     model_spec: dict
@@ -152,8 +153,13 @@ def _build_solver(spec: dict) -> SolverSpec:
         raise ConfigError(f"bad solver config: {exc}") from exc
 
 
+_TOP_LEVEL = {"schedule", "model", "solver", "grid", "seed", "paths", "workers", "out",
+              "threshold", "order"}
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Merge a JSON config file (optional) with CLI overrides (flags win)."""
+    """Merge a JSON config file (optional) with CLI overrides, the parsed flags by
+    destination (flags win; a flag left out, or None, leaves the file's value)."""
     raw = {}
     if path is not None:
         try:
@@ -165,6 +171,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file {path!r} must hold a JSON object, got {raw!r}")
+        _reject_extras("top-level", raw.keys() - _TOP_LEVEL)
 
     sched_spec = _section(raw, "schedule", {})
     if overrides.get("schedule"):
@@ -176,7 +183,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if overrides.get(flag):
             solver_spec[key] = overrides[flag]
     solver = _build_solver(solver_spec)
-    solver.validate_against(schedule)
 
     grid_spec = _section(raw, "grid", {"kind": "linear_lambda"})
     if overrides.get("steps") is not None:

@@ -22,7 +22,6 @@ from .errors import ConfigError
 from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
-from .schedules import SDE
 from .solvers import SolverSpec, StepPlan, initial_state, prepare_model, sample, walk
 
 
@@ -177,16 +176,17 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     ratio = 2 ** (n_levels - 1 + ref_extra)   # fine steps per level-0 step
     m_fine = base_steps * ratio
     t_fine = linear_lambda_grid(m_fine, eps_end, t_top, sched).times
-    lams = [sched.lambda_of_t(float(t), SDE) for t in t_fine]
+    strides = [1] + [ratio >> lvl for lvl in range(n_levels)]   # the reference first
+    # the sentinel 0 makes t_min the end of each level's last real step
+    plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
+    lams = [plans[0].levels[t] for t in t_fine.tolist()]   # the reference's lambda per node
 
     sup_sq = np.zeros((n_levels, n_paths))
     x0 = initial_state(sched, t_top, stream, n_paths, model.dim)
     prepare_model(model, t_fine[:-1])   # every level evaluates at fine nodes
     window = np.empty((ratio, *x0.shape))
-    strides = [1] + [ratio >> lvl for lvl in range(n_levels)]   # the reference first
-    # the sentinel 0 makes t_min the end of each level's last real step
-    walks = [walk(model, sched, spec, StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))),
-                  _CoupledStream(stream, lams, window, k), x0) for k in strides]
+    walks = [walk(model, sched, spec, plan, _CoupledStream(stream, lams, window, k), x0)
+             for plan, k in zip(plans, strides)]
     for j in range(1, m_fine + 1):
         ref = next(walks[0])
         for lvl in range(n_levels):

@@ -30,11 +30,11 @@ Steps read their draws as a mapping from stage k to an (n, d) array z^k.
 trajectory, step) also share z^1, z^2, ...; a plain dict {stage: array}
 injects fixed draws.
 
-A step's stage-node times depend only on the grid.  Each staged form has
-one node function (``NODES``), and churn has ``churn_lift``; a ``StepPlan``
-calls them once per grid, before the walk, and hands each step its row.  A
-step called without a row calls its node function itself.  The plan's
-evaluation times go to the model's optional ``prepare`` hook, which
+A step's stage-node times depend only on the grid.  Each staged form names
+its node function (``Form.nodes``), and churn has ``churn_lift``; a
+``StepPlan`` calls them once per grid, before the walk, and hands each step
+its row.  A step called without a row calls its node function itself.  The
+plan's evaluation times go to the model's optional ``prepare`` hook, which
 tabulates the model's time-only work.
 
 Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
@@ -433,13 +433,15 @@ _SIGMA_SCHEDULES = ("ve", "edm")
 
 @dataclass(frozen=True)
 class Form:
-    """One mode of a family: its step callable, the fixed keywords the step
-    gets, whether it reads stage draws, and the schedule families it runs on."""
+    """One mode of a family: its step callable, the schedule families it runs
+    on, the fixed keywords the step gets, whether it reads stage draws, and its
+    node function (the step's time-only part, which a plan computes once), if any."""
 
     step: Callable
     schedules: tuple
     kwargs: dict = field(default_factory=dict)
     takes_draws: bool = True
+    nodes: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -454,35 +456,33 @@ class Family:
 
 def _stages(k: int, seeds: bool) -> Form:
     """The stage routine's k-stage form: SEEDS-k with draws, DPM-k without."""
-    return Form(np_stages_step, _NP_SCHEDULES, {"stages": k}, takes_draws=seeds)
+    return Form(np_stages_step, _NP_SCHEDULES, {"stages": k}, seeds, np_stage_nodes)
+
+
+def _dp(schedules: tuple, seeds: bool, **kwargs) -> Form:
+    """A data-prediction stage routine's form: SEEDS with draws, the ODE without."""
+    return Form(dp_stages_step, schedules, kwargs, seeds, dp_stage_nodes)
 
 
 FAMILIES = {
-    "seeds1": Family(1, {"np": _stages(1, seeds=True),
-                         "dp": Form(dp_stages_step, _ALL_SCHEDULES)}),
+    "seeds1": Family(1, {"np": _stages(1, seeds=True), "dp": _dp(_ALL_SCHEDULES, seeds=True)}),
     "seeds2": Family(2, {"np": _stages(2, seeds=True)}, "c2"),
     "seeds3": Family(3, {"np": _stages(3, seeds=True)}, "r1<r2"),
-    "dpm1": Family(1, {"np": _stages(1, seeds=False),
-                       "dp": Form(dp_stages_step, _ALL_SCHEDULES, takes_draws=False)}),
+    "dpm1": Family(1, {"np": _stages(1, seeds=False), "dp": _dp(_ALL_SCHEDULES, seeds=False)}),
     "dpm2": Family(2, {"np": _stages(2, seeds=False)}, "c2"),
     "dpm3": Family(3, {"np": _stages(3, seeds=False)}, "r1<r2"),
-    "dpm4": Family(5, {"np": Form(dpm4_step, _NP_SCHEDULES, takes_draws=False)}),
+    "dpm4": Family(5, {"np": Form(dpm4_step, _NP_SCHEDULES, takes_draws=False,
+                                  nodes=dpm4_nodes)}),
     "euler_maruyama": Family(1, {"np": Form(euler_maruyama_step, _ALL_SCHEDULES)}),
     "exp_euler_etd": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"variant": "etd"},
                                            takes_draws=False)}),
     "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES,
                                               {"variant": "lawson"}, takes_draws=False)}),
     "gddim": Family(1, {"np": Form(gddim_step, ("vp",))}),
-    "ve2_ode_a": Family(2, {"dp": Form(dp_stages_step, _SIGMA_SCHEDULES, {"stages": 2},
-                                       takes_draws=False)}, "r"),
-    "ve2_ode_b": Family(2, {"dp": Form(dp_stages_step, _SIGMA_SCHEDULES,
-                                       {"stages": 2, "phi2": True}, takes_draws=False)}, "r"),
-    "ve2_sde": Family(2, {"dp": Form(dp_stages_step, _SIGMA_SCHEDULES, {"stages": 2})}, "r"),
+    "ve2_ode_a": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2)}, "r"),
+    "ve2_ode_b": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2, phi2=True)}, "r"),
+    "ve2_sde": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=True, stages=2)}, "r"),
 }
-
-
-# the node function of each staged step: its time-only part, which a plan computes once
-NODES = {np_stages_step: np_stage_nodes, dp_stages_step: dp_stage_nodes, dpm4_step: dpm4_nodes}
 
 
 def step_once(spec: SolverSpec, model, sched, x, s, t, draws, nodes=None):
@@ -503,13 +503,13 @@ class StepPlan:
     churn is off), the time the model is first evaluated at (t_{i-1}, or the
     lifted time under churn), and the value of the form's node function at
     (start, t_i), (h, stage-node times), or None for a step without one.  The node
-    function's lambda (sigma) at each time is computed once and shared by the rows.
+    function's lambda (sigma) at each time is computed once, kept in ``levels``
+    (time -> value) and shared by the rows.
     """
 
     def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
         form = FAMILIES[spec.family].forms[spec.mode]
-        node_fn = NODES.get(form.step)
-        levels = {}   # each time's lambda (sigma) for the node function, computed once
+        node_fn, self.levels = form.nodes, {}
         rows = []
         for i in range(1, grid.n_steps):
             s, t = float(grid.times[i - 1]), float(grid.times[i])
@@ -518,7 +518,7 @@ class StepPlan:
             # a lift too small to move sigma (1 + gamma == 1) keeps the grid time
             start = s if lift is None or lift[1] == lift[0] else lift[2]
             nodes = None if node_fn is None else node_fn(sched, start, t, form.takes_draws,
-                                                         levels=levels, **spec.step_kwargs)
+                                                         levels=self.levels, **spec.step_kwargs)
             rows.append((t, lift, start, nodes))
         self.rows = tuple(rows)
 

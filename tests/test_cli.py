@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import shlex
 
 import pytest
 
@@ -397,8 +398,7 @@ def test_order_weak_runs_small(tmp_path):
 
 
 def test_compare_pass_and_fail(tmp_path, capsys):
-    base = ["compare", "--schedule", "vp", "--steps", "30", "--seed", "5",
-            "--paths", "1"]
+    base = ["compare", "--schedule", "vp", "--steps", "30", "--seed", "5"]
     code = run(base + ["--solver-a", "gddim", "--solver-b", "seeds1", "--mode-b", "dp",
                        "--threshold", "1e-10"])
     assert code == 0
@@ -546,3 +546,114 @@ def test_selftest_output_deterministic(capsys):
     run(["selftest", "--seed", "0"])
     second = capsys.readouterr().out
     assert first == second
+
+
+# the flags each subcommand takes: the only ones it reads
+_SUBCOMMAND_FLAGS = {
+    "sample": {"--config", "--seed", "--paths", "--steps", "--solver", "--schedule", "--mode",
+               "--out", "--workers", "--save-trajectories"},
+    "order": {"--config", "--seed", "--paths", "--solver", "--schedule", "--mode", "--out"},
+    "compare": {"--config", "--seed", "--steps", "--solver", "--schedule", "--mode",
+                "--threshold", "--config-a", "--config-b", "--solver-a", "--solver-b",
+                "--mode-a", "--mode-b"},
+    "grid": {"--config", "--steps", "--schedule", "--grid-kind"},
+    "selftest": {"--seed"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    declared = {name: {flag for action in p._actions for flag in action.option_strings
+                       if flag not in ("-h", "--help")}
+                for name, p in sub.choices.items()}
+    assert declared == _SUBCOMMAND_FLAGS
+    assert sum(map(len, declared.values())) == 35
+
+
+# (subcommand, flag it does not read, a value): each was accepted and ignored before
+_DEAD_FLAGS = [
+    ("sample", "--threshold", "5"),
+    ("order", "--steps", "8"), ("order", "--workers", "3"), ("order", "--threshold", "5"),
+    ("compare", "--paths", "1"), ("compare", "--out", "x"), ("compare", "--workers", "2"),
+    ("grid", "--seed", "3"), ("grid", "--paths", "3"), ("grid", "--solver", "seeds1"),
+    ("grid", "--mode", "np"), ("grid", "--out", "x"), ("grid", "--workers", "2"),
+    ("grid", "--threshold", "5"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", _DEAD_FLAGS)
+def test_flag_a_subcommand_does_not_read_exits_1(tmp_path, monkeypatch, capsys, command, flag,
+                                                 value):
+    monkeypatch.chdir(tmp_path)   # where the default output directory would go
+    argv = {"sample": ["sample", "--steps", "5", "--paths", "4"],
+            "order": ["order", "strong", "--paths", "20"],
+            "compare": ["compare", "--solver-a", "seeds1", "--solver-b", "seeds1",
+                        "--steps", "8"],
+            "grid": ["grid", "--steps", "4"]}[command]
+    assert run(argv + [flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and flag in captured.err, captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_runs_no_solver_check(capsys):
+    # the default solver, seeds3 (np), does not run on VE; grid runs no solver
+    assert run(["grid", "--schedule", "ve", "--steps", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 6   # header + M+1 nodes
+
+
+@pytest.mark.parametrize("argv", [["sample", "--stpes", "5"], ["sample", "--paths", "1.5"],
+                                  ["compare", "--solver-a", "gddim", "--threshld", "1e-6"],
+                                  ["order", "sideways"], []])
+def test_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_error_is_not_a_failed_check(capsys):
+    assert run(["sample", "--steps", "abc"]) == 1
+    assert "argument --steps: invalid int value: 'abc'" in _config_error(capsys)
+    # exit 2 stays a failed check: a compare whose difference is over its threshold
+    assert run(["compare", "--solver-a", "seeds1", "--mode-a", "np", "--solver-b", "seeds1",
+                "--mode-b", "dp", "--steps", "30", "--threshold", "1e-6"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", "--help"])
+    assert exc.value.code == 0
+    assert "--save-trajectories" in capsys.readouterr().out
+
+
+def test_unknown_top_level_config_key_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"sed": 3, "pahts": 5}))
+    assert run(["sample", "--config", "cfg.json", "--steps", "5"]) == 1
+    assert "unknown keys in top-level config: ['pahts', 'sed']" in _config_error(capsys)
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("extra", [["--workers", "1"], ["--workers", "2", "--paths", "9000"]])
+def test_sample_solver_off_its_schedule_exits_1(tmp_path, capsys, extra):
+    # the solver-vs-schedule check runs in `sample`, inside the pool at two chunks
+    out = tmp_path / "x"
+    assert run(["sample", "--solver", "ve2_sde", "--schedule", "vp", "--steps", "5",
+                "--out", str(out), *extra]) == 1
+    assert "runs on ve/edm schedules, not 'vp'" in _config_error(capsys)
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    # every `seeds-sde ...` line in README's code blocks, continuations joined
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = fh.read().split("```")[1::2]   # the text inside each fence
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("seeds-sde ")]
+    assert {argv[0] for argv in commands} == set(_SUBCOMMAND_FLAGS)
+    for argv in commands:
+        cli.build_parser().parse_args(argv)   # a flag the table drops raises ConfigError

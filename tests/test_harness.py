@@ -26,6 +26,7 @@ from seeds_sde import solvers
 from seeds_sde.errors import ConfigError, DomainError
 from seeds_sde.harness import fit_loglog
 from seeds_sde.noise import raw_increment_var
+from seeds_sde.schedules import ScheduleBase
 
 
 def test_fit_loglog_recovers_power_law():
@@ -96,6 +97,21 @@ def test_strong_order_steps_and_nfe(vp, monkeypatch):
     zm = ZeroModel(1, vp)
     strong_order(SolverSpec("seeds1"), zm, vp, 4, 3, 20, RngStream(1))
     assert len(calls) == zm.nfe == 64 + 4 + 8 + 16 == 92
+
+
+def test_strong_order_reads_lambda_from_the_reference_plan(vp, gauss_model, monkeypatch):
+    # base 32, 4 refinements: lambda once at each node of each level's plan,
+    # 1,025 (the reference, whose values the coupled draws reuse) + 257 + 129 +
+    # 65 + 33, and at the fine grid's two end points
+    calls, lambda_of_t = [], ScheduleBase.lambda_of_t
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return lambda_of_t(self, *args, **kwargs)
+
+    monkeypatch.setattr(ScheduleBase, "lambda_of_t", counting)
+    strong_order(SolverSpec("seeds1"), gauss_model, vp, 32, 4, 10, RngStream(3))
+    assert len(calls) == 1511
 
 
 def test_strong_order_small_run_sane(vp, gauss_model):

@@ -22,7 +22,6 @@ from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.schedules import ScheduleBase
 from seeds_sde.solvers import (
     FAMILIES,
-    NODES,
     StepPlan,
     churn_inject,
     churn_lift,
@@ -785,7 +784,7 @@ def test_plan_nodes_equal_the_node_function_called_alone(family, mode, name, chu
     spec = SolverSpec(family, mode=mode, churn=churn)
     form = FAMILIES[family].forms[spec.mode]
     for t, _, start, nodes in StepPlan(spec, sched, grid).rows:
-        assert nodes == NODES[form.step](sched, start, t, form.takes_draws, **spec.step_kwargs)
+        assert nodes == form.nodes(sched, start, t, form.takes_draws, **spec.step_kwargs)
 
 
 class _NoHook:
