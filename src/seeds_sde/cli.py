@@ -21,6 +21,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, GridError
+from .grids import linear_lambda_grid
 from .harness import per_step_compare, strong_order, weak_order
 from .noise import RngStream
 from .solvers import sample
@@ -58,8 +59,9 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
     model = cfg.build_model()
     grid = cfg.build_grid()
     run = functools.partial(_run_chunk, cfg, model, grid, record=save_trajectories)
-    if cfg.workers > 1 and len(counts) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(counts))  # a fork pool starts every worker at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, offsets, counts))
     else:
         results = list(map(run, offsets, counts))
@@ -98,15 +100,11 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
             refinements=order_cfg.get("refinements", 4),
             n_paths=cfg.n_paths, stream=stream,
         )
-    elif kind == "weak":
+    else:  # the parser's choices leave "weak"
         steps_list = order_cfg.get("steps_list", [14, 17, 21, 26])
-        from .grids import linear_lambda_grid
-
         grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
                                     cfg.schedule) for m in steps_list]
         est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream)
-    else:
-        raise ConfigError(f"order kind must be 'strong' or 'weak', got {kind!r}")
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     base = os.path.join(out_dir, f"order_{kind}_{cfg.solver.family}")
     with open(base + ".csv", "w") as fh:

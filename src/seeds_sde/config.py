@@ -65,9 +65,11 @@ class RunConfig:
         raise ConfigError(f"unknown grid kind {kind!r}; expected 'linear_lambda' or 'edm'")
 
     def resolved(self) -> dict:
-        """JSON-ready dict that reproduces this configuration."""
+        """JSON-ready dict that reproduces this configuration; the solver section holds
+        the stage parameters its family reads, and no others."""
         solver_spec = {"family": self.solver.family, "mode": self.solver.mode,
-                       "r1": self.solver.r1, "r2": self.solver.r2, "c2": self.solver.c2}
+                       **{key: value for key in ("r1", "r2", "c2")
+                          if (value := getattr(self.solver, key)) is not None}}
         if self.solver.churn is not None:
             ch = self.solver.churn
             solver_spec["churn"] = {"s_churn": ch.s_churn, "s_tmin": ch.s_tmin,
@@ -213,6 +215,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError("paths must be >= 1")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg.threshold <= 0.0:
+        raise ConfigError(f"threshold must be > 0, got {cfg.threshold!r}")
     cfg.build_grid()   # validate grid construction eagerly
     cfg.build_model()  # and the model spec
     RngStream(cfg.seed)  # and the seed, which must fit a Philox key

@@ -232,10 +232,12 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream) -> O
         raise ConfigError("need at least 3 grid resolutions")
     spec.validate_against(sched)
     grids = sorted(grids, key=lambda g: -float(np.max(g.step_widths(sched))))
+    widths = [float(np.max(g.step_widths(sched))) for g in grids]
+    if len(set(widths)) < len(widths):
+        raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
     hs, errors, ses = [], [], []
     excluded, notes = [], []
-    for g_idx, grid in enumerate(grids):
-        h = float(np.max(grid.step_widths(sched)))
+    for g_idx, (h, grid) in enumerate(zip(widths, grids)):
         # each grid's exact law starts from its own top time
         oracle = _oracle_for(model, sched, float(grid.times[0]))
         res = sample(model, sched, grid, spec, stream, n_paths=n_paths)

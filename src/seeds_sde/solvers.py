@@ -18,9 +18,9 @@ across stages) and DPM-k, the probability-flow step, given ``draws=None``.
 Euler-Maruyama, exponential Euler and gddim keep their own bodies.
 
 One registry: ``FAMILIES`` maps each family name to a ``Family`` descriptor
-with its evaluations per step, the stage parameters it checks, and one
-``Form`` per mode it has ("np" noise prediction, "dp" data prediction): the
-step callable, its fixed keywords and the schedule families it runs on.
+with its evaluations per step, the stage parameters it reads with their one
+default, and one ``Form`` per mode it has ("np" noise prediction, "dp" data
+prediction): the step callable, its fixed keywords and the schedules it runs on.
 Only seeds1 and dpm1 have both modes; every other family has one, which is
 its default (and the default of seeds1 and dpm1 is "np").
 
@@ -39,8 +39,8 @@ tabulates the model's time-only work.
 
 Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
 signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
-``np_noise``, in the lambda variant ``SDE`` (stochastic) or ``ODE``
-(probability flow); ``np_move`` is their first-order move, shared by the
+``np_noise``, in the lambda of the reverse SDE (``SDE``) or of the
+probability-flow ODE (``ODE``); ``np_move`` is their first-order move, shared by the
 stage routine and dpm4.  Data-prediction steps use lambda = -log sigma
 directly.
 """
@@ -83,15 +83,17 @@ class SolverSpec:
     """Solver family plus mode and stage parameters.
 
     ``mode`` None means the family's default mode: "np" for seeds1 and dpm1,
-    the only mode for every other family.  ``step_kwargs`` holds the keywords
-    ``step_once`` passes to the family's step, resolved once here.
+    the only mode for every other family.  A stage parameter the family reads
+    takes the registry's default when None; one it does not read stays None, or
+    is a ConfigError.  ``step_kwargs`` holds the keywords ``step_once`` passes
+    to the family's step, resolved once here.
     """
 
     family: str
     mode: str | None = None
-    r1: float = 1.0 / 3.0
-    r2: float = 2.0 / 3.0
-    c2: float = 0.5
+    r1: float | None = None
+    r2: float | None = None
+    c2: float | None = None
     churn: ChurnParams | None = None
     step_kwargs: dict = field(init=False, repr=False, compare=False)
 
@@ -104,27 +106,18 @@ class SolverSpec:
         mode = next(iter(desc.forms)) if self.mode is None else self.mode
         if mode not in desc.forms:
             raise ConfigError(f"{fam} has no mode {mode!r}; its modes are {tuple(desc.forms)}")
-        object.__setattr__(self, "family", fam)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "step_kwargs",
-                           {**desc.forms[mode].kwargs, **self._stage_params(desc.params)})
-
-    def _stage_params(self, params: str) -> dict:
-        """Check the family's stage parameters; return them as step keywords."""
-        fam = self.family
-        if params == "c2":
-            if not 0.0 < self.c2 <= 1.0:
-                raise ConfigError(f"{fam} needs 0 < c2 <= 1, got c2={self.c2}")
-            return {"c2": self.c2}
-        if params == "r1<r2":
-            if not 0.0 < self.r1 < self.r2 < 1.0:
-                raise ConfigError(f"{fam} needs 0 < r1 < r2 < 1, got r1={self.r1}, r2={self.r2}")
-            return {"r1": self.r1, "r2": self.r2}
-        if params == "r":
-            if not 0.0 < self.r1 <= 1.0:
-                raise ConfigError(f"{fam} needs 0 < r1 <= 1, got r1={self.r1}")
-            return {"r": self.r1}
-        return {}
+        given = {key: getattr(self, key) for key in ("r1", "r2", "c2")
+                 if getattr(self, key) is not None}
+        if unread := [key for key in given if key not in desc.params]:
+            raise ConfigError(f"{fam} does not read {', '.join(unread)}; it reads "
+                              f"{', '.join(desc.params) or 'no stage parameter'}")
+        params = {**desc.params, **given}
+        if not desc.valid(**params):
+            raise ConfigError(f"{fam} needs {desc.rule}, got "
+                              + ", ".join(f"{key}={value}" for key, value in params.items()))
+        for key, value in (("family", fam), ("mode", mode), *params.items()):
+            object.__setattr__(self, key, value)
+        object.__setattr__(self, "step_kwargs", {**desc.forms[mode].kwargs, **params})
 
     @property
     def evals_per_step(self) -> int:
@@ -184,8 +177,7 @@ def lambda_nodes(sched, s, t, stochastic, fracs=(), levels=None):
     return h, tuple(sched.t_of_lambda(lam_s + c * h, var) for c in fracs)
 
 
-def np_stage_nodes(sched, s, t, stochastic, stages=1, c2=0.5, r1=1.0 / 3.0, r2=2.0 / 3.0,
-                   levels=None):
+def np_stage_nodes(sched, s, t, stochastic, stages=1, c2=None, r1=None, r2=None, levels=None):
     """Node function of ``np_stages_step``: h and the node lambda_s + c2 h (two stages)
     or the nodes lambda_s + r1 h and lambda_s + r2 h (three)."""
     if stages not in (1, 2, 3):
@@ -199,15 +191,15 @@ def dpm4_nodes(sched, s, t, stochastic=False, levels=None):
     return lambda_nodes(sched, s, t, False, (0.5, 1.0), levels)
 
 
-def dp_stage_nodes(sched, s, t, stochastic, stages=1, r=0.5, phi2=False, levels=None):
+def dp_stage_nodes(sched, s, t, stochastic, stages=1, r1=None, phi2=False, levels=None):
     """Node function of ``dp_stages_step``: h = log(sigma_s / sigma_t) and, with two
-    stages, the node time_of_sigma(sigma_s e^{-r h}); ``levels`` caches sigma by time."""
+    stages, the node time_of_sigma(sigma_s e^{-r1 h}); ``levels`` caches sigma by time."""
     if stages not in (1, 2):
         raise ConfigError(f"data-prediction stage count must be 1 or 2, got {stages!r}")
     sg_s, sg_t = _levels(sched.sigma_of_t, s, t, levels)
     h = math.log(sg_s / sg_t)
     _check_backward(s, t, h)
-    return h, (sched.time_of_sigma(sg_s * math.exp(-r * h)),) if stages == 2 else ()
+    return h, (sched.time_of_sigma(sg_s * math.exp(-r1 * h)),) if stages == 2 else ()
 
 
 # -- one-step update rules ----------------------------------------------------
@@ -220,8 +212,8 @@ def np_move(sched, x_s, s, u, ch, f, stochastic, z=None):
     return x_u if z is None else x_u + sched.np_noise(u) * math.sqrt(math.expm1(2.0 * ch)) * z
 
 
-def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
-                   r1=1.0 / 3.0, r2=2.0 / 3.0, nodes=None):
+def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=None, r1=None, r2=None,
+                   nodes=None):
     """Noise-prediction exponential step with 1, 2 or 3 stages (as many
     model evaluations).
 
@@ -277,22 +269,22 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=0.5,
     return x_t if draws is None else x_t + noise_b
 
 
-def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=False,
+def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r1=None, phi2=False,
                    nodes=None):
     """Data-prediction exponential step in lambda = -log sigma with 1 or 2
     stages (as many model evaluations).
 
     With ``draws`` it is the stochastic step (seeds1-dp, ve2_sde); with
     ``draws=None`` the probability-flow step (dpm1-dp, ve2_ode_a).  The
-    two-stage node sits at sigma_s e^{-r h}; the final step weights D(x_s)
-    and D(u) by 1 - 1/(2r) and 1/(2r), or with ``phi2`` adds the phi_2
+    two-stage node sits at sigma_s e^{-r1 h}; the final step weights D(x_s)
+    and D(u) by 1 - 1/(2 r1) and 1/(2 r1), or with ``phi2`` adds the phi_2
     correction to the one-stage step (ve2_ode_b).  The two-stage form
     assumes alpha_t = 1 and sigma_t = t, which hold on VE and EDM, where the
     registry runs it.  ``nodes`` is ``dp_stage_nodes`` at (s, t), when a plan
     has it.
     """
     if nodes is None:
-        nodes = dp_stage_nodes(sched, s, t, draws is not None, stages, r)
+        nodes = dp_stage_nodes(sched, s, t, draws is not None, stages, r1)
     h, times = nodes
     a_s, sg_s, sbar_s = sched.alpha_sigma(s)
     a_t, sg_t, sbar_t = sched.alpha_sigma(t)
@@ -309,16 +301,16 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r=0.5, phi2=Fa
         return one_stage(a_t, sg_t, sbar_t, h, d_s, z1)
     (s1,) = times
     sg_1 = s1   # sigma_t = t and alpha == 1: the node's time is its sigma and sigma_bar
-    u = one_stage(1.0, sg_1, sg_1, r * h, d_s, z1)
+    u = one_stage(1.0, sg_1, sg_1, r1 * h, d_s, z1)
     d_u = model.data_pred(u, s1)
     if phi2:  # (e^{-h} - 1)/h + 1 == h phi_2(-h)
-        return one_stage(a_t, sg_t, sbar_t, h, d_s) + (1.0 / r) * h * phi(2, -h) * (d_u - d_s)
-    x_t = one_stage(a_t, sg_t, sbar_t, h, (1.0 - 0.5 / r) * d_s + (0.5 / r) * d_u)
+        return one_stage(a_t, sg_t, sbar_t, h, d_s) + (1.0 / r1) * h * phi(2, -h) * (d_u - d_s)
+    x_t = one_stage(a_t, sg_t, sbar_t, h, (1.0 - 0.5 / r1) * d_s + (0.5 / r1) * d_u)
     if draws is None:
         return x_t
     # Chasles split: the stage-1 chunk carried to t plus a fresh remainder
-    carried = sqrt_exp_diff(-2.0 * (1.0 - r) * h, -2.0 * h)
-    fresh = math.sqrt(-math.expm1(-2.0 * (1.0 - r) * h))
+    carried = sqrt_exp_diff(-2.0 * (1.0 - r1) * h, -2.0 * h)
+    fresh = math.sqrt(-math.expm1(-2.0 * (1.0 - r1) * h))
     return x_t + sbar_t * (carried * z1 + fresh * draws[2])
 
 
@@ -353,8 +345,7 @@ def dpm4_step(model, sched, x_s, s, t, nodes=None):
 
 def euler_maruyama_step(model, sched, x_s, s, t, draws):
     """Direct discretization of the reverse SDE (1 model evaluation)."""
-    if not t < s:
-        raise GridError(f"steps go backward in time, got s={s}, t={t}")
+    _check_backward(s, t, s - t)
     dt = t - s
     f = sched.drift_f(s)
     g2 = sched.diffusion_g2(s)
@@ -363,22 +354,19 @@ def euler_maruyama_step(model, sched, x_s, s, t, draws):
     return x_s + (f * x_s - g2 * score) * dt + math.sqrt(g2 * abs(dt)) * eps
 
 
-def exp_euler_step(model, sched, x_s, s, t, variant):
-    """Exponential Euler in the time variable, ETD or Lawson flavor.
+def exp_euler_step(model, sched, x_s, s, t, *, lawson: bool):
+    """Exponential Euler in the time variable, the ETD flavor or (``lawson``) Lawson's.
 
     Both treat the linear part exactly through the transition factor; ETD
     weights the frozen nonlinearity by phi_1 of the effective drift, Lawson
     pushes it through the transition.
     """
-    if variant not in ("etd", "lawson"):
-        raise ConfigError(f"variant must be 'etd' or 'lawson', got {variant!r}")
-    if not t < s:
-        raise GridError(f"steps go backward in time, got s={s}, t={t}")
+    _check_backward(s, t, s - t)
     trans = sched.np_trans(s, t, False)
     b_s = sched.np_rate(s)
     dt = t - s
     f_val = model.noise_pred(x_s, s)
-    if variant == "lawson":
+    if lawson:
         return trans * (x_s + dt * b_s * f_val)
     a_eff = math.log(trans) / dt
     return trans * x_s + dt * phi(1, a_eff * dt) * b_s * f_val
@@ -446,12 +434,20 @@ class Form:
 
 @dataclass(frozen=True)
 class Family:
-    """Evaluations per step, the stage parameters the family checks ("c2",
-    "r1<r2" or "r") and its forms by mode; the first mode is the default."""
+    """Evaluations per step, the forms by mode (the first mode is the default) and
+    the stage parameters the family reads: each name, also its step's keyword,
+    with its default, and the range they must lie in, as text and as a test."""
 
     evals: int
     forms: dict
-    params: str = ""
+    params: dict = field(default_factory=dict)
+    rule: str = ""
+    valid: Callable = lambda: True
+
+
+_C2 = ({"c2": 0.5}, "0 < c2 <= 1", lambda c2: 0.0 < c2 <= 1.0)  # (params, rule, valid)
+_R1_R2 = ({"r1": 1.0 / 3.0, "r2": 2.0 / 3.0}, "0 < r1 < r2 < 1", lambda r1, r2: 0.0 < r1 < r2 < 1.0)
+_R1 = ({"r1": 1.0 / 3.0}, "0 < r1 <= 1", lambda r1: 0.0 < r1 <= 1.0)
 
 
 def _stages(k: int, seeds: bool) -> Form:
@@ -466,22 +462,22 @@ def _dp(schedules: tuple, seeds: bool, **kwargs) -> Form:
 
 FAMILIES = {
     "seeds1": Family(1, {"np": _stages(1, seeds=True), "dp": _dp(_ALL_SCHEDULES, seeds=True)}),
-    "seeds2": Family(2, {"np": _stages(2, seeds=True)}, "c2"),
-    "seeds3": Family(3, {"np": _stages(3, seeds=True)}, "r1<r2"),
+    "seeds2": Family(2, {"np": _stages(2, seeds=True)}, *_C2),
+    "seeds3": Family(3, {"np": _stages(3, seeds=True)}, *_R1_R2),
     "dpm1": Family(1, {"np": _stages(1, seeds=False), "dp": _dp(_ALL_SCHEDULES, seeds=False)}),
-    "dpm2": Family(2, {"np": _stages(2, seeds=False)}, "c2"),
-    "dpm3": Family(3, {"np": _stages(3, seeds=False)}, "r1<r2"),
+    "dpm2": Family(2, {"np": _stages(2, seeds=False)}, *_C2),
+    "dpm3": Family(3, {"np": _stages(3, seeds=False)}, *_R1_R2),
     "dpm4": Family(5, {"np": Form(dpm4_step, _NP_SCHEDULES, takes_draws=False,
                                   nodes=dpm4_nodes)}),
     "euler_maruyama": Family(1, {"np": Form(euler_maruyama_step, _ALL_SCHEDULES)}),
-    "exp_euler_etd": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"variant": "etd"},
+    "exp_euler_etd": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"lawson": False},
                                            takes_draws=False)}),
-    "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES,
-                                              {"variant": "lawson"}, takes_draws=False)}),
+    "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"lawson": True},
+                                              takes_draws=False)}),
     "gddim": Family(1, {"np": Form(gddim_step, ("vp",))}),
-    "ve2_ode_a": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2)}, "r"),
-    "ve2_ode_b": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2, phi2=True)}, "r"),
-    "ve2_sde": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=True, stages=2)}, "r"),
+    "ve2_ode_a": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2)}, *_R1),
+    "ve2_ode_b": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2, phi2=True)}, *_R1),
+    "ve2_sde": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=True, stages=2)}, *_R1),
 }
 
 

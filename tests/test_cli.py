@@ -176,6 +176,14 @@ def test_compare_non_finite_threshold_flag_exits_1(capsys):
     assert "threshold must be a finite number" in _config_error(capsys)
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1"])
+def test_compare_non_positive_threshold_flag_exits_1(capsys, threshold):
+    # identical solvers differ by 0.0, which no threshold <= 0 would pass
+    assert run(["compare", "--solver-a", "seeds1", "--solver-b", "seeds1", "--steps", "5",
+                "--threshold", threshold]) == 1
+    assert "threshold must be > 0" in _config_error(capsys)
+
+
 def test_numeric_config_values_run(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"schedule": {"kind": "edm"}, "paths": 4, "threshold": 1,
@@ -217,6 +225,12 @@ def test_numeric_config_values_run(tmp_path):
     ({"model": {"kind": "gaussian_mixture", "dim": 1,
                 "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}},
      "unknown keys in model config: ['dim']"),
+    ({"solver": {"family": "seeds1", "c2": 0.5}},
+     "seeds1 does not read c2; it reads no stage parameter"),
+    ({"solver": {"family": "seeds3", "c2": 0.5}}, "seeds3 does not read c2; it reads r1, r2"),
+    ({"solver": {"family": "dpm2", "r1": 0.5}}, "dpm2 does not read r1; it reads c2"),
+    ({"threshold": 0}, "threshold must be > 0, got 0.0"),
+    ({"threshold": -1}, "threshold must be > 0, got -1.0"),
 ])
 def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, config, words):
     # no --out: a run that got past the config would write seeds_out/ here
@@ -225,6 +239,72 @@ def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, 
     assert run(["sample", "--config", "cfg.json"]) == 1
     assert words in _config_error(capsys)
     assert not (tmp_path / "seeds_out" / "terminal.csv").exists()
+
+
+def test_stage_parameter_a_family_does_not_read_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"solver": {"family": "seeds3", "c2": 0.5}}))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--paths", "4", "--steps", "5",
+                "--out", str(out)]) == 1
+    assert "c2" in _config_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver, params", [
+    ({"family": "seeds2"}, {"c2": 0.3}),
+    ({"family": "seeds3"}, {"r1": 0.2, "r2": 0.5}),
+    ({"family": "ve2_sde", "mode": "dp"}, {"r1": 0.45}),
+])
+def test_stage_parameters_a_family_reads_change_its_output(tmp_path, solver, params):
+    schedule = {"kind": "ve"} if solver["family"] == "ve2_sde" else {"kind": "vp"}
+    texts = []
+    for name, section in (("default", solver), ("set", {**solver, **params})):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps({"schedule": schedule, "solver": section}))
+        assert run(["sample", "--config", str(cfg_path), "--paths", "4", "--steps", "6",
+                    "--out", str(tmp_path / name)]) == 0
+        texts.append(read(tmp_path / name / "terminal.csv"))
+    written = json.loads(read(tmp_path / "set" / "config.json"))["solver"]
+    assert {key: written[key] for key in params} == params
+    assert texts[0] != texts[1]
+
+
+@pytest.mark.parametrize("solver, keys", [
+    ("seeds1", {"family", "mode"}),
+    ("seeds3", {"family", "mode", "r1", "r2"}),
+])
+def test_config_json_records_only_the_stage_parameters_that_ran(tmp_path, solver, keys):
+    out = tmp_path / "x"
+    assert run(["sample", "--solver", solver, "--steps", "5", "--paths", "3",
+                "--out", str(out)]) == 0
+    assert set(json.loads(read(out / "config.json"))["solver"]) == keys
+    assert run(["sample", "--config", str(out / "config.json"), "--out", str(tmp_path / "y")]) == 0
+    assert read(out / "terminal.csv") == read(tmp_path / "y" / "terminal.csv")
+
+
+def test_sample_pool_holds_no_more_workers_than_chunks(tmp_path, monkeypatch):
+    # a fork pool starts every worker when it opens; this one records its size and runs
+    # the chunks in process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    assert run(["sample", "--solver", "seeds1", "--steps", "3", "--paths", "8200",
+                "--workers", "4", "--out", str(tmp_path / "x")]) == 0
+    assert sizes == [2]
 
 
 def test_churn_config_json_reruns(tmp_path):
@@ -490,6 +570,16 @@ def test_compare_non_finite_state_exits_1(monkeypatch, capsys, nan_from_model):
     assert "non-finite state after step 2 at t=" in _config_error(capsys)
 
 
+def test_order_weak_grids_of_one_step_width_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"order": {"steps_list": [14, 14, 14]}}))
+    out = tmp_path / "o"
+    assert run(["order", "weak", "--solver", "seeds2", "--paths", "50", "--config", str(cfg),
+                "--out", str(out)]) == 1
+    assert "distinct largest step widths" in _config_error(capsys)
+    assert not out.exists()
+
+
 def test_order_weak_zero_model_on_edm_exits_1(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"kind": "zero", "dim": 1},
@@ -657,3 +747,12 @@ def test_readme_commands_parse():
     assert {argv[0] for argv in commands} == set(_SUBCOMMAND_FLAGS)
     for argv in commands:
         cli.build_parser().parse_args(argv)   # a flag the table drops raises ConfigError
+
+
+def test_readme_config_example_loads(tmp_path):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = fh.read().split("```")[1::2]
+    (example,) = [block.removeprefix("json") for block in blocks if block.startswith("json")]
+    (tmp_path / "cfg.json").write_text(example)
+    assert set(load_config(str(tmp_path / "cfg.json"), {}).resolved()["solver"]) == {
+        "family", "mode", "r1", "r2"}

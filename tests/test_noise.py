@@ -188,7 +188,7 @@ def _seeds2_noise(z1, z2, h, s=0.8):
     vp = VpLinear()
     t = vp.t_of_lambda(vp.lambda_of_t(s) + h)
     rec = StageRecorder()
-    full = np_stages_step(rec, vp, np.zeros_like(z1), s, t, {1: z1, 2: z2}, stages=2)
+    full = np_stages_step(rec, vp, np.zeros_like(z1), s, t, {1: z1, 2: z2}, stages=2, c2=0.5)
     s1 = vp.t_of_lambda(vp.lambda_of_t(s) + 0.5 * h)
     return rec.inputs[1], full, s1, t
 

@@ -162,7 +162,7 @@ def test_ve_has_no_np_coefficients():
         with pytest.raises(ConfigError, match="not defined for schedule family 've'"):
             call()
     with pytest.raises(ConfigError):
-        exp_euler_step(ZeroModel(1, ve), ve, np.zeros(1), 2.0, 1.0, "etd")
+        exp_euler_step(ZeroModel(1, ve), ve, np.zeros(1), 2.0, 1.0, lawson=False)
 
 
 def test_drift_and_diffusion_match_finite_differences():

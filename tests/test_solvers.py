@@ -182,7 +182,7 @@ def test_seeds2_matches_line_by_line_oracle(vp, gauss_model):
         want = float(mp_seeds2(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2)))
     got = np_stages_step(gauss_model, vp, np.array([x]), s, t,
-                         {1: np.array([z1]), 2: np.array([z2])}, stages=2)
+                         {1: np.array([z1]), 2: np.array([z2])}, stages=2, c2=0.5)
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -235,8 +235,10 @@ def test_multi_stage_zero_model_linear(vp):
     s, t = 0.75, 0.3
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     z = D0
-    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=2), a_ratio * x, rtol=1e-14)
-    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=3), a_ratio * x, rtol=1e-14)
+    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=2, c2=0.5), a_ratio * x,
+                       rtol=1e-14)
+    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=3, r1=1 / 3, r2=2 / 3),
+                       a_ratio * x, rtol=1e-14)
     assert np.allclose(np_stages_step(zm, vp, x, s, t, stages=1), a_ratio * x, rtol=1e-14)
     assert np.allclose(dpm4_step(zm, vp, x, s, t), a_ratio * x, rtol=1e-14)
 
@@ -248,8 +250,9 @@ def test_constant_f_degeneration(vp, constant_model):
     s, t = 0.8, 0.35
     z = D0
     one = np_stages_step(model, vp, x, s, t, z)
-    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=2), one, rtol=1e-13)
-    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=3), one, rtol=1e-13)
+    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=2, c2=0.5), one, rtol=1e-13)
+    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=3, r1=1 / 3, r2=2 / 3),
+                       one, rtol=1e-13)
     # and dpm4 collapses to the order-1 deterministic step
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
@@ -304,10 +307,10 @@ def test_dpm_deterministic_order_ratios(vp, gauss_model):
         for h in (0.2, 0.1):
             t = vp.t_of_lambda(lam_s + h)
             mid = vp.t_of_lambda(lam_s + h / 2)
-            coarse = np_stages_step(gauss_model, vp, x, s, t, stages=order)
+            coarse = np_stages_step(gauss_model, vp, x, s, t, stages=order, c2=0.5)
             fine = np_stages_step(gauss_model, vp,
-                                  np_stages_step(gauss_model, vp, x, s, mid, stages=order),
-                                  mid, t, stages=order)
+                                  np_stages_step(gauss_model, vp, x, s, mid, stages=order, c2=0.5),
+                                  mid, t, stages=order, c2=0.5)
             gaps.append(float(np.abs(coarse - fine)[0]))
         ratio = gaps[0] / gaps[1]
         assert expected / 1.5 < ratio < expected * 1.5, (order, ratio)
@@ -391,8 +394,8 @@ def test_exp_euler_variants(vp, gauss_model, constant_model):
     s, t = 0.7, 0.5
     zm = ZeroModel(1, vp)
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
-    assert np.allclose(exp_euler_step(zm, vp, x, s, t, "etd"), a_ratio * x, rtol=1e-14)
-    assert np.allclose(exp_euler_step(zm, vp, x, s, t, "lawson"), a_ratio * x, rtol=1e-14)
+    assert np.allclose(exp_euler_step(zm, vp, x, s, t, lawson=False), a_ratio * x, rtol=1e-14)
+    assert np.allclose(exp_euler_step(zm, vp, x, s, t, lawson=True), a_ratio * x, rtol=1e-14)
     # etd reproduces e^{A dt} x + dt phi_1(A dt) b F for the effective constant drift
     from seeds_sde.phi import phi
 
@@ -401,9 +404,7 @@ def test_exp_euler_variants(vp, gauss_model, constant_model):
     a_eff = math.log(a_ratio) / dt
     b_s = vp.np_rate(s)  # alpha_s sigma'(s)
     want = a_ratio * x + dt * phi(1, a_eff * dt) * b_s
-    assert np.allclose(exp_euler_step(model, vp, x, s, t, "etd"), want, rtol=1e-13)
-    with pytest.raises(ConfigError):
-        exp_euler_step(model, vp, x, s, t, "nope")
+    assert np.allclose(exp_euler_step(model, vp, x, s, t, lawson=False), want, rtol=1e-13)
 
 
 def test_exp_euler_gap_shrinks_second_order(mixture_model, vp):
@@ -413,8 +414,8 @@ def test_exp_euler_gap_shrinks_second_order(mixture_model, vp):
     gaps = []
     for dt in (0.1, 0.05):
         t = s - dt
-        g = np.abs(exp_euler_step(mixture_model, vp, x, s, t, "etd")
-                   - exp_euler_step(mixture_model, vp, x, s, t, "lawson"))
+        g = np.abs(exp_euler_step(mixture_model, vp, x, s, t, lawson=False)
+                   - exp_euler_step(mixture_model, vp, x, s, t, lawson=True))
         gaps.append(float(g[0]))
     assert gaps[0] > 0.0
     ratio = gaps[0] / gaps[1]
@@ -881,6 +882,14 @@ def test_solver_spec_validation():
         SolverSpec("seeds3", r1=0.7, r2=0.3)
     with pytest.raises(ConfigError):
         SolverSpec("seeds2", c2=0.0)
+    with pytest.raises(ConfigError, match="seeds1 does not read c2; it reads no stage parameter"):
+        SolverSpec("seeds1", c2=0.5)
+    with pytest.raises(ConfigError, match="seeds3 does not read c2; it reads r1, r2"):
+        SolverSpec("seeds3", c2=0.5)
+    with pytest.raises(ConfigError, match="dpm2 does not read r1, r2; it reads c2"):
+        SolverSpec("dpm2", r1=0.2, r2=0.4)
+    with pytest.raises(ConfigError, match="ve2_sde needs 0 < r1 <= 1, got r1=1.5"):
+        SolverSpec("ve2_sde", r1=1.5)
     with pytest.raises(ConfigError):
         SolverSpec("nonsense")
     with pytest.raises(ConfigError):
@@ -933,6 +942,30 @@ def test_every_step_function_is_registered():
              and fn.__module__ == solvers.__name__}
     assert "dp_stages_step" in steps and "np_stages_step" in steps
     assert [name for name, fn in steps.items() if fn not in registered] == []
+
+
+def test_stage_parameters_come_from_the_registry():
+    assert SolverSpec("ve2_sde").step_kwargs == {"stages": 2, "r1": 1.0 / 3.0}
+    assert SolverSpec("dpm2").step_kwargs == {"stages": 2, "c2": 0.5}
+    spec = SolverSpec("seeds3", r1=0.25)
+    assert (spec.r1, spec.r2, spec.c2) == (0.25, 2.0 / 3.0, None)
+    assert SolverSpec("seeds3") == SolverSpec("seeds3", r1=1.0 / 3.0, r2=2.0 / 3.0)
+    assert SolverSpec("exp_euler_lawson").step_kwargs == {"lawson": True}
+    # every family's parameters are its step's keywords, which hold no default of their own
+    import inspect
+
+    from seeds_sde import solvers
+
+    for desc in FAMILIES.values():
+        for form in desc.forms.values():
+            for fn in filter(None, (form.step, form.nodes)):
+                keywords = inspect.signature(fn).parameters
+                assert set(desc.params) <= set(keywords), fn.__name__
+    for name, fn in vars(solvers).items():
+        if inspect.isfunction(fn) and fn.__module__ == solvers.__name__:
+            for key, param in inspect.signature(fn).parameters.items():
+                assert key not in ("c2", "r1", "r2", "r") or param.default in (None, param.empty), \
+                    (name, key)
 
 
 def test_mode_defaults_to_the_family_form():
