@@ -3,15 +3,17 @@
 Subcommands: sample, order, compare, grid, selftest; each takes only the
 flags it reads.  Exit codes: 0 success, 1 configuration error (a usage error
 included), 2 acceptance failure.  All outputs are deterministic
-functions of (config, seed) and do not depend on the worker count: paths are
-partitioned into fixed 8192-path chunks whose draws are keyed by absolute
-path index.  Each chunk formats its own rows of terminal.csv (and, with
---save-trajectories, each of its paths' trajectory rows), inside the pool
-worker when there is one, and the chunk texts are written in path order.
+functions of (config, seed) and do not depend on the worker count: `sample`
+and `order` run their paths through the harness's fan-out, which splits them
+by a fixed rule into chunks of at most 8192 paths whose draws are keyed by
+absolute path index, on ``--workers`` processes (by default every CPU this
+process may use).  Each sample chunk formats its own rows of terminal.csv
+(and, with --save-trajectories, each of its paths' trajectory rows), inside
+the pool worker when there is one, and the chunk texts are written in path
+order.
 """
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import os
@@ -22,11 +24,9 @@ import numpy as np
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, GridError
 from .grids import linear_lambda_grid
-from .harness import per_step_compare, strong_order, weak_order
+from .harness import fan_out, path_chunks, per_step_compare, strong_order, weak_order
 from .noise import RngStream
 from .solvers import sample
-
-_CHUNK = 8192  # fixed path partition, independent of worker count
 
 
 def _fmt(x: float) -> str:
@@ -54,17 +54,11 @@ def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int, record: boo
 
 
 def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) -> int:
-    offsets = range(0, cfg.n_paths, _CHUNK)
-    counts = [min(_CHUNK, cfg.n_paths - off) for off in offsets]
+    chunks = path_chunks(cfg.n_paths)
     model = cfg.build_model()
     grid = cfg.build_grid()
     run = functools.partial(_run_chunk, cfg, model, grid, record=save_trajectories)
-    workers = min(cfg.workers, len(counts))  # a fork pool starts every worker at once
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, offsets, counts))
-    else:
-        results = list(map(run, offsets, counts))
+    results = fan_out(run, chunks, cfg.workers)
     nfe_per_path = results[0][1]
 
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
@@ -81,8 +75,9 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
             with open(os.path.join(traj_dir, f"path_{p:06d}.csv"), "w") as fh:
                 fh.write("t," + header + text)
 
-    with open(os.path.join(out_dir, "config.json"), "w") as fh:
-        json.dump(cfg.resolved(), fh, indent=2, sort_keys=True)
+    with open(os.path.join(out_dir, "config.json"), "w") as fh:   # with the pool size that ran
+        json.dump({**cfg.resolved(), "workers": min(cfg.workers, len(chunks))}, fh, indent=2,
+                  sort_keys=True)
     print(f"wrote {cfg.n_paths} terminal states to {csv_path}")
     print(f"NFE per path: {nfe_per_path} "
           f"({cfg.solver.evals_per_step} evals x {grid.n_steps - 1} steps)")
@@ -98,13 +93,14 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
             cfg.solver, model, cfg.schedule,
             base_steps=order_cfg.get("base_steps", 32),
             refinements=order_cfg.get("refinements", 4),
-            n_paths=cfg.n_paths, stream=stream,
+            n_paths=cfg.n_paths, stream=stream, workers=cfg.workers,
         )
     else:  # the parser's choices leave "weak"
         steps_list = order_cfg.get("steps_list", [14, 17, 21, 26])
         grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
                                     cfg.schedule) for m in steps_list]
-        est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream)
+        est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream,
+                         workers=cfg.workers)
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     base = os.path.join(out_dir, f"order_{kind}_{cfg.solver.family}")
     with open(base + ".csv", "w") as fh:
@@ -191,7 +187,7 @@ _FLAGS = {
 _COMMANDS = {
     "sample": ("sample trajectories, write terminal CSV",
                "config seed paths steps solver schedule mode out workers save_trajectories"),
-    "order": ("estimate a convergence order", "config seed paths solver schedule mode out"),
+    "order": ("estimate a convergence order", "config seed paths solver schedule mode out workers"),
     "compare": ("per-step comparison of two solvers",
                 "config seed steps solver schedule mode threshold "
                 "config_a config_b solver_a solver_b mode_a mode_b"),

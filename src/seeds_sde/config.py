@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError
@@ -78,6 +79,14 @@ class RunConfig:
                 "model": self.model_spec, "solver": solver_spec, "grid": self.grid_spec,
                 "seed": self.seed, "paths": self.n_paths, "workers": self.workers,
                 "threshold": self.threshold, "order": self.order}
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _integer(key: str, value) -> int:
@@ -206,7 +215,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         grid_spec=grid_spec,
         seed=_integer("seed", pick("seed", "seed", 0)),
         n_paths=_integer("paths", pick("paths", "paths", 1000)),
-        workers=_integer("workers", pick("workers", "workers", 1)),
+        workers=_integer("workers", pick("workers", "workers", _usable_cpus())),
         out=out,
         threshold=_number("threshold", pick("threshold", "threshold", 1e-10)),
         order=_order_spec(_section(raw, "order", {})),

@@ -1,9 +1,17 @@
-"""Convergence-order estimation and solver-equivalence checks.
+"""Convergence-order estimation, solver-equivalence checks and the path fan-out.
+
+The fan-out splits paths 0..n-1 into chunks by one rule (``path_chunks``)
+and maps a task over them (``fan_out``): in this process at one worker, on a
+fork process pool otherwise.  ``seeds-sde sample`` and both order estimators
+run through it, and no path's bytes depend on its chunk: draws are keyed by
+absolute path index, every step computes a path's row from that row alone,
+and the chunks are joined in path order before any moment is taken.
 
 Strong order is measured by coupled refinement: all grid levels share one
 Brownian path per trajectory, realized as fine-level weighted increments
 whose group sums give the coarse-level increments, and the finest level
-serves as the reference solution.  Each level is a ``walk`` over its own
+serves as the reference solution; each chunk walks every level from its
+own initial rows.  Each level is a ``walk`` over its own
 ``StepPlan``, the steps ``sample`` runs, and one pass over the fine steps
 moves every level, holding a window of the last ``ratio`` increments
 (one coarsest step), never the whole fine path.  Weak order
@@ -12,6 +20,7 @@ reductions are done block by block (fixed 1024-path blocks) so results do
 not depend on how paths are partitioned across workers.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -139,6 +148,32 @@ def _oracle_for(model, sched, t_top: float):
     return ZeroFlowOracle(sched, t_top, d=model.dim)
 
 
+_CHUNK = 8192   # the most paths one task of the fan-out holds
+
+
+def path_chunks(n_paths: int) -> list:
+    """(offset, count) of each chunk of paths 0..n_paths-1, in path order: the fewest
+    chunks of at most ``_CHUNK`` paths, each the same whole number of ``BLOCK``-path draw
+    blocks, the last holding the rest."""
+    n_chunks = -(-n_paths // _CHUNK)
+    size = -(-n_paths // (n_chunks * BLOCK)) * BLOCK
+    return [(offset, min(size, n_paths - offset)) for offset in range(0, n_paths, size)]
+
+
+def fan_out(fn, tasks: list, workers: int) -> list:
+    """[fn(*task) for task in tasks]: in this process at one worker, otherwise on a
+    fork process pool of at most ``workers`` processes, and no more than there are
+    tasks (the pool starts every worker when it opens).  A task's exception is
+    raised here."""
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    import concurrent.futures   # only a pool needs it
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks)))
+
+
 def _block_mean(values: np.ndarray) -> np.ndarray:
     """Partition-independent mean: per-block sums first, then across blocks."""
     n = values.shape[0]
@@ -147,17 +182,19 @@ def _block_mean(values: np.ndarray) -> np.ndarray:
 
 
 def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: int,
-                 n_paths: int, stream, ref_extra: int = 2) -> OrderEstimate:
+                 n_paths: int, stream, ref_extra: int = 2, workers: int = 1) -> OrderEstimate:
     """Coupled-refinement strong-order estimate for the one-stage solver.
 
     Builds ``refinements`` nested uniform-lambda grids by halving, plus a
     reference level ``ref_extra`` further halvings down, each walked by
-    ``walk`` on its own ``StepPlan`` from one initial state.  One pass over
-    the fine steps moves the reference and every level together: the
-    reference's draws fill a window of the last ``ratio`` fine increments
-    (one level-0 step), and a level steps on its slice of the window
-    whenever its stride divides the fine step count.  The error at a level
-    is sqrt(E[sup over its nodes |x - reference|^2]) over [t_min, t_max].
+    ``walk`` on its own ``StepPlan`` (built once) from one initial state.
+    Each chunk of paths (``path_chunks``, run by ``fan_out`` on ``workers``
+    processes) makes one pass over the fine steps, which moves the reference
+    and every level together: the reference's draws fill a window of the
+    last ``ratio`` fine increments (one level-0 step), and a level steps on
+    its slice of the window whenever its stride divides the fine step count.
+    The error at a level is sqrt(E[sup over its nodes |x - reference|^2])
+    over [t_min, t_max].
     """
     if spec.family != "seeds1" or spec.mode != "np":
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
@@ -181,18 +218,9 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
     lams = [plans[0].levels[t] for t in t_fine.tolist()]   # the reference's lambda per node
 
-    sup_sq = np.zeros((n_levels, n_paths))
-    x0 = initial_state(sched, t_top, stream, n_paths, model.dim)
-    prepare_model(model, t_fine[:-1])   # every level evaluates at fine nodes
-    window = np.empty((ratio, *x0.shape))
-    walks = [walk(model, sched, spec, plan, _CoupledStream(stream, lams, window, k), x0)
-             for plan, k in zip(plans, strides)]
-    for j in range(1, m_fine + 1):
-        ref = next(walks[0])
-        for lvl in range(n_levels):
-            if j % strides[lvl + 1] == 0:
-                diff = next(walks[lvl + 1]) - ref
-                sup_sq[lvl] = np.maximum(sup_sq[lvl], np.sum(diff * diff, axis=-1))
+    run = functools.partial(_coupled_chunk, spec, model, sched, stream, plans, strides, lams)
+    sups, refs = zip(*fan_out(run, path_chunks(n_paths), workers))
+    sup_sq, ref = np.concatenate(sups, axis=1), np.concatenate(refs)
 
     hs = [(lams[-1] - lams[0]) / (base_steps * 2**lvl) for lvl in range(n_levels)]
     errors, ses = [], []
@@ -221,12 +249,40 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
                          slope_se, notes=notes)
 
 
-def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream) -> OrderEstimate:
+def _coupled_chunk(spec, model, sched, stream, plans, strides, lams, offset: int,
+                   count: int):
+    """The coupled walks of paths offset..offset+count-1: each measured level's sup
+    over its nodes of |x - reference|^2, shape (levels, count), and the reference's
+    terminal states."""
+    x0 = initial_state(sched, sched.t_max, stream, count, model.dim, offset)
+    prepare_model(model, plans[0].times())   # every level evaluates at fine nodes
+    window = np.empty((strides[1], *x0.shape))   # one level-0 step of fine increments
+    walks = [walk(model, sched, spec, plan, _CoupledStream(stream, lams, window, k), x0, offset)
+             for plan, k in zip(plans, strides)]
+    sup_sq = np.zeros((len(strides) - 1, count))
+    for j in range(1, len(lams)):
+        ref = next(walks[0])
+        for lvl, k in enumerate(strides[1:]):
+            if j % k == 0:
+                diff = next(walks[lvl + 1]) - ref
+                sup_sq[lvl] = np.maximum(sup_sq[lvl], np.sum(diff * diff, axis=-1))
+    return sup_sq, ref
+
+
+def _terminal(spec, model, sched, stream, grid, offset: int, count: int):
+    """The terminal states of paths offset..offset+count-1 sampled over the grid."""
+    return sample(model, sched, grid, spec, stream, n_paths=count, path_offset=offset).terminal
+
+
+def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
+               workers: int = 1) -> OrderEstimate:
     """Moment-error weak-order estimate over a list of grids.
 
     error(h) = max over the powers p = 1, 2, 4 of |E[x^p] - E_exact[x^p]| at
     the final real node; points whose error is below 3 Monte Carlo standard
-    errors are excluded from the fit and recorded.
+    errors are excluded from the fit and recorded.  Every (grid, chunk) pair
+    is one task of a single ``fan_out`` on ``workers`` processes, and no more
+    processes than chunks.
     """
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
@@ -235,14 +291,18 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream) -> O
     widths = [float(np.max(g.step_widths(sched))) for g in grids]
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
+    chunks = path_chunks(n_paths)
+    run = functools.partial(_terminal, spec, model, sched, stream)
+    # no more workers than chunks, as sample: a run of one chunk starts no pool
+    terminals = fan_out(run, [(grid, *chunk) for grid in grids for chunk in chunks],
+                        min(workers, len(chunks)))
     hs, errors, ses = [], [], []
     excluded, notes = [], []
     for g_idx, (h, grid) in enumerate(zip(widths, grids)):
         # each grid's exact law starts from its own top time
         oracle = _oracle_for(model, sched, float(grid.times[0]))
-        res = sample(model, sched, grid, spec, stream, n_paths=n_paths)
         terminal_t = float(grid.times[grid.n_steps - 1])
-        term = res.terminal
+        term = np.concatenate(terminals[g_idx * len(chunks) : (g_idx + 1) * len(chunks)])
         moments = []  # (largest error over the axes, its standard error) per power
         for p in (1, 2, 4):
             vals = term**p
@@ -297,7 +357,8 @@ class _CoupledStream:
     """Stands in for the stream at one coupled level.  At stride 1 (the reference) step
     j returns fine increment j's unit draw, keyed on (step j, stage 0), and keeps its raw
     weighted increment sqrt(raw_increment_var) z in the shared window; at stride k a
-    step's draw is the sum of its k window increments over their standard deviation."""
+    step's draw is the sum of its k window increments, added in order, over their
+    standard deviation."""
 
     def __init__(self, stream, lams, window, stride: int):
         self.stream, self.lams, self.window, self.stride = stream, lams, window, stride
@@ -310,8 +371,12 @@ class _CoupledStream:
             z = self.stream.normal_paths(n, step, 0, d, offset)
             self.window[k - 1] = std * z
             return z
-        # the slice shape of the level's stacked fine increments: NumPy sums in that order
-        return self.window[k - self.stride : k].sum(axis=0) / std
+        # not sum(axis=0): NumPy adds pairwise on one path in d = 1, in order otherwise
+        increments = self.window[k - self.stride : k]
+        total = increments[0] + increments[1]
+        for inc in increments[2:]:
+            total += inc
+        return total / std
 
 
 def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,

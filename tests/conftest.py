@@ -76,6 +76,17 @@ def nan_from_model():
 
 
 @pytest.fixture
+def chunks_of(monkeypatch):
+    """chunks_of(module, size): the ``path_chunks`` that ``module`` calls cuts the
+    paths into chunks of ``size``, the last holding the rest."""
+    def patch(module, size):
+        monkeypatch.setattr(module, "path_chunks",
+                            lambda n: [(o, min(size, n - o)) for o in range(0, n, size)])
+
+    return patch
+
+
+@pytest.fixture
 def marginal_calls(monkeypatch):
     """The times of every ``DataDistribution.marginal`` call from here on: a
     ``ScoreModel`` evaluation at a time it has no table row for computes its

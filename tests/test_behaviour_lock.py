@@ -13,9 +13,10 @@ Besides the ten hand-picked runs, the lock covers every valid (family,
 schedule, mode) ``sample`` run on the four schedules, five runs on an
 8-component d=16 mixture (the benchmark's oracle shape: noise and data
 prediction on VP, VE and EDM), the CSV and JSON that ``order strong`` and
-``order weak`` write, the ``strong_order`` estimate at two reference depths
-through the Python API, the stdout of ``compare`` and the files that
-``sample --save-trajectories`` writes.  Through the Python API it also locks
+``order weak`` write (two-chunk runs at one, two and three workers), the
+``strong_order`` estimate at two reference depths through the Python API,
+the stdout of ``compare`` and the files that ``sample --save-trajectories``
+writes.  Through the Python API it also locks
 ``per_step_compare`` with zeroed draws, with and without churn, the exact-flow
 oracle's moments on every schedule, and the ``config.json`` written for each
 schedule kind.
@@ -188,7 +189,7 @@ ORDER_CASES = {
                                {"order": {"steps_list": [5, 7, 10]}, "paths": 1500,
                                 "model": _ZERO_MODEL},
                                "order_weak_seeds1"),
-    # one path in d = 1: NumPy sums the stacked fine increments pairwise
+    # one path in d = 1, whose coarse draws are summed in the same order as any other
     "strong-seeds1-one-path": (["order", "strong", "--solver", "seeds1", "--seed", "1",
                                 "--paths", "1"],
                                {"order": {"base_steps": 8, "refinements": 3}, "paths": 400},
@@ -201,6 +202,13 @@ ORDER_CASES = {
                            "--seed", "6"],
                           {"order": {"base_steps": 8, "refinements": 3}, "paths": 200},
                           "order_strong_seeds1"),
+    # 9000 paths are two uneven chunks (5120 + 3880), run at every worker count below
+    "strong-seeds1-two-chunks": (["order", "strong", "--solver", "seeds1", "--seed", "21"],
+                                 {"order": {"base_steps": 4, "refinements": 3}, "paths": 9000},
+                                 "order_strong_seeds1"),
+    "weak-seeds2-two-chunks": (["order", "weak", "--solver", "seeds2", "--seed", "21"],
+                               {"order": {"steps_list": [5, 7, 10]}, "paths": 9000},
+                               "order_weak_seeds2"),
 }
 
 # name -> sha256 of the CSV and of the JSON, same provenance as SWEEP_LOCKED,
@@ -222,8 +230,19 @@ ORDER_LOCKED = {
     "strong-seeds1-mixture-d3": [
         "9165501a7580915a54564e0a01cffcfd140fa7a71a4b452530fc0507ca4da19e",
         "b6009ff781ae08f566aa08f64e4b6f0677814d238c0da081b58379448cc816ed"],
-    "strong-seeds1-one-path": ["58247a02b9e225cc7778c32acca27f1d5863c6a6e799a5bde2a3861772f9446b",
-                               "97113a49d0008f28febb417cb1fe7635b5338a94fb721318091af209616313fa"],
+    # re-baselined when a lone path's coarse draws stopped being summed pairwise
+    # (NumPy's sum over a contiguous axis) and were summed in sequence like any
+    # other path count's: error, r2 and slope_se moved by at most 4.7e-16 relative
+    "strong-seeds1-one-path": ["7ab99bd4d7b74fc941dde4a993e3393e6cea635f7be86aa6edb6d635563157d6",
+                               "09ecafff44efeda980589d880b1a886da05ba971e73f528d0ce53d2845955bdc"],
+    # from the parent of the commit that put order on the process pool, which ran
+    # every order in one process
+    "strong-seeds1-two-chunks": [
+        "c6a05cbfa8270ec8c4618baa36a901b48aa14206f931c1bace44d7464cdf7ae4",
+        "b75690fb74311fde4943ea0392b0911734ab19f773dba76eb46481b526c09ca3"],
+    "weak-seeds2-two-chunks": [
+        "d17c511fff7838e3c64d60da1edd93516446a4fc148c60c649b4c66f49545779",
+        "512daf509f83856e7d4e8b3cfdd782108de408d40a3cd993209a496920f81b8e"],
 }
 
 # ref_extra -> (schedule, sha256 of to_csv() + to_json()) for strong_order on
@@ -352,9 +371,10 @@ def _mixture_sha256(tmp_path, name):
     return _sha256(tmp_path / "out" / "terminal.csv")
 
 
-def _order_sha256(tmp_path, name):
+def _order_sha256(tmp_path, name, extra=()):
     argv, config, stem = ORDER_CASES[name]
-    assert main(_with_config(tmp_path, argv + ["--out", str(tmp_path / "out")], config)) == 0
+    argv = [*argv, *extra, "--out", str(tmp_path / "out")]
+    assert main(_with_config(tmp_path, argv, config)) == 0
     return [_sha256(tmp_path / "out" / f"{stem}.{ext}") for ext in ("csv", "json")]
 
 
@@ -383,6 +403,12 @@ def test_order_outputs_locked(tmp_path, name):
     assert _order_sha256(tmp_path, name) == ORDER_LOCKED[name]
 
 
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+@pytest.mark.parametrize("name", ["strong-seeds1-two-chunks", "weak-seeds2-two-chunks"])
+def test_order_outputs_locked_for_any_workers(tmp_path, name, workers):
+    assert _order_sha256(tmp_path, name, ["--workers", workers]) == ORDER_LOCKED[name]
+
+
 @pytest.mark.parametrize("name", sorted(COMPARE_CASES))
 def test_compare_stdout_locked(name, capsys):
     assert _compare_output(name, capsys) == COMPARE_LOCKED[name]
@@ -398,8 +424,8 @@ def test_strong_order_api_locked(ref_extra):
     assert hashlib.sha256((est.to_csv() + est.to_json()).encode()).hexdigest() == digest
 
 
-def test_trajectory_files_locked(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "_CHUNK", 2)
+def test_trajectory_files_locked(tmp_path, chunks_of):
+    chunks_of(cli, 2)
     out = tmp_path / "out"
     assert main(["sample", "--solver", "seeds3", "--schedule", "edm", "--steps", "6",
                  "--paths", "5", "--seed", "4", "--workers", "2", "--save-trajectories",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import pickle
@@ -283,9 +284,20 @@ def test_config_json_records_only_the_stage_parameters_that_ran(tmp_path, solver
     assert read(out / "terminal.csv") == read(tmp_path / "y" / "terminal.csv")
 
 
-def test_sample_pool_holds_no_more_workers_than_chunks(tmp_path, monkeypatch):
-    # a fork pool starts every worker when it opens; this one records its size and runs
-    # the chunks in process
+_SMALL_ORDER = {"strong": {"base_steps": 4, "refinements": 3}, "weak": {"steps_list": [5, 7, 10]}}
+
+
+def _with_order_config(tmp_path, argv, kind):
+    """argv with a config file that holds a small order section for ``kind``."""
+    cfg_path = tmp_path / "order.json"
+    cfg_path.write_text(json.dumps({"order": _SMALL_ORDER[kind]}))
+    return argv + ["--config", str(cfg_path)]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every process pool opened from here on; each runs its tasks in this
+    process, so none starts."""
     sizes = []
 
     class FakePool:
@@ -301,10 +313,35 @@ def test_sample_pool_holds_no_more_workers_than_chunks(tmp_path, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+def test_sample_pool_holds_no_more_workers_than_chunks(tmp_path, pool_sizes):
+    # a fork pool starts every worker when it opens; config.json records the size that ran
     assert run(["sample", "--solver", "seeds1", "--steps", "3", "--paths", "8200",
                 "--workers", "4", "--out", str(tmp_path / "x")]) == 0
-    assert sizes == [2]
+    assert pool_sizes == [2]
+    assert json.loads(read(tmp_path / "x" / "config.json"))["workers"] == 2
+
+
+def test_one_chunk_starts_no_pool_and_records_one_worker(tmp_path, pool_sizes):
+    # the default worker count is the host's CPUs, which a one-chunk run never uses
+    assert run(["sample", "--solver", "seeds1", "--steps", "3", "--paths", "8192",
+                "--out", str(tmp_path / "x")]) == 0
+    assert pool_sizes == []
+    assert json.loads(read(tmp_path / "x" / "config.json"))["workers"] == 1
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_order_pool_holds_no_more_workers_than_chunks(tmp_path, pool_sizes, kind):
+    # 9000 paths are two chunks: strong order runs one task a chunk, weak order one
+    # for each of its three grids and each chunk, and 8192 paths are one chunk
+    for paths, workers in (("9000", "9"), ("8192", "9"), ("8192", None)):
+        argv = ["order", kind, "--solver", "seeds1", "--paths", paths,
+                "--out", str(tmp_path / "x"), *(["--workers", workers] if workers else [])]
+        assert run(_with_order_config(tmp_path, argv, kind)) == 0
+    assert pool_sizes == [2]
 
 
 def test_churn_config_json_reruns(tmp_path):
@@ -347,16 +384,33 @@ def test_sample_bad_mixture_exits_1(tmp_path, capsys, bad, words):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sample_non_finite_state_exits_1(tmp_path, monkeypatch, capsys, workers,
-                                         nan_from_model):
+                                         nan_from_model, chunks_of):
     # every chunk's model returns NaN from its first noise prediction on
     def build_model(cfg):
         return nan_from_model(ScoreModel(DataDistribution.standard_normal(1), cfg.schedule), 1)
 
-    monkeypatch.setattr(cli, "_CHUNK", 2)
+    chunks_of(cli, 2)
     monkeypatch.setattr(RunConfig, "build_model", build_model)
     out = tmp_path / "x"
     assert run(["sample", "--paths", "3", "--steps", "8", "--workers", workers,
                 "--out", str(out)]) == 1
+    err = _config_error(capsys)
+    assert "non-finite state after step 1 at t=" in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["strong", "weak"])
+def test_order_non_finite_state_in_a_pooled_chunk_exits_1(tmp_path, monkeypatch, capsys, kind,
+                                                          nan_from_model):
+    # 9000 paths are two chunks, so the NaN surfaces inside a pool worker
+    def build_model(cfg):
+        return nan_from_model(ScoreModel(DataDistribution.standard_normal(1), cfg.schedule), 1)
+
+    monkeypatch.setattr(RunConfig, "build_model", build_model)
+    out = tmp_path / "x"
+    argv = ["order", kind, "--solver", "seeds1", "--paths", "9000", "--workers", "2",
+            "--out", str(out)]
+    assert run(_with_order_config(tmp_path, argv, kind)) == 1
     err = _config_error(capsys)
     assert "non-finite state after step 1 at t=" in err, err
     assert not out.exists()
@@ -642,7 +696,8 @@ def test_selftest_output_deterministic(capsys):
 _SUBCOMMAND_FLAGS = {
     "sample": {"--config", "--seed", "--paths", "--steps", "--solver", "--schedule", "--mode",
                "--out", "--workers", "--save-trajectories"},
-    "order": {"--config", "--seed", "--paths", "--solver", "--schedule", "--mode", "--out"},
+    "order": {"--config", "--seed", "--paths", "--solver", "--schedule", "--mode", "--out",
+              "--workers"},
     "compare": {"--config", "--seed", "--steps", "--solver", "--schedule", "--mode",
                 "--threshold", "--config-a", "--config-b", "--solver-a", "--solver-b",
                 "--mode-a", "--mode-b"},
@@ -657,13 +712,13 @@ def test_each_subcommand_declares_only_the_flags_it_reads():
                        if flag not in ("-h", "--help")}
                 for name, p in sub.choices.items()}
     assert declared == _SUBCOMMAND_FLAGS
-    assert sum(map(len, declared.values())) == 35
+    assert sum(map(len, declared.values())) == 36
 
 
 # (subcommand, flag it does not read, a value): each was accepted and ignored before
 _DEAD_FLAGS = [
     ("sample", "--threshold", "5"),
-    ("order", "--steps", "8"), ("order", "--workers", "3"), ("order", "--threshold", "5"),
+    ("order", "--steps", "8"), ("order", "--threshold", "5"),
     ("compare", "--paths", "1"), ("compare", "--out", "x"), ("compare", "--workers", "2"),
     ("grid", "--seed", "3"), ("grid", "--paths", "3"), ("grid", "--solver", "seeds1"),
     ("grid", "--mode", "np"), ("grid", "--out", "x"), ("grid", "--workers", "2"),

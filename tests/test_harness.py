@@ -22,10 +22,10 @@ from seeds_sde import (
     terminal_distribution_check,
     weak_order,
 )
-from seeds_sde import solvers
+from seeds_sde import harness, solvers
 from seeds_sde.errors import ConfigError, DomainError
-from seeds_sde.harness import fit_loglog
-from seeds_sde.noise import raw_increment_var
+from seeds_sde.harness import fit_loglog, path_chunks
+from seeds_sde.noise import BLOCK, raw_increment_var
 from seeds_sde.schedules import ScheduleBase
 
 
@@ -144,6 +144,42 @@ def test_strong_order_stores_no_fine_path_array(vp, gauss_model):
     finally:
         tracemalloc.stop()
     assert peak < 256 * n_paths * 8
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 8192, 8193, 9000, 10_000, 57_345, 100_000])
+def test_path_chunks_cover_the_paths_in_block_aligned_chunks(n):
+    chunks = path_chunks(n)
+    assert [p for offset, count in chunks for p in range(offset, offset + count)] == list(range(n))
+    assert len(chunks) == -(-n // 8192)   # the fewest chunks of at most 8192 paths
+    *whole, (_, last) = chunks
+    sizes = {count for _, count in whole}
+    assert len(sizes) <= 1 and all(size % BLOCK == 0 for size in sizes)
+    assert 0 < last <= min(sizes, default=8192) <= 8192
+    assert all(offset % BLOCK == 0 for offset, _ in chunks)
+
+
+def test_path_chunks_of_the_readme_runs():
+    assert path_chunks(10_000) == [(0, 5120), (5120, 4880)]
+    assert path_chunks(100_000) == [(8192 * i, 8192) for i in range(12)] + [(98_304, 1696)]
+    assert path_chunks(57_345)[-1] == (57_344, 1)
+
+
+def test_coupled_path_bytes_do_not_depend_on_its_chunk(vp, gauss_model, monkeypatch, chunks_of):
+    # a lone path's coarse draws are summed in the order a pair's are: strides 16,
+    # 8 and 4 add 16, 8 and 4 fine increments
+    rows, fan_out = [], harness.fan_out
+
+    def recording(fn, tasks, workers):
+        sups, refs = zip(*fan_out(fn, tasks, workers))
+        rows.append((np.concatenate(sups, axis=1), np.concatenate(refs)))
+        return list(zip(sups, refs))
+
+    monkeypatch.setattr(harness, "fan_out", recording)
+    for size in (1, 2):
+        chunks_of(harness, size)
+        strong_order(SolverSpec("seeds1"), gauss_model, vp, 8, 3, 2, RngStream(1))
+    (sup_1, ref_1), (sup_2, ref_2) = rows
+    assert sup_1.tobytes() == sup_2.tobytes() and ref_1.tobytes() == ref_2.tobytes()
 
 
 def test_coupling_variance_end_to_end(vp):
