@@ -39,12 +39,9 @@ class StepGrid:
         """M: number of intervals (the last one is the trivial step)."""
         return self.times.size - 1
 
-    def real_times(self) -> np.ndarray:
-        """Nodes t_0..t_{M-1} that are actually evaluated."""
-        return self.times[:-1]
-
     def lambdas(self, sched: ScheduleBase, variant: str = SDE) -> np.ndarray:
-        return np.array([sched.lambda_of_t(float(t), variant) for t in self.real_times()])
+        """lambda at the nodes t_0..t_{M-1} that are actually evaluated."""
+        return np.array([sched.lambda_of_t(float(t), variant) for t in self.times[:-1]])
 
     def step_widths(self, sched: ScheduleBase, variant: str = SDE) -> np.ndarray:
         """h_i = lambda(t_i) - lambda(t_{i-1}) over the real steps, all > 0."""

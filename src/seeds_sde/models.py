@@ -149,9 +149,6 @@ class ScoreModel:
     def dim(self) -> int:
         return self.data.dim
 
-    def reset_nfe(self) -> None:
-        self.nfe = 0
-
     def prepare(self, times) -> None:
         """Replace the table with one row per distinct time in ``times``.
 
@@ -288,9 +285,6 @@ class ZeroModel:
     @property
     def dim(self) -> int:
         return self._d
-
-    def reset_nfe(self) -> None:
-        self.nfe = 0
 
     def noise_pred(self, x, t):
         self.nfe += 1

@@ -19,9 +19,11 @@ shared between threads; the package itself starts none.
 
 Stage index conventions used by the samplers:
   stage 0  churn noise (and the initial-state draw at step 0),
-  stage j  the j-th Gaussian z^j of a multi-stage solver step.
+  stage j  the j-th Gaussian z^j of a multi-stage solver step: the unit draw
+           of the j-th sub-interval of the step, split at its stage nodes.
 SEEDS-1/2/3 on the same (seed, trajectory, step) therefore share z^1, which
-is what the per-step equivalence checks rely on.
+is what the per-step equivalence checks rely on.  ``stage_noise_weights``
+builds every stage node's noise from these draws on one Brownian path.
 """
 
 import math
@@ -59,19 +61,12 @@ class RngStream:
         self._bitgen.state = self._fresh
         return self._gen.standard_normal((rows, d), out=out)
 
-    def gauss(self, traj: int, step: int, stage: int, d: int) -> np.ndarray:
-        """d i.i.d. standard normals for one trajectory, shape (d,)."""
-        if d < 1:
-            raise DomainError("dimension must be >= 1")
-        block, row = divmod(traj, BLOCK)
-        return self._normal_block(block, step, stage, d, row + 1)[row]
-
     def normal_paths(self, n: int, step: int, stage: int, d: int, offset: int = 0) -> np.ndarray:
         """Draws for trajectories offset..offset+n-1, shape (n, d).
 
-        Row p of the result equals ``gauss(offset + p, step, stage, d)``
-        regardless of n or offset, so any partition of the path range
-        reproduces the same values.
+        Row p of the result is trajectory offset + p's draw, the same for any
+        n or offset, so any partition of the path range reproduces the same
+        values.
         """
         out = np.empty((n, d))
         filled = 0
@@ -94,23 +89,30 @@ def raw_increment_var(lam_a: float, lam_b: float) -> float:
     return 0.5 * math.exp(-2.0 * lam_a) * (-math.expm1(-2.0 * (lam_b - lam_a)))
 
 
-def staged_noise_seeds3(z1, z2, z3, sbar_s1, sbar_s2, sbar_t, h, r1, r2):
-    """Three-stage noises (n1, A, B) of the three-stage stochastic step.
+def stage_noise_weights(fracs, h, data_pred=False):
+    """Every stage node's weights on the stage draws of one step of width h.
 
-    n1 = sbar_s1 sqrt(e^{2 r1 h} - 1) z1
-    A  = sbar_s2 (sqrt(e^{2 r2 h} - e^{2 r1 h}) z1 + sqrt(e^{2 r1 h} - 1) z2)
-    B  = sbar_t  (sqrt(e^{2h} - e^{2 r2 h}) z1 + sqrt(e^{2 r2 h} - e^{2 r1 h}) z2
-                  + sqrt(e^{2 r1 h} - 1) z3)
+    ``fracs`` are the nodes' fractions of h, increasing, the last one the full
+    step (1.0).  They split [0, h] into sub-intervals, and the j-th
+    sub-interval's unit draw is stage j's z^j (z^1 first).  Row k belongs to
+    the node of width w = fracs[k] h, which covers the first k + 1
+    sub-intervals; its noise is c(node) sum_j row[j] z^(j+1), where the
+    sub-interval [a, b] weighs sqrt(e^{2(w-a)} - e^{2(w-b)}), its increment
+    carried to the node.  Data prediction negates the exponents,
+    sqrt(e^{-2(w-b)} - e^{-2(w-a)}).  A node's last sub-interval weighs
+    sqrt(+-expm1(+-2(w-a))), a one-stage step's noise over it.  A node's
+    squared weights sum to its one-stage variance e^{2w} - 1 (1 - e^{-2w}),
+    and nodes share the draws of the sub-intervals they share, so all of a
+    step's stage noises are increments of one Brownian path.
     """
-    if not 0.0 < r1 < r2 < 1.0:
-        raise ConfigError(f"stage fractions must satisfy 0 < r1 < r2 < 1, got {r1}, {r2}")
-    if h <= 0.0:
-        raise DomainError("staged noise needs h > 0")
-    c_inner = math.sqrt(math.expm1(2.0 * r1 * h))
-    c_mid = sqrt_exp_diff(2.0 * r2 * h, 2.0 * r1 * h)
-    c_outer = sqrt_exp_diff(2.0 * h, 2.0 * r2 * h)
-    n1 = sbar_s1 * c_inner * z1
-    a = sbar_s2 * (c_mid * z1 + c_inner * z2)
-    b = sbar_t * (c_outer * z1 + c_mid * z2 + c_inner * z3)
-    return n1, a, b
-
+    rows = []
+    for k, w in enumerate(fracs):
+        row = []
+        for j, (a, b) in enumerate(zip((0.0, *fracs), fracs[:k + 1])):
+            hi, lo = 2.0 * (w - a) * h, 2.0 * (w - b) * h
+            if j == k:
+                row.append(math.sqrt(-math.expm1(-hi) if data_pred else math.expm1(hi)))
+            else:
+                row.append(sqrt_exp_diff(-lo, -hi) if data_pred else sqrt_exp_diff(hi, lo))
+        rows.append(tuple(row))
+    return tuple(rows)

@@ -11,7 +11,7 @@ import numpy as np
 from .grids import edm_grid, linear_lambda_grid
 from .harness import per_step_compare
 from .models import DataDistribution, ScoreModel, ZeroModel
-from .noise import RngStream, raw_increment_var, staged_noise_seeds3
+from .noise import RngStream, raw_increment_var, stage_noise_weights
 from .phi import phi
 from .schedules import Edm, VpLinear
 from .solvers import SolverSpec, np_stages_step, sample
@@ -36,9 +36,9 @@ def run_selftest(seed: int = 0) -> int:
     h = math.log(2.0)
     check("phi_1 weighted integral anchor", abs(math.exp(-h) * h * phi(1, h) - 0.5) < 1e-14)
 
-    # expm1-stable staged-noise combination versus direct evaluation at h=1
-    val = staged_noise_seeds3(np.ones(1), np.zeros(1), np.zeros(1), 1.0, 1.0, 1.0,
-                              1.0, 1.0 / 3.0, 2.0 / 3.0)[2][0]
+    # expm1-stable staged-noise weight versus direct evaluation at h=1: the full
+    # step's weight on z1, whose sub-interval [0, 1/3] is carried over [1/3, 1]
+    val = stage_noise_weights((1.0 / 3.0, 2.0 / 3.0, 1.0), 1.0)[2][0]
     check("stable noise combination anchor",
           abs(val - math.sqrt(math.exp(2.0) - math.exp(4.0 / 3.0))) < 1e-14)
 
@@ -64,19 +64,18 @@ def run_selftest(seed: int = 0) -> int:
         ok &= abs(raw_increment_var(lam_a, lam_b) - quad) <= 1e-12 * quad
     check("Ito isometry vs quadrature", ok)
 
-    # staged-noise telescoping: the squared z1, z2, z3 coefficients of the
-    # full-step noise, read with unit draws (one of z1, z2, z3 is 1), sum to e^{2h} - 1
+    # staged-noise telescoping: the squared z1, z2, z3 weights of the full-step
+    # noise sum to e^{2h} - 1
     h = 0.7
-    b_coefs = [staged_noise_seeds3(*z, 1.0, 1.0, 1.0, h, 1.0 / 3.0, 2.0 / 3.0)[2][0]
-               for z in np.eye(3)[:, :, None]]
+    b_coefs = stage_noise_weights((1.0 / 3.0, 2.0 / 3.0, 1.0), h)[2]
     check("staged-noise telescoping",
           abs(sum(c * c for c in b_coefs) - math.expm1(2 * h)) <= 1e-13 * math.expm1(2 * h))
 
     # RNG determinism and stream separation
     stream = RngStream(seed)
-    a = stream.gauss(3, 5, 1, 4)
-    b = stream.gauss(3, 5, 1, 4)
-    c = stream.gauss(3, 5, 2, 4)
+    a = stream.normal_paths(1, 5, 1, 4, offset=3)[0]
+    b = stream.normal_paths(1, 5, 1, 4, offset=3)[0]
+    c = stream.normal_paths(1, 5, 2, 4, offset=3)[0]
     check("rng determinism", bool(np.array_equal(a, b)) and not np.allclose(a, c))
 
     # one-step exactness of the one-stage solver on the zero model
@@ -110,7 +109,7 @@ def run_selftest(seed: int = 0) -> int:
     # grid endpoints and NFE accounting
     eg = edm_grid(8, 0.002, 80.0, 7.0, Edm(sigma_data=1.0))
     check("edm grid endpoints", eg.times[0] == 80.0 and eg.times[7] == 0.002 and eg.times[8] == 0.0)
-    model.reset_nfe()
+    model.nfe = 0
     res = sample(model, sched, grid, SolverSpec("seeds3"), RngStream(seed), n_paths=4)
     check("nfe accounting k(M-1)", model.nfe == 3 * (grid.n_steps - 1) == res.nfe_per_path)
 

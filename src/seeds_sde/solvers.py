@@ -11,11 +11,14 @@ gddim              stochastic DDIM-style step (VP only)
 ve2_ode_a/b, ve2_sde  one-parameter two-stage data-prediction schemes (VE/EDM)
 
 Two stage routines: ``np_stages_step`` is the noise-prediction step with 1, 2
-or 3 stages, SEEDS-k given draws (gain factor 2, staged noise sharing z^1
-across stages) and DPM-k, the probability-flow step, given ``draws=None``.
-``dp_stages_step`` is its data-prediction mirror with 1 or 2 stages
-(seeds1-dp and ve2_sde with draws; dpm1-dp and ve2_ode_a/b without).  dpm4,
-Euler-Maruyama, exponential Euler and gddim keep their own bodies.
+or 3 stages, SEEDS-k given draws (gain factor 2, staged noise) and DPM-k,
+the probability-flow step, given ``draws=None``.  ``dp_stages_step`` is its
+data-prediction mirror with 1 or 2 stages (seeds1-dp and ve2_sde with draws;
+dpm1-dp and ve2_ode_a/b without).  Both build every stage noise by one rule,
+``noise.stage_noise_weights``: stage j's draw z^j is the increment over the
+j-th sub-interval of the step, split at its stage nodes, so all of a step's
+stage noises lie on one Brownian path for any allowed stage fractions.
+dpm4, Euler-Maruyama, exponential Euler and gddim keep their own bodies.
 
 One registry: ``FAMILIES`` maps each family name to a ``Family`` descriptor
 with its evaluations per step, the stage parameters it reads with their one
@@ -53,8 +56,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, GridError
 from .grids import StepGrid
-from .noise import staged_noise_seeds3
-from .phi import phi, sqrt_exp_diff
+from .noise import stage_noise_weights
+from .phi import phi
 from .schedules import ODE, SDE, ScheduleBase
 
 _GAMMA_CAP = math.sqrt(2.0) - 1.0
@@ -218,11 +221,13 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=None, r1=No
     model evaluations).
 
     With ``draws`` this is the SEEDS step: the reverse-SDE frame (gain factor
-    2) plus staged noise that shares z1 across stages.  With ``draws=None``
-    it is the probability-flow DPM-Solver step of the same order (gain
-    factor 1, no noise).  The two-stage node sits at lambda_s + c2 h; c2 = 1/2
-    is the midpoint form whose noise combination is sqrt(e^{2h} - e^h) z1 +
-    sqrt(e^h - 1) z2.  The three-stage nodes sit at lambda_s + r1 h and
+    2) plus staged noise.  Stage j's draw z^j is the increment over the j-th
+    sub-interval of [lambda_s, lambda_t], split at the stage nodes, and each
+    node's noise is ``stage_noise_weights`` of those draws, so every stage
+    noise lies on one Brownian path; the first node's is ``np_move``'s.  With
+    ``draws=None`` it is the probability-flow DPM-Solver step of the same
+    order (gain factor 1, no noise).  The two-stage node sits at
+    lambda_s + c2 h, the three-stage nodes at lambda_s + r1 h and
     lambda_s + r2 h.  ``nodes`` is ``np_stage_nodes`` at (s, t), when a plan
     has it.
     """
@@ -234,39 +239,32 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=None, r1=No
     z1 = None if draws is None else draws[1]
     if stages == 1:
         return np_move(sched, x_s, s, t, h, f_s, sto, z1)
+    if sto:
+        w = stage_noise_weights((c2, 1.0) if stages == 2 else (r1, r2, 1.0), h)
     if stages == 2:
         (s1,) = times
         u = np_move(sched, x_s, s, s1, c2 * h, f_s, sto, z1)
         f_mid = model.noise_pred(u, s1)
         x_t = (sched.np_trans(s, t, sto) * x_s + sched.np_gain(t, sto) * math.expm1(h)
                * ((1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid))
-        if draws is None:
-            return x_t
-        # z1 is the weighted increment over [lam_s, lam_s + c2 h]; carrying it
-        # to t and adding a fresh remainder keeps the stage and full-step
-        # noises on one Brownian path
-        rem = 2.0 * (1.0 - c2) * h
-        full_noise = sqrt_exp_diff(2.0 * h, rem) * z1 + math.sqrt(math.expm1(rem)) * draws[2]
-        return x_t + sched.np_noise(t) * full_noise
+        return x_t + sched.np_noise(t) * (w[1][0] * z1 + w[1][1] * draws[2]) if sto else x_t
     s1, s2 = times
-    u1 = np_move(sched, x_s, s, s1, r1 * h, f_s, sto)
-    if draws is not None:
-        n1, noise_a, noise_b = staged_noise_seeds3(
-            z1, draws[2], draws[3], sched.np_noise(s1), sched.np_noise(s2),
-            sched.np_noise(t), h, r1, r2)
-        u1 = u1 + n1
+    u1 = np_move(sched, x_s, s, s1, r1 * h, f_s, sto, z1)
     f_u1 = model.noise_pred(u1, s1)
     # (e^{r2 h} - 1)/(r2 h) - 1 == r2 h phi_2(r2 h), stable near h = 0
     corr2 = (r2 / r1) * (r2 * h) * phi(2, r2 * h)
     u2 = (sched.np_trans(s, s2, sto) * x_s
           + sched.np_gain(s2, sto) * (math.expm1(r2 * h) * f_s + corr2 * (f_u1 - f_s)))
-    if draws is not None:
-        u2 = u2 + noise_a
+    if sto:
+        z2 = draws[2]
+        u2 = u2 + sched.np_noise(s2) * (w[1][0] * z1 + w[1][1] * z2)
     f_u2 = model.noise_pred(u2, s2)
     corr3 = (1.0 / r2) * h * phi(2, h)
     x_t = (sched.np_trans(s, t, sto) * x_s
            + sched.np_gain(t, sto) * (math.expm1(h) * f_s + corr3 * (f_u2 - f_s)))
-    return x_t if draws is None else x_t + noise_b
+    if draws is None:
+        return x_t
+    return x_t + sched.np_noise(t) * (w[2][0] * z1 + w[2][1] * z2 + w[2][2] * draws[3])
 
 
 def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r1=None, phi2=False,
@@ -308,10 +306,9 @@ def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r1=None, phi2=
     x_t = one_stage(a_t, sg_t, sbar_t, h, (1.0 - 0.5 / r1) * d_s + (0.5 / r1) * d_u)
     if draws is None:
         return x_t
-    # Chasles split: the stage-1 chunk carried to t plus a fresh remainder
-    carried = sqrt_exp_diff(-2.0 * (1.0 - r1) * h, -2.0 * h)
-    fresh = math.sqrt(-math.expm1(-2.0 * (1.0 - r1) * h))
-    return x_t + sbar_t * (carried * z1 + fresh * draws[2])
+    # z1 is the increment over the node's sub-interval, carried to t; z2 the remainder's
+    w = stage_noise_weights((r1, 1.0), h, data_pred=True)
+    return x_t + sbar_t * (w[1][0] * z1 + w[1][1] * draws[2])
 
 
 def dpm4_step(model, sched, x_s, s, t, nodes=None):

@@ -66,17 +66,20 @@ CASES = {
 }
 
 # Computed from the parent of the commit that introduced this file, before
-# the keyed-draw and CSV-writing changes that ship with it.
+# the keyed-draw and CSV-writing changes that ship with it.  Every seeds3 hash
+# in this file was re-baselined once, when the three-stage noise moved onto one
+# Brownian path: at the default fractions its full-step weights now read 1 - r1
+# and 1 - r2, one ulp from the r2 and r1 they read before.
 LOCKED = {
     "dpm3-vp": "7acbc0fc7b95d63ccc5294469e3b4b5c1d1726556d6ddd581b9b834f49018eaf",
     "euler_maruyama-vp": "584d5402c2af661ced81654b8a5fdca3c3381b8939ecccc583a1fab3187951c7",
     "gddim-vp": "430d6af13a04f3cec287f7dac96b1c5fdec30bc4d0dfaa1af68d0ebb8d33c020",
-    "mixture-d3-workers2": "a5d6d86ddc48b5c10a7a1eba91978055a126be683485a4274a9aad5394a4e708",
+    "mixture-d3-workers2": "57e6d54027c5359ca4c5e3c98bb4b0e8c94817c09b92d0f1d5362e21aea5b074",
     "seeds1-vp": "b5496e8bfe3c97aaa05f318d620531ecc4db9b91fce9db2f3ba9f2a397db0e77",
     "seeds2-vp": "2b6638d04a1f8afbf55d24af96d42f23d0c464783dd0c57ab7b29ae15af8c7d5",
-    "seeds3-edm-churn": "4590eafd0ae53c2b3e6c5907fcd6b970ed3e7a895d03e755013ea107f69bd029",
-    "seeds3-vp": "acfaa16674748d6e7206d9459de098a94dc8d99c5eaa530379ebc564c48aa043",
-    "seeds3-vp-one-path": "7bab9cb4e64cb1f4a4d48886257928ecb1588f968516afe4c32636bab0ac3695",
+    "seeds3-edm-churn": "2188e5c94690ca0436576ac05f290002bce503bdfb805f428620b2a98f98d0bf",
+    "seeds3-vp": "82ac9d69d4cceb73f249db5056473b4109ba316f3421e5ccf8409715242ba6b9",
+    "seeds3-vp-one-path": "e9db1c8d318ffca8ab4a0ab84df6c20462ce8cb29ce7cc14c23adb1f612b206e",
     "ve2_sde-ve-dp": "3581b17b2c214c01dbfde8bf82e1c2f37edd77351f93126f9140ff42c04b92a3",
 }
 
@@ -126,9 +129,9 @@ SWEEP_LOCKED = {
     "seeds2-edm-np": "5dce45286c0ec371ce3353ead48dc02137e6db896f6e53e4834b4f0448de7ce8",
     "seeds2-vp-np": "56a241109ad87c3211fd7af050a339bf6a867d47c97aa141aaffd5095d5ecbc0",
     "seeds2-vp_cosine-np": "4d2516d1522eef4bbdf654774f84be8692568103ec96c7ebbefdff3ae94b971b",
-    "seeds3-edm-np": "670128627868d63910876975972426398a9f87bb2d57d12f80a3a5171da96884",
-    "seeds3-vp-np": "93f364e8a9adc75dfcf6d629f231faf422af110b1ee326f29ab0153758d84886",
-    "seeds3-vp_cosine-np": "3c758a801a57008ac9b7c6bccefa3e745277e16155d2ff22bf267a0ab34b2a63",
+    "seeds3-edm-np": "0aeb7aac1827e3df93dc674a253b90ef3b292fe147bb95a8d3d7557e098bd5a8",
+    "seeds3-vp-np": "554e1f9a93e6799b53564dc2ed653e9cffbeef3ece015859ec728b46e5f17cb1",
+    "seeds3-vp_cosine-np": "4994f66b0ca3f6453a27d2b05b2821aef13420b37741ce86138493896a3f8251",
     "ve2_ode_a-edm-dp": "4b64f39733d23adddf0aeeb4ebed5cb577ead396ac01b9508ec73dbaaf87670d",
     "ve2_ode_a-ve-dp": "440b34695fa416c9498e56e294fb72a1693aaec0146288889aaf25eb6c3f4611",
     "ve2_ode_b-edm-dp": "b5775b500e5b58160b5eaa91ae2c14996b57f3915e752123394dd8286d17af1e",
@@ -165,8 +168,8 @@ MIXTURE_CASES = {
 MIXTURE_LOCKED = {
     "k8d16-dpm3-vp": "56efddd6f412d9314bf6344bc5e72fa08cd1c57aaf752260cf3feee4d90c8c18",
     "k8d16-seeds1-vp-dp": "990a57a6e07946a0f1869cd91210a14a4e802dcd464202832cf29284fc3d7b50",
-    "k8d16-seeds3-edm": "913c3e0a52c5bc0723d41a32eef8314795ac06842fb37e4c42449e24d820142e",
-    "k8d16-seeds3-vp": "0a9df02be1fbadd37e72b153d5ba21b869761bd45202fe29e522804f1f3d8d03",
+    "k8d16-seeds3-edm": "ccb912c2f2a0de9b0584c8e5055708c43eeb47189313892ebe934774316e2a35",
+    "k8d16-seeds3-vp": "d373ddfae25fe481fb83abf590bdf4742324d18acae9015daf736b413561c55c",
     "k8d16-ve2_sde-ve": "a6d3d591757fe362caa7291f558bc53ee727d4e1ade5c147a21855d784efda64",
 }
 
@@ -223,8 +226,8 @@ ORDER_LOCKED = {
                                "23ab64481114ef6d52af8fd0127017d0a9b6581bb3904652ddab978eb65c17c5"],
     "weak-seeds2": ["76f1aac9af48e3f0da7ff5592525a6782878db19207beeb7f31a6cb65af03b22",
                     "6eee79e5ec583b9920ac391e4a15f94f00cd37016aad4659fac6654dfd91e5b7"],
-    "weak-seeds3-edm": ["abb34d45ba219f4e2347cc3679d187f51395b60677d23d52149cf9c256de8441",
-                        "e6f253082371c880befc4ddbaeb396b78bf8338e28ae176fa9242ec5976e1086"],
+    "weak-seeds3-edm": ["a06acca4365b190ad011cd43dff8934a1ca4ad7e21fe1e8828dff048f68f606b",
+                        "cca303aa61aaaedc208741ec481d7f8677f148f55a9a43a3c64d1fd15c7d327d"],
     "strong-seeds1-edm": ["210799af9b67eb2af3eda0240b9f7a277ee9fc971937a3cc24980054daa84a3e",
                           "84ccb24d63cf7dcdd5ba4cdd55ad46a97f81753cdeb34b0977c3ae1a06aa4835"],
     "strong-seeds1-mixture-d3": [
@@ -258,8 +261,8 @@ API_STRONG_LOCKED = {
 # steps, seed 4): sha256 of each trajectory file, computed from the parent of
 # the commit that moved the recording into the chunked run
 TRAJECTORY_LOCKED = {
-    "path_000000.csv": "0c17d5dc9d436d36d151b428ac69b2ce6ac78482ff8a6096acfb65194c4d3a88",
-    "path_000001.csv": "5ebcad364b8fe0eca3e408e7421b6d500493349ef35d07a90267c8e8ac849848",
+    "path_000000.csv": "dd792413e9c8d2f9ffdd70ca92ddba9ecbc8eb39595a00435f577ba860cf8fcf",
+    "path_000001.csv": "ba385461b27e8adb180b551e70efb3908a8f67d019e3d9d158b685d59e65b16f",
     "path_000002.csv": "3a78693f70daa606a3cfb8898d85aedb8f564ff0439b5d2841e2ffbffd12391e",
     "path_000003.csv": "8e8216d9c2e03f87b2f70f90d4d9df09365d4989ec886eb13f24a1d4a18d12ee",
     "path_000004.csv": "5fdd146c3ba1465f9fa5b88df4f3954a1e8cadc8e702fbe64f40e7cd6fb4be51",

@@ -659,13 +659,13 @@ def test_grid_kind_flag_validates_the_grid_that_runs(tmp_path, capsys):
 
 def test_selftest_reads_the_staged_noise_coefficients(monkeypatch, capsys):
     from seeds_sde import selftest
-    from seeds_sde.noise import staged_noise_seeds3
+    from seeds_sde.noise import stage_noise_weights
 
-    def wrong_z2(z1, z2, z3, *args):  # the full-step noise's z2 coefficient off by 1%
-        n1, a, b = staged_noise_seeds3(z1, z2, z3, *args)
-        return n1, a, b + 0.01 * z2
+    def wrong_z2(fracs, h):  # the full-step noise's z2 weight off by 0.01
+        n1, a, (b1, b2, b3) = stage_noise_weights(fracs, h)
+        return n1, a, (b1, b2 + 0.01, b3)
 
-    monkeypatch.setattr(selftest, "staged_noise_seeds3", wrong_z2)
+    monkeypatch.setattr(selftest, "stage_noise_weights", wrong_z2)
     assert run(["selftest", "--seed", "0"]) == 2
     out = capsys.readouterr().out
     assert "FAIL staged-noise telescoping" in out and "13/14 checks passed" in out

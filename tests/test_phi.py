@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from seeds_sde import DomainError, phi, sqrt_exp_diff
-from seeds_sde.errors import ConfigError
-from seeds_sde.noise import staged_noise_seeds3
+from seeds_sde.noise import stage_noise_weights
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -130,9 +129,9 @@ def test_variance_telescoping_exact():
 
 
 def stable_combination(h, r1, r2, z):
-    """The three-stage step's full-step noise B at scale 1:
-    sqrt(e^{2h} - e^{2 r2 h}) z1 + sqrt(e^{2 r2 h} - e^{2 r1 h}) z2 + sqrt(e^{2 r1 h} - 1) z3."""
-    return staged_noise_seeds3(*z, 1.0, 1.0, 1.0, h, r1, r2)[2]
+    """The three-stage step's full-step noise B at scale 1: sqrt(e^{2h} - e^{2(1-r1)h}) z1
+    + sqrt(e^{2(1-r1)h} - e^{2(1-r2)h}) z2 + sqrt(e^{2(1-r2)h} - 1) z3."""
+    return sum(w * z_j for w, z_j in zip(stage_noise_weights((r1, r2, 1.0), h)[2], z))
 
 
 def test_stable_combination_anchor():
@@ -141,31 +140,27 @@ def test_stable_combination_anchor():
     expected = math.sqrt(math.exp(2.0) - math.exp(4.0 / 3.0))
     assert val[0] == pytest.approx(expected, rel=1e-14)
     assert val[0] == pytest.approx(1.89615, abs=5e-6)
+    # off the default fractions, r=(1/2, 3/4), z=(0,1,0): sqrt(e - e^{1/2}) ~ 1.03420
+    val = stable_combination(1.0, 0.5, 0.75, (np.zeros(1), np.ones(1), np.zeros(1)))
+    assert val[0] == pytest.approx(math.sqrt(math.exp(1.0) - math.exp(0.5)), rel=1e-14)
+    assert val[0] == pytest.approx(1.03420, abs=5e-6)
 
 
 def _combination_oracle(h, r1, r2, z):
     """Extended-precision evaluation of the naive radical form."""
     with mpmath.workdps(50):
-        c1 = mpmath.sqrt(mpmath.e ** (2 * h) - mpmath.e ** (2 * r2 * h))
-        c2 = mpmath.sqrt(mpmath.e ** (2 * r2 * h) - mpmath.e ** (2 * r1 * h))
-        c3 = mpmath.sqrt(mpmath.e ** (2 * r1 * h) - 1)
+        one = mpmath.mpf(1)
+        c1 = mpmath.sqrt(mpmath.e ** (2 * h) - mpmath.e ** (2 * (one - r1) * h))
+        c2 = mpmath.sqrt(mpmath.e ** (2 * (one - r1) * h) - mpmath.e ** (2 * (one - r2) * h))
+        c3 = mpmath.sqrt(mpmath.e ** (2 * (one - r2) * h) - 1)
         return float(c1 * z[0] + c2 * z[1] + c3 * z[2])
 
 
 def test_stable_combination_vs_extended_precision():
-    r1, r2 = 1.0 / 3.0, 2.0 / 3.0
     z = (np.array([1.0]), np.array([1.0]), np.array([1.0]))
-    for h in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0, 5.0):
-        got = stable_combination(h, r1, r2, z)[0]
-        want = _combination_oracle(h, r1, r2, (1.0, 1.0, 1.0))
-        tol = 1e-8 if h < 1e-8 else 1e-14
-        assert got == pytest.approx(want, rel=tol), h
-
-
-def test_stable_combination_validates_fractions():
-    z = (np.ones(1), np.ones(1), np.ones(1))
-    with pytest.raises(ConfigError):
-        stable_combination(1.0, 0.7, 0.3, z)
-    # a backward step has h > 0; the solver's staged noise rejects h = 0
-    with pytest.raises(DomainError):
-        stable_combination(0.0, 1.0 / 3.0, 2.0 / 3.0, z)
+    for r1, r2 in ((1.0 / 3.0, 2.0 / 3.0), (0.2, 0.7)):
+        for h in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0, 5.0):
+            got = stable_combination(h, r1, r2, z)[0]
+            want = _combination_oracle(h, r1, r2, (1.0, 1.0, 1.0))
+            tol = 1e-8 if h < 1e-8 else 1e-14
+            assert got == pytest.approx(want, rel=tol), (r1, r2, h)

@@ -159,6 +159,15 @@ def test_seeds1_rejects_forward_step(vp, gauss_model):
             step(gauss_model, vp, np.ones(1), 0.3, 0.8, D0)
 
 
+def test_staged_steps_reject_a_zero_width_step(vp):
+    # SolverSpec checks the stage fractions; the node functions check h > 0 before
+    # any staged noise is built
+    for spec, sched in ((SolverSpec("seeds2"), vp), (SolverSpec("seeds3"), vp),
+                        (SolverSpec("ve2_sde"), Ve())):
+        with pytest.raises(GridError):
+            step_once(spec, ZeroModel(1, sched), sched, np.ones(1), 0.5, 0.5, D0)
+
+
 def test_seeds1_dp_noise_coefficient(vp, gauss_model):
     # injected unit draw isolates the + sbar sqrt(1 - e^{-2h}) coefficient
     x = np.array([0.5])
@@ -833,11 +842,11 @@ def test_models_without_the_hook_sample_and_compare_unchanged(family, name, chur
 
 def test_sample_minimal_grid_single_eval(vp, gauss_model):
     grid = linear_lambda_grid(2, vp.t_min, vp.t_max, vp)
-    gauss_model.reset_nfe()
+    gauss_model.nfe = 0
     res = sample(gauss_model, vp, grid, SolverSpec("seeds1"), RngStream(0), n_paths=2)
     assert gauss_model.nfe == 1
     assert res.nfe_per_path == 1
-    gauss_model.reset_nfe()
+    gauss_model.nfe = 0
 
 
 def test_sample_zero_model_terminal_mean(vp):
