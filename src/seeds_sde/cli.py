@@ -5,12 +5,13 @@ flags it reads.  Exit codes: 0 success, 1 configuration error (a usage error
 included), 2 acceptance failure.  All outputs are deterministic
 functions of (config, seed) and do not depend on the worker count: `sample`
 and `order` run their paths through the harness's fan-out, which splits them
-by a fixed rule into chunks of at most 8192 paths whose draws are keyed by
-absolute path index, on ``--workers`` processes (by default every CPU this
-process may use).  Each sample chunk formats its own rows of terminal.csv
-(and, with --save-trajectories, each of its paths' trajectory rows), inside
-the pool worker when there is one, and the chunk texts are written in path
-order.
+into chunks of at most 8192 paths, one per worker where each gets a full
+1024-path block, whose draws are keyed by absolute path index, on
+``--workers`` processes (by default every CPU this process may use); a run of
+one chunk starts no pool.  Each sample chunk formats its own rows of
+terminal.csv (and, with --save-trajectories, each of its paths' trajectory
+rows), inside the pool worker when there is one, and the chunk texts are
+written in path order.
 """
 
 import argparse
@@ -54,7 +55,7 @@ def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int, record: boo
 
 
 def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) -> int:
-    chunks = path_chunks(cfg.n_paths)
+    chunks = path_chunks(cfg.n_paths, cfg.workers)
     model = cfg.build_model()
     grid = cfg.build_grid()
     run = functools.partial(_run_chunk, cfg, model, grid, record=save_trajectories)

@@ -1,11 +1,13 @@
 """Convergence-order estimation, solver-equivalence checks and the path fan-out.
 
-The fan-out splits paths 0..n-1 into chunks by one rule (``path_chunks``)
-and maps a task over them (``fan_out``): in this process at one worker, on a
-fork process pool otherwise.  ``seeds-sde sample`` and both order estimators
-run through it, and no path's bytes depend on its chunk: draws are keyed by
-absolute path index, every step computes a path's row from that row alone,
-and the chunks are joined in path order before any moment is taken.
+The fan-out splits paths 0..n-1 into chunks by one rule (``path_chunks``:
+no chunk over 8192 paths, and one chunk per worker where there is a full
+1024-path block for each) and maps a task over them (``fan_out``): in this
+process at one worker, on a fork process pool otherwise.  ``seeds-sde
+sample`` and both order estimators run through it, and no path's bytes
+depend on its chunk: draws are keyed by absolute path index, every step
+computes a path's row from that row alone, and the chunks are joined in path
+order before any moment is taken.
 
 Strong order is measured by coupled refinement: all grid levels share one
 Brownian path per trajectory, realized as fine-level weighted increments
@@ -151,20 +153,28 @@ def _oracle_for(model, sched, t_top: float):
 _CHUNK = 8192   # the most paths one task of the fan-out holds
 
 
-def path_chunks(n_paths: int) -> list:
-    """(offset, count) of each chunk of paths 0..n_paths-1, in path order: the fewest
-    chunks of at most ``_CHUNK`` paths, each the same whole number of ``BLOCK``-path draw
-    blocks, the last holding the rest."""
-    n_chunks = -(-n_paths // _CHUNK)
-    size = -(-n_paths // (n_chunks * BLOCK)) * BLOCK
-    return [(offset, min(size, n_paths - offset)) for offset in range(0, n_paths, size)]
+def path_chunks(n_paths: int, workers: int) -> list:
+    """(offset, count) of each chunk of paths 0..n_paths-1, in path order.
+
+    There are as many chunks as the larger of ceil(n_paths / ``_CHUNK``) and
+    min(workers, full ``BLOCK``-path draw blocks), so no chunk holds more than
+    ``_CHUNK`` paths and no worker gets less than a full block; the blocks are dealt
+    out as evenly as they go, the partial block last.  A ConfigError names a path
+    count below 1."""
+    if n_paths < 1:
+        raise ConfigError(f"need at least one path, got {n_paths}")
+    n_chunks = max(-(-n_paths // _CHUNK), min(workers, n_paths // BLOCK))
+    blocks = -(-n_paths // BLOCK)
+    ends = [BLOCK * (i * blocks // n_chunks) for i in range(n_chunks)] + [n_paths]
+    return [(start, end - start) for start, end in zip(ends, ends[1:])]
 
 
 def fan_out(fn, tasks: list, workers: int) -> list:
     """[fn(*task) for task in tasks]: in this process at one worker, otherwise on a
     fork process pool of at most ``workers`` processes, and no more than there are
-    tasks (the pool starts every worker when it opens).  A task's exception is
-    raised here."""
+    tasks (the pool starts every worker when it opens); ``path_chunks`` at the same
+    worker count gives each worker a chunk where the paths allow.  A task's
+    exception is raised here."""
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
@@ -206,6 +216,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
         raise ConfigError(f"need base_steps >= 1, got {base_steps}")
     if ref_extra < 1:
         raise ConfigError("reference must sit at least one halving below the finest level")
+    chunks = path_chunks(n_paths, workers)
     spec.validate_against(sched)
     eps_end, t_top = sched.t_min, sched.t_max
 
@@ -219,7 +230,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     lams = [plans[0].levels[t] for t in t_fine.tolist()]   # the reference's lambda per node
 
     run = functools.partial(_coupled_chunk, spec, model, sched, stream, plans, strides, lams)
-    sups, refs = zip(*fan_out(run, path_chunks(n_paths), workers))
+    sups, refs = zip(*fan_out(run, chunks, workers))
     sup_sq, ref = np.concatenate(sups, axis=1), np.concatenate(refs)
 
     hs = [(lams[-1] - lams[0]) / (base_steps * 2**lvl) for lvl in range(n_levels)]
@@ -286,12 +297,12 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
     """
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
+    chunks = path_chunks(n_paths, workers)
     spec.validate_against(sched)
     grids = sorted(grids, key=lambda g: -float(np.max(g.step_widths(sched))))
     widths = [float(np.max(g.step_widths(sched))) for g in grids]
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
-    chunks = path_chunks(n_paths)
     run = functools.partial(_terminal, spec, model, sched, stream)
     # no more workers than chunks, as sample: a run of one chunk starts no pool
     terminals = fan_out(run, [(grid, *chunk) for grid in grids for chunk in chunks],

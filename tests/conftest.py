@@ -78,10 +78,10 @@ def nan_from_model():
 @pytest.fixture
 def chunks_of(monkeypatch):
     """chunks_of(module, size): the ``path_chunks`` that ``module`` calls cuts the
-    paths into chunks of ``size``, the last holding the rest."""
+    paths into chunks of ``size`` at any worker count, the last holding the rest."""
     def patch(module, size):
-        monkeypatch.setattr(module, "path_chunks",
-                            lambda n: [(o, min(size, n - o)) for o in range(0, n, size)])
+        monkeypatch.setattr(module, "path_chunks", lambda n, workers:
+                            [(o, min(size, n - o)) for o in range(0, n, size)])
 
     return patch
 

@@ -12,11 +12,12 @@ mixture run, the 8192-path chunk (17000 paths over three chunks at
 Besides the ten hand-picked runs, the lock covers every valid (family,
 schedule, mode) ``sample`` run on the four schedules, five runs on an
 8-component d=16 mixture (the benchmark's oracle shape: noise and data
-prediction on VP, VE and EDM), the CSV and JSON that ``order strong`` and
-``order weak`` write (two-chunk runs at one, two and three workers), the
-``strong_order`` estimate at two reference depths through the Python API,
-the stdout of ``compare`` and the files that ``sample --save-trajectories``
-writes.  Through the Python API it also locks
+prediction on VP, VE and EDM) and one 4096-path run on it that must write the
+same bytes in one chunk and in two, the CSV and JSON that ``order strong``
+and ``order weak`` write (9000-path runs at one, two and three workers: two
+chunks, then three), the ``strong_order`` estimate at two reference depths
+through the Python API, the stdout of ``compare`` and the files that ``sample
+--save-trajectories`` writes.  Through the Python API it also locks
 ``per_step_compare`` with zeroed draws, with and without churn, the exact-flow
 oracle's moments on every schedule, and the ``config.json`` written for each
 schedule kind.
@@ -205,7 +206,8 @@ ORDER_CASES = {
                            "--seed", "6"],
                           {"order": {"base_steps": 8, "refinements": 3}, "paths": 200},
                           "order_strong_seeds1"),
-    # 9000 paths are two uneven chunks (5120 + 3880), run at every worker count below
+    # 9000 paths are two chunks (4096 + 4904) at one or two workers and three
+    # (3072 + 3072 + 2856) at three, run at every worker count below
     "strong-seeds1-two-chunks": (["order", "strong", "--solver", "seeds1", "--seed", "21"],
                                  {"order": {"base_steps": 4, "refinements": 3}, "paths": 9000},
                                  "order_strong_seeds1"),
@@ -399,6 +401,20 @@ def test_sweep_terminal_csv_hash_locked(tmp_path, key):
 @pytest.mark.parametrize("name", sorted(MIXTURE_CASES))
 def test_mixture_terminal_csv_hash_locked(tmp_path, name):
     assert _mixture_sha256(tmp_path, name) == MIXTURE_LOCKED[name]
+
+
+def test_mixture_terminal_csv_same_in_one_chunk_and_two(tmp_path):
+    # the benchmark's oracle shape at 4096 paths: one chunk at one worker, two chunks
+    # of 2048 on a pool of two, and the same terminal.csv
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        argv = ["sample", "--solver", "seeds3", "--schedule", "vp", "--steps", "4",
+                "--paths", "4096", "--seed", "36", "--workers", workers, "--out", str(out)]
+        assert main(_with_config(tmp_path, argv, {"model": _MIXTURE_K8D16})) == 0
+        assert json.loads((out / "config.json").read_text())["workers"] == int(workers)
+        outs[workers] = (out / "terminal.csv").read_bytes()
+    assert outs["1"] == outs["2"]
 
 
 @pytest.mark.parametrize("name", sorted(ORDER_CASES))

@@ -318,30 +318,39 @@ def pool_sizes(monkeypatch):
 
 
 def test_sample_pool_holds_no_more_workers_than_chunks(tmp_path, pool_sizes):
-    # a fork pool starts every worker when it opens; config.json records the size that ran
-    assert run(["sample", "--solver", "seeds1", "--steps", "3", "--paths", "8200",
-                "--workers", "4", "--out", str(tmp_path / "x")]) == 0
-    assert pool_sizes == [2]
-    assert json.loads(read(tmp_path / "x" / "config.json"))["workers"] == 2
+    # 4096 paths at two workers are two chunks of 2048, and a pool of 2; 8200 paths
+    # at four are four chunks (2048 x 4 and 8); config.json records the size that ran
+    for paths, workers, size in (("4096", "2", 2), ("8200", "4", 4)):
+        out = tmp_path / paths
+        assert run(["sample", "--solver", "seeds1", "--steps", "3", "--paths", paths,
+                    "--workers", workers, "--out", str(out)]) == 0
+        assert json.loads(read(out / "config.json"))["workers"] == size
+    assert pool_sizes == [2, 4]
 
 
 def test_one_chunk_starts_no_pool_and_records_one_worker(tmp_path, pool_sizes):
-    # the default worker count is the host's CPUs, which a one-chunk run never uses
-    assert run(["sample", "--solver", "seeds1", "--steps", "3", "--paths", "8192",
-                "--out", str(tmp_path / "x")]) == 0
+    # fewer than two full 1024-path blocks are one chunk at any worker count (the
+    # default, the host's CPUs, included), and any run at one worker starts no pool
+    for paths, workers in (("1024", "4"), ("2047", "4"), ("1", None), ("1100", None),
+                           ("8192", "1"), ("100000", "1")):
+        out = tmp_path / paths
+        assert run(["sample", "--solver", "seeds1", "--steps", "3", "--paths", paths,
+                    "--out", str(out), *(["--workers", workers] if workers else [])]) == 0
+        assert json.loads(read(out / "config.json"))["workers"] == 1
     assert pool_sizes == []
-    assert json.loads(read(tmp_path / "x" / "config.json"))["workers"] == 1
 
 
 @pytest.mark.parametrize("kind", ["strong", "weak"])
 def test_order_pool_holds_no_more_workers_than_chunks(tmp_path, pool_sizes, kind):
-    # 9000 paths are two chunks: strong order runs one task a chunk, weak order one
-    # for each of its three grids and each chunk, and 8192 paths are one chunk
-    for paths, workers in (("9000", "9"), ("8192", "9"), ("8192", None)):
-        argv = ["order", kind, "--solver", "seeds1", "--paths", paths,
-                "--out", str(tmp_path / "x"), *(["--workers", workers] if workers else [])]
+    # 8192 paths at nine workers are eight chunks of one block: strong order runs one
+    # task a chunk, weak order one for each of its three grids and each chunk, and
+    # either opens a pool of 8; 1024 paths at nine workers, and 8192 at one, are one
+    # chunk and start none
+    for paths, workers in (("8192", "9"), ("1024", "9"), ("8192", "1")):
+        argv = ["order", kind, "--solver", "seeds1", "--paths", paths, "--workers", workers,
+                "--out", str(tmp_path / "x")]
         assert run(_with_order_config(tmp_path, argv, kind)) == 0
-    assert pool_sizes == [2]
+    assert pool_sizes == [8]
 
 
 def test_churn_config_json_reruns(tmp_path):

@@ -148,20 +148,42 @@ def test_strong_order_stores_no_fine_path_array(vp, gauss_model):
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 8192, 8193, 9000, 10_000, 57_345, 100_000])
 def test_path_chunks_cover_the_paths_in_block_aligned_chunks(n):
-    chunks = path_chunks(n)
-    assert [p for offset, count in chunks for p in range(offset, offset + count)] == list(range(n))
-    assert len(chunks) == -(-n // 8192)   # the fewest chunks of at most 8192 paths
-    *whole, (_, last) = chunks
-    sizes = {count for _, count in whole}
-    assert len(sizes) <= 1 and all(size % BLOCK == 0 for size in sizes)
-    assert 0 < last <= min(sizes, default=8192) <= 8192
-    assert all(offset % BLOCK == 0 for offset, _ in chunks)
+    for workers in (1, 2, 3, 9):
+        chunks = path_chunks(n, workers)
+        assert ([p for offset, count in chunks for p in range(offset, offset + count)]
+                == list(range(n)))
+        # no chunk over 8192 paths, and one chunk per worker that a full block can fill
+        assert len(chunks) == max(-(-n // 8192), min(workers, n // BLOCK))
+        assert all(0 < count <= 8192 for _, count in chunks)
+        assert all(offset % BLOCK == 0 for offset, _ in chunks)
+        # the blocks are dealt out as evenly as they go, the partial one last
+        blocks = [-(-count // BLOCK) for _, count in chunks]
+        assert max(blocks) - min(blocks) <= 1
+        assert all(count % BLOCK == 0 for _, count in chunks[:-1])
 
 
 def test_path_chunks_of_the_readme_runs():
-    assert path_chunks(10_000) == [(0, 5120), (5120, 4880)]
-    assert path_chunks(100_000) == [(8192 * i, 8192) for i in range(12)] + [(98_304, 1696)]
-    assert path_chunks(57_345)[-1] == (57_344, 1)
+    assert path_chunks(4096, 2) == [(0, 2048), (2048, 2048)]
+    assert path_chunks(2100, 2) == [(0, 1024), (1024, 1076)]
+    for workers in (1, 2):
+        assert path_chunks(10_000, workers) == [(0, 5120), (5120, 4880)]
+        assert [count for _, count in path_chunks(100_000, workers)] == [7168, 8192] * 6 + [7840]
+    # one full block, or one worker, is one chunk
+    assert path_chunks(1, 2) == [(0, 1)] and path_chunks(1100, 2) == [(0, 1100)]
+    assert path_chunks(1024, 4) == [(0, 1024)] and path_chunks(2047, 4) == [(0, 2047)]
+    assert path_chunks(4096, 1) == [(0, 4096)] and path_chunks(8192, 1) == [(0, 8192)]
+    assert path_chunks(10_000, 9) == [(1024 * i, 1024) for i in range(8)] + [(8192, 1808)]
+
+
+@pytest.mark.parametrize("n_paths", [0, -5])
+def test_a_path_count_below_one_is_a_config_error(vp, gauss_model, n_paths):
+    with pytest.raises(ConfigError, match=f"need at least one path, got {n_paths}"):
+        path_chunks(n_paths, 2)
+    with pytest.raises(ConfigError, match=f"got {n_paths}"):
+        strong_order(SolverSpec("seeds1"), gauss_model, vp, 4, 3, n_paths, RngStream(0))
+    grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7, 10)]
+    with pytest.raises(ConfigError, match=f"got {n_paths}"):
+        weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, n_paths, RngStream(0))
 
 
 def test_coupled_path_bytes_do_not_depend_on_its_chunk(vp, gauss_model, monkeypatch, chunks_of):
