@@ -11,7 +11,8 @@ highest number already there, holding:
   results   each run's JSON result line, with its workload and seed
   summary   per workload and metric, the median and the quartiles over the seeds
             (inclusive method, so they lie within the runs' range)
-  commit    the checkout's git commit, suffixed "-dirty" when tracked files differ
+  commit    the checkout's git commit, suffixed "-dirty" when tracked files differ,
+            or null when the checkout is not a git work tree
   python, numpy, seconds, smoke   what ran, and how long each run was asked to take
 
 A run that exits non-zero or prints no result line stops the recording, and
@@ -38,13 +39,18 @@ def _next_path(directory: str) -> str:
     return os.path.join(directory, f"BENCH_{max(taken, default=0) + 1}.json")
 
 
-def _commit(checkout: str) -> str:
+def _commit(checkout: str) -> str | None:
+    """The checkout's git commit, suffixed "-dirty" when tracked files differ, or None
+    when the checkout is not a git work tree (an exported copy)."""
     def git(*args):
         return subprocess.run(["git", "-C", checkout, *args], capture_output=True, text=True,
-                              check=True).stdout.strip()
+                              check=False)
 
-    dirty = git("status", "--porcelain", "--untracked-files=no")
-    return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return None
+    dirty = git("status", "--porcelain", "--untracked-files=no").stdout.strip()
+    return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
 def _quartiles(values):
@@ -90,6 +96,7 @@ def main(argv=None) -> int:
                         help="root of the checkout to benchmark")
     args = parser.parse_args(argv)
 
+    commit = _commit(args.checkout)   # read before the runs, which may take minutes
     results = []
     for workload in args.workloads:
         for seed in args.seeds:
@@ -101,7 +108,7 @@ def main(argv=None) -> int:
             results.append({"workload": workload, "seed": seed, "result": result})
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
-    record = {"commit": _commit(args.checkout), "python": platform.python_version(),
+    record = {"commit": commit, "python": platform.python_version(),
               "numpy": np.__version__, "seconds": args.seconds, "smoke": args.smoke,
               "summary": summarize(results), "results": results}
     out = _next_path(os.getcwd())

@@ -14,7 +14,7 @@ from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream, raw_increment_var, stage_noise_weights
 from .phi import phi
 from .schedules import Edm, VpLinear
-from .solvers import SolverSpec, np_stages_step, sample
+from .solvers import SolverSpec, sample, stages_step
 
 
 def run_selftest(seed: int = 0) -> int:
@@ -82,9 +82,9 @@ def run_selftest(seed: int = 0) -> int:
     zm = ZeroModel(1, sched)
     x = np.array([[1.3]])
     s_t, t_t, u_t = 0.9, 0.3, 0.6
-    one = np_stages_step(zm, sched, x, s_t, t_t, {1: np.zeros((1, 1))})
-    two = np_stages_step(zm, sched, x, s_t, u_t, {1: np.zeros((1, 1))})
-    two = np_stages_step(zm, sched, two, u_t, t_t, {1: np.zeros((1, 1))})
+    one = stages_step(zm, sched, x, s_t, t_t, {1: np.zeros((1, 1))})
+    two = stages_step(zm, sched, x, s_t, u_t, {1: np.zeros((1, 1))})
+    two = stages_step(zm, sched, two, u_t, t_t, {1: np.zeros((1, 1))})
     check("zero-model linear exactness", float(np.max(np.abs(one - two))) < 1e-12)
 
     # variance telescoping of the chained step

@@ -10,15 +10,15 @@ exp_euler_lawson   (ETD and integrating-factor flavors)
 gddim              stochastic DDIM-style step (VP only)
 ve2_ode_a/b, ve2_sde  one-parameter two-stage data-prediction schemes (VE/EDM)
 
-Two stage routines: ``np_stages_step`` is the noise-prediction step with 1, 2
-or 3 stages, SEEDS-k given draws (gain factor 2, staged noise) and DPM-k,
-the probability-flow step, given ``draws=None``.  ``dp_stages_step`` is its
-data-prediction mirror with 1 or 2 stages (seeds1-dp and ve2_sde with draws;
-dpm1-dp and ve2_ode_a/b without).  Both build every stage noise by one rule,
-``noise.stage_noise_weights``: stage j's draw z^j is the increment over the
-j-th sub-interval of the step, split at its stage nodes, so all of a step's
-stage noises lie on one Brownian path for any allowed stage fractions.
-dpm4, Euler-Maruyama, exponential Euler and gddim keep their own bodies.
+One stage engine: ``stages_step`` has one stage per stage fraction plus one,
+in noise prediction (SEEDS-1/2/3 with draws, DPM-1/2/3 without) or in data
+prediction (seeds1-dp and ve2_sde with draws, dpm1-dp and ve2_ode_a/b
+without), over the first-order moves ``np_move`` and ``dp_move``.  Every
+stage noise comes from ``noise.stage_noise_weights``: stage j's draw z^j is
+the increment over the j-th sub-interval of the step, split at its stage
+nodes, so all of a step's stage noises lie on one Brownian path for any
+allowed stage fractions.  dpm4, Euler-Maruyama, exponential Euler and gddim
+keep their own bodies.
 
 One registry: ``FAMILIES`` maps each family name to a ``Family`` descriptor
 with its evaluations per step, the stage parameters it reads with their one
@@ -44,8 +44,8 @@ Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
 signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
 ``np_noise``, in the lambda of the reverse SDE (``SDE``) or of the
 probability-flow ODE (``ODE``); ``np_move`` is their first-order move, shared by the
-stage routine and dpm4.  Data-prediction steps use lambda = -log sigma
-directly.
+stage engine and dpm4.  Data-prediction steps use lambda = -log sigma
+directly and read alpha and sigma from ``alpha_sigma``.
 """
 
 import math
@@ -89,7 +89,9 @@ class SolverSpec:
     the only mode for every other family.  A stage parameter the family reads
     takes the registry's default when None; one it does not read stays None, or
     is a ConfigError.  ``step_kwargs`` holds the keywords ``step_once`` passes
-    to the family's step, resolved once here.
+    to the family's step, resolved once here: the form's fixed keywords and,
+    for a family with stage parameters, their values in registry order as
+    ``fracs``.
     """
 
     family: str
@@ -120,7 +122,8 @@ class SolverSpec:
                               + ", ".join(f"{key}={value}" for key, value in params.items()))
         for key, value in (("family", fam), ("mode", mode), *params.items()):
             object.__setattr__(self, key, value)
-        object.__setattr__(self, "step_kwargs", {**desc.forms[mode].kwargs, **params})
+        fracs = {"fracs": tuple(params.values())} if params else {}
+        object.__setattr__(self, "step_kwargs", {**desc.forms[mode].kwargs, **fracs})
 
     @property
     def evals_per_step(self) -> int:
@@ -169,10 +172,20 @@ def _levels(fn, s, t, levels=None):
     return levels[s], levels[t]
 
 
-def lambda_nodes(sched, s, t, stochastic, fracs=(), levels=None):
-    """The width h = lambda_t - lambda_s of a noise-prediction step, in the lambda of the
-    reverse SDE (stochastic) or of the probability-flow ODE, and its stage nodes
-    t_of_lambda(lambda_s + c h) for c in fracs; ``levels`` caches lambda by time."""
+def stage_nodes(sched, s, t, stochastic, fracs=(), dp=False, phi2=False, levels=None):
+    """Node function of ``stages_step``: the step width h and one node per stage fraction c,
+    t_of_lambda(lambda_s + c h) in the lambda of the reverse SDE (stochastic) or of the
+    probability-flow ODE, or with ``dp`` time_of_sigma(sigma_s e^{-c h}) with h =
+    log(sigma_s / sigma_t).  ``levels`` caches lambda (sigma) by time; ``phi2`` moves no node.
+    """
+    if len(fracs) > (most := 1 if dp else 2):
+        raise ConfigError(f"{'data' if dp else 'noise'}-prediction steps take at most {most} "
+                          f"stage fractions, got {tuple(fracs)!r}")
+    if dp:
+        sg_s, sg_t = _levels(sched.sigma_of_t, s, t, levels)
+        h = math.log(sg_s / sg_t)
+        _check_backward(s, t, h)
+        return h, tuple(sched.time_of_sigma(sg_s * math.exp(-c * h)) for c in fracs)
     var = SDE if stochastic else ODE
     lam_s, lam_t = _levels(lambda u: sched.lambda_of_t(u, var), s, t, levels)
     h = lam_t - lam_s
@@ -180,29 +193,10 @@ def lambda_nodes(sched, s, t, stochastic, fracs=(), levels=None):
     return h, tuple(sched.t_of_lambda(lam_s + c * h, var) for c in fracs)
 
 
-def np_stage_nodes(sched, s, t, stochastic, stages=1, c2=None, r1=None, r2=None, levels=None):
-    """Node function of ``np_stages_step``: h and the node lambda_s + c2 h (two stages)
-    or the nodes lambda_s + r1 h and lambda_s + r2 h (three)."""
-    if stages not in (1, 2, 3):
-        raise ConfigError(f"noise-prediction stage count must be 1, 2 or 3, got {stages!r}")
-    return lambda_nodes(sched, s, t, stochastic, ((), (c2,), (r1, r2))[stages - 1], levels)
-
-
 def dpm4_nodes(sched, s, t, stochastic=False, levels=None):
     """Node function of ``dpm4_step``: h and the nodes lambda_s + h/2 (s2 = s3 = s5) and
     lambda_s + h (s4), in the ODE lambda."""
-    return lambda_nodes(sched, s, t, False, (0.5, 1.0), levels)
-
-
-def dp_stage_nodes(sched, s, t, stochastic, stages=1, r1=None, phi2=False, levels=None):
-    """Node function of ``dp_stages_step``: h = log(sigma_s / sigma_t) and, with two
-    stages, the node time_of_sigma(sigma_s e^{-r1 h}); ``levels`` caches sigma by time."""
-    if stages not in (1, 2):
-        raise ConfigError(f"data-prediction stage count must be 1 or 2, got {stages!r}")
-    sg_s, sg_t = _levels(sched.sigma_of_t, s, t, levels)
-    h = math.log(sg_s / sg_t)
-    _check_backward(s, t, h)
-    return h, (sched.time_of_sigma(sg_s * math.exp(-r1 * h)),) if stages == 2 else ()
+    return stage_nodes(sched, s, t, False, (0.5, 1.0), levels=levels)
 
 
 # -- one-step update rules ----------------------------------------------------
@@ -215,40 +209,58 @@ def np_move(sched, x_s, s, u, ch, f, stochastic, z=None):
     return x_u if z is None else x_u + sched.np_noise(u) * math.sqrt(math.expm1(2.0 * ch)) * z
 
 
-def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=None, r1=None, r2=None,
-                   nodes=None):
-    """Noise-prediction exponential step with 1, 2 or 3 stages (as many
-    model evaluations).
+def dp_move(sched, x_s, s, u, ch, d, stochastic, z=None):
+    """``np_move``'s data-prediction mirror over the width ch of lambda = -log sigma: the
+    gain is -alpha_u, and the reverse SDE doubles ch in the exponent and adds the
+    exact-variance noise sigma_bar_u sqrt(1 - e^{-2 ch}) z given z."""
+    a_s, sg_s, sbar_s = sched.alpha_sigma(s)
+    a_u, sg_u, sbar_u = sched.alpha_sigma(u)
+    if not stochastic:
+        return (sbar_u / sbar_s) * x_s - a_u * math.expm1(-ch) * d
+    x_u = (sg_u * sg_u * a_u) / (sg_s * sg_s * a_s) * x_s - a_u * math.expm1(-2.0 * ch) * d
+    return x_u if z is None else x_u + sbar_u * math.sqrt(-math.expm1(-2.0 * ch)) * z
 
-    With ``draws`` this is the SEEDS step: the reverse-SDE frame (gain factor
-    2) plus staged noise.  Stage j's draw z^j is the increment over the j-th
-    sub-interval of [lambda_s, lambda_t], split at the stage nodes, and each
-    node's noise is ``stage_noise_weights`` of those draws, so every stage
-    noise lies on one Brownian path; the first node's is ``np_move``'s.  With
-    ``draws=None`` it is the probability-flow DPM-Solver step of the same
-    order (gain factor 1, no noise).  The two-stage node sits at
-    lambda_s + c2 h, the three-stage nodes at lambda_s + r1 h and
-    lambda_s + r2 h.  ``nodes`` is ``np_stage_nodes`` at (s, t), when a plan
-    has it.
+
+def stages_step(model, sched, x_s, s, t, draws=None, fracs=(), dp=False, phi2=False,
+                nodes=None):
+    """Exponential step with one stage per fraction in ``fracs`` plus one (as many model
+    evaluations), in noise prediction or, with ``dp``, data prediction.
+
+    With ``draws`` it is the SEEDS step: the reverse-SDE frame plus staged
+    noise, stage j's draw z^j the increment over the j-th sub-interval of the
+    step, split at the stage nodes, and each node's noise
+    ``stage_noise_weights`` of those draws (the first node's is the move's).
+    With ``draws=None`` it is the probability-flow step of the same order.
+    Two stages weight the model at s and at the node (fraction c) by
+    1 - 1/(2c) and 1/(2c), or with ``phi2`` add the phi_2 correction to the
+    one-stage step (ve2_ode_b); three stages, in noise prediction only, take
+    phi_2 corrections at r1 and r2.  Data prediction with two stages assumes
+    alpha_t = 1 and sigma_t = t, which hold on VE and EDM, where the registry
+    runs it.  ``nodes`` is ``stage_nodes`` at (s, t), when a plan has it.
     """
     sto = draws is not None
     if nodes is None:
-        nodes = np_stage_nodes(sched, s, t, sto, stages, c2, r1, r2)
+        nodes = stage_nodes(sched, s, t, sto, fracs, dp)
     h, times = nodes
-    f_s = model.noise_pred(x_s, s)
+    move, pred = (dp_move, model.data_pred) if dp else (np_move, model.noise_pred)
+    f_s = pred(x_s, s)
     z1 = None if draws is None else draws[1]
-    if stages == 1:
-        return np_move(sched, x_s, s, t, h, f_s, sto, z1)
+    if not fracs:
+        return move(sched, x_s, s, t, h, f_s, sto, z1)
     if sto:
-        w = stage_noise_weights((c2, 1.0) if stages == 2 else (r1, r2, 1.0), h)
-    if stages == 2:
-        (s1,) = times
-        u = np_move(sched, x_s, s, s1, c2 * h, f_s, sto, z1)
-        f_mid = model.noise_pred(u, s1)
-        x_t = (sched.np_trans(s, t, sto) * x_s + sched.np_gain(t, sto) * math.expm1(h)
-               * ((1.0 - 0.5 / c2) * f_s + (0.5 / c2) * f_mid))
-        return x_t + sched.np_noise(t) * (w[1][0] * z1 + w[1][1] * draws[2]) if sto else x_t
-    s1, s2 = times
+        w = stage_noise_weights((*fracs, 1.0), h, data_pred=dp)
+    if len(fracs) == 1:
+        (c,), (s1,) = fracs, times
+        u = move(sched, x_s, s, s1, c * h, f_s, sto, z1)
+        f_mid = pred(u, s1)
+        if phi2:  # (e^{-h} - 1)/h + 1 == h phi_2(-h)
+            return move(sched, x_s, s, t, h, f_s, sto) + (1.0 / c) * h * phi(2, -h) * (f_mid - f_s)
+        x_t = move(sched, x_s, s, t, h, (1.0 - 0.5 / c) * f_s + (0.5 / c) * f_mid, sto)
+        if draws is None:
+            return x_t
+        scale = sched.alpha_sigma(t)[2] if dp else sched.np_noise(t)
+        return x_t + scale * (w[1][0] * z1 + w[1][1] * draws[2])
+    (r1, r2), (s1, s2) = fracs, times
     u1 = np_move(sched, x_s, s, s1, r1 * h, f_s, sto, z1)
     f_u1 = model.noise_pred(u1, s1)
     # (e^{r2 h} - 1)/(r2 h) - 1 == r2 h phi_2(r2 h), stable near h = 0
@@ -265,50 +277,6 @@ def np_stages_step(model, sched, x_s, s, t, draws=None, stages=1, c2=None, r1=No
     if draws is None:
         return x_t
     return x_t + sched.np_noise(t) * (w[2][0] * z1 + w[2][1] * z2 + w[2][2] * draws[3])
-
-
-def dp_stages_step(model, sched, x_s, s, t, draws=None, stages=1, r1=None, phi2=False,
-                   nodes=None):
-    """Data-prediction exponential step in lambda = -log sigma with 1 or 2
-    stages (as many model evaluations).
-
-    With ``draws`` it is the stochastic step (seeds1-dp, ve2_sde); with
-    ``draws=None`` the probability-flow step (dpm1-dp, ve2_ode_a).  The
-    two-stage node sits at sigma_s e^{-r1 h}; the final step weights D(x_s)
-    and D(u) by 1 - 1/(2 r1) and 1/(2 r1), or with ``phi2`` adds the phi_2
-    correction to the one-stage step (ve2_ode_b).  The two-stage form
-    assumes alpha_t = 1 and sigma_t = t, which hold on VE and EDM, where the
-    registry runs it.  ``nodes`` is ``dp_stage_nodes`` at (s, t), when a plan
-    has it.
-    """
-    if nodes is None:
-        nodes = dp_stage_nodes(sched, s, t, draws is not None, stages, r1)
-    h, times = nodes
-    a_s, sg_s, sbar_s = sched.alpha_sigma(s)
-    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
-
-    def one_stage(a_n, sg_n, sbar_n, h_n, d, z=None):  # from s to a node; noise needs z
-        if draws is None:
-            return (sbar_n / sbar_s) * x_s - a_n * math.expm1(-h_n) * d
-        x_n = (sg_n * sg_n * a_n) / (sg_s * sg_s * a_s) * x_s - a_n * math.expm1(-2.0 * h_n) * d
-        return x_n if z is None else x_n + sbar_n * math.sqrt(-math.expm1(-2.0 * h_n)) * z
-
-    z1 = None if draws is None else draws[1]
-    d_s = model.data_pred(x_s, s)
-    if stages == 1:
-        return one_stage(a_t, sg_t, sbar_t, h, d_s, z1)
-    (s1,) = times
-    sg_1 = s1   # sigma_t = t and alpha == 1: the node's time is its sigma and sigma_bar
-    u = one_stage(1.0, sg_1, sg_1, r1 * h, d_s, z1)
-    d_u = model.data_pred(u, s1)
-    if phi2:  # (e^{-h} - 1)/h + 1 == h phi_2(-h)
-        return one_stage(a_t, sg_t, sbar_t, h, d_s) + (1.0 / r1) * h * phi(2, -h) * (d_u - d_s)
-    x_t = one_stage(a_t, sg_t, sbar_t, h, (1.0 - 0.5 / r1) * d_s + (0.5 / r1) * d_u)
-    if draws is None:
-        return x_t
-    # z1 is the increment over the node's sub-interval, carried to t; z2 the remainder's
-    w = stage_noise_weights((r1, 1.0), h, data_pred=True)
-    return x_t + sbar_t * (w[1][0] * z1 + w[1][1] * draws[2])
 
 
 def dpm4_step(model, sched, x_s, s, t, nodes=None):
@@ -432,8 +400,9 @@ class Form:
 @dataclass(frozen=True)
 class Family:
     """Evaluations per step, the forms by mode (the first mode is the default) and
-    the stage parameters the family reads: each name, also its step's keyword,
-    with its default, and the range they must lie in, as text and as a test."""
+    the stage parameters the family reads: each name with its default, in the
+    order its step reads them as stage fractions, and the range they must lie
+    in, as text and as a test."""
 
     evals: int
     forms: dict
@@ -447,23 +416,18 @@ _R1_R2 = ({"r1": 1.0 / 3.0, "r2": 2.0 / 3.0}, "0 < r1 < r2 < 1", lambda r1, r2: 
 _R1 = ({"r1": 1.0 / 3.0}, "0 < r1 <= 1", lambda r1: 0.0 < r1 <= 1.0)
 
 
-def _stages(k: int, seeds: bool) -> Form:
-    """The stage routine's k-stage form: SEEDS-k with draws, DPM-k without."""
-    return Form(np_stages_step, _NP_SCHEDULES, {"stages": k}, seeds, np_stage_nodes)
-
-
-def _dp(schedules: tuple, seeds: bool, **kwargs) -> Form:
-    """A data-prediction stage routine's form: SEEDS with draws, the ODE without."""
-    return Form(dp_stages_step, schedules, kwargs, seeds, dp_stage_nodes)
+def _staged(seeds: bool, schedules: tuple = _NP_SCHEDULES, **kwargs) -> Form:
+    """A form of the stage engine: SEEDS with draws, the probability-flow step without."""
+    return Form(stages_step, schedules, kwargs, seeds, stage_nodes)
 
 
 FAMILIES = {
-    "seeds1": Family(1, {"np": _stages(1, seeds=True), "dp": _dp(_ALL_SCHEDULES, seeds=True)}),
-    "seeds2": Family(2, {"np": _stages(2, seeds=True)}, *_C2),
-    "seeds3": Family(3, {"np": _stages(3, seeds=True)}, *_R1_R2),
-    "dpm1": Family(1, {"np": _stages(1, seeds=False), "dp": _dp(_ALL_SCHEDULES, seeds=False)}),
-    "dpm2": Family(2, {"np": _stages(2, seeds=False)}, *_C2),
-    "dpm3": Family(3, {"np": _stages(3, seeds=False)}, *_R1_R2),
+    "seeds1": Family(1, {"np": _staged(True), "dp": _staged(True, _ALL_SCHEDULES, dp=True)}),
+    "seeds2": Family(2, {"np": _staged(True)}, *_C2),
+    "seeds3": Family(3, {"np": _staged(True)}, *_R1_R2),
+    "dpm1": Family(1, {"np": _staged(False), "dp": _staged(False, _ALL_SCHEDULES, dp=True)}),
+    "dpm2": Family(2, {"np": _staged(False)}, *_C2),
+    "dpm3": Family(3, {"np": _staged(False)}, *_R1_R2),
     "dpm4": Family(5, {"np": Form(dpm4_step, _NP_SCHEDULES, takes_draws=False,
                                   nodes=dpm4_nodes)}),
     "euler_maruyama": Family(1, {"np": Form(euler_maruyama_step, _ALL_SCHEDULES)}),
@@ -472,9 +436,9 @@ FAMILIES = {
     "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"lawson": True},
                                               takes_draws=False)}),
     "gddim": Family(1, {"np": Form(gddim_step, ("vp",))}),
-    "ve2_ode_a": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2)}, *_R1),
-    "ve2_ode_b": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=False, stages=2, phi2=True)}, *_R1),
-    "ve2_sde": Family(2, {"dp": _dp(_SIGMA_SCHEDULES, seeds=True, stages=2)}, *_R1),
+    "ve2_ode_a": Family(2, {"dp": _staged(False, _SIGMA_SCHEDULES, dp=True)}, *_R1),
+    "ve2_ode_b": Family(2, {"dp": _staged(False, _SIGMA_SCHEDULES, dp=True, phi2=True)}, *_R1),
+    "ve2_sde": Family(2, {"dp": _staged(True, _SIGMA_SCHEDULES, dp=True)}, *_R1),
 }
 
 

@@ -86,14 +86,14 @@ def test_criterion_2_weak_order(vp, gauss_model):
 
 
 def test_criterion_3_linear_exactness(vp):
-    from seeds_sde.solvers import np_stages_step
+    from seeds_sde.solvers import stages_step
 
     zm = ZeroModel(1, vp)
     x = np.array([1.3])
     s, u, t = 0.9, 0.55, 0.2
     zd = {1: np.zeros(1)}
-    one = np_stages_step(zm, vp, x, s, t, zd)
-    two = np_stages_step(zm, vp, np_stages_step(zm, vp, x, s, u, zd), u, t, zd)
+    one = stages_step(zm, vp, x, s, t, zd)
+    two = stages_step(zm, vp, stages_step(zm, vp, x, s, u, zd), u, t, zd)
     mean_ok = float(np.max(np.abs(one - two))) <= 1e-12 * float(np.max(np.abs(one)))
 
     lam = vp.lambda_of_t

@@ -9,7 +9,7 @@ from seeds_sde import (DataDistribution, Edm, GaussianFlowOracle, RngStream, Sco
                        SolverSpec, Ve, VpLinear, ZeroModel, linear_lambda_grid)
 from seeds_sde.errors import ConfigError, GridError
 from seeds_sde.noise import BLOCK, raw_increment_var, stage_noise_weights
-from seeds_sde.solvers import FAMILIES, StepPlan, np_stages_step, prepare_model, step_once
+from seeds_sde.solvers import FAMILIES, StepPlan, prepare_model, stages_step, step_once
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -195,7 +195,7 @@ def _seeds2_noise(z1, z2, h, s=0.8):
     vp = VpLinear()
     t = vp.t_of_lambda(vp.lambda_of_t(s) + h)
     rec = StageRecorder()
-    full = np_stages_step(rec, vp, np.zeros_like(z1), s, t, {1: z1, 2: z2}, stages=2, c2=0.5)
+    full = stages_step(rec, vp, np.zeros_like(z1), s, t, {1: z1, 2: z2}, fracs=(0.5,))
     s1 = vp.t_of_lambda(vp.lambda_of_t(s) + 0.5 * h)
     return rec.inputs[1], full, s1, t
 

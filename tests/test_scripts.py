@@ -4,6 +4,7 @@ Each script imports the ``SolverSpec`` API and builds specs from its own
 flags, so a change to that API shows up here first.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -12,6 +13,15 @@ import sys
 import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load(script):
+    """The script as a module, to call its helpers."""
+    path = os.path.join(ROOT, "scripts", script)
+    spec = importlib.util.spec_from_file_location(script[:-3], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _run(script, *args, cwd=None):
@@ -70,4 +80,12 @@ def test_bench_record_script_runs(tmp_path):
                     for r in record["results"])
     assert values[0] <= rate["q1"] <= rate["median"] <= rate["q3"] <= values[1]
     assert rate["median"] == sum(values) / 2 and rate["unit"] == "1/s"
-    assert len(record["commit"]) >= 40 and record["numpy"] and record["python"]
+    # the commit of the checkout benchmarked: null in an exported copy that is no work tree
+    commit = _load("bench_record.py")._commit(ROOT)
+    assert record["commit"] == commit and (commit is None or len(commit) >= 40)
+    assert record["numpy"] and record["python"]
+
+
+def test_bench_record_commit_is_null_outside_a_git_work_tree(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # look no higher
+    assert _load("bench_record.py")._commit(str(tmp_path)) is None

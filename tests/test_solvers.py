@@ -25,12 +25,12 @@ from seeds_sde.solvers import (
     StepPlan,
     churn_inject,
     churn_lift,
-    dp_stages_step,
     dpm4_step,
     euler_maruyama_step,
     exp_euler_step,
     gddim_step,
-    np_stages_step,
+    stage_nodes,
+    stages_step,
     step_once,
     walk,
 )
@@ -126,7 +126,7 @@ def test_seeds1_zero_model_linear_transition(vp):
     zm = ZeroModel(1, vp)
     x = np.array([1.7])
     s, t = 0.8, 0.3
-    out = np_stages_step(zm, vp, x, s, t, D0)
+    out = stages_step(zm, vp, x, s, t, D0)
     a_t, a_s = vp.alpha_sigma(t)[0], vp.alpha_sigma(s)[0]
     assert np.allclose(out, (a_t / a_s) * x, rtol=1e-14)
 
@@ -137,7 +137,7 @@ def test_seeds1_constant_f_anchor(vp, constant_model):
     lam_t = vp.lambda_of_t(s) + math.log(math.sqrt(2.0))
     t = vp.t_of_lambda(lam_t)
     model = constant_model(1, noise_value=1.0)
-    out = np_stages_step(model, vp, np.ones(1), s, t, D0)
+    out = stages_step(model, vp, np.ones(1), s, t, D0)
     a_t, _, sbar_t = vp.alpha_sigma(t)
     a_s = vp.alpha_sigma(s)[0]
     expected = a_t / a_s - 2.0 * sbar_t * (math.sqrt(2.0) - 1.0)
@@ -148,15 +148,15 @@ def test_seeds1_np_vs_dp_differ(vp, gauss_model):
     x = np.array([0.9])
     s, t = 0.7, 0.45
     z = np.array([0.31])
-    np_out = np_stages_step(gauss_model, vp, x, s, t, {1: z})
-    dp_out = dp_stages_step(gauss_model, vp, x, s, t, {1: z})
+    np_out = stages_step(gauss_model, vp, x, s, t, {1: z})
+    dp_out = stages_step(gauss_model, vp, x, s, t, {1: z}, dp=True)
     assert np.max(np.abs(np_out - dp_out)) > 1e-6
 
 
 def test_seeds1_rejects_forward_step(vp, gauss_model):
-    for step in (np_stages_step, dp_stages_step):
+    for dp in (False, True):
         with pytest.raises(GridError):
-            step(gauss_model, vp, np.ones(1), 0.3, 0.8, D0)
+            stages_step(gauss_model, vp, np.ones(1), 0.3, 0.8, D0, dp=dp)
 
 
 def test_staged_steps_reject_a_zero_width_step(vp):
@@ -172,8 +172,8 @@ def test_seeds1_dp_noise_coefficient(vp, gauss_model):
     # injected unit draw isolates the + sbar sqrt(1 - e^{-2h}) coefficient
     x = np.array([0.5])
     s, t = 0.6, 0.35
-    base = dp_stages_step(gauss_model, vp, x, s, t, {1: np.zeros(1)})
-    kicked = dp_stages_step(gauss_model, vp, x, s, t, {1: np.ones(1)})
+    base = stages_step(gauss_model, vp, x, s, t, {1: np.zeros(1)}, dp=True)
+    kicked = stages_step(gauss_model, vp, x, s, t, {1: np.ones(1)}, dp=True)
     h = math.log(vp.alpha_sigma(s)[1] / vp.alpha_sigma(t)[1])
     sbar_t = vp.alpha_sigma(t)[2]
     assert (kicked - base)[0] == pytest.approx(sbar_t * math.sqrt(-math.expm1(-2 * h)), rel=1e-13)
@@ -190,8 +190,8 @@ def test_seeds2_matches_line_by_line_oracle(vp, gauss_model):
         z1, z2 = 0.42, -1.17
         want = float(mp_seeds2(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2)))
-    got = np_stages_step(gauss_model, vp, np.array([x]), s, t,
-                         {1: np.array([z1]), 2: np.array([z2])}, stages=2, c2=0.5)
+    got = stages_step(gauss_model, vp, np.array([x]), s, t,
+                      {1: np.array([z1]), 2: np.array([z2])}, fracs=(0.5,))
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -206,17 +206,14 @@ def test_seeds2_general_c2_noise_is_coupled(vp, gauss_model):
     s1 = vp.t_of_lambda(lam(s) + c2 * h)
     # zero model removes the F(u)-mediated part: pure noise algebra remains
     zm = ZeroModel(1, vp)
-    base0 = np_stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.zeros(1)},
-                           stages=2, c2=c2)
-    kick0 = np_stages_step(zm, vp, x, s, t, {1: np.ones(1), 2: np.zeros(1)},
-                           stages=2, c2=c2)
+    base0 = stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.zeros(1)}, fracs=(c2,))
+    kick0 = stages_step(zm, vp, x, s, t, {1: np.ones(1), 2: np.zeros(1)}, fracs=(c2,))
     full_coef = float((kick0 - base0)[0])
     stage_std = vp.alpha_sigma(s1)[2] * math.sqrt(math.expm1(2.0 * c2 * h))
     carry = (vp.alpha_sigma(t)[2] * math.exp(lam(t))) / (vp.alpha_sigma(s1)[2] * math.exp(lam(s1)))
     assert full_coef == pytest.approx(-stage_std * carry, rel=1e-12)
     # and the total variance still telescopes to e^{2h} - 1
-    kick2 = np_stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.ones(1)},
-                           stages=2, c2=c2)
+    kick2 = stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.ones(1)}, fracs=(c2,))
     c_z2 = float((kick2 - base0)[0])
     sbar_t = vp.alpha_sigma(t)[2]
     assert full_coef**2 + c_z2**2 == pytest.approx(sbar_t**2 * math.expm1(2 * h), rel=1e-12)
@@ -232,9 +229,8 @@ def test_seeds3_matches_line_by_line_oracle(vp, gauss_model):
         want = float(mp_seeds3(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2), mpmath.mpf(z3),
                                mpmath.mpf(r1), mpmath.mpf(r2)))
-    got = np_stages_step(gauss_model, vp, np.array([x]), s, t,
-                         {1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])},
-                         stages=3, r1=r1, r2=r2)
+    got = stages_step(gauss_model, vp, np.array([x]), s, t,
+                      {1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])}, fracs=(r1, r2))
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -244,11 +240,10 @@ def test_multi_stage_zero_model_linear(vp):
     s, t = 0.75, 0.3
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     z = D0
-    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=2, c2=0.5), a_ratio * x,
-                       rtol=1e-14)
-    assert np.allclose(np_stages_step(zm, vp, x, s, t, z, stages=3, r1=1 / 3, r2=2 / 3),
+    assert np.allclose(stages_step(zm, vp, x, s, t, z, fracs=(0.5,)), a_ratio * x, rtol=1e-14)
+    assert np.allclose(stages_step(zm, vp, x, s, t, z, fracs=(1 / 3, 2 / 3)),
                        a_ratio * x, rtol=1e-14)
-    assert np.allclose(np_stages_step(zm, vp, x, s, t, stages=1), a_ratio * x, rtol=1e-14)
+    assert np.allclose(stages_step(zm, vp, x, s, t), a_ratio * x, rtol=1e-14)
     assert np.allclose(dpm4_step(zm, vp, x, s, t), a_ratio * x, rtol=1e-14)
 
 
@@ -258,25 +253,24 @@ def test_constant_f_degeneration(vp, constant_model):
     x = np.array([1.1])
     s, t = 0.8, 0.35
     z = D0
-    one = np_stages_step(model, vp, x, s, t, z)
-    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=2, c2=0.5), one, rtol=1e-13)
-    assert np.allclose(np_stages_step(model, vp, x, s, t, z, stages=3, r1=1 / 3, r2=2 / 3),
-                       one, rtol=1e-13)
+    one = stages_step(model, vp, x, s, t, z)
+    assert np.allclose(stages_step(model, vp, x, s, t, z, fracs=(0.5,)), one, rtol=1e-13)
+    assert np.allclose(stages_step(model, vp, x, s, t, z, fracs=(1 / 3, 2 / 3)), one, rtol=1e-13)
     # and dpm4 collapses to the order-1 deterministic step
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     sbar_t = vp.alpha_sigma(t)[2]
     expected = a_ratio * x - sbar_t * math.expm1(h) * 0.7
     assert np.allclose(dpm4_step(model, vp, x, s, t), expected, rtol=1e-12)
-    assert np.allclose(np_stages_step(model, vp, x, s, t, stages=1), expected, rtol=1e-13)
+    assert np.allclose(stages_step(model, vp, x, s, t), expected, rtol=1e-13)
 
 
 def test_seeds1_vs_dpm1_factor_two(vp, gauss_model):
     # deterministic parts differ by exactly sbar_t (e^h - 1) |F|
     x = np.array([0.9])
     s, t = 0.7, 0.4
-    det = np_stages_step(gauss_model, vp, x, s, t, D0)
-    ode = np_stages_step(gauss_model, vp, x, s, t, stages=1)
+    det = stages_step(gauss_model, vp, x, s, t, D0)
+    ode = stages_step(gauss_model, vp, x, s, t)
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     sbar_t = vp.alpha_sigma(t)[2]
     f_val = gauss_model.noise_pred(x, s)
@@ -293,17 +287,18 @@ def test_dpm_modes_and_orders(vp, gauss_model):
     h = math.log(sg_s / sg_t)
     d_val = gauss_model.data_pred(x, s)
     want = (sbar_t / sbar_s) * x - a_t * math.expm1(-h) * d_val
-    assert np.allclose(dp_stages_step(gauss_model, vp, x, s, t), want, rtol=1e-13)
+    assert np.allclose(stages_step(gauss_model, vp, x, s, t, dp=True), want, rtol=1e-13)
     assert np.array_equal(step_once(SolverSpec("dpm1", mode="dp"), gauss_model, vp, x, s, t, D0),
-                          dp_stages_step(gauss_model, vp, x, s, t))
+                          stages_step(gauss_model, vp, x, s, t, dp=True))
     with pytest.raises(ConfigError):
         SolverSpec("dpm2", mode="dp")
     with pytest.raises(ConfigError):
         SolverSpec("dpm5")
-    with pytest.raises(ConfigError):
-        np_stages_step(gauss_model, vp, x, s, t, stages=4)
-    with pytest.raises(ConfigError):
-        dp_stages_step(gauss_model, vp, x, s, t, stages=3)
+    # one stage fraction too many: three in noise prediction, two in data prediction
+    with pytest.raises(ConfigError, match="noise-prediction steps take at most 2"):
+        stages_step(gauss_model, vp, x, s, t, fracs=(0.25, 0.5, 0.75))
+    with pytest.raises(ConfigError, match="data-prediction steps take at most 1"):
+        stages_step(gauss_model, vp, x, s, t, fracs=(1 / 3, 2 / 3), dp=True)
 
 
 def test_dpm_deterministic_order_ratios(vp, gauss_model):
@@ -316,10 +311,11 @@ def test_dpm_deterministic_order_ratios(vp, gauss_model):
         for h in (0.2, 0.1):
             t = vp.t_of_lambda(lam_s + h)
             mid = vp.t_of_lambda(lam_s + h / 2)
-            coarse = np_stages_step(gauss_model, vp, x, s, t, stages=order, c2=0.5)
-            fine = np_stages_step(gauss_model, vp,
-                                  np_stages_step(gauss_model, vp, x, s, mid, stages=order, c2=0.5),
-                                  mid, t, stages=order, c2=0.5)
+            fracs = (0.5,) * (order - 1)
+            coarse = stages_step(gauss_model, vp, x, s, t, fracs=fracs)
+            fine = stages_step(gauss_model, vp,
+                               stages_step(gauss_model, vp, x, s, mid, fracs=fracs),
+                               mid, t, fracs=fracs)
             gaps.append(float(np.abs(coarse - fine)[0]))
         ratio = gaps[0] / gaps[1]
         assert expected / 1.5 < ratio < expected * 1.5, (order, ratio)
@@ -436,7 +432,7 @@ def test_gddim_equals_seeds1_dp_per_step(vp, gauss_model):
     s, t = 0.8, 0.55
     z = np.array([-0.23])
     g = gddim_step(gauss_model, vp, x, s, t, {1: z})
-    d = dp_stages_step(gauss_model, vp, x, s, t, {1: z})
+    d = stages_step(gauss_model, vp, x, s, t, {1: z}, dp=True)
     assert np.allclose(g, d, rtol=1e-12)
 
 
@@ -559,7 +555,8 @@ def test_ve2_matches_line_by_line_oracle(kind):
 
 
 # -- data-prediction references ------------------------------------------------
-# The three bodies dp_stages_step replaced, kept verbatim as byte references.
+# The three bodies the data-prediction stage step replaced, kept verbatim as byte
+# references.
 
 
 def ref_seeds1_dp(model, sched, x_s, s, t, draws):
@@ -949,27 +946,49 @@ def test_every_step_function_is_registered():
     steps = {name: fn for name, fn in vars(solvers).items()
              if name.endswith("_step") and inspect.isfunction(fn)
              and fn.__module__ == solvers.__name__}
-    assert "dp_stages_step" in steps and "np_stages_step" in steps
+    assert "stages_step" in steps
     assert [name for name, fn in steps.items() if fn not in registered] == []
 
 
+def test_one_stage_engine_serves_the_staged_families():
+    # one step function and one node function; the evaluations per step the NFE
+    # accounting charges are the stage fractions the step reads, plus one
+    staged = {(fam, mode): form for fam, desc in FAMILIES.items()
+              for mode, form in desc.forms.items() if form.step is stages_step}
+    assert set(staged) == {("seeds1", "np"), ("seeds1", "dp"), ("seeds2", "np"),
+                           ("seeds3", "np"), ("dpm1", "np"), ("dpm1", "dp"), ("dpm2", "np"),
+                           ("dpm3", "np"), ("ve2_ode_a", "dp"), ("ve2_ode_b", "dp"),
+                           ("ve2_sde", "dp")}
+    for (fam, mode), form in staged.items():
+        assert form.nodes is stage_nodes, (fam, mode)
+        kwargs = SolverSpec(fam, mode=mode).step_kwargs
+        assert FAMILIES[fam].evals == len(kwargs.get("fracs", ())) + 1, (fam, mode)
+
+
 def test_stage_parameters_come_from_the_registry():
-    assert SolverSpec("ve2_sde").step_kwargs == {"stages": 2, "r1": 1.0 / 3.0}
-    assert SolverSpec("dpm2").step_kwargs == {"stages": 2, "c2": 0.5}
+    assert SolverSpec("ve2_sde").step_kwargs == {"dp": True, "fracs": (1.0 / 3.0,)}
+    assert SolverSpec("ve2_ode_b", r1=0.45).step_kwargs == {"dp": True, "phi2": True,
+                                                             "fracs": (0.45,)}
+    assert SolverSpec("dpm2").step_kwargs == {"fracs": (0.5,)}
+    assert SolverSpec("seeds1", mode="dp").step_kwargs == {"dp": True}
+    assert SolverSpec("seeds1").step_kwargs == {}
     spec = SolverSpec("seeds3", r1=0.25)
     assert (spec.r1, spec.r2, spec.c2) == (0.25, 2.0 / 3.0, None)
+    assert spec.step_kwargs == {"fracs": (0.25, 2.0 / 3.0)}
     assert SolverSpec("seeds3") == SolverSpec("seeds3", r1=1.0 / 3.0, r2=2.0 / 3.0)
     assert SolverSpec("exp_euler_lawson").step_kwargs == {"lawson": True}
-    # every family's parameters are its step's keywords, which hold no default of their own
+    # every family's parameters reach its step and node function as the stage
+    # fractions, in registry order; no function holds a default of its own
     import inspect
 
     from seeds_sde import solvers
 
-    for desc in FAMILIES.values():
-        for form in desc.forms.values():
+    for fam, desc in FAMILIES.items():
+        for mode, form in desc.forms.items():
+            kwargs = SolverSpec(fam, mode=mode).step_kwargs
+            assert kwargs.get("fracs", ()) == tuple(desc.params.values()), (fam, mode)
             for fn in filter(None, (form.step, form.nodes)):
-                keywords = inspect.signature(fn).parameters
-                assert set(desc.params) <= set(keywords), fn.__name__
+                assert set(kwargs) <= set(inspect.signature(fn).parameters), fn.__name__
     for name, fn in vars(solvers).items():
         if inspect.isfunction(fn) and fn.__module__ == solvers.__name__:
             for key, param in inspect.signature(fn).parameters.items():
