@@ -12,10 +12,16 @@ one chunk starts no pool.  Each sample chunk formats its own rows of
 terminal.csv (and, with --save-trajectories, each of its paths' trajectory
 rows), inside the pool worker when there is one, and the chunk texts are
 written in path order.
+
+`main` freezes the heap it starts with (`gc.freeze`), so neither a later
+collection nor the process's exit walks the import heap, and a forked pool
+worker inherits it frozen; a program that calls `main` in-process has its
+own live objects frozen too, and their cyclic garbage is never collected.
 """
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -211,6 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one seeds-sde command and return its exit code.  It first freezes
+    the heap it starts with, the caller's live objects included, so that the
+    process's exit does not collect it; their cyclic garbage is never freed."""
+    gc.freeze()
     try:
         args = build_parser().parse_args(argv)
         flags = vars(args)

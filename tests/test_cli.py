@@ -3,6 +3,9 @@ import json
 import os
 import pickle
 import shlex
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -820,3 +823,73 @@ def test_readme_config_example_loads(tmp_path):
     (tmp_path / "cfg.json").write_text(example)
     assert set(load_config(str(tmp_path / "cfg.json"), {}).resolved()["solver"]) == {
         "family", "mode", "r1", "r2"}
+
+
+# the entry point as a process: `python -m seeds_sde` runs `cli.main` in a fresh
+# interpreter, which freezes its heap before any command runs
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(*args, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--solver", "seeds3", "--steps", "11", "--paths", "50", "--workers", "1"],
+    # two chunks of 1024: a pool of two forks after the freeze
+    ["--solver", "seeds1", "--steps", "4", "--paths", "2048", "--workers", "2"],
+])
+def test_module_entry_point_writes_what_main_writes(tmp_path, argv):
+    proc = _python("-m", "seeds_sde", "sample", *argv, "--seed", "5",
+                   "--out", str(tmp_path / "process"))
+    assert proc.returncode == 0, proc.stderr
+    wrote, nfe = proc.stdout.splitlines()
+    paths = argv[argv.index("--paths") + 1]
+    assert wrote == f"wrote {paths} terminal states to {tmp_path / 'process' / 'terminal.csv'}"
+    assert nfe.startswith("NFE per path: ")
+    assert run(["sample", *argv, "--seed", "5", "--out", str(tmp_path / "main")]) == 0
+    assert read(tmp_path / "process" / "terminal.csv") == read(tmp_path / "main" / "terminal.csv")
+
+
+def test_module_entry_point_bad_argument_exits_1(tmp_path):
+    proc = _python("-m", "seeds_sde", "sample", "--steps", "many", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: ")
+    assert os.listdir(tmp_path) == []
+
+
+def test_only_main_freezes_the_heap(tmp_path):
+    # library calls leave the collector as they found it, a pool included; main freezes
+    # the heap before its paths fan out
+    script = textwrap.dedent("""
+        import gc, json, sys
+        from seeds_sde import RngStream, SolverSpec, cli, linear_lambda_grid
+        from seeds_sde.config import load_config
+        from seeds_sde.harness import weak_order
+        from seeds_sde.solvers import sample
+
+        cfg = load_config(None, {})
+        sched, model = cfg.schedule, cfg.build_model()
+        sample(model, sched, cfg.build_grid(), cfg.solver, RngStream(0), n_paths=3)
+        grids = [linear_lambda_grid(m, sched.t_min, sched.t_max, sched) for m in (4, 5, 6)]
+        weak_order(SolverSpec("seeds1"), model, sched, grids, 2048, RngStream(0), workers=2)
+        counts = {"library": gc.get_freeze_count()}
+        fan_out = cli.fan_out
+
+        def spy(*args):
+            counts["fan_out"] = gc.get_freeze_count()
+            return fan_out(*args)
+
+        cli.fan_out = spy
+        code = cli.main(["sample", "--steps", "4", "--paths", "2", "--out", sys.argv[1]])
+        print(json.dumps({**counts, "code": code}))
+    """)
+    proc = _python("-c", script, str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout.splitlines()[-1])
+    assert counts["library"] == 0 and counts["code"] == 0
+    assert counts["fan_out"] > 0
