@@ -148,9 +148,8 @@ def _build_solver(spec: dict) -> SolverSpec:
     churn_spec = spec.pop("churn", None) or {}
     if not isinstance(churn_spec, dict):
         raise ConfigError(f"solver churn config must be a JSON object, got {churn_spec!r}")
-    for key in ("family", "mode"):
-        if spec.get(key) is not None and not isinstance(spec[key], str):
-            raise ConfigError(f"solver {key} must be a string, got {spec[key]!r}")
+    if spec.get("mode") is not None and not isinstance(spec["mode"], str):
+        raise ConfigError(f"solver mode must be a string, got {spec['mode']!r}")
     for key in ("r1", "r2", "c2"):
         if key in spec:
             spec[key] = _number(f"solver {key}", spec[key])

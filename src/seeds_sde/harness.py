@@ -13,15 +13,17 @@ Strong order is measured by coupled refinement: all grid levels share one
 Brownian path per trajectory, realized as fine-level weighted increments
 whose group sums give the coarse-level increments, and the finest level
 serves as the reference solution; each chunk walks every level from its
-own initial rows.  Each level is a ``walk`` over its own
-``StepPlan``, the steps ``sample`` runs, and one pass over the fine steps
-moves every level, holding a window of the last ``ratio`` increments
-(one coarsest step), never the whole fine path.  Weak order
-compares terminal moments against the closed-form Gaussian flow.  Moment
-reductions are done block by block (fixed 1024-path blocks) so results do
-not depend on how paths are partitioned across workers.
+own initial rows.  Each level is a ``walk`` over its own ``StepPlan``, the
+steps ``sample`` runs.  One pass over the fine steps draws each fine
+increment, holds a window of the last ``ratio`` of them (one coarsest step),
+never the whole fine path, and hands each level due to step its draw as a
+plain {stage: array} mapping.  Weak order compares terminal moments against
+the closed-form Gaussian flow.  Moment reductions are done block by block
+(fixed 1024-path blocks), so results do not depend on how paths are
+partitioned across workers.
 """
 
+import collections
 import functools
 import json
 import math
@@ -33,7 +35,7 @@ from .errors import ConfigError
 from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
-from .solvers import SolverSpec, StepPlan, initial_state, prepare_model, sample, walk
+from .solvers import SolverSpec, StepDraws, StepPlan, initial_state, prepare_model, sample, walk
 
 
 @dataclass
@@ -264,17 +266,29 @@ def _coupled_chunk(spec, model, sched, stream, plans, strides, lams, offset: int
                    count: int):
     """The coupled walks of paths offset..offset+count-1: each measured level's sup
     over its nodes of |x - reference|^2, shape (levels, count), and the reference's
-    terminal states."""
+    terminal states.  Fine step j's unit draw z is keyed on (step j, stage 0); its raw
+    increment sqrt(raw_increment_var) z goes into the window, and a level of stride k
+    steps on the sum of its k window increments, added in order, over their standard
+    deviation."""
     x0 = initial_state(sched, sched.t_max, stream, count, model.dim, offset)
     prepare_model(model, plans[0].times())   # every level evaluates at fine nodes
     window = np.empty((strides[1], *x0.shape))   # one level-0 step of fine increments
-    walks = [walk(model, sched, spec, plan, _CoupledStream(stream, lams, window, k), x0, offset)
-             for plan, k in zip(plans, strides)]
+    # each walk reads ``draws``, set just before its next step
+    walks = [walk(model, sched, spec, plan, lambda i: draws, x0) for plan in plans]
     sup_sq = np.zeros((len(strides) - 1, count))
     for j in range(1, len(lams)):
+        z = stream.normal_paths(count, j, 0, model.dim, offset)
+        window[(j - 1) % len(window)] = math.sqrt(raw_increment_var(lams[j - 1], lams[j])) * z
+        draws = {1: z}
         ref = next(walks[0])
         for lvl, k in enumerate(strides[1:]):
             if j % k == 0:
+                # not sum(axis=0): NumPy adds pairwise on one path in d = 1, in order otherwise
+                increments = window[(j - k) % len(window):][:k]
+                total = increments[0] + increments[1]
+                for inc in increments[2:]:
+                    total += inc
+                draws = {1: total / math.sqrt(raw_increment_var(lams[j - k], lams[j]))}
                 diff = next(walks[lvl + 1]) - ref
                 sup_sq[lvl] = np.maximum(sup_sq[lvl], np.sum(diff * diff, axis=-1))
     return sup_sq, ref
@@ -299,8 +313,8 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
         raise ConfigError("need at least 3 grid resolutions")
     chunks = path_chunks(n_paths, workers)
     spec.validate_against(sched)
-    grids = sorted(grids, key=lambda g: -float(np.max(g.step_widths(sched))))
-    widths = [float(np.max(g.step_widths(sched))) for g in grids]
+    widths, grids = map(list, zip(*sorted(((float(np.max(g.step_widths(sched))), g)
+                                           for g in grids), key=lambda pair: -pair[0])))
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
     run = functools.partial(_terminal, spec, model, sched, stream)
@@ -357,39 +371,6 @@ def _stability_note(hs, errors, slope, notes) -> None:
         )
 
 
-class _ZeroStream:
-    """Stands in for the stream after the initial draw: every draw is zero."""
-
-    def normal_paths(self, n: int, step: int, stage: int, d: int, offset: int = 0):
-        return np.zeros((n, d))
-
-
-class _CoupledStream:
-    """Stands in for the stream at one coupled level.  At stride 1 (the reference) step
-    j returns fine increment j's unit draw, keyed on (step j, stage 0), and keeps its raw
-    weighted increment sqrt(raw_increment_var) z in the shared window; at stride k a
-    step's draw is the sum of its k window increments, added in order, over their
-    standard deviation."""
-
-    def __init__(self, stream, lams, window, stride: int):
-        self.stream, self.lams, self.window, self.stride = stream, lams, window, stride
-
-    def normal_paths(self, n: int, step: int, stage: int, d: int, offset: int = 0):
-        end = step * self.stride   # the fine node the step ends at
-        std = math.sqrt(raw_increment_var(self.lams[end - self.stride], self.lams[end]))
-        k = (end - 1) % len(self.window) + 1   # the window slot after the step's last increment
-        if self.stride == 1:
-            z = self.stream.normal_paths(n, step, 0, d, offset)
-            self.window[k - 1] = std * z
-            return z
-        # not sum(axis=0): NumPy adds pairwise on one path in d = 1, in order otherwise
-        increments = self.window[k - self.stride : k]
-        total = increments[0] + increments[1]
-        for inc in increments[2:]:
-            total += inc
-        return total / std
-
-
 def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
                      grid: StepGrid, stream, zero_noise=False) -> float:
     """Max relative state difference between two solvers on shared draws.
@@ -406,10 +387,12 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
     plan_a, plan_b = StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)
     # one table for both walks: they run in lockstep, so one per walk would evict the other
     prepare_model(model, plan_a.times() + plan_b.times())
-    steps_stream = _ZeroStream() if zero_noise else stream
+    zero = collections.defaultdict(lambda: np.zeros(x0.shape))   # every stage's, churn's too
+    draws_at = ((lambda i: zero) if zero_noise
+                else functools.partial(StepDraws, stream, 1, model.dim, 0))
     max_rel = 0.0
-    for xa, xb in zip(walk(model, sched, spec_a, plan_a, steps_stream, x0),
-                      walk(model, sched, spec_b, plan_b, steps_stream, x0)):
+    for xa, xb in zip(walk(model, sched, spec_a, plan_a, draws_at, x0),
+                      walk(model, sched, spec_b, plan_b, draws_at, x0)):
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)

@@ -26,7 +26,7 @@ churn-lifted noise levels remain representable; grid validation still uses
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigError, DomainError
 
@@ -62,6 +62,19 @@ class ScheduleBase:
                 f"t={t!r} outside evaluable range [{lo:.6g}, {hi:.6g}] of {type(self).__name__}"
             )
         return t
+
+    def __post_init__(self):
+        """Check the parameters (``_check_params``), then that sigma and both lambdas are
+        finite floats at t_min and t_max, or raise a ConfigError naming the kind and them."""
+        self._check_params()
+        try:
+            finite = all(math.isfinite(v) for t in (self.t_min, self.t_max)
+                         for v in (self._sigma(t), self._lambda(t, SDE), self._lambda(t, ODE)))
+        except (OverflowError, ValueError, ZeroDivisionError):   # math range or domain error
+            finite = False
+        if not finite:
+            raise ConfigError(f"schedule {self.kind!r} with {asdict(self)} has a sigma or lambda "
+                              "that is not a finite float at t_min or t_max")
 
     # -- core quantities ---------------------------------------------------
 
@@ -118,8 +131,8 @@ class ScheduleBase:
         return ConfigError("noise-prediction steps are not defined for schedule family "
                            f"{self.family!r}")
 
-    # subclass hooks: _alpha, _sigma, _lambda, _t_of_lambda, _time_of_sigma,
-    # drift_f, diffusion_g2
+    # subclass hooks: _check_params, _alpha, _sigma, _lambda, _t_of_lambda,
+    # _time_of_sigma, drift_f, diffusion_g2
 
 
 class _Vp(ScheduleBase):
@@ -158,7 +171,7 @@ class VpLinear(_Vp):
 
     kind = "vp"
 
-    def __post_init__(self):
+    def _check_params(self):
         if self.beta_d <= 0 or self.beta_m <= 0:
             raise ConfigError("beta_d and beta_m must be positive")
         if not 0 < self.t_min < self.t_max:
@@ -209,7 +222,7 @@ class VpCosine(_Vp):
 
     kind = "vp_cosine"
 
-    def __post_init__(self):
+    def _check_params(self):
         if self.shift <= 0:
             raise ConfigError("cosine shift must be positive")
         if not 0 < self.t_min < self.t_max < 1.0:
@@ -281,7 +294,7 @@ class Ve(_IdentitySigma):
 
     family = kind = "ve"
 
-    def __post_init__(self):
+    def _check_params(self):
         if not 0 < self.t_min < self.t_max:
             raise ConfigError("need 0 < t_min < t_max")
 
@@ -307,7 +320,7 @@ class Edm(_IdentitySigma):
 
     family = kind = "edm"
 
-    def __post_init__(self):
+    def _check_params(self):
         if self.sigma_data <= 0:
             raise ConfigError("sigma_data must be positive")
         if not 0 < self.t_min < self.t_max:

@@ -28,10 +28,10 @@ Only seeds1 and dpm1 have both modes; every other family has one, which is
 its default (and the default of seeds1 and dpm1 is "np").
 
 Steps read their draws as a mapping from stage k to an (n, d) array z^k.
-``walk`` is the one loop over a grid's real steps: it hands step i a
-``StepDraws`` keyed on (step i, stage), so solvers sharing a (seed,
-trajectory, step) also share z^1, z^2, ...; a plain dict {stage: array}
-injects fixed draws.
+``walk``, the one loop over a grid's real steps, takes step i's from
+``draws_at(i)``: ``sample`` passes a ``StepDraws`` factory keyed on (step i,
+stage), so solvers sharing a (seed, trajectory, step) also share z^1, z^2,
+...; a plain dict {stage: array} injects fixed draws.
 
 A step's stage-node times depend only on the grid.  Each staged form names
 its node function (``Form.nodes``), and churn has ``churn_lift``; a
@@ -48,6 +48,7 @@ stage engine and dpm4.  Data-prediction steps use lambda = -log sigma
 directly and read alpha and sigma from ``alpha_sigma``.
 """
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -103,6 +104,8 @@ class SolverSpec:
     step_kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.family, str):
+            raise ConfigError(f"solver family must be a string, got {self.family!r}")
         fam = self.family.lower().replace("-", "_")
         desc = FAMILIES.get(fam)
         if desc is None:
@@ -138,15 +141,16 @@ class SolverSpec:
 
 
 class StepDraws:
-    """Stage-keyed z draws for one solver step over a batch of trajectories:
-    ``draws[k]`` reads stage k's (n, d) draw from the stream when asked."""
+    """Stage-keyed z draws of one step for paths offset..offset+n-1: ``draws[k]`` reads
+    stage k's (n, d) draw when asked; ``partial(StepDraws, stream, n, d, offset)`` is a
+    walk's ``draws_at``."""
 
-    def __init__(self, stream, step_index: int, n: int, d: int, offset: int = 0):
+    def __init__(self, stream, n: int, d: int, offset: int, step_index: int):
         self.stream = stream
-        self.step_index = step_index
         self.n = n
         self.d = d
         self.offset = offset
+        self.step_index = step_index
 
     def __getitem__(self, stage: int) -> np.ndarray:
         return self.stream.normal_paths(self.n, self.step_index, stage, self.d, offset=self.offset)
@@ -498,17 +502,16 @@ def initial_state(sched, t0: float, stream, n_paths: int, d: int, offset: int = 
     return sched.alpha_sigma(t0)[2] * stream.normal_paths(n_paths, 0, 0, d, offset=offset)
 
 
-def walk(model, sched, spec: SolverSpec, plan: StepPlan, stream, x, path_offset=0):
+def walk(model, sched, spec: SolverSpec, plan: StepPlan, draws_at, x):
     """Yield the (n, d) state after each real step of the plan, starting from x at t_0.
 
-    Step i reads its draws keyed on (step i, stage) for paths path_offset..;
-    where the plan lifts it, churn lifts the state from the stage-0 draw
-    first.  A step that leaves a NaN or infinity raises DomainError naming
-    step i and its time.
+    Step i reads its draws from ``draws_at(i)``, a mapping from stage to (n, d)
+    array, called when the step starts; where the plan lifts it, churn lifts
+    the state from the stage-0 draw first.  A step that leaves a NaN or
+    infinity raises DomainError naming step i and its time.
     """
-    n, d = x.shape
     for i, (t, lift, start, nodes) in enumerate(plan.rows, start=1):
-        draws = StepDraws(stream, i, n, d, offset=path_offset)
+        draws = draws_at(i)
         if lift is not None:
             x = churn_inject(x, spec.churn, lift, sched, draws[0])
         x = step_once(spec, model, sched, x, start, t, draws, nodes)
@@ -548,7 +551,8 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
     plan = StepPlan(spec, sched, grid)
     prepare_model(model, plan.times())
     traj = [x]
-    for x in walk(model, sched, spec, plan, stream, x, path_offset):
+    draws_at = functools.partial(StepDraws, stream, n_paths, model.dim, path_offset)
+    for x in walk(model, sched, spec, plan, draws_at, x):
         if record:
             traj.append(x)
     return SampleResult(

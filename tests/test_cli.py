@@ -235,6 +235,7 @@ def test_numeric_config_values_run(tmp_path):
     ({"solver": {"family": "dpm2", "r1": 0.5}}, "dpm2 does not read r1; it reads c2"),
     ({"threshold": 0}, "threshold must be > 0, got 0.0"),
     ({"threshold": -1}, "threshold must be > 0, got -1.0"),
+    ({"solver": {"family": None}}, "solver family must be a string, got None"),
 ])
 def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, config, words):
     # no --out: a run that got past the config would write seeds_out/ here
@@ -243,6 +244,25 @@ def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, 
     assert run(["sample", "--config", "cfg.json"]) == 1
     assert words in _config_error(capsys)
     assert not (tmp_path / "seeds_out" / "terminal.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["sample"], ["grid"], ["order", "weak"]])
+@pytest.mark.parametrize("schedule, key", [
+    ({"kind": "vp", "t_max": 40}, "'t_max': 40.0"),   # expm1(abar) overflows above t_max ~ 8.44
+    ({"kind": "vp", "t_max": 1e40}, "'t_max': 1e+40"),
+    ({"kind": "vp", "beta_d": 1e300}, "'beta_d': 1e+300"),
+    ({"kind": "vp_cosine", "shift": 1e300}, "'shift': 1e+300"),
+    ({"kind": "edm", "t_max": 1e300}, "'t_max': 1e+300"),
+])
+def test_schedule_whose_lambda_is_not_a_float_exits_1(tmp_path, monkeypatch, capsys, command,
+                                                      schedule, key):
+    # no --out: a run that got past the config would write seeds_out/ here
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"schedule": schedule}))
+    assert run([*command, "--config", "cfg.json"]) == 1
+    err = _config_error(capsys)
+    assert f"schedule {schedule['kind']!r}" in err and key in err
+    assert not (tmp_path / "seeds_out").exists()
 
 
 def test_stage_parameter_a_family_does_not_read_exits_1(tmp_path, capsys):

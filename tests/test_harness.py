@@ -204,6 +204,30 @@ def test_coupled_path_bytes_do_not_depend_on_its_chunk(vp, gauss_model, monkeypa
     assert sup_1.tobytes() == sup_2.tobytes() and ref_1.tobytes() == ref_2.tobytes()
 
 
+def test_harness_draws_only_what_its_walks_cannot_share(vp, gauss_model, monkeypatch,
+                                                       chunks_of):
+    calls, normal_paths = [], RngStream.normal_paths
+
+    def counting(self, n, step, stage, d, offset=0):
+        calls.append((step, stage, offset))
+        return normal_paths(self, n, step, stage, d, offset)
+
+    monkeypatch.setattr(RngStream, "normal_paths", counting)
+    # zero-noise compare draws the initial state only, even where churn lifts
+    churned = SolverSpec("seeds3", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
+    grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
+    per_step_compare(churned, SolverSpec("seeds2"), gauss_model, vp, grid, RngStream(3),
+                     zero_noise=True)
+    assert calls == [(0, 0, 0)]
+    # strong order: per chunk, the initial state and each of the m_fine = 2 * 2**3 fine
+    # increments, every one on stage 0, shared by all levels
+    calls.clear()
+    chunks_of(harness, 3)
+    strong_order(SolverSpec("seeds1"), gauss_model, vp, base_steps=2, refinements=3,
+                 n_paths=5, stream=RngStream(3), ref_extra=1)
+    assert calls == [(step, 0, offset) for offset in (0, 3) for step in range(1 + 16)]
+
+
 def test_coupling_variance_end_to_end(vp):
     # group sums of fine increments carry the exact coarse variances
     lam = np.linspace(-1.0, 1.0, 17)

@@ -1,3 +1,5 @@
+import collections
+import functools
 import math
 
 import mpmath
@@ -22,6 +24,7 @@ from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.schedules import ScheduleBase
 from seeds_sde.solvers import (
     FAMILIES,
+    StepDraws,
     StepPlan,
     churn_inject,
     churn_lift,
@@ -851,8 +854,8 @@ def test_sample_zero_model_terminal_mean(vp):
     grid = linear_lambda_grid(9, vp.t_min, vp.t_max, vp)
     spec = SolverSpec("seeds1")
     # from a fixed start, walked over the grid's plan as strong_order walks its levels
-    *_, terminal = walk(zm, vp, spec, StepPlan(spec, vp, grid), RngStream(1),
-                        np.full((64, 1), 1.9))
+    draws_at = functools.partial(StepDraws, RngStream(1), 64, 1, 0)
+    *_, terminal = walk(zm, vp, spec, StepPlan(spec, vp, grid), draws_at, np.full((64, 1), 1.9))
     a_last = vp.alpha_sigma(float(grid.times[-2]))[0]
     a_first = vp.alpha_sigma(float(grid.times[0]))[0]
     mean = terminal.mean()
@@ -863,6 +866,32 @@ def test_sample_zero_model_terminal_mean(vp):
     # trivial last step: final two recorded states identical
     res = sample(zm, vp, grid, spec, RngStream(1), n_paths=64, record=True)
     assert np.array_equal(res.trajectory[-1], res.trajectory[-2])
+
+
+@pytest.mark.parametrize("family, mode", [(fam, mode) for fam, desc in FAMILIES.items()
+                                          for mode in desc.forms])
+def test_walk_reads_the_stage_draws_its_form_takes(family, mode):
+    # a form with draws reads stages 1..evals, any other none; stage 0 only where churn lifts
+    form = FAMILIES[family].forms[mode]
+    sched = _PLAN_SCHEDULES[form.schedules[0]]
+    grid = linear_lambda_grid(30, sched.t_min, sched.t_max, sched)
+    spec = SolverSpec(family, mode=mode, churn=_CHURN)
+    plan = StepPlan(spec, sched, grid)
+    asked = []   # (i, the mapping draws_at(i) gave), which records each stage read
+
+    def draws_at(i):
+        asked.append((i, collections.defaultdict(lambda: np.zeros((3, 1)))))
+        return asked[-1][1]
+
+    model = ScoreModel(DataDistribution.standard_normal(1), sched)
+    for _ in walk(model, sched, spec, plan, draws_at, np.ones((3, 1))):
+        pass
+    stages = set(range(1, FAMILIES[family].evals + 1)) if form.takes_draws else set()
+    lifted = [lift is not None for _, lift, _, _ in plan.rows]
+    assert 0 < sum(lifted) < len(lifted)
+    assert [i for i, _ in asked] == list(range(1, len(plan.rows) + 1))
+    assert [set(draws) for _, draws in asked] == [stages | {0} if up else stages
+                                                  for up in lifted]
 
 
 def test_sample_trajectory_shape_and_determinism(vp, gauss_model):
