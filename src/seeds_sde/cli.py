@@ -65,7 +65,8 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
     model = cfg.build_model()
     grid = cfg.build_grid()
     run = functools.partial(_run_chunk, cfg, model, grid, record=save_trajectories)
-    results = fan_out(run, chunks, cfg.workers)
+    with cfg.naming_the_grid("grid steps", grid.n_steps):
+        results = fan_out(run, chunks, cfg.workers)
     nfe_per_path = results[0][1]
 
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
@@ -96,18 +97,18 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
     stream = RngStream(cfg.seed)
     order_cfg = cfg.order
     if kind == "strong":
-        est = strong_order(
-            cfg.solver, model, cfg.schedule,
-            base_steps=order_cfg.get("base_steps", 32),
-            refinements=order_cfg.get("refinements", 4),
-            n_paths=cfg.n_paths, stream=stream, workers=cfg.workers,
-        )
+        base_steps = order_cfg.get("base_steps", 32)
+        with cfg.naming_the_grid("order base_steps", base_steps):
+            est = strong_order(cfg.solver, model, cfg.schedule, base_steps=base_steps,
+                               refinements=order_cfg.get("refinements", 4),
+                               n_paths=cfg.n_paths, stream=stream, workers=cfg.workers)
     else:  # the parser's choices leave "weak"
         steps_list = order_cfg.get("steps_list", [14, 17, 21, 26])
-        grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
-                                    cfg.schedule) for m in steps_list]
-        est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream,
-                         workers=cfg.workers)
+        with cfg.naming_the_grid("order steps_list", steps_list):
+            grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
+                                        cfg.schedule) for m in steps_list]
+            est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream,
+                             workers=cfg.workers)
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     base = os.path.join(out_dir, f"order_{kind}_{cfg.solver.family}")
     with open(base + ".csv", "w") as fh:
@@ -147,7 +148,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
     if not _same_model(model, cfg_b.build_model()):
         raise ConfigError("compare requires identical models on both sides")
     stream = RngStream(cfg_a.seed)
-    diff = per_step_compare(cfg_a.solver, cfg_b.solver, model, cfg_a.schedule, grid, stream)
+    with cfg_a.naming_the_grid("grid steps", grid.n_steps):
+        diff = per_step_compare(cfg_a.solver, cfg_b.solver, model, cfg_a.schedule, grid, stream)
     verdict = "PASS" if diff < threshold else "FAIL"
     print(f"max relative per-step difference: {diff!r}")
     print(f"{verdict} (threshold {threshold!r})")

@@ -1,11 +1,12 @@
 """Run configuration: JSON file plus CLI overrides, flags win."""
 
+import contextlib
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grids import StepGrid, edm_grid, linear_lambda_grid
 from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
@@ -54,7 +55,8 @@ class RunConfig:
             t_top = _number("grid t_top", spec.pop("t_top", sched.t_max))
             variant = spec.pop("variant", "sde")
             _reject_extras("grid", spec)
-            return linear_lambda_grid(steps, eps_end, t_top, sched, variant)
+            with self.naming_the_grid("grid steps", steps):
+                return linear_lambda_grid(steps, eps_end, t_top, sched, variant)
         if kind == "edm":
             sigma_min = _number("grid sigma_min",
                                 spec.pop("sigma_min", sched.sigma_of_t(sched.t_min)))
@@ -62,8 +64,23 @@ class RunConfig:
                                 spec.pop("sigma_max", sched.sigma_of_t(sched.t_max)))
             rho = _number("grid rho", spec.pop("rho", 7.0))
             _reject_extras("grid", spec)
-            return edm_grid(steps, sigma_min, sigma_max, rho, sched)
+            with self.naming_the_grid("grid steps", steps):
+                return edm_grid(steps, sigma_min, sigma_max, rho, sched)
         raise ConfigError(f"unknown grid kind {kind!r}; expected 'linear_lambda' or 'edm'")
+
+    @contextlib.contextmanager
+    def naming_the_grid(self, key: str, steps):
+        """Re-raise a DomainError from inside, raised by grids of ``steps`` steps (config
+        ``key``) over this schedule or by a run on them, as a ConfigError that also names
+        ``key`` and the schedule's t_min and t_max: together they set the step widths,
+        and a step too wide for ``phi`` or a node past the lambdas the schedule inverts
+        fails there."""
+        try:
+            yield
+        except DomainError as exc:
+            sched = self.schedule
+            raise ConfigError(f"{exc} (with {key} {steps!r} from t_max={sched.t_max!r} to "
+                              f"t_min={sched.t_min!r} of schedule {sched.kind!r})") from exc
 
     def resolved(self) -> dict:
         """JSON-ready dict that reproduces this configuration; the solver section holds

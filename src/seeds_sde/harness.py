@@ -18,13 +18,16 @@ steps ``sample`` runs.  One pass over the fine steps draws each fine
 increment, holds a window of the last ``ratio`` of them (one coarsest step),
 never the whole fine path, and hands each level due to step its draw as a
 plain {stage: array} mapping.  Weak order compares terminal moments against
-the closed-form Gaussian flow.  Moment reductions are done block by block
-(fixed 1024-path blocks), so results do not depend on how paths are
-partitioned across workers.
+the closed-form Gaussian flow: each chunk walks every grid's ``StepPlan``, built
+once, in lockstep from the grid's own initial rows, and step i's keyed draws
+are made once for every grid that has a step i.  Moment reductions are done
+block by block (fixed 1024-path blocks), so results do not depend on how paths
+are partitioned across workers.
 """
 
 import collections
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -270,7 +273,7 @@ def _coupled_chunk(spec, model, sched, stream, plans, strides, lams, offset: int
     increment sqrt(raw_increment_var) z goes into the window, and a level of stride k
     steps on the sum of its k window increments, added in order, over their standard
     deviation."""
-    x0 = initial_state(sched, sched.t_max, stream, count, model.dim, offset)
+    x0 = initial_state(sched, sched.t_max, StepDraws(stream, count, model.dim, offset)(0))
     prepare_model(model, plans[0].times())   # every level evaluates at fine nodes
     window = np.empty((strides[1], *x0.shape))   # one level-0 step of fine increments
     # each walk reads ``draws``, set just before its next step
@@ -294,9 +297,18 @@ def _coupled_chunk(spec, model, sched, stream, plans, strides, lams, offset: int
     return sup_sq, ref
 
 
-def _terminal(spec, model, sched, stream, grid, offset: int, count: int):
-    """The terminal states of paths offset..offset+count-1 sampled over the grid."""
-    return sample(model, sched, grid, spec, stream, n_paths=count, path_offset=offset).terminal
+def _weak_chunk(spec, model, sched, stream, tops, plans, offset: int, count: int):
+    """The terminal states of paths offset..offset+count-1 on each plan's grid.  One
+    table serves every walk; each walk starts from its grid's top time ``tops[g]``, and
+    the walks advance in lockstep, so one ``StepDraws`` makes each step's draws once
+    for every grid that has that step.  A shorter grid's terminal is its last step's."""
+    prepare_model(model, [u for plan in plans for u in plan.times()])
+    draws_at = StepDraws(stream, count, model.dim, offset)
+    last = [initial_state(sched, t0, draws_at(0)) for t0 in tops]
+    walks = [walk(model, sched, spec, plan, draws_at, x0) for plan, x0 in zip(plans, last)]
+    for states in itertools.zip_longest(*walks):
+        last = [x if x is not None else prev for x, prev in zip(states, last)]
+    return last
 
 
 def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
@@ -305,29 +317,31 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
 
     error(h) = max over the powers p = 1, 2, 4 of |E[x^p] - E_exact[x^p]| at
     the final real node; points whose error is below 3 Monte Carlo standard
-    errors are excluded from the fit and recorded.  Every (grid, chunk) pair
-    is one task of a single ``fan_out`` on ``workers`` processes, and no more
-    processes than chunks.
+    errors are excluded from the fit and recorded.  Each grid's plan is built
+    once here, and each chunk of paths is one task of a single ``fan_out`` on
+    ``workers`` processes, no more than chunks, that walks every grid
+    (``_weak_chunk``).
     """
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
     chunks = path_chunks(n_paths, workers)
     spec.validate_against(sched)
-    widths, grids = map(list, zip(*sorted(((float(np.max(g.step_widths(sched))), g)
-                                           for g in grids), key=lambda pair: -pair[0])))
+    plans = [StepPlan(spec, sched, grid) for grid in grids]   # a grid needs a real step
+    widths, grids, plans = map(list, zip(*sorted(
+        ((float(np.max(g.step_widths(sched))), g, plan) for g, plan in zip(grids, plans)),
+        key=lambda triple: -triple[0])))
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
-    run = functools.partial(_terminal, spec, model, sched, stream)
-    # no more workers than chunks, as sample: a run of one chunk starts no pool
-    terminals = fan_out(run, [(grid, *chunk) for grid in grids for chunk in chunks],
-                        min(workers, len(chunks)))
+    tops = [float(grid.times[0]) for grid in grids]
+    run = functools.partial(_weak_chunk, spec, model, sched, stream, tops, plans)
+    terminals = fan_out(run, chunks, workers)   # per chunk, each grid's terminal states
     hs, errors, ses = [], [], []
     excluded, notes = [], []
     for g_idx, (h, grid) in enumerate(zip(widths, grids)):
         # each grid's exact law starts from its own top time
         oracle = _oracle_for(model, sched, float(grid.times[0]))
         terminal_t = float(grid.times[grid.n_steps - 1])
-        term = np.concatenate(terminals[g_idx * len(chunks) : (g_idx + 1) * len(chunks)])
+        term = np.concatenate([chunk[g_idx] for chunk in terminals])   # one grid at a time
         moments = []  # (largest error over the axes, its standard error) per power
         for p in (1, 2, 4):
             vals = term**p
@@ -376,20 +390,21 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
     """Max relative state difference between two solvers on shared draws.
 
     Both trajectories start from the same initial draw and walk the grid in
-    lockstep, each applying its own churn and reading the same stage-keyed
-    substreams; with ``zero_noise`` every draw after the initial one (churn
-    included) is zero, so only the deterministic parts are compared.  A step
-    that leaves a non-finite state on either side raises DomainError.
+    lockstep, each applying its own churn and reading one ``StepDraws``
+    mapping per step, so each stage-keyed draw is made once; with
+    ``zero_noise`` every draw after the initial one (churn included) is zero,
+    so only the deterministic parts are compared.  A step that leaves a
+    non-finite state on either side raises DomainError.
     """
     spec_a.validate_against(sched)
     spec_b.validate_against(sched)
-    x0 = initial_state(sched, float(grid.times[0]), stream, 1, model.dim)
+    drawn = StepDraws(stream, 1, model.dim)
+    x0 = initial_state(sched, float(grid.times[0]), drawn(0))
     plan_a, plan_b = StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)
     # one table for both walks: they run in lockstep, so one per walk would evict the other
     prepare_model(model, plan_a.times() + plan_b.times())
     zero = collections.defaultdict(lambda: np.zeros(x0.shape))   # every stage's, churn's too
-    draws_at = ((lambda i: zero) if zero_noise
-                else functools.partial(StepDraws, stream, 1, model.dim, 0))
+    draws_at = (lambda i: zero) if zero_noise else drawn
     max_rel = 0.0
     for xa, xb in zip(walk(model, sched, spec_a, plan_a, draws_at, x0),
                       walk(model, sched, spec_b, plan_b, draws_at, x0)):

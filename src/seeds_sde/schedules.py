@@ -65,16 +65,23 @@ class ScheduleBase:
 
     def __post_init__(self):
         """Check the parameters (``_check_params``), then that sigma and both lambdas are
-        finite floats at t_min and t_max, or raise a ConfigError naming the kind and them."""
+        finite floats at t_min and t_max and that ``t_of_lambda`` inverts each lambda
+        there to 1e-6, or raise a ConfigError naming the kind and them."""
         self._check_params()
-        try:
-            finite = all(math.isfinite(v) for t in (self.t_min, self.t_max)
-                         for v in (self._sigma(t), self._lambda(t, SDE), self._lambda(t, ODE)))
-        except (OverflowError, ValueError, ZeroDivisionError):   # math range or domain error
-            finite = False
-        if not finite:
-            raise ConfigError(f"schedule {self.kind!r} with {asdict(self)} has a sigma or lambda "
-                              "that is not a finite float at t_min or t_max")
+        # a lambda saturated at an end (EDM's sde lambda at a tiny sigma_data) is finite but
+        # falls outside the image its inverse accepts, or loses the time it came from
+        checks = (("sigma or lambda that is not a finite float", lambda t, v: all(
+                      map(math.isfinite, (self._sigma(t), self._lambda(t, v))))),
+                  ("lambda that t_of_lambda does not invert", lambda t, v: math.isclose(
+                      self._t_of_lambda(self._lambda(t, v), v), t, rel_tol=1e-6)))
+        for failure, check in checks:
+            try:
+                holds = all(check(t, v) for t in (self.t_min, self.t_max) for v in _VARIANTS)
+            except (OverflowError, ValueError, ZeroDivisionError):   # DomainError, math errors
+                holds = False
+            if not holds:
+                raise ConfigError(f"schedule {self.kind!r} with {asdict(self)} has a {failure} "
+                                  "at t_min or t_max")
 
     # -- core quantities ---------------------------------------------------
 

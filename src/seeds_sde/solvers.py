@@ -29,9 +29,10 @@ its default (and the default of seeds1 and dpm1 is "np").
 
 Steps read their draws as a mapping from stage k to an (n, d) array z^k.
 ``walk``, the one loop over a grid's real steps, takes step i's from
-``draws_at(i)``: ``sample`` passes a ``StepDraws`` factory keyed on (step i,
-stage), so solvers sharing a (seed, trajectory, step) also share z^1, z^2,
-...; a plain dict {stage: array} injects fixed draws.
+``draws_at(i)``: ``sample`` passes a ``StepDraws``, keyed on (step i, stage),
+so solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...; walks
+that share one ``StepDraws`` in lockstep draw each key once.  A plain dict
+{stage: array} injects fixed draws.
 
 A step's stage-node times depend only on the grid.  Each staged form names
 its node function (``Form.nodes``), and churn has ``churn_lift``; a
@@ -48,7 +49,6 @@ stage engine and dpm4.  Data-prediction steps use lambda = -log sigma
 directly and read alpha and sigma from ``alpha_sigma``.
 """
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -140,20 +140,28 @@ class SolverSpec:
                               f"{'/'.join(allowed)} schedules, not {sched.family!r}")
 
 
-class StepDraws:
-    """Stage-keyed z draws of one step for paths offset..offset+n-1: ``draws[k]`` reads
-    stage k's (n, d) draw when asked; ``partial(StepDraws, stream, n, d, offset)`` is a
-    walk's ``draws_at``."""
+class StepDraws(dict):
+    """Walks' ``draws_at`` for paths offset..offset+n-1 and the stage-keyed mapping it
+    hands out: ``draws_at(i)`` makes the mapping step i's, dropping the draws kept for
+    another step, and ``draws[k]`` draws stage k's (n, d) array on key (step i, stage k)
+    when first read and keeps it.  So walks advanced in lockstep on one ``StepDraws``
+    draw each key once, and ``draws_at(0)[0]`` is the initial draw.  Steps never write
+    into their draws, so every walk may read the same arrays."""
 
-    def __init__(self, stream, n: int, d: int, offset: int, step_index: int):
-        self.stream = stream
-        self.n = n
-        self.d = d
-        self.offset = offset
-        self.step_index = step_index
+    def __init__(self, stream, n: int, d: int, offset: int = 0):
+        self.stream, self.n, self.d, self.offset = stream, n, d, offset
+        self.step_index = None
 
-    def __getitem__(self, stage: int) -> np.ndarray:
-        return self.stream.normal_paths(self.n, self.step_index, stage, self.d, offset=self.offset)
+    def __call__(self, step_index: int) -> "StepDraws":
+        if step_index != self.step_index:
+            self.clear()
+            self.step_index = step_index
+        return self
+
+    def __missing__(self, stage: int) -> np.ndarray:
+        z = self[stage] = self.stream.normal_paths(self.n, self.step_index, stage, self.d,
+                                                   offset=self.offset)
+        return z
 
 
 def _check_backward(s: float, t: float, h: float) -> None:
@@ -465,7 +473,7 @@ class StepPlan:
     lifted time under churn), and the value of the form's node function at
     (start, t_i), (h, stage-node times), or None for a step without one.  The node
     function's lambda (sigma) at each time is computed once, kept in ``levels``
-    (time -> value) and shared by the rows.
+    (time -> value) and shared by the rows.  A grid without a real step is a GridError.
     """
 
     def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
@@ -481,6 +489,8 @@ class StepPlan:
             nodes = None if node_fn is None else node_fn(sched, start, t, form.takes_draws,
                                                          levels=self.levels, **spec.step_kwargs)
             rows.append((t, lift, start, nodes))
+        if not rows:
+            raise GridError("grid needs at least one real step (M >= 2)")
         self.rows = tuple(rows)
 
     def times(self) -> list:
@@ -497,9 +507,10 @@ def prepare_model(model, times) -> None:
         prepare(times)
 
 
-def initial_state(sched, t0: float, stream, n_paths: int, d: int, offset: int = 0):
-    """x_T ~ N(0, sigma_bar(t0)^2 I) for paths offset.., drawn at (step 0, stage 0)."""
-    return sched.alpha_sigma(t0)[2] * stream.normal_paths(n_paths, 0, 0, d, offset=offset)
+def initial_state(sched, t0: float, draws):
+    """x_T ~ N(0, sigma_bar(t0)^2 I) from step 0's draws, ``draws_at(0)``: the stage-0
+    draw scaled."""
+    return sched.alpha_sigma(t0)[2] * draws[0]
 
 
 def walk(model, sched, spec: SolverSpec, plan: StepPlan, draws_at, x):
@@ -544,20 +555,17 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
     """
     spec.validate_against(sched)
     times = grid.times
-    n_real = grid.n_steps - 1
-    if n_real < 1:
-        raise GridError("grid needs at least one real step (M >= 2)")
-    x = initial_state(sched, float(times[0]), stream, n_paths, model.dim, offset=path_offset)
+    draws_at = StepDraws(stream, n_paths, model.dim, path_offset)
+    x = initial_state(sched, float(times[0]), draws_at(0))
     plan = StepPlan(spec, sched, grid)
     prepare_model(model, plan.times())
     traj = [x]
-    draws_at = functools.partial(StepDraws, stream, n_paths, model.dim, path_offset)
     for x in walk(model, sched, spec, plan, draws_at, x):
         if record:
             traj.append(x)
     return SampleResult(
         terminal=x,
         times=times.copy(),
-        nfe_per_path=spec.evals_per_step * n_real,
+        nfe_per_path=spec.evals_per_step * len(plan.rows),
         trajectory=np.stack(traj + [x]) if record else None,   # trivial last step: x again
     )

@@ -12,6 +12,7 @@ import pytest
 from seeds_sde import DataDistribution, ScoreModel, cli
 from seeds_sde.cli import main
 from seeds_sde.config import RunConfig, load_config
+from seeds_sde.errors import ConfigError
 
 
 def run(argv):
@@ -263,6 +264,34 @@ def test_schedule_whose_lambda_is_not_a_float_exits_1(tmp_path, monkeypatch, cap
     err = _config_error(capsys)
     assert f"schedule {schedule['kind']!r}" in err and key in err
     assert not (tmp_path / "seeds_out").exists()
+
+
+@pytest.mark.parametrize("schedule, key", [
+    # EDM's sde lambda saturates at log(sigma_data), outside the image its inverse takes
+    ({"kind": "edm", "sigma_data": 1e-300}, "'sigma_data': 1e-300"),
+    # lambda(t_max) = -318.8, below the -300 that VP's t_of_lambda takes
+    ({"kind": "vp", "t_max": 8.0}, "'t_max': 8.0"),
+])
+def test_schedule_whose_lambda_does_not_invert_is_a_config_error(tmp_path, schedule, key):
+    (tmp_path / "cfg.json").write_text(json.dumps({"schedule": schedule}))
+    with pytest.raises(ConfigError, match="lambda that t_of_lambda does not invert") as err:
+        load_config(str(tmp_path / "cfg.json"), {})
+    assert f"schedule {schedule['kind']!r}" in str(err.value) and key in str(err.value)
+
+
+def test_a_step_too_wide_for_phi_names_the_steps_and_the_time_range(tmp_path):
+    # at t_max = 7.5 lambda spans 286, so 3 to 5 steps are 57 to 95 wide, past phi's
+    # |h| <= 50; main turns the ConfigError into exit 1
+    (tmp_path / "cfg.json").write_text(json.dumps({"schedule": {"kind": "vp", "t_max": 7.5},
+                                                   "order": {"steps_list": [3, 4, 5]}}))
+    cfg = load_config(str(tmp_path / "cfg.json"), {"steps": 5, "paths": 3, "workers": 1})
+    span = r"from t_max=7\.5 to t_min=0\.0001 of schedule 'vp'\)$"
+    with pytest.raises(ConfigError, match=r"^phi argument h=57\.19.* \(with grid steps 5 " + span):
+        cli.cmd_sample(cfg, str(tmp_path / "s"))
+    with pytest.raises(ConfigError, match=r"^phi argument .* \(with order steps_list \[3, 4, 5\] "
+                       + span):
+        cli.cmd_order(cfg, "weak", str(tmp_path / "o"))
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_stage_parameter_a_family_does_not_read_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from seeds_sde import (
     RngStream,
     ScoreModel,
     SolverSpec,
+    StepGrid,
     VpCosine,
     VpLinear,
     ZeroModel,
@@ -23,7 +25,7 @@ from seeds_sde import (
     weak_order,
 )
 from seeds_sde import harness, solvers
-from seeds_sde.errors import ConfigError, DomainError
+from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.harness import fit_loglog, path_chunks
 from seeds_sde.noise import BLOCK, raw_increment_var
 from seeds_sde.schedules import ScheduleBase
@@ -226,6 +228,82 @@ def test_harness_draws_only_what_its_walks_cannot_share(vp, gauss_model, monkeyp
     strong_order(SolverSpec("seeds1"), gauss_model, vp, base_steps=2, refinements=3,
                  n_paths=5, stream=RngStream(3), ref_extra=1)
     assert calls == [(step, 0, offset) for offset in (0, 3) for step in range(1 + 16)]
+
+
+@pytest.fixture
+def draw_calls(monkeypatch):
+    """How often each (offset, step, stage) key is drawn from here on."""
+    calls, normal_paths = collections.Counter(), RngStream.normal_paths
+
+    def counting(self, n, step, stage, d, offset=0):
+        calls[offset, step, stage] += 1
+        return normal_paths(self, n, step, stage, d, offset)
+
+    monkeypatch.setattr(RngStream, "normal_paths", counting)
+    return calls
+
+
+def test_weak_order_and_compare_draw_each_key_once(vp, gauss_model, draw_calls, chunks_of):
+    # weak order: per chunk, the initial draw and seeds2's stages 1 and 2 at each of the
+    # longest grid's 9 real steps, every one shared by the grids that have that step
+    grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7, 10)]
+    weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 2000, RngStream(3), workers=1)
+    assert draw_calls == {(0, 0, 0): 1, **{(0, i, k): 1 for i in range(1, 10) for k in (1, 2)}}
+    draw_calls.clear()
+    chunks_of(harness, 1024)
+    weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 2000, RngStream(3), workers=1)
+    assert draw_calls == {(offset, i, k): 1 for offset in (0, 1024)
+                          for i, k in [(0, 0)] + [(i, k) for i in range(1, 10) for k in (1, 2)]}
+    # compare: seeds2 reads stages 1 and 2 of the ones seeds3 draws, at each of 11 steps
+    draw_calls.clear()
+    grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
+    per_step_compare(SolverSpec("seeds3"), SolverSpec("seeds2"), gauss_model, vp, grid,
+                     RngStream(3))
+    assert draw_calls == {(0, 0, 0): 1, **{(0, i, k): 1 for i in range(1, 12) for k in (1, 2, 3)}}
+
+
+def test_weak_order_walks_each_grid_as_sample_does(vp, gauss_model, monkeypatch, chunks_of):
+    # grids of 4, 6 and 9 real steps from three top times, coarsest first: the walks share
+    # their draws in lockstep, the shorter ones stop at their own last step, and each
+    # grid's terminal states are sample's, chunk by chunk
+    grids = [linear_lambda_grid(m, vp.t_min, t_top, vp) for m, t_top in ((5, 1.0), (7, 0.8),
+                                                                        (10, 0.6))]
+    results, fan_out = [], harness.fan_out
+
+    def recording(fn, tasks, workers):
+        results.extend(fan_out(fn, tasks, workers))
+        return results
+
+    monkeypatch.setattr(harness, "fan_out", recording)
+    chunks_of(harness, 700)
+    spec = SolverSpec("seeds3", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
+    est = weak_order(spec, gauss_model, vp, grids, 2000, RngStream(3))
+    assert est.h_values == sorted(est.h_values, reverse=True) and len(results) == 3
+    for g, grid in enumerate(grids):
+        want = solvers.sample(gauss_model, vp, grid, spec, RngStream(3), n_paths=2000).terminal
+        assert np.concatenate([chunk[g] for chunk in results]).tobytes() == want.tobytes()
+
+
+def test_a_grid_without_a_real_step_is_a_grid_error(vp, gauss_model):
+    # StepGrid refuses fewer than 3 nodes, so build one past its check
+    bare = object.__new__(StepGrid)
+    object.__setattr__(bare, "times", np.array([vp.t_max, 0.0]))
+    grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7)] + [bare]
+    for run in (lambda: solvers.sample(gauss_model, vp, bare, SolverSpec("seeds2"), RngStream(0)),
+                lambda: weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 10,
+                                   RngStream(0))):
+        with pytest.raises(GridError, match=r"grid needs at least one real step \(M >= 2\)"):
+            run()
+
+
+def test_weak_order_rejects_a_non_finite_state_in_any_grid(vp, gauss_model, nan_from_model):
+    # seeds1 evaluates once per step, grid by grid within a step: the 5th evaluation
+    # is the second grid's second step
+    grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7, 10)]
+    t = float(grids[1].times[2])
+    with pytest.raises(DomainError, match=f"non-finite state after step 2 at t={t!r}"):
+        weak_order(SolverSpec("seeds1"), nan_from_model(gauss_model, 5), vp, grids, 10,
+                   RngStream(0))
 
 
 def test_coupling_variance_end_to_end(vp):

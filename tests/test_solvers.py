@@ -1,5 +1,4 @@
 import collections
-import functools
 import math
 
 import mpmath
@@ -854,7 +853,7 @@ def test_sample_zero_model_terminal_mean(vp):
     grid = linear_lambda_grid(9, vp.t_min, vp.t_max, vp)
     spec = SolverSpec("seeds1")
     # from a fixed start, walked over the grid's plan as strong_order walks its levels
-    draws_at = functools.partial(StepDraws, RngStream(1), 64, 1, 0)
+    draws_at = StepDraws(RngStream(1), 64, 1, 0)
     *_, terminal = walk(zm, vp, spec, StepPlan(spec, vp, grid), draws_at, np.full((64, 1), 1.9))
     a_last = vp.alpha_sigma(float(grid.times[-2]))[0]
     a_first = vp.alpha_sigma(float(grid.times[0]))[0]
