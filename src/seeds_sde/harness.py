@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
@@ -156,6 +156,9 @@ def _oracle_for(model, sched, t_top: float):
 
 
 _CHUNK = 8192   # the most paths one task of the fan-out holds
+# the most steps strong order's finest (reference) grid may have: a chunk's window
+# holds up to that many fine increments per path
+_MAX_FINE_STEPS = 4096
 
 
 def path_chunks(n_paths: int, workers: int) -> list:
@@ -209,7 +212,9 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     last ``ratio`` fine increments (one level-0 step), and a level steps on
     its slice of the window whenever its stride divides the fine step count.
     The error at a level is sqrt(E[sup over its nodes |x - reference|^2])
-    over [t_min, t_max].
+    over [t_min, t_max].  A ConfigError names base_steps and refinements when the
+    reference grid would have more than ``_MAX_FINE_STEPS`` steps, and a
+    DomainError names the first level whose error or standard error is not finite.
     """
     if spec.family != "seeds1" or spec.mode != "np":
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
@@ -221,12 +226,17 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
         raise ConfigError(f"need base_steps >= 1, got {base_steps}")
     if ref_extra < 1:
         raise ConfigError("reference must sit at least one halving below the finest level")
+    halvings = refinements - 1 + ref_extra   # the reference has base_steps * 2**halvings steps
+    if halvings > _MAX_FINE_STEPS.bit_length() or base_steps << halvings > _MAX_FINE_STEPS:
+        raise ConfigError(f"order base_steps {base_steps} and order refinements {refinements} ask "
+                          f"for a reference grid of {base_steps} * 2**{halvings} steps; at most "
+                          f"{_MAX_FINE_STEPS}")
     chunks = path_chunks(n_paths, workers)
     spec.validate_against(sched)
     eps_end, t_top = sched.t_min, sched.t_max
 
     n_levels = refinements          # measured levels 0..refinements-1
-    ratio = 2 ** (n_levels - 1 + ref_extra)   # fine steps per level-0 step
+    ratio = 2**halvings             # fine steps per level-0 step
     m_fine = base_steps * ratio
     t_fine = linear_lambda_grid(m_fine, eps_end, t_top, sched).times
     strides = [1] + [ratio >> lvl for lvl in range(n_levels)]   # the reference first
@@ -240,11 +250,16 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
 
     hs = [(lams[-1] - lams[0]) / (base_steps * 2**lvl) for lvl in range(n_levels)]
     errors, ses = [], []
-    for lvl in range(n_levels):
+    for lvl, h in enumerate(hs):
         mean_sq = float(_block_mean(sup_sq[lvl]))
         err = math.sqrt(mean_sq)
         se_mean = float(np.std(sup_sq[lvl])) / math.sqrt(n_paths)
-        ses.append(se_mean / (2.0 * err) if err > 0 else 0.0)
+        se = se_mean / (2.0 * err) if err > 0 else 0.0
+        # finite states can still square past float max
+        if not (math.isfinite(err) and math.isfinite(se)):
+            raise DomainError(f"strong order level {lvl} (h={h!r}) has error {err!r} and "
+                              f"standard error {se!r}; both must be finite")
+        ses.append(se)
         errors.append(err)
 
     notes = []

@@ -13,7 +13,11 @@ O(n (d + K)) for n states instead of O(n K d).  One exception: for d = 1
 and K >= 8 the broadcast form summed the K score terms in NumPy's pairwise
 order, and the loop sums them in order, so the last bit may differ there.
 With one component the responsibilities are exactly 1, so the score skips
-them, with the same bytes, unless some row's log density is not finite.
+them, with the same bytes, when every |x - mu| is at most one bound per time,
+R_t = sqrt(F / (2d)) min(1, sqrt(c_min)) for float max F and the smallest
+marginal variance c_min: then every (x_j - mu_j)^2 and every
+(x_j - mu_j)^2 / c_j is at most about F / (2d), so every row's log density is
+finite.  A time whose log-normaliser is not finite has R_t = -1.
 """
 
 import math
@@ -25,7 +29,8 @@ from .errors import ConfigError, DomainError
 from .schedules import ScheduleBase
 
 
-MEAN_LIMIT = 0.5 * math.sqrt(np.finfo(float).max)
+_FLOAT_MAX = float(np.finfo(float).max)
+MEAN_LIMIT = 0.5 * math.sqrt(_FLOAT_MAX)
 
 
 @dataclass(frozen=True)
@@ -128,6 +133,16 @@ def _log_normalisers(cov):
     return np.add.reduce(np.log(2.0 * math.pi * cov), axis=-1)
 
 
+def _closed_form_bounds(cov, lognorm):
+    """The one-component score's bound per time, (...): sqrt(F / (2d)) min(1, sqrt(c_min))
+    for the smallest variance c_min over the components and axes of each (..., K, d)
+    ``cov``, and -1 where one of its (..., K) log-normalisers ``lognorm`` is not finite."""
+    # sqrt(min(1, c_min)) == min(1, sqrt(c_min)): sqrt is correctly rounded and sqrt(1) == 1
+    root = np.sqrt(np.minimum.reduce(cov, axis=(-2, -1), initial=1.0))
+    bound = math.sqrt(_FLOAT_MAX / (2 * cov.shape[-1])) * root
+    return np.where(np.logical_and.reduce(np.isfinite(lognorm), axis=-1), bound, -1.0)
+
+
 class ScoreModel:
     """Exact score / noise-prediction / data-prediction oracle on a schedule.
 
@@ -142,7 +157,8 @@ class ScoreModel:
         self.nfe = 0
         self._log_weights = np.log(data.weights)
         self._rows = {}      # tabulated time -> its row of the table
-        # (alpha_sigma (T, 3), means and variances (T, K, d), log-normalisers (T, K))
+        # (alpha_sigma (T, 3), means and variances (T, K, d), log-normalisers (T, K),
+        # the one-component score's bounds (T,))
         self._table = None
 
     @property
@@ -153,19 +169,22 @@ class ScoreModel:
         """Replace the table with one row per distinct time in ``times``.
 
         A row holds (alpha, sigma, sigma_bar) from the schedule's scalar
-        ``alpha_sigma``, the marginal's (K, d) means and variances and the (K,)
-        log-normalisers sum_d log(2 pi cov).  One vectorized pass computes the
-        stacked rows with the functions an evaluation at one time uses: their
-        operations are elementwise, and the sum over d runs per row, so a row
-        holds the bytes that evaluation would compute.
+        ``alpha_sigma``, the marginal's (K, d) means and variances, the (K,)
+        log-normalisers sum_d log(2 pi cov) and the bound R_t up to which
+        ``score`` takes the one-component closed form.  One vectorized pass
+        computes the stacked rows with the functions an evaluation at one time
+        uses: their operations are elementwise, and the sums over d and the
+        minimum over (K, d) run per row, so a row holds the bytes that
+        evaluation would compute.
         """
         rows = {}
         for t in times:
             rows.setdefault(float(t), len(rows))
         coef = np.array([self.sched.alpha_sigma(t) for t in rows]).reshape(len(rows), 3)
         mu, cov = self.data.marginal_of(coef[:, 0, None, None], coef[:, 2, None, None])
+        lognorm = _log_normalisers(cov)
         self._rows = rows
-        self._table = (coef, mu, cov, _log_normalisers(cov))
+        self._table = (coef, mu, cov, lognorm, _closed_form_bounds(cov, lognorm))
 
     def _alpha_sigma(self, t):
         """(alpha, sigma, sigma_bar) at t: its row when t is tabulated."""
@@ -173,13 +192,15 @@ class ScoreModel:
         return self.sched.alpha_sigma(t) if i is None else self._table[0][i].tolist()
 
     def _marginal(self, t):
-        """The marginal's (K, d) means and variances and (K,) log-normalisers at t."""
+        """The marginal's (K, d) means and variances, (K,) log-normalisers and the
+        one-component score's bound at t."""
         i = self._rows.get(float(t))
         if i is None:
             mu, cov = self.data.marginal(self.sched, t)
-            return mu, cov, _log_normalisers(cov)
-        _, mu, cov, lognorm = self._table
-        return mu[i], cov[i], lognorm[i]
+            lognorm = _log_normalisers(cov)
+            return mu, cov, lognorm, _closed_form_bounds(cov, lognorm)
+        _, mu, cov, lognorm, bound = self._table
+        return mu[i], cov[i], lognorm[i], bound[i]
 
     # -- exact quantities (not NFE-counted) ---------------------------------
 
@@ -189,18 +210,22 @@ class ScoreModel:
         Loops over the K components with one (..., d) scratch array: first
         the quadratic forms sum((x - mu_k)^2 / cov_k) into column k of an
         (..., K) array, then, after the log-sum-exp over K, the sum over k
-        of resp_k (x - mu_k) / cov_k, recomputing x - mu_k.
+        of resp_k (x - mu_k) / cov_k, recomputing x - mu_k.  With one
+        component, a batch whose every |x - mu| is at most the time's bound
+        R_t (the table's last column) has finite log densities, so its
+        responsibilities are exactly 1 and it skips the loops.
         """
-        mu, cov, lognorm = self._marginal(t)
+        mu, cov, lognorm, bound = self._marginal(t)
         x = np.asarray(x, dtype=float)
         shape = x.shape   # states of dimension d skip np.broadcast_shapes (about 3 us a call)
         if shape[-1:] != mu.shape[1:]:
             shape = np.broadcast_shapes(shape, mu.shape[1:])
         elif mu.shape[0] == 1:
-            # one component: its responsibility is exactly 1 in every row whose
-            # log density is finite, and the score is -(0.0 + (x - mu) / cov)
+            # one component: within the bound every row's log density is finite,
+            # its responsibility is exactly 1 and the score is -(0.0 + (x - mu) / cov);
+            # NaN and +-inf fail the test
             diff = x - mu[0]
-            if np.isfinite(np.add.reduce(diff * diff / cov[0], axis=-1) + lognorm[0]).all():
+            if np.abs(diff).max(initial=0.0) <= bound:
                 diff /= cov[0]
                 diff += 0.0
                 return np.negative(diff, out=diff)

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import pickle
+import re
 import shlex
 import subprocess
 import sys
@@ -291,6 +292,32 @@ def test_a_step_too_wide_for_phi_names_the_steps_and_the_time_range(tmp_path):
     with pytest.raises(ConfigError, match=r"^phi argument .* \(with order steps_list \[3, 4, 5\] "
                        + span):
         cli.cmd_order(cfg, "weak", str(tmp_path / "o"))
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+def test_strong_order_with_errors_past_float_max_is_a_config_error(tmp_path):
+    # at t_max = 7.5 the coarse levels' states grow huge but stay finite, and their
+    # squared distances to the reference overflow: nothing is written
+    (tmp_path / "cfg.json").write_text(json.dumps({"schedule": {"kind": "vp", "t_max": 7.5}}))
+    cfg = load_config(str(tmp_path / "cfg.json"),
+                      {"solver": "seeds1", "paths": 100, "workers": 1})
+    with pytest.raises(ConfigError, match=r"^strong order level 0 \(h=8\.93.*\) has error .* "
+                       r"standard error inf; both must be finite \(with order base_steps 32 "):
+        cli.cmd_order(cfg, "strong", str(tmp_path / "o"))
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("order, steps", [({"refinements": 40}, "32 * 2**41"),
+                                          ({"refinements": 10**9}, "32 * 2**1000000001"),
+                                          ({"base_steps": 129}, "129 * 2**5"),
+                                          ({"base_steps": 1, "refinements": 12}, "1 * 2**13")])
+def test_strong_order_past_the_reference_grid_cap_is_a_config_error(tmp_path, order, steps):
+    # each asks for more than 4096 fine steps, and fails before anything is built
+    (tmp_path / "cfg.json").write_text(json.dumps({"order": order}))
+    cfg = load_config(str(tmp_path / "cfg.json"), {"solver": "seeds1", "paths": 4, "workers": 1})
+    with pytest.raises(ConfigError, match=r"^order base_steps \d+ and order refinements \d+ ask "
+                       rf"for a reference grid of {re.escape(steps)} steps; at most 4096$"):
+        cli.cmd_order(cfg, "strong", str(tmp_path / "o"))
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 

@@ -167,6 +167,66 @@ def test_score_one_component_bits_at_the_overflow_boundary(sched, d):
             assert not finite_rows.all() and finite_rows.any() == normaliser_finite
 
 
+@pytest.mark.parametrize("sched", [VpLinear(), Ve(), Edm()], ids=["vp", "ve", "edm"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_score_one_component_bits_at_the_closed_form_bound(sched, d):
+    # rows a few ulps either side of R_t = sqrt(F / (2d)) min(1, sqrt(c_min)), in one
+    # axis and in all, at tabulated and other times: the rows within it take the
+    # closed form, the others the loops, and each gives the broadcast form's bits
+    rng = np.random.default_rng(60 + d)
+    big = np.finfo(float).max
+    times = [sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max]
+    for var_scale in (1e-3, 1.0, 1e3):
+        data = DataDistribution(np.array([1.0]), rng.normal(0.0, 2.0, (1, d)),
+                                var_scale * rng.uniform(0.3, 1.5, (1, d)))
+        plain, prepared = ScoreModel(data, sched), ScoreModel(data, sched)
+        prepared.prepare(times[:2])
+        for t in times:
+            mu, cov = (v[0] for v in data.marginal(sched, t))
+            bound = math.sqrt(big / (2 * d)) * min(1.0, math.sqrt(cov.min()))
+            rows = [mu + rng.normal(size=d)]
+            for ulps in range(-3, 4):
+                dist = bound
+                for _ in range(abs(ulps)):
+                    dist = np.nextafter(dist, np.inf if ulps > 0 else 0.0)
+                for sign in (1.0, -1.0):
+                    rows.append(mu + sign * dist)
+                    rows.append(np.where(np.arange(d) == 0, mu + sign * dist, mu - 0.5))
+            x = np.array(rows)
+            ref = _broadcast_score(plain, x, t)
+            assert np.isfinite(ref).all()
+            for model in (plain, prepared):
+                for x_in, want in ((x, ref), *zip(x, ref)):
+                    assert _same_bits(model.score(x_in, t), want)
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), Ve(), Edm()], ids=["vp", "ve", "edm"])
+def test_score_of_an_empty_batch_is_empty(sched):
+    rng = np.random.default_rng(9)
+    for k, d in ((1, 1), (1, 3), (3, 2)):
+        plain, prepared = _random_mixture(rng, k, d, sched), _random_mixture(rng, k, d, sched)
+        prepared.prepare([0.5])
+        for model in (plain, prepared):
+            got = model.score(np.empty((0, d)), 0.5)
+            assert got.shape == (0, d) and got.dtype == float
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), VpCosine(), Ve()], ids=["vp", "vp_cosine", "ve"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_network_calls_at_a_tabulated_time_are_their_formulas_of_the_score(sched, k):
+    # noise_pred = -sigma_bar * score and data_pred = x / alpha - sigma * eps_hat, bit for bit
+    rng = np.random.default_rng(20 + k)
+    model = _random_mixture(rng, k, 3, sched)
+    times = [float(t) for t in np.geomspace(sched.t_min, sched.t_max, 5)]
+    model.prepare(times)
+    for t in times:
+        a, s, sbar = sched.alpha_sigma(t)
+        x = rng.normal(0.0, 3.0 * math.hypot(a, sbar), (257, 3))
+        eps_hat = -sbar * model.score(x, t)
+        assert _same_bits(model.noise_pred(x, t), eps_hat)
+        assert _same_bits(model.data_pred(x, t), x / a - s * eps_hat)
+
+
 def test_score_signed_zero_at_a_zero_mean(vp):
     # every term is -0.0, and NumPy's sum starts from +0.0: the score is -0.0
     model = ScoreModel(DataDistribution(np.array([0.5, 0.5]), np.zeros((2, 3)),
