@@ -24,8 +24,7 @@ from seeds_sde import (
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--solver", default="seeds3")
-    parser.add_argument("--mode", default=None, choices=["np", "dp"],
-                        help="default: the solver's default mode")
+    parser.add_argument("--mode", default=None, help="default: the solver's default mode")
     parser.add_argument("--steps", type=int, default=31)
     parser.add_argument("--paths", type=int, default=100_000)
     parser.add_argument("--seed", type=int, default=11)

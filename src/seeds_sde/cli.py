@@ -47,11 +47,11 @@ def _csv_rows(keys, values) -> str:
     return "\n".join(map(",".join, zip(keys, *cols))) + "\n"
 
 
-def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int, record: bool):
-    """Sample paths offset..offset+count-1; return their terminal.csv rows, the
-    NFE per path and, when recording, each path's trajectory rows."""
-    res = sample(model, cfg.schedule, grid, cfg.solver, RngStream(cfg.seed), n_paths=count,
-                 path_offset=offset, record=record)
+def _run_chunk(cfg: RunConfig, offset: int, count: int, record: bool):
+    """Sample paths offset..offset+count-1 on the config's grid and model; return their
+    terminal.csv rows, the NFE per path and, when recording, each path's trajectory rows."""
+    res = sample(cfg.model, cfg.schedule, cfg.grid, cfg.solver, RngStream(cfg.seed),
+                 n_paths=count, path_offset=offset, record=record)
     trajs = []
     if record:
         times = list(map(repr, res.times.tolist()))
@@ -62,15 +62,13 @@ def _run_chunk(cfg: RunConfig, model, grid, offset: int, count: int, record: boo
 
 def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) -> int:
     chunks = path_chunks(cfg.n_paths, cfg.workers)
-    model = cfg.build_model()
-    grid = cfg.build_grid()
-    run = functools.partial(_run_chunk, cfg, model, grid, record=save_trajectories)
-    with cfg.naming_the_grid("grid steps", grid.n_steps):
+    run = functools.partial(_run_chunk, cfg, record=save_trajectories)
+    with cfg.naming_the_grid("grid steps", cfg.grid.n_steps):
         results = fan_out(run, chunks, cfg.workers)
     nfe_per_path = results[0][1]
 
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
-    header = ",".join(f"x{j}" for j in range(model.dim)) + "\n"
+    header = ",".join(f"x{j}" for j in range(cfg.model.dim)) + "\n"
     csv_path = os.path.join(out_dir, "terminal.csv")
     with open(csv_path, "w") as fh:
         fh.write("path," + header)
@@ -88,18 +86,17 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
                   sort_keys=True)
     print(f"wrote {cfg.n_paths} terminal states to {csv_path}")
     print(f"NFE per path: {nfe_per_path} "
-          f"({cfg.solver.evals_per_step} evals x {grid.n_steps - 1} steps)")
+          f"({cfg.solver.evals_per_step} evals x {cfg.grid.n_steps - 1} steps)")
     return 0
 
 
 def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
-    model = cfg.build_model()
     stream = RngStream(cfg.seed)
     order_cfg = cfg.order
     if kind == "strong":
         base_steps = order_cfg.get("base_steps", 32)
         with cfg.naming_the_grid("order base_steps", base_steps):
-            est = strong_order(cfg.solver, model, cfg.schedule, base_steps=base_steps,
+            est = strong_order(cfg.solver, cfg.model, cfg.schedule, base_steps=base_steps,
                                refinements=order_cfg.get("refinements", 4),
                                n_paths=cfg.n_paths, stream=stream, workers=cfg.workers)
     else:  # the parser's choices leave "weak"
@@ -107,7 +104,7 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
         with cfg.naming_the_grid("order steps_list", steps_list):
             grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
                                         cfg.schedule) for m in steps_list]
-            est = weak_order(cfg.solver, model, cfg.schedule, grids, cfg.n_paths, stream,
+            est = weak_order(cfg.solver, cfg.model, cfg.schedule, grids, cfg.n_paths, stream,
                              workers=cfg.workers)
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     base = os.path.join(out_dir, f"order_{kind}_{cfg.solver.family}")
@@ -135,8 +132,7 @@ def _same_model(a, b) -> bool:
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
     if cfg_a.schedule != cfg_b.schedule:
         raise ConfigError("compare requires identical schedules on both sides")
-    grid = cfg_a.build_grid()
-    if not np.array_equal(grid.times, cfg_b.build_grid().times):
+    if not np.array_equal(cfg_a.grid.times, cfg_b.grid.times):
         raise ConfigError("compare requires identical grids on both sides")
     threshold = cfg_a.threshold  # --threshold, when given, has set both configs' threshold
     if cfg_b.threshold != threshold:
@@ -144,12 +140,11 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
                           f"{cfg_b.threshold!r} in config-b; --threshold sets both")
     if cfg_a.seed != cfg_b.seed:
         raise ConfigError("compare requires identical seeds on both sides")
-    model = cfg_a.build_model()
-    if not _same_model(model, cfg_b.build_model()):
+    if not _same_model(cfg_a.model, cfg_b.model):
         raise ConfigError("compare requires identical models on both sides")
-    stream = RngStream(cfg_a.seed)
-    with cfg_a.naming_the_grid("grid steps", grid.n_steps):
-        diff = per_step_compare(cfg_a.solver, cfg_b.solver, model, cfg_a.schedule, grid, stream)
+    with cfg_a.naming_the_grid("grid steps", cfg_a.grid.n_steps):
+        diff = per_step_compare(cfg_a.solver, cfg_b.solver, cfg_a.model, cfg_a.schedule,
+                                cfg_a.grid, RngStream(cfg_a.seed))
     verdict = "PASS" if diff < threshold else "FAIL"
     print(f"max relative per-step difference: {diff!r}")
     print(f"{verdict} (threshold {threshold!r})")
@@ -157,8 +152,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
 
 
 def cmd_grid(cfg: RunConfig) -> int:
-    grid = cfg.build_grid()
-    sched = cfg.schedule
+    grid, sched = cfg.grid, cfg.schedule
     lams = grid.lambdas(sched)
     print("i,t,sigma,lambda,h")
     for i, t in enumerate(grid.times):
@@ -179,16 +173,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-_MODES = ["np", "dp"]
 # every flag by destination, spelled --dest with "-" for "_"; a flag not given
 # reads None (a switch False), and the config file's value (or its default) stands
 _FLAGS = {
     "config": dict(help="JSON config file"), "solver": {}, "schedule": {}, "out": {},
     "seed": dict(type=int), "paths": dict(type=int), "steps": dict(type=int),
-    "workers": dict(type=int), "threshold": dict(type=float), "mode": dict(choices=_MODES),
+    "workers": dict(type=int), "threshold": dict(type=float), "mode": {},
     "save_trajectories": dict(action="store_true"),
-    "config_a": {}, "config_b": {}, "solver_a": {}, "solver_b": {},
-    "mode_a": dict(choices=_MODES), "mode_b": dict(choices=_MODES),
+    "config_a": {}, "config_b": {}, "solver_a": {}, "solver_b": {}, "mode_a": {}, "mode_b": {},
     "grid_kind": dict(choices=["linear_lambda", "edm"]),
 }
 

@@ -4,34 +4,37 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, DomainError
 from .grids import StepGrid, edm_grid, linear_lambda_grid
 from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
 from .schedules import ScheduleBase, VpLinear, make_schedule
-from .solvers import ChurnParams, SolverSpec
+from .solvers import STAGE_PARAMS, ChurnParams, SolverSpec
 
 _DEFAULT_MODEL = {"kind": "gaussian_mixture",
                   "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}
+_MAX_STEPS, _MAX_PATHS = 100_000, 10_000_000   # the most grid steps and paths a run may ask for
 
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, already validated; the run checks its solver
-    against the schedule before its first step."""
+    """Everything a run needs, validated, with the ``grid`` and ``model`` that ``load_config``
+    built to check them; the run's ``StepPlan`` checks the solver against the schedule."""
 
     schedule: ScheduleBase
     model_spec: dict
     solver: SolverSpec
     grid_spec: dict
-    seed: int = 0
-    n_paths: int = 1000
-    workers: int = 1
-    out: str | None = None
-    threshold: float = 1e-10
-    order: dict = field(default_factory=dict)
+    seed: int
+    n_paths: int
+    workers: int
+    out: str | None
+    threshold: float
+    order: dict
+    grid: StepGrid = field(init=False)
+    model: object = field(init=False)
 
     def build_model(self):
         spec = self.model_spec
@@ -48,7 +51,7 @@ class RunConfig:
     def build_grid(self) -> StepGrid:
         spec = dict(self.grid_spec)
         kind = spec.pop("kind", "linear_lambda")
-        steps = _integer("grid steps", spec.pop("steps", 31))
+        steps = _integer("grid steps", spec.pop("steps", 31), _MAX_STEPS)
         sched = self.schedule
         if kind == "linear_lambda":
             eps_end = _number("grid eps_end", spec.pop("eps_end", sched.t_min))
@@ -86,12 +89,9 @@ class RunConfig:
         """JSON-ready dict that reproduces this configuration; the solver section holds
         the stage parameters its family reads, and no others."""
         solver_spec = {"family": self.solver.family, "mode": self.solver.mode,
-                       **{key: value for key in ("r1", "r2", "c2")
-                          if (value := getattr(self.solver, key)) is not None}}
+                       **self.solver.params}
         if self.solver.churn is not None:
-            ch = self.solver.churn
-            solver_spec["churn"] = {"s_churn": ch.s_churn, "s_tmin": ch.s_tmin,
-                                    "s_tmax": ch.s_tmax, "s_noise": ch.s_noise}
+            solver_spec["churn"] = asdict(self.solver.churn)
         return {"schedule": {"kind": self.schedule.kind, **asdict(self.schedule)},
                 "model": self.model_spec, "solver": solver_spec, "grid": self.grid_spec,
                 "seed": self.seed, "paths": self.n_paths, "workers": self.workers,
@@ -106,12 +106,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _integer(key: str, value) -> int:
-    """``value`` as an int; a ConfigError naming ``key`` unless it is integral."""
+def _integer(key: str, value, most: float = math.inf) -> int:
+    """``value`` as an int; a ConfigError naming ``key`` unless it is integral and at most
+    ``most``."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
+        value = int(value)
+    elif not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value > most:
+        raise ConfigError(f"{key} must be at most {most}, got {value!r}")
     return value
 
 
@@ -144,7 +147,7 @@ def _order_spec(order: dict) -> dict:
         steps = order["steps_list"]
         if not isinstance(steps, list):
             raise ConfigError(f"order steps_list must be a list of integers, got {steps!r}")
-        order["steps_list"] = [_integer("order steps_list", m) for m in steps]
+        order["steps_list"] = [_integer("order steps_list", m, _MAX_STEPS) for m in steps]
     return order
 
 
@@ -167,10 +170,10 @@ def _build_solver(spec: dict) -> SolverSpec:
         raise ConfigError(f"solver churn config must be a JSON object, got {churn_spec!r}")
     if spec.get("mode") is not None and not isinstance(spec["mode"], str):
         raise ConfigError(f"solver mode must be a string, got {spec['mode']!r}")
-    for key in ("r1", "r2", "c2"):
+    for key in STAGE_PARAMS:
         if key in spec:
             spec[key] = _number(f"solver {key}", spec[key])
-    _reject_extras("solver churn", churn_spec.keys() - {"s_churn", "s_tmin", "s_tmax", "s_noise"})
+    _reject_extras("solver churn", churn_spec.keys() - {f.name for f in fields(ChurnParams)})
     # s_tmax defaults to +inf, and config.json records that default as Infinity
     churn = ChurnParams(**{key: _number(f"solver churn {key}", value, inf_ok=key == "s_tmax")
                            for key, value in churn_spec.items()}) if churn_spec else None
@@ -230,7 +233,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         solver=solver,
         grid_spec=grid_spec,
         seed=_integer("seed", pick("seed", "seed", 0)),
-        n_paths=_integer("paths", pick("paths", "paths", 1000)),
+        n_paths=_integer("paths", pick("paths", "paths", 1000), _MAX_PATHS),
         workers=_integer("workers", pick("workers", "workers", _usable_cpus())),
         out=out,
         threshold=_number("threshold", pick("threshold", "threshold", 1e-10)),
@@ -242,7 +245,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError("workers must be >= 1")
     if cfg.threshold <= 0.0:
         raise ConfigError(f"threshold must be > 0, got {cfg.threshold!r}")
-    cfg.build_grid()   # validate grid construction eagerly
-    cfg.build_model()  # and the model spec
+    cfg.grid = cfg.build_grid()     # validate grid construction eagerly, and keep it
+    cfg.model = cfg.build_model()   # and the model
     RngStream(cfg.seed)  # and the seed, which must fit a Philox key
     return cfg

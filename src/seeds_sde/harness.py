@@ -22,7 +22,8 @@ the closed-form Gaussian flow: each chunk walks every grid's ``StepPlan``, built
 once, in lockstep from the grid's own initial rows, and step i's keyed draws
 are made once for every grid that has a step i.  Moment reductions are done
 block by block (fixed 1024-path blocks), so results do not depend on how paths
-are partitioned across workers.
+are partitioned across workers.  Each walk reads its solver and schedule from its
+``StepPlan``, which checks them when built, so a chunk carries only plans, model and stream.
 """
 
 import collections
@@ -232,7 +233,6 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
                           f"for a reference grid of {base_steps} * 2**{halvings} steps; at most "
                           f"{_MAX_FINE_STEPS}")
     chunks = path_chunks(n_paths, workers)
-    spec.validate_against(sched)
     eps_end, t_top = sched.t_min, sched.t_max
 
     n_levels = refinements          # measured levels 0..refinements-1
@@ -244,7 +244,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
     lams = [plans[0].levels[t] for t in t_fine.tolist()]   # the reference's lambda per node
 
-    run = functools.partial(_coupled_chunk, spec, model, sched, stream, plans, strides, lams)
+    run = functools.partial(_coupled_chunk, model, stream, plans, strides, lams)
     sups, refs = zip(*fan_out(run, chunks, workers))
     sup_sq, ref = np.concatenate(sups, axis=1), np.concatenate(refs)
 
@@ -253,7 +253,8 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     for lvl, h in enumerate(hs):
         mean_sq = float(_block_mean(sup_sq[lvl]))
         err = math.sqrt(mean_sq)
-        se_mean = float(np.std(sup_sq[lvl])) / math.sqrt(n_paths)
+        with np.errstate(over="ignore"):   # an inf is named by the check below
+            se_mean = float(np.std(sup_sq[lvl])) / math.sqrt(n_paths)
         se = se_mean / (2.0 * err) if err > 0 else 0.0
         # finite states can still square past float max
         if not (math.isfinite(err) and math.isfinite(se)):
@@ -280,19 +281,19 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
                          slope_se, notes=notes)
 
 
-def _coupled_chunk(spec, model, sched, stream, plans, strides, lams, offset: int,
-                   count: int):
+def _coupled_chunk(model, stream, plans, strides, lams, offset: int, count: int):
     """The coupled walks of paths offset..offset+count-1: each measured level's sup
     over its nodes of |x - reference|^2, shape (levels, count), and the reference's
     terminal states.  Fine step j's unit draw z is keyed on (step j, stage 0); its raw
     increment sqrt(raw_increment_var) z goes into the window, and a level of stride k
     steps on the sum of its k window increments, added in order, over their standard
     deviation."""
+    sched = plans[0].sched
     x0 = initial_state(sched, sched.t_max, StepDraws(stream, count, model.dim, offset)(0))
     prepare_model(model, plans[0].times())   # every level evaluates at fine nodes
     window = np.empty((strides[1], *x0.shape))   # one level-0 step of fine increments
     # each walk reads ``draws``, set just before its next step
-    walks = [walk(model, sched, spec, plan, lambda i: draws, x0) for plan in plans]
+    walks = [walk(model, plan, lambda i: draws, x0) for plan in plans]
     sup_sq = np.zeros((len(strides) - 1, count))
     for j in range(1, len(lams)):
         z = stream.normal_paths(count, j, 0, model.dim, offset)
@@ -312,15 +313,15 @@ def _coupled_chunk(spec, model, sched, stream, plans, strides, lams, offset: int
     return sup_sq, ref
 
 
-def _weak_chunk(spec, model, sched, stream, tops, plans, offset: int, count: int):
+def _weak_chunk(model, stream, tops, plans, offset: int, count: int):
     """The terminal states of paths offset..offset+count-1 on each plan's grid.  One
     table serves every walk; each walk starts from its grid's top time ``tops[g]``, and
     the walks advance in lockstep, so one ``StepDraws`` makes each step's draws once
     for every grid that has that step.  A shorter grid's terminal is its last step's."""
     prepare_model(model, [u for plan in plans for u in plan.times()])
     draws_at = StepDraws(stream, count, model.dim, offset)
-    last = [initial_state(sched, t0, draws_at(0)) for t0 in tops]
-    walks = [walk(model, sched, spec, plan, draws_at, x0) for plan, x0 in zip(plans, last)]
+    last = [initial_state(plans[0].sched, t0, draws_at(0)) for t0 in tops]
+    walks = [walk(model, plan, draws_at, x0) for plan, x0 in zip(plans, last)]
     for states in itertools.zip_longest(*walks):
         last = [x if x is not None else prev for x, prev in zip(states, last)]
     return last
@@ -340,7 +341,6 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
     chunks = path_chunks(n_paths, workers)
-    spec.validate_against(sched)
     plans = [StepPlan(spec, sched, grid) for grid in grids]   # a grid needs a real step
     widths, grids, plans = map(list, zip(*sorted(
         ((float(np.max(g.step_widths(sched))), g, plan) for g, plan in zip(grids, plans)),
@@ -348,7 +348,7 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
     tops = [float(grid.times[0]) for grid in grids]
-    run = functools.partial(_weak_chunk, spec, model, sched, stream, tops, plans)
+    run = functools.partial(_weak_chunk, model, stream, tops, plans)
     terminals = fan_out(run, chunks, workers)   # per chunk, each grid's terminal states
     hs, errors, ses = [], [], []
     excluded, notes = [], []
@@ -411,18 +411,15 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
     so only the deterministic parts are compared.  A step that leaves a
     non-finite state on either side raises DomainError.
     """
-    spec_a.validate_against(sched)
-    spec_b.validate_against(sched)
+    plan_a, plan_b = StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)
     drawn = StepDraws(stream, 1, model.dim)
     x0 = initial_state(sched, float(grid.times[0]), drawn(0))
-    plan_a, plan_b = StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)
     # one table for both walks: they run in lockstep, so one per walk would evict the other
     prepare_model(model, plan_a.times() + plan_b.times())
     zero = collections.defaultdict(lambda: np.zeros(x0.shape))   # every stage's, churn's too
     draws_at = (lambda i: zero) if zero_noise else drawn
     max_rel = 0.0
-    for xa, xb in zip(walk(model, sched, spec_a, plan_a, draws_at, x0),
-                      walk(model, sched, spec_b, plan_b, draws_at, x0)):
+    for xa, xb in zip(walk(model, plan_a, draws_at, x0), walk(model, plan_b, draws_at, x0)):
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)

@@ -25,7 +25,9 @@ with its evaluations per step, the stage parameters it reads with their one
 default, and one ``Form`` per mode it has ("np" noise prediction, "dp" data
 prediction): the step callable, its fixed keywords and the schedules it runs on.
 Only seeds1 and dpm1 have both modes; every other family has one, which is
-its default (and the default of seeds1 and dpm1 is "np").
+its default (and the default of seeds1 and dpm1 is "np").  A ``SolverSpec``
+looks its family up once and keeps its form and stage parameters;
+``STAGE_PARAMS`` names every stage parameter some family reads.
 
 Steps read their draws as a mapping from stage k to an (n, d) array z^k.
 ``walk``, the one loop over a grid's real steps, takes step i's from
@@ -37,9 +39,10 @@ that share one ``StepDraws`` in lockstep draw each key once.  A plain dict
 A step's stage-node times depend only on the grid.  Each staged form names
 its node function (``Form.nodes``), and churn has ``churn_lift``; a
 ``StepPlan`` calls them once per grid, before the walk, and hands each step
-its row.  A step called without a row calls its node function itself.  The
-plan's evaluation times go to the model's optional ``prepare`` hook, which
-tabulates the model's time-only work.
+its row; it is where a solver meets its schedule, checking the one against
+the other and carrying both for ``walk``.  A step called without a row calls
+its node function itself.  The plan's evaluation times go to the model's
+optional ``prepare`` hook, which tabulates the model's time-only work.
 
 Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
 signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
@@ -89,10 +92,10 @@ class SolverSpec:
     ``mode`` None means the family's default mode: "np" for seeds1 and dpm1,
     the only mode for every other family.  A stage parameter the family reads
     takes the registry's default when None; one it does not read stays None, or
-    is a ConfigError.  ``step_kwargs`` holds the keywords ``step_once`` passes
-    to the family's step, resolved once here: the form's fixed keywords and,
-    for a family with stage parameters, their values in registry order as
-    ``fracs``.
+    is a ConfigError.  The registry is read once, here: ``form`` is the mode's ``Form``,
+    ``params`` the stage parameters the family reads with their values, in registry
+    order, and ``step_kwargs`` the keywords ``step_once`` passes to the form's step, its
+    fixed keywords and, given stage parameters, their values as ``fracs``.
     """
 
     family: str
@@ -101,6 +104,8 @@ class SolverSpec:
     r2: float | None = None
     c2: float | None = None
     churn: ChurnParams | None = None
+    form: "Form" = field(init=False, repr=False, compare=False)
+    params: dict = field(init=False, repr=False, compare=False)
     step_kwargs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -114,8 +119,7 @@ class SolverSpec:
         mode = next(iter(desc.forms)) if self.mode is None else self.mode
         if mode not in desc.forms:
             raise ConfigError(f"{fam} has no mode {mode!r}; its modes are {tuple(desc.forms)}")
-        given = {key: getattr(self, key) for key in ("r1", "r2", "c2")
-                 if getattr(self, key) is not None}
+        given = {key: getattr(self, key) for key in STAGE_PARAMS if getattr(self, key) is not None}
         if unread := [key for key in given if key not in desc.params]:
             raise ConfigError(f"{fam} does not read {', '.join(unread)}; it reads "
                               f"{', '.join(desc.params) or 'no stage parameter'}")
@@ -123,10 +127,11 @@ class SolverSpec:
         if not desc.valid(**params):
             raise ConfigError(f"{fam} needs {desc.rule}, got "
                               + ", ".join(f"{key}={value}" for key, value in params.items()))
-        for key, value in (("family", fam), ("mode", mode), *params.items()):
-            object.__setattr__(self, key, value)
+        form = desc.forms[mode]
         fracs = {"fracs": tuple(params.values())} if params else {}
-        object.__setattr__(self, "step_kwargs", {**desc.forms[mode].kwargs, **fracs})
+        for key, value in (("family", fam), ("mode", mode), *params.items(), ("form", form),
+                           ("params", params), ("step_kwargs", {**form.kwargs, **fracs})):
+            object.__setattr__(self, key, value)
 
     @property
     def evals_per_step(self) -> int:
@@ -134,10 +139,9 @@ class SolverSpec:
 
     def validate_against(self, sched: ScheduleBase) -> None:
         """Reject a schedule that this family's mode does not run on."""
-        allowed = FAMILIES[self.family].forms[self.mode].schedules
-        if sched.family not in allowed:
+        if sched.family not in self.form.schedules:
             raise ConfigError(f"{self.family} in mode {self.mode!r} runs on "
-                              f"{'/'.join(allowed)} schedules, not {sched.family!r}")
+                              f"{'/'.join(self.form.schedules)} schedules, not {sched.family!r}")
 
 
 class StepDraws(dict):
@@ -452,20 +456,22 @@ FAMILIES = {
     "ve2_ode_b": Family(2, {"dp": _staged(False, _SIGMA_SCHEDULES, dp=True, phi2=True)}, *_R1),
     "ve2_sde": Family(2, {"dp": _staged(True, _SIGMA_SCHEDULES, dp=True)}, *_R1),
 }
+STAGE_PARAMS = tuple(dict.fromkeys(key for desc in FAMILIES.values() for key in desc.params))
 
 
 def step_once(spec: SolverSpec, model, sched, x, s, t, draws, nodes=None):
     """One step of the spec's family in the spec's mode; ``nodes`` is the value of its
     node function at (s, t) when a plan has it, and the step computes it otherwise."""
-    form = FAMILIES[spec.family].forms[spec.mode]
-    args = (model, sched, x, s, t, draws) if form.takes_draws else (model, sched, x, s, t)
+    args = (model, sched, x, s, t, draws) if spec.form.takes_draws else (model, sched, x, s, t)
     if nodes is None:
-        return form.step(*args, **spec.step_kwargs)
-    return form.step(*args, nodes=nodes, **spec.step_kwargs)
+        return spec.form.step(*args, **spec.step_kwargs)
+    return spec.form.step(*args, nodes=nodes, **spec.step_kwargs)
 
 
 class StepPlan:
-    """The time-only work of one (spec, schedule, grid), done once before its walk.
+    """The time-only work of one (spec, schedule, grid), done once before its walk, and
+    the one place a solver meets a schedule: it checks them (``validate_against``) and
+    keeps them, as ``spec`` and ``sched``, for the walk.
 
     ``rows[i - 1]`` belongs to real step i from t_{i-1} to t_i and holds
     (t_i, lift, start, nodes): churn's ``churn_lift`` at t_{i-1} (None where
@@ -477,16 +483,16 @@ class StepPlan:
     """
 
     def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
-        form = FAMILIES[spec.family].forms[spec.mode]
-        node_fn, self.levels = form.nodes, {}
-        rows = []
+        spec.validate_against(sched)
+        self.spec, self.sched, self.levels = spec, sched, {}
+        node_fn, rows = spec.form.nodes, []
         for i in range(1, grid.n_steps):
             s, t = float(grid.times[i - 1]), float(grid.times[i])
             lift = None if spec.churn is None else churn_lift(spec.churn, sched.sigma_of_t(s),
                                                               grid.n_steps, sched)
             # a lift too small to move sigma (1 + gamma == 1) keeps the grid time
             start = s if lift is None or lift[1] == lift[0] else lift[2]
-            nodes = None if node_fn is None else node_fn(sched, start, t, form.takes_draws,
+            nodes = None if node_fn is None else node_fn(sched, start, t, spec.form.takes_draws,
                                                          levels=self.levels, **spec.step_kwargs)
             rows.append((t, lift, start, nodes))
         if not rows:
@@ -513,14 +519,15 @@ def initial_state(sched, t0: float, draws):
     return sched.alpha_sigma(t0)[2] * draws[0]
 
 
-def walk(model, sched, spec: SolverSpec, plan: StepPlan, draws_at, x):
-    """Yield the (n, d) state after each real step of the plan, starting from x at t_0.
+def walk(model, plan: StepPlan, draws_at, x):
+    """Yield the (n, d) state after each real step of the plan's solver, from x at t_0.
 
     Step i reads its draws from ``draws_at(i)``, a mapping from stage to (n, d)
     array, called when the step starts; where the plan lifts it, churn lifts
     the state from the stage-0 draw first.  A step that leaves a NaN or
     infinity raises DomainError naming step i and its time.
     """
+    spec, sched = plan.spec, plan.sched
     for i, (t, lift, start, nodes) in enumerate(plan.rows, start=1):
         draws = draws_at(i)
         if lift is not None:
@@ -549,18 +556,18 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
     step (the state is carried over unchanged, no model call), so the total
     cost is evals_per_step * (M - 1) per path.  The initial state is
     x_T ~ N(0, sigma_bar(t_0)^2 I) (``walk`` starts from a given state).  The
-    grid's plan is built after that draw and its evaluation times go to the
-    model's ``prepare`` hook, if it has one.  A step that leaves a non-finite
-    state raises DomainError naming the step and its time.
+    grid's plan, which checks the solver against the schedule, is built before
+    that draw, and its evaluation times go to the model's ``prepare`` hook, if
+    it has one.  A step that leaves a non-finite state raises DomainError naming
+    the step and its time.
     """
-    spec.validate_against(sched)
+    plan = StepPlan(spec, sched, grid)
     times = grid.times
     draws_at = StepDraws(stream, n_paths, model.dim, path_offset)
     x = initial_state(sched, float(times[0]), draws_at(0))
-    plan = StepPlan(spec, sched, grid)
     prepare_model(model, plan.times())
     traj = [x]
-    for x in walk(model, sched, spec, plan, draws_at, x):
+    for x in walk(model, plan, draws_at, x):
         if record:
             traj.append(x)
     return SampleResult(

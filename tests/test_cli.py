@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
@@ -14,6 +15,7 @@ from seeds_sde import DataDistribution, ScoreModel, cli
 from seeds_sde.cli import main
 from seeds_sde.config import RunConfig, load_config
 from seeds_sde.errors import ConfigError
+from seeds_sde.solvers import FAMILIES
 
 
 def run(argv):
@@ -74,12 +76,27 @@ def _config_error(capsys):
     ["--solver", "gddim", "--mode", "dp"],
     ["--solver", "ve2_sde", "--schedule", "ve", "--mode", "np"],
     ["--solver", "exp_euler_etd", "--schedule", "ve", "--mode", "dp"],
+    ["--solver", "seeds1", "--mode", "bogus"],
+    ["--mode", "bogus"],
 ])
 def test_sample_mode_without_a_form_exits_1(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert run(["sample", *argv, "--steps", "5", "--paths", "4", "--out", str(out)]) == 1
     assert "has no mode" in _config_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["order", "weak", "--solver", "seeds2", "--mode", "bogus", "--paths", "10"],
+    ["compare", "--solver-a", "seeds1", "--mode-a", "bogus", "--solver-b", "dpm1", "--steps", "5"],
+    ["compare", "--solver-a", "seeds1", "--solver-b", "dpm1", "--mode", "bogus", "--steps", "5"],
+])
+def test_a_mode_no_family_has_exits_1(tmp_path, monkeypatch, capsys, argv):
+    # the parser lists no modes: the registry's error names the family's own
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert re.search(r"\w+ has no mode 'bogus'; its modes are \(", _config_error(capsys))
+    assert os.listdir(tmp_path) == []
 
 
 def test_sample_exp_euler_on_ve_rejected_before_sampling(tmp_path, capsys):
@@ -301,9 +318,12 @@ def test_strong_order_with_errors_past_float_max_is_a_config_error(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({"schedule": {"kind": "vp", "t_max": 7.5}}))
     cfg = load_config(str(tmp_path / "cfg.json"),
                       {"solver": "seeds1", "paths": 100, "workers": 1})
-    with pytest.raises(ConfigError, match=r"^strong order level 0 \(h=8\.93.*\) has error .* "
-                       r"standard error inf; both must be finite \(with order base_steps 32 "):
-        cli.cmd_order(cfg, "strong", str(tmp_path / "o"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no NumPy overflow warning before the named error
+        with pytest.raises(ConfigError, match=r"^strong order level 0 \(h=8\.93.*\) has error "
+                           r".* standard error inf; both must be finite \(with order base_steps "
+                           r"32 "):
+            cli.cmd_order(cfg, "strong", str(tmp_path / "o"))
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
@@ -319,6 +339,34 @@ def test_strong_order_past_the_reference_grid_cap_is_a_config_error(tmp_path, or
                        rf"for a reference grid of {re.escape(steps)} steps; at most 4096$"):
         cli.cmd_order(cfg, "strong", str(tmp_path / "o"))
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv, config, key, cap", [
+    (["sample", "--steps", str(10**14)], None, "grid steps", 100_000),
+    (["grid", "--steps", str(10**14)], None, "grid steps", 100_000),
+    (["compare", "--steps", str(10**14)], None, "grid steps", 100_000),
+    (["sample"], {"grid": {"steps": 10**14}}, "grid steps", 100_000),
+    (["grid", "--grid-kind", "edm"], {"grid": {"steps": 1e14}}, "grid steps", 100_000),
+    (["order", "weak"], {"order": {"steps_list": [10**14, 14, 17]}}, "order steps_list", 100_000),
+    (["sample", "--paths", str(10**14)], None, "paths", 10_000_000),
+    (["order", "strong", "--paths", str(10**14)], None, "paths", 10_000_000),
+    (["order", "weak"], {"paths": 10**14}, "paths", 10_000_000),
+])
+def test_sizes_past_their_caps_are_config_errors(tmp_path, argv, config, key, cap):
+    # parsed and loaded as main does, without main, which freezes the test heap: the size
+    # fails in load_config, before a grid, model or chunk of paths is built
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ConfigError, match=rf"^{key} must be at most {cap}, got 100000000000000$"):
+        load_config(args.config, vars(args))
+
+
+def test_sizes_at_their_caps_load(tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"order": {"steps_list": [100_000, 14, 17]}}))
+    cfg = load_config(str(tmp_path / "cfg.json"), {"paths": 10_000_000})
+    assert cfg.n_paths == 10_000_000 and cfg.order["steps_list"][0] == 100_000
 
 
 def test_stage_parameter_a_family_does_not_read_exits_1(tmp_path, capsys):
@@ -525,6 +573,25 @@ def test_run_config_pickles_unchanged(schedule):
     back = pickle.loads(pickle.dumps(cfg))
     assert back.resolved() == cfg.resolved()
     assert back.solver == cfg.solver and back.solver.step_kwargs == cfg.solver.step_kwargs
+
+
+@pytest.mark.parametrize("family, mode", [(fam, mode) for fam, desc in FAMILIES.items()
+                                          for mode in desc.forms])
+def test_resolved_config_round_trips_every_family_and_mode(tmp_path, family, mode):
+    # integer stage parameters and churn values load as floats and are written as floats
+    desc = FAMILIES[family]
+    params = dict(zip(desc.params, (1,) if len(desc.params) == 1 else (0.25, 0.75)))
+    churn = {"s_churn": 1, "s_tmin": 0, "s_tmax": 80, "s_noise": 1}
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "schedule": {"kind": desc.forms[mode].schedules[0]},
+        "solver": {"family": family, "mode": mode, **params, "churn": churn}}))
+    cfg = load_config(str(tmp_path / "cfg.json"), {})
+    text = json.dumps(cfg.resolved(), indent=2, sort_keys=True)
+    solver = json.loads(text)["solver"]
+    assert solver == {"family": family, "mode": mode, **params, "churn": churn}
+    assert all(type(v) is float for v in (*solver["churn"].values(), *map(solver.get, params)))
+    (tmp_path / "back.json").write_text(text)
+    assert load_config(str(tmp_path / "back.json"), {}).resolved() == cfg.resolved()
 
 
 def test_sample_largest_seed_runs(tmp_path):

@@ -47,6 +47,13 @@ def test_distribution_recovery_script_runs(args):
     assert proc.stdout.count("cov diag") == 2
 
 
+def test_distribution_recovery_script_names_a_mode_the_solver_lacks():
+    # the script lists no modes of its own: SolverSpec's error names the family's
+    proc = _run("distribution_recovery.py", "--solver", "seeds3", "--mode", "bogus")
+    assert proc.returncode == 1
+    assert "seeds3 has no mode 'bogus'; its modes are ('np',)" in proc.stderr
+
+
 def test_order_study_script_runs(tmp_path):
     proc = _run("order_study.py", "--out", str(tmp_path / "orders"), "--strong-paths", "400",
                 "--weak-paths", "2000")

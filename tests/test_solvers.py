@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -23,6 +24,7 @@ from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.schedules import ScheduleBase
 from seeds_sde.solvers import (
     FAMILIES,
+    STAGE_PARAMS,
     StepDraws,
     StepPlan,
     churn_inject,
@@ -854,7 +856,7 @@ def test_sample_zero_model_terminal_mean(vp):
     spec = SolverSpec("seeds1")
     # from a fixed start, walked over the grid's plan as strong_order walks its levels
     draws_at = StepDraws(RngStream(1), 64, 1, 0)
-    *_, terminal = walk(zm, vp, spec, StepPlan(spec, vp, grid), draws_at, np.full((64, 1), 1.9))
+    *_, terminal = walk(zm, StepPlan(spec, vp, grid), draws_at, np.full((64, 1), 1.9))
     a_last = vp.alpha_sigma(float(grid.times[-2]))[0]
     a_first = vp.alpha_sigma(float(grid.times[0]))[0]
     mean = terminal.mean()
@@ -883,7 +885,7 @@ def test_walk_reads_the_stage_draws_its_form_takes(family, mode):
         return asked[-1][1]
 
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
-    for _ in walk(model, sched, spec, plan, draws_at, np.ones((3, 1))):
+    for _ in walk(model, plan, draws_at, np.ones((3, 1))):
         pass
     stages = set(range(1, FAMILIES[family].evals + 1)) if form.takes_draws else set()
     lifted = [lift is not None for _, lift, _, _ in plan.rows]
@@ -891,6 +893,34 @@ def test_walk_reads_the_stage_draws_its_form_takes(family, mode):
     assert [i for i, _ in asked] == list(range(1, len(plan.rows) + 1))
     assert [set(draws) for _, draws in asked] == [stages | {0} if up else stages
                                                   for up in lifted]
+
+
+@pytest.mark.parametrize("family, mode, kind", [
+    (fam, mode, kind) for fam, desc in FAMILIES.items() for mode, form in desc.forms.items()
+    for kind in _PLAN_SCHEDULES if kind not in form.schedules])
+def test_step_plan_checks_the_schedule_as_validate_against_does(family, mode, kind):
+    # the plan is where a solver meets a schedule: no walk starts on one its form does not run on
+    spec, sched = SolverSpec(family, mode=mode), _PLAN_SCHEDULES[kind]
+    with pytest.raises(ConfigError, match="runs on") as want:
+        spec.validate_against(sched)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(want.value))}$"):
+        StepPlan(spec, sched, linear_lambda_grid(5, sched.t_min, sched.t_max, sched))
+    # on one it runs on, the plan keeps both for its walk
+    good = _PLAN_SCHEDULES[spec.form.schedules[0]]
+    plan = StepPlan(spec, good, linear_lambda_grid(5, good.t_min, good.t_max, good))
+    assert plan.spec is spec and plan.sched is good
+
+
+def test_solver_spec_keeps_its_form_and_stage_parameters():
+    assert sorted(STAGE_PARAMS) == ["c2", "r1", "r2"]
+    for fam, desc in FAMILIES.items():
+        for mode, form in desc.forms.items():
+            spec = SolverSpec(fam, mode=mode)
+            assert spec.form is form, (fam, mode)
+            assert list(spec.params) == list(desc.params), (fam, mode)
+            assert spec.params == {key: getattr(spec, key) for key in desc.params}, (fam, mode)
+            assert spec.step_kwargs == {**form.kwargs, **(
+                {"fracs": tuple(desc.params.values())} if desc.params else {})}, (fam, mode)
 
 
 def test_sample_trajectory_shape_and_determinism(vp, gauss_model):
