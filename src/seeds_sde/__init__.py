@@ -1,15 +1,9 @@
 """Stochastic exponential derivative-free solvers for diffusion SDEs."""
 
+import importlib
+
 from .errors import ConfigError, DegenerateGridError, DomainError, GridError
 from .grids import StepGrid, edm_grid, linear_lambda_grid
-from .harness import (
-    GaussianFlowOracle,
-    OrderEstimate,
-    per_step_compare,
-    strong_order,
-    terminal_distribution_check,
-    weak_order,
-)
 from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
 from .phi import phi, sqrt_exp_diff
@@ -48,3 +42,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_HARNESS = ("GaussianFlowOracle", "OrderEstimate", "per_step_compare", "strong_order",
+            "terminal_distribution_check", "weak_order")
+
+
+def __getattr__(name):
+    """The harness's names, loaded on first use: a run that only samples never imports it."""
+    if name not in _HARNESS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(".harness", __name__), name)

@@ -4,14 +4,14 @@ Subcommands: sample, order, compare, grid, selftest; each takes only the
 flags it reads.  Exit codes: 0 success, 1 configuration error (a usage error
 included), 2 acceptance failure.  All outputs are deterministic
 functions of (config, seed) and do not depend on the worker count: `sample`
-and `order` run their paths through the harness's fan-out, which splits them
-into chunks of at most 8192 paths, one per worker where each gets a full
+and `order` run their paths through the fan-out (``fanout``), which splits
+them into chunks of at most 8192 paths, one per worker where each gets a full
 1024-path block, whose draws are keyed by absolute path index, on
-``--workers`` processes (by default every CPU this process may use); a run of
-one chunk starts no pool.  Each sample chunk formats its own rows of
-terminal.csv (and, with --save-trajectories, each of its paths' trajectory
-rows), inside the pool worker when there is one, and the chunk texts are
-written in path order.
+``--workers`` processes (at most 256; by default every CPU this process may
+use); a run of one chunk starts no pool.  Each sample chunk formats its own
+rows of terminal.csv (and, with --save-trajectories, each of its paths'
+trajectory rows), inside the pool worker when there is one, and the chunk
+texts are written in path order.
 
 `main` freezes the heap it starts with (`gc.freeze`), so neither a later
 collection nor the process's exit walks the import heap, and a forked pool
@@ -30,8 +30,8 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, DomainError, GridError
+from .fanout import fan_out, path_chunks
 from .grids import linear_lambda_grid
-from .harness import fan_out, path_chunks, per_step_compare, strong_order, weak_order
 from .noise import RngStream
 from .solvers import sample
 
@@ -91,6 +91,8 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
 
 
 def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
+    from .harness import strong_order, weak_order   # only order and compare load the harness
+
     stream = RngStream(cfg.seed)
     order_cfg = cfg.order
     if kind == "strong":
@@ -130,6 +132,8 @@ def _same_model(a, b) -> bool:
 
 
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
+    from .harness import per_step_compare
+
     if cfg_a.schedule != cfg_b.schedule:
         raise ConfigError("compare requires identical schedules on both sides")
     if not np.array_equal(cfg_a.grid.times, cfg_b.grid.times):

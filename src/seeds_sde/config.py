@@ -16,6 +16,8 @@ from .solvers import STAGE_PARAMS, ChurnParams, SolverSpec
 _DEFAULT_MODEL = {"kind": "gaussian_mixture",
                   "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}
 _MAX_STEPS, _MAX_PATHS = 100_000, 10_000_000   # the most grid steps and paths a run may ask for
+# the most pool workers a run may ask for: fixed, so that a config means the same anywhere
+_MAX_WORKERS = 256
 
 
 @dataclass
@@ -99,11 +101,12 @@ class RunConfig:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: the default worker count."""
+    """The CPUs this process may run on, up to ``_MAX_WORKERS``: the default worker count."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
 
 
 def _integer(key: str, value, most: float = math.inf) -> int:
@@ -234,7 +237,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         grid_spec=grid_spec,
         seed=_integer("seed", pick("seed", "seed", 0)),
         n_paths=_integer("paths", pick("paths", "paths", 1000), _MAX_PATHS),
-        workers=_integer("workers", pick("workers", "workers", _usable_cpus())),
+        workers=_integer("workers", pick("workers", "workers", _usable_cpus()), _MAX_WORKERS),
         out=out,
         threshold=_number("threshold", pick("threshold", "threshold", 1e-10)),
         order=_order_spec(_section(raw, "order", {})),

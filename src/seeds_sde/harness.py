@@ -1,13 +1,9 @@
-"""Convergence-order estimation, solver-equivalence checks and the path fan-out.
+"""Convergence-order estimation and solver-equivalence checks.
 
-The fan-out splits paths 0..n-1 into chunks by one rule (``path_chunks``:
-no chunk over 8192 paths, and one chunk per worker where there is a full
-1024-path block for each) and maps a task over them (``fan_out``): in this
-process at one worker, on a fork process pool otherwise.  ``seeds-sde
-sample`` and both order estimators run through it, and no path's bytes
-depend on its chunk: draws are keyed by absolute path index, every step
-computes a path's row from that row alone, and the chunks are joined in path
-order before any moment is taken.
+Both order estimators run their paths through the fan-out (``fanout``), and
+no path's bytes depend on its chunk: draws are keyed by absolute path index,
+every step computes a path's row from that row alone, and the chunks are
+joined in path order before any moment is taken.
 
 Strong order is measured by coupled refinement: all grid levels share one
 Brownian path per trajectory, realized as fine-level weighted increments
@@ -36,9 +32,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .fanout import fan_out, path_chunks
 from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
+from .schedules import SDE
 from .solvers import SolverSpec, StepDraws, StepPlan, initial_state, prepare_model, sample, walk
 
 
@@ -156,41 +154,9 @@ def _oracle_for(model, sched, t_top: float):
     return ZeroFlowOracle(sched, t_top, d=model.dim)
 
 
-_CHUNK = 8192   # the most paths one task of the fan-out holds
 # the most steps strong order's finest (reference) grid may have: a chunk's window
 # holds up to that many fine increments per path
 _MAX_FINE_STEPS = 4096
-
-
-def path_chunks(n_paths: int, workers: int) -> list:
-    """(offset, count) of each chunk of paths 0..n_paths-1, in path order.
-
-    There are as many chunks as the larger of ceil(n_paths / ``_CHUNK``) and
-    min(workers, full ``BLOCK``-path draw blocks), so no chunk holds more than
-    ``_CHUNK`` paths and no worker gets less than a full block; the blocks are dealt
-    out as evenly as they go, the partial block last.  A ConfigError names a path
-    count below 1."""
-    if n_paths < 1:
-        raise ConfigError(f"need at least one path, got {n_paths}")
-    n_chunks = max(-(-n_paths // _CHUNK), min(workers, n_paths // BLOCK))
-    blocks = -(-n_paths // BLOCK)
-    ends = [BLOCK * (i * blocks // n_chunks) for i in range(n_chunks)] + [n_paths]
-    return [(start, end - start) for start, end in zip(ends, ends[1:])]
-
-
-def fan_out(fn, tasks: list, workers: int) -> list:
-    """[fn(*task) for task in tasks]: in this process at one worker, otherwise on a
-    fork process pool of at most ``workers`` processes, and no more than there are
-    tasks (the pool starts every worker when it opens); ``path_chunks`` at the same
-    worker count gives each worker a chunk where the paths allow.  A task's
-    exception is raised here."""
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        return [fn(*task) for task in tasks]
-    import concurrent.futures   # only a pool needs it
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _block_mean(values: np.ndarray) -> np.ndarray:
@@ -241,8 +207,10 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     t_fine = linear_lambda_grid(m_fine, eps_end, t_top, sched).times
     strides = [1] + [ratio >> lvl for lvl in range(n_levels)]   # the reference first
     # the sentinel 0 makes t_min the end of each level's last real step
-    plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
-    lams = [plans[0].levels[t] for t in t_fine.tolist()]   # the reference's lambda per node
+    cache = sched.cached()   # the reference plan's: the coupled draws read its lambdas
+    plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0)), cache if k == 1 else None)
+             for k in strides]
+    lams = [cache.lambda_of_t(t, SDE) for t in t_fine.tolist()]
 
     run = functools.partial(_coupled_chunk, model, stream, plans, strides, lams)
     sups, refs = zip(*fan_out(run, chunks, workers))

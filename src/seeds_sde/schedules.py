@@ -25,6 +25,8 @@ churn-lifted noise levels remain representable; grid validation still uses
 [t_min, t_max].
 """
 
+import copy
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -38,6 +40,9 @@ _VARIANTS = (SDE, ODE)
 # at most a factor 1 + (sqrt(2) - 1) = sqrt(2))
 _EVAL_HEADROOM = 1.5
 _SLACK = 1e-9
+# what a ``cached`` copy keeps, and how many values: a plan's rows ask again for an alpha
+# at most a few times back, and the levels of every grid time stay for a caller to read
+_CACHED = {"alpha_sigma": 8, "sigma_of_t": None, "lambda_of_t": None}
 
 
 def _check_variant(variant: str) -> None:
@@ -115,6 +120,14 @@ class ScheduleBase:
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise DomainError(f"sigma must be positive and finite, got {sigma!r}")
         return self._check_time(self._time_of_sigma(float(sigma)))
+
+    def cached(self) -> "ScheduleBase":
+        """A copy that keeps the alpha_sigma, sigma and lambda values it computed: its methods
+        are bound to it, so what one reads (VP's ``np_trans`` reads alpha) is kept too."""
+        twin = copy.copy(self)
+        for name, maxsize in _CACHED.items():   # frozen dataclasses refuse setattr
+            object.__setattr__(twin, name, functools.lru_cache(maxsize)(getattr(twin, name)))
+        return twin
 
     # -- noise-prediction step coefficients (VP and EDM override) -----------
 

@@ -13,7 +13,8 @@ ve2_ode_a/b, ve2_sde  one-parameter two-stage data-prediction schemes (VE/EDM)
 One stage engine: ``stages_step`` has one stage per stage fraction plus one,
 in noise prediction (SEEDS-1/2/3 with draws, DPM-1/2/3 without) or in data
 prediction (seeds1-dp and ve2_sde with draws, dpm1-dp and ve2_ode_a/b
-without), over the first-order moves ``np_move`` and ``dp_move``.  Every
+without), over the coefficients of the first-order moves, ``np_move`` and
+``dp_move``, which ``_moved`` applies.  Every
 stage noise comes from ``noise.stage_noise_weights``: stage j's draw z^j is
 the increment over the j-th sub-interval of the step, split at its stage
 nodes, so all of a step's stage noises lie on one Brownian path for any
@@ -23,7 +24,8 @@ keep their own bodies.
 One registry: ``FAMILIES`` maps each family name to a ``Family`` descriptor
 with its evaluations per step, the stage parameters it reads with their one
 default, and one ``Form`` per mode it has ("np" noise prediction, "dp" data
-prediction): the step callable, its fixed keywords and the schedules it runs on.
+prediction): the step callable, its node function, its fixed keywords and the
+schedules it runs on.
 Only seeds1 and dpm1 have both modes; every other family has one, which is
 its default (and the default of seeds1 and dpm1 is "np").  A ``SolverSpec``
 looks its family up once and keeps its form and stage parameters;
@@ -36,20 +38,20 @@ so solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...; walks
 that share one ``StepDraws`` in lockstep draw each key once.  A plain dict
 {stage: array} injects fixed draws.
 
-A step's stage-node times depend only on the grid.  Each staged form names
-its node function (``Form.nodes``), and churn has ``churn_lift``; a
-``StepPlan`` calls them once per grid, before the walk, and hands each step
-its row; it is where a solver meets its schedule, checking the one against
-the other and carrying both for ``walk``.  A step called without a row calls
-its node function itself.  The plan's evaluation times go to the model's
-optional ``prepare`` hook, which tabulates the model's time-only work.
+A step's time-only part depends only on the grid: its stage-node times and
+every scalar its body multiplies an array by, each product formed in the
+order the body would evaluate it.  Every form names the node function that
+returns it (``Form.nodes``), and churn has ``churn_lift``; a ``StepPlan``
+calls them once per grid, before the walk, on ``sched.cached()``, and hands
+each step its row, so a walk does only array work and model calls.  A step
+called without a row calls its node function itself.  The plan is where a
+solver meets its schedule, checking the one against the other and carrying
+both for ``walk``; its evaluation times go to the model's optional
+``prepare`` hook, which tabulates the model's time-only work.
 
-Noise-prediction steps take Phi(t, s), the gain of (e^h - 1) F and the
-signed noise scale from the schedule's ``np_trans``, ``np_gain`` and
-``np_noise``, in the lambda of the reverse SDE (``SDE``) or of the
-probability-flow ODE (``ODE``); ``np_move`` is their first-order move, shared by the
-stage engine and dpm4.  Data-prediction steps use lambda = -log sigma
-directly and read alpha and sigma from ``alpha_sigma``.
+Noise-prediction coefficients come from the schedule's ``np_*`` methods, in
+the lambda of the reverse SDE (``SDE``) or of the probability-flow ODE
+(``ODE``); data prediction uses lambda = -log sigma and ``alpha_sigma``.
 """
 
 import math
@@ -175,66 +177,145 @@ def _check_backward(s: float, t: float, h: float) -> None:
         raise GridError(f"step width h must be positive, got h={h}")
 
 
-# -- stage nodes: the time-only part of a step --------------------------------
+# -- node functions: the time-only part of a step ------------------------------
 
 
-def _levels(fn, s, t, levels=None):
-    """(fn(s), fn(t)), kept in ``levels`` (time -> fn(time)), which a plan shares across
-    its steps, so that t_i's value serves both steps that meet there."""
-    levels = {} if levels is None else levels
-    for u in (s, t):
-        if u not in levels:
-            levels[u] = fn(u)
-    return levels[s], levels[t]
-
-
-def stage_nodes(sched, s, t, stochastic, fracs=(), dp=False, phi2=False, levels=None):
-    """Node function of ``stages_step``: the step width h and one node per stage fraction c,
-    t_of_lambda(lambda_s + c h) in the lambda of the reverse SDE (stochastic) or of the
-    probability-flow ODE, or with ``dp`` time_of_sigma(sigma_s e^{-c h}) with h =
-    log(sigma_s / sigma_t).  ``levels`` caches lambda (sigma) by time; ``phi2`` moves no node.
-    """
+def _stage_times(sched, s, t, stochastic, fracs, dp=False):
+    """A step's lambda width h and nodes t_of_lambda(lambda_s + c h), c in ``fracs``, in the
+    SDE (stochastic) or ODE lambda, or with ``dp`` time_of_sigma(sigma_s e^{-c h})."""
     if len(fracs) > (most := 1 if dp else 2):
         raise ConfigError(f"{'data' if dp else 'noise'}-prediction steps take at most {most} "
                           f"stage fractions, got {tuple(fracs)!r}")
     if dp:
-        sg_s, sg_t = _levels(sched.sigma_of_t, s, t, levels)
-        h = math.log(sg_s / sg_t)
+        sg_s = sched.sigma_of_t(s)
+        h = math.log(sg_s / sched.sigma_of_t(t))
         _check_backward(s, t, h)
         return h, tuple(sched.time_of_sigma(sg_s * math.exp(-c * h)) for c in fracs)
     var = SDE if stochastic else ODE
-    lam_s, lam_t = _levels(lambda u: sched.lambda_of_t(u, var), s, t, levels)
-    h = lam_t - lam_s
+    lam_s = sched.lambda_of_t(s, var)
+    h = sched.lambda_of_t(t, var) - lam_s
     _check_backward(s, t, h)
     return h, tuple(sched.t_of_lambda(lam_s + c * h, var) for c in fracs)
 
 
-def dpm4_nodes(sched, s, t, stochastic=False, levels=None):
-    """Node function of ``dpm4_step``: h and the nodes lambda_s + h/2 (s2 = s3 = s5) and
-    lambda_s + h (s4), in the ODE lambda."""
-    return stage_nodes(sched, s, t, False, (0.5, 1.0), levels=levels)
+def np_move(sched, s, u, ch, stochastic, noisy=False):
+    """(Phi(u, s), g(u) (e^{ch} - 1), noise) of the first-order exponential move from s to u
+    over the lambda width ch: noise is c(u) sqrt(e^{2 ch} - 1) if ``noisy``, else None."""
+    noise = sched.np_noise(u) * math.sqrt(math.expm1(2.0 * ch)) if noisy else None
+    return sched.np_trans(s, u, stochastic), sched.np_gain(u, stochastic) * math.expm1(ch), noise
 
 
-# -- one-step update rules ----------------------------------------------------
-
-
-def np_move(sched, x_s, s, u, ch, f, stochastic, z=None):
-    """First-order exponential move from s to u over the lambda width ch: Phi(u, s) x_s +
-    g(u) (e^{ch} - 1) f, plus the exact-variance noise c(u) sqrt(e^{2 ch} - 1) z given z."""
-    x_u = sched.np_trans(s, u, stochastic) * x_s + sched.np_gain(u, stochastic) * math.expm1(ch) * f
-    return x_u if z is None else x_u + sched.np_noise(u) * math.sqrt(math.expm1(2.0 * ch)) * z
-
-
-def dp_move(sched, x_s, s, u, ch, d, stochastic, z=None):
-    """``np_move``'s data-prediction mirror over the width ch of lambda = -log sigma: the
-    gain is -alpha_u, and the reverse SDE doubles ch in the exponent and adds the
-    exact-variance noise sigma_bar_u sqrt(1 - e^{-2 ch}) z given z."""
+def dp_move(sched, s, u, ch, stochastic, noisy=False):
+    """``np_move``'s mirror in lambda = -log sigma: gain -alpha_u (e^{-ch} - 1), ch doubled
+    on the reverse SDE, whose ``noisy`` move's noise is sigma_bar_u sqrt(1 - e^{-2 ch})."""
     a_s, sg_s, sbar_s = sched.alpha_sigma(s)
     a_u, sg_u, sbar_u = sched.alpha_sigma(u)
     if not stochastic:
-        return (sbar_u / sbar_s) * x_s - a_u * math.expm1(-ch) * d
-    x_u = (sg_u * sg_u * a_u) / (sg_s * sg_s * a_s) * x_s - a_u * math.expm1(-2.0 * ch) * d
-    return x_u if z is None else x_u + sbar_u * math.sqrt(-math.expm1(-2.0 * ch)) * z
+        return sbar_u / sbar_s, -(a_u * math.expm1(-ch)), None
+    noise = sbar_u * math.sqrt(-math.expm1(-2.0 * ch)) if noisy else None
+    return (sg_u * sg_u * a_u) / (sg_s * sg_s * a_s), -(a_u * math.expm1(-2.0 * ch)), noise
+
+
+def stage_nodes(sched, s, t, stochastic, fracs=(), dp=False, phi2=False):
+    """Node function of ``stages_step``: its stage nodes and first move (noisy on the reverse
+    SDE), then with one fraction c the full move and either the phi_2 correction or the
+    weights 1 - 1/(2c), 1/(2c) of f_s, f_u and the end noise's scale and stage weights; with
+    two, each later node's (Phi, g, e^{c h} - 1, phi_2 correction, noise scale, weights)."""
+    h, times = _stage_times(sched, s, t, stochastic, fracs, dp)
+    move = dp_move if dp else np_move
+    u, c = (times[0], fracs[0]) if fracs else (t, 1.0)
+    first = move(sched, s, u, c * h, stochastic, stochastic)
+    if not fracs:
+        return times, (first,)
+    w = (stage_noise_weights((*fracs, 1.0), h, data_pred=dp) if stochastic
+         else [(None,) * (k + 1) for k in range(len(fracs) + 1)])
+    if len(fracs) == 1:
+        full = move(sched, s, t, h, stochastic)
+        if phi2:  # (e^{-h} - 1)/h + 1 == h phi_2(-h)
+            return times, (first, full, (1.0 / c) * h * phi(2, -h))
+        scale = (sched.alpha_sigma(t)[2] if dp else sched.np_noise(t)) if stochastic else None
+        return times, (first, full, 1.0 - 0.5 / c, 0.5 / c, scale, *w[1])
+    (r1, r2), (_, s2) = fracs, times
+    # (e^{c h} - 1)/(c h) - 1 == c h phi_2(c h), stable near h = 0
+    corrs = ((r2 / r1) * (r2 * h) * phi(2, r2 * h), (1.0 / r2) * h * phi(2, h))
+    later = [(sched.np_trans(s, u, stochastic), sched.np_gain(u, stochastic), math.expm1(c * h),
+              corr, sched.np_noise(u) if stochastic else None, *w[k])
+             for k, u, c, corr in zip((1, 2), (s2, t), (r2, 1.0), corrs)]
+    return times, (first, *later)
+
+
+def dpm4_nodes(sched, s, t, stochastic=False):
+    """Node function of ``dpm4_step``: the nodes lambda_s + h/2 (s2 = s3 = s5) and lambda_s
+    + h (s4), in the ODE lambda, and the coefficients in the order the step reads them."""
+    h, (s_mid, s4) = _stage_times(sched, s, t, False, (0.5, 1.0))
+    g_mid, g_4, g_t = (sched.np_gain(u, False) for u in (s_mid, s4, t))
+    erh, eh = math.expm1(0.5 * h), math.expm1(h)
+    hphi2, phi3 = h * phi(2, h), phi(3, h)     # h phi_2(h) == (e^h - 1)/h - 1
+    # (e^h - 1 + 4(e^{rh} - 1) - 3h)/h^2 - 1 at r = 1/2 equals h phi_3(h) + (h/2) phi_3(h/2)
+    c_coef = h * phi3 + 0.5 * h * phi(3, 0.5 * h)
+    return (s_mid, s4), (
+        sched.np_trans(s, s_mid, False), g_mid * erh, g_mid * (4.0 * erh / h - 2.0),
+        sched.np_trans(s, s4, False), g_4 * eh, g_4 * hphi2,
+        0.25 * g_mid * hphi2, g_mid * (erh / h - 0.5), g_mid * c_coef,
+        g_t * eh, g_t * hphi2, g_t * 4.0 * h * phi3, sched.np_trans(s, t, False))
+
+
+def euler_maruyama_nodes(sched, s, t, stochastic=True):
+    """Node function of ``euler_maruyama_step``: no node; f(s), g^2(s), dt, sqrt(g^2 |dt|)."""
+    _check_backward(s, t, s - t)
+    dt, f, g2 = t - s, sched.drift_f(s), sched.diffusion_g2(s)
+    return (), (f, g2, dt, math.sqrt(g2 * abs(dt)))
+
+
+def exp_euler_nodes(sched, s, t, stochastic=False, *, lawson: bool):
+    """Node function of ``exp_euler_step``: no node, Phi(t, s) and the gain of F, dt b_s
+    (``lawson``) or dt phi_1(a dt) b_s with b = ``np_rate`` and a = log(Phi) / dt (ETD)."""
+    _check_backward(s, t, s - t)
+    trans, dt = sched.np_trans(s, t, False), t - s
+    b_s = sched.np_rate(s)
+    if lawson:
+        return (), (trans, dt * b_s)
+    a_eff = math.log(trans) / dt
+    return (), (trans, dt * phi(1, a_eff * dt) * b_s)
+
+
+def gddim_nodes(sched, s, t, stochastic=True):
+    """Node function of ``gddim_step`` (VP only): no node, and the move (alpha_t / alpha_s,
+    sbar_t (sigma_t / sigma_s - sigma_s / sigma_t), sbar_t sqrt(1 - e^{-2h}))."""
+    if sched.family != "vp":
+        raise ConfigError("gddim requires a VP schedule")
+    a_s, sg_s, _ = sched.alpha_sigma(s)
+    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
+    h = math.log(sg_s / sg_t)
+    _check_backward(s, t, h)
+    return (), (a_t / a_s, sbar_t * (sg_t / sg_s - sg_s / sg_t),
+                sbar_t * math.sqrt(-math.expm1(-2.0 * h)))
+
+
+def churn_lift(params: ChurnParams, sigma_t, n_steps, sched):
+    """Node function of churn at noise level sigma_t: (sigma_t, sigma_hat, t_hat, a_old,
+    a_new, extra) with sigma_hat = sigma_t (1 + min(s_churn / M, sqrt(2) - 1)), t_hat its
+    time, the alphas at sigma_t and sigma_hat and the noise scale s_noise sqrt(sigma_hat^2
+    - sigma_t^2); None while churn is off or sigma_t lies outside [s_tmin, s_tmax]."""
+    if params.s_churn == 0.0 or not params.s_tmin <= sigma_t <= params.s_tmax:
+        return None
+    gamma = min(params.s_churn / n_steps, _GAMMA_CAP)
+    sigma_hat = sigma_t * (1.0 + gamma)
+    t_hat = sched.time_of_sigma(sigma_hat)
+    a_old = sched.alpha_sigma(sched.time_of_sigma(sigma_t))[0]
+    extra = params.s_noise * math.sqrt(sigma_hat * sigma_hat - sigma_t * sigma_t)
+    return sigma_t, sigma_hat, t_hat, a_old, sched.alpha_sigma(t_hat)[0], extra
+
+
+# -- one-step update rules: array work and model calls ------------------------
+# each takes ``nodes``, its node function's value at (s, t), and computes it when None
+
+
+def _moved(move, x_s, f, z=None):
+    """Phi x_s + gain f, plus noise z given z, for a move's (Phi, gain, noise)."""
+    trans, gain, noise = move
+    x_u = trans * x_s + gain * f
+    return x_u if z is None else x_u + noise * z
 
 
 def stages_step(model, sched, x_s, s, t, draws=None, fracs=(), dp=False, phi2=False,
@@ -252,144 +333,92 @@ def stages_step(model, sched, x_s, s, t, draws=None, fracs=(), dp=False, phi2=Fa
     one-stage step (ve2_ode_b); three stages, in noise prediction only, take
     phi_2 corrections at r1 and r2.  Data prediction with two stages assumes
     alpha_t = 1 and sigma_t = t, which hold on VE and EDM, where the registry
-    runs it.  ``nodes`` is ``stage_nodes`` at (s, t), when a plan has it.
+    runs it.
     """
-    sto = draws is not None
-    if nodes is None:
-        nodes = stage_nodes(sched, s, t, sto, fracs, dp)
-    h, times = nodes
-    move, pred = (dp_move, model.data_pred) if dp else (np_move, model.noise_pred)
+    times, (first, *coef) = (stage_nodes(sched, s, t, draws is not None, fracs, dp, phi2)
+                             if nodes is None else nodes)
+    pred = model.data_pred if dp else model.noise_pred
     f_s = pred(x_s, s)
     z1 = None if draws is None else draws[1]
+    u = _moved(first, x_s, f_s, z1)
     if not fracs:
-        return move(sched, x_s, s, t, h, f_s, sto, z1)
-    if sto:
-        w = stage_noise_weights((*fracs, 1.0), h, data_pred=dp)
+        return u
+    f_u = pred(u, times[0])
     if len(fracs) == 1:
-        (c,), (s1,) = fracs, times
-        u = move(sched, x_s, s, s1, c * h, f_s, sto, z1)
-        f_mid = pred(u, s1)
-        if phi2:  # (e^{-h} - 1)/h + 1 == h phi_2(-h)
-            return move(sched, x_s, s, t, h, f_s, sto) + (1.0 / c) * h * phi(2, -h) * (f_mid - f_s)
-        x_t = move(sched, x_s, s, t, h, (1.0 - 0.5 / c) * f_s + (0.5 / c) * f_mid, sto)
+        if phi2:
+            full, corr = coef
+            return _moved(full, x_s, f_s) + corr * (f_u - f_s)
+        full, w_s, w_u, scale, w10, w11 = coef
+        x_t = _moved(full, x_s, w_s * f_s + w_u * f_u)
         if draws is None:
             return x_t
-        scale = sched.alpha_sigma(t)[2] if dp else sched.np_noise(t)
-        return x_t + scale * (w[1][0] * z1 + w[1][1] * draws[2])
-    (r1, r2), (s1, s2) = fracs, times
-    u1 = np_move(sched, x_s, s, s1, r1 * h, f_s, sto, z1)
-    f_u1 = model.noise_pred(u1, s1)
-    # (e^{r2 h} - 1)/(r2 h) - 1 == r2 h phi_2(r2 h), stable near h = 0
-    corr2 = (r2 / r1) * (r2 * h) * phi(2, r2 * h)
-    u2 = (sched.np_trans(s, s2, sto) * x_s
-          + sched.np_gain(s2, sto) * (math.expm1(r2 * h) * f_s + corr2 * (f_u1 - f_s)))
-    if sto:
+        return x_t + scale * (w10 * z1 + w11 * draws[2])
+    (trans2, gain2, e2, corr2, noise2, w10, w11), (trans, gain, eh, corr3, noise, w20, w21,
+                                                   w22) = coef
+    u2 = trans2 * x_s + gain2 * (e2 * f_s + corr2 * (f_u - f_s))
+    if draws is not None:
         z2 = draws[2]
-        u2 = u2 + sched.np_noise(s2) * (w[1][0] * z1 + w[1][1] * z2)
-    f_u2 = model.noise_pred(u2, s2)
-    corr3 = (1.0 / r2) * h * phi(2, h)
-    x_t = (sched.np_trans(s, t, sto) * x_s
-           + sched.np_gain(t, sto) * (math.expm1(h) * f_s + corr3 * (f_u2 - f_s)))
+        u2 = u2 + noise2 * (w10 * z1 + w11 * z2)
+    f_u2 = model.noise_pred(u2, times[1])
+    x_t = trans * x_s + gain * (eh * f_s + corr3 * (f_u2 - f_s))
     if draws is None:
         return x_t
-    return x_t + sched.np_noise(t) * (w[2][0] * z1 + w[2][1] * z2 + w[2][2] * draws[3])
+    return x_t + noise * (w20 * z1 + w21 * z2 + w22 * draws[3])
 
 
 def dpm4_step(model, sched, x_s, s, t, nodes=None):
-    """Five-stage deterministic exponential ODE step with nodes (1/2, 1/2, 1, 1/2);
-    ``nodes`` is ``dpm4_nodes`` at (s, t), when a plan has it."""
-    h, (s_mid, s4) = dpm4_nodes(sched, s, t) if nodes is None else nodes
+    """Five-stage deterministic exponential ODE step with nodes (1/2, 1/2, 1, 1/2)."""
+    (s_mid, s4), (trans_mid, gain_mid, c3, trans_4, gain_4, c4, ca, cb, cc, cd1, cd2, ce,
+                  trans_t) = dpm4_nodes(sched, s, t) if nodes is None else nodes
     k1 = model.noise_pred(x_s, s)
-    r = 0.5
-    g_mid, g_t = sched.np_gain(s_mid, False), sched.np_gain(t, False)
-    erh = math.expm1(r * h)
-    eh = math.expm1(h)
-    hphi2 = h * phi(2, h)                       # (e^h - 1)/h - 1
-    k2 = np_move(sched, x_s, s, s_mid, r * h, k1, False)
+    k2 = trans_mid * x_s + gain_mid * k1
     f_k2 = model.noise_pred(k2, s_mid)
-    k3 = k2 + g_mid * (4.0 * erh / h - 2.0) * (f_k2 - k1)
+    k3 = k2 + c3 * (f_k2 - k1)
     f_k3 = model.noise_pred(k3, s_mid)
-    k4 = (np_move(sched, x_s, s, s4, h, k1, False)
-          + sched.np_gain(s4, False) * hphi2 * (f_k3 + f_k2 - 2.0 * k1))
+    k4 = trans_4 * x_s + gain_4 * k1 + c4 * (f_k3 + f_k2 - 2.0 * k1)
     f_k4 = model.noise_pred(k4, s4)
-    a_term = g_mid * erh * k1 - 0.25 * g_mid * hphi2 * (k1 + f_k2 + f_k3)
-    b_term = g_mid * (erh / h - 0.5) * (k1 + 4.0 * f_k2 + 4.0 * f_k3 - f_k4)
-    # (e^h - 1 + 4(e^{rh} - 1) - 3h)/h^2 - 1 at r = 1/2 equals h phi_3(h) + (h/2) phi_3(h/2)
-    c_coef = h * phi(3, h) + 0.5 * h * phi(3, 0.5 * h)
-    c_term = g_mid * c_coef * (-k1 - f_k2 - f_k3 + f_k4)
-    k5 = sched.np_trans(s, s_mid, False) * x_s + a_term + b_term + c_term
+    a_term = gain_mid * k1 - ca * (k1 + f_k2 + f_k3)
+    b_term = cb * (k1 + 4.0 * f_k2 + 4.0 * f_k3 - f_k4)
+    c_term = cc * (-k1 - f_k2 - f_k3 + f_k4)
+    k5 = trans_mid * x_s + a_term + b_term + c_term
     f_k5 = model.noise_pred(k5, s_mid)
-    d_term = g_t * eh * k1 - g_t * hphi2 * (4.0 * f_k5 - f_k4 - 3.0 * k1)
-    e_term = g_t * 4.0 * h * phi(3, h) * (k1 + f_k4 - 2.0 * f_k5)
-    return sched.np_trans(s, t, False) * x_s + d_term + e_term
+    d_term = cd1 * k1 - cd2 * (4.0 * f_k5 - f_k4 - 3.0 * k1)
+    e_term = ce * (k1 + f_k4 - 2.0 * f_k5)
+    return trans_t * x_s + d_term + e_term
 
 
-def euler_maruyama_step(model, sched, x_s, s, t, draws):
+def euler_maruyama_step(model, sched, x_s, s, t, draws, nodes=None):
     """Direct discretization of the reverse SDE (1 model evaluation)."""
-    _check_backward(s, t, s - t)
-    dt = t - s
-    f = sched.drift_f(s)
-    g2 = sched.diffusion_g2(s)
+    _, (f, g2, dt, noise) = euler_maruyama_nodes(sched, s, t) if nodes is None else nodes
     score = model.score_from_model(x_s, s)
-    eps = draws[1]
-    return x_s + (f * x_s - g2 * score) * dt + math.sqrt(g2 * abs(dt)) * eps
+    return x_s + (f * x_s - g2 * score) * dt + noise * draws[1]
 
 
-def exp_euler_step(model, sched, x_s, s, t, *, lawson: bool):
+def exp_euler_step(model, sched, x_s, s, t, *, lawson: bool, nodes=None):
     """Exponential Euler in the time variable, the ETD flavor or (``lawson``) Lawson's.
 
     Both treat the linear part exactly through the transition factor; ETD
     weights the frozen nonlinearity by phi_1 of the effective drift, Lawson
     pushes it through the transition.
     """
-    _check_backward(s, t, s - t)
-    trans = sched.np_trans(s, t, False)
-    b_s = sched.np_rate(s)
-    dt = t - s
+    _, (trans, gain) = exp_euler_nodes(sched, s, t, lawson=lawson) if nodes is None else nodes
     f_val = model.noise_pred(x_s, s)
     if lawson:
-        return trans * (x_s + dt * b_s * f_val)
-    a_eff = math.log(trans) / dt
-    return trans * x_s + dt * phi(1, a_eff * dt) * b_s * f_val
+        return trans * (x_s + gain * f_val)
+    return trans * x_s + gain * f_val
 
 
-def gddim_step(model, sched, x_s, s, t, draws):
+def gddim_step(model, sched, x_s, s, t, draws, nodes=None):
     """Stochastic DDIM-style step (VP only, 1 model evaluation)."""
-    if sched.family != "vp":
-        raise ConfigError("gddim requires a VP schedule")
-    a_s, sg_s, _ = sched.alpha_sigma(s)
-    a_t, sg_t, sbar_t = sched.alpha_sigma(t)
-    h = math.log(sg_s / sg_t)
-    _check_backward(s, t, h)
-    eps_hat = model.noise_pred(x_s, s)
-    eps = draws[1]
-    return (
-        (a_t / a_s) * x_s
-        + sbar_t * (sg_t / sg_s - sg_s / sg_t) * eps_hat
-        + sbar_t * math.sqrt(-math.expm1(-2.0 * h)) * eps
-    )
+    _, move = gddim_nodes(sched, s, t) if nodes is None else nodes
+    return _moved(move, x_s, model.noise_pred(x_s, s), draws[1])
 
 
-def churn_lift(params: ChurnParams, sigma_t, n_steps, sched):
-    """Node function of churn at noise level sigma_t: (sigma_t, sigma_hat,
-    time_of_sigma(sigma_hat)) with sigma_hat = sigma_t (1 + gamma) and gamma =
-    min(s_churn / M, sqrt(2) - 1); None while churn is off or sigma_t lies
-    outside [s_tmin, s_tmax]."""
-    if params.s_churn == 0.0 or not params.s_tmin <= sigma_t <= params.s_tmax:
-        return None
-    gamma = min(params.s_churn / n_steps, _GAMMA_CAP)
-    sigma_hat = sigma_t * (1.0 + gamma)
-    return sigma_t, sigma_hat, sched.time_of_sigma(sigma_hat)
-
-
-def churn_inject(x, params: ChurnParams, lift, sched, noise):
+def churn_inject(x, lift, noise):
     """Lift the state from sigma_t to sigma_hat, as ``churn_lift`` gives them: fresh
     noise of standard deviation s_noise * sqrt(sigma_hat^2 - sigma_t^2), added in
     unscaled coordinates."""
-    sigma_t, sigma_hat, t_new = lift
-    a_old = sched.alpha_sigma(sched.time_of_sigma(sigma_t))[0]
-    a_new = sched.alpha_sigma(t_new)[0]
-    extra = params.s_noise * math.sqrt(sigma_hat * sigma_hat - sigma_t * sigma_t)
+    *_, a_old, a_new, extra = lift
     return a_new * (x / a_old + extra * noise)
 
 
@@ -402,15 +431,16 @@ _SIGMA_SCHEDULES = ("ve", "edm")
 
 @dataclass(frozen=True)
 class Form:
-    """One mode of a family: its step callable, the schedule families it runs
-    on, the fixed keywords the step gets, whether it reads stage draws, and its
-    node function (the step's time-only part, which a plan computes once), if any."""
+    """One mode of a family: its step callable, its node function (the step's whole
+    time-only part, which a plan computes once: the stage-node times and every scalar
+    the step multiplies an array by), the schedule families it runs on, the fixed
+    keywords both get and whether the step reads stage draws."""
 
     step: Callable
+    nodes: Callable
     schedules: tuple
     kwargs: dict = field(default_factory=dict)
     takes_draws: bool = True
-    nodes: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -434,7 +464,7 @@ _R1 = ({"r1": 1.0 / 3.0}, "0 < r1 <= 1", lambda r1: 0.0 < r1 <= 1.0)
 
 def _staged(seeds: bool, schedules: tuple = _NP_SCHEDULES, **kwargs) -> Form:
     """A form of the stage engine: SEEDS with draws, the probability-flow step without."""
-    return Form(stages_step, schedules, kwargs, seeds, stage_nodes)
+    return Form(stages_step, stage_nodes, schedules, kwargs, seeds)
 
 
 FAMILIES = {
@@ -444,14 +474,14 @@ FAMILIES = {
     "dpm1": Family(1, {"np": _staged(False), "dp": _staged(False, _ALL_SCHEDULES, dp=True)}),
     "dpm2": Family(2, {"np": _staged(False)}, *_C2),
     "dpm3": Family(3, {"np": _staged(False)}, *_R1_R2),
-    "dpm4": Family(5, {"np": Form(dpm4_step, _NP_SCHEDULES, takes_draws=False,
-                                  nodes=dpm4_nodes)}),
-    "euler_maruyama": Family(1, {"np": Form(euler_maruyama_step, _ALL_SCHEDULES)}),
-    "exp_euler_etd": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"lawson": False},
-                                           takes_draws=False)}),
-    "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, _NP_SCHEDULES, {"lawson": True},
-                                              takes_draws=False)}),
-    "gddim": Family(1, {"np": Form(gddim_step, ("vp",))}),
+    "dpm4": Family(5, {"np": Form(dpm4_step, dpm4_nodes, _NP_SCHEDULES, takes_draws=False)}),
+    "euler_maruyama": Family(1, {"np": Form(euler_maruyama_step, euler_maruyama_nodes,
+                                            _ALL_SCHEDULES)}),
+    "exp_euler_etd": Family(1, {"np": Form(exp_euler_step, exp_euler_nodes, _NP_SCHEDULES,
+                                           {"lawson": False}, takes_draws=False)}),
+    "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, exp_euler_nodes, _NP_SCHEDULES,
+                                              {"lawson": True}, takes_draws=False)}),
+    "gddim": Family(1, {"np": Form(gddim_step, gddim_nodes, ("vp",))}),
     "ve2_ode_a": Family(2, {"dp": _staged(False, _SIGMA_SCHEDULES, dp=True)}, *_R1),
     "ve2_ode_b": Family(2, {"dp": _staged(False, _SIGMA_SCHEDULES, dp=True, phi2=True)}, *_R1),
     "ve2_sde": Family(2, {"dp": _staged(True, _SIGMA_SCHEDULES, dp=True)}, *_R1),
@@ -463,8 +493,6 @@ def step_once(spec: SolverSpec, model, sched, x, s, t, draws, nodes=None):
     """One step of the spec's family in the spec's mode; ``nodes`` is the value of its
     node function at (s, t) when a plan has it, and the step computes it otherwise."""
     args = (model, sched, x, s, t, draws) if spec.form.takes_draws else (model, sched, x, s, t)
-    if nodes is None:
-        return spec.form.step(*args, **spec.step_kwargs)
     return spec.form.step(*args, nodes=nodes, **spec.step_kwargs)
 
 
@@ -477,23 +505,24 @@ class StepPlan:
     (t_i, lift, start, nodes): churn's ``churn_lift`` at t_{i-1} (None where
     churn is off), the time the model is first evaluated at (t_{i-1}, or the
     lifted time under churn), and the value of the form's node function at
-    (start, t_i), (h, stage-node times), or None for a step without one.  The node
-    function's lambda (sigma) at each time is computed once, kept in ``levels``
-    (time -> value) and shared by the rows.  A grid without a real step is a GridError.
+    (start, t_i), its stage-node times and coefficients.  The rows read the schedule
+    through ``cache``, by default a fresh ``sched.cached()``, so each quantity is
+    computed once per time; a caller that passes its own can read the values from
+    it.  A grid without a real step is a GridError.
     """
 
-    def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
+    def __init__(self, spec: SolverSpec, sched, grid: StepGrid, cache=None):
         spec.validate_against(sched)
-        self.spec, self.sched, self.levels = spec, sched, {}
-        node_fn, rows = spec.form.nodes, []
+        self.spec, self.sched = spec, sched
+        form, grid_times, rows = spec.form, grid.times.tolist(), []
+        cache = sched.cached() if cache is None else cache
         for i in range(1, grid.n_steps):
-            s, t = float(grid.times[i - 1]), float(grid.times[i])
-            lift = None if spec.churn is None else churn_lift(spec.churn, sched.sigma_of_t(s),
-                                                              grid.n_steps, sched)
+            s, t = grid_times[i - 1], grid_times[i]
+            lift = None if spec.churn is None else churn_lift(spec.churn, cache.sigma_of_t(s),
+                                                              grid.n_steps, cache)
             # a lift too small to move sigma (1 + gamma == 1) keeps the grid time
             start = s if lift is None or lift[1] == lift[0] else lift[2]
-            nodes = None if node_fn is None else node_fn(sched, start, t, spec.form.takes_draws,
-                                                         levels=self.levels, **spec.step_kwargs)
+            nodes = form.nodes(cache, start, t, form.takes_draws, **spec.step_kwargs)
             rows.append((t, lift, start, nodes))
         if not rows:
             raise GridError("grid needs at least one real step (M >= 2)")
@@ -501,8 +530,7 @@ class StepPlan:
 
     def times(self) -> list:
         """Every time the walk evaluates the model at, step by step."""
-        return [u for _, _, start, nodes in self.rows
-                for u in (start, *(nodes[1] if nodes else ()))]
+        return [u for _, _, start, (nodes, _) in self.rows for u in (start, *nodes)]
 
 
 def prepare_model(model, times) -> None:
@@ -531,7 +559,7 @@ def walk(model, plan: StepPlan, draws_at, x):
     for i, (t, lift, start, nodes) in enumerate(plan.rows, start=1):
         draws = draws_at(i)
         if lift is not None:
-            x = churn_inject(x, spec.churn, lift, sched, draws[0])
+            x = churn_inject(x, lift, draws[0])
         x = step_once(spec, model, sched, x, start, t, draws, nodes)
         if not np.isfinite(x).all():
             raise DomainError(f"non-finite state after step {i} at t={t!r}")

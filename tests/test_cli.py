@@ -351,6 +351,8 @@ def test_strong_order_past_the_reference_grid_cap_is_a_config_error(tmp_path, or
     (["sample", "--paths", str(10**14)], None, "paths", 10_000_000),
     (["order", "strong", "--paths", str(10**14)], None, "paths", 10_000_000),
     (["order", "weak"], {"paths": 10**14}, "paths", 10_000_000),
+    # the pool is never opened: the count fails before path_chunks or fan_out runs
+    (["order", "strong"], {"workers": 10**14}, "workers", 256),
 ])
 def test_sizes_past_their_caps_are_config_errors(tmp_path, argv, config, key, cap):
     # parsed and loaded as main does, without main, which freezes the test heap: the size
@@ -365,8 +367,22 @@ def test_sizes_past_their_caps_are_config_errors(tmp_path, argv, config, key, ca
 
 def test_sizes_at_their_caps_load(tmp_path):
     (tmp_path / "cfg.json").write_text(json.dumps({"order": {"steps_list": [100_000, 14, 17]}}))
-    cfg = load_config(str(tmp_path / "cfg.json"), {"paths": 10_000_000})
+    cfg = load_config(str(tmp_path / "cfg.json"), {"paths": 10_000_000, "workers": 256})
     assert cfg.n_paths == 10_000_000 and cfg.order["steps_list"][0] == 100_000
+    assert cfg.workers == 256
+
+
+def test_a_billion_workers_is_a_config_error():
+    # parsed and loaded only: no pool of that size is ever asked for
+    args = cli.build_parser().parse_args(["sample", "--paths", "10000000", "--workers", str(10**9)])
+    with pytest.raises(ConfigError, match=r"^workers must be at most 256, got 1000000000$"):
+        load_config(args.config, vars(args))
+
+
+def test_default_workers_stop_at_the_cap(monkeypatch):
+    # a host with more CPUs than the cap runs the cap, as a config of 256 workers would
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(1000)), raising=False)
+    assert load_config(None, {}).workers == 256
 
 
 def test_stage_parameter_a_family_does_not_read_exits_1(tmp_path, capsys):
@@ -1036,3 +1052,16 @@ def test_only_main_freezes_the_heap(tmp_path):
     counts = json.loads(proc.stdout.splitlines()[-1])
     assert counts["library"] == 0 and counts["code"] == 0
     assert counts["fan_out"] > 0
+
+
+@pytest.mark.parametrize("argv", [["sample", "--steps", "5", "--paths", "3", "--out", "o"],
+                                  ["grid", "--steps", "5"]])
+def test_sample_and_grid_never_load_the_harness(tmp_path, argv):
+    # a fresh interpreter: this one loaded the harness long ago
+    script = ("import sys; from seeds_sde.cli import main; code = main(sys.argv[1:]); "
+              "print(code, 'seeds_sde.harness' in sys.modules)")
+    proc = _python("-c", script, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    # and the package still hands out the harness's names on first use
+    assert _python("-c", "from seeds_sde import weak_order, GaussianFlowOracle").returncode == 0

@@ -72,6 +72,19 @@ def test_oracle_bench_script_runs():
                for row in rows)
 
 
+def test_step_bench_script_runs():
+    from seeds_sde.solvers import FAMILIES
+
+    proc = _run("step_bench.py", "--steps", "4", "--repeats", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["family", "mode", "sched", "plan", "ms", "walk", "ms"]
+    # one row per family and mode, with both times
+    assert [tuple(row.split()[:2]) for row in rows] == [
+        (fam, mode) for fam, desc in FAMILIES.items() for mode in desc.forms]
+    assert all(float(row.split()[3]) > 0 and float(row.split()[4]) > 0 for row in rows)
+
+
 def test_bench_record_script_runs(tmp_path):
     (tmp_path / "BENCH_2.json").write_text("{}")
     proc = _run("bench_record.py", "--workloads", "sample-mixture", "--seeds", "3", "4",

@@ -33,6 +33,8 @@ from seeds_sde.solvers import (
     euler_maruyama_step,
     exp_euler_step,
     gddim_step,
+    initial_state,
+    prepare_model,
     stage_nodes,
     stages_step,
     step_once,
@@ -682,7 +684,7 @@ def test_churn_lifts_noise_level():
     noise = np.array([1.0])
     n_steps = 18
     lift = churn_lift(params, 3.0, n_steps, sched)
-    x2, sig = churn_inject(x, params, lift, sched, noise), lift[1]
+    x2, sig = churn_inject(x, lift, noise), lift[1]
     assert lift[2] == sched.time_of_sigma(sig)
     gamma = min(11.0 / n_steps, math.sqrt(2.0) - 1.0)
     assert sig == pytest.approx(3.0 * (1.0 + gamma), rel=1e-14)
@@ -693,7 +695,7 @@ def test_churn_lifts_noise_level():
 def test_churn_gamma_cap():
     params = ChurnParams(s_churn=1000.0, s_tmin=0.0, s_tmax=math.inf, s_noise=1.0)
     sched = Edm(sigma_data=0.5)
-    _, sig, _ = churn_lift(params, 2.0, 10, sched)
+    sig = churn_lift(params, 2.0, 10, sched)[1]
     assert sig == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
 
 
@@ -783,19 +785,105 @@ def test_plan_with_churn_adds_a_lambda_only_on_lifted_steps(level_calls):
     assert len(level_calls["lambda_of_t"]) == len(plan.rows) + fresh_starts
 
 
-@pytest.mark.parametrize("family, mode, name, churn", [
+_NODE_CASES = [
     ("seeds1", "np", "vp", None), ("seeds2", "np", "edm", _CHURN), ("seeds3", "np", "vp", None),
     ("dpm3", "np", "edm", None), ("dpm4", "np", "vp", None), ("seeds1", "dp", "ve", _CHURN),
     ("ve2_ode_b", "dp", "edm", None), ("ve2_sde", "dp", "ve", None),
-])
+    ("dpm1", "np", "edm", _CHURN), ("dpm1", "dp", "vp", None), ("dpm2", "np", "vp", None),
+    ("euler_maruyama", "np", "ve", _CHURN), ("exp_euler_etd", "np", "edm", None),
+    ("exp_euler_lawson", "np", "vp", _CHURN), ("gddim", "np", "vp", _CHURN),
+    ("ve2_ode_a", "dp", "ve", None),
+]
+
+
+def test_node_cases_cover_every_form():
+    assert ({(fam, mode) for fam, mode, _, _ in _NODE_CASES}
+            == {(fam, mode) for fam, desc in FAMILIES.items() for mode in desc.forms})
+
+
+@pytest.mark.parametrize("family, mode, name, churn", _NODE_CASES)
 def test_plan_nodes_equal_the_node_function_called_alone(family, mode, name, churn):
-    # the shared levels are the values each row would compute itself: none is stale
+    # the cached values are the values each row would compute itself: none is stale
     sched = _PLAN_SCHEDULES[name]
     grid = linear_lambda_grid(40, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode, churn=churn)
     form = FAMILIES[family].forms[spec.mode]
-    for t, _, start, nodes in StepPlan(spec, sched, grid).rows:
+    for s, (t, lift, start, nodes) in zip(grid.times.tolist(), StepPlan(spec, sched, grid).rows):
+        assert lift == (None if churn is None
+                        else churn_lift(churn, sched.sigma_of_t(s), grid.n_steps, sched))
         assert nodes == form.nodes(sched, start, t, form.takes_draws, **spec.step_kwargs)
+
+
+@pytest.mark.parametrize("family, mode, name", [
+    ("seeds2", "np", "vp"), ("seeds3", "np", "vp"), ("dpm4", "np", "vp"), ("seeds1", "dp", "vp"),
+    ("ve2_sde", "dp", "edm"), ("gddim", "np", "vp"), ("exp_euler_lawson", "np", "vp"),
+])
+def test_plan_computes_alpha_sigma_once_per_time(family, mode, name, monkeypatch):
+    calls, alpha_sigma = [], ScheduleBase.alpha_sigma
+
+    def counting(self, t):
+        calls.append(t)
+        return alpha_sigma(self, t)
+
+    monkeypatch.setattr(ScheduleBase, "alpha_sigma", counting)
+    sched = _PLAN_SCHEDULES[name]
+    grid = linear_lambda_grid(1001, sched.t_min, sched.t_max, sched)
+    plan = StepPlan(SolverSpec(family, mode=mode), sched, grid)
+    # once at every time a row starts, ends or has a stage node at, and nowhere else
+    needed = {u for t, _, start, (nodes, _) in plan.rows for u in (start, *nodes, t)}
+    assert len(calls) == len(set(calls)) == len(needed) >= 1001
+
+
+def _schedule_classes(cls=ScheduleBase):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _schedule_classes(child)]
+
+
+@pytest.mark.parametrize("family, mode, name", _FORMS)
+@pytest.mark.parametrize("churn", [None, _CHURN], ids=["plain", "churn"])
+def test_walk_does_only_array_work_and_model_calls(family, mode, name, churn, monkeypatch):
+    # every time-only value comes from the plan's rows and the model's table: with each
+    # schedule method, phi and the stage weights made to fail, the walk still runs
+    import importlib
+
+    from seeds_sde import solvers
+
+    sched = _PLAN_SCHEDULES[name]
+    model = ScoreModel(DataDistribution.standard_normal(2), sched)
+    grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
+    spec = SolverSpec(family, mode=mode, churn=churn)
+    plan = StepPlan(spec, sched, grid)
+    prepare_model(model, plan.times())
+    draws_at = StepDraws(RngStream(4), 3, model.dim)
+    x0 = initial_state(sched, float(grid.times[0]), draws_at(0))
+
+    def fails(*args, **kwargs):
+        raise AssertionError("a walk computed a time-only value")
+
+    for cls in _schedule_classes():
+        for key, value in list(vars(cls).items()):
+            if callable(value) and not key.startswith("__"):
+                monkeypatch.setattr(cls, key, fails)
+    for module, key in ((solvers, "phi"), (solvers, "stage_noise_weights"),
+                        (importlib.import_module("seeds_sde.phi"), "phi"),
+                        (importlib.import_module("seeds_sde.noise"), "stage_noise_weights")):
+        monkeypatch.setattr(module, key, fails)
+    assert len(list(walk(model, plan, draws_at, x0))) == 11
+    assert model.nfe == spec.evals_per_step * 11
+
+
+@pytest.mark.parametrize("family, mode, name", _FORMS)
+def test_steps_without_their_rows_give_the_walk_bytes(family, mode, name):
+    sched = _PLAN_SCHEDULES[name]
+    model = ScoreModel(DataDistribution.standard_normal(2), sched)
+    grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
+    spec = SolverSpec(family, mode=mode)
+    plan = StepPlan(spec, sched, grid)
+    draws_at = StepDraws(RngStream(4), 3, model.dim)
+    x = x0 = initial_state(sched, float(grid.times[0]), draws_at(0))
+    walked = list(walk(model, plan, draws_at, x0))
+    for i, (t, _, start, _) in enumerate(plan.rows, start=1):
+        x = step_once(spec, model, sched, x, start, t, draws_at(i))   # computes its own row
+        assert _same_bits(x, walked[i - 1])
 
 
 class _NoHook:
