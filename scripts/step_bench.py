@@ -4,8 +4,8 @@
 Prints, for each solver family and mode on one schedule it runs on (VP where
 it can), the median wall time in milliseconds of building its ``StepPlan``
 on an M-step linear-lambda grid (``plan ms``) and of one ``walk`` over that
-plan at one path (``walk ms``), the model prepared for the plan's times and
-the keyed draws made inside the walk.  The medians are taken over
+plan at one path (``walk ms``) from one x_T, the model prepared for the plan's
+times and the keyed draws made inside the walk.  The medians are taken over
 ``--repeats`` runs after one untimed run; the model is the exact oracle of
 N(0, 1) data.
 
@@ -19,7 +19,7 @@ import time
 
 from seeds_sde import (DataDistribution, Edm, RngStream, ScoreModel, SolverSpec, Ve, VpLinear,
                        linear_lambda_grid)
-from seeds_sde.solvers import FAMILIES, StepDraws, StepPlan, initial_state, prepare_model, walk
+from seeds_sde.solvers import FAMILIES, StepDraws, StepPlan, lockstep, walk
 
 SCHEDULES = {"vp": VpLinear(), "ve": Ve(), "edm": Edm()}
 
@@ -52,12 +52,11 @@ def main():
             grid = linear_lambda_grid(args.steps, sched.t_min, sched.t_max, sched)
             plan_ms = time_ms(lambda: StepPlan(spec, sched, grid), args.repeats)
             plan = StepPlan(spec, sched, grid)
-            prepare_model(model, plan.times())
+            # x_T, with the model prepared for the plan's times
+            [x_top] = next(lockstep(model, [plan], StepDraws(RngStream(0), 1, model.dim)))
 
             def run():
-                draws_at = StepDraws(RngStream(0), 1, model.dim)
-                x = initial_state(sched, float(grid.times[0]), draws_at(0))
-                for x in walk(model, plan, draws_at, x):
+                for _ in walk(model, plan, StepDraws(RngStream(0), 1, model.dim), x_top):
                     pass
 
             walk_ms = time_ms(run, args.repeats)

@@ -222,6 +222,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         flags = vars(args)
+        if args.command in ("order", "compare"):   # compiled before the grid and model exist
+            from . import harness  # noqa: F401
         if args.command == "selftest":
             from .selftest import run_selftest
 

@@ -1,5 +1,6 @@
 """Time-step discretizations with degenerate-step guards."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,13 @@ def edm_grid(n_steps: int, sigma_min: float, sigma_max: float, rho: float, sched
         raise ConfigError(f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}")
     if rho <= 0.0:
         raise ConfigError("rho must be positive")
+    try:
+        lo, hi = sigma_min ** (1.0 / rho), sigma_max ** (1.0 / rho)
+    except OverflowError:
+        hi = math.inf
+    if not 0.0 < hi < math.inf:   # sigma_max ** (1 / rho) past the floats
+        raise ConfigError(f"grid rho {rho!r} is too small for sigma_max {sigma_max!r}")
     i = np.arange(n_steps)
-    lo, hi = sigma_min ** (1.0 / rho), sigma_max ** (1.0 / rho)
     sigmas = (hi + i / (n_steps - 1) * (lo - hi)) ** rho
     sigmas[0] = sigma_max
     sigmas[-1] = sigma_min

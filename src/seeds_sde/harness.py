@@ -24,7 +24,6 @@ are partitioned across workers.  Each walk reads its solver and schedule from it
 
 import collections
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
 from .schedules import SDE
-from .solvers import SolverSpec, StepDraws, StepPlan, initial_state, prepare_model, sample, walk
+from .solvers import SolverSpec, StepDraws, StepPlan, lockstep, sample, walk
 
 
 @dataclass
@@ -123,35 +122,37 @@ class GaussianFlowOracle:
 
 
 class ZeroFlowOracle(GaussianFlowOracle):
-    """Exact marginals when the model term vanishes: the pure linear flow.
+    """Exact marginals of a plan's walk when the model term vanishes: the linear flow.
 
-    Starting from N(0, sigma_bar(t0)^2 I), the state at time t is centered
-    Gaussian with variance (alpha_t/alpha_0)^2 sigma_bar_0^2 +
-    sigma_bar_t^2 (e^{2(lambda_t - lambda_0)} - 1): one centered component.
+    Starting from N(0, sigma_bar(t0)^2 I) at the plan's top time t0, the state at time
+    t is centered Gaussian with variance (alpha_t/alpha_0)^2 sigma_bar_0^2, plus the
+    reverse SDE's sigma_bar_t^2 (e^{2(lambda_t - lambda_0)} - 1) when its steps take draws.
     """
 
-    def __init__(self, sched, t_top: float, d: int = 1):
-        super().__init__(None, sched)
-        self.t_top = float(t_top)
+    def __init__(self, plan, d: int = 1):
+        super().__init__(None, plan.sched)
+        self.t_top, self.noisy = plan.top, plan.spec.form.takes_draws
         self.d = d
 
     def component_moments(self, t):
         a0, _, sbar0 = self.sched.alpha_sigma(self.t_top)
         a_t, _, sbar_t = self.sched.alpha_sigma(t)
-        h = self.sched.lambda_of_t(t) - self.sched.lambda_of_t(self.t_top)
-        var = (a_t / a0) ** 2 * sbar0**2 + sbar_t**2 * math.expm1(2.0 * h)
+        var = (a_t / a0) ** 2 * sbar0**2
+        if self.noisy:
+            h = self.sched.lambda_of_t(t) - self.sched.lambda_of_t(self.t_top)
+            var += sbar_t**2 * math.expm1(2.0 * h)
         return np.ones(1), np.zeros((1, self.d)), np.full((1, self.d), var)
 
 
-def _oracle_for(model, sched, t_top: float):
-    """The exact flow of the model's data, or of the zero model from t_top."""
+def _oracle_for(model, plan):
+    """The exact flow of the model's data, or the zero model's along the plan's walk."""
     if hasattr(model, "data"):
-        return GaussianFlowOracle(model.data, sched)
-    if sched.family == "edm":  # EDM preconditions the network output
+        return GaussianFlowOracle(model.data, plan.sched)
+    if plan.sched.family == "edm":  # EDM preconditions the network output
         raise ConfigError("the zero model has no exact law on EDM: its noise_pred == 0 is the "
                           "network of N(0, sigma_data^2 I) data, its data_pred == x the score-0 "
                           "model")
-    return ZeroFlowOracle(sched, t_top, d=model.dim)
+    return ZeroFlowOracle(plan, d=model.dim)
 
 
 # the most steps strong order's finest (reference) grid may have: a chunk's window
@@ -241,7 +242,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
         notes.append(f"slope standard error {slope_se:.3f} > 0.1; increase n_paths")
     _stability_note(hs, errors, slope, notes)
     # reference sanity: finest-level terminal moments vs the exact flow
-    exp_mean = _oracle_for(model, sched, t_top).mean(eps_end)
+    exp_mean = _oracle_for(model, plans[0]).mean(eps_end)
     se = np.std(ref, axis=0) / math.sqrt(n_paths)
     if np.any(np.abs(_block_mean(ref) - exp_mean) > 5.0 * se):
         notes.append("reference terminal mean off by more than 5 SE")
@@ -256,9 +257,8 @@ def _coupled_chunk(model, stream, plans, strides, lams, offset: int, count: int)
     increment sqrt(raw_increment_var) z goes into the window, and a level of stride k
     steps on the sum of its k window increments, added in order, over their standard
     deviation."""
-    sched = plans[0].sched
-    x0 = initial_state(sched, sched.t_max, StepDraws(stream, count, model.dim, offset)(0))
-    prepare_model(model, plans[0].times())   # every level evaluates at fine nodes
+    # x_T and the reference plan's table: every level evaluates at fine nodes
+    [x0] = next(lockstep(model, plans[:1], StepDraws(stream, count, model.dim, offset)))
     window = np.empty((strides[1], *x0.shape))   # one level-0 step of fine increments
     # each walk reads ``draws``, set just before its next step
     walks = [walk(model, plan, lambda i: draws, x0) for plan in plans]
@@ -281,17 +281,12 @@ def _coupled_chunk(model, stream, plans, strides, lams, offset: int, count: int)
     return sup_sq, ref
 
 
-def _weak_chunk(model, stream, tops, plans, offset: int, count: int):
-    """The terminal states of paths offset..offset+count-1 on each plan's grid.  One
-    table serves every walk; each walk starts from its grid's top time ``tops[g]``, and
-    the walks advance in lockstep, so one ``StepDraws`` makes each step's draws once
-    for every grid that has that step.  A shorter grid's terminal is its last step's."""
-    prepare_model(model, [u for plan in plans for u in plan.times()])
-    draws_at = StepDraws(stream, count, model.dim, offset)
-    last = [initial_state(plans[0].sched, t0, draws_at(0)) for t0 in tops]
-    walks = [walk(model, plan, draws_at, x0) for plan, x0 in zip(plans, last)]
-    for states in itertools.zip_longest(*walks):
-        last = [x if x is not None else prev for x, prev in zip(states, last)]
+def _weak_chunk(model, stream, plans, offset: int, count: int):
+    """The terminal states of paths offset..offset+count-1 on each plan's grid: one
+    ``lockstep`` group on one ``StepDraws``, so each step's draws are made once for
+    every grid that has that step.  A shorter grid's terminal is its last step's."""
+    for last in lockstep(model, plans, StepDraws(stream, count, model.dim, offset)):
+        pass
     return last
 
 
@@ -315,14 +310,12 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
         key=lambda triple: -triple[0])))
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
-    tops = [float(grid.times[0]) for grid in grids]
-    run = functools.partial(_weak_chunk, model, stream, tops, plans)
+    run = functools.partial(_weak_chunk, model, stream, plans)
     terminals = fan_out(run, chunks, workers)   # per chunk, each grid's terminal states
     hs, errors, ses = [], [], []
     excluded, notes = [], []
-    for g_idx, (h, grid) in enumerate(zip(widths, grids)):
-        # each grid's exact law starts from its own top time
-        oracle = _oracle_for(model, sched, float(grid.times[0]))
+    for g_idx, (h, grid, plan) in enumerate(zip(widths, grids, plans)):
+        oracle = _oracle_for(model, plan)   # each grid's exact law starts from its own top
         terminal_t = float(grid.times[grid.n_steps - 1])
         term = np.concatenate([chunk[g_idx] for chunk in terminals])   # one grid at a time
         moments = []  # (largest error over the axes, its standard error) per power
@@ -372,22 +365,21 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
                      grid: StepGrid, stream, zero_noise=False) -> float:
     """Max relative state difference between two solvers on shared draws.
 
-    Both trajectories start from the same initial draw and walk the grid in
-    lockstep, each applying its own churn and reading one ``StepDraws``
-    mapping per step, so each stage-keyed draw is made once; with
+    Both trajectories are one ``lockstep`` group: they start from the same
+    initial draw and walk the grid, each applying its own churn and reading one
+    ``StepDraws`` mapping per step, so each stage-keyed draw is made once; with
     ``zero_noise`` every draw after the initial one (churn included) is zero,
     so only the deterministic parts are compared.  A step that leaves a
     non-finite state on either side raises DomainError.
     """
-    plan_a, plan_b = StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)
+    plans = [StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)]
     drawn = StepDraws(stream, 1, model.dim)
-    x0 = initial_state(sched, float(grid.times[0]), drawn(0))
-    # one table for both walks: they run in lockstep, so one per walk would evict the other
-    prepare_model(model, plan_a.times() + plan_b.times())
-    zero = collections.defaultdict(lambda: np.zeros(x0.shape))   # every stage's, churn's too
-    draws_at = (lambda i: zero) if zero_noise else drawn
+    zero = collections.defaultdict(lambda: np.zeros((1, model.dim)))   # churn's too
+    draws_at = (lambda i: drawn(0) if i == 0 else zero) if zero_noise else drawn
+    walks = lockstep(model, plans, draws_at)
+    next(walks)   # the shared x_T
     max_rel = 0.0
-    for xa, xb in zip(walk(model, plan_a, draws_at, x0), walk(model, plan_b, draws_at, x0)):
+    for xa, xb in walks:
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)
@@ -411,7 +403,7 @@ class MomentReport:
 def terminal_distribution_check(spec: SolverSpec, model, sched, grid: StepGrid,
                                 n_paths: int, stream) -> MomentReport:
     """Sample backward and compare terminal moments with the exact flow."""
-    oracle = _oracle_for(model, sched, float(grid.times[0]))
+    oracle = _oracle_for(model, StepPlan(spec, sched, grid))
     res = sample(model, sched, grid, spec, stream, n_paths=n_paths)
     terminal_t = float(grid.times[grid.n_steps - 1])
     x = res.terminal

@@ -34,9 +34,10 @@ looks its family up once and keeps its form and stage parameters;
 Steps read their draws as a mapping from stage k to an (n, d) array z^k.
 ``walk``, the one loop over a grid's real steps, takes step i's from
 ``draws_at(i)``: ``sample`` passes a ``StepDraws``, keyed on (step i, stage),
-so solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...; walks
-that share one ``StepDraws`` in lockstep draw each key once.  A plain dict
-{stage: array} injects fixed draws.
+so solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...  A plain
+dict {stage: array} injects fixed draws.  ``lockstep`` starts a group of walks
+from their x_T and advances them together on one ``draws_at``, so a group on one
+``StepDraws`` draws each key once.
 
 A step's time-only part depends only on the grid: its stage-node times and
 every scalar its body multiplies an array by, each product formed in the
@@ -46,8 +47,8 @@ calls them once per grid, before the walk, on ``sched.cached()``, and hands
 each step its row, so a walk does only array work and model calls.  A step
 called without a row calls its node function itself.  The plan is where a
 solver meets its schedule, checking the one against the other and carrying
-both for ``walk``; its evaluation times go to the model's optional
-``prepare`` hook, which tabulates the model's time-only work.
+both for ``walk``; ``lockstep`` hands its evaluation times to the model's
+optional ``prepare`` hook, which tabulates the model's time-only work.
 
 Noise-prediction coefficients come from the schedule's ``np_*`` methods, in
 the lambda of the reverse SDE (``SDE``) or of the probability-flow ODE
@@ -245,19 +246,21 @@ def stage_nodes(sched, s, t, stochastic, fracs=(), dp=False, phi2=False):
 
 
 def dpm4_nodes(sched, s, t, stochastic=False):
-    """Node function of ``dpm4_step``: the nodes lambda_s + h/2 (s2 = s3 = s5) and lambda_s
-    + h (s4), in the ODE lambda, and the coefficients in the order the step reads them."""
+    """Node function of ``dpm4_step``: the nodes lambda_s + h/2 (stages 2, 3 and 5) and
+    lambda_s + h (stage 4), in the ODE lambda, and each stage's Phi(c h) and weights g(c)
+    h a_jk of the Hochbruck-Ostermann tableau, then Phi(h) and g(t) h b_k."""
     h, (s_mid, s4) = _stage_times(sched, s, t, False, (0.5, 1.0))
     g_mid, g_4, g_t = (sched.np_gain(u, False) for u in (s_mid, s4, t))
-    erh, eh = math.expm1(0.5 * h), math.expm1(h)
-    hphi2, phi3 = h * phi(2, h), phi(3, h)     # h phi_2(h) == (e^h - 1)/h - 1
-    # (e^h - 1 + 4(e^{rh} - 1) - 3h)/h^2 - 1 at r = 1/2 equals h phi_3(h) + (h/2) phi_3(h/2)
-    c_coef = h * phi3 + 0.5 * h * phi(3, 0.5 * h)
+    (p1m, p2m, p3m), (p1, p2, p3) = ([phi(k, z) for k in (1, 2, 3)] for z in (0.5 * h, h))
+    a52 = 0.5 * p2m - p3 + 0.25 * p2 - 0.5 * p3m
+    a54 = 0.25 * p2m - a52
     return (s_mid, s4), (
-        sched.np_trans(s, s_mid, False), g_mid * erh, g_mid * (4.0 * erh / h - 2.0),
-        sched.np_trans(s, s4, False), g_4 * eh, g_4 * hphi2,
-        0.25 * g_mid * hphi2, g_mid * (erh / h - 0.5), g_mid * c_coef,
-        g_t * eh, g_t * hphi2, g_t * 4.0 * h * phi3, sched.np_trans(s, t, False))
+        sched.np_trans(s, s_mid, False), g_mid * math.expm1(0.5 * h),     # a21 = phi_1(h/2)/2
+        g_mid * h * (0.5 * p1m - p2m), g_mid * h * p2m,                   # a31, a32
+        sched.np_trans(s, s4, False), g_4 * h * (p1 - 2.0 * p2), g_4 * h * p2,   # a41, a42
+        g_mid * h * (0.5 * p1m - 2.0 * a52 - a54), g_mid * h * a52, g_mid * h * a54,
+        sched.np_trans(s, t, False), g_t * h * (p1 - 3.0 * p2 + 4.0 * p3),     # b1
+        g_t * h * (4.0 * p3 - p2), g_t * h * (4.0 * p2 - 8.0 * p3))             # b4, b5
 
 
 def euler_maruyama_nodes(sched, s, t, stochastic=True):
@@ -367,24 +370,16 @@ def stages_step(model, sched, x_s, s, t, draws=None, fracs=(), dp=False, phi2=Fa
 
 
 def dpm4_step(model, sched, x_s, s, t, nodes=None):
-    """Five-stage deterministic exponential ODE step with nodes (1/2, 1/2, 1, 1/2)."""
-    (s_mid, s4), (trans_mid, gain_mid, c3, trans_4, gain_4, c4, ca, cb, cc, cd1, cd2, ce,
-                  trans_t) = dpm4_nodes(sched, s, t) if nodes is None else nodes
-    k1 = model.noise_pred(x_s, s)
-    k2 = trans_mid * x_s + gain_mid * k1
-    f_k2 = model.noise_pred(k2, s_mid)
-    k3 = k2 + c3 * (f_k2 - k1)
-    f_k3 = model.noise_pred(k3, s_mid)
-    k4 = trans_4 * x_s + gain_4 * k1 + c4 * (f_k3 + f_k2 - 2.0 * k1)
-    f_k4 = model.noise_pred(k4, s4)
-    a_term = gain_mid * k1 - ca * (k1 + f_k2 + f_k3)
-    b_term = cb * (k1 + 4.0 * f_k2 + 4.0 * f_k3 - f_k4)
-    c_term = cc * (-k1 - f_k2 - f_k3 + f_k4)
-    k5 = trans_mid * x_s + a_term + b_term + c_term
-    f_k5 = model.noise_pred(k5, s_mid)
-    d_term = cd1 * k1 - cd2 * (4.0 * f_k5 - f_k4 - 3.0 * k1)
-    e_term = ce * (k1 + f_k4 - 2.0 * f_k5)
-    return trans_t * x_s + d_term + e_term
+    """Hochbruck and Ostermann's five-stage, order-4 exponential Runge-Kutta step on the
+    probability-flow ODE, with nodes (1/2, 1/2, 1, 1/2)."""
+    (s_mid, s4), (trans_mid, a21, a31, a32, trans_4, a41, a42, a51, a52, a54, trans_t,
+                  b1, b4, b5) = dpm4_nodes(sched, s, t) if nodes is None else nodes
+    f1 = model.noise_pred(x_s, s)
+    f2 = model.noise_pred(trans_mid * x_s + a21 * f1, s_mid)
+    f3 = model.noise_pred(trans_mid * x_s + a31 * f1 + a32 * f2, s_mid)
+    f4 = model.noise_pred(trans_4 * x_s + a41 * f1 + a42 * (f2 + f3), s4)
+    f5 = model.noise_pred(trans_mid * x_s + a51 * f1 + a52 * (f2 + f3) + a54 * f4, s_mid)
+    return trans_t * x_s + b1 * f1 + b4 * f4 + b5 * f5
 
 
 def euler_maruyama_step(model, sched, x_s, s, t, draws, nodes=None):
@@ -499,7 +494,7 @@ def step_once(spec: SolverSpec, model, sched, x, s, t, draws, nodes=None):
 class StepPlan:
     """The time-only work of one (spec, schedule, grid), done once before its walk, and
     the one place a solver meets a schedule: it checks them (``validate_against``) and
-    keeps them, as ``spec`` and ``sched``, for the walk.
+    keeps them, as ``spec`` and ``sched``, for the walk, with the grid's top time ``top``.
 
     ``rows[i - 1]`` belongs to real step i from t_{i-1} to t_i and holds
     (t_i, lift, start, nodes): churn's ``churn_lift`` at t_{i-1} (None where
@@ -515,6 +510,7 @@ class StepPlan:
         spec.validate_against(sched)
         self.spec, self.sched = spec, sched
         form, grid_times, rows = spec.form, grid.times.tolist(), []
+        self.top = grid_times[0]
         cache = sched.cached() if cache is None else cache
         for i in range(1, grid.n_steps):
             s, t = grid_times[i - 1], grid_times[i]
@@ -531,20 +527,6 @@ class StepPlan:
     def times(self) -> list:
         """Every time the walk evaluates the model at, step by step."""
         return [u for _, _, start, (nodes, _) in self.rows for u in (start, *nodes)]
-
-
-def prepare_model(model, times) -> None:
-    """Hand the model the times it is about to be evaluated at, if it takes them:
-    ``ScoreModel.prepare`` tabulates its time-only work.  The hook is optional."""
-    prepare = getattr(model, "prepare", None)
-    if prepare is not None:
-        prepare(times)
-
-
-def initial_state(sched, t0: float, draws):
-    """x_T ~ N(0, sigma_bar(t0)^2 I) from step 0's draws, ``draws_at(0)``: the stage-0
-    draw scaled."""
-    return sched.alpha_sigma(t0)[2] * draws[0]
 
 
 def walk(model, plan: StepPlan, draws_at, x):
@@ -566,6 +548,23 @@ def walk(model, plan: StepPlan, draws_at, x):
         yield x
 
 
+def lockstep(model, plans, draws_at):
+    """Walk the plans together and yield the list of their states: first each x_T,
+    sigma_bar(top) ``draws_at(0)[0]``, then after each step i, a plan past its last step
+    keeping its last.  Between the draw and the first yield the model's optional
+    ``prepare`` hook gets every plan's ``times()`` at once: a table per walk would evict
+    the others.  Step i's walks read one ``draws_at(i)``: a ``StepDraws`` draws each key once."""
+    states = [plan.sched.alpha_sigma(plan.top)[2] * draws_at(0)[0] for plan in plans]
+    prepare = getattr(model, "prepare", None)
+    if prepare is not None:
+        prepare([u for plan in plans for u in plan.times()])
+    yield states
+    walks = [walk(model, plan, draws_at, x) for plan, x in zip(plans, states)]
+    for _ in range(max(len(plan.rows) for plan in plans)):
+        states = list(map(next, walks, states))   # a finished walk yields its last state
+        yield states
+
+
 @dataclass
 class SampleResult:
     """Terminal states plus optional recorded trajectory."""
@@ -582,25 +581,19 @@ def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
 
     Steps i = 1..M-1 apply the solver; the final interval is the trivial
     step (the state is carried over unchanged, no model call), so the total
-    cost is evals_per_step * (M - 1) per path.  The initial state is
-    x_T ~ N(0, sigma_bar(t_0)^2 I) (``walk`` starts from a given state).  The
-    grid's plan, which checks the solver against the schedule, is built before
-    that draw, and its evaluation times go to the model's ``prepare`` hook, if
-    it has one.  A step that leaves a non-finite state raises DomainError naming
-    the step and its time.
+    cost is evals_per_step * (M - 1) per path.  The grid's plan, which checks
+    the solver against the schedule, is built first, and ``lockstep`` runs it
+    alone from x_T ~ N(0, sigma_bar(t_0)^2 I).  A step that leaves a non-finite
+    state raises DomainError naming the step and its time.
     """
     plan = StepPlan(spec, sched, grid)
-    times = grid.times
-    draws_at = StepDraws(stream, n_paths, model.dim, path_offset)
-    x = initial_state(sched, float(times[0]), draws_at(0))
-    prepare_model(model, plan.times())
-    traj = [x]
-    for x in walk(model, plan, draws_at, x):
+    traj = []
+    for [x] in lockstep(model, [plan], StepDraws(stream, n_paths, model.dim, path_offset)):
         if record:
             traj.append(x)
     return SampleResult(
         terminal=x,
-        times=times.copy(),
+        times=grid.times.copy(),
         nfe_per_path=spec.evals_per_step * len(plan.rows),
         trajectory=np.stack(traj + [x]) if record else None,   # trivial last step: x again
     )

@@ -87,7 +87,8 @@ LOCKED = {
 
 # every valid (family, schedule, mode) run at 1100 paths and 12 steps, seed 21,
 # keyed "family-schedule-mode"; computed from the parent of the commit that
-# added this table, before the solver registry and stage routine it ships with
+# added this table, before the solver registry and stage routine it ships with; the
+# dpm4 entries since dpm4 took the Hochbruck-Ostermann order-4 tableau
 SWEEP_LOCKED = {
     "dpm1-edm-dp": "6c60bca9d81f7f9dfb463d76cf0059f9c2d8b20def7209d15cf73fc98d01bc3f",
     "dpm1-edm-np": "2ff71e54e3807cbdff611b6c67e0483b7e8c8293bbc12b26adf3014ace95b68b",
@@ -102,9 +103,9 @@ SWEEP_LOCKED = {
     "dpm3-edm-np": "bb3c0970dfe8f0b3c859c15574483eac9480f33c34f3bc88025fdb1cfc2c91a4",
     "dpm3-vp-np": "2952c29e23ebe11c57cef7d2c36495449c7e2b06d9d157bf793f42ace74a87b4",
     "dpm3-vp_cosine-np": "273def68f4a01834931eaf034cbede4a069f10785317374df43d61dc5eceb6a0",
-    "dpm4-edm-np": "7b1c8badb24de8f77cd29edc9fc95799d4adf1a8fc9ffc76393dc2c8c0c45d7b",
-    "dpm4-vp-np": "bc50d3bac4f6ca300d93aecbcb09e344e759251a97bf5e3f8009b411c07e2d73",
-    "dpm4-vp_cosine-np": "80af193e39a967b39910e7cf58f9d77517d03dfb28f36cb5a48926935e0ac01b",
+    "dpm4-edm-np": "c2d3f7a2289cfb777f0ed0df965dcddb1ae9b97366e4ef806921b7d8a94ae574",
+    "dpm4-vp-np": "4edb3f0fd3369e33758cb32d16c731558847ed0cdca6396ce9595ee0e68d2f5e",
+    "dpm4-vp_cosine-np": "071d3058579662de29ccb68b5fb7f41022e935a65dfc983291297c691f74d70d",
     "euler_maruyama-edm-np": "10ed244d18e57022722edb19b265fe0907bebce339a100473877bf19617ba305",
     "euler_maruyama-ve-np": "3c9d9821788f602a528d7251f8b0314b3b4a8640e2b1154426d57c3b703d6fc2",
     "euler_maruyama-vp-np": "adb89ce2015dce7a08a0c54e45b5eb372b9bd3c34fb61a9161cb49eaa30dc500",

@@ -255,6 +255,8 @@ def test_numeric_config_values_run(tmp_path):
     ({"threshold": 0}, "threshold must be > 0, got 0.0"),
     ({"threshold": -1}, "threshold must be > 0, got -1.0"),
     ({"solver": {"family": None}}, "solver family must be a string, got None"),
+    ({"schedule": {"kind": "edm"}, "grid": {"kind": "edm", "rho": 0.001}},
+     "grid rho 0.001 is too small for sigma_max 80.0"),
 ])
 def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, config, words):
     # no --out: a run that got past the config would write seeds_out/ here

@@ -14,6 +14,7 @@ from seeds_sde import (
     ScoreModel,
     SolverSpec,
     StepGrid,
+    Ve,
     VpCosine,
     VpLinear,
     ZeroModel,
@@ -343,6 +344,26 @@ def test_weak_order_oracle_follows_each_grid_top_time(vp):
     est = weak_order(SolverSpec("seeds1"), zm, vp, grids, 20_000, RngStream(3))
     assert est.excluded == [0, 1, 2, 3]
     assert all(err < 3.0 * se for err, se in zip(est.errors, est.ses))
+
+
+@pytest.mark.parametrize("family, mode, sched", [
+    ("dpm1", "np", VpLinear()), ("dpm1", "dp", VpLinear()), ("dpm2", None, VpLinear()),
+    ("ve2_ode_a", None, Ve()),
+])
+def test_zero_model_law_of_a_form_without_draws_is_the_noiseless_flow(family, mode, sched):
+    # with the model term zero, a step that takes no draws is the exact linear map
+    # x_t = (alpha_t / alpha_s) x_s, so the terminal variance is (alpha_t/alpha_0)^2
+    # sbar_0^2 and not the reverse SDE's: every weak-order error is Monte Carlo noise
+    zm, spec = ZeroModel(1, sched), SolverSpec(family, mode=mode)
+    grids = [linear_lambda_grid(m, sched.t_min, sched.t_max, sched) for m in (6, 9, 14)]
+    est = weak_order(spec, zm, sched, grids, 20_000, RngStream(5))
+    assert est.excluded == [0, 1, 2] and math.isnan(est.slope), est.errors
+    n, grid = 20_000, grids[-1]
+    rep = terminal_distribution_check(spec, zm, sched, grid, n, RngStream(8))
+    a_0, _, sbar_0 = sched.alpha_sigma(float(grid.times[0]))
+    var = (sched.alpha_sigma(float(grid.times[-2]))[0] / a_0) ** 2 * sbar_0**2
+    assert rep.target_cov_diag[0] == pytest.approx(var, rel=1e-12)
+    assert abs(rep.cov_diag[0] - var) < 5.0 * var * math.sqrt(2.0 / n)
 
 
 def test_weak_order_euler_maruyama_order_one(vp, gauss_model):

@@ -9,7 +9,7 @@ from seeds_sde import (DataDistribution, Edm, GaussianFlowOracle, RngStream, Sco
                        SolverSpec, Ve, VpLinear, ZeroModel, linear_lambda_grid)
 from seeds_sde.errors import ConfigError, GridError
 from seeds_sde.noise import BLOCK, raw_increment_var, stage_noise_weights
-from seeds_sde.solvers import FAMILIES, StepPlan, prepare_model, stages_step, step_once
+from seeds_sde.solvers import FAMILIES, StepPlan, stages_step, step_once
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -296,7 +296,7 @@ def _terminal_variance_error(spec, sched, n_steps):
     model = ScoreModel(data, sched)
     grid = linear_lambda_grid(n_steps, sched.t_min, sched.t_max, sched)
     plan = StepPlan(spec, sched, grid)
-    prepare_model(model, plan.times())
+    model.prepare(plan.times())
     stages = range(1, FAMILIES[spec.family].evals + 1)
     zero = {k: np.zeros((1, 1)) for k in stages}
 

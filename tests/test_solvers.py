@@ -21,7 +21,7 @@ from seeds_sde import (
     sample,
 )
 from seeds_sde.errors import ConfigError, DomainError, GridError
-from seeds_sde.schedules import ScheduleBase
+from seeds_sde.schedules import ODE, ScheduleBase
 from seeds_sde.solvers import (
     FAMILIES,
     STAGE_PARAMS,
@@ -33,8 +33,7 @@ from seeds_sde.solvers import (
     euler_maruyama_step,
     exp_euler_step,
     gddim_step,
-    initial_state,
-    prepare_model,
+    lockstep,
     stage_nodes,
     stages_step,
     step_once,
@@ -328,32 +327,30 @@ def test_dpm_deterministic_order_ratios(vp, gauss_model):
 
 
 def mp_dpm4(mp_sched, f_model, x, s, t):
-    """50-digit verbatim replica of the five-stage deterministic step."""
-    lam_s, lam_t = mp_sched.lam(s), mp_sched.lam(t)
-    h = lam_t - lam_s
-    r = mpmath.mpf(1) / 2
-    s_mid = mp_sched.t_of_lam(lam_s + r * h)
-    s4 = mp_sched.t_of_lam(lam_s + h)
-    al = mp_sched.alpha
-    sb = mp_sched.sbar
-    erh, eh = mpmath.expm1(r * h), mpmath.expm1(h)
-    hphi2 = eh / h - 1
-    k1 = f_model(x, s)
-    k2 = (al(s_mid) / al(s)) * x - sb(s_mid) * erh * k1
-    f2 = f_model(k2, s_mid)
-    k3 = (al(s_mid) / al(s)) * x - sb(s_mid) * erh * k1 \
-        - sb(s_mid) * (4 * erh / h - 2) * (f2 - k1)
-    f3 = f_model(k3, s_mid)
-    k4 = (al(s4) / al(s)) * x - sb(s4) * eh * k1 - sb(s4) * hphi2 * (f3 + f2 - 2 * k1)
-    f4 = f_model(k4, s4)
-    a_term = sb(s_mid) * erh * k1 - sb(s_mid) / 4 * hphi2 * (k1 + f2 + f3)
-    b_term = sb(s_mid) * (erh / h - mpmath.mpf(1) / 2) * (k1 + 4 * f2 + 4 * f3 - f4)
-    c_term = sb(s_mid) * ((eh + 4 * erh - 3 * h) / h**2 - 1) * (-k1 - f2 - f3 + f4)
-    k5 = (al(s_mid) / al(s)) * x - a_term - b_term - c_term
-    f5 = f_model(k5, s_mid)
-    d_term = sb(t) * eh * k1 - sb(t) * hphi2 * (4 * f5 - f4 - 3 * k1)
-    e_term = sb(t) * (4 * (eh - h) / h**2 - 2) * (k1 + f4 - 2 * f5)
-    return (al(t) / al(s)) * x - d_term - e_term
+    """50-digit replica of the five-stage step: Hochbruck and Ostermann's order-4
+    tableau, stage j at node c_j being Phi(c_j) x - sbar(c_j) h sum_k a_jk f_k."""
+    lam_s = mp_sched.lam(s)
+    h = mp_sched.lam(t) - lam_s
+
+    def phis(z):   # phi_1, phi_2, phi_3 at z
+        p1 = mpmath.expm1(z) / z
+        p2 = (p1 - 1) / z
+        return p1, p2, (p2 - mpmath.mpf(1) / 2) / z
+
+    (p1m, p2m, p3m), (p1, p2, p3) = phis(h / 2), phis(h)
+    a52 = p2m / 2 - p3 + p2 / 4 - p3m / 2
+    a54 = p2m / 4 - a52
+    half = mpmath.mpf(1) / 2
+    rows = [(half, [p1m / 2]), (half, [p1m / 2 - p2m, p2m]), (1, [p1 - 2 * p2, p2, p2]),
+            (half, [p1m / 2 - 2 * a52 - a54, a52, a52, a54]),
+            (1, [p1 - 3 * p2 + 4 * p3, 0, 0, -p2 + 4 * p3, 4 * p2 - 8 * p3])]
+    fs = [f_model(x, s)]
+    for j, (c, a) in enumerate(rows):
+        u = t if j == len(rows) - 1 else mp_sched.t_of_lam(lam_s + c * h)
+        y = (mp_sched.alpha(u) / mp_sched.alpha(s)) * x \
+            - mp_sched.sbar(u) * h * sum(a_k * f_k for a_k, f_k in zip(a, fs))
+        fs.append(f_model(y, u))
+    return y
 
 
 def test_dpm4_matches_line_by_line_oracle(vp, gauss_model):
@@ -364,6 +361,22 @@ def test_dpm4_matches_line_by_line_oracle(vp, gauss_model):
         want = float(mp_dpm4(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t)))
     got = dpm4_step(gauss_model, vp, np.array([x]), s, t)
     assert got[0] == pytest.approx(want, rel=1e-13)
+
+
+def test_dpm4_self_refinement_ratio_is_of_order_four(vp):
+    # one-step self-refinement in the ODE lambda: |coarse - two half steps| falls by
+    # 2^(p+1) = 32 per halving of h at order 4 (2^2 at order 1)
+    data = DataDistribution(np.array([0.3, 0.7]), np.array([[-2.0], [1.5]]),
+                            np.array([[0.3], [0.5]]))
+    model, s, x = ScoreModel(data, vp), 0.75, np.array([0.7])
+    lam_s = vp.lambda_of_t(s, ODE)
+    gaps = []
+    for h in (0.4, 0.2, 0.1, 0.05):
+        t, mid = vp.t_of_lambda(lam_s + h, ODE), vp.t_of_lambda(lam_s + h / 2, ODE)
+        coarse = dpm4_step(model, vp, x, s, t)
+        fine = dpm4_step(model, vp, dpm4_step(model, vp, x, s, mid), mid, t)
+        gaps.append(float(np.abs(coarse - fine)[0]))
+    assert 2**4.5 <= gaps[-2] / gaps[-1] <= 2**5.5, gaps
 
 
 # -- baselines ----------------------------------------------------------------
@@ -851,10 +864,8 @@ def test_walk_does_only_array_work_and_model_calls(family, mode, name, churn, mo
     model = ScoreModel(DataDistribution.standard_normal(2), sched)
     grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode, churn=churn)
-    plan = StepPlan(spec, sched, grid)
-    prepare_model(model, plan.times())
-    draws_at = StepDraws(RngStream(4), 3, model.dim)
-    x0 = initial_state(sched, float(grid.times[0]), draws_at(0))
+    walks = lockstep(model, [StepPlan(spec, sched, grid)], StepDraws(RngStream(4), 3, model.dim))
+    next(walks)   # x_T drawn and the model prepared for the plan's times
 
     def fails(*args, **kwargs):
         raise AssertionError("a walk computed a time-only value")
@@ -867,7 +878,7 @@ def test_walk_does_only_array_work_and_model_calls(family, mode, name, churn, mo
                         (importlib.import_module("seeds_sde.phi"), "phi"),
                         (importlib.import_module("seeds_sde.noise"), "stage_noise_weights")):
         monkeypatch.setattr(module, key, fails)
-    assert len(list(walk(model, plan, draws_at, x0))) == 11
+    assert len(list(walks)) == 11
     assert model.nfe == spec.evals_per_step * 11
 
 
@@ -879,11 +890,10 @@ def test_steps_without_their_rows_give_the_walk_bytes(family, mode, name):
     spec = SolverSpec(family, mode=mode)
     plan = StepPlan(spec, sched, grid)
     draws_at = StepDraws(RngStream(4), 3, model.dim)
-    x = x0 = initial_state(sched, float(grid.times[0]), draws_at(0))
-    walked = list(walk(model, plan, draws_at, x0))
+    [x], *walked = lockstep(model, [plan], draws_at)
     for i, (t, _, start, _) in enumerate(plan.rows, start=1):
         x = step_once(spec, model, sched, x, start, t, draws_at(i))   # computes its own row
-        assert _same_bits(x, walked[i - 1])
+        assert _same_bits(x, walked[i - 1][0])
 
 
 class _NoHook:
@@ -924,6 +934,45 @@ def test_models_without_the_hook_sample_and_compare_unchanged(family, name, chur
     assert per_step_compare(spec, other, _NoHook(inner), sched, grid, RngStream(5)) == want_cmp
     # without the hook every evaluation computes its time-only terms
     assert len(marginal_calls) == inner.nfe > 0
+
+
+class _Prepared(_NoHook):
+    """A model whose ``prepare`` hook records its calls and whether a network call came
+    first."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.calls, self.evaluated = [], False
+
+    def prepare(self, times):
+        self.calls.append((list(times), self.evaluated))
+        self.model.prepare(times)
+
+    def noise_pred(self, x, t):
+        self.evaluated = True
+        return super().noise_pred(x, t)
+
+
+def test_lockstep_starts_every_plan_and_holds_the_shorter_walks():
+    sched = _PLAN_SCHEDULES["vp"]
+    model = _Prepared(ScoreModel(DataDistribution.standard_normal(2), sched))
+    grids = [linear_lambda_grid(m, sched.t_min, top, sched)
+             for m, top in ((9, sched.t_max), (4, 0.9), (6, 0.8))]
+    plans = [StepPlan(SolverSpec("seeds2"), sched, grid) for grid in grids]
+    states = list(lockstep(model, plans, StepDraws(RngStream(7), 3, model.dim)))
+    # the first yield is every x_T, from step 0's stage-0 draw at its grid's top time
+    z0 = StepDraws(RngStream(7), 3, model.dim)(0)[0]
+    for plan, grid, x_top in zip(plans, grids, states[0]):
+        assert plan.top == float(grid.times[0])
+        assert _same_bits(x_top, sched.alpha_sigma(plan.top)[2] * z0)
+    # one yield per step of the longest plan, the shorter plans holding their last state
+    assert len(states) == 8 + 1
+    for g, (plan, x_top) in enumerate(zip(plans, states[0])):
+        alone = list(walk(model, plan, StepDraws(RngStream(7), 3, model.dim), x_top))
+        for i, stepped in enumerate(states[1:]):
+            assert _same_bits(stepped[g], alone[min(i, len(alone) - 1)])
+    # one table for the group, made before the first network call
+    assert model.calls == [([u for plan in plans for u in plan.times()], False)]
 
 
 # -- outer loop ----------------------------------------------------------------
