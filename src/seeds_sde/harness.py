@@ -11,9 +11,9 @@ whose group sums give the coarse-level increments, and the finest level
 serves as the reference solution; each chunk walks every level from its
 own initial rows.  Each level is a ``walk`` over its own ``StepPlan``, the
 steps ``sample`` runs.  One pass over the fine steps draws each fine
-increment, holds a window of the last ``ratio`` of them (one coarsest step),
-never the whole fine path, and hands each level due to step its draw as a
-plain {stage: array} mapping.  Weak order compares terminal moments against
+increment, adds it to one running sum per level, never holding the fine
+path, and hands each level due to step its sum's draw as a plain
+{stage: array} mapping.  Weak order compares terminal moments against
 the closed-form Gaussian flow: each chunk walks every grid's ``StepPlan``, built
 once, in lockstep from the grid's own initial rows, and step i's keyed draws
 are made once for every grid that has a step i.  Moment reductions are done
@@ -155,8 +155,8 @@ def _oracle_for(model, plan):
     return ZeroFlowOracle(plan, d=model.dim)
 
 
-# the most steps strong order's finest (reference) grid may have: a chunk's window
-# holds up to that many fine increments per path
+# the most steps strong order's finest (reference) grid may have: every chunk walks
+# them all, and the plans hold a row per step of every level
 _MAX_FINE_STEPS = 4096
 
 
@@ -176,9 +176,9 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     ``walk`` on its own ``StepPlan`` (built once) from one initial state.
     Each chunk of paths (``path_chunks``, run by ``fan_out`` on ``workers``
     processes) makes one pass over the fine steps, which moves the reference
-    and every level together: the reference's draws fill a window of the
-    last ``ratio`` fine increments (one level-0 step), and a level steps on
-    its slice of the window whenever its stride divides the fine step count.
+    and every level together: each reference draw's increment is added to
+    every level's running sum, and a level steps on its sum whenever its
+    stride divides the fine step count.
     The error at a level is sqrt(E[sup over its nodes |x - reference|^2])
     over [t_min, t_max].  A ConfigError names base_steps and refinements when the
     reference grid would have more than ``_MAX_FINE_STEPS`` steps, and a
@@ -208,10 +208,8 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
     t_fine = linear_lambda_grid(m_fine, eps_end, t_top, sched).times
     strides = [1] + [ratio >> lvl for lvl in range(n_levels)]   # the reference first
     # the sentinel 0 makes t_min the end of each level's last real step
-    cache = sched.cached()   # the reference plan's: the coupled draws read its lambdas
-    plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0)), cache if k == 1 else None)
-             for k in strides]
-    lams = [cache.lambda_of_t(t, SDE) for t in t_fine.tolist()]
+    plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
+    lams = [sched.lambda_of_t(t, SDE) for t in t_fine.tolist()]
 
     run = functools.partial(_coupled_chunk, model, stream, plans, strides, lams)
     sups, refs = zip(*fan_out(run, chunks, workers))
@@ -254,28 +252,28 @@ def _coupled_chunk(model, stream, plans, strides, lams, offset: int, count: int)
     """The coupled walks of paths offset..offset+count-1: each measured level's sup
     over its nodes of |x - reference|^2, shape (levels, count), and the reference's
     terminal states.  Fine step j's unit draw z is keyed on (step j, stage 0); its raw
-    increment sqrt(raw_increment_var) z goes into the window, and a level of stride k
-    steps on the sum of its k window increments, added in order, over their standard
-    deviation."""
+    increment sqrt(raw_increment_var) z starts the running sum of every level whose
+    stride k divides j - 1 and is added in place to every other's, so a level steps on
+    the sum of its k increments, added in order, over their standard deviation.  A
+    chunk holds one (count, d) sum per level, whatever the strides."""
     # x_T and the reference plan's table: every level evaluates at fine nodes
     [x0] = next(lockstep(model, plans[:1], StepDraws(stream, count, model.dim, offset)))
-    window = np.empty((strides[1], *x0.shape))   # one level-0 step of fine increments
+    sums = np.empty((len(strides) - 1, *x0.shape))
     # each walk reads ``draws``, set just before its next step
     walks = [walk(model, plan, lambda i: draws, x0) for plan in plans]
     sup_sq = np.zeros((len(strides) - 1, count))
     for j in range(1, len(lams)):
         z = stream.normal_paths(count, j, 0, model.dim, offset)
-        window[(j - 1) % len(window)] = math.sqrt(raw_increment_var(lams[j - 1], lams[j])) * z
+        inc = math.sqrt(raw_increment_var(lams[j - 1], lams[j])) * z
         draws = {1: z}
         ref = next(walks[0])
         for lvl, k in enumerate(strides[1:]):
+            if (j - 1) % k == 0:
+                sums[lvl] = inc
+            else:
+                sums[lvl] += inc
             if j % k == 0:
-                # not sum(axis=0): NumPy adds pairwise on one path in d = 1, in order otherwise
-                increments = window[(j - k) % len(window):][:k]
-                total = increments[0] + increments[1]
-                for inc in increments[2:]:
-                    total += inc
-                draws = {1: total / math.sqrt(raw_increment_var(lams[j - k], lams[j]))}
+                draws = {1: sums[lvl] / math.sqrt(raw_increment_var(lams[j - k], lams[j]))}
                 diff = next(walks[lvl + 1]) - ref
                 sup_sq[lvl] = np.maximum(sup_sq[lvl], np.sum(diff * diff, axis=-1))
     return sup_sq, ref

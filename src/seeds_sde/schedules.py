@@ -40,9 +40,9 @@ _VARIANTS = (SDE, ODE)
 # at most a factor 1 + (sqrt(2) - 1) = sqrt(2))
 _EVAL_HEADROOM = 1.5
 _SLACK = 1e-9
-# what a ``cached`` copy keeps, and how many values: a plan's rows ask again for an alpha
-# at most a few times back, and the levels of every grid time stay for a caller to read
-_CACHED = {"alpha_sigma": 8, "sigma_of_t": None, "lambda_of_t": None}
+# what a ``cached`` copy keeps, the last 8 values of each: a plan's rows ask again for
+# a time at most a few times back, and no caller reads values out of the copy
+_CACHED = ("alpha_sigma", "sigma_of_t", "lambda_of_t")
 
 
 def _check_variant(variant: str) -> None:
@@ -122,11 +122,11 @@ class ScheduleBase:
         return self._check_time(self._time_of_sigma(float(sigma)))
 
     def cached(self) -> "ScheduleBase":
-        """A copy that keeps the alpha_sigma, sigma and lambda values it computed: its methods
-        are bound to it, so what one reads (VP's ``np_trans`` reads alpha) is kept too."""
+        """A copy that keeps the last 8 alpha_sigma, sigma and lambda values it computed: its
+        methods are bound to it, so what one reads (VP's ``np_trans`` reads alpha) is kept too."""
         twin = copy.copy(self)
-        for name, maxsize in _CACHED.items():   # frozen dataclasses refuse setattr
-            object.__setattr__(twin, name, functools.lru_cache(maxsize)(getattr(twin, name)))
+        for name in _CACHED:   # frozen dataclasses refuse setattr
+            object.__setattr__(twin, name, functools.lru_cache(8)(getattr(twin, name)))
         return twin
 
     # -- noise-prediction step coefficients (VP and EDM override) -----------

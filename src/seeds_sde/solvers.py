@@ -501,17 +501,16 @@ class StepPlan:
     churn is off), the time the model is first evaluated at (t_{i-1}, or the
     lifted time under churn), and the value of the form's node function at
     (start, t_i), its stage-node times and coefficients.  The rows read the schedule
-    through ``cache``, by default a fresh ``sched.cached()``, so each quantity is
-    computed once per time; a caller that passes its own can read the values from
-    it.  A grid without a real step is a GridError.
+    through a fresh ``sched.cached()``, so each quantity is computed once per time.
+    A grid without a real step is a GridError.
     """
 
-    def __init__(self, spec: SolverSpec, sched, grid: StepGrid, cache=None):
+    def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
         spec.validate_against(sched)
         self.spec, self.sched = spec, sched
         form, grid_times, rows = spec.form, grid.times.tolist(), []
         self.top = grid_times[0]
-        cache = sched.cached() if cache is None else cache
+        cache = sched.cached()
         for i in range(1, grid.n_steps):
             s, t = grid_times[i - 1], grid_times[i]
             lift = None if spec.churn is None else churn_lift(spec.churn, cache.sigma_of_t(s),

@@ -16,11 +16,11 @@ prediction on VP, VE and EDM) and one 4096-path run on it that must write the
 same bytes in one chunk and in two, the CSV and JSON that ``order strong``
 and ``order weak`` write (9000-path runs at one, two and three workers: two
 chunks, then three), the ``strong_order`` estimate at two reference depths
-through the Python API, the stdout of ``compare`` and the files that ``sample
---save-trajectories`` writes.  Through the Python API it also locks
-``per_step_compare`` with zeroed draws, with and without churn, the exact-flow
-oracle's moments on every schedule, and the ``config.json`` written for each
-schedule kind.
+and at a stride ratio of 512 through the Python API, the stdout of
+``compare`` and the files that ``sample --save-trajectories`` writes.  Through
+the Python API it also locks ``per_step_compare`` with zeroed draws, with and
+without churn, the exact-flow oracle's moments on every schedule, and the
+``config.json`` written for each schedule kind.
 """
 
 import hashlib
@@ -260,6 +260,13 @@ API_STRONG_LOCKED = {
     3: (VpLinear, "74b0fb61c66050879dcef37e5ce24df718f198a195181bef865404dd9bb12a4c"),
 }
 
+# sha256 of to_csv() + to_json() for strong_order on N(0, 1) data with VpLinear,
+# base 1, 8 refinements and the default reference depth (512 fine steps per
+# level-0 step, where the entries above have at most 32), 64 paths, seed 21;
+# computed from the parent of the commit that replaced the window of fine
+# increments with one running sum per level
+API_STRONG_HIGH_RATIO_LOCKED = "8a81af3ea328f7ca9cecc68a4f94b153400c94f8ea683587e08b264cf053e146"
+
 # --save-trajectories at 5 paths in chunks of 2 on two workers (EDM seeds3, 6
 # steps, seed 4): sha256 of each trajectory file, computed from the parent of
 # the commit that moved the recording into the chunked run
@@ -442,6 +449,14 @@ def test_strong_order_api_locked(ref_extra):
     est = strong_order(SolverSpec("seeds1"), model, sched, 4, 3, 60, RngStream(8),
                        ref_extra=ref_extra)
     assert hashlib.sha256((est.to_csv() + est.to_json()).encode()).hexdigest() == digest
+
+
+def test_strong_order_api_locked_at_a_high_stride_ratio():
+    sched = VpLinear()
+    model = ScoreModel(DataDistribution.standard_normal(1), sched)
+    est = strong_order(SolverSpec("seeds1"), model, sched, 1, 8, 64, RngStream(21))
+    digest = hashlib.sha256((est.to_csv() + est.to_json()).encode()).hexdigest()
+    assert digest == API_STRONG_HIGH_RATIO_LOCKED
 
 
 def test_trajectory_files_locked(tmp_path, chunks_of):

@@ -102,10 +102,10 @@ def test_strong_order_steps_and_nfe(vp, monkeypatch):
     assert len(calls) == zm.nfe == 64 + 4 + 8 + 16 == 92
 
 
-def test_strong_order_reads_lambda_from_the_reference_plan(vp, gauss_model, monkeypatch):
+def test_strong_order_reads_lambda_once_per_plan_node_and_fine_time(vp, gauss_model, monkeypatch):
     # base 32, 4 refinements: lambda once at each node of each level's plan,
-    # 1,025 (the reference, whose values the coupled draws reuse) + 257 + 129 +
-    # 65 + 33, and at the fine grid's two end points
+    # 1,025 (the reference) + 257 + 129 + 65 + 33, at the fine grid's two end
+    # points, and once more at each of the 1,025 fine times the coupled draws read
     calls, lambda_of_t = [], ScheduleBase.lambda_of_t
 
     def counting(self, *args, **kwargs):
@@ -114,7 +114,7 @@ def test_strong_order_reads_lambda_from_the_reference_plan(vp, gauss_model, monk
 
     monkeypatch.setattr(ScheduleBase, "lambda_of_t", counting)
     strong_order(SolverSpec("seeds1"), gauss_model, vp, 32, 4, 10, RngStream(3))
-    assert len(calls) == 1511
+    assert len(calls) == 1025 + 257 + 129 + 65 + 33 + 2 + 1025 == 2536
 
 
 def test_strong_order_small_run_sane(vp, gauss_model):
@@ -147,6 +147,21 @@ def test_strong_order_stores_no_fine_path_array(vp, gauss_model):
     finally:
         tracemalloc.stop()
     assert peak < 256 * n_paths * 8
+
+
+def test_strong_order_chunk_memory_does_not_grow_with_the_stride_ratio(vp, gauss_model):
+    # base 1, 8 refinements and the reference 2 halvings further: 512 fine steps
+    # per level-0 step.  A window of one level-0 step of fine increments would
+    # alone be 512 * 2048 * 8 B = 8 MiB; running sums are 8 levels of 2048
+    # floats.  In one process, tracemalloc's peak over this call read 8.8 MiB
+    # with such a window and 0.8 MiB with the running sums.
+    tracemalloc.start()
+    try:
+        strong_order(SolverSpec("seeds1"), gauss_model, vp, 1, 8, 2048, RngStream(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 8192, 8193, 9000, 10_000, 57_345, 100_000])
