@@ -41,7 +41,7 @@ def main():
     }
     for label, data in datasets.items():
         model = ScoreModel(data, sched)
-        rep = terminal_distribution_check(spec, model, sched, grid, args.paths,
+        rep = terminal_distribution_check(spec, model, grid, args.paths,
                                           RngStream(args.seed))
         print(f"{label} via {spec.family}-{spec.mode}, M={args.steps}, "
               f"NFE={spec.evals_per_step * (grid.n_steps - 1)}:")

@@ -35,7 +35,7 @@ def main():
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
     os.makedirs(args.out, exist_ok=True)
 
-    est = strong_order(SolverSpec("seeds1"), model, sched, base_steps=32,
+    est = strong_order(SolverSpec("seeds1"), model, base_steps=32,
                        refinements=4, n_paths=args.strong_paths,
                        stream=RngStream(args.seed))
     _emit(args.out, "strong_seeds1", est)
@@ -47,7 +47,7 @@ def main():
     }
     for fam, steps in weak_grids.items():
         grids = [linear_lambda_grid(m, sched.t_min, sched.t_max, sched) for m in steps]
-        est = weak_order(SolverSpec(fam), model, sched, grids, args.weak_paths,
+        est = weak_order(SolverSpec(fam), model, grids, args.weak_paths,
                          RngStream(args.seed))
         _emit(args.out, f"weak_{fam}", est)
 

@@ -38,7 +38,7 @@ def main():
         ("seeds2 deterministic != dpm2", SolverSpec("seeds2"), SolverSpec("dpm2"), True),
     ]
     for label, a, b, zero_noise in pairs:
-        diff = per_step_compare(a, b, model, sched, grid, RngStream(args.seed),
+        diff = per_step_compare(a, b, model, grid, RngStream(args.seed),
                                 zero_noise=zero_noise)
         print(f"{label}: max relative per-step diff = {diff:.3e}")
 

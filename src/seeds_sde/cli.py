@@ -50,8 +50,8 @@ def _csv_rows(keys, values) -> str:
 def _run_chunk(cfg: RunConfig, offset: int, count: int, record: bool):
     """Sample paths offset..offset+count-1 on the config's grid and model; return their
     terminal.csv rows, the NFE per path and, when recording, each path's trajectory rows."""
-    res = sample(cfg.model, cfg.schedule, cfg.grid, cfg.solver, RngStream(cfg.seed),
-                 n_paths=count, path_offset=offset, record=record)
+    res = sample(cfg.model, cfg.grid, cfg.solver, RngStream(cfg.seed), n_paths=count,
+                 path_offset=offset, record=record)
     trajs = []
     if record:
         times = list(map(repr, res.times.tolist()))
@@ -98,7 +98,7 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
     if kind == "strong":
         base_steps = order_cfg.get("base_steps", 32)
         with cfg.naming_the_grid("order base_steps", base_steps):
-            est = strong_order(cfg.solver, cfg.model, cfg.schedule, base_steps=base_steps,
+            est = strong_order(cfg.solver, cfg.model, base_steps=base_steps,
                                refinements=order_cfg.get("refinements", 4),
                                n_paths=cfg.n_paths, stream=stream, workers=cfg.workers)
     else:  # the parser's choices leave "weak"
@@ -106,7 +106,7 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
         with cfg.naming_the_grid("order steps_list", steps_list):
             grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
                                         cfg.schedule) for m in steps_list]
-            est = weak_order(cfg.solver, cfg.model, cfg.schedule, grids, cfg.n_paths, stream,
+            est = weak_order(cfg.solver, cfg.model, grids, cfg.n_paths, stream,
                              workers=cfg.workers)
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     base = os.path.join(out_dir, f"order_{kind}_{cfg.solver.family}")
@@ -147,8 +147,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig) -> int:
     if not _same_model(cfg_a.model, cfg_b.model):
         raise ConfigError("compare requires identical models on both sides")
     with cfg_a.naming_the_grid("grid steps", cfg_a.grid.n_steps):
-        diff = per_step_compare(cfg_a.solver, cfg_b.solver, cfg_a.model, cfg_a.schedule,
-                                cfg_a.grid, RngStream(cfg_a.seed))
+        diff = per_step_compare(cfg_a.solver, cfg_b.solver, cfg_a.model, cfg_a.grid,
+                                RngStream(cfg_a.seed))
     verdict = "PASS" if diff < threshold else "FAIL"
     print(f"max relative per-step difference: {diff!r}")
     print(f"{verdict} (threshold {threshold!r})")

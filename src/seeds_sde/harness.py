@@ -18,8 +18,8 @@ the closed-form Gaussian flow: each chunk walks every grid's ``StepPlan``, built
 once, in lockstep from the grid's own initial rows, and step i's keyed draws
 are made once for every grid that has a step i.  Moment reductions are done
 block by block (fixed 1024-path blocks), so results do not depend on how paths
-are partitioned across workers.  Each walk reads its solver and schedule from its
-``StepPlan``, which checks them when built, so a chunk carries only plans, model and stream.
+are partitioned across workers.  Every plan is built on the model's schedule and checks
+the solver against it, so a chunk carries only plans, model and stream.
 """
 
 import collections
@@ -167,8 +167,8 @@ def _block_mean(values: np.ndarray) -> np.ndarray:
     return np.sum(sums, axis=0) / n
 
 
-def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: int,
-                 n_paths: int, stream, ref_extra: int = 2, workers: int = 1) -> OrderEstimate:
+def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_paths: int,
+                 stream, ref_extra: int = 2, workers: int = 1) -> OrderEstimate:
     """Coupled-refinement strong-order estimate for the one-stage solver.
 
     Builds ``refinements`` nested uniform-lambda grids by halving, plus a
@@ -200,6 +200,7 @@ def strong_order(spec: SolverSpec, model, sched, base_steps: int, refinements: i
                           f"for a reference grid of {base_steps} * 2**{halvings} steps; at most "
                           f"{_MAX_FINE_STEPS}")
     chunks = path_chunks(n_paths, workers)
+    sched = model.sched
     eps_end, t_top = sched.t_min, sched.t_max
 
     n_levels = refinements          # measured levels 0..refinements-1
@@ -288,7 +289,7 @@ def _weak_chunk(model, stream, plans, offset: int, count: int):
     return last
 
 
-def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
+def weak_order(spec: SolverSpec, model, grids, n_paths: int, stream,
                workers: int = 1) -> OrderEstimate:
     """Moment-error weak-order estimate over a list of grids.
 
@@ -302,6 +303,7 @@ def weak_order(spec: SolverSpec, model, sched, grids, n_paths: int, stream,
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
     chunks = path_chunks(n_paths, workers)
+    sched = model.sched
     plans = [StepPlan(spec, sched, grid) for grid in grids]   # a grid needs a real step
     widths, grids, plans = map(list, zip(*sorted(
         ((float(np.max(g.step_widths(sched))), g, plan) for g, plan in zip(grids, plans)),
@@ -359,8 +361,8 @@ def _stability_note(hs, errors, slope, notes) -> None:
         )
 
 
-def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
-                     grid: StepGrid, stream, zero_noise=False) -> float:
+def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, grid: StepGrid, stream,
+                     zero_noise=False) -> float:
     """Max relative state difference between two solvers on shared draws.
 
     Both trajectories are one ``lockstep`` group: they start from the same
@@ -370,7 +372,7 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, sched,
     so only the deterministic parts are compared.  A step that leaves a
     non-finite state on either side raises DomainError.
     """
-    plans = [StepPlan(spec_a, sched, grid), StepPlan(spec_b, sched, grid)]
+    plans = [StepPlan(spec_a, model.sched, grid), StepPlan(spec_b, model.sched, grid)]
     drawn = StepDraws(stream, 1, model.dim)
     zero = collections.defaultdict(lambda: np.zeros((1, model.dim)))   # churn's too
     draws_at = (lambda i: drawn(0) if i == 0 else zero) if zero_noise else drawn
@@ -398,11 +400,11 @@ class MomentReport:
     skewness_se: float
 
 
-def terminal_distribution_check(spec: SolverSpec, model, sched, grid: StepGrid,
-                                n_paths: int, stream) -> MomentReport:
+def terminal_distribution_check(spec: SolverSpec, model, grid: StepGrid, n_paths: int,
+                                stream) -> MomentReport:
     """Sample backward and compare terminal moments with the exact flow."""
-    oracle = _oracle_for(model, StepPlan(spec, sched, grid))
-    res = sample(model, sched, grid, spec, stream, n_paths=n_paths)
+    oracle = _oracle_for(model, StepPlan(spec, model.sched, grid))
+    res = sample(model, grid, spec, stream, n_paths=n_paths)
     terminal_t = float(grid.times[grid.n_steps - 1])
     x = res.terminal
     mean = _block_mean(x)

@@ -14,7 +14,7 @@ from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream, raw_increment_var, stage_noise_weights
 from .phi import phi
 from .schedules import Edm, VpLinear
-from .solvers import SolverSpec, sample, stages_step
+from .solvers import SolverSpec, sample, step_once
 
 
 def run_selftest(seed: int = 0) -> int:
@@ -82,9 +82,9 @@ def run_selftest(seed: int = 0) -> int:
     zm = ZeroModel(1, sched)
     x = np.array([[1.3]])
     s_t, t_t, u_t = 0.9, 0.3, 0.6
-    one = stages_step(zm, sched, x, s_t, t_t, {1: np.zeros((1, 1))})
-    two = stages_step(zm, sched, x, s_t, u_t, {1: np.zeros((1, 1))})
-    two = stages_step(zm, sched, two, u_t, t_t, {1: np.zeros((1, 1))})
+    seeds1, zero = SolverSpec("seeds1"), {1: np.zeros((1, 1))}
+    one = step_once(seeds1, zm, x, s_t, t_t, zero)
+    two = step_once(seeds1, zm, step_once(seeds1, zm, x, s_t, u_t, zero), u_t, t_t, zero)
     check("zero-model linear exactness", float(np.max(np.abs(one - two))) < 1e-12)
 
     # variance telescoping of the chained step
@@ -103,19 +103,19 @@ def run_selftest(seed: int = 0) -> int:
     model = ScoreModel(data, sched)
     grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
     diff = per_step_compare(SolverSpec("gddim"), SolverSpec("seeds1", mode="dp"),
-                            model, sched, grid, RngStream(seed))
+                            model, grid, RngStream(seed))
     check("gddim == seeds1-dp per step", diff < 1e-10)
 
     # grid endpoints and NFE accounting
     eg = edm_grid(8, 0.002, 80.0, 7.0, Edm(sigma_data=1.0))
     check("edm grid endpoints", eg.times[0] == 80.0 and eg.times[7] == 0.002 and eg.times[8] == 0.0)
     model.nfe = 0
-    res = sample(model, sched, grid, SolverSpec("seeds3"), RngStream(seed), n_paths=4)
+    res = sample(model, grid, SolverSpec("seeds3"), RngStream(seed), n_paths=4)
     check("nfe accounting k(M-1)", model.nfe == 3 * (grid.n_steps - 1) == res.nfe_per_path)
 
     # sampling determinism
-    r1_ = sample(model, sched, grid, SolverSpec("seeds2"), RngStream(seed), n_paths=8)
-    r2_ = sample(model, sched, grid, SolverSpec("seeds2"), RngStream(seed), n_paths=8)
+    r1_ = sample(model, grid, SolverSpec("seeds2"), RngStream(seed), n_paths=8)
+    r2_ = sample(model, grid, SolverSpec("seeds2"), RngStream(seed), n_paths=8)
     check("sampling determinism", bool(np.array_equal(r1_.terminal, r2_.terminal)))
 
     failed = checks.count(False)

@@ -14,11 +14,12 @@ One stage engine: ``stages_step`` has one stage per stage fraction plus one,
 in noise prediction (SEEDS-1/2/3 with draws, DPM-1/2/3 without) or in data
 prediction (seeds1-dp and ve2_sde with draws, dpm1-dp and ve2_ode_a/b
 without), over the coefficients of the first-order moves, ``np_move`` and
-``dp_move``, which ``_moved`` applies.  Every
+``dp_move``, which ``_moved`` applies; gddim and ETD exponential Euler are its
+one-move forms.  Every
 stage noise comes from ``noise.stage_noise_weights``: stage j's draw z^j is
 the increment over the j-th sub-interval of the step, split at its stage
 nodes, so all of a step's stage noises lie on one Brownian path for any
-allowed stage fractions.  dpm4, Euler-Maruyama, exponential Euler and gddim
+allowed stage fractions.  dpm4, Euler-Maruyama and Lawson's exponential Euler
 keep their own bodies.
 
 One registry: ``FAMILIES`` maps each family name to a ``Family`` descriptor
@@ -39,15 +40,15 @@ dict {stage: array} injects fixed draws.  ``lockstep`` starts a group of walks
 from their x_T and advances them together on one ``draws_at``, so a group on one
 ``StepDraws`` draws each key once.
 
-A step's time-only part depends only on the grid: its stage-node times and
-every scalar its body multiplies an array by, each product formed in the
-order the body would evaluate it.  Every form names the node function that
-returns it (``Form.nodes``), and churn has ``churn_lift``; a ``StepPlan``
-calls them once per grid, before the walk, on ``sched.cached()``, and hands
-each step its row, so a walk does only array work and model calls.  A step
-called without a row calls its node function itself.  The plan is where a
-solver meets its schedule, checking the one against the other and carrying
-both for ``walk``; ``lockstep`` hands its evaluation times to the model's
+A step's time-only part depends only on the grid and the run's one schedule,
+``model.sched``: its stage-node times and every scalar its body multiplies an
+array by, each product formed in the order the body would evaluate it.  Every
+form names the node function that returns it (``Form.nodes``), and churn has
+``churn_lift``; a ``StepPlan`` calls them once per grid, before the walk, on
+``sched.cached()``, and a step body reads only its row.  ``step_once`` computes
+a missing row on ``model.sched``.  The plan is where a solver meets its
+schedule, checking the one against the other; ``lockstep`` refuses a plan on
+another schedule than the model's, and hands its evaluation times to the model's
 optional ``prepare`` hook, which tabulates the model's time-only work.
 
 Noise-prediction coefficients come from the schedule's ``np_*`` methods, in
@@ -58,6 +59,7 @@ the lambda of the reverse SDE (``SDE``) or of the probability-flow ODE
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -139,12 +141,6 @@ class SolverSpec:
     @property
     def evals_per_step(self) -> int:
         return FAMILIES[self.family].evals
-
-    def validate_against(self, sched: ScheduleBase) -> None:
-        """Reject a schedule that this family's mode does not run on."""
-        if sched.family not in self.form.schedules:
-            raise ConfigError(f"{self.family} in mode {self.mode!r} runs on "
-                              f"{'/'.join(self.form.schedules)} schedules, not {sched.family!r}")
 
 
 class StepDraws(dict):
@@ -271,19 +267,19 @@ def euler_maruyama_nodes(sched, s, t, stochastic=True):
 
 
 def exp_euler_nodes(sched, s, t, stochastic=False, *, lawson: bool):
-    """Node function of ``exp_euler_step``: no node, Phi(t, s) and the gain of F, dt b_s
-    (``lawson``) or dt phi_1(a dt) b_s with b = ``np_rate`` and a = log(Phi) / dt (ETD)."""
+    """Node function of exponential Euler: no node, Phi(t, s) and the gain of F, dt b_s for
+    ``lawson_step`` or dt phi_1(a dt) b_s for ETD's one move (b = ``np_rate``, a = log(Phi)/dt)."""
     _check_backward(s, t, s - t)
     trans, dt = sched.np_trans(s, t, False), t - s
     b_s = sched.np_rate(s)
     if lawson:
         return (), (trans, dt * b_s)
     a_eff = math.log(trans) / dt
-    return (), (trans, dt * phi(1, a_eff * dt) * b_s)
+    return (), ((trans, dt * phi(1, a_eff * dt) * b_s, None),)
 
 
 def gddim_nodes(sched, s, t, stochastic=True):
-    """Node function of ``gddim_step`` (VP only): no node, and the move (alpha_t / alpha_s,
+    """Node function of gddim (VP only): no node, and one noisy move (alpha_t / alpha_s,
     sbar_t (sigma_t / sigma_s - sigma_s / sigma_t), sbar_t sqrt(1 - e^{-2h}))."""
     if sched.family != "vp":
         raise ConfigError("gddim requires a VP schedule")
@@ -291,8 +287,8 @@ def gddim_nodes(sched, s, t, stochastic=True):
     a_t, sg_t, sbar_t = sched.alpha_sigma(t)
     h = math.log(sg_s / sg_t)
     _check_backward(s, t, h)
-    return (), (a_t / a_s, sbar_t * (sg_t / sg_s - sg_s / sg_t),
-                sbar_t * math.sqrt(-math.expm1(-2.0 * h)))
+    return (), ((a_t / a_s, sbar_t * (sg_t / sg_s - sg_s / sg_t),
+                 sbar_t * math.sqrt(-math.expm1(-2.0 * h))),)
 
 
 def churn_lift(params: ChurnParams, sigma_t, n_steps, sched):
@@ -311,7 +307,7 @@ def churn_lift(params: ChurnParams, sigma_t, n_steps, sched):
 
 
 # -- one-step update rules: array work and model calls ------------------------
-# each takes ``nodes``, its node function's value at (s, t), and computes it when None
+# each takes (model, x_s, s, draws or None, nodes), nodes its node function's row
 
 
 def _moved(move, x_s, f, z=None):
@@ -321,8 +317,7 @@ def _moved(move, x_s, f, z=None):
     return x_u if z is None else x_u + noise * z
 
 
-def stages_step(model, sched, x_s, s, t, draws=None, fracs=(), dp=False, phi2=False,
-                nodes=None):
+def stages_step(model, x_s, s, draws, nodes, fracs=(), dp=False, phi2=False):
     """Exponential step with one stage per fraction in ``fracs`` plus one (as many model
     evaluations), in noise prediction or, with ``dp``, data prediction.
 
@@ -338,8 +333,7 @@ def stages_step(model, sched, x_s, s, t, draws=None, fracs=(), dp=False, phi2=Fa
     alpha_t = 1 and sigma_t = t, which hold on VE and EDM, where the registry
     runs it.
     """
-    times, (first, *coef) = (stage_nodes(sched, s, t, draws is not None, fracs, dp, phi2)
-                             if nodes is None else nodes)
+    times, (first, *coef) = nodes
     pred = model.data_pred if dp else model.noise_pred
     f_s = pred(x_s, s)
     z1 = None if draws is None else draws[1]
@@ -369,11 +363,11 @@ def stages_step(model, sched, x_s, s, t, draws=None, fracs=(), dp=False, phi2=Fa
     return x_t + noise * (w20 * z1 + w21 * z2 + w22 * draws[3])
 
 
-def dpm4_step(model, sched, x_s, s, t, nodes=None):
+def dpm4_step(model, x_s, s, draws, nodes):
     """Hochbruck and Ostermann's five-stage, order-4 exponential Runge-Kutta step on the
     probability-flow ODE, with nodes (1/2, 1/2, 1, 1/2)."""
     (s_mid, s4), (trans_mid, a21, a31, a32, trans_4, a41, a42, a51, a52, a54, trans_t,
-                  b1, b4, b5) = dpm4_nodes(sched, s, t) if nodes is None else nodes
+                  b1, b4, b5) = nodes
     f1 = model.noise_pred(x_s, s)
     f2 = model.noise_pred(trans_mid * x_s + a21 * f1, s_mid)
     f3 = model.noise_pred(trans_mid * x_s + a31 * f1 + a32 * f2, s_mid)
@@ -382,31 +376,19 @@ def dpm4_step(model, sched, x_s, s, t, nodes=None):
     return trans_t * x_s + b1 * f1 + b4 * f4 + b5 * f5
 
 
-def euler_maruyama_step(model, sched, x_s, s, t, draws, nodes=None):
+def euler_maruyama_step(model, x_s, s, draws, nodes):
     """Direct discretization of the reverse SDE (1 model evaluation)."""
-    _, (f, g2, dt, noise) = euler_maruyama_nodes(sched, s, t) if nodes is None else nodes
+    _, (f, g2, dt, noise) = nodes
     score = model.score_from_model(x_s, s)
     return x_s + (f * x_s - g2 * score) * dt + noise * draws[1]
 
 
-def exp_euler_step(model, sched, x_s, s, t, *, lawson: bool, nodes=None):
-    """Exponential Euler in the time variable, the ETD flavor or (``lawson``) Lawson's.
-
-    Both treat the linear part exactly through the transition factor; ETD
-    weights the frozen nonlinearity by phi_1 of the effective drift, Lawson
-    pushes it through the transition.
-    """
-    _, (trans, gain) = exp_euler_nodes(sched, s, t, lawson=lawson) if nodes is None else nodes
-    f_val = model.noise_pred(x_s, s)
-    if lawson:
-        return trans * (x_s + gain * f_val)
-    return trans * x_s + gain * f_val
-
-
-def gddim_step(model, sched, x_s, s, t, draws, nodes=None):
-    """Stochastic DDIM-style step (VP only, 1 model evaluation)."""
-    _, move = gddim_nodes(sched, s, t) if nodes is None else nodes
-    return _moved(move, x_s, model.noise_pred(x_s, s), draws[1])
+def lawson_step(model, x_s, s, draws, nodes):
+    """Lawson's exponential Euler in the time variable: the frozen nonlinearity pushed
+    through the exact transition, trans (x_s + gain F), which rounds differently from
+    ETD's one move trans x_s + gain F."""
+    _, (trans, gain) = nodes
+    return trans * (x_s + gain * model.noise_pred(x_s, s))
 
 
 def churn_inject(x, lift, noise):
@@ -472,11 +454,11 @@ FAMILIES = {
     "dpm4": Family(5, {"np": Form(dpm4_step, dpm4_nodes, _NP_SCHEDULES, takes_draws=False)}),
     "euler_maruyama": Family(1, {"np": Form(euler_maruyama_step, euler_maruyama_nodes,
                                             _ALL_SCHEDULES)}),
-    "exp_euler_etd": Family(1, {"np": Form(exp_euler_step, exp_euler_nodes, _NP_SCHEDULES,
-                                           {"lawson": False}, takes_draws=False)}),
-    "exp_euler_lawson": Family(1, {"np": Form(exp_euler_step, exp_euler_nodes, _NP_SCHEDULES,
-                                              {"lawson": True}, takes_draws=False)}),
-    "gddim": Family(1, {"np": Form(gddim_step, gddim_nodes, ("vp",))}),
+    "exp_euler_etd": Family(1, {"np": Form(stages_step, partial(exp_euler_nodes, lawson=False),
+                                           _NP_SCHEDULES, takes_draws=False)}),
+    "exp_euler_lawson": Family(1, {"np": Form(lawson_step, partial(exp_euler_nodes, lawson=True),
+                                              _NP_SCHEDULES, takes_draws=False)}),
+    "gddim": Family(1, {"np": Form(stages_step, gddim_nodes, ("vp",))}),
     "ve2_ode_a": Family(2, {"dp": _staged(False, _SIGMA_SCHEDULES, dp=True)}, *_R1),
     "ve2_ode_b": Family(2, {"dp": _staged(False, _SIGMA_SCHEDULES, dp=True, phi2=True)}, *_R1),
     "ve2_sde": Family(2, {"dp": _staged(True, _SIGMA_SCHEDULES, dp=True)}, *_R1),
@@ -484,17 +466,20 @@ FAMILIES = {
 STAGE_PARAMS = tuple(dict.fromkeys(key for desc in FAMILIES.values() for key in desc.params))
 
 
-def step_once(spec: SolverSpec, model, sched, x, s, t, draws, nodes=None):
-    """One step of the spec's family in the spec's mode; ``nodes`` is the value of its
-    node function at (s, t) when a plan has it, and the step computes it otherwise."""
-    args = (model, sched, x, s, t, draws) if spec.form.takes_draws else (model, sched, x, s, t)
-    return spec.form.step(*args, nodes=nodes, **spec.step_kwargs)
+def step_once(spec: SolverSpec, model, x, s, t, draws, nodes=None):
+    """One step of the spec's family in the spec's mode from s to t; ``nodes`` is the value
+    of its node function at (s, t) when a plan has it, and is computed here on
+    ``model.sched`` otherwise.  A form without draws gets None for them."""
+    form, kwargs = spec.form, spec.step_kwargs
+    nodes = form.nodes(model.sched, s, t, form.takes_draws, **kwargs) if nodes is None else nodes
+    return form.step(model, x, s, draws if form.takes_draws else None, nodes, **kwargs)
 
 
 class StepPlan:
     """The time-only work of one (spec, schedule, grid), done once before its walk, and
-    the one place a solver meets a schedule: it checks them (``validate_against``) and
-    keeps them, as ``spec`` and ``sched``, for the walk, with the grid's top time ``top``.
+    the one place a solver meets a schedule: a schedule the spec's form does not run on
+    is a ConfigError, and the plan keeps both, as ``spec`` and ``sched``, with the grid's
+    top time ``top``.  ``lockstep`` walks it only with a model on an equal schedule.
 
     ``rows[i - 1]`` belongs to real step i from t_{i-1} to t_i and holds
     (t_i, lift, start, nodes): churn's ``churn_lift`` at t_{i-1} (None where
@@ -505,8 +490,10 @@ class StepPlan:
     A grid without a real step is a GridError.
     """
 
-    def __init__(self, spec: SolverSpec, sched, grid: StepGrid):
-        spec.validate_against(sched)
+    def __init__(self, spec: SolverSpec, sched: ScheduleBase, grid: StepGrid):
+        if sched.family not in spec.form.schedules:
+            raise ConfigError(f"{spec.family} in mode {spec.mode!r} runs on "
+                              f"{'/'.join(spec.form.schedules)} schedules, not {sched.family!r}")
         self.spec, self.sched = spec, sched
         form, grid_times, rows = spec.form, grid.times.tolist(), []
         self.top = grid_times[0]
@@ -536,12 +523,12 @@ def walk(model, plan: StepPlan, draws_at, x):
     the state from the stage-0 draw first.  A step that leaves a NaN or
     infinity raises DomainError naming step i and its time.
     """
-    spec, sched = plan.spec, plan.sched
+    spec = plan.spec
     for i, (t, lift, start, nodes) in enumerate(plan.rows, start=1):
         draws = draws_at(i)
         if lift is not None:
             x = churn_inject(x, lift, draws[0])
-        x = step_once(spec, model, sched, x, start, t, draws, nodes)
+        x = step_once(spec, model, x, start, t, draws, nodes)
         if not np.isfinite(x).all():
             raise DomainError(f"non-finite state after step {i} at t={t!r}")
         yield x
@@ -552,7 +539,12 @@ def lockstep(model, plans, draws_at):
     sigma_bar(top) ``draws_at(0)[0]``, then after each step i, a plan past its last step
     keeping its last.  Between the draw and the first yield the model's optional
     ``prepare`` hook gets every plan's ``times()`` at once: a table per walk would evict
-    the others.  Step i's walks read one ``draws_at(i)``: a ``StepDraws`` draws each key once."""
+    the others.  Step i's walks read one ``draws_at(i)``: a ``StepDraws`` draws each key once.
+    A plan built on a schedule other than ``model.sched`` is a ConfigError: the model's
+    scores belong to its own schedule."""
+    if (bad := next((plan for plan in plans if plan.sched != model.sched), None)) is not None:
+        raise ConfigError(f"a {bad.spec.family} plan on schedule {bad.sched!r} cannot walk a "
+                          f"model on schedule {model.sched!r}")
     states = [plan.sched.alpha_sigma(plan.top)[2] * draws_at(0)[0] for plan in plans]
     prepare = getattr(model, "prepare", None)
     if prepare is not None:
@@ -574,18 +566,18 @@ class SampleResult:
     trajectory: np.ndarray | None   # (M+1, n, d) when recorded
 
 
-def sample(model, sched, grid: StepGrid, spec: SolverSpec, stream, n_paths=1,
-           path_offset=0, record=False) -> SampleResult:
+def sample(model, grid: StepGrid, spec: SolverSpec, stream, n_paths=1, path_offset=0,
+           record=False) -> SampleResult:
     """Run the iterative procedure over the grid for a batch of trajectories.
 
     Steps i = 1..M-1 apply the solver; the final interval is the trivial
     step (the state is carried over unchanged, no model call), so the total
-    cost is evals_per_step * (M - 1) per path.  The grid's plan, which checks
-    the solver against the schedule, is built first, and ``lockstep`` runs it
+    cost is evals_per_step * (M - 1) per path.  The grid's plan on the model's
+    schedule, which checks the solver against it, is built first, and ``lockstep`` runs it
     alone from x_T ~ N(0, sigma_bar(t_0)^2 I).  A step that leaves a non-finite
     state raises DomainError naming the step and its time.
     """
-    plan = StepPlan(spec, sched, grid)
+    plan = StepPlan(spec, model.sched, grid)
     traj = []
     for [x] in lockstep(model, [plan], StepDraws(stream, n_paths, model.dim, path_offset)):
         if record:

@@ -29,8 +29,8 @@ def mixture_model(vp):
 class ConstantModel:
     """Stub network returning fixed values; used by degeneration tests."""
 
-    def __init__(self, d, noise_value=0.0, data_value=0.0):
-        self._d = d
+    def __init__(self, d, sched, noise_value=0.0, data_value=0.0):
+        self._d, self.sched = d, sched
         self.noise_value = noise_value
         self.data_value = data_value
         self.nfe = 0
@@ -62,7 +62,7 @@ class NanFromModel:
 
     def __init__(self, model, start):
         self.model, self.start, self.calls = model, start, 0
-        self.dim = model.dim
+        self.dim, self.sched = model.dim, model.sched
 
     def noise_pred(self, x, t):
         self.calls += 1

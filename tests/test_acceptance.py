@@ -52,9 +52,9 @@ def gauss_model(vp):
     return ScoreModel(DataDistribution.standard_normal(1), vp)
 
 
-def test_criterion_1_strong_order(vp, gauss_model):
+def test_criterion_1_strong_order(gauss_model):
     t0 = time.perf_counter()
-    est = strong_order(SolverSpec("seeds1"), gauss_model, vp, base_steps=32,
+    est = strong_order(SolverSpec("seeds1"), gauss_model, base_steps=32,
                        refinements=4, n_paths=10_000, stream=RngStream(5))
     elapsed = time.perf_counter() - t0
     ok = 0.8 <= est.slope <= 1.2 and est.r2 >= 0.95 and elapsed < 120.0
@@ -72,7 +72,7 @@ def test_criterion_2_weak_order(vp, gauss_model):
     results = {}
     for fam, steps in (("seeds2", (14, 17, 21, 25)), ("seeds3", (14, 17, 21, 26))):
         grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in steps]
-        est = weak_order(SolverSpec(fam), gauss_model, vp, grids, 100_000, RngStream(3))
+        est = weak_order(SolverSpec(fam), gauss_model, grids, 100_000, RngStream(3))
         results[fam] = est
     elapsed = time.perf_counter() - t0
     ok = elapsed < 600.0
@@ -86,14 +86,15 @@ def test_criterion_2_weak_order(vp, gauss_model):
 
 
 def test_criterion_3_linear_exactness(vp):
-    from seeds_sde.solvers import stages_step
+    from seeds_sde.solvers import step_once
 
     zm = ZeroModel(1, vp)
     x = np.array([1.3])
     s, u, t = 0.9, 0.55, 0.2
     zd = {1: np.zeros(1)}
-    one = stages_step(zm, vp, x, s, t, zd)
-    two = stages_step(zm, vp, stages_step(zm, vp, x, s, u, zd), u, t, zd)
+    seeds1 = SolverSpec("seeds1")
+    one = step_once(seeds1, zm, x, s, t, zd)
+    two = step_once(seeds1, zm, step_once(seeds1, zm, x, s, u, zd), u, t, zd)
     mean_ok = float(np.max(np.abs(one - two))) <= 1e-12 * float(np.max(np.abs(one)))
 
     lam = vp.lambda_of_t
@@ -111,7 +112,7 @@ def test_criterion_3_linear_exactness(vp):
 def test_criterion_4_gddim_equivalence(vp, gauss_model):
     grid = linear_lambda_grid(30, vp.t_min, vp.t_max, vp)
     diff = per_step_compare(SolverSpec("gddim"), SolverSpec("seeds1", mode="dp"),
-                            gauss_model, vp, grid, RngStream(4))
+                            gauss_model, grid, RngStream(4))
     report(4, f"gddim vs seeds1-dp per-step max relative diff {diff:.3e} < 1e-10",
            diff < 1e-10)
 
@@ -119,10 +120,10 @@ def test_criterion_4_gddim_equivalence(vp, gauss_model):
 def test_criterion_5_solver_separations(vp, gauss_model, moments_within):
     grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
     gap_dpm = per_step_compare(SolverSpec("seeds1"), SolverSpec("dpm1"), gauss_model,
-                               vp, grid, RngStream(4), zero_noise=True)
+                               grid, RngStream(4), zero_noise=True)
     gap_mode = per_step_compare(SolverSpec("seeds1", mode="np"),
                                 SolverSpec("seeds1", mode="dp"),
-                                gauss_model, vp, grid, RngStream(4))
+                                gauss_model, grid, RngStream(4))
     separated = gap_dpm > 1e-6 and gap_mode > 1e-6
 
     # each pair member still recovers the target law (order-1 members need
@@ -130,8 +131,8 @@ def test_criterion_5_solver_separations(vp, gauss_model, moments_within):
     recovers = True
     for fam, mode, m in (("seeds1", "np", 91), ("seeds1", "dp", 1001), ("dpm1", "np", 601)):
         g = linear_lambda_grid(m, vp.t_min, vp.t_max, vp)
-        rep = terminal_distribution_check(SolverSpec(fam, mode=mode), gauss_model, vp,
-                                          g, 100_000, RngStream(11))
+        rep = terminal_distribution_check(SolverSpec(fam, mode=mode), gauss_model, g, 100_000,
+                                          RngStream(11))
         recovers = recovers and moments_within(rep, 5.0, 0.02)
     report(5, f"per-step gaps (seeds1|dpm1)={gap_dpm:.3e}, (np|dp)={gap_mode:.3e} "
               "> 1e-6 while every member recovers the target law", separated and recovers)
@@ -141,14 +142,14 @@ def test_criterion_6_distribution_recovery(vp, gauss_model, moments_within):
     # the continuous-model sampling configuration: sigma ladder with default
     # rho = 7 mapped through the VP schedule, M = 31 (NFE 90)
     grid = edm_grid(31, 0.0032, 80.0, 7.0, vp)
-    rep = terminal_distribution_check(SolverSpec("seeds3"), gauss_model, vp, grid,
+    rep = terminal_distribution_check(SolverSpec("seeds3"), gauss_model, grid,
                                       100_000, RngStream(11))
     gauss_ok = moments_within(rep, 5.0, 0.02)
 
     data = DataDistribution(np.array([0.5, 0.5]), np.array([[1.5], [-1.5]]),
                             np.ones((2, 1)))
     mix_model = ScoreModel(data, vp)
-    rep_mix = terminal_distribution_check(SolverSpec("seeds3"), mix_model, vp, grid,
+    rep_mix = terminal_distribution_check(SolverSpec("seeds3"), mix_model, grid,
                                           100_000, RngStream(11))
     mix_ok = bool(np.all(np.abs(rep_mix.skewness) <= 5.0 * rep_mix.skewness_se))
     report(6, f"seeds3/M=31/1e5 paths: mean within 5SE, cov diag {rep.cov_diag[0]:.4f} "
@@ -242,7 +243,7 @@ def test_criterion_9_grid_contract(vp, gauss_model):
     nfe_ok = True
     for fam, k in (("seeds1", 1), ("seeds2", 2), ("seeds3", 3)):
         gauss_model.nfe = 0
-        res = sample(gauss_model, vp, lgrid, SolverSpec(fam), RngStream(0), n_paths=2)
+        res = sample(gauss_model, lgrid, SolverSpec(fam), RngStream(0), n_paths=2)
         nfe_ok = nfe_ok and gauss_model.nfe == k * 12 == res.nfe_per_path
     gauss_model.nfe = 0
     report(9, "edm grid endpoints exact, degenerate grids raise the named error, "

@@ -446,7 +446,7 @@ def test_strong_order_api_locked(ref_extra):
     sched_cls, digest = API_STRONG_LOCKED[ref_extra]
     sched = sched_cls()
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
-    est = strong_order(SolverSpec("seeds1"), model, sched, 4, 3, 60, RngStream(8),
+    est = strong_order(SolverSpec("seeds1"), model, 4, 3, 60, RngStream(8),
                        ref_extra=ref_extra)
     assert hashlib.sha256((est.to_csv() + est.to_json()).encode()).hexdigest() == digest
 
@@ -454,7 +454,7 @@ def test_strong_order_api_locked(ref_extra):
 def test_strong_order_api_locked_at_a_high_stride_ratio():
     sched = VpLinear()
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
-    est = strong_order(SolverSpec("seeds1"), model, sched, 1, 8, 64, RngStream(21))
+    est = strong_order(SolverSpec("seeds1"), model, 1, 8, 64, RngStream(21))
     digest = hashlib.sha256((est.to_csv() + est.to_json()).encode()).hexdigest()
     assert digest == API_STRONG_HIGH_RATIO_LOCKED
 
@@ -481,7 +481,7 @@ def test_zero_noise_compare_locked(name):
     sched = make_schedule(kind)
     model = ScoreModel(DataDistribution.from_components(_MIXTURE["components"]), sched)
     grid = linear_lambda_grid(20, sched.t_min, sched.t_max, sched)
-    diff = per_step_compare(SolverSpec(fam_a), SolverSpec(fam_b), model, sched, grid,
+    diff = per_step_compare(SolverSpec(fam_a), SolverSpec(fam_b), model, grid,
                             RngStream(9), zero_noise=True)
     assert repr(diff) == ZERO_NOISE_COMPARE_LOCKED[name]
 
@@ -493,7 +493,7 @@ def test_zero_noise_churn_compare_locked(name):
     model = ScoreModel(DataDistribution.from_components(_MIXTURE["components"]), sched)
     grid = linear_lambda_grid(20, sched.t_min, sched.t_max, sched)
     churned = SolverSpec(fam_a, churn=ChurnParams(**_CHURN))
-    diff = per_step_compare(churned, SolverSpec(fam_b), model, sched, grid, RngStream(9),
+    diff = per_step_compare(churned, SolverSpec(fam_b), model, grid, RngStream(9),
                             zero_noise=True)
     assert repr(diff) == ZERO_NOISE_CHURN_COMPARE_LOCKED[name]
 

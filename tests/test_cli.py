@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import math
 import os
 import pickle
 import re
@@ -999,6 +1000,18 @@ def _python(*args, cwd=None):
                           text=True, timeout=120, check=False)
 
 
+def test_readme_library_example_runs(tmp_path):
+    # README's one python block, as written, in a fresh interpreter with src on the path
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        blocks = fh.read().split("```")[1::2]
+    (example,) = [block.removeprefix("python") for block in blocks if block.startswith("python")]
+    proc = _python("-c", example, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    means, nfe = re.fullmatch(r"\[(.*)\] (\d+)\n", proc.stdout, re.S).groups()
+    assert nfe == "90"
+    assert len(means.split()) == 2 and all(math.isfinite(float(m)) for m in means.split())
+
+
 @pytest.mark.parametrize("argv", [
     ["--solver", "seeds3", "--steps", "11", "--paths", "50", "--workers", "1"],
     # two chunks of 1024: a pool of two forks after the freeze
@@ -1035,9 +1048,9 @@ def test_only_main_freezes_the_heap(tmp_path):
 
         cfg = load_config(None, {})
         sched, model = cfg.schedule, cfg.build_model()
-        sample(model, sched, cfg.build_grid(), cfg.solver, RngStream(0), n_paths=3)
+        sample(model, cfg.build_grid(), cfg.solver, RngStream(0), n_paths=3)
         grids = [linear_lambda_grid(m, sched.t_min, sched.t_max, sched) for m in (4, 5, 6)]
-        weak_order(SolverSpec("seeds1"), model, sched, grids, 2048, RngStream(0), workers=2)
+        weak_order(SolverSpec("seeds1"), model, grids, 2048, RngStream(0), workers=2)
         counts = {"library": gc.get_freeze_count()}
         fan_out = cli.fan_out
 

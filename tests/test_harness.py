@@ -63,17 +63,17 @@ def test_oracle_moments_mixture(vp, mixture_model):
     assert oracle.moment(t, 4)[0] == pytest.approx(want4, rel=1e-12)
 
 
-def test_strong_order_requires_seeds1(vp, gauss_model):
+def test_strong_order_requires_seeds1(gauss_model):
     with pytest.raises(ConfigError):
-        strong_order(SolverSpec("seeds2"), gauss_model, vp, 8, 4, 100, RngStream(0))
+        strong_order(SolverSpec("seeds2"), gauss_model, 8, 4, 100, RngStream(0))
     with pytest.raises(ConfigError):
-        strong_order(SolverSpec("seeds1"), gauss_model, vp, 8, 2, 100, RngStream(0))
+        strong_order(SolverSpec("seeds1"), gauss_model, 8, 2, 100, RngStream(0))
 
 
-def test_strong_order_rejects_churn(vp, gauss_model):
+def test_strong_order_rejects_churn(gauss_model):
     churned = SolverSpec("seeds1", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
     with pytest.raises(ConfigError, match="churn"):
-        strong_order(churned, gauss_model, vp, 4, 3, 10, RngStream(0))
+        strong_order(churned, gauss_model, 4, 3, 10, RngStream(0))
 
 
 @pytest.mark.parametrize("sched", [VpLinear(), VpCosine(), Edm()], ids=["vp", "vp_cosine", "edm"])
@@ -81,7 +81,7 @@ def test_strong_order_zero_model_reported_exact(sched):
     # the zero model makes the one-stage step exact, so every level lands on
     # the reference only if each coupled draw is normalised to its step
     zm = ZeroModel(2, sched)
-    est = strong_order(SolverSpec("seeds1"), zm, sched, 4, 3, 200, RngStream(1))
+    est = strong_order(SolverSpec("seeds1"), zm, 4, 3, 200, RngStream(1))
     assert max(est.errors) < 1e-12
     assert math.isnan(est.slope)
     assert any("exact" in n for n in est.notes)
@@ -98,11 +98,11 @@ def test_strong_order_steps_and_nfe(vp, monkeypatch):
 
     monkeypatch.setattr(solvers, "step_once", counting)
     zm = ZeroModel(1, vp)
-    strong_order(SolverSpec("seeds1"), zm, vp, 4, 3, 20, RngStream(1))
+    strong_order(SolverSpec("seeds1"), zm, 4, 3, 20, RngStream(1))
     assert len(calls) == zm.nfe == 64 + 4 + 8 + 16 == 92
 
 
-def test_strong_order_reads_lambda_once_per_plan_node_and_fine_time(vp, gauss_model, monkeypatch):
+def test_strong_order_reads_lambda_once_per_plan_node_and_fine_time(gauss_model, monkeypatch):
     # base 32, 4 refinements: lambda once at each node of each level's plan,
     # 1,025 (the reference) + 257 + 129 + 65 + 33, at the fine grid's two end
     # points, and once more at each of the 1,025 fine times the coupled draws read
@@ -113,12 +113,12 @@ def test_strong_order_reads_lambda_once_per_plan_node_and_fine_time(vp, gauss_mo
         return lambda_of_t(self, *args, **kwargs)
 
     monkeypatch.setattr(ScheduleBase, "lambda_of_t", counting)
-    strong_order(SolverSpec("seeds1"), gauss_model, vp, 32, 4, 10, RngStream(3))
+    strong_order(SolverSpec("seeds1"), gauss_model, 32, 4, 10, RngStream(3))
     assert len(calls) == 1025 + 257 + 129 + 65 + 33 + 2 + 1025 == 2536
 
 
-def test_strong_order_small_run_sane(vp, gauss_model):
-    est = strong_order(SolverSpec("seeds1"), gauss_model, vp, 16, 3, 2000, RngStream(7))
+def test_strong_order_small_run_sane(gauss_model):
+    est = strong_order(SolverSpec("seeds1"), gauss_model, 16, 3, 2000, RngStream(7))
     assert len(est.h_values) == 3
     assert all(e > 0 for e in est.errors)
     assert all(s >= 0 for s in est.ses)
@@ -129,27 +129,27 @@ def test_strong_order_small_run_sane(vp, gauss_model):
     assert '"slope"' in est.to_json()
 
 
-def test_strong_order_slope_stable_under_path_doubling(vp, gauss_model):
-    est1 = strong_order(SolverSpec("seeds1"), gauss_model, vp, 32, 4, 2000, RngStream(13))
-    est2 = strong_order(SolverSpec("seeds1"), gauss_model, vp, 32, 4, 4000, RngStream(13))
+def test_strong_order_slope_stable_under_path_doubling(gauss_model):
+    est1 = strong_order(SolverSpec("seeds1"), gauss_model, 32, 4, 2000, RngStream(13))
+    est2 = strong_order(SolverSpec("seeds1"), gauss_model, 32, 4, 4000, RngStream(13))
     tol = max(est1.slope_se, est2.slope_se)
     assert abs(est1.slope - est2.slope) <= 3.0 * tol
 
 
-def test_strong_order_stores_no_fine_path_array(vp, gauss_model):
+def test_strong_order_stores_no_fine_path_array(gauss_model):
     # base 16, 3 refinements and the reference 2 halvings further: 256 fine
     # steps, so one (m_fine, n, d) float array is 256 * 4000 * 8 bytes
     n_paths = 4000
     tracemalloc.start()
     try:
-        strong_order(SolverSpec("seeds1"), gauss_model, vp, 16, 3, n_paths, RngStream(5))
+        strong_order(SolverSpec("seeds1"), gauss_model, 16, 3, n_paths, RngStream(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 256 * n_paths * 8
 
 
-def test_strong_order_chunk_memory_does_not_grow_with_the_stride_ratio(vp, gauss_model):
+def test_strong_order_chunk_memory_does_not_grow_with_the_stride_ratio(gauss_model):
     # base 1, 8 refinements and the reference 2 halvings further: 512 fine steps
     # per level-0 step.  A window of one level-0 step of fine increments would
     # alone be 512 * 2048 * 8 B = 8 MiB; running sums are 8 levels of 2048
@@ -157,7 +157,7 @@ def test_strong_order_chunk_memory_does_not_grow_with_the_stride_ratio(vp, gauss
     # with such a window and 0.8 MiB with the running sums.
     tracemalloc.start()
     try:
-        strong_order(SolverSpec("seeds1"), gauss_model, vp, 1, 8, 2048, RngStream(5))
+        strong_order(SolverSpec("seeds1"), gauss_model, 1, 8, 2048, RngStream(5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -198,13 +198,13 @@ def test_a_path_count_below_one_is_a_config_error(vp, gauss_model, n_paths):
     with pytest.raises(ConfigError, match=f"need at least one path, got {n_paths}"):
         path_chunks(n_paths, 2)
     with pytest.raises(ConfigError, match=f"got {n_paths}"):
-        strong_order(SolverSpec("seeds1"), gauss_model, vp, 4, 3, n_paths, RngStream(0))
+        strong_order(SolverSpec("seeds1"), gauss_model, 4, 3, n_paths, RngStream(0))
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7, 10)]
     with pytest.raises(ConfigError, match=f"got {n_paths}"):
-        weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, n_paths, RngStream(0))
+        weak_order(SolverSpec("seeds2"), gauss_model, grids, n_paths, RngStream(0))
 
 
-def test_coupled_path_bytes_do_not_depend_on_its_chunk(vp, gauss_model, monkeypatch, chunks_of):
+def test_coupled_path_bytes_do_not_depend_on_its_chunk(gauss_model, monkeypatch, chunks_of):
     # a lone path's coarse draws are summed in the order a pair's are: strides 16,
     # 8 and 4 add 16, 8 and 4 fine increments
     rows, fan_out = [], harness.fan_out
@@ -217,7 +217,7 @@ def test_coupled_path_bytes_do_not_depend_on_its_chunk(vp, gauss_model, monkeypa
     monkeypatch.setattr(harness, "fan_out", recording)
     for size in (1, 2):
         chunks_of(harness, size)
-        strong_order(SolverSpec("seeds1"), gauss_model, vp, 8, 3, 2, RngStream(1))
+        strong_order(SolverSpec("seeds1"), gauss_model, 8, 3, 2, RngStream(1))
     (sup_1, ref_1), (sup_2, ref_2) = rows
     assert sup_1.tobytes() == sup_2.tobytes() and ref_1.tobytes() == ref_2.tobytes()
 
@@ -234,14 +234,14 @@ def test_harness_draws_only_what_its_walks_cannot_share(vp, gauss_model, monkeyp
     # zero-noise compare draws the initial state only, even where churn lifts
     churned = SolverSpec("seeds3", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
     grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
-    per_step_compare(churned, SolverSpec("seeds2"), gauss_model, vp, grid, RngStream(3),
+    per_step_compare(churned, SolverSpec("seeds2"), gauss_model, grid, RngStream(3),
                      zero_noise=True)
     assert calls == [(0, 0, 0)]
     # strong order: per chunk, the initial state and each of the m_fine = 2 * 2**3 fine
     # increments, every one on stage 0, shared by all levels
     calls.clear()
     chunks_of(harness, 3)
-    strong_order(SolverSpec("seeds1"), gauss_model, vp, base_steps=2, refinements=3,
+    strong_order(SolverSpec("seeds1"), gauss_model, base_steps=2, refinements=3,
                  n_paths=5, stream=RngStream(3), ref_extra=1)
     assert calls == [(step, 0, offset) for offset in (0, 3) for step in range(1 + 16)]
 
@@ -263,17 +263,17 @@ def test_weak_order_and_compare_draw_each_key_once(vp, gauss_model, draw_calls, 
     # weak order: per chunk, the initial draw and seeds2's stages 1 and 2 at each of the
     # longest grid's 9 real steps, every one shared by the grids that have that step
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7, 10)]
-    weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 2000, RngStream(3), workers=1)
+    weak_order(SolverSpec("seeds2"), gauss_model, grids, 2000, RngStream(3), workers=1)
     assert draw_calls == {(0, 0, 0): 1, **{(0, i, k): 1 for i in range(1, 10) for k in (1, 2)}}
     draw_calls.clear()
     chunks_of(harness, 1024)
-    weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 2000, RngStream(3), workers=1)
+    weak_order(SolverSpec("seeds2"), gauss_model, grids, 2000, RngStream(3), workers=1)
     assert draw_calls == {(offset, i, k): 1 for offset in (0, 1024)
                           for i, k in [(0, 0)] + [(i, k) for i in range(1, 10) for k in (1, 2)]}
     # compare: seeds2 reads stages 1 and 2 of the ones seeds3 draws, at each of 11 steps
     draw_calls.clear()
     grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
-    per_step_compare(SolverSpec("seeds3"), SolverSpec("seeds2"), gauss_model, vp, grid,
+    per_step_compare(SolverSpec("seeds3"), SolverSpec("seeds2"), gauss_model, grid,
                      RngStream(3))
     assert draw_calls == {(0, 0, 0): 1, **{(0, i, k): 1 for i in range(1, 12) for k in (1, 2, 3)}}
 
@@ -293,10 +293,10 @@ def test_weak_order_walks_each_grid_as_sample_does(vp, gauss_model, monkeypatch,
     monkeypatch.setattr(harness, "fan_out", recording)
     chunks_of(harness, 700)
     spec = SolverSpec("seeds3", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
-    est = weak_order(spec, gauss_model, vp, grids, 2000, RngStream(3))
+    est = weak_order(spec, gauss_model, grids, 2000, RngStream(3))
     assert est.h_values == sorted(est.h_values, reverse=True) and len(results) == 3
     for g, grid in enumerate(grids):
-        want = solvers.sample(gauss_model, vp, grid, spec, RngStream(3), n_paths=2000).terminal
+        want = solvers.sample(gauss_model, grid, spec, RngStream(3), n_paths=2000).terminal
         assert np.concatenate([chunk[g] for chunk in results]).tobytes() == want.tobytes()
 
 
@@ -305,8 +305,8 @@ def test_a_grid_without_a_real_step_is_a_grid_error(vp, gauss_model):
     bare = object.__new__(StepGrid)
     object.__setattr__(bare, "times", np.array([vp.t_max, 0.0]))
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7)] + [bare]
-    for run in (lambda: solvers.sample(gauss_model, vp, bare, SolverSpec("seeds2"), RngStream(0)),
-                lambda: weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 10,
+    for run in (lambda: solvers.sample(gauss_model, bare, SolverSpec("seeds2"), RngStream(0)),
+                lambda: weak_order(SolverSpec("seeds2"), gauss_model, grids, 10,
                                    RngStream(0))):
         with pytest.raises(GridError, match=r"grid needs at least one real step \(M >= 2\)"):
             run()
@@ -318,7 +318,7 @@ def test_weak_order_rejects_a_non_finite_state_in_any_grid(vp, gauss_model, nan_
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7, 10)]
     t = float(grids[1].times[2])
     with pytest.raises(DomainError, match=f"non-finite state after step 2 at t={t!r}"):
-        weak_order(SolverSpec("seeds1"), nan_from_model(gauss_model, 5), vp, grids, 10,
+        weak_order(SolverSpec("seeds1"), nan_from_model(gauss_model, 5), grids, 10,
                    RngStream(0))
 
 
@@ -339,13 +339,13 @@ def test_coupling_variance_end_to_end(vp):
 def test_weak_order_needs_three_grids(vp, gauss_model):
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (8, 12)]
     with pytest.raises(ConfigError):
-        weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 100, RngStream(0))
+        weak_order(SolverSpec("seeds2"), gauss_model, grids, 100, RngStream(0))
 
 
 def test_weak_order_zero_model_all_excluded(vp):
     zm = ZeroModel(1, vp)
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (6, 9, 14)]
-    est = weak_order(SolverSpec("seeds1"), zm, vp, grids, 20_000, RngStream(5))
+    est = weak_order(SolverSpec("seeds1"), zm, grids, 20_000, RngStream(5))
     assert est.excluded == [0, 1, 2]
     assert math.isnan(est.slope)
 
@@ -356,7 +356,7 @@ def test_weak_order_oracle_follows_each_grid_top_time(vp):
     zm = ZeroModel(1, vp)
     grids = [linear_lambda_grid(14, vp.t_min, 0.5, vp)]
     grids += [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (17, 21, 26)]
-    est = weak_order(SolverSpec("seeds1"), zm, vp, grids, 20_000, RngStream(3))
+    est = weak_order(SolverSpec("seeds1"), zm, grids, 20_000, RngStream(3))
     assert est.excluded == [0, 1, 2, 3]
     assert all(err < 3.0 * se for err, se in zip(est.errors, est.ses))
 
@@ -371,10 +371,10 @@ def test_zero_model_law_of_a_form_without_draws_is_the_noiseless_flow(family, mo
     # sbar_0^2 and not the reverse SDE's: every weak-order error is Monte Carlo noise
     zm, spec = ZeroModel(1, sched), SolverSpec(family, mode=mode)
     grids = [linear_lambda_grid(m, sched.t_min, sched.t_max, sched) for m in (6, 9, 14)]
-    est = weak_order(spec, zm, sched, grids, 20_000, RngStream(5))
+    est = weak_order(spec, zm, grids, 20_000, RngStream(5))
     assert est.excluded == [0, 1, 2] and math.isnan(est.slope), est.errors
     n, grid = 20_000, grids[-1]
-    rep = terminal_distribution_check(spec, zm, sched, grid, n, RngStream(8))
+    rep = terminal_distribution_check(spec, zm, grid, n, RngStream(8))
     a_0, _, sbar_0 = sched.alpha_sigma(float(grid.times[0]))
     var = (sched.alpha_sigma(float(grid.times[-2]))[0] / a_0) ** 2 * sbar_0**2
     assert rep.target_cov_diag[0] == pytest.approx(var, rel=1e-12)
@@ -383,40 +383,40 @@ def test_zero_model_law_of_a_form_without_draws_is_the_noiseless_flow(family, mo
 
 def test_weak_order_euler_maruyama_order_one(vp, gauss_model):
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (14, 21, 32, 48)]
-    est_em = weak_order(SolverSpec("euler_maruyama"), gauss_model, vp, grids, 50_000,
+    est_em = weak_order(SolverSpec("euler_maruyama"), gauss_model, grids, 50_000,
                         RngStream(9))
     assert est_em.excluded == []
     assert 0.8 <= est_em.slope <= 1.8
     # the one-stage exponential solver beats it pointwise at matched NFE
-    est_s1 = weak_order(SolverSpec("seeds1"), gauss_model, vp, grids, 50_000, RngStream(9))
+    est_s1 = weak_order(SolverSpec("seeds1"), gauss_model, grids, 50_000, RngStream(9))
     for e_em, e_s1 in zip(est_em.errors, est_s1.errors):
         assert e_s1 < e_em
 
 
 def test_weak_order_sorts_grids_by_step_size(vp, gauss_model):
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (25, 16, 30, 20)]
-    est = weak_order(SolverSpec("seeds2"), gauss_model, vp, grids, 20_000, RngStream(3))
+    est = weak_order(SolverSpec("seeds2"), gauss_model, grids, 20_000, RngStream(3))
     assert est.h_values == sorted(est.h_values, reverse=True)
 
 
 def test_per_step_compare_reflexive(vp, gauss_model):
     grid = linear_lambda_grid(10, vp.t_min, vp.t_max, vp)
-    diff = per_step_compare(SolverSpec("seeds1"), SolverSpec("seeds1"), gauss_model, vp,
-                            grid, RngStream(2))
+    diff = per_step_compare(SolverSpec("seeds1"), SolverSpec("seeds1"), gauss_model, grid,
+                            RngStream(2))
     assert diff == 0.0
 
 
 def test_per_step_compare_gddim_vs_seeds1dp(vp, gauss_model):
     grid = linear_lambda_grid(30, vp.t_min, vp.t_max, vp)
     diff = per_step_compare(SolverSpec("gddim"), SolverSpec("seeds1", mode="dp"),
-                            gauss_model, vp, grid, RngStream(4))
+                            gauss_model, grid, RngStream(4))
     assert diff < 1e-10
 
 
 def test_per_step_compare_seeds1_vs_dpm1_gap(vp, gauss_model):
     grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
-    diff = per_step_compare(SolverSpec("seeds1"), SolverSpec("dpm1"), gauss_model, vp,
-                            grid, RngStream(4), zero_noise=True)
+    diff = per_step_compare(SolverSpec("seeds1"), SolverSpec("dpm1"), gauss_model, grid,
+                            RngStream(4), zero_noise=True)
     assert diff > 1e-3
 
 
@@ -426,8 +426,8 @@ def test_per_step_compare_applies_churn():
     grid = edm_grid(16, edm.t_min, edm.t_max, 7.0, edm)
     churned = SolverSpec("seeds3", churn=ChurnParams(s_churn=11.0, s_tmin=0.05, s_tmax=15.0,
                                                      s_noise=1.003))
-    assert per_step_compare(churned, SolverSpec("seeds3"), model, edm, grid, RngStream(3)) > 1e-3
-    assert per_step_compare(churned, churned, model, edm, grid, RngStream(3)) == 0.0
+    assert per_step_compare(churned, SolverSpec("seeds3"), model, grid, RngStream(3)) > 1e-3
+    assert per_step_compare(churned, churned, model, grid, RngStream(3)) == 0.0
 
 
 def test_per_step_compare_rejects_non_finite_state(vp, gauss_model, nan_from_model):
@@ -435,7 +435,7 @@ def test_per_step_compare_rejects_non_finite_state(vp, gauss_model, nan_from_mod
     grid = linear_lambda_grid(12, vp.t_min, vp.t_max, vp)
     with pytest.raises(DomainError, match=r"non-finite state after step 2 at t="):
         per_step_compare(SolverSpec("seeds1"), SolverSpec("dpm1"), nan_from_model(gauss_model, 4),
-                         vp, grid, RngStream(3))
+                         grid, RngStream(3))
 
 
 def test_zero_model_has_no_oracle_on_edm():
@@ -444,7 +444,7 @@ def test_zero_model_has_no_oracle_on_edm():
     edm = Edm()
     grid = edm_grid(8, edm.t_min, edm.t_max, 7.0, edm)
     with pytest.raises(ConfigError, match="zero model has no exact law on EDM"):
-        terminal_distribution_check(SolverSpec("seeds1"), ZeroModel(1, edm), edm, grid, 100,
+        terminal_distribution_check(SolverSpec("seeds1"), ZeroModel(1, edm), grid, 100,
                                     RngStream(1))
 
 
@@ -455,7 +455,7 @@ def test_terminal_check_zero_model_matches_propagated_gaussian(vp):
     from seeds_sde.solvers import sample
 
     n = 200_000
-    res = sample(zm, vp, grid, SolverSpec("seeds1"), stream, n_paths=n)
+    res = sample(zm, grid, SolverSpec("seeds1"), stream, n_paths=n)
     t_last, t0 = float(grid.times[-2]), float(grid.times[0])
     a_l, a_0 = vp.alpha_sigma(t_last)[0], vp.alpha_sigma(t0)[0]
     sbar_0 = vp.alpha_sigma(t0)[2]
@@ -477,14 +477,14 @@ def test_terminal_check_edm_noise_prediction_recovery(moments_within):
     model = ScoreModel(data, sched)
     grid = edm_grid(41, 0.002, 80.0, 7.0, sched)
     for fam in ("seeds1", "seeds3"):
-        rep = terminal_distribution_check(SolverSpec(fam), model, sched, grid,
+        rep = terminal_distribution_check(SolverSpec(fam), model, grid,
                                           50_000, RngStream(2))
         assert moments_within(rep, 5.0, 0.02), fam
 
 
 def test_terminal_check_report_fields(vp, gauss_model):
     grid = linear_lambda_grid(16, vp.t_min, vp.t_max, vp)
-    rep = terminal_distribution_check(SolverSpec("seeds2"), gauss_model, vp, grid,
+    rep = terminal_distribution_check(SolverSpec("seeds2"), gauss_model, grid,
                                       20_000, RngStream(6))
     assert rep.n_paths == 20_000
     assert rep.target_mean.shape == (1,)
@@ -499,8 +499,8 @@ def test_compare_and_strong_order_evaluate_from_the_table(vp, marginal_calls):
     model = ScoreModel(DataDistribution.standard_normal(2), vp)
     grid = linear_lambda_grid(20, vp.t_min, vp.t_max, vp)
     churned = SolverSpec("seeds3", churn=ChurnParams(s_churn=4.0, s_tmin=0.05, s_tmax=15.0))
-    per_step_compare(churned, SolverSpec("dpm2"), model, vp, grid, RngStream(3))
+    per_step_compare(churned, SolverSpec("dpm2"), model, grid, RngStream(3))
     assert marginal_calls == [] and model.nfe == 19 * (3 + 2)
-    strong_order(SolverSpec("seeds1"), model, vp, base_steps=2, refinements=3, n_paths=64,
+    strong_order(SolverSpec("seeds1"), model, base_steps=2, refinements=3, n_paths=64,
                  stream=RngStream(3), ref_extra=1)
     assert set(marginal_calls) <= {vp.t_min}

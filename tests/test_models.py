@@ -356,7 +356,7 @@ def test_nfe_accounting(vp, gauss_model):
     grid = linear_lambda_grid(7, vp.t_min, vp.t_max, vp)
     for fam, k in (("seeds1", 1), ("seeds2", 2), ("seeds3", 3), ("dpm4", 5)):
         gauss_model.nfe = 0
-        res = sample(gauss_model, vp, grid, SolverSpec(fam), RngStream(0), n_paths=3)
+        res = sample(gauss_model, grid, SolverSpec(fam), RngStream(0), n_paths=3)
         assert gauss_model.nfe == k * (grid.n_steps - 1)
         assert res.nfe_per_path == k * (grid.n_steps - 1)
     gauss_model.nfe = 0

@@ -9,7 +9,7 @@ from seeds_sde import (DataDistribution, Edm, GaussianFlowOracle, RngStream, Sco
                        SolverSpec, Ve, VpLinear, ZeroModel, linear_lambda_grid)
 from seeds_sde.errors import ConfigError, GridError
 from seeds_sde.noise import BLOCK, raw_increment_var, stage_noise_weights
-from seeds_sde.solvers import FAMILIES, StepPlan, stages_step, step_once
+from seeds_sde.solvers import FAMILIES, StepPlan, step_once
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
@@ -133,8 +133,8 @@ def test_gauss_moments_and_ks():
 def _unit_draw_increment(sched, mode, s, t):
     """The noise term of one seeds1 step in ``mode`` at z = 1: the step of the
     zero model from x = 0."""
-    x_t = step_once(SolverSpec("seeds1", mode=mode), ZeroModel(1, sched), sched,
-                    np.zeros((1, 1)), s, t, {1: np.ones((1, 1))})
+    x_t = step_once(SolverSpec("seeds1", mode=mode), ZeroModel(1, sched), np.zeros((1, 1)),
+                    s, t, {1: np.ones((1, 1))})
     return float(x_t[0, 0])
 
 
@@ -182,8 +182,8 @@ def test_np_increment_matches_isometry():
 class StageRecorder:
     """Zero noise prediction that keeps every state it is evaluated at."""
 
-    def __init__(self):
-        self.inputs = []
+    def __init__(self, sched):
+        self.sched, self.inputs = sched, []
 
     def noise_pred(self, x, t):
         self.inputs.append(np.array(x))
@@ -194,8 +194,8 @@ def _seeds2_noise(z1, z2, h, s=0.8):
     """(stage noise, full-step noise, s1, t) of the midpoint seeds2 step with lambda width h."""
     vp = VpLinear()
     t = vp.t_of_lambda(vp.lambda_of_t(s) + h)
-    rec = StageRecorder()
-    full = stages_step(rec, vp, np.zeros_like(z1), s, t, {1: z1, 2: z2}, fracs=(0.5,))
+    rec = StageRecorder(vp)
+    full = step_once(SolverSpec("seeds2"), rec, np.zeros_like(z1), s, t, {1: z1, 2: z2})
     s1 = vp.t_of_lambda(vp.lambda_of_t(s) + 0.5 * h)
     return rec.inputs[1], full, s1, t
 
@@ -302,7 +302,7 @@ def _terminal_variance_error(spec, sched, n_steps):
 
     def probe(x, start, t, nodes, kick=None):
         draws = zero if kick is None else {**zero, kick: np.ones((1, 1))}
-        x_t = step_once(spec, model, sched, np.full((1, 1), x), start, t, draws, nodes)
+        x_t = step_once(spec, model, np.full((1, 1), x), start, t, draws, nodes)
         return float(x_t[0, 0])
 
     t0 = float(grid.times[0])

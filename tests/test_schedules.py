@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from seeds_sde import (DataDistribution, DomainError, Edm, ScoreModel, Ve, VpCosine, VpLinear,
                        ZeroModel, make_schedule)
 from seeds_sde.errors import ConfigError
-from seeds_sde.solvers import exp_euler_step
+from seeds_sde.solvers import SolverSpec, step_once
 
 ALL_SCHEDULES = [VpLinear(), VpCosine(), Ve(), Edm(sigma_data=0.5)]
 
@@ -162,7 +162,7 @@ def test_ve_has_no_np_coefficients():
         with pytest.raises(ConfigError, match="not defined for schedule family 've'"):
             call()
     with pytest.raises(ConfigError):
-        exp_euler_step(ZeroModel(1, ve), ve, np.zeros(1), 2.0, 1.0, lawson=False)
+        step_once(SolverSpec("exp_euler_etd"), ZeroModel(1, ve), np.zeros(1), 2.0, 1.0, None)
 
 
 def test_drift_and_diffusion_match_finite_differences():

@@ -29,10 +29,6 @@ from seeds_sde.solvers import (
     StepPlan,
     churn_inject,
     churn_lift,
-    dpm4_step,
-    euler_maruyama_step,
-    exp_euler_step,
-    gddim_step,
     lockstep,
     stage_nodes,
     stages_step,
@@ -131,7 +127,7 @@ def test_seeds1_zero_model_linear_transition(vp):
     zm = ZeroModel(1, vp)
     x = np.array([1.7])
     s, t = 0.8, 0.3
-    out = stages_step(zm, vp, x, s, t, D0)
+    out = step_once(SolverSpec("seeds1"), zm, x, s, t, D0)
     a_t, a_s = vp.alpha_sigma(t)[0], vp.alpha_sigma(s)[0]
     assert np.allclose(out, (a_t / a_s) * x, rtol=1e-14)
 
@@ -141,27 +137,27 @@ def test_seeds1_constant_f_anchor(vp, constant_model):
     s = 0.8
     lam_t = vp.lambda_of_t(s) + math.log(math.sqrt(2.0))
     t = vp.t_of_lambda(lam_t)
-    model = constant_model(1, noise_value=1.0)
-    out = stages_step(model, vp, np.ones(1), s, t, D0)
+    model = constant_model(1, vp, noise_value=1.0)
+    out = step_once(SolverSpec("seeds1"), model, np.ones(1), s, t, D0)
     a_t, _, sbar_t = vp.alpha_sigma(t)
     a_s = vp.alpha_sigma(s)[0]
     expected = a_t / a_s - 2.0 * sbar_t * (math.sqrt(2.0) - 1.0)
     assert out[0] == pytest.approx(expected, rel=1e-13)
 
 
-def test_seeds1_np_vs_dp_differ(vp, gauss_model):
+def test_seeds1_np_vs_dp_differ(gauss_model):
     x = np.array([0.9])
     s, t = 0.7, 0.45
     z = np.array([0.31])
-    np_out = stages_step(gauss_model, vp, x, s, t, {1: z})
-    dp_out = stages_step(gauss_model, vp, x, s, t, {1: z}, dp=True)
+    np_out = step_once(SolverSpec("seeds1"), gauss_model, x, s, t, {1: z})
+    dp_out = step_once(SolverSpec("seeds1", mode="dp"), gauss_model, x, s, t, {1: z})
     assert np.max(np.abs(np_out - dp_out)) > 1e-6
 
 
-def test_seeds1_rejects_forward_step(vp, gauss_model):
-    for dp in (False, True):
+def test_seeds1_rejects_forward_step(gauss_model):
+    for mode in ("np", "dp"):
         with pytest.raises(GridError):
-            stages_step(gauss_model, vp, np.ones(1), 0.3, 0.8, D0, dp=dp)
+            step_once(SolverSpec("seeds1", mode=mode), gauss_model, np.ones(1), 0.3, 0.8, D0)
 
 
 def test_staged_steps_reject_a_zero_width_step(vp):
@@ -170,15 +166,16 @@ def test_staged_steps_reject_a_zero_width_step(vp):
     for spec, sched in ((SolverSpec("seeds2"), vp), (SolverSpec("seeds3"), vp),
                         (SolverSpec("ve2_sde"), Ve())):
         with pytest.raises(GridError):
-            step_once(spec, ZeroModel(1, sched), sched, np.ones(1), 0.5, 0.5, D0)
+            step_once(spec, ZeroModel(1, sched), np.ones(1), 0.5, 0.5, D0)
 
 
 def test_seeds1_dp_noise_coefficient(vp, gauss_model):
     # injected unit draw isolates the + sbar sqrt(1 - e^{-2h}) coefficient
     x = np.array([0.5])
     s, t = 0.6, 0.35
-    base = stages_step(gauss_model, vp, x, s, t, {1: np.zeros(1)}, dp=True)
-    kicked = stages_step(gauss_model, vp, x, s, t, {1: np.ones(1)}, dp=True)
+    seeds1_dp = SolverSpec("seeds1", mode="dp")
+    base = step_once(seeds1_dp, gauss_model, x, s, t, {1: np.zeros(1)})
+    kicked = step_once(seeds1_dp, gauss_model, x, s, t, {1: np.ones(1)})
     h = math.log(vp.alpha_sigma(s)[1] / vp.alpha_sigma(t)[1])
     sbar_t = vp.alpha_sigma(t)[2]
     assert (kicked - base)[0] == pytest.approx(sbar_t * math.sqrt(-math.expm1(-2 * h)), rel=1e-13)
@@ -187,7 +184,7 @@ def test_seeds1_dp_noise_coefficient(vp, gauss_model):
 # -- multi-stage steps vs the extended-precision oracle ------------------------
 
 
-def test_seeds2_matches_line_by_line_oracle(vp, gauss_model):
+def test_seeds2_matches_line_by_line_oracle(gauss_model):
     mp_sched = MpVp()
     with mpmath.workdps(50):
         f_mp = gaussian_f_mp(mp_sched)
@@ -195,8 +192,8 @@ def test_seeds2_matches_line_by_line_oracle(vp, gauss_model):
         z1, z2 = 0.42, -1.17
         want = float(mp_seeds2(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2)))
-    got = stages_step(gauss_model, vp, np.array([x]), s, t,
-                      {1: np.array([z1]), 2: np.array([z2])}, fracs=(0.5,))
+    got = step_once(SolverSpec("seeds2"), gauss_model, np.array([x]), s, t,
+                    {1: np.array([z1]), 2: np.array([z2])})
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -210,21 +207,21 @@ def test_seeds2_general_c2_noise_is_coupled(vp, gauss_model):
     h = lam(t) - lam(s)
     s1 = vp.t_of_lambda(lam(s) + c2 * h)
     # zero model removes the F(u)-mediated part: pure noise algebra remains
-    zm = ZeroModel(1, vp)
-    base0 = stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.zeros(1)}, fracs=(c2,))
-    kick0 = stages_step(zm, vp, x, s, t, {1: np.ones(1), 2: np.zeros(1)}, fracs=(c2,))
+    zm, spec = ZeroModel(1, vp), SolverSpec("seeds2", c2=c2)
+    base0 = step_once(spec, zm, x, s, t, {1: np.zeros(1), 2: np.zeros(1)})
+    kick0 = step_once(spec, zm, x, s, t, {1: np.ones(1), 2: np.zeros(1)})
     full_coef = float((kick0 - base0)[0])
     stage_std = vp.alpha_sigma(s1)[2] * math.sqrt(math.expm1(2.0 * c2 * h))
     carry = (vp.alpha_sigma(t)[2] * math.exp(lam(t))) / (vp.alpha_sigma(s1)[2] * math.exp(lam(s1)))
     assert full_coef == pytest.approx(-stage_std * carry, rel=1e-12)
     # and the total variance still telescopes to e^{2h} - 1
-    kick2 = stages_step(zm, vp, x, s, t, {1: np.zeros(1), 2: np.ones(1)}, fracs=(c2,))
+    kick2 = step_once(spec, zm, x, s, t, {1: np.zeros(1), 2: np.ones(1)})
     c_z2 = float((kick2 - base0)[0])
     sbar_t = vp.alpha_sigma(t)[2]
     assert full_coef**2 + c_z2**2 == pytest.approx(sbar_t**2 * math.expm1(2 * h), rel=1e-12)
 
 
-def test_seeds3_matches_line_by_line_oracle(vp, gauss_model):
+def test_seeds3_matches_line_by_line_oracle(gauss_model):
     mp_sched = MpVp()
     r1, r2 = 1.0 / 3.0, 2.0 / 3.0
     with mpmath.workdps(50):
@@ -234,8 +231,8 @@ def test_seeds3_matches_line_by_line_oracle(vp, gauss_model):
         want = float(mp_seeds3(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t),
                                mpmath.mpf(z1), mpmath.mpf(z2), mpmath.mpf(z3),
                                mpmath.mpf(r1), mpmath.mpf(r2)))
-    got = stages_step(gauss_model, vp, np.array([x]), s, t,
-                      {1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])}, fracs=(r1, r2))
+    got = step_once(SolverSpec("seeds3", r1=r1, r2=r2), gauss_model, np.array([x]), s, t,
+                    {1: np.array([z1]), 2: np.array([z2]), 3: np.array([z3])})
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -245,37 +242,37 @@ def test_multi_stage_zero_model_linear(vp):
     s, t = 0.75, 0.3
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     z = D0
-    assert np.allclose(stages_step(zm, vp, x, s, t, z, fracs=(0.5,)), a_ratio * x, rtol=1e-14)
-    assert np.allclose(stages_step(zm, vp, x, s, t, z, fracs=(1 / 3, 2 / 3)),
+    assert np.allclose(step_once(SolverSpec("seeds2"), zm, x, s, t, z), a_ratio * x, rtol=1e-14)
+    assert np.allclose(step_once(SolverSpec("seeds3"), zm, x, s, t, z),
                        a_ratio * x, rtol=1e-14)
-    assert np.allclose(stages_step(zm, vp, x, s, t), a_ratio * x, rtol=1e-14)
-    assert np.allclose(dpm4_step(zm, vp, x, s, t), a_ratio * x, rtol=1e-14)
+    assert np.allclose(step_once(SolverSpec("dpm1"), zm, x, s, t, z), a_ratio * x, rtol=1e-14)
+    assert np.allclose(step_once(SolverSpec("dpm4"), zm, x, s, t, z), a_ratio * x, rtol=1e-14)
 
 
 def test_constant_f_degeneration(vp, constant_model):
     # correction brackets vanish, so all deterministic parts agree with seeds1
-    model = constant_model(1, noise_value=0.7)
+    model = constant_model(1, vp, noise_value=0.7)
     x = np.array([1.1])
     s, t = 0.8, 0.35
     z = D0
-    one = stages_step(model, vp, x, s, t, z)
-    assert np.allclose(stages_step(model, vp, x, s, t, z, fracs=(0.5,)), one, rtol=1e-13)
-    assert np.allclose(stages_step(model, vp, x, s, t, z, fracs=(1 / 3, 2 / 3)), one, rtol=1e-13)
+    one = step_once(SolverSpec("seeds1"), model, x, s, t, z)
+    assert np.allclose(step_once(SolverSpec("seeds2"), model, x, s, t, z), one, rtol=1e-13)
+    assert np.allclose(step_once(SolverSpec("seeds3"), model, x, s, t, z), one, rtol=1e-13)
     # and dpm4 collapses to the order-1 deterministic step
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
     sbar_t = vp.alpha_sigma(t)[2]
     expected = a_ratio * x - sbar_t * math.expm1(h) * 0.7
-    assert np.allclose(dpm4_step(model, vp, x, s, t), expected, rtol=1e-12)
-    assert np.allclose(stages_step(model, vp, x, s, t), expected, rtol=1e-13)
+    assert np.allclose(step_once(SolverSpec("dpm4"), model, x, s, t, z), expected, rtol=1e-12)
+    assert np.allclose(step_once(SolverSpec("dpm1"), model, x, s, t, z), expected, rtol=1e-13)
 
 
 def test_seeds1_vs_dpm1_factor_two(vp, gauss_model):
     # deterministic parts differ by exactly sbar_t (e^h - 1) |F|
     x = np.array([0.9])
     s, t = 0.7, 0.4
-    det = stages_step(gauss_model, vp, x, s, t, D0)
-    ode = stages_step(gauss_model, vp, x, s, t)
+    det = step_once(SolverSpec("seeds1"), gauss_model, x, s, t, D0)
+    ode = step_once(SolverSpec("dpm1"), gauss_model, x, s, t, D0)
     h = vp.lambda_of_t(t) - vp.lambda_of_t(s)
     sbar_t = vp.alpha_sigma(t)[2]
     f_val = gauss_model.noise_pred(x, s)
@@ -292,18 +289,21 @@ def test_dpm_modes_and_orders(vp, gauss_model):
     h = math.log(sg_s / sg_t)
     d_val = gauss_model.data_pred(x, s)
     want = (sbar_t / sbar_s) * x - a_t * math.expm1(-h) * d_val
-    assert np.allclose(stages_step(gauss_model, vp, x, s, t, dp=True), want, rtol=1e-13)
-    assert np.array_equal(step_once(SolverSpec("dpm1", mode="dp"), gauss_model, vp, x, s, t, D0),
-                          stages_step(gauss_model, vp, x, s, t, dp=True))
+    dpm1_dp = SolverSpec("dpm1", mode="dp")
+    assert np.allclose(step_once(dpm1_dp, gauss_model, x, s, t, D0), want, rtol=1e-13)
+    row = stage_nodes(vp, s, t, False, dp=True)
+    assert np.array_equal(step_once(dpm1_dp, gauss_model, x, s, t, D0),
+                          stages_step(gauss_model, x, s, None, row, dp=True))
     with pytest.raises(ConfigError):
         SolverSpec("dpm2", mode="dp")
     with pytest.raises(ConfigError):
         SolverSpec("dpm5")
-    # one stage fraction too many: three in noise prediction, two in data prediction
+    # one stage fraction too many, which no registry spec gives: three in noise
+    # prediction, two in data prediction
     with pytest.raises(ConfigError, match="noise-prediction steps take at most 2"):
-        stages_step(gauss_model, vp, x, s, t, fracs=(0.25, 0.5, 0.75))
+        stage_nodes(vp, s, t, False, (0.25, 0.5, 0.75))
     with pytest.raises(ConfigError, match="data-prediction steps take at most 1"):
-        stages_step(gauss_model, vp, x, s, t, fracs=(1 / 3, 2 / 3), dp=True)
+        stage_nodes(vp, s, t, False, (1 / 3, 2 / 3), dp=True)
 
 
 def test_dpm_deterministic_order_ratios(vp, gauss_model):
@@ -313,14 +313,13 @@ def test_dpm_deterministic_order_ratios(vp, gauss_model):
     x = np.array([0.9])
     for order, expected in ((1, 4.0), (2, 8.0)):
         gaps = []
+        spec = SolverSpec(f"dpm{order}")
         for h in (0.2, 0.1):
             t = vp.t_of_lambda(lam_s + h)
             mid = vp.t_of_lambda(lam_s + h / 2)
-            fracs = (0.5,) * (order - 1)
-            coarse = stages_step(gauss_model, vp, x, s, t, fracs=fracs)
-            fine = stages_step(gauss_model, vp,
-                               stages_step(gauss_model, vp, x, s, mid, fracs=fracs),
-                               mid, t, fracs=fracs)
+            coarse = step_once(spec, gauss_model, x, s, t, D0)
+            fine = step_once(spec, gauss_model, step_once(spec, gauss_model, x, s, mid, D0),
+                             mid, t, D0)
             gaps.append(float(np.abs(coarse - fine)[0]))
         ratio = gaps[0] / gaps[1]
         assert expected / 1.5 < ratio < expected * 1.5, (order, ratio)
@@ -353,13 +352,13 @@ def mp_dpm4(mp_sched, f_model, x, s, t):
     return y
 
 
-def test_dpm4_matches_line_by_line_oracle(vp, gauss_model):
+def test_dpm4_matches_line_by_line_oracle(gauss_model):
     mp_sched = MpVp()
     with mpmath.workdps(50):
         f_mp = gaussian_f_mp(mp_sched)
         x, s, t = 0.7, 0.85, 0.45
         want = float(mp_dpm4(mp_sched, f_mp, mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t)))
-    got = dpm4_step(gauss_model, vp, np.array([x]), s, t)
+    got = step_once(SolverSpec("dpm4"), gauss_model, np.array([x]), s, t, D0)
     assert got[0] == pytest.approx(want, rel=1e-13)
 
 
@@ -373,8 +372,9 @@ def test_dpm4_self_refinement_ratio_is_of_order_four(vp):
     gaps = []
     for h in (0.4, 0.2, 0.1, 0.05):
         t, mid = vp.t_of_lambda(lam_s + h, ODE), vp.t_of_lambda(lam_s + h / 2, ODE)
-        coarse = dpm4_step(model, vp, x, s, t)
-        fine = dpm4_step(model, vp, dpm4_step(model, vp, x, s, mid), mid, t)
+        dpm4 = SolverSpec("dpm4")
+        coarse = step_once(dpm4, model, x, s, t, D0)
+        fine = step_once(dpm4, model, step_once(dpm4, model, x, s, mid, D0), mid, t, D0)
         gaps.append(float(np.abs(coarse - fine)[0]))
     assert 2**4.5 <= gaps[-2] / gaps[-1] <= 2**5.5, gaps
 
@@ -386,7 +386,7 @@ def test_euler_maruyama_formula_oracle(vp, gauss_model):
     x = np.array([0.8])
     s, t = 0.55, 0.52
     z = np.array([0.37])
-    got = euler_maruyama_step(gauss_model, vp, x, s, t, {1: z})
+    got = step_once(SolverSpec("euler_maruyama"), gauss_model, x, s, t, {1: z})
     f = vp.drift_f(s)
     g2 = vp.diffusion_g2(s)
     score = gauss_model.score(x, s)
@@ -394,9 +394,9 @@ def test_euler_maruyama_formula_oracle(vp, gauss_model):
     assert np.allclose(got, want, rtol=1e-14)
 
 
-def test_euler_maruyama_small_step_stays_close(vp, gauss_model):
+def test_euler_maruyama_small_step_stays_close(gauss_model):
     x = np.array([0.8])
-    out = euler_maruyama_step(gauss_model, vp, x, 0.5, 0.5 - 1e-8, D0)
+    out = step_once(SolverSpec("euler_maruyama"), gauss_model, x, 0.5, 0.5 - 1e-8, D0)
     assert abs(out[0] - x[0]) < 1e-6
 
 
@@ -409,49 +409,49 @@ def test_euler_maruyama_zero_diffusion_reduces_to_explicit_euler(gauss_model):
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
     x = np.array([0.8])
     s, t = 0.6, 0.55
-    out = euler_maruyama_step(model, sched, x, s, t, {1: np.ones(1)})
+    out = step_once(SolverSpec("euler_maruyama"), model, x, s, t, {1: np.ones(1)})
     assert np.allclose(out, x + sched.drift_f(s) * x * (t - s), rtol=1e-14)
 
 
 def test_exp_euler_variants(vp, gauss_model, constant_model):
     x = np.array([1.2])
     s, t = 0.7, 0.5
-    zm = ZeroModel(1, vp)
+    zm, etd, lawson = ZeroModel(1, vp), SolverSpec("exp_euler_etd"), SolverSpec("exp_euler_lawson")
     a_ratio = vp.alpha_sigma(t)[0] / vp.alpha_sigma(s)[0]
-    assert np.allclose(exp_euler_step(zm, vp, x, s, t, lawson=False), a_ratio * x, rtol=1e-14)
-    assert np.allclose(exp_euler_step(zm, vp, x, s, t, lawson=True), a_ratio * x, rtol=1e-14)
+    assert np.allclose(step_once(etd, zm, x, s, t, D0), a_ratio * x, rtol=1e-14)
+    assert np.allclose(step_once(lawson, zm, x, s, t, D0), a_ratio * x, rtol=1e-14)
     # etd reproduces e^{A dt} x + dt phi_1(A dt) b F for the effective constant drift
     from seeds_sde.phi import phi
 
-    model = constant_model(1, noise_value=1.0)
+    model = constant_model(1, vp, noise_value=1.0)
     dt = t - s
     a_eff = math.log(a_ratio) / dt
     b_s = vp.np_rate(s)  # alpha_s sigma'(s)
     want = a_ratio * x + dt * phi(1, a_eff * dt) * b_s
-    assert np.allclose(exp_euler_step(model, vp, x, s, t, lawson=False), want, rtol=1e-13)
+    assert np.allclose(step_once(etd, model, x, s, t, D0), want, rtol=1e-13)
 
 
-def test_exp_euler_gap_shrinks_second_order(mixture_model, vp):
+def test_exp_euler_gap_shrinks_second_order(mixture_model):
     # ETD and Lawson differ at O(dt^2): halving dt shrinks the gap ~4x
     x = np.array([0.8])
     s = 0.7
     gaps = []
     for dt in (0.1, 0.05):
         t = s - dt
-        g = np.abs(exp_euler_step(mixture_model, vp, x, s, t, lawson=False)
-                   - exp_euler_step(mixture_model, vp, x, s, t, lawson=True))
+        g = np.abs(step_once(SolverSpec("exp_euler_etd"), mixture_model, x, s, t, D0)
+                   - step_once(SolverSpec("exp_euler_lawson"), mixture_model, x, s, t, D0))
         gaps.append(float(g[0]))
     assert gaps[0] > 0.0
     ratio = gaps[0] / gaps[1]
     assert 4.0 * 0.8 < ratio < 4.0 * 1.2
 
 
-def test_gddim_equals_seeds1_dp_per_step(vp, gauss_model):
+def test_gddim_equals_seeds1_dp_per_step(gauss_model):
     x = np.array([1.4])
     s, t = 0.8, 0.55
     z = np.array([-0.23])
-    g = gddim_step(gauss_model, vp, x, s, t, {1: z})
-    d = stages_step(gauss_model, vp, x, s, t, {1: z}, dp=True)
+    g = step_once(SolverSpec("gddim"), gauss_model, x, s, t, {1: z})
+    d = step_once(SolverSpec("seeds1", mode="dp"), gauss_model, x, s, t, {1: z})
     assert np.allclose(g, d, rtol=1e-12)
 
 
@@ -465,13 +465,14 @@ def test_gddim_formula_oracle(vp, gauss_model):
     eps_hat = gauss_model.noise_pred(x, s)
     want = (a_t / a_s) * x + sbar_t * (sg_t / sg_s - sg_s / sg_t) * eps_hat \
         + sbar_t * math.sqrt(-math.expm1(-2 * h)) * z
-    got = gddim_step(gauss_model, vp, x, s, t, {1: z})
+    got = step_once(SolverSpec("gddim"), gauss_model, x, s, t, {1: z})
     assert np.allclose(got, want, rtol=1e-14)
 
 
-def test_gddim_requires_vp(gauss_model):
+def test_gddim_requires_vp():
+    model = ScoreModel(DataDistribution.standard_normal(1), Ve())
     with pytest.raises(ConfigError):
-        gddim_step(gauss_model, Ve(), np.ones(1), 2.0, 1.0, D0)
+        step_once(SolverSpec("gddim"), model, np.ones(1), 2.0, 1.0, D0)
 
 
 # -- two-stage data-prediction schemes ----------------------------------------
@@ -482,8 +483,8 @@ class NullD:
 
     dim = 1
 
-    def __init__(self):
-        self.nfe = 0
+    def __init__(self, sched):
+        self.sched, self.nfe = sched, 0
 
     def data_pred(self, x, t):
         self.nfe += 1
@@ -495,19 +496,19 @@ def test_ve2_null_model_sigma_ratio():
     x = np.array([1.5])
     s, t = 4.0, 1.0
     for fam in ("ve2_ode_a", "ve2_ode_b"):
-        out = step_once(SolverSpec(fam, r1=0.5), NullD(), sched, x, s, t, D0)
+        out = step_once(SolverSpec(fam, r1=0.5), NullD(sched), x, s, t, D0)
         assert np.allclose(out, (t / s) * x, rtol=1e-14)
-    out = step_once(SolverSpec("ve2_sde", r1=0.5), NullD(), sched, x, s, t, D0)
+    out = step_once(SolverSpec("ve2_sde", r1=0.5), NullD(sched), x, s, t, D0)
     assert np.allclose(out, (t * t / (s * s)) * x, rtol=1e-14)
 
 
 def test_ve2_constant_d_ode_forms_coincide(constant_model):
     sched = Ve()
-    model = constant_model(1, data_value=0.8)
+    model = constant_model(1, sched, data_value=0.8)
     x = np.array([1.1])
     s, t = 5.0, 2.0
-    a = step_once(SolverSpec("ve2_ode_a", r1=0.4), model, sched, x, s, t, D0)
-    b = step_once(SolverSpec("ve2_ode_b", r1=0.4), model, sched, x, s, t, D0)
+    a = step_once(SolverSpec("ve2_ode_a", r1=0.4), model, x, s, t, D0)
+    b = step_once(SolverSpec("ve2_ode_b", r1=0.4), model, x, s, t, D0)
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -519,9 +520,9 @@ def test_ve2_sde_noise_variance_telescopes():
     coefs = []
     for j in (1, 2):
         z = {1: np.zeros(1), 2: np.zeros(1)}
-        base = step_once(spec, NullD(), sched, np.zeros(1), s, t, dict(z))
+        base = step_once(spec, NullD(sched), np.zeros(1), s, t, dict(z))
         z[j] = np.ones(1)
-        kicked = step_once(spec, NullD(), sched, np.zeros(1), s, t, z)
+        kicked = step_once(spec, NullD(sched), np.zeros(1), s, t, z)
         coefs.append(float(kicked[0] - base[0]))
     total = sum(c * c for c in coefs)
     # matches the one-stage dp variance sigma_t^2 (1 - e^{-2h})
@@ -531,7 +532,7 @@ def test_ve2_sde_noise_variance_telescopes():
 def test_ve2_runs_on_edm_dp():
     sched = Edm(sigma_data=0.5)
     model = ScoreModel(DataDistribution.standard_normal(1), sched)
-    out = step_once(SolverSpec("ve2_sde", r1=0.5), model, sched, np.array([0.7]), 3.0, 1.0,
+    out = step_once(SolverSpec("ve2_sde", r1=0.5), model, np.array([0.7]), 3.0, 1.0,
                     {1: np.zeros(1), 2: np.zeros(1)})
     assert np.isfinite(out).all()
 
@@ -568,7 +569,7 @@ def test_ve2_matches_line_by_line_oracle(kind):
         want = float(mp_ve2(lambda y, sg: y / (1 + sg * sg),  # D of unit-Gaussian data
                             mpmath.mpf(x), mpmath.mpf(s), mpmath.mpf(t), mpmath.mpf(r), kind,
                             mpmath.mpf(z1), mpmath.mpf(z2)))
-    got = step_once(SolverSpec(f"ve2_{kind}", r1=r), model, sched, np.array([x]), s, t,
+    got = step_once(SolverSpec(f"ve2_{kind}", r1=r), model, np.array([x]), s, t,
                     {1: np.array([z1]), 2: np.array([z2])})
     assert got[0] == pytest.approx(want, rel=1e-13)
 
@@ -661,9 +662,9 @@ def _dp_case(name, seed):
 def test_one_stage_dp_same_bits_as_reference(name):
     sched, pairs, model, x, draws = _dp_case(name, 5)
     for s, t in pairs:
-        got = step_once(SolverSpec("seeds1", mode="dp"), model, sched, x, s, t, draws)
+        got = step_once(SolverSpec("seeds1", mode="dp"), model, x, s, t, draws)
         assert _same_bits(got, ref_seeds1_dp(model, sched, x, s, t, draws)), (s, t)
-        got = step_once(SolverSpec("dpm1", mode="dp"), model, sched, x, s, t, draws)
+        got = step_once(SolverSpec("dpm1", mode="dp"), model, x, s, t, draws)
         assert _same_bits(got, ref_dpm1_dp(model, sched, x, s, t)), (s, t)
 
 
@@ -673,7 +674,7 @@ def test_two_stage_dp_same_bits_as_reference(name, r):
     sched, pairs, model, x, draws = _dp_case(name, 7)
     for s, t in pairs:
         for kind in ("sde", "ode_a", "ode_b"):
-            got = step_once(SolverSpec(f"ve2_{kind}", r1=r), model, sched, x, s, t, draws)
+            got = step_once(SolverSpec(f"ve2_{kind}", r1=r), model, x, s, t, draws)
             want = ref_ve_2stage(model, sched, x, s, t, draws, r, kind)
             assert _same_bits(got, want), (s, t, kind)
 
@@ -731,8 +732,8 @@ def test_sampling_with_churn_runs_and_is_deterministic():
     grid = edm_grid(12, 0.002, 80.0, 7.0, sched)
     spec = SolverSpec("seeds2", churn=ChurnParams(s_churn=5.0, s_tmin=0.05, s_tmax=50.0,
                                                   s_noise=1.003))
-    a = sample(model, sched, grid, spec, RngStream(2), n_paths=16)
-    b = sample(model, sched, grid, spec, RngStream(2), n_paths=16)
+    a = sample(model, grid, spec, RngStream(2), n_paths=16)
+    b = sample(model, grid, spec, RngStream(2), n_paths=16)
     assert np.array_equal(a.terminal, b.terminal)
     assert np.isfinite(a.terminal).all()
 
@@ -755,7 +756,7 @@ def test_sampling_reads_every_evaluation_from_the_table(family, mode, name, chur
     model = ScoreModel(DataDistribution.standard_normal(2), sched)
     grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode, churn=churn)
-    sample(model, sched, grid, spec, RngStream(4), n_paths=3)
+    sample(model, grid, spec, RngStream(4), n_paths=3)
     assert model.nfe == spec.evals_per_step * 11
     assert marginal_calls == []
 
@@ -892,7 +893,7 @@ def test_steps_without_their_rows_give_the_walk_bytes(family, mode, name):
     draws_at = StepDraws(RngStream(4), 3, model.dim)
     [x], *walked = lockstep(model, [plan], draws_at)
     for i, (t, _, start, _) in enumerate(plan.rows, start=1):
-        x = step_once(spec, model, sched, x, start, t, draws_at(i))   # computes its own row
+        x = step_once(spec, model, x, start, t, draws_at(i))   # computes its own row
         assert _same_bits(x, walked[i - 1][0])
 
 
@@ -900,7 +901,7 @@ class _NoHook:
     """A model seen only through its network calls: it has no ``prepare``."""
 
     def __init__(self, model):
-        self.model, self.dim = model, model.dim
+        self.model, self.dim, self.sched = model, model.dim, model.sched
 
     def noise_pred(self, x, t):
         return self.model.noise_pred(x, t)
@@ -925,13 +926,13 @@ def test_models_without_the_hook_sample_and_compare_unchanged(family, name, chur
                             np.array([[0.4, 1.0], [1.3, 0.2]]))
     grid = linear_lambda_grid(15, sched.t_min, sched.t_max, sched)
     spec, other = SolverSpec(family, churn=churn), SolverSpec("seeds1", mode="dp")
-    want = sample(ScoreModel(data, sched), sched, grid, spec, RngStream(5), n_paths=5)
-    want_cmp = per_step_compare(spec, other, ScoreModel(data, sched), sched, grid, RngStream(5))
+    want = sample(ScoreModel(data, sched), grid, spec, RngStream(5), n_paths=5)
+    want_cmp = per_step_compare(spec, other, ScoreModel(data, sched), grid, RngStream(5))
     assert marginal_calls == []
     inner = ScoreModel(data, sched)
-    got = sample(_NoHook(inner), sched, grid, spec, RngStream(5), n_paths=5)
+    got = sample(_NoHook(inner), grid, spec, RngStream(5), n_paths=5)
     assert _same_bits(got.terminal, want.terminal)
-    assert per_step_compare(spec, other, _NoHook(inner), sched, grid, RngStream(5)) == want_cmp
+    assert per_step_compare(spec, other, _NoHook(inner), grid, RngStream(5)) == want_cmp
     # without the hook every evaluation computes its time-only terms
     assert len(marginal_calls) == inner.nfe > 0
 
@@ -978,10 +979,29 @@ def test_lockstep_starts_every_plan_and_holds_the_shorter_walks():
 # -- outer loop ----------------------------------------------------------------
 
 
+def test_a_model_walks_only_plans_on_its_own_schedule():
+    # the model's scores belong to the schedule it carries: a plan built on another is a
+    # ConfigError naming both, where walking it would give another law without a word
+    model = ScoreModel(DataDistribution.standard_normal(1), VpLinear())
+    for other in (VpCosine(), VpLinear(beta_d=18.0)):
+        plan = StepPlan(SolverSpec("seeds3"), other,
+                        linear_lambda_grid(31, other.t_min, other.t_max, other))
+        want = rf"^a seeds3 plan on schedule {re.escape(repr(other))} cannot walk a model on "
+        with pytest.raises(ConfigError, match=want + r"schedule VpLinear\("):
+            next(lockstep(model, [plan], StepDraws(RngStream(0), 4, 1)))
+    # a plan on an equal schedule, another instance, walks
+    linear = VpLinear()
+    assert linear is not model.sched
+    plan = StepPlan(SolverSpec("seeds3"), linear,
+                    linear_lambda_grid(31, linear.t_min, linear.t_max, linear))
+    *_, [x] = lockstep(model, [plan], StepDraws(RngStream(0), 4, 1))
+    assert x.shape == (4, 1) and np.isfinite(x).all()
+
+
 def test_sample_minimal_grid_single_eval(vp, gauss_model):
     grid = linear_lambda_grid(2, vp.t_min, vp.t_max, vp)
     gauss_model.nfe = 0
-    res = sample(gauss_model, vp, grid, SolverSpec("seeds1"), RngStream(0), n_paths=2)
+    res = sample(gauss_model, grid, SolverSpec("seeds1"), RngStream(0), n_paths=2)
     assert gauss_model.nfe == 1
     assert res.nfe_per_path == 1
     gauss_model.nfe = 0
@@ -1002,7 +1022,7 @@ def test_sample_zero_model_terminal_mean(vp):
     spread = terminal.std() / math.sqrt(64)
     assert abs(mean - exact) < 5.0 * spread
     # trivial last step: final two recorded states identical
-    res = sample(zm, vp, grid, spec, RngStream(1), n_paths=64, record=True)
+    res = sample(zm, grid, spec, RngStream(1), n_paths=64, record=True)
     assert np.array_equal(res.trajectory[-1], res.trajectory[-2])
 
 
@@ -1036,11 +1056,12 @@ def test_walk_reads_the_stage_draws_its_form_takes(family, mode):
     (fam, mode, kind) for fam, desc in FAMILIES.items() for mode, form in desc.forms.items()
     for kind in _PLAN_SCHEDULES if kind not in form.schedules])
 def test_step_plan_checks_the_schedule_as_validate_against_does(family, mode, kind):
-    # the plan is where a solver meets a schedule: no walk starts on one its form does not run on
+    # the plan is where a solver meets a schedule (it absorbed ``SolverSpec.validate_against``):
+    # no walk starts on one its form does not run on
     spec, sched = SolverSpec(family, mode=mode), _PLAN_SCHEDULES[kind]
-    with pytest.raises(ConfigError, match="runs on") as want:
-        spec.validate_against(sched)
-    with pytest.raises(ConfigError, match=f"^{re.escape(str(want.value))}$"):
+    runs_on = "/".join(spec.form.schedules)
+    with pytest.raises(ConfigError, match=f"^{family} in mode {mode!r} runs on {runs_on} "
+                                          f"schedules, not {kind!r}$"):
         StepPlan(spec, sched, linear_lambda_grid(5, sched.t_min, sched.t_max, sched))
     # on one it runs on, the plan keeps both for its walk
     good = _PLAN_SCHEDULES[spec.form.schedules[0]]
@@ -1062,10 +1083,10 @@ def test_solver_spec_keeps_its_form_and_stage_parameters():
 
 def test_sample_trajectory_shape_and_determinism(vp, gauss_model):
     grid = linear_lambda_grid(6, vp.t_min, vp.t_max, vp)
-    res = sample(gauss_model, vp, grid, SolverSpec("seeds3"), RngStream(3), n_paths=5,
+    res = sample(gauss_model, grid, SolverSpec("seeds3"), RngStream(3), n_paths=5,
                  record=True)
     assert res.trajectory.shape == (7, 5, 1)
-    res2 = sample(gauss_model, vp, grid, SolverSpec("seeds3"), RngStream(3), n_paths=5,
+    res2 = sample(gauss_model, grid, SolverSpec("seeds3"), RngStream(3), n_paths=5,
                   record=True)
     assert np.array_equal(res.trajectory, res2.trajectory)
 
@@ -1074,7 +1095,7 @@ def test_sample_rejects_non_finite_state(vp, constant_model):
     grid = linear_lambda_grid(6, vp.t_min, vp.t_max, vp)
     t1 = float(grid.times[1])
     with pytest.raises(DomainError, match=f"non-finite state after step 1 at t={t1!r}"):
-        sample(constant_model(1, noise_value=math.inf), vp, grid, SolverSpec("seeds1"),
+        sample(constant_model(1, vp, noise_value=math.inf), grid, SolverSpec("seeds1"),
                RngStream(0), n_paths=3)
 
 
@@ -1097,23 +1118,11 @@ def test_solver_spec_validation():
         SolverSpec("seeds2", mode="dp")
     with pytest.raises(ConfigError):
         SolverSpec("dpm4", mode="dp")
-    SolverSpec("gddim").validate_against(VpLinear())
-    with pytest.raises(ConfigError):
-        SolverSpec("gddim").validate_against(Edm())
-    with pytest.raises(ConfigError):
-        SolverSpec("ve2_sde").validate_against(VpLinear())
-    with pytest.raises(ConfigError):
-        SolverSpec("seeds1", mode="np").validate_against(Ve())
-    SolverSpec("seeds1", mode="dp").validate_against(Ve())
-    for fam in ("exp_euler_etd", "exp_euler_lawson"):
-        SolverSpec(fam).validate_against(Edm())
-        with pytest.raises(ConfigError):
-            SolverSpec(fam).validate_against(Ve())
 
 
 def test_step_once_dispatch_covers_families():
-    # each (family, mode) on each schedule family it lists: finite output and
-    # exactly evals_per_step model evaluations
+    # each (family, mode) on each schedule family it lists: a plan builds, and one step
+    # gives finite output with exactly evals_per_step model evaluations
     schedules = {"vp": VpLinear(), "ve": Ve(), "edm": Edm(sigma_data=0.5)}
     times = {"vp": (0.7, 0.5), "ve": (4.0, 2.0), "edm": (4.0, 2.0)}
     draws = {k: np.full(1, 0.3) for k in (1, 2, 3)}
@@ -1122,8 +1131,9 @@ def test_step_once_dispatch_covers_families():
             spec = SolverSpec(fam, mode=mode)
             for name in form.schedules:
                 sched = schedules[name]
+                StepPlan(spec, sched, linear_lambda_grid(5, sched.t_min, sched.t_max, sched))
                 model = ScoreModel(DataDistribution.standard_normal(1), sched)
-                out = step_once(spec, model, sched, np.array([0.4]), *times[name], draws)
+                out = step_once(spec, model, np.array([0.4]), *times[name], draws)
                 assert np.isfinite(out).all(), (fam, mode, name)
                 assert model.nfe == spec.evals_per_step, (fam, mode, name)
 
@@ -1146,18 +1156,24 @@ def test_every_step_function_is_registered():
 
 
 def test_one_stage_engine_serves_the_staged_families():
-    # one step function and one node function; the evaluations per step the NFE
-    # accounting charges are the stage fractions the step reads, plus one
+    # one step function and, but for the one-move forms, one node function; the
+    # evaluations per step the NFE accounting charges are the stage fractions the step
+    # reads, plus one
     staged = {(fam, mode): form for fam, desc in FAMILIES.items()
               for mode, form in desc.forms.items() if form.step is stages_step}
+    one_move = {("exp_euler_etd", "np"), ("gddim", "np")}
     assert set(staged) == {("seeds1", "np"), ("seeds1", "dp"), ("seeds2", "np"),
                            ("seeds3", "np"), ("dpm1", "np"), ("dpm1", "dp"), ("dpm2", "np"),
                            ("dpm3", "np"), ("ve2_ode_a", "dp"), ("ve2_ode_b", "dp"),
-                           ("ve2_sde", "dp")}
+                           ("ve2_sde", "dp"), *one_move}
     for (fam, mode), form in staged.items():
-        assert form.nodes is stage_nodes, (fam, mode)
         kwargs = SolverSpec(fam, mode=mode).step_kwargs
         assert FAMILIES[fam].evals == len(kwargs.get("fracs", ())) + 1, (fam, mode)
+        if (fam, mode) in one_move:   # no stage node and one (Phi, gain, noise) move
+            times, moves = form.nodes(VpLinear(), 0.7, 0.5, form.takes_draws, **kwargs)
+            assert times == () and [len(move) for move in moves] == [3], (fam, mode)
+        else:
+            assert form.nodes is stage_nodes, (fam, mode)
 
 
 def test_stage_parameters_come_from_the_registry():
@@ -1171,7 +1187,7 @@ def test_stage_parameters_come_from_the_registry():
     assert (spec.r1, spec.r2, spec.c2) == (0.25, 2.0 / 3.0, None)
     assert spec.step_kwargs == {"fracs": (0.25, 2.0 / 3.0)}
     assert SolverSpec("seeds3") == SolverSpec("seeds3", r1=1.0 / 3.0, r2=2.0 / 3.0)
-    assert SolverSpec("exp_euler_lawson").step_kwargs == {"lawson": True}
+    assert SolverSpec("exp_euler_lawson").step_kwargs == {}   # its node function holds lawson
     # every family's parameters reach its step and node function as the stage
     # fractions, in registry order; no function holds a default of its own
     import inspect
