@@ -50,13 +50,13 @@ def main():
             sched, spec = SCHEDULES[name], SolverSpec(family, mode=mode)
             model = ScoreModel(DataDistribution.standard_normal(1), sched)
             grid = linear_lambda_grid(args.steps, sched.t_min, sched.t_max, sched)
-            plan_ms = time_ms(lambda: StepPlan(spec, sched, grid), args.repeats)
-            plan = StepPlan(spec, sched, grid)
+            plan_ms = time_ms(lambda: StepPlan(spec, model, grid), args.repeats)
+            plan = StepPlan(spec, model, grid)
             # x_T, with the model prepared for the plan's times
-            [x_top] = next(lockstep(model, [plan], StepDraws(RngStream(0), 1, model.dim)))
+            [x_top] = next(lockstep([plan], StepDraws(RngStream(0), 1, model.dim)))
 
             def run():
-                for _ in walk(model, plan, StepDraws(RngStream(0), 1, model.dim), x_top):
+                for _ in walk(plan, StepDraws(RngStream(0), 1, model.dim), x_top):
                     pass
 
             walk_ms = time_ms(run, args.repeats)

@@ -15,7 +15,7 @@ from .solvers import STAGE_PARAMS, ChurnParams, SolverSpec
 
 _DEFAULT_MODEL = {"kind": "gaussian_mixture",
                   "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}
-_MAX_STEPS, _MAX_PATHS = 100_000, 10_000_000   # the most grid steps and paths a run may ask for
+_MAX_STEPS, _MAX_PATHS, _MAX_DIM = 100_000, 10_000_000, 10_000   # the most a run may ask for
 # the most pool workers a run may ask for: fixed, so that a config means the same anywhere
 _MAX_WORKERS = 256
 
@@ -43,7 +43,7 @@ class RunConfig:
         kind = spec.get("kind", "gaussian_mixture")
         if kind == "zero":
             _reject_extras("model", spec.keys() - {"kind", "dim"})
-            return ZeroModel(_integer("model dim", spec.get("dim", 1)), self.schedule)
+            return ZeroModel(_integer("model dim", spec.get("dim", 1), _MAX_DIM), self.schedule)
         if kind == "gaussian_mixture":
             _reject_extras("model", spec.keys() - {"kind", "components"})
             return ScoreModel(DataDistribution.from_components(spec.get("components")),

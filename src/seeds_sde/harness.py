@@ -18,8 +18,8 @@ the closed-form Gaussian flow: each chunk walks every grid's ``StepPlan``, built
 once, in lockstep from the grid's own initial rows, and step i's keyed draws
 are made once for every grid that has a step i.  Moment reductions are done
 block by block (fixed 1024-path blocks), so results do not depend on how paths
-are partitioned across workers.  Every plan is built on the model's schedule and checks
-the solver against it, so a chunk carries only plans, model and stream.
+are partitioned across workers.  Every plan is built on the model and keeps it,
+so a chunk carries only plans and stream, and pickles the model once, through them.
 """
 
 import collections
@@ -36,7 +36,7 @@ from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
 from .schedules import SDE
-from .solvers import SolverSpec, StepDraws, StepPlan, lockstep, sample, walk
+from .solvers import SolverSpec, StepDraws, StepPlan, lockstep, walk
 
 
 @dataclass
@@ -122,17 +122,16 @@ class GaussianFlowOracle:
 
 
 class ZeroFlowOracle(GaussianFlowOracle):
-    """Exact marginals of a plan's walk when the model term vanishes: the linear flow.
+    """Exact marginals of a plan's walk when its model's term vanishes: the linear flow.
 
     Starting from N(0, sigma_bar(t0)^2 I) at the plan's top time t0, the state at time
     t is centered Gaussian with variance (alpha_t/alpha_0)^2 sigma_bar_0^2, plus the
     reverse SDE's sigma_bar_t^2 (e^{2(lambda_t - lambda_0)} - 1) when its steps take draws.
     """
 
-    def __init__(self, plan, d: int = 1):
-        super().__init__(None, plan.sched)
-        self.t_top, self.noisy = plan.top, plan.spec.form.takes_draws
-        self.d = d
+    def __init__(self, plan):
+        super().__init__(None, plan.model.sched)
+        self.t_top, self.noisy, self.d = plan.top, plan.spec.form.takes_draws, plan.model.dim
 
     def component_moments(self, t):
         a0, _, sbar0 = self.sched.alpha_sigma(self.t_top)
@@ -144,15 +143,15 @@ class ZeroFlowOracle(GaussianFlowOracle):
         return np.ones(1), np.zeros((1, self.d)), np.full((1, self.d), var)
 
 
-def _oracle_for(model, plan):
-    """The exact flow of the model's data, or the zero model's along the plan's walk."""
-    if hasattr(model, "data"):
-        return GaussianFlowOracle(model.data, plan.sched)
-    if plan.sched.family == "edm":  # EDM preconditions the network output
+def _oracle_for(plan):
+    """The exact flow of the plan's model's data, or the zero model's along the plan's walk."""
+    if hasattr(plan.model, "data"):
+        return GaussianFlowOracle(plan.model.data, plan.model.sched)
+    if plan.model.sched.family == "edm":  # EDM preconditions the network output
         raise ConfigError("the zero model has no exact law on EDM: its noise_pred == 0 is the "
                           "network of N(0, sigma_data^2 I) data, its data_pred == x the score-0 "
                           "model")
-    return ZeroFlowOracle(plan, d=model.dim)
+    return ZeroFlowOracle(plan)
 
 
 # the most steps strong order's finest (reference) grid may have: every chunk walks
@@ -203,20 +202,19 @@ def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_p
     sched = model.sched
     eps_end, t_top = sched.t_min, sched.t_max
 
-    n_levels = refinements          # measured levels 0..refinements-1
     ratio = 2**halvings             # fine steps per level-0 step
     m_fine = base_steps * ratio
     t_fine = linear_lambda_grid(m_fine, eps_end, t_top, sched).times
-    strides = [1] + [ratio >> lvl for lvl in range(n_levels)]   # the reference first
+    strides = [1] + [ratio >> lvl for lvl in range(refinements)]   # the reference first
     # the sentinel 0 makes t_min the end of each level's last real step
-    plans = [StepPlan(spec, sched, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
+    plans = [StepPlan(spec, model, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
     lams = [sched.lambda_of_t(t, SDE) for t in t_fine.tolist()]
 
-    run = functools.partial(_coupled_chunk, model, stream, plans, strides, lams)
+    run = functools.partial(_coupled_chunk, stream, plans, strides, lams)
     sups, refs = zip(*fan_out(run, chunks, workers))
     sup_sq, ref = np.concatenate(sups, axis=1), np.concatenate(refs)
 
-    hs = [(lams[-1] - lams[0]) / (base_steps * 2**lvl) for lvl in range(n_levels)]
+    hs = [(lams[-1] - lams[0]) / (base_steps * 2**lvl) for lvl in range(refinements)]
     errors, ses = [], []
     for lvl, h in enumerate(hs):
         mean_sq = float(_block_mean(sup_sq[lvl]))
@@ -241,7 +239,7 @@ def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_p
         notes.append(f"slope standard error {slope_se:.3f} > 0.1; increase n_paths")
     _stability_note(hs, errors, slope, notes)
     # reference sanity: finest-level terminal moments vs the exact flow
-    exp_mean = _oracle_for(model, plans[0]).mean(eps_end)
+    exp_mean = _oracle_for(plans[0]).mean(eps_end)
     se = np.std(ref, axis=0) / math.sqrt(n_paths)
     if np.any(np.abs(_block_mean(ref) - exp_mean) > 5.0 * se):
         notes.append("reference terminal mean off by more than 5 SE")
@@ -249,7 +247,7 @@ def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_p
                          slope_se, notes=notes)
 
 
-def _coupled_chunk(model, stream, plans, strides, lams, offset: int, count: int):
+def _coupled_chunk(stream, plans, strides, lams, offset: int, count: int):
     """The coupled walks of paths offset..offset+count-1: each measured level's sup
     over its nodes of |x - reference|^2, shape (levels, count), and the reference's
     terminal states.  Fine step j's unit draw z is keyed on (step j, stage 0); its raw
@@ -258,13 +256,13 @@ def _coupled_chunk(model, stream, plans, strides, lams, offset: int, count: int)
     the sum of its k increments, added in order, over their standard deviation.  A
     chunk holds one (count, d) sum per level, whatever the strides."""
     # x_T and the reference plan's table: every level evaluates at fine nodes
-    [x0] = next(lockstep(model, plans[:1], StepDraws(stream, count, model.dim, offset)))
+    [x0] = next(lockstep(plans[:1], StepDraws(stream, count, plans[0].model.dim, offset)))
     sums = np.empty((len(strides) - 1, *x0.shape))
     # each walk reads ``draws``, set just before its next step
-    walks = [walk(model, plan, lambda i: draws, x0) for plan in plans]
+    walks = [walk(plan, lambda i: draws, x0) for plan in plans]
     sup_sq = np.zeros((len(strides) - 1, count))
     for j in range(1, len(lams)):
-        z = stream.normal_paths(count, j, 0, model.dim, offset)
+        z = stream.normal_paths(count, j, 0, x0.shape[1], offset)
         inc = math.sqrt(raw_increment_var(lams[j - 1], lams[j])) * z
         draws = {1: z}
         ref = next(walks[0])
@@ -280,11 +278,11 @@ def _coupled_chunk(model, stream, plans, strides, lams, offset: int, count: int)
     return sup_sq, ref
 
 
-def _weak_chunk(model, stream, plans, offset: int, count: int):
+def _weak_chunk(stream, plans, offset: int, count: int):
     """The terminal states of paths offset..offset+count-1 on each plan's grid: one
     ``lockstep`` group on one ``StepDraws``, so each step's draws are made once for
     every grid that has that step.  A shorter grid's terminal is its last step's."""
-    for last in lockstep(model, plans, StepDraws(stream, count, model.dim, offset)):
+    for last in lockstep(plans, StepDraws(stream, count, plans[0].model.dim, offset)):
         pass
     return last
 
@@ -303,27 +301,30 @@ def weak_order(spec: SolverSpec, model, grids, n_paths: int, stream,
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
     chunks = path_chunks(n_paths, workers)
-    sched = model.sched
-    plans = [StepPlan(spec, sched, grid) for grid in grids]   # a grid needs a real step
+    plans = [StepPlan(spec, model, grid) for grid in grids]   # a grid needs a real step
     widths, grids, plans = map(list, zip(*sorted(
-        ((float(np.max(g.step_widths(sched))), g, plan) for g, plan in zip(grids, plans)),
+        ((float(np.max(g.step_widths(model.sched))), g, plan) for g, plan in zip(grids, plans)),
         key=lambda triple: -triple[0])))
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
-    run = functools.partial(_weak_chunk, model, stream, plans)
+    run = functools.partial(_weak_chunk, stream, plans)
     terminals = fan_out(run, chunks, workers)   # per chunk, each grid's terminal states
-    hs, errors, ses = [], [], []
-    excluded, notes = [], []
+    errors, ses, excluded, notes = [], [], [], []
     for g_idx, (h, grid, plan) in enumerate(zip(widths, grids, plans)):
-        oracle = _oracle_for(model, plan)   # each grid's exact law starts from its own top
+        oracle = _oracle_for(plan)   # each grid's exact law starts from its own top
         terminal_t = float(grid.times[grid.n_steps - 1])
         term = np.concatenate([chunk[g_idx] for chunk in terminals])   # one grid at a time
         moments = []  # (largest error over the axes, its standard error) per power
-        for p in (1, 2, 4):
-            vals = term**p
-            gap = np.abs(_block_mean(vals) - oracle.moment(terminal_t, p))
-            axis = int(np.argmax(gap))
-            moments.append((float(gap[axis]), float(np.std(vals[:, axis])) / math.sqrt(n_paths)))
+        with np.errstate(over="ignore", invalid="ignore"):   # a non-finite one is named below
+            for p in (1, 2, 4):
+                vals = term**p
+                gap = np.abs(_block_mean(vals) - oracle.moment(terminal_t, p))
+                axis = int(np.argmax(gap))
+                moments.append((float(gap[axis]),
+                                float(np.std(vals[:, axis])) / math.sqrt(n_paths)))
+        if not np.isfinite(moments).all():   # an exact or a sample moment past float max
+            raise DomainError(f"weak order grid {g_idx} (h={h!r}) has moment errors and standard "
+                              f"errors {moments!r}; all must be finite")
         # errors under 3 standard errors are below the Monte Carlo floor; with
         # none above it the grid reports its largest raw difference but leaves
         # the fit.  max keeps the first largest error, (0, 0) if none is > 0.
@@ -332,18 +333,17 @@ def weak_order(spec: SolverSpec, model, grids, n_paths: int, stream,
         if not resolved:
             excluded.append(g_idx)
             notes.append(f"grid {g_idx} (h={h:.4g}): all moment errors below 3*SE, excluded")
-        hs.append(h)
         errors.append(err_best)
         ses.append(se_best)
     kept = [i for i in range(len(grids)) if i not in excluded]
     if len(kept) >= 2:
-        slope, intercept, r2, slope_se = fit_loglog([hs[i] for i in kept],
+        slope, intercept, r2, slope_se = fit_loglog([widths[i] for i in kept],
                                                     [errors[i] for i in kept])
-        _stability_note([hs[i] for i in kept], [errors[i] for i in kept], slope, notes)
+        _stability_note([widths[i] for i in kept], [errors[i] for i in kept], slope, notes)
     else:
         slope = intercept = r2 = slope_se = math.nan
         notes.append("fewer than 2 points above the Monte Carlo floor; no fit")
-    return OrderEstimate("weak", hs, errors, ses, n_paths, slope, intercept, r2,
+    return OrderEstimate("weak", widths, errors, ses, n_paths, slope, intercept, r2,
                          slope_se, excluded=excluded, notes=notes)
 
 
@@ -372,14 +372,13 @@ def per_step_compare(spec_a: SolverSpec, spec_b: SolverSpec, model, grid: StepGr
     so only the deterministic parts are compared.  A step that leaves a
     non-finite state on either side raises DomainError.
     """
-    plans = [StepPlan(spec_a, model.sched, grid), StepPlan(spec_b, model.sched, grid)]
+    plans = [StepPlan(spec_a, model, grid), StepPlan(spec_b, model, grid)]
     drawn = StepDraws(stream, 1, model.dim)
     zero = collections.defaultdict(lambda: np.zeros((1, model.dim)))   # churn's too
     draws_at = (lambda i: drawn(0) if i == 0 else zero) if zero_noise else drawn
-    walks = lockstep(model, plans, draws_at)
-    next(walks)   # the shared x_T
+    _, *stepped = lockstep(plans, draws_at)   # the shared x_T, then each step's pair
     max_rel = 0.0
-    for xa, xb in walks:
+    for xa, xb in stepped:
         scale = max(float(np.max(np.abs(xa))), float(np.max(np.abs(xb))))
         if scale > 0.0:
             max_rel = max(max_rel, float(np.max(np.abs(xa - xb))) / scale)
@@ -402,11 +401,12 @@ class MomentReport:
 
 def terminal_distribution_check(spec: SolverSpec, model, grid: StepGrid, n_paths: int,
                                 stream) -> MomentReport:
-    """Sample backward and compare terminal moments with the exact flow."""
-    oracle = _oracle_for(model, StepPlan(spec, model.sched, grid))
-    res = sample(model, grid, spec, stream, n_paths=n_paths)
+    """Walk the grid's one plan backward and compare terminal moments with the exact flow."""
+    plan = StepPlan(spec, model, grid)
+    oracle = _oracle_for(plan)
+    for [x] in lockstep([plan], StepDraws(stream, n_paths, model.dim)):
+        pass
     terminal_t = float(grid.times[grid.n_steps - 1])
-    x = res.terminal
     mean = _block_mean(x)
     mean_se = np.std(x, axis=0) / math.sqrt(n_paths)
     centered = x - mean

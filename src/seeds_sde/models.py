@@ -129,8 +129,9 @@ def _component_numbers(i: int, comp, key: str) -> np.ndarray:
 
 
 def _log_normalisers(cov):
-    """sum over d of log(2 pi cov): the components' log-normalisers, (..., K)."""
-    return np.add.reduce(np.log(2.0 * math.pi * cov), axis=-1)
+    """sum over d of log(2 pi cov): the (..., K) log-normalisers, +inf where 2 pi cov overflows."""
+    with np.errstate(over="ignore"):
+        return np.add.reduce(np.log(2.0 * math.pi * cov), axis=-1)
 
 
 def _closed_form_bounds(cov, lognorm):

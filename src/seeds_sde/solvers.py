@@ -45,11 +45,11 @@ A step's time-only part depends only on the grid and the run's one schedule,
 array by, each product formed in the order the body would evaluate it.  Every
 form names the node function that returns it (``Form.nodes``), and churn has
 ``churn_lift``; a ``StepPlan`` calls them once per grid, before the walk, on
-``sched.cached()``, and a step body reads only its row.  ``step_once`` computes
-a missing row on ``model.sched``.  The plan is where a solver meets its
-schedule, checking the one against the other; ``lockstep`` refuses a plan on
-another schedule than the model's, and hands its evaluation times to the model's
-optional ``prepare`` hook, which tabulates the model's time-only work.
+``model.sched.cached()``, and a step body reads only its row.  A plan keeps its
+model, so ``walk`` and ``lockstep`` take plans alone; it and ``step_once``, which
+computes a missing row, check the solver against ``model.sched`` with one rule.
+``lockstep`` hands its group's evaluation times to the model's optional
+``prepare`` hook, which tabulates the model's time-only work.
 
 Noise-prediction coefficients come from the schedule's ``np_*`` methods, in
 the lambda of the reverse SDE (``SDE``) or of the probability-flow ODE
@@ -281,8 +281,6 @@ def exp_euler_nodes(sched, s, t, stochastic=False, *, lawson: bool):
 def gddim_nodes(sched, s, t, stochastic=True):
     """Node function of gddim (VP only): no node, and one noisy move (alpha_t / alpha_s,
     sbar_t (sigma_t / sigma_s - sigma_s / sigma_t), sbar_t sqrt(1 - e^{-2h}))."""
-    if sched.family != "vp":
-        raise ConfigError("gddim requires a VP schedule")
     a_s, sg_s, _ = sched.alpha_sigma(s)
     a_t, sg_t, sbar_t = sched.alpha_sigma(t)
     h = math.log(sg_s / sg_t)
@@ -466,38 +464,45 @@ FAMILIES = {
 STAGE_PARAMS = tuple(dict.fromkeys(key for desc in FAMILIES.values() for key in desc.params))
 
 
+def _check_schedule(spec: SolverSpec, sched: ScheduleBase) -> None:
+    """The registry's rule: a schedule the spec's form does not run on is a ConfigError."""
+    if sched.family not in spec.form.schedules:
+        raise ConfigError(f"{spec.family} in mode {spec.mode!r} runs on "
+                          f"{'/'.join(spec.form.schedules)} schedules, not {sched.family!r}")
+
+
 def step_once(spec: SolverSpec, model, x, s, t, draws, nodes=None):
     """One step of the spec's family in the spec's mode from s to t; ``nodes`` is the value
-    of its node function at (s, t) when a plan has it, and is computed here on
-    ``model.sched`` otherwise.  A form without draws gets None for them."""
+    of its node function at (s, t) when a plan has it, and is otherwise computed here on
+    ``model.sched``, after the plan's schedule check.  A form without draws gets None."""
     form, kwargs = spec.form, spec.step_kwargs
-    nodes = form.nodes(model.sched, s, t, form.takes_draws, **kwargs) if nodes is None else nodes
+    if nodes is None:
+        _check_schedule(spec, model.sched)
+        nodes = form.nodes(model.sched, s, t, form.takes_draws, **kwargs)
     return form.step(model, x, s, draws if form.takes_draws else None, nodes, **kwargs)
 
 
 class StepPlan:
-    """The time-only work of one (spec, schedule, grid), done once before its walk, and
-    the one place a solver meets a schedule: a schedule the spec's form does not run on
-    is a ConfigError, and the plan keeps both, as ``spec`` and ``sched``, with the grid's
-    top time ``top``.  ``lockstep`` walks it only with a model on an equal schedule.
+    """The time-only work of one (spec, model, grid) on the model's schedule, done once
+    before its walk: a schedule the spec's form does not run on is a ConfigError, as in
+    ``step_once``.  The plan keeps the spec and the model, as ``spec`` and ``model``, with
+    the grid's top time ``top``, so it walks only the model its coefficients belong to.
 
     ``rows[i - 1]`` belongs to real step i from t_{i-1} to t_i and holds
     (t_i, lift, start, nodes): churn's ``churn_lift`` at t_{i-1} (None where
     churn is off), the time the model is first evaluated at (t_{i-1}, or the
     lifted time under churn), and the value of the form's node function at
     (start, t_i), its stage-node times and coefficients.  The rows read the schedule
-    through a fresh ``sched.cached()``, so each quantity is computed once per time.
+    through a fresh ``model.sched.cached()``, so each quantity is computed once per time.
     A grid without a real step is a GridError.
     """
 
-    def __init__(self, spec: SolverSpec, sched: ScheduleBase, grid: StepGrid):
-        if sched.family not in spec.form.schedules:
-            raise ConfigError(f"{spec.family} in mode {spec.mode!r} runs on "
-                              f"{'/'.join(spec.form.schedules)} schedules, not {sched.family!r}")
-        self.spec, self.sched = spec, sched
+    def __init__(self, spec: SolverSpec, model, grid: StepGrid):
+        _check_schedule(spec, model.sched)
+        self.spec, self.model = spec, model
         form, grid_times, rows = spec.form, grid.times.tolist(), []
         self.top = grid_times[0]
-        cache = sched.cached()
+        cache = model.sched.cached()
         for i in range(1, grid.n_steps):
             s, t = grid_times[i - 1], grid_times[i]
             lift = None if spec.churn is None else churn_lift(spec.churn, cache.sigma_of_t(s),
@@ -515,15 +520,15 @@ class StepPlan:
         return [u for _, _, start, (nodes, _) in self.rows for u in (start, *nodes)]
 
 
-def walk(model, plan: StepPlan, draws_at, x):
-    """Yield the (n, d) state after each real step of the plan's solver, from x at t_0.
+def walk(plan: StepPlan, draws_at, x):
+    """Yield the (n, d) state after each real step of the plan on its model, from x at t_0.
 
     Step i reads its draws from ``draws_at(i)``, a mapping from stage to (n, d)
     array, called when the step starts; where the plan lifts it, churn lifts
     the state from the stage-0 draw first.  A step that leaves a NaN or
     infinity raises DomainError naming step i and its time.
     """
-    spec = plan.spec
+    spec, model = plan.spec, plan.model
     for i, (t, lift, start, nodes) in enumerate(plan.rows, start=1):
         draws = draws_at(i)
         if lift is not None:
@@ -534,23 +539,19 @@ def walk(model, plan: StepPlan, draws_at, x):
         yield x
 
 
-def lockstep(model, plans, draws_at):
-    """Walk the plans together and yield the list of their states: first each x_T,
-    sigma_bar(top) ``draws_at(0)[0]``, then after each step i, a plan past its last step
-    keeping its last.  Between the draw and the first yield the model's optional
-    ``prepare`` hook gets every plan's ``times()`` at once: a table per walk would evict
-    the others.  Step i's walks read one ``draws_at(i)``: a ``StepDraws`` draws each key once.
-    A plan built on a schedule other than ``model.sched`` is a ConfigError: the model's
-    scores belong to its own schedule."""
-    if (bad := next((plan for plan in plans if plan.sched != model.sched), None)) is not None:
-        raise ConfigError(f"a {bad.spec.family} plan on schedule {bad.sched!r} cannot walk a "
-                          f"model on schedule {model.sched!r}")
-    states = [plan.sched.alpha_sigma(plan.top)[2] * draws_at(0)[0] for plan in plans]
-    prepare = getattr(model, "prepare", None)
+def lockstep(plans, draws_at):
+    """Walk the plans together, each on its model, and yield the list of their states:
+    first each x_T, sigma_bar(top) ``draws_at(0)[0]``, then after each step i, a plan past
+    its last step keeping its last.  Before the first yield the first plan's model's
+    optional ``prepare`` hook gets the ``times()`` of all its plans at once (a table per
+    walk would evict the others); a plan on another model computes its times, with the
+    same bytes.  Step i's walks read one ``draws_at(i)``: a ``StepDraws`` draws each key once."""
+    states = [plan.model.sched.alpha_sigma(plan.top)[2] * draws_at(0)[0] for plan in plans]
+    prepare = getattr(model := plans[0].model, "prepare", None)
     if prepare is not None:
-        prepare([u for plan in plans for u in plan.times()])
+        prepare([u for plan in plans if plan.model is model for u in plan.times()])
     yield states
-    walks = [walk(model, plan, draws_at, x) for plan, x in zip(plans, states)]
+    walks = [walk(plan, draws_at, x) for plan, x in zip(plans, states)]
     for _ in range(max(len(plan.rows) for plan in plans)):
         states = list(map(next, walks, states))   # a finished walk yields its last state
         yield states
@@ -572,19 +573,16 @@ def sample(model, grid: StepGrid, spec: SolverSpec, stream, n_paths=1, path_offs
 
     Steps i = 1..M-1 apply the solver; the final interval is the trivial
     step (the state is carried over unchanged, no model call), so the total
-    cost is evals_per_step * (M - 1) per path.  The grid's plan on the model's
-    schedule, which checks the solver against it, is built first, and ``lockstep`` runs it
+    cost is evals_per_step * (M - 1) per path.  The grid's plan on the model, which
+    checks the solver against the model's schedule, is built first, and ``lockstep`` runs it
     alone from x_T ~ N(0, sigma_bar(t_0)^2 I).  A step that leaves a non-finite
     state raises DomainError naming the step and its time.
     """
-    plan = StepPlan(spec, model.sched, grid)
+    plan = StepPlan(spec, model, grid)
     traj = []
-    for [x] in lockstep(model, [plan], StepDraws(stream, n_paths, model.dim, path_offset)):
+    for [x] in lockstep([plan], StepDraws(stream, n_paths, model.dim, path_offset)):
         if record:
             traj.append(x)
-    return SampleResult(
-        terminal=x,
-        times=grid.times.copy(),
-        nfe_per_path=spec.evals_per_step * len(plan.rows),
-        trajectory=np.stack(traj + [x]) if record else None,   # trivial last step: x again
-    )
+    trajectory = np.stack(traj + [x]) if record else None   # trivial last step: x again
+    return SampleResult(terminal=x, times=grid.times.copy(),
+                        nfe_per_path=spec.evals_per_step * len(plan.rows), trajectory=trajectory)

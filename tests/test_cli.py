@@ -330,6 +330,23 @@ def test_strong_order_with_errors_past_float_max_is_a_config_error(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
+def test_weak_order_with_a_moment_past_float_max_is_a_config_error(tmp_path):
+    # a component variance of 1e200 is finite, as are the states, but the exact fourth
+    # moment 3 V^2 overflows: nothing is written, where the errors read inf before
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "model": {"components": [{"weight": 0.5, "mean": [0.0], "var": 1e200},
+                                 {"weight": 0.5, "mean": [1.0], "var": 1.0}]},
+        "order": {"steps_list": [5, 7, 9]}}))
+    cfg = load_config(str(tmp_path / "cfg.json"), {"solver": "seeds2", "paths": 50, "workers": 1})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no NumPy overflow warning before the named error
+        with pytest.raises(ConfigError, match=r"^weak order grid 0 \(h=.*\) has moment errors and "
+                           r"standard errors .*inf.*; all must be finite \(with order steps_list "
+                           r"\[5, 7, 9\] "):
+            cli.cmd_order(cfg, "weak", str(tmp_path / "o"))
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("order, steps", [({"refinements": 40}, "32 * 2**41"),
                                           ({"refinements": 10**9}, "32 * 2**1000000001"),
                                           ({"base_steps": 129}, "129 * 2**5"),
@@ -356,6 +373,8 @@ def test_strong_order_past_the_reference_grid_cap_is_a_config_error(tmp_path, or
     (["order", "weak"], {"paths": 10**14}, "paths", 10_000_000),
     # the pool is never opened: the count fails before path_chunks or fan_out runs
     (["order", "strong"], {"workers": 10**14}, "workers", 256),
+    (["sample"], {"model": {"kind": "zero", "dim": 10**14}}, "model dim", 10_000),
+    (["order", "strong"], {"model": {"kind": "zero", "dim": 1e14}}, "model dim", 10_000),
 ])
 def test_sizes_past_their_caps_are_config_errors(tmp_path, argv, config, key, cap):
     # parsed and loaded as main does, without main, which freezes the test heap: the size
@@ -369,9 +388,11 @@ def test_sizes_past_their_caps_are_config_errors(tmp_path, argv, config, key, ca
 
 
 def test_sizes_at_their_caps_load(tmp_path):
-    (tmp_path / "cfg.json").write_text(json.dumps({"order": {"steps_list": [100_000, 14, 17]}}))
+    (tmp_path / "cfg.json").write_text(json.dumps({"order": {"steps_list": [100_000, 14, 17]},
+                                                   "model": {"kind": "zero", "dim": 10_000}}))
     cfg = load_config(str(tmp_path / "cfg.json"), {"paths": 10_000_000, "workers": 256})
     assert cfg.n_paths == 10_000_000 and cfg.order["steps_list"][0] == 100_000
+    assert cfg.model.dim == 10_000
     assert cfg.workers == 256
 
 

@@ -39,11 +39,11 @@ def mixture_quantile(sched, t, q):
 
 def flow_map_error(spec, sched, m):
     """Largest |x - y| over the probe paths after walking the M-step ODE-lambda grid."""
-    plan = StepPlan(spec, sched, linear_lambda_grid(m, sched.t_min, sched.t_max, sched, ODE))
     model = ScoreModel(DATA, sched)
+    plan = StepPlan(spec, model, linear_lambda_grid(m, sched.t_min, sched.t_max, sched, ODE))
     model.prepare(plan.times())
     x_top = [mixture_quantile(sched, plan.top, q) for q in QUANTILES]
-    for x in walk(model, plan, lambda i: {}, np.array(x_top)[:, None]):
+    for x in walk(plan, lambda i: {}, np.array(x_top)[:, None]):
         pass
     t_end = plan.rows[-1][0]
     y = [mixture_quantile(sched, t_end, mixture_cdf(sched, plan.top, x_t)) for x_t in x_top]

@@ -423,6 +423,18 @@ def test_data_distribution_rejects_non_finite_parameters():
         DataDistribution(np.array([0.5, 0.5]), np.zeros((2, 1)), np.array([[1.0], [np.inf]]))
 
 
+def test_a_normaliser_past_float_max_is_infinite_without_a_warning():
+    # 2 pi cov overflows for a variance of 1e308 on VE, where alpha = 1: that component's
+    # log-normaliser is +inf, as the score expects, and neither the table nor an
+    # untabulated time warns; the other component carries the score
+    data = DataDistribution(np.array([0.5, 0.5]), np.array([[0.0], [1.0]]),
+                            np.array([[1e308], [1.0]]))
+    model = ScoreModel(data, Ve())
+    model.prepare([1.0])
+    for t in (1.0, 2.0):
+        assert np.all(np.isfinite(model.score(np.array([[0.0], [0.5], [3.0]]), t)))
+
+
 def test_data_distribution_rejects_means_whose_distance_overflows():
     limit = math.sqrt(np.finfo(float).max) / 2.0
     with pytest.raises(ConfigError, match=r"component 1: 'mean' must be below sqrt\(float max\)"):

@@ -295,7 +295,7 @@ def _terminal_variance_error(spec, sched, n_steps):
     data = DataDistribution.standard_normal(1)
     model = ScoreModel(data, sched)
     grid = linear_lambda_grid(n_steps, sched.t_min, sched.t_max, sched)
-    plan = StepPlan(spec, sched, grid)
+    plan = StepPlan(spec, model, grid)
     model.prepare(plan.times())
     stages = range(1, FAMILIES[spec.family].evals + 1)
     zero = {k: np.zeros((1, 1)) for k in stages}

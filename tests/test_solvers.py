@@ -1,6 +1,5 @@
 import collections
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -782,7 +781,7 @@ def test_plan_computes_each_grid_level_once(family, mode, name, level, level_cal
     sched = _PLAN_SCHEDULES[name]
     grid = linear_lambda_grid(1001, sched.t_min, sched.t_max, sched)
     level_calls[level].clear()
-    plan = StepPlan(SolverSpec(family, mode=mode), sched, grid)
+    plan = StepPlan(SolverSpec(family, mode=mode), ZeroModel(1, sched), grid)
     # one per grid time the rows touch, not one at each end of every row
     assert len(plan.rows) == 1000 and len(level_calls[level]) == 1001
 
@@ -791,7 +790,7 @@ def test_plan_with_churn_adds_a_lambda_only_on_lifted_steps(level_calls):
     sched = _PLAN_SCHEDULES["edm"]
     grid = linear_lambda_grid(1001, sched.t_min, sched.t_max, sched)
     level_calls["lambda_of_t"].clear()
-    plan = StepPlan(SolverSpec("seeds3", churn=_CHURN), sched, grid)
+    plan = StepPlan(SolverSpec("seeds3", churn=_CHURN), ZeroModel(1, sched), grid)
     # a row reuses the previous row's lambda_t as its lambda_s unless churn moved its start
     fresh_starts = sum(i == 0 or start != plan.rows[i - 1][0]
                        for i, (_, _, start, _) in enumerate(plan.rows))
@@ -822,7 +821,8 @@ def test_plan_nodes_equal_the_node_function_called_alone(family, mode, name, chu
     grid = linear_lambda_grid(40, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode, churn=churn)
     form = FAMILIES[family].forms[spec.mode]
-    for s, (t, lift, start, nodes) in zip(grid.times.tolist(), StepPlan(spec, sched, grid).rows):
+    rows = StepPlan(spec, ZeroModel(1, sched), grid).rows
+    for s, (t, lift, start, nodes) in zip(grid.times.tolist(), rows):
         assert lift == (None if churn is None
                         else churn_lift(churn, sched.sigma_of_t(s), grid.n_steps, sched))
         assert nodes == form.nodes(sched, start, t, form.takes_draws, **spec.step_kwargs)
@@ -842,7 +842,7 @@ def test_plan_computes_alpha_sigma_once_per_time(family, mode, name, monkeypatch
     monkeypatch.setattr(ScheduleBase, "alpha_sigma", counting)
     sched = _PLAN_SCHEDULES[name]
     grid = linear_lambda_grid(1001, sched.t_min, sched.t_max, sched)
-    plan = StepPlan(SolverSpec(family, mode=mode), sched, grid)
+    plan = StepPlan(SolverSpec(family, mode=mode), ZeroModel(1, sched), grid)
     # once at every time a row starts, ends or has a stage node at, and nowhere else
     needed = {u for t, _, start, (nodes, _) in plan.rows for u in (start, *nodes, t)}
     assert len(calls) == len(set(calls)) == len(needed) >= 1001
@@ -865,7 +865,7 @@ def test_walk_does_only_array_work_and_model_calls(family, mode, name, churn, mo
     model = ScoreModel(DataDistribution.standard_normal(2), sched)
     grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode, churn=churn)
-    walks = lockstep(model, [StepPlan(spec, sched, grid)], StepDraws(RngStream(4), 3, model.dim))
+    walks = lockstep([StepPlan(spec, model, grid)], StepDraws(RngStream(4), 3, model.dim))
     next(walks)   # x_T drawn and the model prepared for the plan's times
 
     def fails(*args, **kwargs):
@@ -889,9 +889,9 @@ def test_steps_without_their_rows_give_the_walk_bytes(family, mode, name):
     model = ScoreModel(DataDistribution.standard_normal(2), sched)
     grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode)
-    plan = StepPlan(spec, sched, grid)
+    plan = StepPlan(spec, model, grid)
     draws_at = StepDraws(RngStream(4), 3, model.dim)
-    [x], *walked = lockstep(model, [plan], draws_at)
+    [x], *walked = lockstep([plan], draws_at)
     for i, (t, _, start, _) in enumerate(plan.rows, start=1):
         x = step_once(spec, model, x, start, t, draws_at(i))   # computes its own row
         assert _same_bits(x, walked[i - 1][0])
@@ -959,8 +959,8 @@ def test_lockstep_starts_every_plan_and_holds_the_shorter_walks():
     model = _Prepared(ScoreModel(DataDistribution.standard_normal(2), sched))
     grids = [linear_lambda_grid(m, sched.t_min, top, sched)
              for m, top in ((9, sched.t_max), (4, 0.9), (6, 0.8))]
-    plans = [StepPlan(SolverSpec("seeds2"), sched, grid) for grid in grids]
-    states = list(lockstep(model, plans, StepDraws(RngStream(7), 3, model.dim)))
+    plans = [StepPlan(SolverSpec("seeds2"), model, grid) for grid in grids]
+    states = list(lockstep(plans, StepDraws(RngStream(7), 3, model.dim)))
     # the first yield is every x_T, from step 0's stage-0 draw at its grid's top time
     z0 = StepDraws(RngStream(7), 3, model.dim)(0)[0]
     for plan, grid, x_top in zip(plans, grids, states[0]):
@@ -969,33 +969,43 @@ def test_lockstep_starts_every_plan_and_holds_the_shorter_walks():
     # one yield per step of the longest plan, the shorter plans holding their last state
     assert len(states) == 8 + 1
     for g, (plan, x_top) in enumerate(zip(plans, states[0])):
-        alone = list(walk(model, plan, StepDraws(RngStream(7), 3, model.dim), x_top))
+        alone = list(walk(plan, StepDraws(RngStream(7), 3, model.dim), x_top))
         for i, stepped in enumerate(states[1:]):
             assert _same_bits(stepped[g], alone[min(i, len(alone) - 1)])
     # one table for the group, made before the first network call
     assert model.calls == [([u for plan in plans for u in plan.times()], False)]
 
 
+def test_lockstep_walks_each_plan_on_the_model_it_was_built_on():
+    # plans on two mixtures over one schedule, in one group: each gives the bytes it gives
+    # walked alone; the first plan's model is tabulated for its own plans, and the other
+    # computes its times
+    sched = _PLAN_SCHEDULES["vp"]
+    mixtures = [DataDistribution(np.array([0.3, 0.7]), np.array([[1.0, -2.0], [-0.5, 0.5]]),
+                                 np.array([[0.4, 1.0], [1.3, 0.2]])),
+                DataDistribution(np.array([0.6, 0.4]), np.array([[2.0, 0.5], [-1.5, 1.0]]),
+                                 np.array([[0.2, 0.9], [1.1, 0.6]]))]
+    grids = [linear_lambda_grid(m, sched.t_min, sched.t_max, sched) for m in (12, 7, 9)]
+    cases = [(SolverSpec("seeds3"), 0, grids[0]), (SolverSpec("dpm2"), 1, grids[1]),
+             (SolverSpec("seeds1", mode="dp"), 0, grids[2])]   # (spec, mixture, grid)
+
+    models = [_Prepared(ScoreModel(data, sched)) for data in mixtures]
+    plans = [StepPlan(spec, models[k], grid) for spec, k, grid in cases]
+    states = list(lockstep(plans, StepDraws(RngStream(6), 3, 2)))
+    assert len(states) == 11 + 1
+    for g, (spec, k, grid) in enumerate(cases):
+        alone = StepPlan(spec, ScoreModel(mixtures[k], sched), grid)
+        walked = [x for [x] in lockstep([alone], StepDraws(RngStream(6), 3, 2))]
+        for i, stepped in enumerate(states):   # a shorter plan holds its last state
+            assert _same_bits(stepped[g], walked[min(i, len(walked) - 1)])
+    assert models[0].calls == [([u for plan in plans if plan.model is models[0]
+                                 for u in plan.times()], False)]
+    assert models[1].calls == []
+    # each model made the evaluations of its own plans
+    assert [m.model.nfe for m in models] == [3 * 11 + 1 * 8, 2 * 6]
+
+
 # -- outer loop ----------------------------------------------------------------
-
-
-def test_a_model_walks_only_plans_on_its_own_schedule():
-    # the model's scores belong to the schedule it carries: a plan built on another is a
-    # ConfigError naming both, where walking it would give another law without a word
-    model = ScoreModel(DataDistribution.standard_normal(1), VpLinear())
-    for other in (VpCosine(), VpLinear(beta_d=18.0)):
-        plan = StepPlan(SolverSpec("seeds3"), other,
-                        linear_lambda_grid(31, other.t_min, other.t_max, other))
-        want = rf"^a seeds3 plan on schedule {re.escape(repr(other))} cannot walk a model on "
-        with pytest.raises(ConfigError, match=want + r"schedule VpLinear\("):
-            next(lockstep(model, [plan], StepDraws(RngStream(0), 4, 1)))
-    # a plan on an equal schedule, another instance, walks
-    linear = VpLinear()
-    assert linear is not model.sched
-    plan = StepPlan(SolverSpec("seeds3"), linear,
-                    linear_lambda_grid(31, linear.t_min, linear.t_max, linear))
-    *_, [x] = lockstep(model, [plan], StepDraws(RngStream(0), 4, 1))
-    assert x.shape == (4, 1) and np.isfinite(x).all()
 
 
 def test_sample_minimal_grid_single_eval(vp, gauss_model):
@@ -1013,7 +1023,7 @@ def test_sample_zero_model_terminal_mean(vp):
     spec = SolverSpec("seeds1")
     # from a fixed start, walked over the grid's plan as strong_order walks its levels
     draws_at = StepDraws(RngStream(1), 64, 1, 0)
-    *_, terminal = walk(zm, StepPlan(spec, vp, grid), draws_at, np.full((64, 1), 1.9))
+    *_, terminal = walk(StepPlan(spec, zm, grid), draws_at, np.full((64, 1), 1.9))
     a_last = vp.alpha_sigma(float(grid.times[-2]))[0]
     a_first = vp.alpha_sigma(float(grid.times[0]))[0]
     mean = terminal.mean()
@@ -1034,15 +1044,15 @@ def test_walk_reads_the_stage_draws_its_form_takes(family, mode):
     sched = _PLAN_SCHEDULES[form.schedules[0]]
     grid = linear_lambda_grid(30, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode, churn=_CHURN)
-    plan = StepPlan(spec, sched, grid)
+    model = ScoreModel(DataDistribution.standard_normal(1), sched)
+    plan = StepPlan(spec, model, grid)
     asked = []   # (i, the mapping draws_at(i) gave), which records each stage read
 
     def draws_at(i):
         asked.append((i, collections.defaultdict(lambda: np.zeros((3, 1)))))
         return asked[-1][1]
 
-    model = ScoreModel(DataDistribution.standard_normal(1), sched)
-    for _ in walk(model, plan, draws_at, np.ones((3, 1))):
+    for _ in walk(plan, draws_at, np.ones((3, 1))):
         pass
     stages = set(range(1, FAMILIES[family].evals + 1)) if form.takes_draws else set()
     lifted = [lift is not None for _, lift, _, _ in plan.rows]
@@ -1057,16 +1067,20 @@ def test_walk_reads_the_stage_draws_its_form_takes(family, mode):
     for kind in _PLAN_SCHEDULES if kind not in form.schedules])
 def test_step_plan_checks_the_schedule_as_validate_against_does(family, mode, kind):
     # the plan is where a solver meets a schedule (it absorbed ``SolverSpec.validate_against``):
-    # no walk starts on one its form does not run on
+    # no walk starts on one its form does not run on, and no step computing its own row
     spec, sched = SolverSpec(family, mode=mode), _PLAN_SCHEDULES[kind]
     runs_on = "/".join(spec.form.schedules)
-    with pytest.raises(ConfigError, match=f"^{family} in mode {mode!r} runs on {runs_on} "
-                                          f"schedules, not {kind!r}$"):
-        StepPlan(spec, sched, linear_lambda_grid(5, sched.t_min, sched.t_max, sched))
-    # on one it runs on, the plan keeps both for its walk
-    good = _PLAN_SCHEDULES[spec.form.schedules[0]]
-    plan = StepPlan(spec, good, linear_lambda_grid(5, good.t_min, good.t_max, good))
-    assert plan.spec is spec and plan.sched is good
+    want = f"^{family} in mode {mode!r} runs on {runs_on} schedules, not {kind!r}$"
+    model = ZeroModel(1, sched)
+    with pytest.raises(ConfigError, match=want):
+        StepPlan(spec, model, linear_lambda_grid(5, sched.t_min, sched.t_max, sched))
+    with pytest.raises(ConfigError, match=want):
+        step_once(spec, model, np.ones((2, 1)), 0.5, 0.4, {k: np.zeros((2, 1)) for k in range(4)})
+    # on one it runs on, the plan keeps the spec and the model for its walk
+    good = ZeroModel(1, _PLAN_SCHEDULES[spec.form.schedules[0]])
+    plan = StepPlan(spec, good, linear_lambda_grid(5, good.sched.t_min, good.sched.t_max,
+                                                   good.sched))
+    assert plan.spec is spec and plan.model is good
 
 
 def test_solver_spec_keeps_its_form_and_stage_parameters():
@@ -1131,8 +1145,8 @@ def test_step_once_dispatch_covers_families():
             spec = SolverSpec(fam, mode=mode)
             for name in form.schedules:
                 sched = schedules[name]
-                StepPlan(spec, sched, linear_lambda_grid(5, sched.t_min, sched.t_max, sched))
                 model = ScoreModel(DataDistribution.standard_normal(1), sched)
+                StepPlan(spec, model, linear_lambda_grid(5, sched.t_min, sched.t_max, sched))
                 out = step_once(spec, model, np.array([0.4]), *times[name], draws)
                 assert np.isfinite(out).all(), (fam, mode, name)
                 assert model.nfe == spec.evals_per_step, (fam, mode, name)
