@@ -280,19 +280,6 @@ class ScoreModel:
         eps_hat = -sbar * sc
         return x / a - s * eps_hat
 
-    def score_from_model(self, x, t):
-        """Score reconstructed from the network output through the schedule's
-        preconditioning, the way a black-box sampler would (costs 1 NFE)."""
-        x = np.asarray(x, dtype=float)
-        a, s, sbar = self._alpha_sigma(t)
-        f_val = self.noise_pred(x, t)
-        if self.sched.family == "edm":
-            # D = c1 x + c2 F with c1 = sd^2 / den and c2 = t sd / sqrt(den)
-            sd = self.sched.sigma_data
-            den = t * t + sd * sd
-            return ((sd * sd / den - 1.0) * x + t * sd / math.sqrt(den) * f_val) / (a * s * s)
-        return -f_val / sbar
-
 
 class ZeroModel:
     """Model with vanishing nonlinear part: F == 0 and D == x / alpha.
@@ -320,7 +307,3 @@ class ZeroModel:
         self.nfe += 1
         a, _, _ = self.sched.alpha_sigma(t)
         return np.asarray(x, dtype=float) / a
-
-    def score_from_model(self, x, t):
-        self.nfe += 1
-        return np.zeros_like(np.asarray(x, dtype=float))

@@ -18,7 +18,7 @@ h = lambda_t - lambda_s: ``np_trans`` is Phi, ``np_gain`` is g and
 ``np_noise`` is c (its sign included), each in the lambda variant of the
 reverse SDE (stochastic) or of the probability-flow ODE; ``np_rate`` is the
 coefficient of F in exponential Euler's time-variable ODE.  VE has none of
-them.
+them.  Every schedule gives ``np_score``, the score rebuilt from F.
 
 Evaluations are allowed slightly above t_max (factor 1.5) so that
 churn-lifted noise levels remain representable; grid validation still uses
@@ -129,30 +129,14 @@ class ScheduleBase:
             object.__setattr__(twin, name, functools.lru_cache(8)(getattr(twin, name)))
         return twin
 
-    # -- noise-prediction step coefficients (VP and EDM override) -----------
-
-    def np_trans(self, s: float, t: float, stochastic: bool) -> float:
-        """Linear transition Phi(t, s) of the noise-prediction step."""
-        raise self._np_undefined()
-
-    def np_gain(self, t: float, stochastic: bool) -> float:
-        """Gain g(t) multiplying (e^h - 1) F and its phi_2 corrections."""
-        raise self._np_undefined()
-
-    def np_noise(self, t: float) -> float:
-        """Signed scale c(t) of the reverse-SDE Gaussian term c(t) sqrt(e^{2h} - 1) z."""
-        raise self._np_undefined()
-
-    def np_rate(self, t: float) -> float:
-        """Coefficient of F in the time-variable probability-flow ODE."""
-        raise self._np_undefined()
-
-    def _np_undefined(self) -> ConfigError:
-        return ConfigError("noise-prediction steps are not defined for schedule family "
-                           f"{self.family!r}")
+    def np_score(self, t: float):
+        """(c_x, c_F, d) of the score rebuilt from the network output F at t, (c_x x + c_F F) / d;
+        c_x None means no x term: on VP and VE, F = -sigma_bar score (EDM overrides)."""
+        return None, -1.0, self.alpha_sigma(t)[2]
 
     # subclass hooks: _check_params, _alpha, _sigma, _lambda, _t_of_lambda,
-    # _time_of_sigma, drift_f, diffusion_g2
+    # _time_of_sigma, drift_f, diffusion_g2; VP and EDM add np_trans, np_gain,
+    # np_noise and np_rate
 
 
 class _Vp(ScheduleBase):
@@ -383,6 +367,13 @@ class Edm(_IdentitySigma):
     def np_rate(self, t):
         sd = self.sigma_data
         return -sd / math.sqrt(t * t + sd * sd)
+
+    def np_score(self, t):
+        # D = c1 x + c2 F with c1 = sd^2 / den and c2 = t sd / sqrt(den), and D = x + t^2 score
+        sd = self.sigma_data
+        den = t * t + sd * sd
+        a, s, _ = self.alpha_sigma(t)
+        return sd * sd / den - 1.0, t * sd / math.sqrt(den), a * s * s
 
 
 _KINDS = {cls.kind: cls for cls in (VpLinear, VpCosine, Ve, Edm)} | {"vp_linear": VpLinear}

@@ -54,6 +54,8 @@ computes a missing row, check the solver against ``model.sched`` with one rule.
 Noise-prediction coefficients come from the schedule's ``np_*`` methods, in
 the lambda of the reverse SDE (``SDE``) or of the probability-flow ODE
 (``ODE``); data prediction uses lambda = -log sigma and ``alpha_sigma``.
+Euler-Maruyama's row holds ``np_score``, which rebuilds the score from F, so
+every step reads the model only through ``noise_pred`` and ``data_pred``.
 """
 
 import math
@@ -179,20 +181,24 @@ def _check_backward(s: float, t: float, h: float) -> None:
 
 def _stage_times(sched, s, t, stochastic, fracs, dp=False):
     """A step's lambda width h and nodes t_of_lambda(lambda_s + c h), c in ``fracs``, in the
-    SDE (stochastic) or ODE lambda, or with ``dp`` time_of_sigma(sigma_s e^{-c h})."""
+    SDE (stochastic) or ODE lambda, or with ``dp`` time_of_sigma(sigma_s e^{-c h}); a node
+    whose level rounds to the start's is a DomainError."""
     if len(fracs) > (most := 1 if dp else 2):
         raise ConfigError(f"{'data' if dp else 'noise'}-prediction steps take at most {most} "
                           f"stage fractions, got {tuple(fracs)!r}")
     if dp:
-        sg_s = sched.sigma_of_t(s)
-        h = math.log(sg_s / sched.sigma_of_t(t))
-        _check_backward(s, t, h)
-        return h, tuple(sched.time_of_sigma(sg_s * math.exp(-c * h)) for c in fracs)
-    var = SDE if stochastic else ODE
-    lam_s = sched.lambda_of_t(s, var)
-    h = sched.lambda_of_t(t, var) - lam_s
+        start = sched.sigma_of_t(s)
+        h = math.log(start / sched.sigma_of_t(t))
+    else:
+        var = SDE if stochastic else ODE
+        start = sched.lambda_of_t(s, var)
+        h = sched.lambda_of_t(t, var) - start
     _check_backward(s, t, h)
-    return h, tuple(sched.t_of_lambda(lam_s + c * h, var) for c in fracs)
+    levels = [start * math.exp(-c * h) if dp else start + c * h for c in fracs]
+    if start in levels:   # c h below the start level's rounding: the node would not move
+        raise DomainError(f"stage fraction {fracs[levels.index(start)]!r} puts a node on its "
+                          f"step's start s={s!r} with h={h!r}")
+    return h, tuple(sched.time_of_sigma(u) if dp else sched.t_of_lambda(u, var) for u in levels)
 
 
 def np_move(sched, s, u, ch, stochastic, noisy=False):
@@ -260,10 +266,11 @@ def dpm4_nodes(sched, s, t, stochastic=False):
 
 
 def euler_maruyama_nodes(sched, s, t, stochastic=True):
-    """Node function of ``euler_maruyama_step``: no node; f(s), g^2(s), dt, sqrt(g^2 |dt|)."""
+    """Node function of ``euler_maruyama_step``: no node; f(s), g^2(s), dt, sqrt(g^2 |dt|)
+    and the (c_x, c_F, d) of ``np_score(s)``, which rebuild the score from F."""
     _check_backward(s, t, s - t)
     dt, f, g2 = t - s, sched.drift_f(s), sched.diffusion_g2(s)
-    return (), (f, g2, dt, math.sqrt(g2 * abs(dt)))
+    return (), (f, g2, dt, math.sqrt(g2 * abs(dt)), *sched.np_score(s))
 
 
 def exp_euler_nodes(sched, s, t, stochastic=False, *, lawson: bool):
@@ -375,9 +382,12 @@ def dpm4_step(model, x_s, s, draws, nodes):
 
 
 def euler_maruyama_step(model, x_s, s, draws, nodes):
-    """Direct discretization of the reverse SDE (1 model evaluation)."""
-    _, (f, g2, dt, noise) = nodes
-    score = model.score_from_model(x_s, s)
+    """Direct discretization of the reverse SDE (1 model evaluation): the score is
+    rebuilt from F = ``noise_pred`` as (c_x x + c_F F) / d, the way a sampler reads a
+    black-box network."""
+    _, (f, g2, dt, noise, c_x, c_f, d) = nodes
+    f_s = model.noise_pred(x_s, s)
+    score = (c_f * f_s if c_x is None else c_x * x_s + c_f * f_s) / d
     return x_s + (f * x_s - g2 * score) * dt + noise * draws[1]
 
 

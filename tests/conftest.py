@@ -47,10 +47,6 @@ class ConstantModel:
         self.nfe += 1
         return np.full_like(np.asarray(x, dtype=float), self.data_value)
 
-    def score_from_model(self, x, t):
-        self.nfe += 1
-        return np.full_like(np.asarray(x, dtype=float), self.noise_value)
-
 
 @pytest.fixture
 def constant_model():

@@ -419,6 +419,25 @@ def test_stage_parameter_a_family_does_not_read_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schedule, solver", [
+    ("ve", {"family": "ve2_sde", "r1": 1e-308}), ("ve", {"family": "ve2_ode_a", "r1": 1e-308}),
+    ("vp", {"family": "dpm2", "c2": 1e-308}), ("vp", {"family": "seeds3", "r1": 1e-308}),
+])
+def test_a_stage_node_on_its_steps_start_exits_1(tmp_path, capsys, schedule, solver):
+    # r1 h or c2 h rounds away against the start's level, so the node would not move and
+    # the weight 1/(2c) would blow the step up (or, in data prediction, cancel its noise)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"schedule": {"kind": schedule}, "solver": solver}))
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always", RuntimeWarning)
+        assert run(["sample", "--config", str(cfg_path), "--paths", "4", "--out", str(out)]) == 1
+    assert warned == []
+    assert re.search(r"stage fraction 1e-308 puts a node on its step's start s=\S+ with h=\S+ "
+                     r"\(with grid steps 31 from t_max=", _config_error(capsys))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("solver, params", [
     ({"family": "seeds2"}, {"c2": 0.3}),
     ({"family": "seeds3"}, {"r1": 0.2, "r2": 0.5}),

@@ -6,13 +6,12 @@ tiny number, null or an empty list or object, sometimes with flag overrides of
 the parsed flags' types, and runs ``load_config`` and one ``cmd_*`` in-process,
 as ``cli.main`` would but without its heap freeze.  Only ``ConfigError``,
 ``DomainError`` and ``GridError`` may escape, and any terminal.csv written holds
-finite numbers.  RuntimeWarnings are recorded, as the command line prints them:
-a case that ends in a named error may have printed one on its way (a step that
-overflows is named by the walk's finite check), but a case that runs to the end
-must print none.  Every size the base configs set is small (paths, steps,
-refinements, base_steps, steps_list, model dim) and every run has one worker;
-no replacement value is a larger valid size, so no case asks for a big
-allocation or a pool.  A ``grid`` or ``order`` section emptied to ``{}`` runs
+finite numbers.  RuntimeWarnings are recorded, as the command line prints them,
+and no case may print one, whether it runs to the end or ends in a named error:
+a bad value is named before NumPy computes with it.  Every size the base
+configs set is small (paths, steps, refinements, base_steps, steps_list, model
+dim) and every run has one worker; no replacement value is a larger valid
+size, so no case asks for a big allocation or a pool.  A ``grid`` or ``order`` section emptied to ``{}`` runs
 on the command line's defaults: 31 grid steps, strong order's 32 * 2**5-step
 reference and weak order's 14 to 26 steps, still at most 64 paths.
 """
@@ -140,14 +139,14 @@ def test_mutated_configs_fail_only_by_name(block, tmp_path, capsys):
             warnings.simplefilter("always", RuntimeWarning)
             try:
                 _run(case_dir, cfg, flags, command)
-                if warned:
-                    failures.append(f"case {seed} ({command}, flags {flags}) ran to the end "
-                                    f"with {warned[0].message!r}\n{json.dumps(cfg)}")
             except NAMED:
                 pass
             except Exception as exc:   # noqa: BLE001 - every other exception is a finding
                 failures.append(f"case {seed} ({command}, flags {flags}): "
                                 f"{type(exc).__name__}: {exc}\n{json.dumps(cfg)}")
+        if warned:
+            failures.append(f"case {seed} ({command}, flags {flags}) printed "
+                            f"{warned[0].message!r}\n{json.dumps(cfg)}")
         terminal = case_dir / "out" / "terminal.csv"
         if terminal.exists():
             with open(terminal) as fh:

@@ -282,16 +282,27 @@ def test_noise_pred_closed_form_and_sign(vp, gauss_model):
     assert np.allclose(gauss_model.noise_pred(np.zeros(1), 0.5), 0.0, atol=1e-15)
 
 
+def _rebuilt_score(model, x, t):
+    """The score a sampler rebuilds from F = ``noise_pred``: (c_x x + c_F F) / d with
+    (c_x, c_F, d) = ``sched.np_score(t)``, c_x None meaning no x term."""
+    c_x, c_f, d = model.sched.np_score(t)
+    f_val = model.noise_pred(x, t)
+    return (c_f * f_val if c_x is None else c_x * x + c_f * f_val) / d
+
+
 def test_edm_inversion_round_trip():
-    sched = Edm(sigma_data=0.6)
+    # EDM inverts its preconditioning; VP and VE divide F = -sigma_bar score by
+    # -sigma_bar, at the same fractions of t_max
     data = DataDistribution(np.array([0.7, 0.3]), np.array([[0.5], [-1.0]]),
                             np.array([[0.4], [0.9]]))
-    model = ScoreModel(data, sched)
     x = np.array([0.9])
-    for t in (0.05, 1.3, 20.0):
-        direct = model.score(x, t)
-        via_net = model.score_from_model(x, t)
-        assert np.allclose(direct, via_net, rtol=1e-12, atol=1e-15)
+    for sched in (Edm(sigma_data=0.6), Ve(), VpLinear(), VpCosine()):
+        model = ScoreModel(data, sched)
+        for t in (0.05, 1.3, 20.0):
+            t *= sched.t_max / 80.0
+            direct = model.score(x, t)
+            via_net = _rebuilt_score(model, x, t)
+            assert np.allclose(direct, via_net, rtol=1e-12, atol=1e-15), (sched.kind, t)
 
 
 def test_data_pred_relations(vp):
@@ -320,9 +331,12 @@ def test_data_pred_relations(vp):
     c2 = t * sd / math.sqrt(t * t + sd * sd)
     f_val = edm_model.noise_pred(x, t)
     d_val = edm_model.data_pred(x, t)
-    # EDM preconditioning D = c1 x + c2 F, and the score that score_from_model rebuilds
+    # EDM preconditioning D = c1 x + c2 F, and the score np_score rebuilds from F on
+    # every schedule
     assert np.allclose(d_val, c1 * x + c2 * f_val, rtol=1e-12)
-    assert np.allclose(edm_model.score_from_model(x, t), edm_model.score(x, t), rtol=1e-12)
+    for sched, t in ((vp, 0.6), (VpCosine(), 0.6), (Ve(), 1.7), (edm, 2.1)):
+        model = ScoreModel(data, sched)
+        assert np.allclose(_rebuilt_score(model, x, t), model.score(x, t), rtol=1e-12)
 
 
 def test_data_pred_small_time_limit(vp, gauss_model):
@@ -473,7 +487,7 @@ def test_prepared_table_gives_the_same_bytes(name, k, d):
     for n in (1, 7, 2048):
         x = rng.normal(0.0, 3.0, (n, d))
         for t in planned + [np.float64(planned[1]), np.array(planned[2])] + others:
-            for call in ("noise_pred", "data_pred", "score_from_model", "score"):
+            for call in ("noise_pred", "data_pred", "score"):
                 got, want = getattr(prepared, call)(x, t), getattr(plain, call)(x, t)
                 assert _same_bits(got, want), (call, n, t)
 
@@ -485,8 +499,7 @@ def test_prepared_table_misses_only_other_times(vp, marginal_calls):
     for t in (0.3, 0.5, 0.4):
         model.noise_pred(x, t)
         model.data_pred(x, t)
-        model.score_from_model(x, t)
-    assert marginal_calls == [0.4] * 3
+    assert marginal_calls == [0.4] * 2
 
 
 def test_a_second_prepare_replaces_the_table(vp, marginal_calls):

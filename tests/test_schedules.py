@@ -156,12 +156,10 @@ def test_np_rate_gives_the_probability_flow(sched):
 
 
 def test_ve_has_no_np_coefficients():
+    # the registry's schedule check stops every noise-prediction form before its nodes
     ve = Ve()
-    for call in (lambda: ve.np_trans(2.0, 1.0, True), lambda: ve.np_gain(1.0, False),
-                 lambda: ve.np_noise(1.0), lambda: ve.np_rate(1.0)):
-        with pytest.raises(ConfigError, match="not defined for schedule family 've'"):
-            call()
-    with pytest.raises(ConfigError):
+    assert not any(hasattr(ve, name) for name in ("np_trans", "np_gain", "np_noise", "np_rate"))
+    with pytest.raises(ConfigError, match="not 've'"):
         step_once(SolverSpec("exp_euler_etd"), ZeroModel(1, ve), np.zeros(1), 2.0, 1.0, None)
 
 

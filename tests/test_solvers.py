@@ -909,23 +909,27 @@ class _NoHook:
     def data_pred(self, x, t):
         return self.model.data_pred(x, t)
 
-    def score_from_model(self, x, t):
-        return self.model.score_from_model(x, t)
+
+_SCHEDULES = {**_PLAN_SCHEDULES, "vp_cosine": VpCosine()}
+# every (family, mode, schedule), plain and churned; an id names a mode other than the default
+_EVERY_FORM = {"-".join([fam, *([] if mode == next(iter(desc.forms)) else [mode]), name,
+                         "None" if churn is None else "churn"]): (fam, mode, name, churn)
+               for fam, desc in FAMILIES.items() for mode, form in desc.forms.items()
+               for name, sched in _SCHEDULES.items() if sched.family in form.schedules
+               for churn in (None, _CHURN)}
 
 
-@pytest.mark.parametrize("family, name, churn", [
-    ("seeds3", "vp", None), ("euler_maruyama", "vp", None), ("dpm4", "edm", None),
-    ("ve2_sde", "ve", None), ("seeds2", "edm", _CHURN),
-])
-def test_models_without_the_hook_sample_and_compare_unchanged(family, name, churn,
+@pytest.mark.parametrize("family, mode, name, churn", _EVERY_FORM.values(), ids=_EVERY_FORM)
+def test_models_without_the_hook_sample_and_compare_unchanged(family, mode, name, churn,
                                                               marginal_calls):
+    # a model is its dim, sched and two network calls: every form runs on one
     from seeds_sde import per_step_compare
 
-    sched = _PLAN_SCHEDULES[name]
+    sched = _SCHEDULES[name]
     data = DataDistribution(np.array([0.3, 0.7]), np.array([[1.0, -2.0], [-0.5, 0.5]]),
                             np.array([[0.4, 1.0], [1.3, 0.2]]))
     grid = linear_lambda_grid(15, sched.t_min, sched.t_max, sched)
-    spec, other = SolverSpec(family, churn=churn), SolverSpec("seeds1", mode="dp")
+    spec, other = SolverSpec(family, mode=mode, churn=churn), SolverSpec("seeds1", mode="dp")
     want = sample(ScoreModel(data, sched), grid, spec, RngStream(5), n_paths=5)
     want_cmp = per_step_compare(spec, other, ScoreModel(data, sched), grid, RngStream(5))
     assert marginal_calls == []
@@ -935,6 +939,21 @@ def test_models_without_the_hook_sample_and_compare_unchanged(family, name, chur
     assert per_step_compare(spec, other, _NoHook(inner), grid, RngStream(5)) == want_cmp
     # without the hook every evaluation computes its time-only terms
     assert len(marginal_calls) == inner.nfe > 0
+
+
+@pytest.mark.parametrize("family", [fam for fam, mode, name in _FORMS
+                                    if (mode, name) == ("np", "edm")])
+def test_np_forms_walk_the_edm_zero_model_as_the_network_of_its_prior(family):
+    # on EDM, F == 0 is the network of N(0, sigma_data^2 I) data: every noise-prediction
+    # form, Euler-Maruyama's rebuilt score included, walks both with the same bytes
+    sched = _PLAN_SCHEDULES["edm"]
+    prior = DataDistribution(np.array([1.0]), np.zeros((1, 2)),
+                             np.full((1, 2), sched.sigma_data ** 2))
+    grid = linear_lambda_grid(15, sched.t_min, sched.t_max, sched)
+    spec = SolverSpec(family, mode="np")
+    want = sample(ScoreModel(prior, sched), grid, spec, RngStream(6), n_paths=5)
+    got = sample(ZeroModel(2, sched), grid, spec, RngStream(6), n_paths=5)
+    assert _same_bits(got.terminal, want.terminal)
 
 
 class _Prepared(_NoHook):
