@@ -3,9 +3,9 @@
 
 Prints the median wall time in microseconds of one ``ScoreModel.noise_pred``
 call on the VP schedule for each (K components, d dimensions, n states):
-``us/call`` at a time the model has no table for, which computes its
-time-only terms, and ``prepared`` at a time ``ScoreModel.prepare`` has
-tabulated, which reads them.
+``us/call`` at a time the model has no table for, which builds a one-time row
+of its time-only terms, and ``prepared`` at a time ``ScoreModel.prepare`` has
+tabulated, which reads its row.
 Each timed sample averages enough back-to-back calls to last about
 ``--sample-ms`` milliseconds; the median is taken over ``--repeats`` samples.
 The mixture's means and variances and the states are drawn from a fixed seed.

@@ -147,9 +147,9 @@ def _closed_form_bounds(cov, lognorm):
 class ScoreModel:
     """Exact score / noise-prediction / data-prediction oracle on a schedule.
 
-    ``prepare(times)`` tabulates the work of an evaluation that depends only
-    on its time; an evaluation at a tabulated time reads its row, with the
-    same bytes, and one at any other time computes it.
+    ``prepare(times)`` tabulates the work of an evaluation that depends only on its time;
+    an evaluation at a tabulated time reads its row, and one at any other time builds a
+    one-time row the same way, with the same bytes.  States are (..., d) arrays.
     """
 
     def __init__(self, data: DataDistribution, sched: ScheduleBase):
@@ -167,25 +167,22 @@ class ScoreModel:
         return self.data.dim
 
     def prepare(self, times) -> None:
-        """Replace the table with one row per distinct time in ``times``.
-
-        A row holds (alpha, sigma, sigma_bar) from the schedule's scalar
-        ``alpha_sigma``, the marginal's (K, d) means and variances, the (K,)
-        log-normalisers sum_d log(2 pi cov) and the bound R_t up to which
-        ``score`` takes the one-component closed form.  One vectorized pass
-        computes the stacked rows with the functions an evaluation at one time
-        uses: their operations are elementwise, and the sums over d and the
-        minimum over (K, d) run per row, so a row holds the bytes that
-        evaluation would compute.
-        """
+        """Replace the table with ``_table_of``'s rows, one per distinct time in ``times``."""
         rows = {}
         for t in times:
             rows.setdefault(float(t), len(rows))
-        coef = np.array([self.sched.alpha_sigma(t) for t in rows]).reshape(len(rows), 3)
+        self._rows, self._table = rows, self._table_of(list(rows))
+
+    def _table_of(self, times):
+        """Stacked rows at ``times``: (alpha, sigma, sigma_bar) from the scalar
+        ``alpha_sigma``, the marginal's (K, d) means and variances, the (K,) log-normalisers
+        sum_d log(2 pi cov) and the bound R_t of ``score``'s one-component closed form.
+        Every operation is elementwise or a per-row reduction, so a row's bytes do not
+        depend on the other times."""
+        coef = np.array([self.sched.alpha_sigma(t) for t in times]).reshape(len(times), 3)
         mu, cov = self.data.marginal_of(coef[:, 0, None, None], coef[:, 2, None, None])
         lognorm = _log_normalisers(cov)
-        self._rows = rows
-        self._table = (coef, mu, cov, lognorm, _closed_form_bounds(cov, lognorm))
+        return coef, mu, cov, lognorm, _closed_form_bounds(cov, lognorm)
 
     def _alpha_sigma(self, t):
         """(alpha, sigma, sigma_bar) at t: its row when t is tabulated."""
@@ -194,13 +191,11 @@ class ScoreModel:
 
     def _marginal(self, t):
         """The marginal's (K, d) means and variances, (K,) log-normalisers and the
-        one-component score's bound at t."""
-        i = self._rows.get(float(t))
+        one-component score's bound at t: its row, or a one-time table's."""
+        i, table = self._rows.get(float(t)), self._table
         if i is None:
-            mu, cov = self.data.marginal(self.sched, t)
-            lognorm = _log_normalisers(cov)
-            return mu, cov, lognorm, _closed_form_bounds(cov, lognorm)
-        _, mu, cov, lognorm, bound = self._table
+            i, table = 0, self._table_of([t])
+        _, mu, cov, lognorm, bound = table
         return mu[i], cov[i], lognorm[i], bound[i]
 
     # -- exact quantities (not NFE-counted) ---------------------------------
@@ -218,10 +213,9 @@ class ScoreModel:
         """
         mu, cov, lognorm, bound = self._marginal(t)
         x = np.asarray(x, dtype=float)
-        shape = x.shape   # states of dimension d skip np.broadcast_shapes (about 3 us a call)
-        if shape[-1:] != mu.shape[1:]:
-            shape = np.broadcast_shapes(shape, mu.shape[1:])
-        elif mu.shape[0] == 1:
+        if x.shape[-1:] != mu.shape[1:]:
+            raise DomainError(f"states of shape {x.shape} are not of dimension d = {mu.shape[1]}")
+        if mu.shape[0] == 1:
             # one component: within the bound every row's log density is finite,
             # its responsibility is exactly 1 and the score is -(0.0 + (x - mu) / cov);
             # NaN and +-inf fail the test
@@ -230,7 +224,7 @@ class ScoreModel:
                 diff /= cov[0]
                 diff += 0.0
                 return np.negative(diff, out=diff)
-        tmp = np.empty(shape)
+        tmp = np.empty(x.shape)
         # (..., K): quadratic forms, then log densities, then responsibilities
         resp = np.empty(tmp.shape[:-1] + mu.shape[:1])
         for k in range(mu.shape[0]):

@@ -111,7 +111,10 @@ class ScheduleBase:
         lam = float(lam)
         if not math.isfinite(lam):
             raise DomainError(f"lambda {lam!r} is not finite")
-        t = self._t_of_lambda(lam, variant)
+        try:
+            t = self._t_of_lambda(lam, variant)
+        except OverflowError:   # math.exp or math.expm1 past float max
+            t = math.inf
         if not math.isfinite(t):
             raise DomainError(f"lambda={lam!r} outside the image of lambda_of_t")
         return self._check_time(t)

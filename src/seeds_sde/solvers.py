@@ -48,8 +48,8 @@ form names the node function that returns it (``Form.nodes``), and churn has
 ``model.sched.cached()``, and a step body reads only its row.  A plan keeps its
 model, so ``walk`` and ``lockstep`` take plans alone; it and ``step_once``, which
 computes a missing row, check the solver against ``model.sched`` with one rule.
-``lockstep`` hands its group's evaluation times to the model's optional
-``prepare`` hook, which tabulates the model's time-only work.
+``lockstep`` hands each model of its group the evaluation times of that model's
+plans, through the model's optional ``prepare`` hook, which tabulates its time-only work.
 
 Noise-prediction coefficients come from the schedule's ``np_*`` methods, in
 the lambda of the reverse SDE (``SDE``) or of the probability-flow ODE
@@ -146,14 +146,16 @@ class SolverSpec:
 
 
 class StepDraws(dict):
-    """Walks' ``draws_at`` for paths offset..offset+n-1 and the stage-keyed mapping it
-    hands out: ``draws_at(i)`` makes the mapping step i's, dropping the draws kept for
+    """Walks' ``draws_at`` for paths offset..offset+n-1, n >= 1, and the stage-keyed mapping
+    it hands out: ``draws_at(i)`` makes the mapping step i's, dropping the draws kept for
     another step, and ``draws[k]`` draws stage k's (n, d) array on key (step i, stage k)
     when first read and keeps it.  So walks advanced in lockstep on one ``StepDraws``
     draw each key once, and ``draws_at(0)[0]`` is the initial draw.  Steps never write
     into their draws, so every walk may read the same arrays."""
 
     def __init__(self, stream, n: int, d: int, offset: int = 0):
+        if n < 1:
+            raise ConfigError(f"need at least one path, got {n}")
         self.stream, self.n, self.d, self.offset = stream, n, d, offset
         self.step_index = None
 
@@ -552,14 +554,14 @@ def walk(plan: StepPlan, draws_at, x):
 def lockstep(plans, draws_at):
     """Walk the plans together, each on its model, and yield the list of their states:
     first each x_T, sigma_bar(top) ``draws_at(0)[0]``, then after each step i, a plan past
-    its last step keeping its last.  Before the first yield the first plan's model's
-    optional ``prepare`` hook gets the ``times()`` of all its plans at once (a table per
-    walk would evict the others); a plan on another model computes its times, with the
-    same bytes.  Step i's walks read one ``draws_at(i)``: a ``StepDraws`` draws each key once."""
+    its last step keeping its last.  Before the first yield each distinct model, in plan
+    order, has its optional ``prepare`` hook called once with the ``times()`` of all its
+    plans (a table per walk would evict the others).  Step i's walks read one
+    ``draws_at(i)``: a ``StepDraws`` draws each key once."""
     states = [plan.model.sched.alpha_sigma(plan.top)[2] * draws_at(0)[0] for plan in plans]
-    prepare = getattr(model := plans[0].model, "prepare", None)
-    if prepare is not None:
-        prepare([u for plan in plans if plan.model is model for u in plan.times()])
+    for model in {id(plan.model): plan.model for plan in plans}.values():   # by identity
+        if (prepare := getattr(model, "prepare", None)) is not None:
+            prepare([u for plan in plans if plan.model is model for u in plan.times()])
     yield states
     walks = [walk(plan, draws_at, x) for plan, x in zip(plans, states)]
     for _ in range(max(len(plan.rows) for plan in plans)):

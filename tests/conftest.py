@@ -84,16 +84,17 @@ def chunks_of(monkeypatch):
 
 @pytest.fixture
 def marginal_calls(monkeypatch):
-    """The times of every ``DataDistribution.marginal`` call from here on: a
-    ``ScoreModel`` evaluation at a time it has no table row for computes its
-    marginal there, one at a tabulated time reads the row."""
-    times, marginal = [], DataDistribution.marginal
+    """The times of every untabulated ``ScoreModel._marginal`` call from here on: a
+    ``ScoreModel`` evaluation at a time it has no table row for builds a one-time
+    row there, one at a tabulated time reads the row."""
+    times, marginal = [], ScoreModel._marginal
 
-    def counting(self, sched, t):
-        times.append(t)
-        return marginal(self, sched, t)
+    def counting(self, t):
+        if float(t) not in self._rows:
+            times.append(t)
+        return marginal(self, t)
 
-    monkeypatch.setattr(DataDistribution, "marginal", counting)
+    monkeypatch.setattr(ScoreModel, "_marginal", counting)
     return times
 
 

@@ -1120,3 +1120,27 @@ def test_sample_and_grid_never_load_the_harness(tmp_path, argv):
     assert proc.stdout.splitlines()[-1] == "0 False"
     # and the package still hands out the harness's names on first use
     assert _python("-c", "from seeds_sde import weak_order, GaussianFlowOracle").returncode == 0
+
+
+@pytest.mark.parametrize("argv, files, words", [
+    (["compare", "--config-a", "@a", "--config-b", "@b"],
+     {"a": {"schedule": {"kind": "vp"}}, "b": {"schedule": {"kind": "vp_cosine"}}},
+     "compare requires identical schedules on both sides"),
+    (["compare", "--config-a", "@a", "--config-b", "@b"], {"a": {"seed": 1}, "b": {"seed": 2}},
+     "compare requires identical seeds on both sides"),
+    (["compare", "--config-a", "@a", "--config-b", "@b"],
+     {"a": {"model": {"kind": "zero", "dim": 1}}, "b": {"model": {"kind": "zero", "dim": 2}}},
+     "compare requires identical models on both sides"),
+    (["sample", "--config", "@missing", "--out", "@out"], {}, "cannot read config file"),
+    (["sample", "--config", "@a", "--out", "@out"], {"a": '{"seed": '}, "is not valid JSON"),
+    (["sample", "--config", "@a", "--out", "@out"], {"a": {"workers": 0}}, "workers must be >= 1"),
+], ids=["compare-schedules", "compare-seeds", "compare-model-dims", "missing-file",
+        "bad-json", "zero-workers"])
+def test_config_errors_name_what_is_wrong(tmp_path, capsys, argv, files, words):
+    # "@name" is tmp_path / name, where files[name], JSON or raw text, is written first
+    for name, body in files.items():
+        (tmp_path / name).write_text(body if isinstance(body, str) else json.dumps(body))
+    argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+    assert run(argv) == 1
+    assert words in _config_error(capsys)
+    assert not (tmp_path / "out").exists()

@@ -56,6 +56,8 @@ def test_grid_validation_errors():
         StepGrid(times=np.array([1.0, 2.0, 0.0]))
     with pytest.raises(GridError):
         StepGrid(times=np.array([1.0, 0.5]))
+    with pytest.raises(GridError, match="grid times must be nonnegative"):
+        StepGrid([1.0, 0.5, -0.1])
 
 
 def test_linear_lambda_uniform_spacing():

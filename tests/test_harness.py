@@ -1,6 +1,7 @@
 import collections
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -504,3 +505,22 @@ def test_compare_and_strong_order_evaluate_from_the_table(vp, marginal_calls):
     strong_order(SolverSpec("seeds1"), model, base_steps=2, refinements=3, n_paths=64,
                  stream=RngStream(3), ref_extra=1)
     assert set(marginal_calls) <= {vp.t_min}
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda vp: strong_order(SolverSpec("seeds1"), ZeroModel(1, vp), base_steps=2,
+                             refinements=3, n_paths=8, stream=RngStream(0), ref_extra=0),
+     "reference must sit at least one halving below"),
+    (lambda vp: GaussianFlowOracle(DataDistribution.standard_normal(1), vp).moment(0.5, 3),
+     "unsupported moment power 3"),
+    # no walk starts on fewer than one path: no NaN moments and no RuntimeWarning
+    (lambda vp: terminal_distribution_check(SolverSpec("seeds1"), ZeroModel(1, vp),
+                                            linear_lambda_grid(5, vp.t_min, vp.t_max, vp),
+                                            n_paths=0, stream=RngStream(0)),
+     "need at least one path, got 0"),
+], ids=["ref-extra-0", "moment-3", "no-paths"])
+def test_bad_harness_inputs_raise_named_errors(vp, call, words):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=words):
+            call(vp)

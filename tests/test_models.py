@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from seeds_sde import (
     linear_lambda_grid,
     sample,
 )
-from seeds_sde.errors import ConfigError
+from seeds_sde.errors import ConfigError, DomainError
 
 
 def _log_components(model, x, t):
@@ -383,6 +384,10 @@ def test_data_distribution_validation():
         DataDistribution(np.array([1.0]), np.zeros((1, 1)), -np.ones((1, 1)))
     with pytest.raises(ConfigError):
         DataDistribution(np.array([-1.0, 2.0]), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ConfigError, match="weights must be a non-empty 1-D sequence"):
+        DataDistribution(np.ones((1, 2)), np.zeros((2, 1)), np.ones((2, 1)))
+    with pytest.raises(ConfigError, match="inconsistent shapes"):
+        DataDistribution(np.array([0.5, 0.5]), np.zeros((2, 1)), np.ones((2, 2)))
     d = DataDistribution.from_components([
         {"weight": 0.25, "mean": [1.0, 0.0], "var": [1.0, 2.0]},
         {"weight": 0.75, "mean": [-1.0, 0.0], "var": 0.5},
@@ -510,3 +515,17 @@ def test_a_second_prepare_replaces_the_table(vp, marginal_calls):
     for t in (0.3, 0.5, 0.7):
         model.noise_pred(x, t)
     assert marginal_calls == [0.3, 0.5]
+
+
+@pytest.mark.parametrize("call", ["score", "noise_pred", "data_pred"])
+@pytest.mark.parametrize("data, x", [
+    # a (3,) batch on a d = 1 mixture is not one 3-dimensional state
+    (DataDistribution(np.array([0.4, 0.6]), np.array([[1.0], [-1.0]]), np.array([[0.5], [1.2]])),
+     np.array([0.3, -1.2, 2.0])),
+    (DataDistribution.standard_normal(3), np.zeros((2, 1))),
+], ids=["batch-on-d1", "d1-on-d3"])
+def test_states_of_another_dimension_raise_a_named_error(call, data, x):
+    model = ScoreModel(data, VpLinear())
+    with pytest.raises(DomainError, match=re.escape(f"states of shape {x.shape} are not of "
+                                                    f"dimension d = {data.dim}")):
+        getattr(model, call)(x, 0.5)

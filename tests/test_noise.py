@@ -7,7 +7,7 @@ from scipy import stats
 
 from seeds_sde import (DataDistribution, Edm, GaussianFlowOracle, RngStream, ScoreModel,
                        SolverSpec, Ve, VpLinear, ZeroModel, linear_lambda_grid)
-from seeds_sde.errors import ConfigError, GridError
+from seeds_sde.errors import ConfigError, DomainError, GridError
 from seeds_sde.noise import BLOCK, raw_increment_var, stage_noise_weights
 from seeds_sde.solvers import FAMILIES, StepPlan, step_once
 
@@ -159,6 +159,8 @@ def test_ito_isometry_vs_quadrature():
     for lam_a, lam_b in ((-3.0, -1.0), (-0.5, 0.5), (0.2, 2.7), (1.0, 1.001)):
         quad = quad_exp_neg2(lam_a, lam_b)
         assert raw_increment_var(lam_a, lam_b) == pytest.approx(quad, rel=1e-12)
+    with pytest.raises(DomainError, match="need lam_b > lam_a"):
+        raw_increment_var(1.0, 0.5)
 
 
 def test_np_increment_matches_isometry():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from seeds_sde import (DataDistribution, DomainError, Edm, ScoreModel, Ve, VpCosine, VpLinear,
                        ZeroModel, make_schedule)
 from seeds_sde.errors import ConfigError
+from seeds_sde.schedules import ODE
 from seeds_sde.solvers import SolverSpec, step_once
 
 ALL_SCHEDULES = [VpLinear(), VpCosine(), Ve(), Edm(sigma_data=0.5)]
@@ -207,3 +209,23 @@ def test_vp_round_trip_property(t):
     sched = VpLinear()
     back = sched.t_of_lambda(sched.lambda_of_t(t))
     assert abs(back - t) <= 1e-10 * t
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: VpLinear(t_min=0.5, t_max=0.1), ConfigError, "need 0 < t_min < t_max"),
+    (lambda: VpCosine(t_max=1.0), ConfigError, "cosine schedule needs 0 < t_min < t_max < 1"),
+    (lambda: VpLinear().alpha_sigma(math.nan), DomainError, "time nan is not finite"),
+    (lambda: VpLinear().t_of_lambda(math.nan), DomainError, "lambda nan is not finite"),
+    (lambda: VpLinear().time_of_sigma(0.0), DomainError, "sigma must be positive and finite"),
+    (lambda: VpCosine().t_of_lambda(-400.0), DomainError, "below the representable image"),
+    (lambda: Edm().t_of_lambda(-1.0, ODE), DomainError, "outside the image of the ode variant"),
+    # the inverse's math.exp or math.expm1 overflows before it can return a time
+    (lambda: Ve().t_of_lambda(-1000.0), DomainError, "outside the image of lambda_of_t"),
+    (lambda: Edm().t_of_lambda(400.0), DomainError, "outside the image of lambda_of_t"),
+    (lambda: Edm().t_of_lambda(-1000.0, ODE), DomainError, "outside the image of lambda_of_t"),
+], ids=["vp-range", "cosine-range", "alpha-sigma-nan", "lambda-nan", "sigma-zero",
+        "cosine-lambda-low", "edm-ode-image", "ve-overflow", "edm-sde-overflow",
+        "edm-ode-overflow"])
+def test_bad_schedule_inputs_raise_named_errors(call, error, words):
+    with pytest.raises(error, match=re.escape(words)):
+        call()

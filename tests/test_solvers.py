@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -972,6 +973,10 @@ class _Prepared(_NoHook):
         self.evaluated = True
         return super().noise_pred(x, t)
 
+    def data_pred(self, x, t):
+        self.evaluated = True
+        return super().data_pred(x, t)
+
 
 def test_lockstep_starts_every_plan_and_holds_the_shorter_walks():
     sched = _PLAN_SCHEDULES["vp"]
@@ -995,10 +1000,10 @@ def test_lockstep_starts_every_plan_and_holds_the_shorter_walks():
     assert model.calls == [([u for plan in plans for u in plan.times()], False)]
 
 
-def test_lockstep_walks_each_plan_on_the_model_it_was_built_on():
+def test_lockstep_walks_each_plan_on_the_model_it_was_built_on(marginal_calls):
     # plans on two mixtures over one schedule, in one group: each gives the bytes it gives
-    # walked alone; the first plan's model is tabulated for its own plans, and the other
-    # computes its times
+    # walked alone, and each model is tabulated once, before any network call, for the
+    # times of its own plans
     sched = _PLAN_SCHEDULES["vp"]
     mixtures = [DataDistribution(np.array([0.3, 0.7]), np.array([[1.0, -2.0], [-0.5, 0.5]]),
                                  np.array([[0.4, 1.0], [1.3, 0.2]])),
@@ -1010,18 +1015,23 @@ def test_lockstep_walks_each_plan_on_the_model_it_was_built_on():
 
     models = [_Prepared(ScoreModel(data, sched)) for data in mixtures]
     plans = [StepPlan(spec, models[k], grid) for spec, k, grid in cases]
-    states = list(lockstep(plans, StepDraws(RngStream(6), 3, 2)))
+    walks = lockstep(plans, StepDraws(RngStream(6), 3, 2))
+    states = [next(walks)]
+    # by the first yield every model has its table, and no network call has run
+    for model in models:
+        assert model.calls == [([u for plan in plans if plan.model is model
+                                 for u in plan.times()], False)]
+        assert not model.evaluated
+    states += walks
     assert len(states) == 11 + 1
     for g, (spec, k, grid) in enumerate(cases):
         alone = StepPlan(spec, ScoreModel(mixtures[k], sched), grid)
         walked = [x for [x] in lockstep([alone], StepDraws(RngStream(6), 3, 2))]
         for i, stepped in enumerate(states):   # a shorter plan holds its last state
             assert _same_bits(stepped[g], walked[min(i, len(walked) - 1)])
-    assert models[0].calls == [([u for plan in plans if plan.model is models[0]
-                                 for u in plan.times()], False)]
-    assert models[1].calls == []
-    # each model made the evaluations of its own plans
+    # each model made the evaluations of its own plans, all from its table
     assert [m.model.nfe for m in models] == [3 * 11 + 1 * 8, 2 * 6]
+    assert marginal_calls == []
 
 
 # -- outer loop ----------------------------------------------------------------
@@ -1256,3 +1266,12 @@ def test_mode_defaults_to_the_family_form():
 def test_mode_must_name_a_form_of_the_family(family, mode):
     with pytest.raises(ConfigError, match="has no mode"):
         SolverSpec(family, mode=mode)
+
+
+@pytest.mark.parametrize("n_paths", [0, -2])
+def test_sampling_fewer_than_one_path_raises_a_named_error(vp, n_paths):
+    grid = linear_lambda_grid(5, vp.t_min, vp.t_max, vp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"need at least one path, got {n_paths}"):
+            sample(ZeroModel(1, vp), grid, SolverSpec("seeds1"), RngStream(0), n_paths=n_paths)
