@@ -4,8 +4,11 @@
 Prints the median wall time in microseconds of one ``ScoreModel.noise_pred``
 call on the VP schedule for each (K components, d dimensions, n states):
 ``us/call`` at a time the model has no table for, which builds a one-time row
-of its time-only terms, and ``prepared`` at a time ``ScoreModel.prepare`` has
-tabulated, which reads its row.
+of its time-only terms from one ``alpha_sigma`` call, and ``prepared`` at a time
+``ScoreModel.prepare`` has tabulated, which reads its row.  At K = 1, d = 1,
+n = 1 on a shared 2-CPU host (Python 3.11, NumPy 2.4; three runs at
+``--repeats 5 --sample-ms 30``), ``us/call`` read 30-46 and ``prepared``
+10-18; host noise spans more than the gap between the two.
 Each timed sample averages enough back-to-back calls to last about
 ``--sample-ms`` milliseconds; the median is taken over ``--repeats`` samples.
 The mixture's means and variances and the states are drawn from a fixed seed.

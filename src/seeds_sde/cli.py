@@ -28,10 +28,9 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import DEFAULT_GRID, RunConfig, load_config
 from .errors import ConfigError, DomainError, GridError
 from .fanout import fan_out, path_chunks
-from .grids import linear_lambda_grid
 from .noise import RngStream
 from .solvers import sample
 
@@ -101,11 +100,13 @@ def cmd_order(cfg: RunConfig, kind: str, out_dir: str) -> int:
             est = strong_order(cfg.solver, cfg.model, base_steps=base_steps,
                                refinements=order_cfg.get("refinements", 4),
                                n_paths=cfg.n_paths, stream=stream, workers=cfg.workers)
+        if cfg.grid_spec != DEFAULT_GRID:   # the levels must nest, so they ignore the section
+            est.notes.append(f"grid keys {sorted(cfg.grid_spec)} not read: strong order's "
+                             f"levels are halvings linear in the SDE lambda over [t_min, t_max]")
     else:  # the parser's choices leave "weak"
         steps_list = order_cfg.get("steps_list", [14, 17, 21, 26])
         with cfg.naming_the_grid("order steps_list", steps_list):
-            grids = [linear_lambda_grid(m, cfg.schedule.t_min, cfg.schedule.t_max,
-                                        cfg.schedule) for m in steps_list]
+            grids = [cfg.build_grid(m) for m in steps_list]
             est = weak_order(cfg.solver, cfg.model, grids, cfg.n_paths, stream,
                              workers=cfg.workers)
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write

@@ -15,6 +15,7 @@ from .solvers import STAGE_PARAMS, ChurnParams, SolverSpec
 
 _DEFAULT_MODEL = {"kind": "gaussian_mixture",
                   "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}
+DEFAULT_GRID = {"kind": "linear_lambda"}   # the grid section of a config without one
 _MAX_STEPS, _MAX_PATHS, _MAX_DIM = 100_000, 10_000_000, 10_000   # the most a run may ask for
 # the most pool workers a run may ask for: fixed, so that a config means the same anywhere
 _MAX_WORKERS = 256
@@ -50,28 +51,32 @@ class RunConfig:
                               self.schedule)
         raise ConfigError(f"unknown model kind {kind!r}")
 
-    def build_grid(self) -> StepGrid:
+    def build_grid(self, steps: int | None = None) -> StepGrid:
+        """The grid section's grid, of ``steps`` steps in place of the section's when given.
+        A DomainError on the section's own steps is named by ``grid steps``; on given
+        ``steps`` (``order weak``'s steps_list) the caller names it."""
         spec = dict(self.grid_spec)
         kind = spec.pop("kind", "linear_lambda")
-        steps = _integer("grid steps", spec.pop("steps", 31), _MAX_STEPS)
+        own_steps = _integer("grid steps", spec.pop("steps", 31), _MAX_STEPS)
         sched = self.schedule
         if kind == "linear_lambda":
             eps_end = _number("grid eps_end", spec.pop("eps_end", sched.t_min))
             t_top = _number("grid t_top", spec.pop("t_top", sched.t_max))
-            variant = spec.pop("variant", "sde")
-            _reject_extras("grid", spec)
-            with self.naming_the_grid("grid steps", steps):
-                return linear_lambda_grid(steps, eps_end, t_top, sched, variant)
-        if kind == "edm":
+            build, args = linear_lambda_grid, (eps_end, t_top, sched, spec.pop("variant", "sde"))
+        elif kind == "edm":
             sigma_min = _number("grid sigma_min",
                                 spec.pop("sigma_min", sched.sigma_of_t(sched.t_min)))
             sigma_max = _number("grid sigma_max",
                                 spec.pop("sigma_max", sched.sigma_of_t(sched.t_max)))
             rho = _number("grid rho", spec.pop("rho", 7.0))
-            _reject_extras("grid", spec)
-            with self.naming_the_grid("grid steps", steps):
-                return edm_grid(steps, sigma_min, sigma_max, rho, sched)
-        raise ConfigError(f"unknown grid kind {kind!r}; expected 'linear_lambda' or 'edm'")
+            build, args = edm_grid, (sigma_min, sigma_max, rho, sched)
+        else:
+            raise ConfigError(f"unknown grid kind {kind!r}; expected 'linear_lambda' or 'edm'")
+        _reject_extras("grid", spec)
+        if steps is not None:
+            return build(steps, *args)
+        with self.naming_the_grid("grid steps", own_steps):
+            return build(own_steps, *args)
 
     @contextlib.contextmanager
     def naming_the_grid(self, key: str, steps):
@@ -217,7 +222,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             solver_spec[key] = overrides[flag]
     solver = _build_solver(solver_spec)
 
-    grid_spec = _section(raw, "grid", {"kind": "linear_lambda"})
+    grid_spec = _section(raw, "grid", DEFAULT_GRID)
     if overrides.get("steps") is not None:
         grid_spec["steps"] = overrides["steps"]
     if overrides.get("grid_kind"):

@@ -24,6 +24,8 @@ class StepGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 3:
             raise GridError("grid needs at least 3 nodes (M >= 2)")
+        if not np.isfinite(t).all():
+            raise GridError("grid times must be finite")
         if t[-1] < 0.0:
             raise GridError("grid times must be nonnegative")
         for i in range(t.size - 1):

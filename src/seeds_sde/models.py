@@ -4,7 +4,8 @@ A mixture with known parameters plays the role of the trained network: the
 forward-process marginal started from sum_k w_k N(m_k, diag(V_k)) is again a
 mixture, so the score, the noise prediction and the data prediction are all
 exact.  Noise/data-prediction calls are tallied so samplers can report NFE;
-one call counts once whatever the batch width.
+one call counts once whatever the batch width, and only after its states pass
+the states rule both models share (a last axis of d, else a DomainError).
 
 ``ScoreModel.score`` evaluates the mixture one component at a time.  It
 performs the float operations of the broadcast form over (..., K, d), in
@@ -128,6 +129,15 @@ def _component_numbers(i: int, comp, key: str) -> np.ndarray:
     return np.array(items, dtype=float)
 
 
+def _states(x, d: int) -> np.ndarray:
+    """``x`` as a float array of (..., d) states; a DomainError naming its shape otherwise.
+    Every network call checks its states with this before it counts."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (d,):
+        raise DomainError(f"states of shape {x.shape} are not of dimension d = {d}")
+    return x
+
+
 def _log_normalisers(cov):
     """sum over d of log(2 pi cov): the (..., K) log-normalisers, +inf where 2 pi cov overflows."""
     with np.errstate(over="ignore"):
@@ -149,7 +159,8 @@ class ScoreModel:
 
     ``prepare(times)`` tabulates the work of an evaluation that depends only on its time;
     an evaluation at a tabulated time reads its row, and one at any other time builds a
-    one-time row the same way, with the same bytes.  States are (..., d) arrays.
+    one-time row the same way, with the same bytes.  States are (..., d) arrays; a
+    network call reads its row once and checks its states before it counts.
     """
 
     def __init__(self, data: DataDistribution, sched: ScheduleBase):
@@ -184,24 +195,25 @@ class ScoreModel:
         lognorm = _log_normalisers(cov)
         return coef, mu, cov, lognorm, _closed_form_bounds(cov, lognorm)
 
-    def _alpha_sigma(self, t):
-        """(alpha, sigma, sigma_bar) at t: its row when t is tabulated."""
-        i = self._rows.get(float(t))   # float: a 0-d array time is unhashable
-        return self.sched.alpha_sigma(t) if i is None else self._table[0][i].tolist()
-
-    def _marginal(self, t):
-        """The marginal's (K, d) means and variances, (K,) log-normalisers and the
-        one-component score's bound at t: its row, or a one-time table's."""
-        i, table = self._rows.get(float(t)), self._table
+    def _row(self, t):
+        """(alpha, sigma, sigma_bar) at t as floats, and the marginal's (K, d) means and
+        variances, (K,) log-normalisers and the one-component score's bound: the table's
+        row at a tabulated time, a one-time table's at any other."""
+        i, table = self._rows.get(float(t)), self._table   # float: a 0-d array is unhashable
         if i is None:
             i, table = 0, self._table_of([t])
-        _, mu, cov, lognorm, bound = table
-        return mu[i], cov[i], lognorm[i], bound[i]
+        coef, *marginal = table
+        return coef[i].tolist(), [column[i] for column in marginal]
 
     # -- exact quantities (not NFE-counted) ---------------------------------
 
     def score(self, x, t):
-        """Exact gradient of log p_t, via log-space responsibilities.
+        """Exact gradient of log p_t at the (..., d) states ``x``."""
+        return self._score(self._row(t)[1], _states(x, self.dim))
+
+    def _score(self, marginal, x):
+        """The score at float states ``x`` from one time's ``_row`` marginal, via log-space
+        responsibilities.
 
         Loops over the K components with one (..., d) scratch array: first
         the quadratic forms sum((x - mu_k)^2 / cov_k) into column k of an
@@ -211,10 +223,7 @@ class ScoreModel:
         R_t (the table's last column) has finite log densities, so its
         responsibilities are exactly 1 and it skips the loops.
         """
-        mu, cov, lognorm, bound = self._marginal(t)
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != mu.shape[1:]:
-            raise DomainError(f"states of shape {x.shape} are not of dimension d = {mu.shape[1]}")
+        mu, cov, lognorm, bound = marginal
         if mu.shape[0] == 1:
             # one component: within the bound every row's log density is finite,
             # its responsibility is exactly 1 and the score is -(0.0 + (x - mu) / cov);
@@ -253,24 +262,25 @@ class ScoreModel:
     def noise_pred(self, x, t):
         """Raw-network value: -sigma_bar * score for VP/VE, the preconditioned
         inversion for EDM (returns zero on data matching the EDM prior)."""
+        (_, _, sbar), marginal = self._row(t)
+        x = _states(x, self.dim)
+        sc = self._score(marginal, x)
         self.nfe += 1
-        x = np.asarray(x, dtype=float)
-        sc = self.score(x, t)
         if self.sched.family == "edm":
             sd = self.sched.sigma_data
             den = t * t + sd * sd
             return (sc + x / den) * (t * math.sqrt(den) / sd)
-        return -self._alpha_sigma(t)[2] * sc
+        return -sbar * sc
 
     def data_pred(self, x, t):
         """Posterior-mean denoiser: x/alpha - sigma * eps_hat, with eps_hat the
         noise prediction (for EDM this equals c1 x + c2 F(c3 x))."""
+        (a, s, sbar), marginal = self._row(t)
+        x = _states(x, self.dim)
+        sc = self._score(marginal, x)
         self.nfe += 1
-        x = np.asarray(x, dtype=float)
-        sc = self.score(x, t)
         if self.sched.family == "edm":
             return x + t * t * sc
-        a, s, sbar = self._alpha_sigma(t)
         eps_hat = -sbar * sc
         return x / a - s * eps_hat
 
@@ -279,7 +289,8 @@ class ZeroModel:
     """Model with vanishing nonlinear part: F == 0 and D == x / alpha.
 
     Makes every exponential step an exact linear transition, which is the
-    basis of the exactness tests; evaluations still count toward NFE.
+    basis of the exactness tests; evaluations still count toward NFE, once their
+    (..., d) states pass the states rule ``ScoreModel`` applies.
     """
 
     def __init__(self, d: int, sched: ScheduleBase):
@@ -294,10 +305,12 @@ class ZeroModel:
         return self._d
 
     def noise_pred(self, x, t):
+        x = _states(x, self._d)
         self.nfe += 1
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return np.zeros_like(x)
 
     def data_pred(self, x, t):
-        self.nfe += 1
         a, _, _ = self.sched.alpha_sigma(t)
-        return np.asarray(x, dtype=float) / a
+        x = _states(x, self._d)
+        self.nfe += 1
+        return x / a

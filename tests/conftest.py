@@ -84,17 +84,17 @@ def chunks_of(monkeypatch):
 
 @pytest.fixture
 def marginal_calls(monkeypatch):
-    """The times of every untabulated ``ScoreModel._marginal`` call from here on: a
+    """The times of every untabulated ``ScoreModel._row`` lookup from here on: a
     ``ScoreModel`` evaluation at a time it has no table row for builds a one-time
     row there, one at a tabulated time reads the row."""
-    times, marginal = [], ScoreModel._marginal
+    times, row = [], ScoreModel._row
 
     def counting(self, t):
         if float(t) not in self._rows:
             times.append(t)
-        return marginal(self, t)
+        return row(self, t)
 
-    monkeypatch.setattr(ScoreModel, "_marginal", counting)
+    monkeypatch.setattr(ScoreModel, "_row", counting)
     return times
 
 

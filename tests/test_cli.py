@@ -10,9 +10,10 @@ import sys
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 
-from seeds_sde import DataDistribution, ScoreModel, cli
+from seeds_sde import DataDistribution, Edm, ScoreModel, cli, edm_grid
 from seeds_sde.cli import main
 from seeds_sde.config import RunConfig, load_config
 from seeds_sde.errors import ConfigError
@@ -743,6 +744,39 @@ def test_order_weak_runs_small(tmp_path):
     assert code == 0
     summary = json.loads(read(tmp_path / "w" / "order_weak_seeds2.json"))
     assert summary["kind"] == "weak"
+
+
+def test_order_weak_walks_the_config_grid(tmp_path):
+    # on EDM the grid section's rho = 7 ladder replaces the default linear-lambda grids,
+    # at each steps_list entry's step count
+    sched, steps_list = Edm(), [5, 7, 10]
+    csvs = []
+    for grid in ({}, {"grid": {"kind": "edm"}}):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"order": {"steps_list": steps_list}, "paths": 500,
+                                        **grid}))
+        out = tmp_path / str(len(csvs))
+        assert run(["order", "weak", "--config", str(cfg_path), "--solver", "seeds2",
+                    "--schedule", "edm", "--seed", "2", "--workers", "1", "--out", str(out)]) == 0
+        csvs.append(read(out / "order_weak_seeds2.csv").decode())
+    assert csvs[0] != csvs[1]
+    ladders = [edm_grid(m, sched.sigma_of_t(sched.t_min), sched.sigma_of_t(sched.t_max), 7.0,
+                        sched) for m in steps_list]
+    walked = sorted(float(line.split(",")[0]) for line in csvs[1].splitlines()[1:])
+    assert walked == sorted(float(np.max(g.step_widths(sched))) for g in ladders)
+
+
+def test_order_strong_notes_the_grid_keys_it_does_not_read(tmp_path, capsys):
+    # its levels must nest, so a grid section shared with other commands is named, not walked
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"order": {"base_steps": 4, "refinements": 3}, "paths": 50,
+                                    "grid": {"kind": "edm", "rho": 3.0}}))
+    assert run(["order", "strong", "--config", str(cfg_path), "--solver", "seeds1",
+                "--workers", "1", "--out", str(tmp_path / "s")]) == 0
+    note = ("grid keys ['kind', 'rho'] not read: strong order's levels are halvings linear "
+            "in the SDE lambda over [t_min, t_max]")
+    assert note in json.loads(read(tmp_path / "s" / "order_strong_seeds1.json"))["notes"]
+    assert f"note: {note}" in capsys.readouterr().out
 
 
 def test_compare_pass_and_fail(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,9 @@ def test_grid_validation_errors():
         StepGrid(times=np.array([1.0, 0.5]))
     with pytest.raises(GridError, match="grid times must be nonnegative"):
         StepGrid([1.0, 0.5, -0.1])
+    for times in ([1.0, 0.5, math.nan], [1.0, math.nan, 0.5, 0.0], [math.inf, 0.5, 0.1, 0.0]):
+        with pytest.raises(GridError, match="grid times must be finite"):
+            StepGrid(times)
 
 
 def test_linear_lambda_uniform_spacing():

@@ -19,6 +19,7 @@ from seeds_sde import (
     sample,
 )
 from seeds_sde.errors import ConfigError, DomainError
+from seeds_sde.schedules import ScheduleBase
 
 
 def _log_components(model, x, t):
@@ -517,15 +518,45 @@ def test_a_second_prepare_replaces_the_table(vp, marginal_calls):
     assert marginal_calls == [0.3, 0.5]
 
 
-@pytest.mark.parametrize("call", ["score", "noise_pred", "data_pred"])
-@pytest.mark.parametrize("data, x", [
-    # a (3,) batch on a d = 1 mixture is not one 3-dimensional state
-    (DataDistribution(np.array([0.4, 0.6]), np.array([[1.0], [-1.0]]), np.array([[0.5], [1.2]])),
-     np.array([0.3, -1.2, 2.0])),
-    (DataDistribution.standard_normal(3), np.zeros((2, 1))),
-], ids=["batch-on-d1", "d1-on-d3"])
-def test_states_of_another_dimension_raise_a_named_error(call, data, x):
-    model = ScoreModel(data, VpLinear())
+@pytest.mark.parametrize("call", ["noise_pred", "data_pred"])
+def test_an_untabulated_call_computes_alpha_sigma_once(call, vp, monkeypatch):
+    calls, alpha_sigma = [], ScheduleBase.alpha_sigma
+
+    def counting(self, t):
+        calls.append(t)
+        return alpha_sigma(self, t)
+
+    monkeypatch.setattr(ScheduleBase, "alpha_sigma", counting)
+    model = ScoreModel(DataDistribution.standard_normal(2), vp)
+    model.prepare([0.3])
+    calls.clear()
+    getattr(model, call)(np.ones((4, 2)), 0.4)
+    assert calls == [0.4]
+
+
+_D1_PAIR = DataDistribution(np.array([0.4, 0.6]), np.array([[1.0], [-1.0]]),
+                            np.array([[0.5], [1.2]]))
+# id -> a model, states of another dimension and the calls that take states
+_BAD_STATES = [
+    # a (3,) batch on a d = 1 model is not one 3-dimensional state
+    ("batch-on-d1", lambda: ScoreModel(_D1_PAIR, VpLinear()), np.array([0.3, -1.2, 2.0]),
+     ("score", "noise_pred", "data_pred")),
+    ("d1-on-d3", lambda: ScoreModel(DataDistribution.standard_normal(3), VpLinear()),
+     np.zeros((2, 1)), ("score", "noise_pred", "data_pred")),
+    ("zero-batch-on-d1", lambda: ZeroModel(1, VpLinear()), np.array([0.3, -1.2, 2.0]),
+     ("noise_pred", "data_pred")),
+    ("zero-d1-on-d3", lambda: ZeroModel(3, VpLinear()), np.zeros((2, 1)),
+     ("noise_pred", "data_pred")),
+]
+
+
+@pytest.mark.parametrize("make, call, x", [pytest.param(make, call, x, id=f"{name}-{call}")
+                                           for name, make, x, calls in _BAD_STATES
+                                           for call in calls])
+def test_states_of_another_dimension_raise_a_named_error(make, call, x):
+    # and a rejected call is not counted as a network evaluation
+    model = make()
     with pytest.raises(DomainError, match=re.escape(f"states of shape {x.shape} are not of "
-                                                    f"dimension d = {data.dim}")):
+                                                    f"dimension d = {model.dim}")):
         getattr(model, call)(x, 0.5)
+    assert model.nfe == 0
