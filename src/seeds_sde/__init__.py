@@ -8,7 +8,7 @@ from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
 from .phi import phi, sqrt_exp_diff
 from .schedules import Edm, Ve, VpCosine, VpLinear, make_schedule
-from .solvers import ChurnParams, SampleResult, SolverSpec, sample
+from .solvers import ChurnParams, SampleResult, SolverSpec, StepPlan, sample
 
 __all__ = [
     "ChurnParams",
@@ -25,6 +25,7 @@ __all__ = [
     "ScoreModel",
     "SolverSpec",
     "StepGrid",
+    "StepPlan",
     "Ve",
     "VpCosine",
     "VpLinear",

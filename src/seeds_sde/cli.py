@@ -8,10 +8,11 @@ and `order` run their paths through the fan-out (``fanout``), which splits
 them into chunks of at most 8192 paths, one per worker where each gets a full
 1024-path block, whose draws are keyed by absolute path index, on
 ``--workers`` processes (at most 256; by default every CPU this process may
-use); a run of one chunk starts no pool.  Each sample chunk formats its own
+use); a run of one chunk starts no pool.  `sample` builds its one ``StepPlan``
+before any pool opens and ships it with every chunk, which formats its own
 rows of terminal.csv (and, with --save-trajectories, each of its paths'
-trajectory rows), inside the pool worker when there is one, and the chunk
-texts are written in path order.
+trajectory rows) in the pool worker when there is one; the chunk texts are
+written in path order.
 
 `main` freezes the heap it starts with (`gc.freeze`), so neither a later
 collection nor the process's exit walks the import heap, and a forked pool
@@ -32,7 +33,7 @@ from .config import DEFAULT_GRID, RunConfig, load_config
 from .errors import ConfigError, DomainError, GridError
 from .fanout import fan_out, path_chunks
 from .noise import RngStream
-from .solvers import sample
+from .solvers import StepPlan, sample
 
 
 def _fmt(x: float) -> str:
@@ -46,37 +47,35 @@ def _csv_rows(keys, values) -> str:
     return "\n".join(map(",".join, zip(keys, *cols))) + "\n"
 
 
-def _run_chunk(cfg: RunConfig, offset: int, count: int, record: bool):
-    """Sample paths offset..offset+count-1 on the config's grid and model; return their
-    terminal.csv rows, the NFE per path and, when recording, each path's trajectory rows."""
-    res = sample(cfg.model, cfg.grid, cfg.solver, RngStream(cfg.seed), n_paths=count,
-                 path_offset=offset, record=record)
-    trajs = []
-    if record:
-        times = list(map(repr, res.times.tolist()))
-        trajs = [_csv_rows(times, res.trajectory[:, p]) for p in range(count)]
-    text = _csv_rows(map(str, range(offset, offset + count)), res.terminal)
-    return text, res.nfe_per_path, trajs
+def _run_chunk(plan: StepPlan, seed: int, times, offset: int, count: int):
+    """Walk the run's plan for paths offset..offset+count-1 from the seed; return their
+    terminal.csv rows and, given the grid's ``times`` as text, each path's trajectory rows."""
+    res = sample(plan, RngStream(seed), n_paths=count, path_offset=offset,
+                 record=times is not None)
+    trajs = [] if times is None else [_csv_rows(times, res.trajectory[:, p]) for p in range(count)]
+    return _csv_rows(map(str, range(offset, offset + count)), res.terminal), trajs
 
 
 def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) -> int:
+    """Build the run's one plan in this process, fan its path chunks out and write them."""
     chunks = path_chunks(cfg.n_paths, cfg.workers)
-    run = functools.partial(_run_chunk, cfg, record=save_trajectories)
+    times = list(map(repr, cfg.grid.times.tolist())) if save_trajectories else None
     with cfg.naming_the_grid("grid steps", cfg.grid.n_steps):
-        results = fan_out(run, chunks, cfg.workers)
-    nfe_per_path = results[0][1]
+        plan = StepPlan(cfg.solver, cfg.model, cfg.grid)   # before any pool opens
+        results = fan_out(functools.partial(_run_chunk, plan, cfg.seed, times), chunks,
+                          cfg.workers)
 
     os.makedirs(out_dir, exist_ok=True)  # only once there is something to write
     header = ",".join(f"x{j}" for j in range(cfg.model.dim)) + "\n"
     csv_path = os.path.join(out_dir, "terminal.csv")
     with open(csv_path, "w") as fh:
         fh.write("path," + header)
-        fh.writelines(text for text, _, _ in results)
+        fh.writelines(text for text, _ in results)
 
     if save_trajectories:
         traj_dir = os.path.join(out_dir, "trajectories")
         os.makedirs(traj_dir, exist_ok=True)
-        for p, text in enumerate(t for _, _, trajs in results for t in trajs):
+        for p, text in enumerate(t for _, trajs in results for t in trajs):
             with open(os.path.join(traj_dir, f"path_{p:06d}.csv"), "w") as fh:
                 fh.write("t," + header + text)
 
@@ -84,7 +83,7 @@ def cmd_sample(cfg: RunConfig, out_dir: str, save_trajectories: bool = False) ->
         json.dump({**cfg.resolved(), "workers": min(cfg.workers, len(chunks))}, fh, indent=2,
                   sort_keys=True)
     print(f"wrote {cfg.n_paths} terminal states to {csv_path}")
-    print(f"NFE per path: {nfe_per_path} "
+    print(f"NFE per path: {plan.spec.evals_per_step * len(plan.rows)} "
           f"({cfg.solver.evals_per_step} evals x {cfg.grid.n_steps - 1} steps)")
     return 0
 

@@ -2,11 +2,10 @@
 
 import contextlib
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, as_integer, as_number
 from .grids import StepGrid, edm_grid, linear_lambda_grid
 from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
@@ -44,7 +43,7 @@ class RunConfig:
         kind = spec.get("kind", "gaussian_mixture")
         if kind == "zero":
             _reject_extras("model", spec.keys() - {"kind", "dim"})
-            return ZeroModel(_integer("model dim", spec.get("dim", 1), _MAX_DIM), self.schedule)
+            return ZeroModel(as_integer("model dim", spec.get("dim", 1), _MAX_DIM), self.schedule)
         if kind == "gaussian_mixture":
             _reject_extras("model", spec.keys() - {"kind", "components"})
             return ScoreModel(DataDistribution.from_components(spec.get("components")),
@@ -57,18 +56,18 @@ class RunConfig:
         ``steps`` (``order weak``'s steps_list) the caller names it."""
         spec = dict(self.grid_spec)
         kind = spec.pop("kind", "linear_lambda")
-        own_steps = _integer("grid steps", spec.pop("steps", 31), _MAX_STEPS)
+        own_steps = as_integer("grid steps", spec.pop("steps", 31), _MAX_STEPS)
         sched = self.schedule
         if kind == "linear_lambda":
-            eps_end = _number("grid eps_end", spec.pop("eps_end", sched.t_min))
-            t_top = _number("grid t_top", spec.pop("t_top", sched.t_max))
+            eps_end = as_number("grid eps_end", spec.pop("eps_end", sched.t_min))
+            t_top = as_number("grid t_top", spec.pop("t_top", sched.t_max))
             build, args = linear_lambda_grid, (eps_end, t_top, sched, spec.pop("variant", "sde"))
         elif kind == "edm":
-            sigma_min = _number("grid sigma_min",
+            sigma_min = as_number("grid sigma_min",
                                 spec.pop("sigma_min", sched.sigma_of_t(sched.t_min)))
-            sigma_max = _number("grid sigma_max",
+            sigma_max = as_number("grid sigma_max",
                                 spec.pop("sigma_max", sched.sigma_of_t(sched.t_max)))
-            rho = _number("grid rho", spec.pop("rho", 7.0))
+            rho = as_number("grid rho", spec.pop("rho", 7.0))
             build, args = edm_grid, (sigma_min, sigma_max, rho, sched)
         else:
             raise ConfigError(f"unknown grid kind {kind!r}; expected 'linear_lambda' or 'edm'")
@@ -114,29 +113,6 @@ def _usable_cpus() -> int:
     return min(cpus, _MAX_WORKERS)
 
 
-def _integer(key: str, value, most: float = math.inf) -> int:
-    """``value`` as an int; a ConfigError naming ``key`` unless it is integral and at most
-    ``most``."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    elif not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value > most:
-        raise ConfigError(f"{key} must be at most {most}, got {value!r}")
-    return value
-
-
-def _number(key: str, value, inf_ok: bool = False) -> float:
-    """``value`` as a float; a ConfigError naming ``key`` unless it is a finite
-    number, or +inf where ``inf_ok`` allows it."""
-    try:
-        if not isinstance(value, bool) and (math.isfinite(value) or inf_ok and value == math.inf):
-            return float(value)
-    except (TypeError, OverflowError):  # not a number, or an int beyond the float range
-        pass
-    raise ConfigError(f"{key} must be a finite number, got {value!r}")
-
-
 def _section(raw: dict, key: str, default: dict) -> dict:
     """A copy of the config section ``key``; a ConfigError unless it is an object."""
     value = raw.get(key, default)
@@ -150,12 +126,12 @@ def _order_spec(order: dict) -> dict:
     _reject_extras("order", order.keys() - {"base_steps", "refinements", "steps_list"})
     for key in ("base_steps", "refinements"):
         if key in order:
-            order[key] = _integer(f"order {key}", order[key])
+            order[key] = as_integer(f"order {key}", order[key])
     if "steps_list" in order:
         steps = order["steps_list"]
         if not isinstance(steps, list):
             raise ConfigError(f"order steps_list must be a list of integers, got {steps!r}")
-        order["steps_list"] = [_integer("order steps_list", m, _MAX_STEPS) for m in steps]
+        order["steps_list"] = [as_integer("order steps_list", m, _MAX_STEPS) for m in steps]
     return order
 
 
@@ -168,7 +144,7 @@ def _build_schedule(spec: dict) -> ScheduleBase:
     kind = spec.pop("kind", VpLinear.kind)
     if not isinstance(kind, str):
         raise ConfigError(f"schedule kind must be a string, got {kind!r}")
-    return make_schedule(kind, **{key: _number(f"schedule {key}", value)
+    return make_schedule(kind, **{key: as_number(f"schedule {key}", value)
                                   for key, value in spec.items()})
 
 
@@ -180,10 +156,10 @@ def _build_solver(spec: dict) -> SolverSpec:
         raise ConfigError(f"solver mode must be a string, got {spec['mode']!r}")
     for key in STAGE_PARAMS:
         if key in spec:
-            spec[key] = _number(f"solver {key}", spec[key])
+            spec[key] = as_number(f"solver {key}", spec[key])
     _reject_extras("solver churn", churn_spec.keys() - {f.name for f in fields(ChurnParams)})
     # s_tmax defaults to +inf, and config.json records that default as Infinity
-    churn = ChurnParams(**{key: _number(f"solver churn {key}", value, inf_ok=key == "s_tmax")
+    churn = ChurnParams(**{key: as_number(f"solver churn {key}", value, inf_ok=key == "s_tmax")
                            for key, value in churn_spec.items()}) if churn_spec else None
     try:
         return SolverSpec(churn=churn, **spec)
@@ -240,11 +216,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         model_spec=_section(raw, "model", _DEFAULT_MODEL),
         solver=solver,
         grid_spec=grid_spec,
-        seed=_integer("seed", pick("seed", "seed", 0)),
-        n_paths=_integer("paths", pick("paths", "paths", 1000), _MAX_PATHS),
-        workers=_integer("workers", pick("workers", "workers", _usable_cpus()), _MAX_WORKERS),
+        seed=as_integer("seed", pick("seed", "seed", 0)),
+        n_paths=as_integer("paths", pick("paths", "paths", 1000), _MAX_PATHS),
+        workers=as_integer("workers", pick("workers", "workers", _usable_cpus()), _MAX_WORKERS),
         out=out,
-        threshold=_number("threshold", pick("threshold", "threshold", 1e-10)),
+        threshold=as_number("threshold", pick("threshold", "threshold", 1e-10)),
         order=_order_spec(_section(raw, "order", {})),
     )
     if cfg.n_paths < 1:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGridError, GridError
+from .errors import ConfigError, DegenerateGridError, GridError, as_integer
 from .schedules import SDE, ScheduleBase
 
 
@@ -58,6 +58,7 @@ def edm_grid(n_steps: int, sigma_min: float, sigma_max: float, rho: float, sched
 
     Endpoints are pinned exactly to sigma_max and sigma_min.
     """
+    n_steps = as_integer("edm grid n_steps", n_steps)
     if n_steps < 2:
         raise ConfigError("edm grid needs at least 2 steps")
     if not 0.0 < sigma_min < sigma_max:
@@ -83,6 +84,7 @@ def edm_grid(n_steps: int, sigma_min: float, sigma_max: float, rho: float, sched
 
 def linear_lambda_grid(n_steps: int, eps_end: float, t_top: float, sched: ScheduleBase, variant: str = SDE) -> StepGrid:
     """Uniform lambda spacing between lambda(t_top) and lambda(eps_end)."""
+    n_steps = as_integer("linear-lambda grid n_steps", n_steps)
     if n_steps < 2:
         raise ConfigError("linear-lambda grid needs at least 2 steps")
     if not 0.0 < eps_end < t_top:

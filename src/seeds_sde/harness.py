@@ -10,7 +10,7 @@ Brownian path per trajectory, realized as fine-level weighted increments
 whose group sums give the coarse-level increments, and the finest level
 serves as the reference solution; each chunk walks every level from its
 own initial rows.  Each level is a ``walk`` over its own ``StepPlan``, the
-steps ``sample`` runs.  One pass over the fine steps draws each fine
+steps ``sample`` walks.  One pass over the fine steps draws each fine
 increment, adds it to one running sum per level, never holding the fine
 path, and hands each level due to step its sum's draw as a plain
 {stage: array} mapping.  Weak order compares terminal moments against
@@ -36,7 +36,7 @@ from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
 from .noise import BLOCK, raw_increment_var
 from .schedules import SDE
-from .solvers import SolverSpec, StepDraws, StepPlan, lockstep, walk
+from .solvers import SolverSpec, StepDraws, StepPlan, lockstep, sample, walk
 
 
 @dataclass
@@ -401,11 +401,10 @@ class MomentReport:
 
 def terminal_distribution_check(spec: SolverSpec, model, grid: StepGrid, n_paths: int,
                                 stream) -> MomentReport:
-    """Walk the grid's one plan backward and compare terminal moments with the exact flow."""
+    """Compare the terminal moments of ``sample`` on the grid's one plan with the exact flow."""
     plan = StepPlan(spec, model, grid)
     oracle = _oracle_for(plan)
-    for [x] in lockstep([plan], StepDraws(stream, n_paths, model.dim)):
-        pass
+    x = sample(plan, stream, n_paths).terminal
     terminal_t = float(grid.times[grid.n_steps - 1])
     mean = _block_mean(x)
     mean_se = np.std(x, axis=0) / math.sqrt(n_paths)

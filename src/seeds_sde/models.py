@@ -22,6 +22,7 @@ finite.  A time whose log-normaliser is not finite has R_t = -1.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,13 +291,14 @@ class ZeroModel:
 
     Makes every exponential step an exact linear transition, which is the
     basis of the exactness tests; evaluations still count toward NFE, once their
-    (..., d) states pass the states rule ``ScoreModel`` applies.
+    (..., d) states pass the states rule ``ScoreModel`` applies.  The dimension d
+    is an integer >= 1 (a bool is not), else a DomainError.
     """
 
     def __init__(self, d: int, sched: ScheduleBase):
-        if d < 1:
+        if not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1:
             raise DomainError("dimension must be >= 1")
-        self._d = d
+        self._d = int(d)
         self.sched = sched
         self.nfe = 0
 

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, as_integer
 from .phi import sqrt_exp_diff
 
 BLOCK = 1024
@@ -38,10 +38,11 @@ SEED_LIMIT = 2**128  # Philox takes a 128-bit key
 
 
 class RngStream:
-    """Counter-based provider of independent Gaussian substreams."""
+    """Counter-based provider of independent Gaussian substreams; the seed is an integer
+    (a NumPy one too, a bool not) in [0, 2**128)."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
+        self.seed = as_integer("seed", seed)
         if not 0 <= self.seed < SEED_LIMIT:
             raise ConfigError(f"seed must be in [0, 2**128), got {self.seed}")
         self._bitgen = np.random.Philox(key=self.seed)

@@ -28,9 +28,9 @@ churn-lifted noise levels remain representable; grid validation still uses
 import copy
 import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, as_number
 
 SDE = "sde"
 ODE = "ode"
@@ -69,9 +69,12 @@ class ScheduleBase:
         return t
 
     def __post_init__(self):
-        """Check the parameters (``_check_params``), then that sigma and both lambdas are
-        finite floats at t_min and t_max and that ``t_of_lambda`` inverts each lambda
-        there to 1e-6, or raise a ConfigError naming the kind and them."""
+        """Check that each field is a finite number (a bool is not), then the parameters
+        (``_check_params``), then that sigma and both lambdas are finite floats at t_min and
+        t_max and that ``t_of_lambda`` inverts each lambda there to 1e-6, or raise a
+        ConfigError naming the kind and them."""
+        for key in fields(self):
+            as_number(f"schedule {self.kind!r} {key.name}", getattr(self, key.name))
         self._check_params()
         # a lambda saturated at an end (EDM's sde lambda at a tiny sigma_data) is finite but
         # falls outside the image its inverse accepts, or loses the time it came from

@@ -14,7 +14,7 @@ from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream, raw_increment_var, stage_noise_weights
 from .phi import phi
 from .schedules import Edm, VpLinear
-from .solvers import SolverSpec, sample, step_once
+from .solvers import SolverSpec, StepPlan, sample, step_once
 
 
 def run_selftest(seed: int = 0) -> int:
@@ -110,12 +110,12 @@ def run_selftest(seed: int = 0) -> int:
     eg = edm_grid(8, 0.002, 80.0, 7.0, Edm(sigma_data=1.0))
     check("edm grid endpoints", eg.times[0] == 80.0 and eg.times[7] == 0.002 and eg.times[8] == 0.0)
     model.nfe = 0
-    res = sample(model, grid, SolverSpec("seeds3"), RngStream(seed), n_paths=4)
+    res = sample(StepPlan(SolverSpec("seeds3"), model, grid), RngStream(seed), n_paths=4)
     check("nfe accounting k(M-1)", model.nfe == 3 * (grid.n_steps - 1) == res.nfe_per_path)
 
     # sampling determinism
-    r1_ = sample(model, grid, SolverSpec("seeds2"), RngStream(seed), n_paths=8)
-    r2_ = sample(model, grid, SolverSpec("seeds2"), RngStream(seed), n_paths=8)
+    r1_ = sample(StepPlan(SolverSpec("seeds2"), model, grid), RngStream(seed), n_paths=8)
+    r2_ = sample(StepPlan(SolverSpec("seeds2"), model, grid), RngStream(seed), n_paths=8)
     check("sampling determinism", bool(np.array_equal(r1_.terminal, r2_.terminal)))
 
     failed = checks.count(False)

@@ -34,9 +34,10 @@ looks its family up once and keeps its form and stage parameters;
 
 Steps read their draws as a mapping from stage k to an (n, d) array z^k.
 ``walk``, the one loop over a grid's real steps, takes step i's from
-``draws_at(i)``: ``sample`` passes a ``StepDraws``, keyed on (step i, stage),
-so solvers sharing a (seed, trajectory, step) also share z^1, z^2, ...  A plain
-dict {stage: array} injects fixed draws.  ``lockstep`` starts a group of walks
+``draws_at(i)``: ``sample``, which walks the plan it is given, passes a
+``StepDraws``, keyed on (step i, stage), so solvers sharing a (seed,
+trajectory, step) also share z^1, z^2, ...  A plain dict {stage: array}
+injects fixed draws.  ``lockstep`` starts a group of walks
 from their x_T and advances them together on one ``draws_at``, so a group on one
 ``StepDraws`` draws each key once.
 
@@ -60,12 +61,12 @@ every step reads the model only through ``noise_pred`` and ``data_pred``.
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, GridError
+from .errors import ConfigError, DomainError, GridError, as_integer, as_number
 from .grids import StepGrid
 from .noise import stage_noise_weights
 from .phi import phi
@@ -76,7 +77,8 @@ _GAMMA_CAP = math.sqrt(2.0) - 1.0
 
 @dataclass(frozen=True)
 class ChurnParams:
-    """Extra-noise injection parameters (inactive when s_churn == 0)."""
+    """Extra-noise injection parameters (inactive when s_churn == 0): finite numbers,
+    but s_tmax may be +inf, its default."""
 
     s_churn: float = 0.0
     s_tmin: float = 0.0
@@ -84,6 +86,8 @@ class ChurnParams:
     s_noise: float = 1.0
 
     def __post_init__(self):
+        for key in fields(self):
+            as_number(f"churn {key.name}", getattr(self, key.name), inf_ok=key.name == "s_tmax")
         if self.s_churn < 0.0:
             raise ConfigError("s_churn must be >= 0")
         if self.s_tmin > self.s_tmax:
@@ -98,11 +102,12 @@ class SolverSpec:
 
     ``mode`` None means the family's default mode: "np" for seeds1 and dpm1,
     the only mode for every other family.  A stage parameter the family reads
-    takes the registry's default when None; one it does not read stays None, or
-    is a ConfigError.  The registry is read once, here: ``form`` is the mode's ``Form``,
-    ``params`` the stage parameters the family reads with their values, in registry
-    order, and ``step_kwargs`` the keywords ``step_once`` passes to the form's step, its
-    fixed keywords and, given stage parameters, their values as ``fracs``.
+    takes the registry's default when None, and otherwise must be a finite number (a bool
+    is not); one it does not read stays None, or is a ConfigError.  The registry is read
+    once, here: ``form`` is the mode's ``Form``, ``params`` the stage parameters the
+    family reads with their values, in registry order, and ``step_kwargs`` the keywords
+    ``step_once`` passes to the form's step, its fixed keywords and, given stage
+    parameters, their values as ``fracs``.
     """
 
     family: str
@@ -130,6 +135,8 @@ class SolverSpec:
         if unread := [key for key in given if key not in desc.params]:
             raise ConfigError(f"{fam} does not read {', '.join(unread)}; it reads "
                               f"{', '.join(desc.params) or 'no stage parameter'}")
+        for key, value in given.items():
+            as_number(f"{fam} {key}", value)
         params = {**desc.params, **given}
         if not desc.valid(**params):
             raise ConfigError(f"{fam} needs {desc.rule}, got "
@@ -146,16 +153,19 @@ class SolverSpec:
 
 
 class StepDraws(dict):
-    """Walks' ``draws_at`` for paths offset..offset+n-1, n >= 1, and the stage-keyed mapping
-    it hands out: ``draws_at(i)`` makes the mapping step i's, dropping the draws kept for
-    another step, and ``draws[k]`` draws stage k's (n, d) array on key (step i, stage k)
-    when first read and keeps it.  So walks advanced in lockstep on one ``StepDraws``
-    draw each key once, and ``draws_at(0)[0]`` is the initial draw.  Steps never write
-    into their draws, so every walk may read the same arrays."""
+    """Walks' ``draws_at`` for paths offset..offset+n-1, n >= 1 and offset >= 0, and the
+    stage-keyed mapping it hands out: ``draws_at(i)`` makes the mapping step i's, dropping
+    the draws kept for another step, and ``draws[k]`` draws stage k's (n, d) array on key
+    (step i, stage k) when first read and keeps it.  So walks advanced in lockstep on one
+    ``StepDraws`` draw each key once, and ``draws_at(0)[0]`` is the initial draw.  Steps
+    never write into their draws, so every walk may read the same arrays."""
 
     def __init__(self, stream, n: int, d: int, offset: int = 0):
         if n < 1:
             raise ConfigError(f"need at least one path, got {n}")
+        offset = as_integer("path offset", offset)
+        if offset < 0:
+            raise ConfigError(f"path offset must be >= 0, got {offset}")
         self.stream, self.n, self.d, self.offset = stream, n, d, offset
         self.step_index = None
 
@@ -574,27 +584,24 @@ class SampleResult:
     """Terminal states plus optional recorded trajectory."""
 
     terminal: np.ndarray            # (n, d)
-    times: np.ndarray               # (M+1,)
     nfe_per_path: int
     trajectory: np.ndarray | None   # (M+1, n, d) when recorded
 
 
-def sample(model, grid: StepGrid, spec: SolverSpec, stream, n_paths=1, path_offset=0,
-           record=False) -> SampleResult:
-    """Run the iterative procedure over the grid for a batch of trajectories.
+def sample(plan: StepPlan, stream, n_paths=1, path_offset=0, record=False) -> SampleResult:
+    """Walk the plan on its model for paths path_offset..path_offset+n_paths-1.
 
     Steps i = 1..M-1 apply the solver; the final interval is the trivial
     step (the state is carried over unchanged, no model call), so the total
-    cost is evals_per_step * (M - 1) per path.  The grid's plan on the model, which
-    checks the solver against the model's schedule, is built first, and ``lockstep`` runs it
-    alone from x_T ~ N(0, sigma_bar(t_0)^2 I).  A step that leaves a non-finite
-    state raises DomainError naming the step and its time.
+    cost is evals_per_step * (M - 1) per path.  ``lockstep`` runs the plan
+    alone from x_T ~ N(0, sigma_bar(t_0)^2 I), and builds nothing: one plan may
+    serve any number of calls.  A step that leaves a non-finite state raises
+    DomainError naming the step and its time.
     """
-    plan = StepPlan(spec, model, grid)
     traj = []
-    for [x] in lockstep([plan], StepDraws(stream, n_paths, model.dim, path_offset)):
+    for [x] in lockstep([plan], StepDraws(stream, n_paths, plan.model.dim, path_offset)):
         if record:
             traj.append(x)
     trajectory = np.stack(traj + [x]) if record else None   # trivial last step: x again
-    return SampleResult(terminal=x, times=grid.times.copy(),
-                        nfe_per_path=spec.evals_per_step * len(plan.rows), trajectory=trajectory)
+    return SampleResult(terminal=x, nfe_per_path=plan.spec.evals_per_step * len(plan.rows),
+                        trajectory=trajectory)

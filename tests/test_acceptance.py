@@ -17,6 +17,7 @@ from seeds_sde import (
     RngStream,
     ScoreModel,
     SolverSpec,
+    StepPlan,
     VpLinear,
     ZeroModel,
     edm_grid,
@@ -243,7 +244,7 @@ def test_criterion_9_grid_contract(vp, gauss_model):
     nfe_ok = True
     for fam, k in (("seeds1", 1), ("seeds2", 2), ("seeds3", 3)):
         gauss_model.nfe = 0
-        res = sample(gauss_model, lgrid, SolverSpec(fam), RngStream(0), n_paths=2)
+        res = sample(StepPlan(SolverSpec(fam), gauss_model, lgrid), RngStream(0), n_paths=2)
         nfe_ok = nfe_ok and gauss_model.nfe == k * 12 == res.nfe_per_path
     gauss_model.nfe = 0
     report(9, "edm grid endpoints exact, degenerate grids raise the named error, "

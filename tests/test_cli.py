@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from seeds_sde import DataDistribution, Edm, ScoreModel, cli, edm_grid
+from seeds_sde import (DataDistribution, Edm, RngStream, ScoreModel, StepPlan, cli, edm_grid,
+                       sample)
 from seeds_sde.cli import main
 from seeds_sde.config import RunConfig, load_config
 from seeds_sde.errors import ConfigError
@@ -1033,11 +1034,51 @@ def test_unknown_top_level_config_key_exits_1(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("extra", [["--workers", "1"], ["--workers", "2", "--paths", "9000"]])
 def test_sample_solver_off_its_schedule_exits_1(tmp_path, capsys, extra):
-    # the solver-vs-schedule check runs in `sample`, inside the pool at two chunks
+    # the solver-vs-schedule check runs when the parent builds the run's plan, before
+    # the two chunks' pool opens
     out = tmp_path / "x"
     assert run(["sample", "--solver", "ve2_sde", "--schedule", "vp", "--steps", "5",
                 "--out", str(out), *extra]) == 1
     assert "runs on ve/edm schedules, not 'vp'" in _config_error(capsys)
+    assert not out.exists()
+
+
+def test_sample_builds_one_plan_for_every_chunk(tmp_path, monkeypatch):
+    # 20,000 paths at one worker are three chunks, and the parent's one plan walks them all
+    built = []
+    init = StepPlan.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(StepPlan, "__init__", counting)
+    out = tmp_path / "x"
+    assert len(cli.path_chunks(20_000, 1)) == 3
+    assert run(["sample", "--solver", "seeds2", "--steps", "4", "--paths", "20000",
+                "--seed", "3", "--workers", "1", "--out", str(out)]) == 0
+    assert len(built) == 1
+    cfg = load_config(None, {"solver": "seeds2", "steps": 4, "seed": 3})
+    whole = sample(StepPlan(cfg.solver, cfg.model, cfg.grid), RngStream(3), n_paths=20_000)
+    rows = enumerate(whole.terminal[:, 0].tolist())
+    want = "path,x0\n" + "".join(f"{p},{v!r}\n" for p, v in rows)
+    same = read(out / "terminal.csv") == want.encode()   # no 20,000-row diff on failure
+    assert same
+
+
+def test_a_plan_that_cannot_be_built_fails_before_any_pool(tmp_path, monkeypatch, capsys):
+    # two chunks at two workers, but the parent's plan fails first: no pool, no --out
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was opened")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {"schedule": {"kind": "ve"}, "solver": {"family": "ve2_sde", "r1": 1e-308}}))
+    out = tmp_path / "x"
+    assert len(cli.path_chunks(4096, 2)) == 2
+    assert run(["sample", "--config", str(tmp_path / "cfg.json"), "--paths", "4096",
+                "--workers", "2", "--out", str(out)]) == 1
+    assert "stage fraction 1e-308 puts a node on its step's start" in _config_error(capsys)
     assert not out.exists()
 
 
@@ -1115,14 +1156,14 @@ def test_only_main_freezes_the_heap(tmp_path):
     # the heap before its paths fan out
     script = textwrap.dedent("""
         import gc, json, sys
-        from seeds_sde import RngStream, SolverSpec, cli, linear_lambda_grid
+        from seeds_sde import RngStream, SolverSpec, StepPlan, cli, linear_lambda_grid
         from seeds_sde.config import load_config
         from seeds_sde.harness import weak_order
         from seeds_sde.solvers import sample
 
         cfg = load_config(None, {})
         sched, model = cfg.schedule, cfg.build_model()
-        sample(model, cfg.build_grid(), cfg.solver, RngStream(0), n_paths=3)
+        sample(StepPlan(cfg.solver, model, cfg.build_grid()), RngStream(0), n_paths=3)
         grids = [linear_lambda_grid(m, sched.t_min, sched.t_max, sched) for m in (4, 5, 6)]
         weak_order(SolverSpec("seeds1"), model, grids, 2048, RngStream(0), workers=2)
         counts = {"library": gc.get_freeze_count()}

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ def test_grid_validation_errors():
     for times in ([1.0, 0.5, math.nan], [1.0, math.nan, 0.5, 0.0], [math.inf, 0.5, 0.1, 0.0]):
         with pytest.raises(GridError, match="grid times must be finite"):
             StepGrid(times)
+    for steps in (3.5, True, "8"):
+        with pytest.raises(ConfigError, match=f"edm grid n_steps must be an integer, got "
+                                              f"{re.escape(repr(steps))}"):
+            edm_grid(steps, 0.002, 80.0, 7.0, Edm())
+        with pytest.raises(ConfigError, match=f"linear-lambda grid n_steps must be an integer, "
+                                              f"got {re.escape(repr(steps))}"):
+            linear_lambda_grid(steps, 1e-4, 1.0, VpLinear())
 
 
 def test_linear_lambda_uniform_spacing():

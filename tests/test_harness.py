@@ -15,6 +15,7 @@ from seeds_sde import (
     ScoreModel,
     SolverSpec,
     StepGrid,
+    StepPlan,
     Ve,
     VpCosine,
     VpLinear,
@@ -297,7 +298,8 @@ def test_weak_order_walks_each_grid_as_sample_does(vp, gauss_model, monkeypatch,
     est = weak_order(spec, gauss_model, grids, 2000, RngStream(3))
     assert est.h_values == sorted(est.h_values, reverse=True) and len(results) == 3
     for g, grid in enumerate(grids):
-        want = solvers.sample(gauss_model, grid, spec, RngStream(3), n_paths=2000).terminal
+        want = solvers.sample(StepPlan(spec, gauss_model, grid), RngStream(3),
+                              n_paths=2000).terminal
         assert np.concatenate([chunk[g] for chunk in results]).tobytes() == want.tobytes()
 
 
@@ -306,7 +308,8 @@ def test_a_grid_without_a_real_step_is_a_grid_error(vp, gauss_model):
     bare = object.__new__(StepGrid)
     object.__setattr__(bare, "times", np.array([vp.t_max, 0.0]))
     grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (5, 7)] + [bare]
-    for run in (lambda: solvers.sample(gauss_model, bare, SolverSpec("seeds2"), RngStream(0)),
+    for run in (lambda: solvers.sample(StepPlan(SolverSpec("seeds2"), gauss_model, bare),
+                                       RngStream(0)),
                 lambda: weak_order(SolverSpec("seeds2"), gauss_model, grids, 10,
                                    RngStream(0))):
         with pytest.raises(GridError, match=r"grid needs at least one real step \(M >= 2\)"):
@@ -456,7 +459,7 @@ def test_terminal_check_zero_model_matches_propagated_gaussian(vp):
     from seeds_sde.solvers import sample
 
     n = 200_000
-    res = sample(zm, grid, SolverSpec("seeds1"), stream, n_paths=n)
+    res = sample(StepPlan(SolverSpec("seeds1"), zm, grid), stream, n_paths=n)
     t_last, t0 = float(grid.times[-2]), float(grid.times[0])
     a_l, a_0 = vp.alpha_sigma(t_last)[0], vp.alpha_sigma(t0)[0]
     sbar_0 = vp.alpha_sigma(t0)[2]

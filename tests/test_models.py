@@ -11,6 +11,7 @@ from seeds_sde import (
     RngStream,
     ScoreModel,
     SolverSpec,
+    StepPlan,
     Ve,
     VpCosine,
     VpLinear,
@@ -372,7 +373,7 @@ def test_nfe_accounting(vp, gauss_model):
     grid = linear_lambda_grid(7, vp.t_min, vp.t_max, vp)
     for fam, k in (("seeds1", 1), ("seeds2", 2), ("seeds3", 3), ("dpm4", 5)):
         gauss_model.nfe = 0
-        res = sample(gauss_model, grid, SolverSpec(fam), RngStream(0), n_paths=3)
+        res = sample(StepPlan(SolverSpec(fam), gauss_model, grid), RngStream(0), n_paths=3)
         assert gauss_model.nfe == k * (grid.n_steps - 1)
         assert res.nfe_per_path == k * (grid.n_steps - 1)
     gauss_model.nfe = 0
@@ -560,3 +561,10 @@ def test_states_of_another_dimension_raise_a_named_error(make, call, x):
                                                     f"dimension d = {model.dim}")):
         getattr(model, call)(x, 0.5)
     assert model.nfe == 0
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.5, 2.0, True, "2", None])
+def test_a_zero_model_dimension_that_is_not_an_integer_from_1_is_a_domain_error(d):
+    with pytest.raises(DomainError, match="dimension must be >= 1"):
+        ZeroModel(d, VpLinear())
+    assert ZeroModel(np.int64(2), VpLinear()).dim == 2

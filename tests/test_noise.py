@@ -117,6 +117,13 @@ def test_seed_out_of_range_rejected():
     for seed in (-1, 2**128):
         with pytest.raises(ConfigError):
             RngStream(seed)
+    # a seed that is not an integer is named, not truncated; a bool is not an integer
+    for seed in (1.5, True, "3", math.nan):
+        with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
+            RngStream(seed)
+    for seed in (np.int64(3), np.uint8(3), 3.0):
+        assert np.array_equal(RngStream(seed).normal_paths(2, 1, 1, 2),
+                              RngStream(3).normal_paths(2, 1, 1, 2))
 
 
 def test_gauss_moments_and_ks():

@@ -223,9 +223,21 @@ def test_vp_round_trip_property(t):
     (lambda: Ve().t_of_lambda(-1000.0), DomainError, "outside the image of lambda_of_t"),
     (lambda: Edm().t_of_lambda(400.0), DomainError, "outside the image of lambda_of_t"),
     (lambda: Edm().t_of_lambda(-1000.0, ODE), DomainError, "outside the image of lambda_of_t"),
+    # every field a finite number, and a bool is not one
+    (lambda: VpLinear(beta_d=True), ConfigError,
+     "schedule 'vp' beta_d must be a finite number, got True"),
+    (lambda: VpLinear(beta_d="a"), ConfigError,
+     "schedule 'vp' beta_d must be a finite number, got 'a'"),
+    (lambda: VpCosine(shift=math.nan), ConfigError,
+     "schedule 'vp_cosine' shift must be a finite number, got nan"),
+    (lambda: Ve(t_max=math.inf), ConfigError,
+     "schedule 've' t_max must be a finite number, got inf"),
+    (lambda: Edm(sigma_data=None), ConfigError,
+     "schedule 'edm' sigma_data must be a finite number, got None"),
 ], ids=["vp-range", "cosine-range", "alpha-sigma-nan", "lambda-nan", "sigma-zero",
         "cosine-lambda-low", "edm-ode-image", "ve-overflow", "edm-sde-overflow",
-        "edm-ode-overflow"])
+        "edm-ode-overflow", "vp-bool-field", "vp-string-field", "cosine-nan-field",
+        "ve-inf-field", "edm-none-field"])
 def test_bad_schedule_inputs_raise_named_errors(call, error, words):
     with pytest.raises(error, match=re.escape(words)):
         call()

@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import warnings
 
 import mpmath
@@ -720,7 +721,14 @@ def test_churn_params_validation():
         ChurnParams(s_tmin=2.0, s_tmax=1.0)
     with pytest.raises(ConfigError):
         ChurnParams(s_noise=0.0)
+    # every field a finite number, a bool not, but s_tmax may be +inf
+    for key, value in (("s_churn", math.nan), ("s_noise", math.inf), ("s_tmin", -math.inf),
+                       ("s_tmax", math.nan), ("s_tmax", -math.inf), ("s_churn", "1"),
+                       ("s_noise", True)):
+        with pytest.raises(ConfigError, match=f"churn {key} must be a finite number"):
+            ChurnParams(**{"s_churn": 1.0, key: value})
     ChurnParams(s_churn=11.0, s_tmin=0.05, s_tmax=15.0, s_noise=1.003)
+    ChurnParams(s_churn=11.0, s_tmax=math.inf)
 
 
 def test_sampling_with_churn_runs_and_is_deterministic():
@@ -732,8 +740,8 @@ def test_sampling_with_churn_runs_and_is_deterministic():
     grid = edm_grid(12, 0.002, 80.0, 7.0, sched)
     spec = SolverSpec("seeds2", churn=ChurnParams(s_churn=5.0, s_tmin=0.05, s_tmax=50.0,
                                                   s_noise=1.003))
-    a = sample(model, grid, spec, RngStream(2), n_paths=16)
-    b = sample(model, grid, spec, RngStream(2), n_paths=16)
+    a = sample(StepPlan(spec, model, grid), RngStream(2), n_paths=16)
+    b = sample(StepPlan(spec, model, grid), RngStream(2), n_paths=16)
     assert np.array_equal(a.terminal, b.terminal)
     assert np.isfinite(a.terminal).all()
 
@@ -756,7 +764,7 @@ def test_sampling_reads_every_evaluation_from_the_table(family, mode, name, chur
     model = ScoreModel(DataDistribution.standard_normal(2), sched)
     grid = linear_lambda_grid(12, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode=mode, churn=churn)
-    sample(model, grid, spec, RngStream(4), n_paths=3)
+    sample(StepPlan(spec, model, grid), RngStream(4), n_paths=3)
     assert model.nfe == spec.evals_per_step * 11
     assert marginal_calls == []
 
@@ -931,11 +939,11 @@ def test_models_without_the_hook_sample_and_compare_unchanged(family, mode, name
                             np.array([[0.4, 1.0], [1.3, 0.2]]))
     grid = linear_lambda_grid(15, sched.t_min, sched.t_max, sched)
     spec, other = SolverSpec(family, mode=mode, churn=churn), SolverSpec("seeds1", mode="dp")
-    want = sample(ScoreModel(data, sched), grid, spec, RngStream(5), n_paths=5)
+    want = sample(StepPlan(spec, ScoreModel(data, sched), grid), RngStream(5), n_paths=5)
     want_cmp = per_step_compare(spec, other, ScoreModel(data, sched), grid, RngStream(5))
     assert marginal_calls == []
     inner = ScoreModel(data, sched)
-    got = sample(_NoHook(inner), grid, spec, RngStream(5), n_paths=5)
+    got = sample(StepPlan(spec, _NoHook(inner), grid), RngStream(5), n_paths=5)
     assert _same_bits(got.terminal, want.terminal)
     assert per_step_compare(spec, other, _NoHook(inner), grid, RngStream(5)) == want_cmp
     # without the hook every evaluation computes its time-only terms
@@ -952,8 +960,8 @@ def test_np_forms_walk_the_edm_zero_model_as_the_network_of_its_prior(family):
                              np.full((1, 2), sched.sigma_data ** 2))
     grid = linear_lambda_grid(15, sched.t_min, sched.t_max, sched)
     spec = SolverSpec(family, mode="np")
-    want = sample(ScoreModel(prior, sched), grid, spec, RngStream(6), n_paths=5)
-    got = sample(ZeroModel(2, sched), grid, spec, RngStream(6), n_paths=5)
+    want = sample(StepPlan(spec, ScoreModel(prior, sched), grid), RngStream(6), n_paths=5)
+    got = sample(StepPlan(spec, ZeroModel(2, sched), grid), RngStream(6), n_paths=5)
     assert _same_bits(got.terminal, want.terminal)
 
 
@@ -1040,7 +1048,7 @@ def test_lockstep_walks_each_plan_on_the_model_it_was_built_on(marginal_calls):
 def test_sample_minimal_grid_single_eval(vp, gauss_model):
     grid = linear_lambda_grid(2, vp.t_min, vp.t_max, vp)
     gauss_model.nfe = 0
-    res = sample(gauss_model, grid, SolverSpec("seeds1"), RngStream(0), n_paths=2)
+    res = sample(StepPlan(SolverSpec("seeds1"), gauss_model, grid), RngStream(0), n_paths=2)
     assert gauss_model.nfe == 1
     assert res.nfe_per_path == 1
     gauss_model.nfe = 0
@@ -1061,7 +1069,7 @@ def test_sample_zero_model_terminal_mean(vp):
     spread = terminal.std() / math.sqrt(64)
     assert abs(mean - exact) < 5.0 * spread
     # trivial last step: final two recorded states identical
-    res = sample(zm, grid, spec, RngStream(1), n_paths=64, record=True)
+    res = sample(StepPlan(spec, zm, grid), RngStream(1), n_paths=64, record=True)
     assert np.array_equal(res.trajectory[-1], res.trajectory[-2])
 
 
@@ -1126,10 +1134,10 @@ def test_solver_spec_keeps_its_form_and_stage_parameters():
 
 def test_sample_trajectory_shape_and_determinism(vp, gauss_model):
     grid = linear_lambda_grid(6, vp.t_min, vp.t_max, vp)
-    res = sample(gauss_model, grid, SolverSpec("seeds3"), RngStream(3), n_paths=5,
+    res = sample(StepPlan(SolverSpec("seeds3"), gauss_model, grid), RngStream(3), n_paths=5,
                  record=True)
     assert res.trajectory.shape == (7, 5, 1)
-    res2 = sample(gauss_model, grid, SolverSpec("seeds3"), RngStream(3), n_paths=5,
+    res2 = sample(StepPlan(SolverSpec("seeds3"), gauss_model, grid), RngStream(3), n_paths=5,
                   record=True)
     assert np.array_equal(res.trajectory, res2.trajectory)
 
@@ -1138,7 +1146,7 @@ def test_sample_rejects_non_finite_state(vp, constant_model):
     grid = linear_lambda_grid(6, vp.t_min, vp.t_max, vp)
     t1 = float(grid.times[1])
     with pytest.raises(DomainError, match=f"non-finite state after step 1 at t={t1!r}"):
-        sample(constant_model(1, vp, noise_value=math.inf), grid, SolverSpec("seeds1"),
+        sample(StepPlan(SolverSpec("seeds1"), constant_model(1, vp, noise_value=math.inf), grid),
                RngStream(0), n_paths=3)
 
 
@@ -1155,6 +1163,12 @@ def test_solver_spec_validation():
         SolverSpec("dpm2", r1=0.2, r2=0.4)
     with pytest.raises(ConfigError, match="ve2_sde needs 0 < r1 <= 1, got r1=1.5"):
         SolverSpec("ve2_sde", r1=1.5)
+    # a stage parameter that is not a real number is named with its family; a bool is not one
+    for family, key, value in (("seeds2", "c2", "a"), ("seeds2", "c2", True),
+                               ("seeds3", "r2", [0.5]), ("ve2_ode_a", "r1", False)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{family} {key} must be a finite number, got {value!r}")):
+            SolverSpec(family, **{key: value})
     with pytest.raises(ConfigError):
         SolverSpec("nonsense")
     with pytest.raises(ConfigError):
@@ -1274,4 +1288,9 @@ def test_sampling_fewer_than_one_path_raises_a_named_error(vp, n_paths):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=f"need at least one path, got {n_paths}"):
-            sample(ZeroModel(1, vp), grid, SolverSpec("seeds1"), RngStream(0), n_paths=n_paths)
+            sample(StepPlan(SolverSpec("seeds1"), ZeroModel(1, vp), grid), RngStream(0),
+                   n_paths=n_paths)
+        # and a negative first path, which no keyed draw has
+        with pytest.raises(ConfigError, match=f"path offset must be >= 0, got {n_paths - 1}"):
+            sample(StepPlan(SolverSpec("seeds1"), ZeroModel(1, vp), grid), RngStream(0),
+                   path_offset=n_paths - 1)
