@@ -1,4 +1,9 @@
-"""Run configuration: JSON file plus CLI overrides, flags win."""
+"""Run configuration: JSON file plus CLI overrides, flags win.
+
+It reads JSON (section shapes, unknown keys, defaults), applies the caps and checks
+``threshold`` and ``out``; each schedule, solver, churn, grid and seed value's rule is the
+constructor's that takes it, so a library call fails with a config file's text.
+"""
 
 import contextlib
 import json
@@ -10,7 +15,7 @@ from .grids import StepGrid, edm_grid, linear_lambda_grid
 from .models import DataDistribution, ScoreModel, ZeroModel
 from .noise import RngStream
 from .schedules import ScheduleBase, VpLinear, make_schedule
-from .solvers import STAGE_PARAMS, ChurnParams, SolverSpec
+from .solvers import ChurnParams, SolverSpec
 
 _DEFAULT_MODEL = {"kind": "gaussian_mixture",
                   "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}
@@ -22,8 +27,9 @@ _MAX_WORKERS = 256
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, validated, with the ``grid`` and ``model`` that ``load_config``
-    built to check them; the run's ``StepPlan`` checks the solver against the schedule."""
+    """Everything a run needs, with the ``grid`` and ``model`` that ``load_config`` built to
+    check them: it checks the JSON and the caps, each value's constructor that value's rule,
+    and the run's ``StepPlan`` the solver against the schedule."""
 
     schedule: ScheduleBase
     model_spec: dict
@@ -59,16 +65,13 @@ class RunConfig:
         own_steps = as_integer("grid steps", spec.pop("steps", 31), _MAX_STEPS)
         sched = self.schedule
         if kind == "linear_lambda":
-            eps_end = as_number("grid eps_end", spec.pop("eps_end", sched.t_min))
-            t_top = as_number("grid t_top", spec.pop("t_top", sched.t_max))
-            build, args = linear_lambda_grid, (eps_end, t_top, sched, spec.pop("variant", "sde"))
+            build, args = linear_lambda_grid, (spec.pop("eps_end", sched.t_min),
+                                               spec.pop("t_top", sched.t_max), sched,
+                                               spec.pop("variant", "sde"))
         elif kind == "edm":
-            sigma_min = as_number("grid sigma_min",
-                                spec.pop("sigma_min", sched.sigma_of_t(sched.t_min)))
-            sigma_max = as_number("grid sigma_max",
-                                spec.pop("sigma_max", sched.sigma_of_t(sched.t_max)))
-            rho = as_number("grid rho", spec.pop("rho", 7.0))
-            build, args = edm_grid, (sigma_min, sigma_max, rho, sched)
+            build, args = edm_grid, (spec.pop("sigma_min", sched.sigma_of_t(sched.t_min)),
+                                     spec.pop("sigma_max", sched.sigma_of_t(sched.t_max)),
+                                     spec.pop("rho", 7.0), sched)
         else:
             raise ConfigError(f"unknown grid kind {kind!r}; expected 'linear_lambda' or 'edm'")
         _reject_extras("grid", spec)
@@ -140,27 +143,12 @@ def _reject_extras(section: str, leftover: dict) -> None:
         raise ConfigError(f"unknown keys in {section} config: {sorted(leftover)}")
 
 
-def _build_schedule(spec: dict) -> ScheduleBase:
-    kind = spec.pop("kind", VpLinear.kind)
-    if not isinstance(kind, str):
-        raise ConfigError(f"schedule kind must be a string, got {kind!r}")
-    return make_schedule(kind, **{key: as_number(f"schedule {key}", value)
-                                  for key, value in spec.items()})
-
-
 def _build_solver(spec: dict) -> SolverSpec:
     churn_spec = spec.pop("churn", None) or {}
     if not isinstance(churn_spec, dict):
         raise ConfigError(f"solver churn config must be a JSON object, got {churn_spec!r}")
-    if spec.get("mode") is not None and not isinstance(spec["mode"], str):
-        raise ConfigError(f"solver mode must be a string, got {spec['mode']!r}")
-    for key in STAGE_PARAMS:
-        if key in spec:
-            spec[key] = as_number(f"solver {key}", spec[key])
     _reject_extras("solver churn", churn_spec.keys() - {f.name for f in fields(ChurnParams)})
-    # s_tmax defaults to +inf, and config.json records that default as Infinity
-    churn = ChurnParams(**{key: as_number(f"solver churn {key}", value, inf_ok=key == "s_tmax")
-                           for key, value in churn_spec.items()}) if churn_spec else None
+    churn = ChurnParams(**churn_spec) if churn_spec else None
     try:
         return SolverSpec(churn=churn, **spec)
     except TypeError as exc:
@@ -190,7 +178,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     sched_spec = _section(raw, "schedule", {})
     if overrides.get("schedule"):
         sched_spec = {"kind": overrides["schedule"]}
-    schedule = _build_schedule(sched_spec)
+    schedule = make_schedule(sched_spec.pop("kind", VpLinear.kind), **sched_spec)
 
     solver_spec = _section(raw, "solver", {"family": "seeds3"})
     for key, flag in (("family", "solver"), ("mode", "mode")):
@@ -216,7 +204,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         model_spec=_section(raw, "model", _DEFAULT_MODEL),
         solver=solver,
         grid_spec=grid_spec,
-        seed=as_integer("seed", pick("seed", "seed", 0)),
+        seed=RngStream(pick("seed", "seed", 0)).seed,   # an integer that fits a Philox key
         n_paths=as_integer("paths", pick("paths", "paths", 1000), _MAX_PATHS),
         workers=as_integer("workers", pick("workers", "workers", _usable_cpus()), _MAX_WORKERS),
         out=out,
@@ -231,5 +219,4 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ConfigError(f"threshold must be > 0, got {cfg.threshold!r}")
     cfg.grid = cfg.build_grid()     # validate grid construction eagerly, and keep it
     cfg.model = cfg.build_model()   # and the model
-    RngStream(cfg.seed)  # and the seed, which must fit a Philox key
     return cfg

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGridError, GridError, as_integer
+from .errors import ConfigError, DegenerateGridError, GridError, as_integer, as_number
 from .schedules import SDE, ScheduleBase
 
 
@@ -59,6 +59,8 @@ def edm_grid(n_steps: int, sigma_min: float, sigma_max: float, rho: float, sched
     Endpoints are pinned exactly to sigma_max and sigma_min.
     """
     n_steps = as_integer("edm grid n_steps", n_steps)
+    sigma_min, sigma_max, rho = (as_number(f"edm grid {key}", value) for key, value in
+                                 (("sigma_min", sigma_min), ("sigma_max", sigma_max), ("rho", rho)))
     if n_steps < 2:
         raise ConfigError("edm grid needs at least 2 steps")
     if not 0.0 < sigma_min < sigma_max:
@@ -85,6 +87,8 @@ def edm_grid(n_steps: int, sigma_min: float, sigma_max: float, rho: float, sched
 def linear_lambda_grid(n_steps: int, eps_end: float, t_top: float, sched: ScheduleBase, variant: str = SDE) -> StepGrid:
     """Uniform lambda spacing between lambda(t_top) and lambda(eps_end)."""
     n_steps = as_integer("linear-lambda grid n_steps", n_steps)
+    eps_end, t_top = (as_number(f"linear-lambda grid {key}", value)
+                      for key, value in (("eps_end", eps_end), ("t_top", t_top)))
     if n_steps < 2:
         raise ConfigError("linear-lambda grid needs at least 2 steps")
     if not 0.0 < eps_end < t_top:

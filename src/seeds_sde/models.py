@@ -179,11 +179,13 @@ class ScoreModel:
         return self.data.dim
 
     def prepare(self, times) -> None:
-        """Replace the table with ``_table_of``'s rows, one per distinct time in ``times``."""
+        """Replace the table with ``_table_of``'s rows, one per distinct time in ``times``,
+        unless it holds exactly those rows already (each chunk of a run hands the same)."""
         rows = {}
         for t in times:
             rows.setdefault(float(t), len(rows))
-        self._rows, self._table = rows, self._table_of(list(rows))
+        if rows != self._rows:
+            self._rows, self._table = rows, self._table_of(list(rows))
 
     def _table_of(self, times):
         """Stacked rows at ``times``: (alpha, sigma, sigma_bar) from the scalar

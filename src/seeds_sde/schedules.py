@@ -69,12 +69,15 @@ class ScheduleBase:
         return t
 
     def __post_init__(self):
-        """Check that each field is a finite number (a bool is not), then the parameters
-        (``_check_params``), then that sigma and both lambdas are finite floats at t_min and
-        t_max and that ``t_of_lambda`` inverts each lambda there to 1e-6, or raise a
-        ConfigError naming the kind and them."""
-        for key in fields(self):
-            as_number(f"schedule {self.kind!r} {key.name}", getattr(self, key.name))
+        """Store each field as the float ``as_number`` checks (a bool is not one), check
+        0 < t_min < t_max and the parameters (``_check_params``), then that sigma and both
+        lambdas are finite floats at t_min and t_max and that ``t_of_lambda`` inverts each
+        lambda there to 1e-6, or raise a ConfigError naming the kind and them."""
+        for key in fields(self):   # frozen dataclasses refuse setattr
+            object.__setattr__(self, key.name, as_number(f"schedule {self.kind!r} {key.name}",
+                                                         getattr(self, key.name)))
+        if not 0 < self.t_min < self.t_max:
+            raise ConfigError("need 0 < t_min < t_max")
         self._check_params()
         # a lambda saturated at an end (EDM's sde lambda at a tiny sigma_data) is finite but
         # falls outside the image its inverse accepts, or loses the time it came from
@@ -90,6 +93,9 @@ class ScheduleBase:
             if not holds:
                 raise ConfigError(f"schedule {self.kind!r} with {asdict(self)} has a {failure} "
                                   "at t_min or t_max")
+
+    def _check_params(self):
+        """Check the kind's own parameters; a schedule with none has nothing to check."""
 
     # -- core quantities ---------------------------------------------------
 
@@ -184,8 +190,6 @@ class VpLinear(_Vp):
     def _check_params(self):
         if self.beta_d <= 0 or self.beta_m <= 0:
             raise ConfigError("beta_d and beta_m must be positive")
-        if not 0 < self.t_min < self.t_max:
-            raise ConfigError("need 0 < t_min < t_max")
 
     def _abar(self, t):
         return 0.5 * self.beta_d * t * t + self.beta_m * t
@@ -235,7 +239,7 @@ class VpCosine(_Vp):
     def _check_params(self):
         if self.shift <= 0:
             raise ConfigError("cosine shift must be positive")
-        if not 0 < self.t_min < self.t_max < 1.0:
+        if not self.t_max < 1.0:
             raise ConfigError("cosine schedule needs 0 < t_min < t_max < 1")
 
     def _u(self, t):
@@ -304,10 +308,6 @@ class Ve(_IdentitySigma):
 
     family = kind = "ve"
 
-    def _check_params(self):
-        if not 0 < self.t_min < self.t_max:
-            raise ConfigError("need 0 < t_min < t_max")
-
     def _lambda(self, t, variant):
         return -math.log(t)
 
@@ -333,8 +333,6 @@ class Edm(_IdentitySigma):
     def _check_params(self):
         if self.sigma_data <= 0:
             raise ConfigError("sigma_data must be positive")
-        if not 0 < self.t_min < self.t_max:
-            raise ConfigError("need 0 < t_min < t_max")
 
     def _lambda(self, t, variant):
         sd = self.sigma_data
@@ -387,6 +385,8 @@ _KINDS = {cls.kind: cls for cls in (VpLinear, VpCosine, Ve, Edm)} | {"vp_linear"
 
 def make_schedule(kind: str, **params) -> ScheduleBase:
     """Construct a schedule from its config name ("vp", "vp_cosine", "ve", "edm")."""
+    if not isinstance(kind, str):
+        raise ConfigError(f"schedule kind must be a string, got {kind!r}")
     key = kind.lower().replace("-", "_")
     if key not in _KINDS:
         raise ConfigError(f"unknown schedule kind {kind!r}; expected one of {sorted(set(_KINDS))}")

@@ -77,8 +77,8 @@ _GAMMA_CAP = math.sqrt(2.0) - 1.0
 
 @dataclass(frozen=True)
 class ChurnParams:
-    """Extra-noise injection parameters (inactive when s_churn == 0): finite numbers,
-    but s_tmax may be +inf, its default."""
+    """Extra-noise injection parameters (inactive when s_churn == 0), each stored as the
+    float ``as_number`` checks: finite numbers, but s_tmax may be +inf, its default."""
 
     s_churn: float = 0.0
     s_tmin: float = 0.0
@@ -86,8 +86,9 @@ class ChurnParams:
     s_noise: float = 1.0
 
     def __post_init__(self):
-        for key in fields(self):
-            as_number(f"churn {key.name}", getattr(self, key.name), inf_ok=key.name == "s_tmax")
+        for key in fields(self):   # frozen dataclasses refuse setattr
+            object.__setattr__(self, key.name, as_number(
+                f"churn {key.name}", getattr(self, key.name), inf_ok=key.name == "s_tmax"))
         if self.s_churn < 0.0:
             raise ConfigError("s_churn must be >= 0")
         if self.s_tmin > self.s_tmax:
@@ -100,14 +101,14 @@ class ChurnParams:
 class SolverSpec:
     """Solver family plus mode and stage parameters.
 
-    ``mode`` None means the family's default mode: "np" for seeds1 and dpm1,
-    the only mode for every other family.  A stage parameter the family reads
-    takes the registry's default when None, and otherwise must be a finite number (a bool
-    is not); one it does not read stays None, or is a ConfigError.  The registry is read
-    once, here: ``form`` is the mode's ``Form``, ``params`` the stage parameters the
-    family reads with their values, in registry order, and ``step_kwargs`` the keywords
-    ``step_once`` passes to the form's step, its fixed keywords and, given stage
-    parameters, their values as ``fracs``.
+    ``mode`` None means the family's default mode: "np" for seeds1 and dpm1, the only mode
+    for every other family; any other mode is a string.  A stage parameter the family reads
+    takes the registry's default when None, and otherwise must be a finite number (a bool is
+    not), kept as its float; one it does not read stays None, or is a ConfigError.  The
+    registry is read once, here: ``form`` is the mode's ``Form``, ``params`` the stage
+    parameters the family reads with their values, in registry order, and ``step_kwargs``
+    the keywords ``step_once`` passes to the form's step, its fixed keywords and, given
+    stage parameters, their values as ``fracs``.
     """
 
     family: str
@@ -128,6 +129,8 @@ class SolverSpec:
         if desc is None:
             raise ConfigError(f"unknown solver family {self.family!r}; "
                               f"expected one of {tuple(FAMILIES)}")
+        if self.mode is not None and not isinstance(self.mode, str):
+            raise ConfigError(f"solver mode must be a string, got {self.mode!r}")
         mode = next(iter(desc.forms)) if self.mode is None else self.mode
         if mode not in desc.forms:
             raise ConfigError(f"{fam} has no mode {mode!r}; its modes are {tuple(desc.forms)}")
@@ -135,9 +138,8 @@ class SolverSpec:
         if unread := [key for key in given if key not in desc.params]:
             raise ConfigError(f"{fam} does not read {', '.join(unread)}; it reads "
                               f"{', '.join(desc.params) or 'no stage parameter'}")
-        for key, value in given.items():
-            as_number(f"{fam} {key}", value)
-        params = {**desc.params, **given}
+        params = {**desc.params, **{key: as_number(f"{fam} {key}", value)
+                                    for key, value in given.items()}}
         if not desc.valid(**params):
             raise ConfigError(f"{fam} needs {desc.rule}, got "
                               + ", ".join(f"{key}={value}" for key, value in params.items()))
@@ -153,14 +155,15 @@ class SolverSpec:
 
 
 class StepDraws(dict):
-    """Walks' ``draws_at`` for paths offset..offset+n-1, n >= 1 and offset >= 0, and the
-    stage-keyed mapping it hands out: ``draws_at(i)`` makes the mapping step i's, dropping
-    the draws kept for another step, and ``draws[k]`` draws stage k's (n, d) array on key
-    (step i, stage k) when first read and keeps it.  So walks advanced in lockstep on one
-    ``StepDraws`` draw each key once, and ``draws_at(0)[0]`` is the initial draw.  Steps
+    """Walks' ``draws_at`` for paths offset..offset+n-1, integers n >= 1 and offset >= 0,
+    and the stage-keyed mapping it hands out: ``draws_at(i)`` makes the mapping step i's,
+    dropping the draws kept for another step, and ``draws[k]`` draws stage k's (n, d) array
+    on key (step i, stage k) when first read and keeps it.  So walks advanced in lockstep on
+    one ``StepDraws`` draw each key once, and ``draws_at(0)[0]`` is the initial draw.  Steps
     never write into their draws, so every walk may read the same arrays."""
 
     def __init__(self, stream, n: int, d: int, offset: int = 0):
+        n = as_integer("path count", n)
         if n < 1:
             raise ConfigError(f"need at least one path, got {n}")
         offset = as_integer("path offset", offset)

@@ -350,6 +350,12 @@ CONFIG_JSON_LOCKED = {
     "vp_cosine": "d8b0bb42b4a5647daa9cee30a42df2c28c0ea292dce7d4d53a39cc7f2dbf0b6f",
 }
 
+# a solver section that spells its stage parameter and every churn field as integers
+CONFIG_JSON_INTEGER_SOLVER = {"family": "seeds2", "c2": 1,
+                              "churn": {"s_churn": 1, "s_tmin": 0, "s_tmax": 10, "s_noise": 1}}
+CONFIG_JSON_INTEGER_SOLVER_LOCKED = (
+    "d1b65b48bfa398dccdb3a73f97de601188da28f169dc92dae18d7f329445f7ad")
+
 
 def _with_config(tmp_path, argv, config):
     if config is None:
@@ -516,3 +522,9 @@ def test_config_json_locked(tmp_path, kind):
             "--out", str(tmp_path / "out")]
     assert main(_with_config(tmp_path, argv, {"schedule": CONFIG_JSON_CASES[kind]})) == 0
     assert _sha256(tmp_path / "out" / "config.json") == CONFIG_JSON_LOCKED[kind]
+
+
+def test_config_json_of_an_integer_solver_section_locked(tmp_path):
+    argv = ["sample", "--steps", "4", "--paths", "2", "--out", str(tmp_path / "out")]
+    assert main(_with_config(tmp_path, argv, {"solver": CONFIG_JSON_INTEGER_SOLVER})) == 0
+    assert _sha256(tmp_path / "out" / "config.json") == CONFIG_JSON_INTEGER_SOLVER_LOCKED

@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from seeds_sde import (DataDistribution, Edm, RngStream, ScoreModel, StepPlan, cli, edm_grid,
+from seeds_sde import (ChurnParams, DataDistribution, Edm, RngStream, ScoreModel, SolverSpec,
+                       StepPlan, VpLinear, cli, edm_grid, linear_lambda_grid, make_schedule,
                        sample)
 from seeds_sde.cli import main
 from seeds_sde.config import RunConfig, load_config
@@ -232,21 +233,21 @@ def test_numeric_config_values_run(tmp_path):
     ({"schedule": {"kind": 5}}, "schedule kind must be a string"),
     ({"solver": {"family": ["seeds3"]}}, "solver family must be a string"),
     ({"solver": {"family": "seeds1", "mode": ["dp"]}}, "solver mode must be a string"),
-    ({"solver": {"family": "seeds2", "c2": True}}, "solver c2 must be a finite number"),
-    ({"solver": {"family": "seeds3", "r1": "x"}}, "solver r1 must be a finite number"),
+    ({"solver": {"family": "seeds2", "c2": True}}, "seeds2 c2 must be a finite number"),
+    ({"solver": {"family": "seeds3", "r1": "x"}}, "seeds3 r1 must be a finite number"),
     ({"solver": {"family": "seeds3", "churn": [1]}}, "solver churn config must be a JSON object"),
     ({"solver": {"family": "seeds3", "churn": {"s_churn": "abc"}}},
-     "solver churn s_churn must be a finite number"),
+     "churn s_churn must be a finite number"),
     ({"solver": {"family": "seeds3", "churn": {"s_churn": 1.0, "s_tmin": float("-inf")}}},
-     "solver churn s_tmin must be a finite number"),
+     "churn s_tmin must be a finite number"),
     ({"solver": {"family": "seeds3", "churn": {"bogus": 1}}},
      "unknown keys in solver churn config: ['bogus']"),
-    ({"schedule": {"kind": "vp", "beta_d": True}}, "schedule beta_d must be a finite number"),
+    ({"schedule": {"kind": "vp", "beta_d": True}}, "schedule 'vp' beta_d must be a finite number"),
     ({"schedule": {"kind": "vp", "beta_d": float("nan")}},
-     "schedule beta_d must be a finite number"),
+     "schedule 'vp' beta_d must be a finite number"),
     ({"schedule": {"kind": "edm", "sigma_data": float("inf")}},
-     "schedule sigma_data must be a finite number"),
-    ({"schedule": {"kind": "vp", "t_max": "1"}}, "schedule t_max must be a finite number"),
+     "schedule 'edm' sigma_data must be a finite number"),
+    ({"schedule": {"kind": "vp", "t_max": "1"}}, "schedule 'vp' t_max must be a finite number"),
     ({"model": {"kind": "zero", "bogus": 1}}, "unknown keys in model config: ['bogus']"),
     ({"model": {"kind": "gaussian_mixture", "dim": 1,
                 "components": [{"weight": 1.0, "mean": [0.0], "var": [1.0]}]}},
@@ -268,6 +269,56 @@ def test_sample_config_of_the_wrong_type_exits_1(tmp_path, monkeypatch, capsys, 
     assert run(["sample", "--config", "cfg.json"]) == 1
     assert words in _config_error(capsys)
     assert not (tmp_path / "seeds_out" / "terminal.csv").exists()
+
+
+@pytest.mark.parametrize("config, build", [
+    ({"schedule": {"kind": "vp", "beta_d": "x"}}, lambda: make_schedule("vp", beta_d="x")),
+    ({"schedule": {"kind": 5}}, lambda: make_schedule(5)),
+    ({"solver": {"family": "seeds1", "mode": ["dp"]}}, lambda: SolverSpec("seeds1", mode=["dp"])),
+    ({"solver": {"family": "seeds2", "c2": True}}, lambda: SolverSpec("seeds2", c2=True)),
+    ({"solver": {"family": "seeds3", "churn": {"s_tmin": "x"}}}, lambda: ChurnParams(s_tmin="x")),
+    ({"grid": {"eps_end": "x"}}, lambda: linear_lambda_grid(31, "x", 1.0, VpLinear())),
+    ({"grid": {"t_top": None}}, lambda: linear_lambda_grid(31, 1e-4, None, VpLinear())),
+    ({"schedule": {"kind": "edm"}, "grid": {"kind": "edm", "sigma_min": "x"}},
+     lambda: edm_grid(31, "x", 80.0, 7.0, Edm())),
+    ({"schedule": {"kind": "edm"}, "grid": {"kind": "edm", "sigma_max": [80.0]}},
+     lambda: edm_grid(31, 0.002, [80.0], 7.0, Edm())),
+    ({"schedule": {"kind": "edm"}, "grid": {"kind": "edm", "rho": 10**400}},
+     lambda: edm_grid(31, 0.002, 80.0, 10**400, Edm())),
+], ids=["schedule-field", "schedule-kind", "solver-mode", "stage-parameter", "churn-field",
+        "grid-eps_end", "grid-t_top", "grid-sigma_min", "grid-sigma_max", "grid-rho"])
+def test_a_rule_gives_one_text_from_a_config_file_and_from_its_constructor(tmp_path, config,
+                                                                           build):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    with pytest.raises(ConfigError) as from_file:
+        load_config(str(tmp_path / "cfg.json"), {})
+    with pytest.raises(ConfigError) as from_call:
+        build()
+    assert str(from_file.value) == str(from_call.value)
+
+
+@pytest.mark.parametrize("build, words", [
+    (lambda: make_schedule(5), "schedule kind must be a string, got 5"),
+    (lambda: SolverSpec("seeds1", mode=["dp"]), "solver mode must be a string, got ['dp']"),
+    (lambda: linear_lambda_grid(5, "a", 1.0, VpLinear()),
+     "linear-lambda grid eps_end must be a finite number, got 'a'"),
+    (lambda: edm_grid(5, 0.002, 80.0, "a", Edm()), "edm grid rho must be a finite number, got 'a'"),
+    (lambda: edm_grid(5, 0.002, math.inf, 7.0, Edm()),
+     "edm grid sigma_max must be a finite number, got inf"),
+])
+def test_bad_library_inputs_raise_named_config_errors(build, words):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError) as err:
+            build()
+    assert str(err.value) == words
+
+
+def test_constructors_store_their_numbers_as_floats():
+    spec = SolverSpec("seeds2", c2=1)
+    values = (VpLinear(beta_d=20).beta_d, ChurnParams(s_churn=2).s_churn, spec.params["c2"],
+              spec.c2)
+    assert [type(v) for v in values] == [float] * 4 and values == (20, 2, 1, 1)
 
 
 @pytest.mark.parametrize("command", [["sample"], ["grid"], ["order", "weak"]])
@@ -1064,6 +1115,20 @@ def test_sample_builds_one_plan_for_every_chunk(tmp_path, monkeypatch):
     want = "path,x0\n" + "".join(f"{p},{v!r}\n" for p, v in rows)
     same = read(out / "terminal.csv") == want.encode()   # no 20,000-row diff on failure
     assert same
+
+
+def test_sample_tabulates_its_model_once_for_every_chunk(tmp_path, monkeypatch):
+    # the three chunks of 20,000 paths at one worker hand the one model the same times
+    tables, table_of = [], ScoreModel._table_of
+
+    def counting(self, times):
+        tables.append(len(times))
+        return table_of(self, times)
+
+    monkeypatch.setattr(ScoreModel, "_table_of", counting)
+    assert run(["sample", "--solver", "seeds3", "--steps", "31", "--paths", "20000",
+                "--workers", "1", "--out", str(tmp_path / "x")]) == 0
+    assert len(tables) == 1
 
 
 def test_a_plan_that_cannot_be_built_fails_before_any_pool(tmp_path, monkeypatch, capsys):

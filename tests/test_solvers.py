@@ -1294,3 +1294,13 @@ def test_sampling_fewer_than_one_path_raises_a_named_error(vp, n_paths):
         with pytest.raises(ConfigError, match=f"path offset must be >= 0, got {n_paths - 1}"):
             sample(StepPlan(SolverSpec("seeds1"), ZeroModel(1, vp), grid), RngStream(0),
                    path_offset=n_paths - 1)
+
+
+@pytest.mark.parametrize("n_paths", [2.5, True])
+def test_sampling_a_path_count_that_is_not_an_integer_raises_a_named_error(vp, n_paths):
+    grid = linear_lambda_grid(5, vp.t_min, vp.t_max, vp)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"path count must be an integer, got {n_paths}"):
+            sample(StepPlan(SolverSpec("seeds1"), ZeroModel(1, vp), grid), RngStream(0),
+                   n_paths=n_paths)
