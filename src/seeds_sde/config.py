@@ -176,9 +176,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         _reject_extras("top-level", raw.keys() - _TOP_LEVEL)
 
     sched_spec = _section(raw, "schedule", {})
-    if overrides.get("schedule"):
-        sched_spec = {"kind": overrides["schedule"]}
     schedule = make_schedule(sched_spec.pop("kind", VpLinear.kind), **sched_spec)
+    if overrides.get("schedule"):   # a flag naming the section's kind keeps its parameters
+        flagged = make_schedule(overrides["schedule"])
+        schedule = schedule if flagged.kind == schedule.kind else flagged
 
     solver_spec = _section(raw, "solver", {"family": "seeds3"})
     for key, flag in (("family", "solver"), ("mode", "mode")):

@@ -14,12 +14,14 @@ steps ``sample`` walks.  One pass over the fine steps draws each fine
 increment, adds it to one running sum per level, never holding the fine
 path, and hands each level due to step its sum's draw as a plain
 {stage: array} mapping.  Weak order compares terminal moments against
-the closed-form Gaussian flow: each chunk walks every grid's ``StepPlan``, built
+the exact law: each chunk walks every grid's ``StepPlan``, built
 once, in lockstep from the grid's own initial rows, and step i's keyed draws
 are made once for every grid that has a step i.  Moment reductions are done
 block by block (fixed 1024-path blocks), so results do not depend on how paths
 are partitioned across workers.  Every plan is built on the model and keeps it,
 so a chunk carries only plans and stream, and pickles the model once, through them.
+Each judge (weak order, the terminal check and strong order's reference check) reads
+one exact law, ``_exact_law(plan)`` at the plan's last real time, through ``_moment``.
 """
 
 import collections
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, as_integer
 from .fanout import fan_out, path_chunks
 from .grids import StepGrid, linear_lambda_grid
 from .models import DataDistribution
@@ -49,7 +51,6 @@ class OrderEstimate:
     ses: list
     n_paths: int
     slope: float
-    intercept: float
     r2: float
     slope_se: float
     excluded: list = field(default_factory=list)
@@ -88,70 +89,66 @@ def fit_loglog(hs, errors):
     return slope, intercept, r2, slope_se
 
 
-class GaussianFlowOracle:
-    """Exact marginals of the flow started from a Gaussian mixture.
+def _moment(law, power: int):
+    """Per-axis raw moment E[x^power] of a mixture law (weights, means, variances), for
+    power in {1, 2, 4}."""
+    w, mu, var = law
+    if power == 1:
+        return w @ mu
+    if power == 2:
+        return w @ (mu * mu + var)
+    if power == 4:
+        return w @ (mu**4 + 6.0 * mu * mu * var + 3.0 * var * var)
+    raise ConfigError(f"unsupported moment power {power!r}")
 
-    At time t the marginal is sum_k w_k N(alpha m_k, alpha^2 V_k +
-    sigma_bar^2), which yields every polynomial moment in closed form.
-    """
+
+def _variance(law):
+    """Per-axis variance E[x^2] - m m, m = E[x], of a mixture law."""
+    m = _moment(law, 1)
+    return _moment(law, 2) - m * m
+
+
+def _pushed(data: DataDistribution, sched, t):
+    """The data pushed to time t, sum_k w_k N(alpha m_k, alpha^2 V_k + sigma_bar^2), as a law."""
+    return (data.weights, *data.marginal(sched, t))
+
+
+class GaussianFlowOracle:
+    """Exact moments of the flow started from a Gaussian mixture, in closed form."""
 
     def __init__(self, data: DataDistribution, sched):
-        self.data = data
-        self.sched = sched
-
-    def component_moments(self, t):
-        return (self.data.weights, *self.data.marginal(self.sched, t))
+        self.data, self.sched = data, sched
 
     def mean(self, t):
         return self.moment(t, 1)
 
     def var(self, t):
-        m = self.moment(t, 1)
-        return self.moment(t, 2) - m * m
+        return _variance(_pushed(self.data, self.sched, t))
 
     def moment(self, t, power: int):
         """Per-axis raw moment E[x^power] for power in {1, 2, 4}."""
-        w, mu, var = self.component_moments(t)
-        if power == 1:
-            return w @ mu
-        if power == 2:
-            return w @ (mu * mu + var)
-        if power == 4:
-            return w @ (mu**4 + 6.0 * mu * mu * var + 3.0 * var * var)
-        raise ConfigError(f"unsupported moment power {power!r}")
+        return _moment(_pushed(self.data, self.sched, t), power)
 
 
-class ZeroFlowOracle(GaussianFlowOracle):
-    """Exact marginals of a plan's walk when its model's term vanishes: the linear flow.
-
-    Starting from N(0, sigma_bar(t0)^2 I) at the plan's top time t0, the state at time
-    t is centered Gaussian with variance (alpha_t/alpha_0)^2 sigma_bar_0^2, plus the
-    reverse SDE's sigma_bar_t^2 (e^{2(lambda_t - lambda_0)} - 1) when its steps take draws.
-    """
-
-    def __init__(self, plan):
-        super().__init__(None, plan.model.sched)
-        self.t_top, self.noisy, self.d = plan.top, plan.spec.form.takes_draws, plan.model.dim
-
-    def component_moments(self, t):
-        a0, _, sbar0 = self.sched.alpha_sigma(self.t_top)
-        a_t, _, sbar_t = self.sched.alpha_sigma(t)
-        var = (a_t / a0) ** 2 * sbar0**2
-        if self.noisy:
-            h = self.sched.lambda_of_t(t) - self.sched.lambda_of_t(self.t_top)
-            var += sbar_t**2 * math.expm1(2.0 * h)
-        return np.ones(1), np.zeros((1, self.d)), np.full((1, self.d), var)
-
-
-def _oracle_for(plan):
-    """The exact flow of the plan's model's data, or the zero model's along the plan's walk."""
+def _exact_law(plan):
+    """The law the plan's walk targets at its last real time, ``plan.rows[-1][0]``, as a
+    mixture (weights, means, variances): a mixture model's data pushed there.  When the
+    model's term vanishes it is the linear flow: from N(0, sigma_bar_0^2 I) at the plan's
+    top time t0, centered Gaussian with variance (alpha_t/alpha_0)^2 sigma_bar_0^2, plus the
+    reverse SDE's sigma_bar_t^2 (e^{2(lambda_t - lambda_0)} - 1) when its steps take draws."""
+    sched, t = plan.model.sched, plan.rows[-1][0]
     if hasattr(plan.model, "data"):
-        return GaussianFlowOracle(plan.model.data, plan.model.sched)
-    if plan.model.sched.family == "edm":  # EDM preconditions the network output
+        return _pushed(plan.model.data, sched, t)
+    if sched.family == "edm":  # EDM preconditions the network output
         raise ConfigError("the zero model has no exact law on EDM: its noise_pred == 0 is the "
                           "network of N(0, sigma_data^2 I) data, its data_pred == x the score-0 "
                           "model")
-    return ZeroFlowOracle(plan)
+    a0, _, sbar0 = sched.alpha_sigma(plan.top)
+    a_t, _, sbar_t = sched.alpha_sigma(t)
+    var = (a_t / a0) ** 2 * sbar0**2
+    if plan.spec.form.takes_draws:
+        var += sbar_t**2 * math.expm1(2.0 * (sched.lambda_of_t(t) - sched.lambda_of_t(plan.top)))
+    return np.ones(1), np.zeros((1, plan.model.dim)), np.full((1, plan.model.dim), var)
 
 
 # the most steps strong order's finest (reference) grid may have: every chunk walks
@@ -187,6 +184,8 @@ def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_p
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
     if spec.churn is not None:
         raise ConfigError("strong order takes no churn: its noise is off the coupled Brownian path")
+    base_steps, refinements, ref_extra = (as_integer(f"order {key}", value) for key, value in (
+        ("base_steps", base_steps), ("refinements", refinements), ("ref_extra", ref_extra)))
     if refinements < 3:
         raise ConfigError("need at least 3 refinement levels")
     if base_steps < 1:
@@ -200,11 +199,10 @@ def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_p
                           f"{_MAX_FINE_STEPS}")
     chunks = path_chunks(n_paths, workers)
     sched = model.sched
-    eps_end, t_top = sched.t_min, sched.t_max
 
     ratio = 2**halvings             # fine steps per level-0 step
     m_fine = base_steps * ratio
-    t_fine = linear_lambda_grid(m_fine, eps_end, t_top, sched).times
+    t_fine = linear_lambda_grid(m_fine, sched.t_min, sched.t_max, sched).times
     strides = [1] + [ratio >> lvl for lvl in range(refinements)]   # the reference first
     # the sentinel 0 makes t_min the end of each level's last real step
     plans = [StepPlan(spec, model, StepGrid(np.append(t_fine[::k], 0.0))) for k in strides]
@@ -232,19 +230,18 @@ def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_p
     notes = []
     if max(errors) < 1e-12:
         notes.append("errors at rounding level; scheme is exact on this problem")
-        return OrderEstimate("strong", hs, errors, ses, n_paths, math.nan, math.nan,
-                             math.nan, math.nan, notes=notes)
-    slope, intercept, r2, slope_se = fit_loglog(hs, errors)
+        return OrderEstimate("strong", hs, errors, ses, n_paths, math.nan, math.nan, math.nan,
+                             notes=notes)
+    slope, _, r2, slope_se = fit_loglog(hs, errors)
     if slope_se > 0.1:
         notes.append(f"slope standard error {slope_se:.3f} > 0.1; increase n_paths")
     _stability_note(hs, errors, slope, notes)
     # reference sanity: finest-level terminal moments vs the exact flow
-    exp_mean = _oracle_for(plans[0]).mean(eps_end)
+    exp_mean = _moment(_exact_law(plans[0]), 1)
     se = np.std(ref, axis=0) / math.sqrt(n_paths)
     if np.any(np.abs(_block_mean(ref) - exp_mean) > 5.0 * se):
         notes.append("reference terminal mean off by more than 5 SE")
-    return OrderEstimate("strong", hs, errors, ses, n_paths, slope, intercept, r2,
-                         slope_se, notes=notes)
+    return OrderEstimate("strong", hs, errors, ses, n_paths, slope, r2, slope_se, notes=notes)
 
 
 def _coupled_chunk(stream, plans, strides, lams, offset: int, count: int):
@@ -302,23 +299,21 @@ def weak_order(spec: SolverSpec, model, grids, n_paths: int, stream,
         raise ConfigError("need at least 3 grid resolutions")
     chunks = path_chunks(n_paths, workers)
     plans = [StepPlan(spec, model, grid) for grid in grids]   # a grid needs a real step
-    widths, grids, plans = map(list, zip(*sorted(
-        ((float(np.max(g.step_widths(model.sched))), g, plan) for g, plan in zip(grids, plans)),
-        key=lambda triple: -triple[0])))
+    widths = [float(np.max(grid.step_widths(model.sched))) for grid in grids]
+    widths, plans = map(list, zip(*sorted(zip(widths, plans), key=lambda pair: -pair[0])))
     if len(set(widths)) < len(widths):
         raise ConfigError(f"weak order needs distinct largest step widths, got {widths}")
     run = functools.partial(_weak_chunk, stream, plans)
     terminals = fan_out(run, chunks, workers)   # per chunk, each grid's terminal states
     errors, ses, excluded, notes = [], [], [], []
-    for g_idx, (h, grid, plan) in enumerate(zip(widths, grids, plans)):
-        oracle = _oracle_for(plan)   # each grid's exact law starts from its own top
-        terminal_t = float(grid.times[grid.n_steps - 1])
+    for g_idx, (h, plan) in enumerate(zip(widths, plans)):
+        law = _exact_law(plan)   # each grid's exact law starts from its own top
         term = np.concatenate([chunk[g_idx] for chunk in terminals])   # one grid at a time
         moments = []  # (largest error over the axes, its standard error) per power
         with np.errstate(over="ignore", invalid="ignore"):   # a non-finite one is named below
             for p in (1, 2, 4):
                 vals = term**p
-                gap = np.abs(_block_mean(vals) - oracle.moment(terminal_t, p))
+                gap = np.abs(_block_mean(vals) - _moment(law, p))
                 axis = int(np.argmax(gap))
                 moments.append((float(gap[axis]),
                                 float(np.std(vals[:, axis])) / math.sqrt(n_paths)))
@@ -335,16 +330,15 @@ def weak_order(spec: SolverSpec, model, grids, n_paths: int, stream,
             notes.append(f"grid {g_idx} (h={h:.4g}): all moment errors below 3*SE, excluded")
         errors.append(err_best)
         ses.append(se_best)
-    kept = [i for i in range(len(grids)) if i not in excluded]
+    kept = [i for i in range(len(plans)) if i not in excluded]
     if len(kept) >= 2:
-        slope, intercept, r2, slope_se = fit_loglog([widths[i] for i in kept],
-                                                    [errors[i] for i in kept])
+        slope, _, r2, slope_se = fit_loglog([widths[i] for i in kept], [errors[i] for i in kept])
         _stability_note([widths[i] for i in kept], [errors[i] for i in kept], slope, notes)
     else:
-        slope = intercept = r2 = slope_se = math.nan
+        slope = r2 = slope_se = math.nan
         notes.append("fewer than 2 points above the Monte Carlo floor; no fit")
-    return OrderEstimate("weak", widths, errors, ses, n_paths, slope, intercept, r2,
-                         slope_se, excluded=excluded, notes=notes)
+    return OrderEstimate("weak", widths, errors, ses, n_paths, slope, r2, slope_se,
+                         excluded=excluded, notes=notes)
 
 
 def _stability_note(hs, errors, slope, notes) -> None:
@@ -401,11 +395,12 @@ class MomentReport:
 
 def terminal_distribution_check(spec: SolverSpec, model, grid: StepGrid, n_paths: int,
                                 stream) -> MomentReport:
-    """Compare the terminal moments of ``sample`` on the grid's one plan with the exact flow."""
+    """Compare the terminal moments of ``sample`` on the grid's one plan with its exact law."""
+    if as_integer("path count", n_paths) == 1:   # the skewness would divide by a zero SD
+        raise ConfigError("the terminal check needs at least two paths, got 1")
     plan = StepPlan(spec, model, grid)
-    oracle = _oracle_for(plan)
+    law = _exact_law(plan)
     x = sample(plan, stream, n_paths).terminal
-    terminal_t = float(grid.times[grid.n_steps - 1])
     mean = _block_mean(x)
     mean_se = np.std(x, axis=0) / math.sqrt(n_paths)
     centered = x - mean
@@ -416,9 +411,9 @@ def terminal_distribution_check(spec: SolverSpec, model, grid: StepGrid, n_paths
         n_paths=n_paths,
         mean=mean,
         mean_se=mean_se,
-        target_mean=oracle.mean(terminal_t),
+        target_mean=_moment(law, 1),
         cov_diag=cov_diag,
-        target_cov_diag=oracle.var(terminal_t),
+        target_cov_diag=_variance(law),
         skewness=skew,
         skewness_se=math.sqrt(6.0 / n_paths),
     )

@@ -523,6 +523,22 @@ def test_config_json_records_only_the_stage_parameters_that_ran(tmp_path, solver
     assert read(out / "terminal.csv") == read(tmp_path / "y" / "terminal.csv")
 
 
+@pytest.mark.parametrize("flag, expected", [
+    ("vp", {"kind": "vp", "beta_d": 10.0}), ("VP-Linear", {"kind": "vp", "beta_d": 10.0}),
+    ("edm", {"kind": "edm", "sigma_data": 0.5}),
+], ids=["vp", "vp-linear-alias", "edm"])
+def test_schedule_flag_keeps_the_parameters_of_the_configs_own_kind(tmp_path, flag, expected):
+    # as --solver keeps the stage parameters, a --schedule naming the section's kind keeps
+    # its beta_d; another kind starts from that kind's defaults
+    cfg_path = tmp_path / "vp10.json"
+    cfg_path.write_text(json.dumps({"schedule": {"kind": "vp_linear", "beta_d": 10.0}}))
+    out = tmp_path / "x"
+    assert run(["sample", "--config", str(cfg_path), "--schedule", flag, "--solver", "seeds1",
+                "--steps", "5", "--paths", "3", "--out", str(out)]) == 0
+    written = json.loads(read(out / "config.json"))["schedule"]
+    assert {key: written[key] for key in expected} == expected
+
+
 _SMALL_ORDER = {"strong": {"base_steps": 4, "refinements": 3}, "weak": {"steps_list": [5, 7, 10]}}
 
 

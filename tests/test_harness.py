@@ -510,6 +510,17 @@ def test_compare_and_strong_order_evaluate_from_the_table(vp, marginal_calls):
     assert set(marginal_calls) <= {vp.t_min}
 
 
+def _weak(vp, n_paths, workers=1):
+    grids = [linear_lambda_grid(m, vp.t_min, vp.t_max, vp) for m in (4, 6, 8)]
+    return weak_order(SolverSpec("seeds1"), ZeroModel(1, vp), grids, n_paths, RngStream(0),
+                      workers=workers)
+
+
+def _strong(vp, **kwargs):
+    sizes = {"base_steps": 2, "refinements": 3, "n_paths": 8, "ref_extra": 1, **kwargs}
+    return strong_order(SolverSpec("seeds1"), ZeroModel(1, vp), stream=RngStream(0), **sizes)
+
+
 @pytest.mark.parametrize("call, words", [
     (lambda vp: strong_order(SolverSpec("seeds1"), ZeroModel(1, vp), base_steps=2,
                              refinements=3, n_paths=8, stream=RngStream(0), ref_extra=0),
@@ -521,9 +532,33 @@ def test_compare_and_strong_order_evaluate_from_the_table(vp, marginal_calls):
                                             linear_lambda_grid(5, vp.t_min, vp.t_max, vp),
                                             n_paths=0, stream=RngStream(0)),
      "need at least one path, got 0"),
-], ids=["ref-extra-0", "moment-3", "no-paths"])
+    # one path has no sample SD for the skewness to divide by
+    (lambda vp: terminal_distribution_check(SolverSpec("seeds1"), ZeroModel(1, vp),
+                                            linear_lambda_grid(5, vp.t_min, vp.t_max, vp),
+                                            n_paths=1, stream=RngStream(0)),
+     "terminal check needs at least two paths, got 1"),
+    # counts that are not integers, or no worker, fail by name before any walk
+    (lambda vp: _weak(vp, 5000, workers=1.5), "workers must be an integer, got 1.5"),
+    (lambda vp: _weak(vp, 5000, workers=0), "workers must be >= 1, got 0"),
+    (lambda vp: _weak(vp, 5000, workers=-1), "workers must be >= 1, got -1"),
+    (lambda vp: _weak(vp, 5000, workers=True), "workers must be an integer, got True"),
+    (lambda vp: _weak(vp, 2.5), "path count must be an integer, got 2.5"),
+    (lambda vp: _strong(vp, n_paths=2.5), "path count must be an integer, got 2.5"),
+    (lambda vp: _strong(vp, n_paths=True), "path count must be an integer, got True"),
+    (lambda vp: _strong(vp, base_steps=2.5), "order base_steps must be an integer, got 2.5"),
+    (lambda vp: _strong(vp, refinements=3.5), "order refinements must be an integer, got 3.5"),
+    (lambda vp: _strong(vp, ref_extra=1.5), "order ref_extra must be an integer, got 1.5"),
+    (lambda vp: path_chunks(10, 1.5), "workers must be an integer, got 1.5"),
+], ids=["ref-extra-0", "moment-3", "no-paths", "one-path", "workers-1.5", "workers-0",
+        "workers--1", "workers-True", "weak-paths-2.5", "strong-paths-2.5", "strong-paths-True",
+        "base-steps-2.5", "refinements-3.5", "ref-extra-1.5", "chunks-workers-1.5"])
 def test_bad_harness_inputs_raise_named_errors(vp, call, words):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match=words):
             call(vp)
+
+
+def test_an_integral_float_worker_count_runs_as_its_integer(vp):
+    a, b = (_weak(vp, 5000, workers=workers) for workers in (2.0, 2))
+    assert (a.to_csv(), a.to_json()) == (b.to_csv(), b.to_json())
