@@ -17,10 +17,10 @@ same bytes in one chunk and in two, the CSV and JSON that ``order strong``
 and ``order weak`` write (9000-path runs at one, two and three workers: two
 chunks, then three), the ``strong_order`` estimate at two reference depths
 and at a stride ratio of 512 through the Python API, the stdout of
-``compare`` and the files that ``sample --save-trajectories`` writes.  Through
-the Python API it also locks ``per_step_compare`` with zeroed draws, with and
-without churn, the exact-flow oracle's moments on every schedule, and the
-``config.json`` written for each schedule kind.
+``compare`` and the files that ``sample --save-trajectories`` writes at five
+paths and at one.  Through the Python API it also locks ``per_step_compare``
+with zeroed draws, with and without churn, the exact-flow oracle's moments on
+every schedule, and the ``config.json`` written for each schedule kind.
 """
 
 import hashlib
@@ -199,6 +199,11 @@ ORDER_CASES = {
                                 "--paths", "1"],
                                {"order": {"base_steps": 8, "refinements": 3}, "paths": 400},
                                "order_strong_seeds1"),
+    # one path in d = 1 on every grid: its one-number walks
+    "weak-seeds2-one-path": (["order", "weak", "--solver", "seeds2", "--seed", "2",
+                              "--paths", "1"],
+                             {"order": {"steps_list": [5, 7, 10]}, "paths": 2000},
+                             "order_weak_seeds2"),
     "strong-seeds1-mixture-d3": (["order", "strong", "--solver", "seeds1", "--seed", "5"],
                                  {"order": {"base_steps": 8, "refinements": 3}, "paths": 50,
                                   "model": _MIXTURE},
@@ -241,6 +246,9 @@ ORDER_LOCKED = {
     # other path count's: error, r2 and slope_se moved by at most 4.7e-16 relative
     "strong-seeds1-one-path": ["7ab99bd4d7b74fc941dde4a993e3393e6cea635f7be86aa6edb6d635563157d6",
                                "09ecafff44efeda980589d880b1a886da05ba971e73f528d0ce53d2845955bdc"],
+    # from the parent of the commit that walks one number on Python floats
+    "weak-seeds2-one-path": ["8f1bf331617fa4cb23420cfcfaa38bb91f08536ae0694441c5f0373fb6912b82",
+                             "2f76799ed7e90b938f84c607a0cbbe802aaa1ce44936f3fc0f62f023c61da616"],
     # from the parent of the commit that put order on the process pool, which ran
     # every order in one process
     "strong-seeds1-two-chunks": [
@@ -277,6 +285,13 @@ TRAJECTORY_LOCKED = {
     "path_000003.csv": "8e8216d9c2e03f87b2f70f90d4d9df09365d4989ec886eb13f24a1d4a18d12ee",
     "path_000004.csv": "5fdd146c3ba1465f9fa5b88df4f3954a1e8cadc8e702fbe64f40e7cd6fb4be51",
 }
+
+# --save-trajectories at one path in d = 1 (EDM seeds3 churned by _CHURN, 9 steps, seed
+# 11): sha256 of the trajectory file and of terminal.csv, from the parent of the commit
+# that walks one number on Python floats
+ONE_PATH_TRAJECTORY_LOCKED = (
+    "449f4487d87ebb1fdc1746d4f7de4c819e48b840e22a6db30ac96dd1b2131574",
+    "9ea27d0e92c53f0a46f90ae373d1abb66d216995f45915689565638343987053")
 
 # name -> argv after "compare"
 COMPARE_CASES = {
@@ -479,6 +494,17 @@ def test_trajectory_files_locked(tmp_path, chunks_of):
     for p, row in enumerate(terminal):
         last = (traj / f"path_{p:06d}.csv").read_text().splitlines()[-1]
         assert last.split(",")[1:] == row.split(",")[1:]
+
+
+def test_one_path_trajectory_file_locked(tmp_path):
+    out = tmp_path / "out"
+    argv = ["sample", "--schedule", "edm", "--steps", "9", "--paths", "1", "--seed", "11",
+            "--save-trajectories", "--out", str(out)]
+    assert main(_with_config(tmp_path, argv, {"solver": {"family": "seeds3",
+                                                         "churn": _CHURN}})) == 0
+    assert sorted(p.name for p in (out / "trajectories").iterdir()) == ["path_000000.csv"]
+    got = (_sha256(out / "trajectories" / "path_000000.csv"), _sha256(out / "terminal.csv"))
+    assert got == ONE_PATH_TRAJECTORY_LOCKED
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_NOISE_COMPARE_LOCKED))
