@@ -184,6 +184,7 @@ def strong_order(spec: SolverSpec, model, base_steps: int, refinements: int, n_p
         raise ConfigError("the strong-order claim covers only the one-stage solver (seeds1, np)")
     if spec.churn is not None:
         raise ConfigError("strong order takes no churn: its noise is off the coupled Brownian path")
+    n_paths = as_integer("path count", n_paths)
     base_steps, refinements, ref_extra = (as_integer(f"order {key}", value) for key, value in (
         ("base_steps", base_steps), ("refinements", refinements), ("ref_extra", ref_extra)))
     if refinements < 3:
@@ -297,6 +298,7 @@ def weak_order(spec: SolverSpec, model, grids, n_paths: int, stream,
     """
     if len(grids) < 3:
         raise ConfigError("need at least 3 grid resolutions")
+    n_paths = as_integer("path count", n_paths)
     chunks = path_chunks(n_paths, workers)
     plans = [StepPlan(spec, model, grid) for grid in grids]   # a grid needs a real step
     widths = [float(np.max(grid.step_widths(model.sched))) for grid in grids]
@@ -396,7 +398,8 @@ class MomentReport:
 def terminal_distribution_check(spec: SolverSpec, model, grid: StepGrid, n_paths: int,
                                 stream) -> MomentReport:
     """Compare the terminal moments of ``sample`` on the grid's one plan with its exact law."""
-    if as_integer("path count", n_paths) == 1:   # the skewness would divide by a zero SD
+    n_paths = as_integer("path count", n_paths)
+    if n_paths == 1:   # the skewness would divide by a zero SD
         raise ConfigError("the terminal check needs at least two paths, got 1")
     plan = StepPlan(spec, model, grid)
     law = _exact_law(plan)

@@ -67,8 +67,12 @@ class RngStream:
 
         Row p of the result is trajectory offset + p's draw, the same for any
         n or offset, so any partition of the path range reproduces the same
-        values.
+        values.  One row is read straight from its block's draw.
         """
+        if n == 1:
+            block, row = divmod(offset, BLOCK)
+            out = self._normal_block(block, step, stage, d, row + 1)
+            return out[row:] if row else out
         out = np.empty((n, d))
         filled = 0
         while filled < n:

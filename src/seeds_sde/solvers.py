@@ -41,6 +41,17 @@ injects fixed draws.  ``lockstep`` starts a group of walks
 from their x_T and advances them together on one ``draws_at``, so a group on one
 ``StepDraws`` draws each key once.
 
+One path in d = 1 walks on Python floats, the float lane.  ``StepDraws`` is
+the one place it is chosen, from its path count and d alone: at n = 1 and
+d = 1 it reads each keyed draw, still made by ``RngStream.normal_paths``, as
+a float, so the x_T ``lockstep`` makes from it is a float.  The step bodies
+run on it unchanged, since a float's + - * / are the IEEE operations NumPy
+applies per element; the models take a float state (``models._states``),
+``walk`` checks it with ``math.isfinite``, and ``lockstep`` yields it as its
+(1, 1) array, so no float leaves the walks.  perfbench's sample-narrow
+workload (one path, M = 1001) rose from 33.7k to 83.3k path-steps per second
+(medians of 10 alternating 30 s runs, 2-CPU Linux host).
+
 A step's time-only part depends only on the grid and the run's one schedule,
 ``model.sched``: its stage-node times and every scalar its body multiplies an
 array by, each product formed in the order the body would evaluate it.  Every
@@ -160,7 +171,11 @@ class StepDraws(dict):
     dropping the draws kept for another step, and ``draws[k]`` draws stage k's (n, d) array
     on key (step i, stage k) when first read and keeps it.  So walks advanced in lockstep on
     one ``StepDraws`` draw each key once, and ``draws_at(0)[0]`` is the initial draw.  Steps
-    never write into their draws, so every walk may read the same arrays."""
+    never write into their draws, so every walk may read the same arrays.
+
+    With one path in d = 1 (``floats``) each draw is read as a float, so the x_T that
+    ``lockstep`` makes from it is a float, and so is every state its walks step to:
+    this is the one place the float lane is chosen."""
 
     def __init__(self, stream, n: int, d: int, offset: int = 0):
         n = as_integer("path count", n)
@@ -170,6 +185,7 @@ class StepDraws(dict):
         if offset < 0:
             raise ConfigError(f"path offset must be >= 0, got {offset}")
         self.stream, self.n, self.d, self.offset = stream, n, d, offset
+        self.floats = n == 1 and d == 1
         self.step_index = None
 
     def __call__(self, step_index: int) -> "StepDraws":
@@ -178,9 +194,9 @@ class StepDraws(dict):
             self.step_index = step_index
         return self
 
-    def __missing__(self, stage: int) -> np.ndarray:
-        z = self[stage] = self.stream.normal_paths(self.n, self.step_index, stage, self.d,
-                                                   offset=self.offset)
+    def __missing__(self, stage: int):
+        z = self.stream.normal_paths(self.n, self.step_index, stage, self.d, offset=self.offset)
+        z = self[stage] = z.item() if self.floats else z
         return z
 
 
@@ -546,10 +562,11 @@ class StepPlan:
 
 
 def walk(plan: StepPlan, draws_at, x):
-    """Yield the (n, d) state after each real step of the plan on its model, from x at t_0.
+    """Yield the state after each real step of the plan on its model, from x at t_0: an
+    (n, d) array, or a float while x and the draws are floats (the float lane).
 
     Step i reads its draws from ``draws_at(i)``, a mapping from stage to (n, d)
-    array, called when the step starts; where the plan lifts it, churn lifts
+    array or float, called when the step starts; where the plan lifts it, churn lifts
     the state from the stage-0 draw first.  A step that leaves a NaN or
     infinity raises DomainError naming step i and its time.
     """
@@ -559,27 +576,33 @@ def walk(plan: StepPlan, draws_at, x):
         if lift is not None:
             x = churn_inject(x, lift, draws[0])
         x = step_once(spec, model, x, start, t, draws, nodes)
-        if not np.isfinite(x).all():
+        if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
             raise DomainError(f"non-finite state after step {i} at t={t!r}")
         yield x
 
 
+def _paths(x) -> np.ndarray:
+    """A walk's state as its (n, d) array: a float state is one path in d = 1."""
+    return np.array(x, ndmin=2) if isinstance(x, float) else x
+
+
 def lockstep(plans, draws_at):
-    """Walk the plans together, each on its model, and yield the list of their states:
-    first each x_T, sigma_bar(top) ``draws_at(0)[0]``, then after each step i, a plan past
-    its last step keeping its last.  Before the first yield each distinct model, in plan
-    order, has its optional ``prepare`` hook called once with the ``times()`` of all its
-    plans (a table per walk would evict the others).  Step i's walks read one
-    ``draws_at(i)``: a ``StepDraws`` draws each key once."""
+    """Walk the plans together, each on its model, and yield the list of their (n, d)
+    states: first each x_T, sigma_bar(top) ``draws_at(0)[0]``, then after each step i, a
+    plan past its last step keeping its last; a walk on the float lane yields its float
+    as a (1, 1) array.  Before the first yield each distinct model, in plan order, has its
+    optional ``prepare`` hook called once with the ``times()`` of all its plans (a table
+    per walk would evict the others).  Step i's walks read one ``draws_at(i)``: a
+    ``StepDraws`` draws each key once."""
     states = [plan.model.sched.alpha_sigma(plan.top)[2] * draws_at(0)[0] for plan in plans]
     for model in {id(plan.model): plan.model for plan in plans}.values():   # by identity
         if (prepare := getattr(model, "prepare", None)) is not None:
             prepare([u for plan in plans if plan.model is model for u in plan.times()])
-    yield states
+    yield list(map(_paths, states))
     walks = [walk(plan, draws_at, x) for plan, x in zip(plans, states)]
     for _ in range(max(len(plan.rows) for plan in plans)):
         states = list(map(next, walks, states))   # a finished walk yields its last state
-        yield states
+        yield list(map(_paths, states))
 
 
 @dataclass

@@ -27,7 +27,8 @@ def mixture_model(vp):
 
 
 class ConstantModel:
-    """Stub network returning fixed values; used by degeneration tests."""
+    """Stub network returning fixed values, a float at a float state as the package's
+    models do; used by degeneration tests."""
 
     def __init__(self, d, sched, noise_value=0.0, data_value=0.0):
         self._d, self.sched = d, sched
@@ -39,13 +40,17 @@ class ConstantModel:
     def dim(self):
         return self._d
 
+    @staticmethod
+    def _value(x, value):
+        return value if isinstance(x, float) else np.full_like(np.asarray(x, dtype=float), value)
+
     def noise_pred(self, x, t):
         self.nfe += 1
-        return np.full_like(np.asarray(x, dtype=float), self.noise_value)
+        return self._value(x, self.noise_value)
 
     def data_pred(self, x, t):
         self.nfe += 1
-        return np.full_like(np.asarray(x, dtype=float), self.data_value)
+        return self._value(x, self.data_value)
 
 
 @pytest.fixture

@@ -562,3 +562,15 @@ def test_bad_harness_inputs_raise_named_errors(vp, call, words):
 def test_an_integral_float_worker_count_runs_as_its_integer(vp):
     a, b = (_weak(vp, 5000, workers=workers) for workers in (2.0, 2))
     assert (a.to_csv(), a.to_json()) == (b.to_csv(), b.to_json())
+
+
+def test_an_integral_float_path_count_runs_and_reports_as_its_integer(vp, gauss_model):
+    # each estimator takes the count once, as an int: its CSV and JSON are the int count's
+    for run in (lambda n: _weak(vp, n), lambda n: _strong(vp, n_paths=n)):
+        a, b = run(2000.0), run(2000)
+        assert a.n_paths == 2000 and type(a.n_paths) is int
+        assert (a.to_csv(), a.to_json()) == (b.to_csv(), b.to_json())
+    grid = linear_lambda_grid(5, vp.t_min, vp.t_max, vp)
+    a, b = (terminal_distribution_check(SolverSpec("seeds1"), gauss_model, grid, n,
+                                        RngStream(0)) for n in (200.0, 200))
+    assert a.n_paths == 200 and type(a.n_paths) is int and repr(a) == repr(b)

@@ -548,6 +548,10 @@ _BAD_STATES = [
      ("noise_pred", "data_pred")),
     ("zero-d1-on-d3", lambda: ZeroModel(3, VpLinear()), np.zeros((2, 1)),
      ("noise_pred", "data_pred")),
+    # a float is one state only where d = 1
+    ("float-on-d3", lambda: ScoreModel(DataDistribution.standard_normal(3), VpLinear()), 0.3,
+     ("score", "noise_pred", "data_pred")),
+    ("zero-float-on-d3", lambda: ZeroModel(3, VpLinear()), 0.3, ("noise_pred", "data_pred")),
 ]
 
 
@@ -557,8 +561,8 @@ _BAD_STATES = [
 def test_states_of_another_dimension_raise_a_named_error(make, call, x):
     # and a rejected call is not counted as a network evaluation
     model = make()
-    with pytest.raises(DomainError, match=re.escape(f"states of shape {x.shape} are not of "
-                                                    f"dimension d = {model.dim}")):
+    with pytest.raises(DomainError, match=re.escape(f"states of shape {np.shape(x)} are not "
+                                                    f"of dimension d = {model.dim}")):
         getattr(model, call)(x, 0.5)
     assert model.nfe == 0
 
@@ -568,3 +572,52 @@ def test_a_zero_model_dimension_that_is_not_an_integer_from_1_is_a_domain_error(
     with pytest.raises(DomainError, match="dimension must be >= 1"):
         ZeroModel(d, VpLinear())
     assert ZeroModel(np.int64(2), VpLinear()).dim == 2
+
+
+def _float_states(data, sched, t):
+    """One-number states at t: an ordinary one, signed zeros, the first component's mean
+    and its distance R_t from the mean, where one component's closed form ends, on both
+    sides of it, and one ulp nearer and farther."""
+    mus, covs = data.marginal(sched, t)
+    mu, cov = float(mus[0, 0]), float(covs[0, 0])
+    bound = math.sqrt(np.finfo(float).max / 2) * min(1.0, math.sqrt(float(covs.min())))
+    states = [mu + 0.7 * math.sqrt(cov), 0.0, -0.0, mu, -mu]
+    for edge in (mu + bound, mu - bound):
+        states += [float(np.nextafter(edge, 0.0)), edge,
+                   float(np.nextafter(edge, math.copysign(math.inf, edge)))]
+    return states
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), Ve(), Edm()], ids=["vp", "ve", "edm"])
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_float_state_gives_the_bytes_of_its_one_by_one_call(sched, k):
+    # on a d = 1 model a float state is one state: each call returns a float with the bytes
+    # of its (1, 1) array's call and a network call counts once, at tabulated and other
+    # times, within one component's closed-form bound and past it, and with two components
+    rng = np.random.default_rng(80 + k)
+    data = DataDistribution(np.full(k, 1.0 / k), rng.normal(0.0, 2.0, (k, 1)),
+                            rng.uniform(0.3, 1.5, (k, 1)))
+    times = [sched.t_min, 0.5 * (sched.t_min + sched.t_max), sched.t_max]
+    ref, plain, prepared = (ScoreModel(data, sched) for _ in range(3))
+    prepared.prepare(times[:2])
+    for t in times:
+        for x in _float_states(data, sched, t):
+            for model in (plain, prepared):
+                for call in ("score", "noise_pred", "data_pred"):
+                    nfe = model.nfe
+                    got = getattr(model, call)(x, t)
+                    want = getattr(ref, call)(np.array([[x]]), t)
+                    assert type(got) is float and _same_bits(np.array([[got]]), want), (t, x)
+                    assert model.nfe == nfe + (call != "score")
+
+
+@pytest.mark.parametrize("sched", [VpLinear(), Ve(), Edm()], ids=["vp", "ve", "edm"])
+def test_a_float_state_of_the_zero_model_gives_the_bytes_of_its_one_by_one_call(sched):
+    model = ZeroModel(1, sched)
+    for t in (sched.t_min, sched.t_max):
+        for x in (0.7, -0.0, 1e300):
+            for call in ("noise_pred", "data_pred"):
+                nfe = model.nfe
+                got = getattr(model, call)(x, t)
+                assert type(got) is float and model.nfe == nfe + 1
+                assert _same_bits(np.array([[got]]), getattr(model, call)(np.array([[x]]), t))

@@ -78,11 +78,12 @@ def test_step_bench_script_runs():
     proc = _run("step_bench.py", "--steps", "4", "--repeats", "1")
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()
-    assert header.split() == ["family", "mode", "sched", "plan", "ms", "walk", "ms"]
-    # one row per family and mode, with both times
+    assert header.split() == ["family", "mode", "sched", "plan", "ms", "walk", "ms", "d=1",
+                              "walk", "ms", "d=2"]
+    # one row per family and mode, with the plan's time and the walk's at d = 1 and d = 2
     assert [tuple(row.split()[:2]) for row in rows] == [
         (fam, mode) for fam, desc in FAMILIES.items() for mode in desc.forms]
-    assert all(float(row.split()[3]) > 0 and float(row.split()[4]) > 0 for row in rows)
+    assert all(float(value) > 0 for row in rows for value in row.split()[3:6])
 
 
 def test_bench_record_script_runs(tmp_path):

@@ -1140,14 +1140,22 @@ def test_sample_trajectory_shape_and_determinism(vp, gauss_model):
     res2 = sample(StepPlan(SolverSpec("seeds3"), gauss_model, grid), RngStream(3), n_paths=5,
                   record=True)
     assert np.array_equal(res.trajectory, res2.trajectory)
+    # one path in d = 1 walks on floats, and returns path 0's arrays and bytes
+    one = sample(StepPlan(SolverSpec("seeds3"), gauss_model, grid), RngStream(3), n_paths=1,
+                 record=True)
+    assert one.trajectory.shape == (7, 1, 1) and one.terminal.shape == (1, 1)
+    assert one.trajectory.tobytes() == res.trajectory[:, :1].tobytes()
 
 
 def test_sample_rejects_non_finite_state(vp, constant_model):
     grid = linear_lambda_grid(6, vp.t_min, vp.t_max, vp)
     t1 = float(grid.times[1])
-    with pytest.raises(DomainError, match=f"non-finite state after step 1 at t={t1!r}"):
-        sample(StepPlan(SolverSpec("seeds1"), constant_model(1, vp, noise_value=math.inf), grid),
-               RngStream(0), n_paths=3)
+    # one path in d = 1 walks on floats, where an overflow is an infinity with no warning;
+    # a ZeroDivisionError or an OverflowError would escape the DomainError check
+    for n_paths, noise_value in ((3, math.inf), (1, math.inf), (1, 1e308)):
+        with pytest.raises(DomainError, match=f"non-finite state after step 1 at t={t1!r}"):
+            sample(StepPlan(SolverSpec("seeds1"), constant_model(1, vp, noise_value=noise_value),
+                            grid), RngStream(0), n_paths=n_paths)
 
 
 def test_solver_spec_validation():
