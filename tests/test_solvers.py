@@ -950,6 +950,24 @@ def test_models_without_the_hook_sample_and_compare_unchanged(family, mode, name
     assert len(marginal_calls) == inner.nfe > 0
 
 
+@pytest.mark.parametrize("family, mode, name, churn", _EVERY_FORM.values(), ids=_EVERY_FORM)
+def test_a_one_path_walk_on_floats_gives_its_row_of_an_array_walk(family, mode, name, churn):
+    # draws are keyed by path, so path p reads the same in any batch: one path in d = 1
+    # walks on floats, two on arrays, and both give path p's bytes, with one component
+    # and with two (whose float states take the array score)
+    sched = _SCHEDULES[name]
+    grid = linear_lambda_grid(15, sched.t_min, sched.t_max, sched)
+    spec = SolverSpec(family, mode=mode, churn=churn)
+    for data in (DataDistribution.standard_normal(1),
+                 DataDistribution(np.array([0.3, 0.7]), np.array([[1.0], [-2.0]]),
+                                  np.array([[0.4], [1.3]]))):
+        plan = StepPlan(spec, ScoreModel(data, sched), grid)
+        one, two = (sample(plan, RngStream(5), n_paths=n, path_offset=1030, record=True)
+                    for n in (1, 2))
+        assert one.trajectory.shape == (16, 1, 1)
+        assert one.trajectory.tobytes() == two.trajectory[:, :1].tobytes()
+
+
 @pytest.mark.parametrize("family", [fam for fam, mode, name in _FORMS
                                     if (mode, name) == ("np", "edm")])
 def test_np_forms_walk_the_edm_zero_model_as_the_network_of_its_prior(family):
